@@ -1,8 +1,8 @@
 //! Benchmarks step 3 (cluster-based pattern selection) in isolation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pao_core::cluster::{build_clusters, select_patterns, select_patterns_budget, SelectTuning};
-use pao_core::{CancelToken, PhaseBudget, PinAccessOracle};
+use pao_core::cluster::{build_clusters, select_patterns};
+use pao_core::PinAccessOracle;
 use pao_drc::DrcEngine;
 use pao_testgen::{generate, SuiteCase, TechFlavor};
 
@@ -26,26 +26,6 @@ fn bench_cluster(c: &mut Criterion) {
     });
     g.bench_function("select_patterns", |b| {
         b.iter(|| select_patterns(&tech, &engine, &design, &result.comp_uniq, &result.unique))
-    });
-    // A/B the boundary-compat memo: identical selections, fewer probes.
-    g.bench_function("select_patterns_memo_off", |b| {
-        let token = CancelToken::never();
-        let tuning = SelectTuning {
-            memo: false,
-            ..SelectTuning::default()
-        };
-        b.iter(|| {
-            select_patterns_budget(
-                &tech,
-                &engine,
-                &design,
-                &result.comp_uniq,
-                &result.unique,
-                1,
-                &tuning,
-                PhaseBudget::new(&token, None),
-            )
-        })
     });
     g.finish();
 }

@@ -5,7 +5,7 @@
 //!             [--report FILE] [--svg INSTANCE:FILE] [--cache FILE]
 //!             [--metrics] [--trace FILE] [--deadline-ms MS]
 //!             [--deadline-ok] [--checkpoint DIR] [--resume]
-//!             [--watchdog-ms MS] [--no-select-memo] [--select-split N]
+//!             [--watchdog-ms MS] [--select-split N]
 //!             [--dump-selection FILE]
 //! pao route   <tech.lef> <design.def> [--naive] [--report FILE]
 //! pao drc     <tech.lef> <design.def>
@@ -251,23 +251,14 @@ fn parse_budget_flags(
     Ok((deadline, watchdog))
 }
 
-/// Applies the cluster-selection tuning flags. The boundary-compat memo
-/// cache is off by default (its measured hit rate is sub-1%, see
-/// `SelectTuning::memo`); `--select-memo` opts back in and
-/// `--no-select-memo` forces it off (A/B identity runs).
-/// `--select-split N` sets the minimum group size for the intra-group
-/// wavefront split (0 disables, 1 forces it). Shared by analyze/profile.
+/// Applies the cluster-selection tuning flag: `--select-split N` sets
+/// the minimum group size for the intra-group wavefront split (0
+/// disables, 1 forces it). Shared by analyze/profile.
 fn parse_select_flags(args: &Args, select: &mut pao_core::SelectTuning) -> Result<(), CliError> {
     for name in ["--select-split", "--dump-selection"] {
         if args.value_missing(name) {
             return Err(CliError::usage(format!("{name} requires a value")));
         }
-    }
-    if args.flag("--select-memo") {
-        select.memo = true;
-    }
-    if args.flag("--no-select-memo") {
-        select.memo = false;
     }
     if let Some(v) = args.value("--select-split") {
         select.split_min_clusters = v
@@ -701,55 +692,21 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
         ));
     }
     // Selection-identity evidence backing `identical_output`: the
-    // memoized fast path and the wavefront split must not change a
-    // single selection. Compare the full selection vector and the
-    // repair overrides — not just the aggregate counters — between
-    // thread counts and against a memo-off reference run.
+    // wavefront split must not change a single selection. Compare the
+    // full selection vector and the repair overrides — not just the
+    // aggregate counters — between thread counts.
     if baseline.selection != parallel.selection || baseline.overrides != parallel.overrides {
         return Err(CliError::Internal(
             "parallel selection diverged from single-threaded baseline".to_owned(),
         ));
     }
-    // The compat memo is off by default (near-dead hit rate); the
-    // reference run turns it back on to prove the memoized path still
-    // selects identically when opted into with --select-memo.
-    eprintln!("benchmarking `{workload}`: memo-on reference ({threads} threads) …");
-    let memo_on = {
-        let mut cfg = PaoConfig {
-            threads,
-            ..PaoConfig::default()
-        };
-        cfg.select.memo = true;
-        PinAccessOracle::with_config(cfg).analyze(&tech, &design)
-    };
-    if memo_on.selection != parallel.selection
-        || memo_on.overrides != parallel.overrides
-        || !memo_on.stats.counters_eq(&parallel.stats)
-    {
-        return Err(CliError::Internal(
-            "memoized selection diverged from unmemoized reference".to_owned(),
-        ));
-    }
     let tel = parallel.stats.select_telemetry;
-    let lookups = tel.cache_hits + tel.cache_misses;
     let select_json = format!(
         concat!(
-            "{{\"edges\": {}, \"probes\": {}, \"cache_hits\": {}, ",
-            "\"cache_misses\": {}, \"cache_hit_rate\": {:.4}, ",
+            "{{\"edges\": {}, \"probes\": {}, ",
             "\"edges_pruned\": {}, \"pairs_far\": {}, \"subranges\": {}}}"
         ),
-        tel.edges,
-        tel.probes,
-        tel.cache_hits,
-        tel.cache_misses,
-        if lookups > 0 {
-            tel.cache_hits as f64 / lookups as f64
-        } else {
-            0.0
-        },
-        tel.edges_pruned,
-        tel.pairs_far,
-        tel.subranges,
+        tel.edges, tel.probes, tel.edges_pruned, tel.pairs_far, tel.subranges,
     );
     let speedup =
         baseline.stats.total_time().as_secs_f64() / parallel.stats.total_time().as_secs_f64();
@@ -1097,22 +1054,12 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
             m.gauge("drc.scratch.high_water"),
         ));
     }
-    // Cluster-selection fast path: how much work the memo cache, the
-    // DP pruning and the pair-distance early-out saved this run.
+    // Cluster-selection fast path: how much work the DP pruning and the
+    // pair-distance early-out saved this run.
     let tel = &stats.select_telemetry;
     if tel.edges > 0 {
-        let lookups = tel.cache_hits + tel.cache_misses;
         let total_edges = tel.edges + tel.edges_pruned;
         out.push_str("\nselection fast path:\n");
-        if lookups > 0 {
-            out.push_str(&format!(
-                "  compat cache    : {:.1}% hit rate ({} hits / {lookups} lookups)\n",
-                100.0 * tel.cache_hits as f64 / lookups as f64,
-                tel.cache_hits,
-            ));
-        } else {
-            out.push_str("  compat cache    : disabled (default; opt in with --select-memo)\n");
-        }
         out.push_str(&format!(
             "  edges pruned    : {:.1}% ({} of {total_edges} DP edges)\n",
             if total_edges > 0 {
@@ -1129,12 +1076,6 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
         out.push_str(&format!("  wavefront ranges: {}\n", tel.subranges));
     }
     cache_warning(&mut out, "apgen via-memo", hits, hits + misses);
-    cache_warning(
-        &mut out,
-        "selection compat cache",
-        tel.cache_hits,
-        tel.cache_hits + tel.cache_misses,
-    );
     // Per-type-pair acceptance, derived from the apgen.tried.* /
     // apgen.accepted.* counter families (pair = pref_nonpref classes).
     let mut acceptance = String::new();
@@ -1225,8 +1166,7 @@ USAGE:
               [--deadline-ms MS] [--deadline-ok] [--checkpoint DIR]
               [--resume] [--watchdog-ms MS]
               [--inject-stall PHASE[:INDEX[:MS]]]
-              [--no-select-memo] [--select-split N]
-              [--dump-selection FILE]
+              [--select-split N] [--dump-selection FILE]
   pao route   <tech.lef> <design.def> [--naive] [--report FILE]
   pao drc     <tech.lef> <design.def>
   pao gen     <case|list> --lef FILE --def FILE
@@ -1236,8 +1176,7 @@ USAGE:
   pao profile [<tech.lef> <design.def>] [--case NAME] [--threads N]
               [--trace FILE] [--report FILE] [--deadline-ms MS]
               [--watchdog-ms MS] [--inject-stall PHASE[:INDEX[:MS]]]
-              [--select-memo] [--no-select-memo] [--select-split N]
-              [--ledger]
+              [--select-split N] [--ledger]
   pao explain <tech.lef> <design.def> (--pin INSTANCE/PIN | --inst NAME)
               [--threads N] [--report FILE]
   pao report  <tech.lef> <design.def> [--out FILE] [--top N]
@@ -1283,17 +1222,13 @@ USAGE:
 
   Selection fast path: cluster selection prunes dominated DP edges;
   large groups additionally split into component-disjoint wavefront
-  levels when --threads > 1. A boundary-compat memo cache exists but is
-  off by default (its measured hit rate is sub-1% — the cost-bound
-  prune already removes the repeats it would catch); --select-memo
-  opts back in, --no-select-memo forces it off. All of it is
-  output-invariant, and --dump-selection FILE (analyze) writes a
-  deterministic per-component selection dump to prove it; dumps from
-  any thread count / memo / split combination are byte-identical.
-  bench runs a memo-on reference and fails with exit 4 if a single
-  selection differs; profile prints the cache hit rate, pruned-edge
-  share and probe counts under `selection fast path`, and warns when
-  any memo cache's hit rate drops below 5%.
+  levels when --threads > 1. Both are output-invariant, and
+  --dump-selection FILE (analyze) writes a deterministic per-component
+  selection dump to prove it; dumps from any thread count / split
+  setting are byte-identical. bench fails with exit 4 if a single
+  selection differs between thread counts; profile prints the
+  pruned-edge share and probe counts under `selection fast path`, and
+  warns when any memo cache's hit rate drops below 5%.
 
   Decision ledger: explain re-runs the analysis with the decision
   ledger enabled and prints one instance's causal chain — every AP
@@ -1329,8 +1264,16 @@ USAGE:
   deadline_ms?}, dump_selection, stats, batch (params = array of
   requests, fanned across --threads workers), shutdown. Queries are
   pure reads over immutable snapshots — concurrent clients get
-  byte-identical answers — and eco_update re-analyzes copy-on-write
-  through the incremental dirty-cluster path (--deadline-ms sets the
+  byte-identical answers — and eco_update re-analyzes copy-on-write.
+  A move that keeps every signature cached over a repair-free snapshot
+  takes the window tail: clusters re-form only in the row stripes the
+  move touches, only the selection groups holding a changed cluster
+  are re-solved (selection is local to a group), and only the pins
+  whose probe windows can reach a moved or re-patterned cell are
+  re-probed (a verdict depends only on shapes inside its windows).
+  Otherwise, or when a re-probed pin is dirty, the full select →
+  repair → audit tail runs; the reply's tail field says which. Both equal
+  a one-shot analyze of the moved placement (--deadline-ms sets the
   default per-ECO budget; --checkpoint DIR [--resume] warm-starts the
   load). call is the matching client: each REQUEST argument (or stdin
   line) is sent as one request, responses print one per line; it

@@ -41,7 +41,8 @@
 use crate::args::Args;
 use crate::{load_world, open_checkpoint, parse_budget_flags, CliError};
 use pao_core::{
-    EcoJournal, EcoMove, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError, Watchdog,
+    EcoJournal, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError,
+    Watchdog,
 };
 use pao_geom::Point;
 use pao_obs::json::{self, Value};
@@ -494,7 +495,8 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                 concat!(
                     "{{\"design\":{},\"components\":{},\"nets\":{},",
                     "\"unique_instances\":{},\"total_aps\":{},\"failed_pins\":{},",
-                    "\"eco_updates\":{},\"cache\":{{\"hits\":{},\"misses\":{}}},",
+                    "\"eco_updates\":{},\"eco_tails\":{{\"window\":{},\"full\":{}}},",
+                    "\"cache\":{{\"hits\":{},\"misses\":{}}},",
                     "\"symbol\":{{\"interned\":{},\"arena_bytes\":{}}},",
                     "\"server\":{{\"requests\":{}}},\"serve\":{},\"fractions\":[{}]}}"
                 ),
@@ -505,6 +507,8 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                 stats.total_aps,
                 stats.failed_pins,
                 svc.eco_updates(),
+                svc.eco_tail_count(EcoTail::Window),
+                svc.eco_tail_count(EcoTail::Full),
                 hits,
                 misses,
                 sym.interned,
@@ -527,12 +531,16 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                 Ok(r) => Ok(format!(
                     concat!(
                         "{{\"moved\":{},\"cache_hits\":{},\"cache_misses\":{},",
-                        "\"full_reanalysis\":{},\"failed_pins\":{},\"eco_seq\":{}}}"
+                        "\"full_reanalysis\":{},\"tail\":\"{}\",\"groups_resolved\":{},",
+                        "\"pins_reprobed\":{},\"failed_pins\":{},\"eco_seq\":{}}}"
                     ),
                     r.moved,
                     r.cache_hits,
                     r.cache_misses,
                     r.full_reanalysis,
+                    r.tail.as_str(),
+                    r.groups_resolved,
+                    r.pins_reprobed,
                     r.failed_pins,
                     r.eco_seq,
                 )),

@@ -872,7 +872,12 @@ fn serve_daemon_matches_one_shot_analyze_and_shuts_down() {
     assert_eq!(
         eco.get("cache_misses").and_then(|v| v.as_i64()),
         Some(0),
-        "zero-delta ECO must stay on the dirty-cluster fast path"
+        "zero-delta ECO keeps every signature cached"
+    );
+    assert_eq!(
+        eco.get("tail").and_then(|v| v.as_str().map(str::to_owned)),
+        Some("window".to_owned()),
+        "zero-delta ECO over a repair-free snapshot takes the window tail"
     );
     let dump2 = result_of(&lines[3])
         .get("dump")

@@ -531,16 +531,6 @@ impl BudgetAllocator {
         self.fractions
     }
 
-    /// A token bounded only by the overall deadline (used for work that
-    /// spans phases, e.g. the incremental fast path).
-    #[must_use]
-    pub fn overall_token(&self) -> CancelToken {
-        match self.deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::never(),
-        }
-    }
-
     /// Mints the cancel token for `phase`, called when the phase starts:
     /// its share is `remaining × fraction(phase) / Σ fraction(phase..)`,
     /// capped at the overall deadline. Phases outside the five-phase

@@ -37,9 +37,239 @@ pub struct Cluster {
 /// distinct placement `y`s); a component joins the cluster of every row
 /// its bounding box covers. Within a row, instances form one cluster as
 /// long as each abuts the next (no empty site between).
+///
+/// Components are bucketed into the stripes they cover through one row
+/// index, so the build is `O(N log N)` rather than one scan of every
+/// component per stripe.
 #[must_use]
 pub fn build_clusters(tech: &Tech, design: &Design) -> Vec<Cluster> {
-    // Row stripes: (y, height) from ROW statements, else from bboxes.
+    RowIndex::build(tech, design).clusters()
+}
+
+/// The placed bounding box of `comp` (`None` when it is unplaced or its
+/// master is unknown) — the geometry clusters and row stripes are built
+/// from.
+pub(crate) fn comp_bbox(tech: &Tech, design: &Design, comp: CompId) -> Option<Rect> {
+    let c = design.component(comp);
+    if !c.is_placed {
+        return None;
+    }
+    c.master_in(tech)
+        .map(|m| pao_geom::Transform::new(c.location, c.orient, m.width, m.height).placed_bbox())
+}
+
+/// One stripe's members: `(xlo, xhi, component)`, sorted.
+pub(crate) type StripeCells = Vec<(Dbu, Dbu, CompId)>;
+
+/// Placed components bucketed into the row stripes their bounding boxes
+/// cover, x-sorted within each stripe.
+///
+/// It backs [`build_clusters`], and the resident service keeps one
+/// alive across ECOs: a move re-buckets only the moved component
+/// ([`RowIndex::relocate`]), the clusters of a touched stripe re-form
+/// from its sorted cells alone, and [`RowIndex::near`] answers "which
+/// components can reach this window" without a whole-design pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex {
+    /// Row stripes `(y, height)`, sorted and deduplicated.
+    stripes: Vec<(Dbu, Dbu)>,
+    /// Per stripe: its members, sorted by `(xlo, xhi, component)`.
+    cells: Vec<StripeCells>,
+    /// Per stripe: the widest member ever indexed (bounds the x scan of
+    /// [`RowIndex::near`]; never shrinks, which keeps it an upper bound).
+    max_w: Vec<Dbu>,
+    /// The tallest bounding box ever indexed (bounds the stripe scan).
+    max_h: Dbu,
+    /// Placed components covering no stripe (off-row placements): in no
+    /// cluster, but still somebody's neighbor. Sorted.
+    loose: Vec<CompId>,
+    /// `true` when the stripes come from `ROW` statements, so moves can
+    /// never create or remove one.
+    fixed: bool,
+}
+
+impl RowIndex {
+    /// Buckets every placed component of `design` (see [`build_clusters`]
+    /// for the stripe rules).
+    pub(crate) fn build(tech: &Tech, design: &Design) -> RowIndex {
+        // Row stripes: (y, height) from ROW statements, else from bboxes.
+        let fixed = !design.rows.is_empty();
+        let mut stripes: Vec<(Dbu, Dbu)> = if fixed {
+            design.rows.iter().map(|r| (r.origin.y, r.height)).collect()
+        } else {
+            design
+                .components()
+                .iter()
+                .filter_map(|c| c.master_in(tech).map(|m| (c.location.y, m.height)))
+                .collect()
+        };
+        stripes.sort_unstable();
+        stripes.dedup();
+        let mut index = RowIndex {
+            cells: vec![Vec::new(); stripes.len()],
+            max_w: vec![0; stripes.len()],
+            stripes,
+            max_h: 0,
+            loose: Vec::new(),
+            fixed,
+        };
+        let mut covered = Vec::new();
+        for i in 0..design.components().len() {
+            let comp = CompId(i as u32);
+            let Some(b) = comp_bbox(tech, design, comp) else {
+                continue;
+            };
+            index.covered_into(b, &mut covered);
+            if covered.is_empty() {
+                index.loose.push(comp);
+            }
+            for &s in &covered {
+                index.cells[s].push((b.xlo(), b.xhi(), comp));
+                index.max_w[s] = index.max_w[s].max(b.width());
+            }
+            index.max_h = index.max_h.max(b.height());
+        }
+        for cells in &mut index.cells {
+            cells.sort_unstable();
+        }
+        index
+    }
+
+    /// Every cluster, stripe by stripe in `(y, height)` order and left to
+    /// right within a stripe — the order selection groups are solved in.
+    pub(crate) fn clusters(&self) -> Vec<Cluster> {
+        let mut out = Vec::new();
+        for cells in &self.cells {
+            form_clusters(cells, &mut out);
+        }
+        out
+    }
+
+    /// `true` when moves cannot change the stripe set (stripes come from
+    /// `ROW` statements).
+    pub(crate) fn is_fixed(&self) -> bool {
+        self.fixed
+    }
+
+    /// Members of stripe `s`, sorted by `(xlo, xhi, component)`.
+    pub(crate) fn stripe_cells(&self, s: usize) -> &[(Dbu, Dbu, CompId)] {
+        &self.cells[s]
+    }
+
+    /// The stripes a bounding box `b` covers, ascending, into `out`.
+    pub(crate) fn covered_into(&self, b: Rect, out: &mut Vec<usize>) {
+        out.clear();
+        let first = self.stripes.partition_point(|&(y, _)| y < b.ylo());
+        for (s, &(y, h)) in self.stripes.iter().enumerate().skip(first) {
+            if y >= b.yhi() {
+                break;
+            }
+            if y + h.max(1) <= b.yhi() {
+                out.push(s);
+            }
+        }
+    }
+
+    /// Moves `comp` from bounding box `from` to `to` (either `None` for
+    /// "not indexed"). Only valid on a [fixed](RowIndex::is_fixed) index.
+    pub(crate) fn relocate(&mut self, comp: CompId, from: Option<Rect>, to: Option<Rect>) {
+        let mut covered = Vec::new();
+        if let Some(b) = from {
+            self.covered_into(b, &mut covered);
+            if covered.is_empty() {
+                self.loose.retain(|&c| c != comp);
+            }
+            for &s in &covered {
+                let key = (b.xlo(), b.xhi(), comp);
+                if let Ok(at) = self.cells[s].binary_search(&key) {
+                    self.cells[s].remove(at);
+                }
+            }
+        }
+        if let Some(b) = to {
+            self.covered_into(b, &mut covered);
+            if covered.is_empty() {
+                let at = self.loose.partition_point(|&c| c < comp);
+                self.loose.insert(at, comp);
+            }
+            for &s in &covered {
+                let key = (b.xlo(), b.xhi(), comp);
+                let at = self.cells[s].partition_point(|&k| k < key);
+                self.cells[s].insert(at, key);
+                self.max_w[s] = self.max_w[s].max(b.width());
+            }
+            self.max_h = self.max_h.max(b.height());
+        }
+    }
+
+    /// Every indexed component whose bounding box (per `bbox`) touches
+    /// `w`, appended to `out` (unsorted, possibly repeated — a
+    /// multi-height member shows up once per stripe it covers).
+    pub(crate) fn near(
+        &self,
+        w: Rect,
+        bbox: &impl Fn(CompId) -> Option<Rect>,
+        out: &mut Vec<CompId>,
+    ) {
+        let mut hit = |c: CompId| {
+            if bbox(c).is_some_and(|b| b.touches(w)) {
+                out.push(c);
+            }
+        };
+        // A member covers its stripe, and its box is at most `max_h`
+        // tall: a box touching `w` puts the stripe's `y` within `max_h`
+        // of `w`'s y-range. Likewise in x with the stripe's widest
+        // member.
+        let first = self
+            .stripes
+            .partition_point(|&(y, _)| y < w.ylo() - self.max_h);
+        for (s, &(y, _)) in self.stripes.iter().enumerate().skip(first) {
+            if y > w.yhi() + self.max_h {
+                break;
+            }
+            let cells = &self.cells[s];
+            let lo = cells.partition_point(|&(xlo, _, _)| xlo < w.xlo() - self.max_w[s]);
+            let hi = cells.partition_point(|&(xlo, _, _)| xlo <= w.xhi());
+            for &(_, xhi, c) in &cells[lo..hi.max(lo)] {
+                if xhi >= w.xlo() {
+                    hit(c);
+                }
+            }
+        }
+        for &c in &self.loose {
+            hit(c);
+        }
+    }
+}
+
+/// Appends the clusters of one stripe's sorted members to `out`: a new
+/// cluster starts wherever a member begins right of every earlier
+/// member's right edge.
+pub(crate) fn form_clusters(cells: &[(Dbu, Dbu, CompId)], out: &mut Vec<Cluster>) {
+    let mut current: Vec<CompId> = Vec::new();
+    let mut last_xhi: Option<Dbu> = None;
+    for &(xlo, xhi, id) in cells {
+        match last_xhi {
+            Some(prev) if xlo <= prev => current.push(id),
+            Some(_) => {
+                out.push(Cluster {
+                    comps: std::mem::take(&mut current),
+                });
+                current.push(id);
+            }
+            None => current.push(id),
+        }
+        last_xhi = Some(xhi.max(last_xhi.unwrap_or(xhi)));
+    }
+    if !current.is_empty() {
+        out.push(Cluster { comps: current });
+    }
+}
+
+/// The original stripe-by-stripe scan: every component is tested once
+/// per stripe. Kept as the reference [`build_clusters`] must match.
+#[cfg(test)]
+pub(crate) fn build_clusters_reference(tech: &Tech, design: &Design) -> Vec<Cluster> {
     let mut stripes: Vec<(Dbu, Dbu)> = design.rows.iter().map(|r| (r.origin.y, r.height)).collect();
     if stripes.is_empty() {
         let mut ys: Vec<(Dbu, Dbu)> = design
@@ -58,17 +288,8 @@ pub fn build_clusters(tech: &Tech, design: &Design) -> Vec<Cluster> {
     stripes.sort_unstable();
     stripes.dedup();
 
-    let boxes: Vec<Option<Rect>> = design
-        .components()
-        .iter()
-        .map(|c| {
-            if !c.is_placed {
-                return None;
-            }
-            c.master_in(tech).map(|m| {
-                pao_geom::Transform::new(c.location, c.orient, m.width, m.height).placed_bbox()
-            })
-        })
+    let boxes: Vec<Option<Rect>> = (0..design.components().len())
+        .map(|i| comp_bbox(tech, design, CompId(i as u32)))
         .collect();
 
     let mut out = Vec::new();
@@ -84,24 +305,7 @@ pub fn build_clusters(tech: &Tech, design: &Design) -> Vec<Cluster> {
             })
             .collect();
         insts.sort_unstable();
-        let mut current: Vec<CompId> = Vec::new();
-        let mut last_xhi: Option<Dbu> = None;
-        for (xlo, xhi, id) in insts {
-            match last_xhi {
-                Some(prev) if xlo <= prev => current.push(id),
-                Some(_) => {
-                    out.push(Cluster {
-                        comps: std::mem::take(&mut current),
-                    });
-                    current.push(id);
-                }
-                None => current.push(id),
-            }
-            last_xhi = Some(xhi.max(last_xhi.unwrap_or(xhi)));
-        }
-        if !current.is_empty() {
-            out.push(Cluster { comps: current });
-        }
+        form_clusters(&insts, &mut out);
     }
     out
 }
@@ -186,23 +390,11 @@ fn near_boundary_vias_into(
     );
 }
 
-/// Tuning knobs for the cluster-selection fast path. Every combination
-/// produces bit-identical selections; the knobs only trade DRC probes
-/// for cache lookups and wall-clock for parallelism.
+/// Tuning knobs for the cluster-selection fast path. Every setting
+/// produces bit-identical selections; the knobs only trade wall-clock
+/// for parallelism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectTuning {
-    /// Memoize boundary-edge verdicts (cache keyed on the pair of unique
-    /// instances, their patterns and the boundary-relative offset delta;
-    /// cleared per cluster so hit/miss counts are deterministic at every
-    /// thread count and split mode).
-    ///
-    /// **Off by default**: benchmarking on ispd18s_test2 measured a 0.42%
-    /// hit rate (19 hits / 4467 misses) — the cost-bound prune and the
-    /// near-boundary filters already deduplicate almost every repeat edge,
-    /// so the per-edge hash of the six-field key is pure overhead. Opt
-    /// back in with `--select-memo` on designs with heavy cell repetition
-    /// inside single clusters.
-    pub memo: bool,
     /// Minimum clusters in a selection group before its DP fans out over
     /// comp-disjoint wavefront levels (`0` disables the split).
     pub split_min_clusters: usize,
@@ -211,7 +403,6 @@ pub struct SelectTuning {
 impl Default for SelectTuning {
     fn default() -> SelectTuning {
         SelectTuning {
-            memo: false,
             split_min_clusters: 16,
         }
     }
@@ -222,15 +413,10 @@ impl Default for SelectTuning {
 /// counters when metrics are on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectTelemetry {
-    /// Non-trivial DP edges whose verdict was requested (memo hits and
-    /// misses alike; identical with memoization on or off).
+    /// Non-trivial DP edges whose verdict was requested.
     pub edges: u64,
     /// Pairwise via DRC probes actually executed.
     pub probes: u64,
-    /// Edge verdicts answered from the memo.
-    pub cache_hits: u64,
-    /// Edge verdicts computed and inserted into the memo.
-    pub cache_misses: u64,
     /// DP transitions skipped by the running-best bound (`pcost + qcost
     /// >= best` with edge cost >= 0 means no later candidate can win).
     pub edges_pruned: u64,
@@ -239,6 +425,9 @@ pub struct SelectTelemetry {
     /// Clusters solved by the intra-group wavefront fan-out (0 when the
     /// split never engaged; varies with thread count by design).
     pub subranges: u64,
+    /// Selection groups solved (every group on a full pass; only the
+    /// groups a move reached on an ECO's window pass).
+    pub groups: u64,
 }
 
 impl SelectTelemetry {
@@ -246,11 +435,10 @@ impl SelectTelemetry {
     pub fn absorb(&mut self, o: &SelectTelemetry) {
         self.edges += o.edges;
         self.probes += o.probes;
-        self.cache_hits += o.cache_hits;
-        self.cache_misses += o.cache_misses;
         self.edges_pruned += o.edges_pruned;
         self.pairs_far += o.pairs_far;
         self.subranges += o.subranges;
+        self.groups += o.groups;
     }
 }
 
@@ -269,21 +457,12 @@ pub struct SelectOutput {
     pub telemetry: SelectTelemetry,
 }
 
-/// Memo key of one boundary edge: both unique instances, both patterns,
-/// and the boundary-relative placement delta `roff - loff`. The left
-/// boundary filter bound (`boundary - loff.x`) equals `rep.x + width`
-/// (a constant per left instance) and the right bound equals that minus
-/// `delta.x`, so every geometric input of the edge verdict is a function
-/// of exactly this tuple — see DESIGN.md §14.
-type EdgeKey = (u32, u32, u32, u32, Dbu, Dbu);
-
 /// Per-worker reusable state for the selection DP. Every buffer is
 /// grow-only and cleared (capacity-retaining) per cluster or group, so
 /// steady-state selection performs no allocations.
 #[doc(hidden)]
 pub struct SelectScratch {
     ctx: ShapeSet,
-    memo: HashMap<EdgeKey, bool>,
     members: Vec<(CompId, u32)>,
     laps_by_p: Vec<Vec<(ViaId, Point)>>,
     raps: Vec<(ViaId, Point)>,
@@ -298,7 +477,6 @@ impl SelectScratch {
     pub fn new(num_layers: usize) -> SelectScratch {
         SelectScratch {
             ctx: ShapeSet::new(num_layers),
-            memo: HashMap::new(),
             members: Vec::new(),
             laps_by_p: Vec::new(),
             raps: Vec::new(),
@@ -402,7 +580,7 @@ pub fn select_patterns_budget(
     }
 
     let group_sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let (clusters, defaults) = (&clusters, &defaults);
+    let clusters = &clusters;
     let (locals, report) = parallel_map_budget(
         threads,
         "select.group",
@@ -412,18 +590,21 @@ pub fn select_patterns_budget(
             // Overlay: component index -> final assignment; presence = pinned.
             let mut local: HashMap<usize, Option<usize>> = HashMap::new();
             let tel = solve_group(
-                tech, engine, design, comp_uniq, uniq, reach, far, clusters, &group, defaults,
-                tuning, threads, &mut local, scratch,
+                tech, engine, design, comp_uniq, uniq, reach, far, clusters, &group, tuning,
+                threads, &mut local, scratch,
             );
             (local, tel)
         },
         budget,
     );
 
-    let mut selection = defaults.clone();
+    let mut selection = defaults;
     let mut faults = Vec::new();
     let mut skipped = 0usize;
-    let mut telemetry = SelectTelemetry::default();
+    let mut telemetry = SelectTelemetry {
+        groups: group_sizes.len() as u64,
+        ..SelectTelemetry::default()
+    };
     for (gi, local) in locals.into_iter().enumerate() {
         match local {
             Ok((local, tel)) => {
@@ -448,8 +629,6 @@ pub fn select_patterns_budget(
     if pao_obs::metrics_enabled() {
         pao_obs::counter_add("select.compat_probes", telemetry.probes);
         pao_obs::counter_add("select.compat_edges", telemetry.edges);
-        pao_obs::counter_add("select.compat_cache.hits", telemetry.cache_hits);
-        pao_obs::counter_add("select.compat_cache.misses", telemetry.cache_misses);
         pao_obs::counter_add("select.edges_pruned", telemetry.edges_pruned);
         pao_obs::counter_add("select.pairs_far", telemetry.pairs_far);
         pao_obs::counter_add("select.subranges", telemetry.subranges);
@@ -519,7 +698,6 @@ pub fn solve_group(
     far: Dbu,
     clusters: &[Cluster],
     group: &[usize],
-    defaults: &[Option<usize>],
     tuning: &SelectTuning,
     threads: usize,
     local: &mut HashMap<usize, Option<usize>>,
@@ -528,8 +706,8 @@ pub fn solve_group(
     let mut tel = SelectTelemetry::default();
     if threads > 1 && tuning.split_min_clusters > 0 && group.len() >= tuning.split_min_clusters {
         solve_group_wavefront(
-            tech, engine, design, comp_uniq, uniq, reach, far, clusters, group, defaults, tuning,
-            threads, local, scratch, &mut tel,
+            tech, engine, design, comp_uniq, uniq, reach, far, clusters, group, threads, local,
+            scratch, &mut tel,
         );
     } else {
         for &cl in group {
@@ -542,8 +720,6 @@ pub fn solve_group(
                 reach,
                 far,
                 &clusters[cl],
-                defaults,
-                tuning.memo,
                 local,
                 scratch,
                 &mut tel,
@@ -575,8 +751,6 @@ fn solve_group_wavefront(
     far: Dbu,
     clusters: &[Cluster],
     group: &[usize],
-    defaults: &[Option<usize>],
-    tuning: &SelectTuning,
     threads: usize,
     local: &mut HashMap<usize, Option<usize>>,
     scratch: &mut SelectScratch,
@@ -610,8 +784,6 @@ fn solve_group_wavefront(
                 reach,
                 far,
                 &clusters[level[0]],
-                defaults,
-                tuning.memo,
                 local,
                 scratch,
                 tel,
@@ -622,7 +794,6 @@ fn solve_group_wavefront(
             continue;
         }
         tel.subranges += level.len() as u64;
-        let memo_on = tuning.memo;
         let pinned: &HashMap<usize, Option<usize>> = local;
         let (results, _nested) = parallel_map_scratch(
             threads.min(level.len()),
@@ -640,8 +811,6 @@ fn solve_group_wavefront(
                     reach,
                     far,
                     &clusters[cl],
-                    defaults,
-                    memo_on,
                     pinned,
                     s,
                     &mut t,
@@ -660,7 +829,9 @@ fn solve_group_wavefront(
 
 /// Runs the Algorithm 2 DP on one cluster against the pinned overlay:
 /// components present in `pinned` are constrained to that value,
-/// everything else defaults to `defaults`. Results are emitted into
+/// everything else is free. Members all have patterns, so the fallback
+/// for a member the DP cannot place is its default, the best (first)
+/// pattern. Results are emitted into
 /// `s.emit` as `(component index, assignment)` pairs; the caller merges
 /// them with `or_insert` (equivalent to overwriting: an already-present
 /// component is pinned, so the DP can only re-emit its existing value).
@@ -674,15 +845,12 @@ fn solve_cluster(
     reach: Dbu,
     far: Dbu,
     cluster: &Cluster,
-    defaults: &[Option<usize>],
-    memo_on: bool,
     pinned: &HashMap<usize, Option<usize>>,
     s: &mut SelectScratch,
     tel: &mut SelectTelemetry,
 ) {
     let SelectScratch {
         ctx,
-        memo,
         members,
         laps_by_p,
         raps,
@@ -691,12 +859,6 @@ fn solve_cluster(
         emit,
     } = s;
     emit.clear();
-    // The memo is scoped to one cluster: hit/miss/probe counts then
-    // depend only on the cluster's own edge sequence, making them
-    // identical at every thread count and split mode (a group-lifetime
-    // cache would hit more often in sequential mode than in the split's
-    // short-lived workers).
-    memo.clear();
     let offset_of = |comp: CompId, u: &UniqueInstanceAccess| -> Point {
         design.component(comp).location - design.component(u.info.rep).location
     };
@@ -712,7 +874,7 @@ fn solve_cluster(
         for &(m, _) in members.iter() {
             // Keep the current assignment (earlier cluster's choice if
             // any — `or_insert` at the merge — else the default).
-            emit.push((m.index(), defaults[m.index()]));
+            emit.push((m.index(), Some(0)));
         }
         return;
     }
@@ -748,10 +910,6 @@ fn solve_cluster(
         let (lu, ru) = (&uniq[lui as usize], &uniq[rui as usize]);
         let loff = offset_of(lcomp, lu);
         let roff = offset_of(rcomp, ru);
-        // The boundary-relative placement delta: together with the two
-        // unique instances and patterns it determines the entire edge
-        // geometry, so it completes the memo key (DESIGN.md §14).
-        let (dx, dy) = (roff.x - loff.x, roff.y - loff.y);
         // The shared boundary: left instance's right edge (members carry
         // analyzed data, so their master is known; 0-width fallback keeps
         // this panic-free regardless).
@@ -808,25 +966,7 @@ fn solve_cluster(
                     continue;
                 }
                 tel.edges += 1;
-                let clean = if memo_on {
-                    let key = (lui, p as u32, rui, q as u32, dx, dy);
-                    match memo.get(&key).copied() {
-                        Some(v) => {
-                            tel.cache_hits += 1;
-                            v
-                        }
-                        None => {
-                            tel.cache_misses += 1;
-                            let v = edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel);
-                            memo.insert(key, v);
-                            v
-                        }
-                    }
-                } else {
-                    edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel)
-                };
-                // Attribute the dirty verdict where it is *used*, so the
-                // record stream is identical with the memo on or off.
+                let clean = edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel);
                 if !clean && pao_obs::ledger_enabled() {
                     ledger::record(
                         LedgerRecord::new(
@@ -873,7 +1013,7 @@ fn solve_cluster(
     else {
         // Over-constrained (pinned members conflict): keep assignments.
         for &(m, _) in members.iter() {
-            emit.push((m.index(), defaults[m.index()]));
+            emit.push((m.index(), Some(0)));
         }
         return;
     };
@@ -997,6 +1137,127 @@ mod tests {
         assert_eq!(clusters.len(), 2);
         assert_eq!(clusters[0].comps, vec![mh, lo]);
         assert_eq!(clusters[1].comps, vec![mh, hi]);
+    }
+
+    #[test]
+    fn overlapping_cells_share_a_cluster() {
+        let t = tech();
+        let mut d = Design::new("x", Rect::new(0, 0, 100_000, 10_000));
+        // u1 overlaps u0; u2 starts inside u1's span only via u0's
+        // wider right edge (max-xhi chaining), u3 is detached.
+        d.add_component(Component::new("u0", "NAND2X1", Point::new(0, 0), Orient::N));
+        d.add_component(Component::new("u1", "INVX1", Point::new(100, 0), Orient::N));
+        d.add_component(Component::new("u2", "INVX1", Point::new(600, 0), Orient::N));
+        d.add_component(Component::new(
+            "u3",
+            "INVX1",
+            Point::new(1100, 0),
+            Orient::N,
+        ));
+        let clusters = build_clusters(&t, &d);
+        assert_eq!(clusters, build_clusters_reference(&t, &d));
+        assert_eq!(clusters.len(), 2);
+        assert_eq!(clusters[0].comps, vec![CompId(0), CompId(1), CompId(2)]);
+        assert_eq!(clusters[1].comps, vec![CompId(3)]);
+    }
+
+    #[test]
+    fn bucketed_build_matches_reference_on_unit_cases() {
+        let t = tech();
+        // Multi-height with ROW statements, plus an off-row cell.
+        let mut d = Design::new("x", Rect::new(0, 0, 100_000, 10_000));
+        for (i, orient) in [Orient::N, Orient::FS, Orient::N].into_iter().enumerate() {
+            d.rows.push(pao_design::Row::new(
+                format!("r{i}"),
+                "core",
+                Point::new(0, 1400 * i as i64),
+                orient,
+                100,
+                400,
+                1400,
+            ));
+        }
+        d.add_component(Component::new("mh", "DFF2MH", Point::new(0, 0), Orient::N));
+        d.add_component(Component::new(
+            "mh2",
+            "DFF2MH",
+            Point::new(800, 1400),
+            Orient::N,
+        ));
+        d.add_component(Component::new("lo", "INVX1", Point::new(800, 0), Orient::N));
+        d.add_component(Component::new(
+            "hi",
+            "INVX1",
+            Point::new(0, 2800),
+            Orient::N,
+        ));
+        d.add_component(Component::new(
+            "off",
+            "INVX1",
+            Point::new(5000, 700),
+            Orient::N,
+        ));
+        let mut unplaced = Component::new("un", "INVX1", Point::new(2000, 0), Orient::N);
+        unplaced.is_placed = false;
+        d.add_component(unplaced);
+        assert_eq!(build_clusters(&t, &d), build_clusters_reference(&t, &d));
+        // The same placement with stripes taken from the boxes.
+        d.rows.clear();
+        assert_eq!(build_clusters(&t, &d), build_clusters_reference(&t, &d));
+    }
+
+    #[test]
+    fn bucketed_build_matches_reference_on_suite_cases() {
+        let mut cases = pao_testgen::ispd18s_suite();
+        cases.push(pao_testgen::aes14_case());
+        cases.push(pao_testgen::SuiteCase::small_smoke());
+        for case in cases {
+            let (t, d) = pao_testgen::generate(&case);
+            assert_eq!(
+                build_clusters(&t, &d),
+                build_clusters_reference(&t, &d),
+                "{}",
+                case.name
+            );
+        }
+    }
+
+    #[test]
+    fn relocated_index_matches_a_fresh_build() {
+        let (t, mut d) = pao_testgen::generate(&pao_testgen::SuiteCase::small_smoke());
+        let mut index = RowIndex::build(&t, &d);
+        assert!(index.is_fixed());
+        let mut rng = pao_ptest::Rng::new(7);
+        for _ in 0..40 {
+            let ci = CompId(rng.gen_range(0..d.components().len()) as u32);
+            let from = comp_bbox(&t, &d, ci);
+            let dx = rng.gen_range(-3i64..=3) * 100;
+            let dy = rng.gen_range(-1i64..=1) * 700;
+            d.component_mut(ci).location += Point::new(dx, dy);
+            index.relocate(ci, from, comp_bbox(&t, &d, ci));
+            assert_eq!(index.clusters(), build_clusters_reference(&t, &d));
+        }
+        // `near` agrees with a brute-force box scan.
+        let bbox = |c: CompId| comp_bbox(&t, &d, c);
+        for _ in 0..40 {
+            let x = rng.gen_range(0i64..40_000);
+            let y = rng.gen_range(0i64..40_000);
+            let w = Rect::new(
+                x,
+                y,
+                x + rng.gen_range(0i64..3000),
+                y + rng.gen_range(0i64..3000),
+            );
+            let mut got = Vec::new();
+            index.near(w, &bbox, &mut got);
+            got.sort_unstable();
+            got.dedup();
+            let want: Vec<CompId> = (0..d.components().len())
+                .map(|i| CompId(i as u32))
+                .filter(|&c| bbox(c).is_some_and(|b| b.touches(w)))
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

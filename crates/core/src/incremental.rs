@@ -9,21 +9,42 @@
 //! *signature* — master, orientation and track phases — so its results are
 //! reusable across placements. [`AnalysisCache`] keys the per-signature
 //! work; [`PinAccessOracle::analyze_with_cache`] skips steps 1–2 for every
-//! signature seen before and re-runs only the placement-dependent cluster
-//! selection and validation.
+//! signature seen before and runs only the placement-dependent tail
+//! (cluster selection, repair, audit) — the same tail a cold run ends in.
+//!
+//! A resident service goes one step further for a move that keeps every
+//! signature cached ([`PinAccessOracle::window_tail`]): selection is
+//! local to a selection group and a scan verdict depends only on the
+//! shapes inside its probe windows, so only the groups a move reaches
+//! are re-solved and only the pins whose windows it can reach are
+//! re-probed.
 
-use crate::budget::{BudgetAllocator, CancelReason, DeadlineReport, RunBudget, SkipRecord};
-use crate::error::Phase;
-use crate::oracle::{PaoResult, PinAccessOracle, UniqueInstanceAccess};
-use crate::parallel::PhaseBudget;
-use crate::unique::extract_unique_instances;
-use pao_design::Design;
-use pao_geom::{Dbu, Orient, Point};
+use crate::budget::{CancelReason, DeadlineReport, RunBudget};
+use crate::cluster::{
+    comp_bbox, conflict_reach, form_clusters, pair_reach, solve_group, Cluster, RowIndex,
+    SelectScratch, SelectTelemetry, StripeCells,
+};
+use crate::error::{FaultRecord, Phase};
+use crate::oracle::{
+    push_skip, PaoResult, PinAccessOracle, RunCtx, TailInput, UniqueInstanceAccess,
+};
+use crate::parallel::{parallel_map_budget, ItemFault, PhaseBudget};
+use crate::stats::PaoStats;
+use crate::unique::{extract_unique_instances, pin_owner, UniqueInstanceId};
+use pao_design::{CompId, Design};
+use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
+use pao_geom::{Dbu, Orient, Point, Rect};
 use pao_tech::{Symbol, Tech};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// Signature key for cached intra-cell analysis.
-type Signature = (Symbol, Orient, Vec<Dbu>);
+/// Signature key for cached intra-cell analysis: master, orientation and
+/// track phases.
+pub(crate) type Signature = (Symbol, Orient, Vec<Dbu>);
+
+/// The signature of an analyzed unique instance.
+pub(crate) fn signature_of(u: &UniqueInstanceAccess) -> Signature {
+    (u.info.master, u.info.orient, u.info.phases.clone())
+}
 
 /// A cached per-signature analysis entry.
 #[derive(Debug, Clone)]
@@ -31,8 +52,35 @@ struct CacheEntry {
     /// The representative's placement location when the entry was made
     /// (access point positions are stored in that frame).
     rep_location: Point,
-    /// Steps 1–2 output (pin APs, ordering, patterns) in the old frame.
+    /// Steps 1–2 output (pin APs, ordering, patterns, Table II tallies)
+    /// in the old frame.
     data: UniqueInstanceAccess,
+}
+
+/// One placement's unique instances rebuilt from the cache, in that
+/// placement's frame and numbering.
+#[derive(Debug)]
+pub(crate) struct Warm {
+    pub(crate) unique: Vec<UniqueInstanceAccess>,
+    pub(crate) comp_uniq: Vec<Option<UniqueInstanceId>>,
+}
+
+impl Warm {
+    /// The Table II counters the cached access point generation recorded
+    /// — equal to a cold run's, since each depends only on the signature.
+    fn stats(&self) -> PaoStats {
+        let mut stats = PaoStats {
+            unique_instances: self.unique.len(),
+            ..PaoStats::default()
+        };
+        for u in &self.unique {
+            stats.total_aps += u.pin_aps.iter().map(Vec::len).sum::<usize>();
+            stats.dirty_aps += u.tally.dirty;
+            stats.pins_without_aps += u.tally.without;
+            stats.off_track_aps += u.tally.off_track;
+        }
+        stats
+    }
 }
 
 /// A reusable cache of unique-instance analyses, keyed by signature.
@@ -82,6 +130,12 @@ impl AnalysisCache {
         (self.hits, self.misses)
     }
 
+    /// Resets the hit/miss counters, e.g. after a discarded run.
+    pub(crate) fn restore_stats(&mut self, (hits, misses): (usize, usize)) {
+        self.hits = hits;
+        self.misses = misses;
+    }
+
     /// Serializes the cache to the line-oriented `PAO-CACHE v3` format
     /// (version + body checksum header), so short-lived tool invocations
     /// (a placement optimizer's inner loop) can reuse intra-cell analysis
@@ -109,6 +163,8 @@ impl AnalysisCache {
                 },
             );
             let _ = writeln!(out, "REP {} {}", e.rep_location.x, e.rep_location.y);
+            let t = &e.data.tally;
+            let _ = writeln!(out, "TALLY {} {} {}", t.dirty, t.without, t.off_track);
             for (pi, aps) in e.data.pin_aps.iter().enumerate() {
                 let _ = writeln!(out, "PIN {} {}", pi, aps.len());
                 for ap in aps {
@@ -192,6 +248,20 @@ impl AnalysisCache {
                     ))
                 })
                 .ok_or_else(|| err("bad REP", rn))?;
+            let (tn, tally_line) = lines.next().ok_or_else(|| err("missing TALLY", rn))?;
+            let tally = tally_line
+                .trim()
+                .strip_prefix("TALLY ")
+                .and_then(|r| {
+                    let mut it = r.split_whitespace().map(str::parse::<usize>);
+                    let t = crate::oracle::ApTally {
+                        dirty: it.next()?.ok()?,
+                        without: it.next()?.ok()?,
+                        off_track: it.next()?.ok()?,
+                    };
+                    it.next().is_none().then_some(t)
+                })
+                .ok_or_else(|| err("bad TALLY", tn))?;
             let mut pin_aps: Vec<Vec<crate::apgen::AccessPoint>> = Vec::new();
             let mut pin_order = Vec::new();
             let mut patterns = Vec::new();
@@ -245,6 +315,7 @@ impl AnalysisCache {
                 pin_aps,
                 pin_order,
                 patterns,
+                tally,
             };
             cache.entries.insert(
                 sig,
@@ -274,6 +345,59 @@ impl AnalysisCache {
     }
 }
 
+impl AnalysisCache {
+    /// Rebuilds `design`'s unique instances from the cache, translated
+    /// into each representative's frame, counting one hit per instance.
+    /// `None` (and nothing counted) when any signature is missing.
+    pub(crate) fn warm(&mut self, tech: &Tech, design: &Design) -> Option<Warm> {
+        // Resolving every entry up front makes the all-cached check and
+        // the rebuild share one lookup — no later re-lookup can miss.
+        let infos = extract_unique_instances(tech, design);
+        let entries: Vec<&CacheEntry> = infos
+            .iter()
+            .map(|info| {
+                self.entries
+                    .get(&(info.master, info.orient, info.phases.clone()))
+            })
+            .collect::<Option<_>>()?;
+        let mut comp_uniq = vec![None; design.components().len()];
+        let mut unique = Vec::with_capacity(infos.len());
+        for (info, entry) in infos.into_iter().zip(entries) {
+            for &m in &info.members {
+                comp_uniq[m.index()] = Some(info.id);
+            }
+            let delta = design.component(info.rep).location - entry.rep_location;
+            let mut data = entry.data.clone();
+            data.info = info;
+            for aps in &mut data.pin_aps {
+                for ap in aps {
+                    ap.pos += delta;
+                }
+            }
+            unique.push(data);
+        }
+        self.hits += unique.len();
+        pao_obs::counter_add("cache.hits", unique.len() as u64);
+        Some(Warm { unique, comp_uniq })
+    }
+
+    /// Refreshes the cache from a full analysis of `design`, counting a
+    /// miss per unique instance.
+    fn fill(&mut self, design: &Design, result: &PaoResult) {
+        for u in &result.unique {
+            self.misses += 1;
+            pao_obs::counter_add("cache.misses", 1);
+            self.entries.insert(
+                signature_of(u),
+                CacheEntry {
+                    rep_location: design.component(u.info.rep).location,
+                    data: u.clone(),
+                },
+            );
+        }
+    }
+}
+
 impl PinAccessOracle {
     /// Like [`analyze`](PinAccessOracle::analyze), but reuses (and fills)
     /// `cache` for the placement-independent steps 1–2. On a placement
@@ -291,12 +415,11 @@ impl PinAccessOracle {
     }
 
     /// [`analyze_with_cache`](PinAccessOracle::analyze_with_cache) under a
-    /// [`RunBudget`]. The full-analysis path (new signatures present)
-    /// forwards the whole budget — per-phase allocation, watchdog and
-    /// checkpointing included. The cache fast path skips steps 1–2, so it
-    /// runs its select/repair/audit tail under the *overall* deadline
-    /// token instead of per-phase slices (there is no history for the
-    /// shrunken pipeline, and the tail is already the cheap part).
+    /// [`RunBudget`]. With a new signature present the full analysis runs
+    /// under the whole budget (checkpointing included) and refreshes the
+    /// cache. Otherwise steps 1–2 come from the cache and the run enters
+    /// the same select → repair → audit tail as a cold run, each phase
+    /// minting its token from the remaining deadline.
     #[must_use]
     pub fn analyze_with_cache_budget(
         &self,
@@ -305,178 +428,522 @@ impl PinAccessOracle {
         cache: &mut AnalysisCache,
         budget: RunBudget<'_>,
     ) -> PaoResult {
-        // Which signatures exist in this placement, and which are cached?
-        // Resolving every entry up front makes the all-cached check and the
-        // fast path share one lookup — there is no later re-lookup that
-        // could miss.
-        let infos = extract_unique_instances(tech, design);
-        let entries: Option<Vec<CacheEntry>> = infos
+        let run = RunCtx::new(budget.deadline, budget.fractions, budget.watchdog);
+        match cache.warm(tech, design) {
+            Some(warm) => self.analyze_warm(tech, design, warm, &run),
+            None => self.analyze_and_fill(tech, design, cache, budget),
+        }
+    }
+
+    /// The full analysis under `budget`, refreshing `cache` from it.
+    pub(crate) fn analyze_and_fill(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        cache: &mut AnalysisCache,
+        budget: RunBudget<'_>,
+    ) -> PaoResult {
+        let result = self.analyze_with_budget(tech, design, budget);
+        cache.fill(design, &result);
+        result
+    }
+
+    /// The shared select → repair → audit tail over cached steps 1–2.
+    pub(crate) fn analyze_warm(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        warm: Warm,
+        run: &RunCtx,
+    ) -> PaoResult {
+        let stats = warm.stats();
+        self.select_repair_audit(
+            tech,
+            design,
+            TailInput {
+                unique: warm.unique,
+                comp_uniq: warm.comp_uniq,
+                stats,
+                faults: Vec::new(),
+                skips: Vec::new(),
+                stalls: Vec::new(),
+            },
+            run,
+        )
+    }
+}
+
+/// Each component's connected pins — the pins the audit counts — as a
+/// compressed row table. Nets never change under a move, so a resident
+/// service builds it once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConnectedPins {
+    /// `starts[c]..starts[c + 1]` indexes `pins` for component `c`.
+    starts: Vec<u32>,
+    pins: Vec<u32>,
+}
+
+impl ConnectedPins {
+    pub(crate) fn build(tech: &Tech, design: &Design) -> ConnectedPins {
+        let connected = crate::oracle::connected_pins(tech, design);
+        let mut starts = vec![0u32; design.components().len() + 1];
+        for &(c, _) in &connected {
+            starts[c.index() + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut fill = starts.clone();
+        let mut pins = vec![0u32; connected.len()];
+        for &(c, p) in &connected {
+            let at = &mut fill[c.index()];
+            pins[*at as usize] = p as u32;
+            *at += 1;
+        }
+        ConnectedPins { starts, pins }
+    }
+
+    /// Connected pins counted over the whole design (Table III's total).
+    pub(crate) fn total(&self) -> usize {
+        self.pins.len()
+    }
+
+    /// The connected pin indices of `comp`, in net order.
+    pub(crate) fn of(&self, comp: CompId) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = (self.starts[comp.index()], self.starts[comp.index() + 1]);
+        self.pins[lo as usize..hi as usize]
             .iter()
-            .map(|info| {
-                cache
-                    .entries
-                    .get(&(info.master, info.orient, info.phases.clone()))
-                    .cloned()
-            })
-            .collect();
-        let Some(entries) = entries else {
-            // At least one new signature: run the full analysis (simple and
-            // correct; a finer-grained variant could analyze only the new
-            // signatures) and refresh the cache from it.
-            let result = self.analyze_with_budget(tech, design, budget);
-            for u in &result.unique {
-                let sig = (u.info.master, u.info.orient, u.info.phases.clone());
-                cache.misses += 1;
-                pao_obs::counter_add("cache.misses", 1);
-                cache.entries.insert(
-                    sig,
-                    CacheEntry {
-                        rep_location: design.component(u.info.rep).location,
-                        data: u.clone(),
-                    },
-                );
+            .map(|&p| p as usize)
+    }
+}
+
+/// The state a window ECO reads besides the new placement: the previous
+/// snapshot and the service's resident indexes.
+pub(crate) struct EcoWindow<'a> {
+    /// The placement before the move.
+    pub(crate) old_design: &'a Design,
+    /// The previous, repair-free analysis of `old_design`.
+    pub(crate) old: &'a PaoResult,
+    /// Row index, already updated to the new placement.
+    pub(crate) rows: &'a RowIndex,
+    /// Members of every stripe a move touched, as they were before it.
+    pub(crate) old_cells: &'a [(usize, StripeCells)],
+    /// Moved components, sorted and distinct.
+    pub(crate) moved: &'a [CompId],
+    /// Each component's connected pins.
+    pub(crate) pins: &'a ConnectedPins,
+}
+
+/// How far any placed shape of an instance of `u` — pin, obstruction or
+/// the primary via at any of its access points — reaches past its
+/// bounding box. The value depends only on the signature.
+fn overhang(tech: &Tech, design: &Design, u: &UniqueInstanceAccess, via_hulls: &[Rect]) -> Dbu {
+    let Some(b) = comp_bbox(tech, design, u.info.rep) else {
+        return 0;
+    };
+    let mut out: Dbu = 0;
+    let mut grow = |r: Rect| {
+        out = out
+            .max(b.xlo() - r.xlo())
+            .max(r.xhi() - b.xhi())
+            .max(b.ylo() - r.ylo())
+            .max(r.yhi() - b.yhi());
+    };
+    design.for_each_placed_pin_shape(tech, u.info.rep, |_, _, r| grow(r));
+    design.for_each_placed_obs_shape(tech, u.info.rep, |_, r| grow(r));
+    for ap in u.pin_aps.iter().flatten() {
+        if let Some(v) = ap.primary_via() {
+            grow(via_hulls[v.index()].translated(ap.pos));
+        }
+    }
+    out
+}
+
+/// The clusters of stripe `s` in the new placement, formed on first use.
+fn stripe_clusters<'c>(
+    rows: &RowIndex,
+    memo: &'c mut HashMap<usize, Vec<Cluster>>,
+    s: usize,
+) -> &'c [Cluster] {
+    memo.entry(s).or_insert_with(|| {
+        let mut out = Vec::new();
+        form_clusters(rows.stripe_cells(s), &mut out);
+        out
+    })
+}
+
+/// The selection groups a move changed, each as its clusters in the
+/// global (stripe, x) order, groups ordered by their first cluster.
+///
+/// Clusters re-form only in the touched stripes; a new cluster that
+/// matches no old one of its stripe, or holds a moved component, is
+/// changed. Its group is every cluster linked to it through members that
+/// cover more than one stripe.
+fn changed_groups(tech: &Tech, design: &Design, w: &EcoWindow<'_>) -> Vec<Vec<Cluster>> {
+    let moved: HashSet<CompId> = w.moved.iter().copied().collect();
+    let mut formed: HashMap<usize, Vec<Cluster>> = HashMap::new();
+    let mut seeds: Vec<(usize, usize)> = Vec::new();
+    for (s, cells) in w.old_cells {
+        let mut before = Vec::new();
+        form_clusters(cells, &mut before);
+        let before: HashSet<Vec<CompId>> = before.into_iter().map(|c| c.comps).collect();
+        for (k, c) in stripe_clusters(w.rows, &mut formed, *s).iter().enumerate() {
+            if c.comps.iter().any(|m| moved.contains(m)) || !before.contains(&c.comps) {
+                seeds.push((*s, k));
             }
-            return result;
-        };
-        // Fast path: rebuild per-unique data from the cache, translated
-        // into each new representative's frame.
-        let RunBudget {
-            deadline,
-            fractions,
-            watchdog,
-            checkpoint: _,
-        } = budget;
-        let alloc = BudgetAllocator::new(deadline, fractions);
-        let token = alloc.overall_token();
-        let mut skips: Vec<SkipRecord> = Vec::new();
-        let run_start = std::time::Instant::now();
-        let metrics_before = pao_obs::metrics_enabled().then(pao_obs::snapshot);
-        let fast_span = pao_obs::span("phase.cache_fast_path");
-        let t2 = std::time::Instant::now();
-        let mut comp_uniq = vec![None; design.components().len()];
-        let mut unique = Vec::with_capacity(infos.len());
-        for (info, entry) in infos.into_iter().zip(entries) {
-            for &m in &info.members {
-                comp_uniq[m.index()] = Some(info.id);
-            }
-            cache.hits += 1;
-            pao_obs::counter_add("cache.hits", 1);
-            let delta = design.component(info.rep).location - entry.rep_location;
-            let mut data = entry.data;
-            data.info = info;
-            for aps in &mut data.pin_aps {
-                for ap in aps {
-                    ap.pos += delta;
+        }
+    }
+    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut covered = Vec::new();
+    for seed in seeds {
+        if !seen.insert(seed) {
+            continue;
+        }
+        let mut group = vec![seed];
+        let mut next = 0;
+        while next < group.len() {
+            let (s, k) = group[next];
+            next += 1;
+            let members = stripe_clusters(w.rows, &mut formed, s)[k].comps.clone();
+            for m in members {
+                let Some(b) = comp_bbox(tech, design, m) else {
+                    continue;
+                };
+                w.rows.covered_into(b, &mut covered);
+                for &t in covered.iter().filter(|&&t| t != s) {
+                    let Some(j) = stripe_clusters(w.rows, &mut formed, t)
+                        .iter()
+                        .position(|c| c.comps.contains(&m))
+                    else {
+                        continue;
+                    };
+                    if seen.insert((t, j)) {
+                        group.push((t, j));
+                    }
                 }
             }
-            unique.push(data);
         }
-        let engine = pao_drc::DrcEngine::new(tech);
+        group.sort_unstable();
+        groups.push(group);
+    }
+    groups.sort_unstable();
+    groups
+        .iter()
+        .map(|g| g.iter().map(|&(s, k)| formed[&s][k].clone()).collect())
+        .collect()
+}
+
+/// The connected pins to re-probe after `changed` components moved or
+/// changed pattern, and one windowed audit context to probe them in.
+///
+/// Each instance's shapes (vias included) stay within `hang` of its box
+/// and every probe reads within the engine's interaction range of its
+/// via, so only pins of components whose boxes lie within `2 hang +
+/// range` of a changed box — before or after the move — can change
+/// verdict. The context holds every shape of each component that can
+/// reach one of their probe windows: a subset of the whole-design audit
+/// context containing everything inside the windows, so verdicts match.
+fn reprobe(
+    tech: &Tech,
+    design: &Design,
+    engine: &DrcEngine<'_>,
+    w: &EcoWindow<'_>,
+    result: &PaoResult,
+    changed: &[CompId],
+) -> (Vec<(CompId, usize)>, ShapeSet) {
+    let origin = Point::new(0, 0);
+    let via_hulls: Vec<Rect> = tech
+        .vias()
+        .iter()
+        .map(|v| {
+            v.each_placed_shape(origin)
+                .map(|(_, r)| r)
+                .reduce(Rect::hull)
+                .unwrap_or_else(|| Rect::new(0, 0, 0, 0))
+        })
+        .collect();
+    let hang = result
+        .unique
+        .iter()
+        .map(|u| overhang(tech, design, u, &via_hulls))
+        .chain(
+            w.old
+                .unique
+                .iter()
+                .map(|u| overhang(tech, w.old_design, u, &via_hulls)),
+        )
+        .max()
+        .unwrap_or(0);
+    let range = engine.interaction_range();
+    let bbox = |c: CompId| comp_bbox(tech, design, c);
+    let mut near: Vec<CompId> = Vec::new();
+    for &d in changed {
+        let before = comp_bbox(tech, w.old_design, d);
+        let after = bbox(d);
+        for b in before
+            .into_iter()
+            .chain(after.filter(|&a| Some(a) != before))
+        {
+            w.rows.near(b.expanded(2 * hang + range), &bbox, &mut near);
+        }
+    }
+    near.sort_unstable();
+    near.dedup();
+    let pins: Vec<(CompId, usize)> = near
+        .iter()
+        .flat_map(|&c| w.pins.of(c).map(move |p| (c, p)))
+        .collect();
+    let mut reach: Vec<CompId> = Vec::new();
+    for &(c, p) in &pins {
+        let Some(ap) = result.access_point(design, c, p) else {
+            continue;
+        };
+        let Some(v) = ap.primary_via() else { continue };
+        let window = via_hulls[v.index()]
+            .translated(ap.pos)
+            .expanded(range + hang);
+        w.rows.near(window, &bbox, &mut reach);
+    }
+    reach.sort_unstable();
+    reach.dedup();
+    let mut ctx = ShapeSet::new(tech.layers().len());
+    for &c in &reach {
+        design.for_each_placed_pin_shape(tech, c, |pin_idx, layer, rect| {
+            ctx.insert_deferred(layer, rect, pin_owner(c, pin_idx));
+        });
+        design.for_each_placed_obs_shape(tech, c, |layer, rect| {
+            ctx.insert_deferred(layer, rect, Owner::obs(u64::from(c.0)));
+        });
+        for p in w.pins.of(c) {
+            let Some(ap) = result.access_point(design, c, p) else {
+                continue;
+            };
+            if let Some(v) = ap.primary_via() {
+                for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
+                    ctx.insert_deferred(layer, rect, pin_owner(c, p));
+                }
+            }
+        }
+    }
+    ctx.rebuild();
+    (pins, ctx)
+}
+
+impl PinAccessOracle {
+    /// The window tail of an ECO whose placement keeps every signature
+    /// cached, over a repair-free previous snapshot (`w.old`: no repair
+    /// overrides, no failed pin, nothing quarantined or skipped).
+    ///
+    /// * Selection is local to a selection group (the clusters linked by
+    ///   shared multi-height members): a group whose clusters are all
+    ///   unchanged solves exactly as before. Only the groups holding a
+    ///   cluster the move changed ([`changed_groups`]) are re-solved,
+    ///   with [`solve_group`] under the `select.group` executor label.
+    /// * An audit verdict depends only on the shapes inside the pin's
+    ///   probe windows. Only the connected pins whose windows can reach a
+    ///   moved component, or one whose selected pattern changed
+    ///   ([`reprobe`]), are re-probed with the audit's exact
+    ///   `via_placement_clean` under the `audit.pin` label; every other
+    ///   pin keeps its clean verdict.
+    ///
+    /// Returns the finished result — degraded when a group or probe
+    /// faulted, was skipped or stalled — with the number of re-probed
+    /// pins, or hands `warm` back when a re-probed pin is dirty, so the
+    /// caller can run the full tail (repair is needed, and only the full
+    /// tail repairs).
+    pub(crate) fn window_tail(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        warm: Warm,
+        w: &EcoWindow<'_>,
+        run: &RunCtx,
+    ) -> Result<(PaoResult, usize), Warm> {
+        let span = pao_obs::span("phase.eco_window");
+        let t0 = std::time::Instant::now();
         let threads = self.config().threads;
-        let mut faults: Vec<crate::error::FaultRecord> = Vec::new();
-        let select_out = crate::cluster::select_patterns_budget(
-            tech,
-            &engine,
-            design,
-            &comp_uniq,
-            &unique,
-            threads,
-            &self.config().select,
-            PhaseBudget::new(&token, watchdog),
-        );
-        faults.extend(select_out.faults);
-        crate::oracle::push_skip(
+        let engine = DrcEngine::new(tech);
+        let stats = warm.stats();
+        let Warm { unique, comp_uniq } = warm;
+        let groups = changed_groups(tech, design, w);
+
+        // Re-solve the changed groups.
+        let (reach, far) = (conflict_reach(tech), pair_reach(tech, &engine));
+        let select_token = run.alloc.phase_token(Phase::Select);
+        let (locals, select_exec) = {
+            let (groups, engine, comp_uniq, unique) = (&groups, &engine, &comp_uniq, &unique);
+            parallel_map_budget(
+                threads,
+                "select.group",
+                (0..groups.len()).collect(),
+                || SelectScratch::new(tech.layers().len()),
+                |scratch, gi: usize| {
+                    let order: Vec<usize> = (0..groups[gi].len()).collect();
+                    let mut local = HashMap::new();
+                    let tel = solve_group(
+                        tech,
+                        engine,
+                        design,
+                        comp_uniq,
+                        unique,
+                        reach,
+                        far,
+                        &groups[gi],
+                        &order,
+                        &self.config().select,
+                        threads,
+                        &mut local,
+                        scratch,
+                    );
+                    (local, tel)
+                },
+                PhaseBudget::new(&select_token, run.watchdog),
+            )
+        };
+        let default_of = |c: CompId| {
+            comp_uniq[c.index()]
+                .filter(|u| !unique[u.index()].patterns.is_empty())
+                .map(|_| 0)
+        };
+        let mut selection = w.old.selection.clone();
+        for &m in w.moved {
+            selection[m.index()] = default_of(m);
+        }
+        let mut faults: Vec<FaultRecord> = Vec::new();
+        let mut skips = Vec::new();
+        let mut skipped = 0usize;
+        let mut telemetry = SelectTelemetry {
+            groups: groups.len() as u64,
+            ..SelectTelemetry::default()
+        };
+        let mut changed: Vec<CompId> = w.moved.to_vec();
+        for (gi, local) in locals.into_iter().enumerate() {
+            let members = || groups[gi].iter().flat_map(|cl| &cl.comps);
+            for c in members() {
+                selection[c.index()] = default_of(*c);
+            }
+            match local {
+                Ok((local, tel)) => {
+                    telemetry.absorb(&tel);
+                    for (ci, sel) in local {
+                        selection[ci] = sel;
+                    }
+                }
+                Err(ItemFault::Skipped(_)) => skipped += 1,
+                Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
+                    phase: Phase::Select,
+                    item: format!("selection group {gi} ({} clusters)", groups[gi].len()),
+                    reason,
+                }),
+            }
+            changed
+                .extend(members().filter(|c| selection[c.index()] != w.old.selection[c.index()]));
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        push_skip(
             &mut skips,
             Phase::Select,
-            select_out.skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
+            skipped,
+            select_token.reason().unwrap_or(CancelReason::Deadline),
         );
+        let mut stalls = select_token.take_stalls();
         let mut result = PaoResult {
-            stats: crate::stats::PaoStats {
-                unique_instances: unique.len(),
-                total_aps: unique
-                    .iter()
-                    .flat_map(|u| u.pin_aps.iter())
-                    .map(Vec::len)
-                    .sum(),
-                cluster_exec: select_out.exec,
-                select_telemetry: select_out.telemetry,
-                ..Default::default()
-            },
             unique,
             comp_uniq,
-            selection: select_out.selection,
+            selection,
             overrides: HashMap::new(),
+            stats: PaoStats {
+                cluster_exec: select_exec,
+                select_telemetry: telemetry,
+                ..stats
+            },
         };
-        let gctx = crate::oracle::GlobalContext::build_threaded(tech, design, threads);
-        let mut repair_skipped = 0usize;
-        let mut scan_ok: Option<Vec<Option<bool>>> = None;
-        for round in 0..self.config().repair_rounds {
-            if token.is_cancelled() {
-                scan_ok = None;
-                break;
-            }
-            let (repaired, exec, repair_faults, round_skipped, ok_flags) =
-                crate::oracle::repair_failed_pins_budget(
-                    tech,
-                    design,
-                    &gctx,
-                    &mut result,
-                    threads,
-                    round,
-                    PhaseBudget::new(&token, watchdog),
-                );
-            result.stats.repair_exec.merge(&exec);
-            faults.extend(repair_faults);
-            repair_skipped += round_skipped;
-            scan_ok = (repaired == 0).then_some(ok_flags);
-            if repaired == 0 {
-                break;
+
+        // Re-probe the pins the change can reach (none when selection
+        // already degraded: the result is discarded anyway).
+        let (probe_pins, ctx) = if faults.is_empty() && skips.is_empty() && stalls.is_empty() {
+            reprobe(tech, design, &engine, w, &result, &changed)
+        } else {
+            (Vec::new(), ShapeSet::new(tech.layers().len()))
+        };
+        let audit_token = run.alloc.phase_token(Phase::Audit);
+        let (oks, audit_exec) = {
+            let (result, ctx, engine, probe_pins) = (&result, &ctx, &engine, &probe_pins);
+            parallel_map_budget(
+                threads,
+                "audit.pin",
+                (0..probe_pins.len()).collect(),
+                DrcScratch::new,
+                move |ws, i: usize| {
+                    let (comp, pin_idx) = probe_pins[i];
+                    let ok = match result.access_point(design, comp, pin_idx) {
+                        Some(ap) => match ap.primary_via() {
+                            Some(v) => engine.via_placement_clean(
+                                tech.via(v),
+                                ap.pos,
+                                pin_owner(comp, pin_idx),
+                                ctx,
+                                ws,
+                            ),
+                            None => !ap.planar.is_empty(),
+                        },
+                        None => false,
+                    };
+                    ws.flush_obs();
+                    ok
+                },
+                PhaseBudget::new(&audit_token, run.watchdog),
+            )
+        };
+        let mut failed = 0usize;
+        skipped = 0;
+        for (&(comp, pin_idx), ok) in probe_pins.iter().zip(oks) {
+            failed += usize::from(!matches!(ok, Ok(true)));
+            match ok {
+                Ok(_) => {}
+                Err(ItemFault::Skipped(_)) => skipped += 1,
+                Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
+                    phase: Phase::Audit,
+                    item: format!("pin {}/#{pin_idx}", design.component(comp).name),
+                    reason,
+                }),
             }
         }
-        crate::oracle::push_skip(
-            &mut skips,
-            Phase::Repair,
-            repair_skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        result.stats.repaired_pins = result.overrides.len();
-        let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
-            crate::oracle::audit_pins_budget(
-                tech,
-                design,
-                &gctx,
-                &|comp, pin_idx| result.access_point(design, comp, pin_idx),
-                scan_ok.as_deref(),
-                threads,
-                PhaseBudget::new(&token, watchdog),
-            );
-        faults.extend(audit_faults);
-        crate::oracle::push_skip(
+        push_skip(
             &mut skips,
             Phase::Audit,
-            audit_skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
+            skipped,
+            audit_token.reason().unwrap_or(CancelReason::Deadline),
         );
-        result.stats.audit_exec = audit_exec;
-        result.stats.total_pins = total_pins;
-        result.stats.failed_pins = failed_pins;
+        stalls.extend(audit_token.take_stalls());
+        let degraded = !(faults.is_empty() && skips.is_empty() && stalls.is_empty());
+        if failed > 0 && !degraded {
+            pao_obs::counter_add("eco.window.dirty_fallback", 1);
+            return Err(Warm {
+                unique: result.unique,
+                comp_uniq: result.comp_uniq,
+            });
+        }
+        pao_obs::counter_add("eco.window.groups", groups.len() as u64);
+        pao_obs::counter_add("eco.window.pins", probe_pins.len() as u64);
         for fault in &faults {
             pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
         }
+        result.stats.audit_exec = audit_exec;
+        result.stats.total_pins = w.pins.total();
+        result.stats.failed_pins = failed;
         result.stats.quarantined = faults;
         result.stats.deadline = DeadlineReport {
-            budget: deadline,
+            budget: run.deadline,
             skipped: skips,
-            stalls: token.take_stalls(),
+            stalls,
         };
-        result.stats.cluster_time = t2.elapsed();
-        drop(fast_span);
-        result.stats.run_time = run_start.elapsed();
-        if let Some(before) = metrics_before {
-            result.stats.metrics = pao_obs::snapshot().delta_since(&before);
-        }
-        result
+        result.stats.cluster_time = t0.elapsed();
+        drop(span);
+        run.close(&mut result.stats);
+        Ok((result, probe_pins.len()))
     }
 }
 
@@ -504,8 +971,15 @@ mod tests {
         let second = oracle.analyze_with_cache(&tech, &design, &mut cache);
         let (h1, _) = cache.stats();
         assert!(h1 > 0, "fast path must hit the cache");
-        assert_eq!(first.stats.total_aps, second.stats.total_aps);
-        assert_eq!(first.stats.failed_pins, second.stats.failed_pins);
+        // Table II counters included: the cached entries carry their
+        // apgen tallies.
+        assert!(first.stats.off_track_aps > 0);
+        assert!(
+            second.stats.counters_eq(&first.stats),
+            "warm:\n{}\ncold:\n{}",
+            second.stats,
+            first.stats
+        );
         for ci in 0..design.components().len() {
             let comp = CompId(ci as u32);
             let a = first.access_point(&design, comp, 0).map(|a| a.pos);
@@ -519,7 +993,7 @@ mod tests {
         let c0 = design.component(CompId(0)).clone();
         design.component_mut(CompId(0)).location = c0.location;
         let third = oracle.analyze_with_cache(&tech, &design, &mut cache);
-        assert_eq!(third.stats.failed_pins, second.stats.failed_pins);
+        assert!(third.stats.counters_eq(&first.stats));
     }
 
     #[test]
@@ -564,8 +1038,7 @@ mod persist_tests {
         let (hits, misses) = loaded.stats();
         assert!(hits > 0);
         assert_eq!(misses, 0, "loaded cache must cover all signatures");
-        assert_eq!(first.stats.total_aps, again.stats.total_aps);
-        assert_eq!(first.stats.failed_pins, again.stats.failed_pins);
+        assert!(again.stats.counters_eq(&first.stats));
         for ci in 0..design.components().len() {
             let comp = pao_design::CompId(ci as u32);
             assert_eq!(

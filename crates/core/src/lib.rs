@@ -62,13 +62,15 @@ pub use budget::{
 pub use cluster::{Cluster, SelectTelemetry, SelectTuning};
 pub use coord::CoordType;
 pub use error::{FaultRecord, PaoError, Phase};
-pub use oracle::{default_threads, PaoConfig, PaoResult, PinAccessOracle, UniqueInstanceAccess};
+pub use oracle::{
+    default_threads, ApTally, PaoConfig, PaoResult, PinAccessOracle, UniqueInstanceAccess,
+};
 pub use parallel::{ExecReport, ItemFault, PhaseBudget};
 pub use pattern::{AccessPattern, PatternConfig};
 pub use persist::{CheckpointStore, EcoJournal, JournalEntry};
 pub use service::{
-    ClusterSelectionReply, EcoMove, EcoReply, EcoTarget, InstancePatternsReply, OracleService,
-    PinAccessReply, RejectCount, ServiceError,
+    ClusterSelectionReply, EcoMove, EcoReply, EcoTail, EcoTarget, InstancePatternsReply,
+    OracleService, PinAccessReply, RejectCount, ServiceError,
 };
 pub use stats::PaoStats;
 pub use unique::{UniqueInstance, UniqueInstanceId};

@@ -3,7 +3,7 @@
 use crate::apgen::{generate_pin_access_points_scratch, AccessPoint, ApGenConfig, ApScratch};
 use crate::budget::{
     BudgetAllocator, CancelReason, CancelToken, DeadlineReport, PhaseFractions, RunBudget,
-    SkipRecord, StallRecord,
+    SkipRecord, StallRecord, Watchdog,
 };
 use crate::cluster::{select_patterns_budget, SelectTuning};
 use crate::error::{FaultRecord, PaoError, Phase};
@@ -19,7 +19,7 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, MacroClass, Tech};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of the whole three-step analysis.
 #[derive(Debug, Clone)]
@@ -77,6 +77,21 @@ pub struct UniqueInstanceAccess {
     pub pin_order: Vec<usize>,
     /// Generated access patterns over `pin_order`.
     pub patterns: Vec<AccessPattern>,
+    /// Table II tallies of this instance's access point generation.
+    pub tally: ApTally,
+}
+
+/// Per-unique-instance Table II tallies from access point generation.
+/// They depend only on the signature, so a cached analysis carries them
+/// and a warm run reports the same counters as a cold one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ApTally {
+    /// Access points whose primary via is dirty in the intra-cell context.
+    pub dirty: usize,
+    /// Signal pins with geometry but no access point.
+    pub without: usize,
+    /// Access points with an off-track coordinate.
+    pub off_track: usize,
 }
 
 /// The complete result of [`PinAccessOracle::analyze`].
@@ -219,12 +234,9 @@ impl PinAccessOracle {
             checkpoint,
         } = budget;
         let mut ckpt = checkpoint;
-        let alloc = BudgetAllocator::new(deadline, fractions);
+        let run = RunCtx::new(deadline, fractions, watchdog);
         let mut skips: Vec<SkipRecord> = Vec::new();
         let mut stalls: Vec<StallRecord> = Vec::new();
-        let engine = DrcEngine::new(tech);
-        let run_start = Instant::now();
-        let metrics_before = pao_obs::metrics_enabled().then(pao_obs::snapshot);
 
         // ---- Step 1: unique instances + access point generation.
         let phase_span = pao_obs::span("phase.apgen");
@@ -237,7 +249,7 @@ impl PinAccessOracle {
             }
         }
         let apcfg = &self.config.apgen;
-        let apgen_token = alloc.phase_token(Phase::Apgen);
+        let apgen_token = run.alloc.phase_token(Phase::Apgen);
         type ApgenItem = (UniqueInstanceAccess, usize, usize, usize, usize);
         let (analyzed, apgen_exec) = {
             let infos = &infos;
@@ -265,6 +277,7 @@ impl PinAccessOracle {
                                     pin_aps: snap.pin_aps.clone(),
                                     pin_order: Vec::new(),
                                     patterns: Vec::new(),
+                                    tally: ApTally::default(),
                                 },
                                 snap.total,
                                 snap.dirty,
@@ -350,6 +363,7 @@ impl PinAccessOracle {
                             pin_aps,
                             pin_order: Vec::new(),
                             patterns: Vec::new(),
+                            tally: ApTally::default(),
                         },
                         total,
                         dirty,
@@ -382,7 +396,12 @@ impl PinAccessOracle {
                 }
             };
             match flat {
-                Ok((u, total, dirty, without, off_track)) => {
+                Ok((mut u, total, dirty, without, off_track)) => {
+                    u.tally = ApTally {
+                        dirty,
+                        without,
+                        off_track,
+                    };
                     total_aps += total;
                     dirty_aps += dirty;
                     pins_without_aps += without;
@@ -425,6 +444,7 @@ impl PinAccessOracle {
                         pin_aps: vec![Vec::new(); npins],
                         pin_order: Vec::new(),
                         patterns: Vec::new(),
+                        tally: ApTally::default(),
                     });
                 }
             }
@@ -447,7 +467,7 @@ impl PinAccessOracle {
         // ---- Step 2: pattern generation per unique instance.
         let phase_span = pao_obs::span("phase.pattern");
         let t1 = Instant::now();
-        let pattern_token = alloc.phase_token(Phase::Pattern);
+        let pattern_token = run.alloc.phase_token(Phase::Pattern);
         let pattern_exec;
         let mut pattern_skip_reasons: Vec<CancelReason> = Vec::new();
         let mut pattern_completed: Vec<usize> = Vec::new();
@@ -539,10 +559,126 @@ impl PinAccessOracle {
         let pattern_time = t1.elapsed();
         drop(phase_span);
 
-        // ---- Step 3: cluster-based selection + final validation.
+        // ---- Step 3 and the validation tail.
+        let mut result = self.select_repair_audit(
+            tech,
+            design,
+            TailInput {
+                unique,
+                comp_uniq,
+                stats: PaoStats {
+                    total_aps,
+                    dirty_aps,
+                    pins_without_aps,
+                    off_track_aps,
+                    apgen_time,
+                    pattern_time,
+                    apgen_exec,
+                    pattern_exec,
+                    ..PaoStats::default()
+                },
+                faults,
+                skips,
+                stalls,
+            },
+            &run,
+        );
+        // Record this run's observed phase-time split so the next budgeted
+        // run over this checkpoint directory allocates from history instead
+        // of the built-in default. Partial runs are biased (cut phases look
+        // cheap), so only complete runs update the history.
+        if let Some(store) = ckpt.as_mut() {
+            if !result.stats.deadline.is_partial() {
+                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
+                    result.stats.quarantined.push(FaultRecord {
+                        phase: Phase::Cache,
+                        item: "phase-history checkpoint".to_owned(),
+                        reason: e.to_string(),
+                    });
+                }
+            }
+        }
+        result
+    }
+}
+
+/// What the steps ahead of cluster selection hand the shared tail: the
+/// analyzed unique instances, each component's unique instance, the
+/// stats filled so far (Table II counters, apgen/pattern reports) and
+/// every degradation recorded on the way.
+pub(crate) struct TailInput {
+    pub(crate) unique: Vec<UniqueInstanceAccess>,
+    pub(crate) comp_uniq: Vec<Option<UniqueInstanceId>>,
+    pub(crate) stats: PaoStats,
+    pub(crate) faults: Vec<FaultRecord>,
+    pub(crate) skips: Vec<SkipRecord>,
+    pub(crate) stalls: Vec<StallRecord>,
+}
+
+/// One run's budget and clocks: the deadline allocator every phase
+/// mints its token from, the watchdog, and the start-of-run stopwatch
+/// and metrics snapshot that [`RunCtx::close`] turns into `run_time`
+/// and the metrics delta.
+pub(crate) struct RunCtx {
+    pub(crate) alloc: BudgetAllocator,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) watchdog: Option<Watchdog>,
+    start: Instant,
+    metrics_before: Option<pao_obs::MetricsSnapshot>,
+}
+
+impl RunCtx {
+    /// Starts the run clock and anchors the deadline at now.
+    pub(crate) fn new(
+        deadline: Option<Duration>,
+        fractions: PhaseFractions,
+        watchdog: Option<Watchdog>,
+    ) -> RunCtx {
+        RunCtx {
+            alloc: BudgetAllocator::new(deadline, fractions),
+            deadline,
+            watchdog,
+            start: Instant::now(),
+            metrics_before: pao_obs::metrics_enabled().then(pao_obs::snapshot),
+        }
+    }
+
+    /// Stamps the finished run's wall time and metrics delta.
+    pub(crate) fn close(&self, stats: &mut PaoStats) {
+        stats.run_time = self.start.elapsed();
+        if let Some(before) = &self.metrics_before {
+            stats.metrics = pao_obs::snapshot().delta_since(before);
+        }
+    }
+}
+
+impl PinAccessOracle {
+    /// Step 3 and everything after it — cluster selection, the repair
+    /// rounds and the failed-pin audit — as the one tail shared by cold
+    /// runs ([`analyze_with_budget`](Self::analyze_with_budget)), warm
+    /// cache runs and the service's ECO fallback. Each phase mints its
+    /// own token from `run`'s allocator, so unspent budget rolls forward
+    /// whether or not apgen and pattern generation ran first.
+    pub(crate) fn select_repair_audit(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        input: TailInput,
+        run: &RunCtx,
+    ) -> PaoResult {
+        let TailInput {
+            unique,
+            comp_uniq,
+            mut stats,
+            mut faults,
+            mut skips,
+            mut stalls,
+        } = input;
+        let engine = DrcEngine::new(tech);
+        let watchdog = run.watchdog;
         let phase_span = pao_obs::span("phase.select");
         let t2 = Instant::now();
-        let select_token = alloc.phase_token(Phase::Select);
+        let select_token = run.alloc.phase_token(Phase::Select);
         let select_out = select_patterns_budget(
             tech,
             &engine,
@@ -561,33 +697,23 @@ impl PinAccessOracle {
             select_token.reason().unwrap_or(CancelReason::Deadline),
         );
         stalls.extend(select_token.take_stalls());
+        stats.unique_instances = unique.len();
+        stats.cluster_exec = select_out.exec;
+        stats.select_telemetry = select_out.telemetry;
         let mut result = PaoResult {
             unique,
             comp_uniq,
             selection: select_out.selection,
             overrides: std::collections::HashMap::new(),
-            stats: PaoStats {
-                total_aps,
-                dirty_aps,
-                pins_without_aps,
-                off_track_aps,
-                apgen_time,
-                pattern_time,
-                apgen_exec,
-                pattern_exec,
-                cluster_exec: select_out.exec,
-                select_telemetry: select_out.telemetry,
-                ..PaoStats::default()
-            },
+            stats,
         };
-        result.stats.unique_instances = result.unique.len();
         drop(phase_span);
         // Repair pass: for residual conflicts the whole-pattern DP cannot
         // untangle (frustrated chains of tightly-abutting boundary pins),
         // deviate per pin to any alternate clean AP — the same freedom the
         // detailed router has when it consumes the access points.
         let phase_span = pao_obs::span("phase.repair");
-        let repair_token = alloc.phase_token(Phase::Repair);
+        let repair_token = run.alloc.phase_token(Phase::Repair);
         // The whole-design base context and connected-pin list depend only
         // on the placement, so they are built once and shared by every
         // repair round and the final audit (each use completes a clone
@@ -634,7 +760,7 @@ impl PinAccessOracle {
         result.stats.repaired_pins = result.overrides.len();
         drop(phase_span);
         let phase_span = pao_obs::span("phase.audit");
-        let audit_token = alloc.phase_token(Phase::Audit);
+        let audit_token = run.alloc.phase_token(Phase::Audit);
         let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
             audit_pins_budget(
                 tech,
@@ -662,30 +788,12 @@ impl PinAccessOracle {
         }
         result.stats.quarantined = faults;
         result.stats.deadline = DeadlineReport {
-            budget: deadline,
+            budget: run.deadline,
             skipped: skips,
             stalls,
         };
         result.stats.cluster_time = t2.elapsed();
-        result.stats.run_time = run_start.elapsed();
-        if let Some(before) = metrics_before {
-            result.stats.metrics = pao_obs::snapshot().delta_since(&before);
-        }
-        // Record this run's observed phase-time split so the next budgeted
-        // run over this checkpoint directory allocates from history instead
-        // of the built-in default. Partial runs are biased (cut phases look
-        // cheap), so only complete runs update the history.
-        if let Some(store) = ckpt.as_mut() {
-            if !result.stats.deadline.is_partial() {
-                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
-                    result.stats.quarantined.push(FaultRecord {
-                        phase: Phase::Cache,
-                        item: "phase-history checkpoint".to_owned(),
-                        reason: e.to_string(),
-                    });
-                }
-            }
-        }
+        run.close(&mut result.stats);
         result
     }
 }
@@ -1379,24 +1487,9 @@ impl GlobalContext {
         } else {
             ShapeSet::from_shards(shards)
         };
-        let mut connected: Vec<(CompId, usize)> = Vec::new();
-        for net in design.nets() {
-            for (comp, pin_name) in net.comp_pins() {
-                if !design.component(comp).is_placed {
-                    continue;
-                }
-                let Some(master) = design.component(comp).master_in(tech) else {
-                    continue;
-                };
-                let Some(pin_idx) = master.pins.iter().position(|p| p.name == pin_name) else {
-                    continue;
-                };
-                connected.push((comp, pin_idx));
-            }
-        }
         GlobalContext {
             base,
-            connected,
+            connected: connected_pins(tech, design),
             bounds,
         }
     }
@@ -1426,6 +1519,28 @@ impl GlobalContext {
         // clone of an index that the repack would discard anyway.
         self.base.merged(&vias)
     }
+}
+
+/// Every `(component, pin index)` with a net attached, in net order —
+/// the pins the audit counts. Unplaced components and unresolvable pins
+/// are left out; a pin on two nets appears twice.
+pub(crate) fn connected_pins(tech: &Tech, design: &Design) -> Vec<(CompId, usize)> {
+    let mut connected: Vec<(CompId, usize)> = Vec::new();
+    for net in design.nets() {
+        for (comp, pin_name) in net.comp_pins() {
+            if !design.component(comp).is_placed {
+                continue;
+            }
+            let Some(master) = design.component(comp).master_in(tech) else {
+                continue;
+            };
+            let Some(pin_idx) = master.pins.iter().position(|p| p.name == pin_name) else {
+                continue;
+            };
+            connected.push((comp, pin_idx));
+        }
+    }
+    connected
 }
 
 /// Counts Table III's `(total pins, failed pins)`: every component pin

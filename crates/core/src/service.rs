@@ -10,18 +10,39 @@
 //! replaces the design/result snapshots copy-on-write — in-flight readers
 //! keep the `Arc` they already cloned, new queries see the new placement.
 //!
-//! Re-analysis after a move goes through the [`incremental`](crate::incremental)
-//! dirty-cluster path: intra-cell work (steps 1–2) is keyed by signature
-//! in the service's [`AnalysisCache`], so a move that preserves signatures
-//! re-runs only cluster selection, repair and audit. Per-request deadlines
-//! reuse [`RunBudget`]/[`BudgetAllocator`](crate::budget::BudgetAllocator),
+//! Re-analysis after a move ends in one of two tails. Intra-cell work
+//! (steps 1–2) is keyed by signature in the service's [`AnalysisCache`],
+//! so a move whose placement keeps every signature cached skips it.
+//!
+//! * The **window tail** runs when, in addition, the previous snapshot
+//!   is repair-free: no repair override, no failed pin, nothing
+//!   quarantined or skipped. Selection is local to a selection group,
+//!   so only the groups holding a cluster the move changed are re-solved
+//!   (clusters re-form only in the row stripes the move touched). A scan
+//!   verdict depends only on the shapes inside the pin's probe windows,
+//!   so only the connected pins whose windows can reach a moved
+//!   component, or one whose pattern changed, are re-probed with the
+//!   audit's exact check. Every other component keeps its selection and
+//!   its clean verdict. Two resident structures make this cheap: a row
+//!   index of x-sorted cells per stripe, updated on each move, and a
+//!   table of each component's connected pins, which moves never change.
+//! * The **full tail** — the select → repair → audit function every
+//!   cold and cached analysis ends in — runs when that precondition
+//!   fails or a re-probed pin is dirty (only the full tail repairs). A
+//!   new signature runs the whole pipeline first.
+//!
+//! Both give the answer a cold analysis of the moved placement gives: a
+//! dirty set that is too large costs time, never exactness.
+//!
+//! Per-request deadlines reuse [`RunBudget`]/[`BudgetAllocator`](crate::budget::BudgetAllocator),
 //! with phase fractions drawn from an immutable [`SharedFractions`]
 //! snapshot (one request's history roll-forward never mutates a
 //! concurrent request's split).
 
 use crate::budget::{PhaseFractions, RunBudget, SharedFractions, Watchdog};
-use crate::incremental::AnalysisCache;
-use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle};
+use crate::cluster::{comp_bbox, RowIndex, StripeCells};
+use crate::incremental::{signature_of, AnalysisCache, ConnectedPins, EcoWindow, Signature};
+use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle, RunCtx, UniqueInstanceAccess};
 use crate::persist::{EcoJournal, JournalEntry};
 use pao_design::{CompId, Design};
 use pao_geom::Point;
@@ -178,6 +199,28 @@ pub enum EcoTarget {
     Delta(Point),
 }
 
+/// Which tail an [`eco_update`](OracleService::eco_update) ended in (see
+/// the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EcoTail {
+    /// Only the selection groups and pins the move can reach were
+    /// re-solved and re-probed.
+    Window,
+    /// The whole select → repair → audit tail ran.
+    Full,
+}
+
+impl EcoTail {
+    /// The wire name: `"window"` or `"full"`.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EcoTail::Window => "window",
+            EcoTail::Full => "full",
+        }
+    }
+}
+
 /// What an [`eco_update`](OracleService::eco_update) did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcoReply {
@@ -187,19 +230,31 @@ pub struct EcoReply {
     pub cache_hits: usize,
     /// Signature cache misses (each one forced intra-cell re-analysis).
     pub cache_misses: usize,
-    /// `true` when a new signature forced the full five-phase pipeline;
-    /// `false` means only select/repair/audit re-ran (the dirty-cluster
-    /// incremental path).
+    /// `true` when a new signature forced the full five-phase pipeline
+    /// (apgen and pattern generation included); `false` means steps 1–2
+    /// came from the signature cache and only a tail ran — see
+    /// [`tail`](EcoReply::tail) for which one.
     pub full_reanalysis: bool,
+    /// The tail the re-analysis ended in.
+    pub tail: EcoTail,
+    /// Selection groups re-solved (every group on the full tail).
+    pub groups_resolved: usize,
+    /// Connected pins re-probed (every connected pin on the full tail).
+    pub pins_reprobed: usize,
     /// Failed pins after the update.
     pub failed_pins: usize,
     /// Monotone update sequence number (1 for the first ECO).
     pub eco_seq: u64,
 }
 
-/// Reject histogram keyed by `(unique instance, pin)`, built from one
-/// ledger-enabled analysis at service start.
-type RejectMap = HashMap<(u32, usize), Vec<RejectCount>>;
+/// One signature's reject histograms, indexed by pin.
+type PinRejects = Arc<[Vec<RejectCount>]>;
+
+/// Reject histograms keyed by signature, built from a ledger-enabled
+/// analysis. Unique-instance indices follow first appearance and
+/// renumber when moves reorder the placement; a signature names the same
+/// intra-cell analysis in every placement.
+type RejectMap = HashMap<Signature, PinRejects>;
 
 /// A resident, query-answering pin access oracle (see the module docs).
 #[derive(Debug)]
@@ -215,6 +270,13 @@ pub struct OracleService {
     eco_updates: u64,
     journal: Option<EcoJournal>,
     degraded_ecos: u64,
+    /// Placed cells per row stripe, kept at the current placement (when
+    /// the stripes come from `ROW` statements; see `relocate`).
+    rows: RowIndex,
+    /// Each component's connected pins (fixed under moves).
+    pins: ConnectedPins,
+    /// ECOs applied by the window tail and by the full tail.
+    tails: [u64; 2],
 }
 
 /// Presentation label for a ledger reject attribution (mirrors
@@ -228,31 +290,36 @@ fn reject_label(rule: u8, subcheck: u8) -> String {
     }
 }
 
-/// Folds a drained ledger dump into the per-pin reject histogram, in
-/// stable `(rule, subcheck)` code order.
-fn build_rejects(dump: &pao_obs::LedgerDump) -> RejectMap {
-    let mut tallies: HashMap<(u32, usize), BTreeMap<(u8, u8), u64>> = HashMap::new();
+/// Folds a drained ledger dump into per-pin reject histograms, in
+/// stable `(rule, subcheck)` code order. Apgen records name the unique
+/// instance by its index in `unique`, the analysis that produced them.
+fn build_rejects(dump: &pao_obs::LedgerDump, unique: &[UniqueInstanceAccess]) -> RejectMap {
+    let mut tallies: HashMap<Signature, BTreeMap<(usize, u8, u8), u64>> = HashMap::new();
     for r in &dump.records {
         if r.decode_event() == Some(pao_obs::LedgerEvent::ApReject) {
-            let key = ((r.entity >> 16) as u32, (r.entity & 0xFFFF) as usize);
+            let Some(u) = unique.get((r.entity >> 16) as usize) else {
+                continue;
+            };
+            let pin = (r.entity & 0xFFFF) as usize;
             *tallies
-                .entry(key)
+                .entry(signature_of(u))
                 .or_default()
-                .entry((r.rule, r.subcheck))
+                .entry((pin, r.rule, r.subcheck))
                 .or_default() += 1;
         }
     }
     tallies
         .into_iter()
-        .map(|(key, by_rule)| {
-            let counts = by_rule
-                .into_iter()
-                .map(|((rule, sub), count)| RejectCount {
+        .map(|(sig, by_pin)| {
+            let pins = by_pin.keys().map(|k| k.0 + 1).max().unwrap_or(0);
+            let mut counts = vec![Vec::new(); pins];
+            for ((pin, rule, sub), count) in by_pin {
+                counts[pin].push(RejectCount {
                     rule: reject_label(rule, sub),
                     count,
-                })
-                .collect();
-            (key, counts)
+                });
+            }
+            (sig, counts.into())
         })
         .collect()
 }
@@ -318,11 +385,13 @@ impl OracleService {
         let result = oracle.analyze_with_cache_budget(&tech, &design, &mut cache, budget);
         let rejects = if collect_rejects {
             pao_obs::disable_ledger();
-            build_rejects(&pao_obs::take_ledger())
+            build_rejects(&pao_obs::take_ledger(), &result.unique)
         } else {
             RejectMap::new()
         };
         let fractions = SharedFractions::new(PhaseFractions::from_stats(&result.stats));
+        let rows = RowIndex::build(&tech, &design);
+        let pins = ConnectedPins::build(&tech, &design);
         OracleService {
             tech: Arc::new(tech),
             design: Arc::new(design),
@@ -335,6 +404,9 @@ impl OracleService {
             eco_updates: 0,
             journal: None,
             degraded_ecos: 0,
+            rows,
+            pins,
+            tails: [0; 2],
         }
     }
 
@@ -419,6 +491,12 @@ impl OracleService {
         self.eco_updates
     }
 
+    /// Applied ECO updates that ended in `tail`.
+    #[must_use]
+    pub fn eco_tail_count(&self, tail: EcoTail) -> u64 {
+        self.tails[tail as usize]
+    }
+
     /// `(hits, misses)` of the resident signature cache.
     #[must_use]
     pub fn cache_stats(&self) -> (usize, usize) {
@@ -470,8 +548,8 @@ impl OracleService {
         let candidates = self.result.all_access_points(&self.design, comp, pin_idx);
         let rejects = self
             .rejects
-            .get(&(ui as u32, pin_idx))
-            .cloned()
+            .get(&signature_of(&self.result.unique[ui]))
+            .and_then(|r| r.get(pin_idx).cloned())
             .unwrap_or_default();
         Ok(PinAccessReply {
             inst: inst.to_owned(),
@@ -533,16 +611,16 @@ impl OracleService {
         selection_dump(&self.design, &self.result)
     }
 
-    /// Applies component moves copy-on-write and re-analyzes through the
-    /// incremental dirty-cluster path: the design is cloned, moved, and
-    /// re-analyzed with the resident signature cache — signature-
-    /// preserving moves skip steps 1–2 entirely — then both snapshots are
-    /// swapped atomically. Queries running concurrently on the old
-    /// `Arc`s finish against the placement they started with.
+    /// Applies component moves copy-on-write and re-analyzes the moved
+    /// placement, then swaps both snapshots atomically. Queries running
+    /// concurrently on the old `Arc`s finish against the placement they
+    /// started with.
     ///
-    /// The re-analysis runs under `deadline` (if any) with a
-    /// [`PhaseFractions`] snapshot taken from the shared history at call
-    /// time; a full re-analysis publishes its measured fractions back.
+    /// The re-analysis ends in the window tail or the full tail (see the
+    /// module docs); both equal a cold analysis of the moved placement.
+    /// It runs under `deadline` (if any) with a [`PhaseFractions`]
+    /// snapshot taken from the shared history at call time; a full
+    /// re-analysis publishes its measured fractions back.
     ///
     /// # Errors
     ///
@@ -583,27 +661,59 @@ impl OracleService {
                 EcoTarget::Delta(d) => *loc += d,
             }
         }
-        let (h0, m0) = self.cache.stats();
+        resolved.sort_unstable();
+        resolved.dedup();
+        let moved = resolved;
+        let old_cells = self.relocate(&design, &moved, false);
+        let run = RunCtx::new(deadline, self.fractions.snapshot(), watchdog);
+        let cache_stats = self.cache.stats();
         // A degraded full re-analysis would insert partial entries into
-        // the resident cache; keep a pre-analysis copy to restore.
-        let cache_before = self.cache.clone();
-        let budget = RunBudget {
-            deadline,
-            fractions: self.fractions.snapshot(),
-            watchdog,
-            checkpoint: None,
-        };
+        // the resident cache; keep a pre-analysis copy to restore. A warm
+        // run only counts hits.
+        let mut cache_before = None;
         if self.collect_rejects {
             pao_obs::enable_ledger();
         }
-        let result = PinAccessOracle::with_config(self.config.clone()).analyze_with_cache_budget(
-            &self.tech,
-            &design,
-            &mut self.cache,
-            budget,
-        );
+        let oracle = PinAccessOracle::with_config(self.config.clone());
+        let (result, tail, pins_reprobed) = match self.cache.warm(&self.tech, &design) {
+            Some(warm) => {
+                let windowed = if self.window_ready(&design, &moved) {
+                    let w = EcoWindow {
+                        old_design: &self.design,
+                        old: &self.result,
+                        rows: &self.rows,
+                        old_cells: &old_cells,
+                        moved: &moved,
+                        pins: &self.pins,
+                    };
+                    oracle.window_tail(&self.tech, &design, warm, &w, &run)
+                } else {
+                    Err(warm)
+                };
+                match windowed {
+                    Ok((result, pins)) => (result, EcoTail::Window, pins),
+                    Err(warm) => {
+                        let result = oracle.analyze_warm(&self.tech, &design, warm, &run);
+                        let pins = result.stats.total_pins;
+                        (result, EcoTail::Full, pins)
+                    }
+                }
+            }
+            None => {
+                cache_before = Some(self.cache.clone());
+                let budget = RunBudget {
+                    deadline,
+                    fractions: run.alloc.fractions(),
+                    watchdog,
+                    checkpoint: None,
+                };
+                let result = oracle.analyze_and_fill(&self.tech, &design, &mut self.cache, budget);
+                let pins = result.stats.total_pins;
+                (result, EcoTail::Full, pins)
+            }
+        };
         let (h1, m1) = self.cache.stats();
-        let full_reanalysis = m1 > m0;
+        let full_reanalysis = m1 > cache_stats.1;
         let dump = if self.collect_rejects {
             pao_obs::disable_ledger();
             Some(pao_obs::take_ledger())
@@ -613,7 +723,11 @@ impl OracleService {
         let degraded = result.stats.deadline.is_partial() || !result.stats.quarantined.is_empty();
         if degraded {
             // Graceful degradation: the old snapshot keeps serving.
-            self.cache = cache_before;
+            match cache_before {
+                Some(cache) => self.cache = cache,
+                None => self.cache.restore_stats(cache_stats),
+            }
+            self.relocate(&design, &moved, true);
             self.degraded_ecos += 1;
             if let (Some(j), Some(seq)) = (self.journal.as_mut(), journal_seq) {
                 j.revoke(seq)
@@ -628,27 +742,94 @@ impl OracleService {
         if let Some(dump) = dump {
             if full_reanalysis {
                 // Apgen re-ran: the drained records re-attribute every pin.
-                self.rejects = build_rejects(&dump);
+                self.rejects = build_rejects(&dump, &result.unique);
             }
-            // Fast path: apgen was skipped, so the drain is empty — the
-            // existing map stays valid (signatures, hence unique indices,
-            // are unchanged).
+            // Otherwise apgen was skipped, so the drain holds no apgen
+            // record — and the signature-keyed map stays valid.
         }
         if full_reanalysis {
             self.fractions
                 .publish(PhaseFractions::from_stats(&result.stats));
         }
         self.eco_updates += 1;
+        self.tails[tail as usize] += 1;
         let reply = EcoReply {
             moved: moves.len(),
-            cache_hits: h1 - h0,
-            cache_misses: m1 - m0,
+            cache_hits: h1 - cache_stats.0,
+            cache_misses: m1 - cache_stats.1,
             full_reanalysis,
+            tail,
+            groups_resolved: result.stats.select_telemetry.groups as usize,
+            pins_reprobed,
             failed_pins: result.stats.failed_pins,
             eco_seq: self.eco_updates,
         };
         self.design = Arc::new(design);
         self.result = Arc::new(result);
         Ok(reply)
+    }
+
+    /// Whether an ECO onto `design` may take the window tail: the current
+    /// snapshot is repair-free, the row stripes cannot move, and every
+    /// moved component is placed with a known master.
+    fn window_ready(&self, design: &Design, moved: &[CompId]) -> bool {
+        let prev = &self.result;
+        prev.overrides.is_empty()
+            && prev.stats.failed_pins == 0
+            && prev.stats.quarantined.is_empty()
+            && !prev.stats.deadline.is_partial()
+            && self.rows.is_fixed()
+            && moved
+                .iter()
+                .all(|&c| comp_bbox(&self.tech, design, c).is_some())
+    }
+
+    /// Re-buckets `moved` from the current placement into `design` (or
+    /// back, with `undo`) on a fixed row index. Returns the members of
+    /// every touched stripe as they were before the move. A design
+    /// without `ROW` statements derives its stripes from the placement,
+    /// so a move can add or remove one; its index is left as built,
+    /// since such a design never takes the window tail.
+    fn relocate(
+        &mut self,
+        design: &Design,
+        moved: &[CompId],
+        undo: bool,
+    ) -> Vec<(usize, StripeCells)> {
+        if !self.rows.is_fixed() {
+            return Vec::new();
+        }
+        let boxes: Vec<(CompId, Option<pao_geom::Rect>, Option<pao_geom::Rect>)> = moved
+            .iter()
+            .map(|&c| {
+                let (old, new) = (
+                    comp_bbox(&self.tech, &self.design, c),
+                    comp_bbox(&self.tech, design, c),
+                );
+                if undo {
+                    (c, new, old)
+                } else {
+                    (c, old, new)
+                }
+            })
+            .collect();
+        let mut touched = Vec::new();
+        let mut covered = Vec::new();
+        for &(_, from, to) in &boxes {
+            for b in from.into_iter().chain(to) {
+                self.rows.covered_into(b, &mut covered);
+                touched.extend_from_slice(&covered);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let before = touched
+            .into_iter()
+            .map(|s| (s, self.rows.stripe_cells(s).to_vec()))
+            .collect();
+        for (c, from, to) in boxes {
+            self.rows.relocate(c, from, to);
+        }
+        before
     }
 }

@@ -295,68 +295,49 @@ fn gen_world(rng: &mut pao_ptest::Rng) -> (Tech, Design) {
     (t, d)
 }
 
-/// The cluster-selection fast path is output-invariant: memoization,
-/// the intra-group wavefront split and the thread count change wall
-/// clock and probe counts only, never a selection. Also pins down the
-/// telemetry contract (memo lookups cover every edge; counters are
-/// identical across thread counts and split modes) and cross-checks the
-/// audit's hint fast path against the public whole-design probe.
+/// The cluster-selection fast path is output-invariant: the intra-group
+/// wavefront split and the thread count change wall clock only, never a
+/// selection. Also pins down the telemetry contract (counters identical
+/// across thread counts and split modes) and cross-checks the audit's
+/// hint fast path against the public whole-design probe.
 #[test]
-fn selection_identical_across_memo_split_and_threads() {
+fn selection_identical_across_split_and_threads() {
     use pao_core::{PaoConfig, PinAccessOracle};
     let mut total_edges = 0u64;
-    check(
-        "selection_identical_across_memo_split_and_threads",
-        10,
-        |rng| {
-            let (t, d) = gen_world(rng);
-            let run = |threads: usize, memo: bool, split: usize| {
-                let mut cfg = PaoConfig {
-                    threads,
-                    ..PaoConfig::default()
-                };
-                cfg.select.memo = memo;
-                cfg.select.split_min_clusters = split;
-                PinAccessOracle::with_config(cfg).analyze(&t, &d)
+    check("selection_identical_across_split_and_threads", 10, |rng| {
+        let (t, d) = gen_world(rng);
+        let run = |threads: usize, split: usize| {
+            let mut cfg = PaoConfig {
+                threads,
+                ..PaoConfig::default()
             };
-            let base = run(1, true, 16);
-            let split4 = run(4, true, 1); // forced wavefront split
-            let nomemo = run(1, false, 16);
-            let nomemo4 = run(4, false, 1);
-            for v in [&split4, &nomemo, &nomemo4] {
-                assert_eq!(v.selection, base.selection, "selection diverged");
-                assert_eq!(v.overrides, base.overrides, "overrides diverged");
-                assert!(v.stats.counters_eq(&base.stats), "counters diverged");
-            }
-            // Per-cluster memo scope makes every counter except `subranges`
-            // thread- and split-invariant.
-            let bt = base.stats.select_telemetry;
-            let st = split4.stats.select_telemetry;
-            assert_eq!(
-                (bt.edges, bt.probes, bt.cache_hits, bt.cache_misses),
-                (st.edges, st.probes, st.cache_hits, st.cache_misses),
-            );
-            assert_eq!(bt.edges_pruned, st.edges_pruned);
-            assert_eq!(
-                bt.cache_hits + bt.cache_misses,
-                bt.edges,
-                "memo covers every edge"
-            );
-            // Memo off: same edges and pruning, zero cache traffic, at
-            // least as many probes.
-            let nt = nomemo.stats.select_telemetry;
-            assert_eq!((nt.cache_hits, nt.cache_misses), (0, 0));
-            assert_eq!(nt.edges, bt.edges);
-            assert_eq!(nt.edges_pruned, bt.edges_pruned);
-            assert!(nt.probes >= bt.probes, "memo increased probe count");
-            // Audit-hint cross-check: the hinted audit inside analyze must
-            // agree with the public full-probe count.
-            let (total, failed) = pao_core::oracle::count_failed_pins(&t, &d, &base);
-            assert_eq!(total, base.stats.total_pins);
-            assert_eq!(failed, base.stats.failed_pins, "hinted audit diverged");
-            total_edges += bt.edges;
-        },
-    );
+            cfg.select.split_min_clusters = split;
+            PinAccessOracle::with_config(cfg).analyze(&t, &d)
+        };
+        let base = run(1, 16);
+        let split4 = run(4, 1); // forced wavefront split
+        let nosplit4 = run(4, 0);
+        for v in [&split4, &nosplit4] {
+            assert_eq!(v.selection, base.selection, "selection diverged");
+            assert_eq!(v.overrides, base.overrides, "overrides diverged");
+            assert!(v.stats.counters_eq(&base.stats), "counters diverged");
+        }
+        // Every counter except `subranges` is thread- and
+        // split-invariant.
+        let key = |t: pao_core::SelectTelemetry| {
+            (t.edges, t.probes, t.edges_pruned, t.pairs_far, t.groups)
+        };
+        let bt = base.stats.select_telemetry;
+        for v in [&split4, &nosplit4] {
+            assert_eq!(key(v.stats.select_telemetry), key(bt));
+        }
+        // Audit-hint cross-check: the hinted audit inside analyze must
+        // agree with the public full-probe count.
+        let (total, failed) = pao_core::oracle::count_failed_pins(&t, &d, &base);
+        assert_eq!(total, base.stats.total_pins);
+        assert_eq!(failed, base.stats.failed_pins, "hinted audit diverged");
+        total_edges += bt.edges;
+    });
     assert!(
         total_edges > 0,
         "no run exercised a boundary edge — vacuous fixture"

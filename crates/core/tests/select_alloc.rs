@@ -1,7 +1,7 @@
 //! Allocation regression gate for the cluster-selection fast path.
 //!
-//! The steady-state selection loop — near-boundary collection, DP rows,
-//! memo lookups and pairwise via probes — runs entirely out of
+//! The steady-state selection loop — near-boundary collection, DP rows
+//! and pairwise via probes — runs entirely out of
 //! [`SelectScratch`]'s reused buffers. This test drives `solve_group`
 //! twice over the same workload with a warm scratch and asserts the
 //! second pass performs **zero** heap allocations, using a counting
@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A row of abutting 2-pin cells: one cluster, many boundary edges, so
-/// the counted pass exercises the DP, the memo and the probe loop.
+/// the counted pass exercises the DP and the probe loop.
 fn world() -> (Tech, Design) {
     let mut t = Tech::new(1000);
     let mut m1 = Layer::routing("M1", Dir::Horizontal, 200, 60, 70);
@@ -110,7 +110,6 @@ fn run_selection(
     d: &Design,
     comp_uniq: &[Option<pao_core::UniqueInstanceId>],
     uniq: &[UniqueInstanceAccess],
-    defaults: &[Option<usize>],
     groups: &[Vec<usize>],
     clusters: &[pao_core::Cluster],
     tuning: &SelectTuning,
@@ -123,8 +122,7 @@ fn run_selection(
     for group in groups {
         local.clear();
         tel.absorb(&solve_group(
-            t, engine, d, comp_uniq, uniq, reach, far, clusters, group, defaults, tuning, 1, local,
-            scratch,
+            t, engine, d, comp_uniq, uniq, reach, far, clusters, group, tuning, 1, local, scratch,
         ));
     }
     tel
@@ -139,14 +137,6 @@ fn warm_selection_pass_allocates_nothing() {
     let engine = DrcEngine::new(&t);
     let clusters = build_clusters(&t, &d);
     let groups = group_clusters(&clusters, d.components().len());
-    let defaults: Vec<Option<usize>> = result
-        .comp_uniq
-        .iter()
-        .map(|cu| {
-            cu.filter(|ui| !result.unique[ui.index()].patterns.is_empty())
-                .map(|_| 0)
-        })
-        .collect();
     let tuning = SelectTuning::default();
     let mut local: HashMap<usize, Option<usize>> = HashMap::new();
     let mut scratch = SelectScratch::new(t.layers().len());
@@ -158,7 +148,6 @@ fn warm_selection_pass_allocates_nothing() {
         &d,
         &result.comp_uniq,
         &result.unique,
-        &defaults,
         &groups,
         &clusters,
         &tuning,
@@ -178,7 +167,6 @@ fn warm_selection_pass_allocates_nothing() {
         &d,
         &result.comp_uniq,
         &result.unique,
-        &defaults,
         &groups,
         &clusters,
         &tuning,

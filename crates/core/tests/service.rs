@@ -10,7 +10,7 @@
 
 use pao_core::service::selection_dump;
 use pao_core::{
-    EcoMove, EcoTarget, OracleService, PaoConfig, PinAccessOracle, RunBudget, ServiceError,
+    EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, PinAccessOracle, RunBudget, ServiceError,
 };
 use pao_design::CompId;
 use pao_testgen::{generate, SuiteCase};
@@ -298,4 +298,410 @@ fn journal_replay_matches_uninterrupted_twin() {
         "replayed snapshot diverged from the uninterrupted twin"
     );
     assert_eq!(restarted.eco_updates(), batches.len() as u64);
+}
+
+/// The placed bounding box of every component (`None` when unplaced or
+/// of an unknown master).
+fn boxes(tech: &pao_tech::Tech, design: &pao_design::Design) -> Vec<Option<pao_geom::Rect>> {
+    design
+        .components()
+        .iter()
+        .map(|c| {
+            let m = c.master_in(tech)?;
+            c.is_placed.then(|| {
+                pao_geom::Transform::new(c.location, c.orient, m.width, m.height).placed_bbox()
+            })
+        })
+        .collect()
+}
+
+/// The move kinds the exactness property draws from.
+#[derive(Debug, Clone, Copy)]
+enum MoveKind {
+    /// 1–3 sites left or right into free row space.
+    Shift,
+    /// Two same-master, same-orientation instances in different rows
+    /// trade places.
+    Swap,
+    /// A cell closes a 1–3 site gap to its right neighbor: two clusters
+    /// become one.
+    Merge,
+    /// A cell abutting a left neighbor steps one site right: one cluster
+    /// becomes two.
+    Split,
+    /// A multi-height cell shifts 1–3 sites.
+    MultiHeight,
+}
+
+/// Draws one legal batch of `kind` against `work` (moves are applied to
+/// `work` as they are drawn, so later moves see earlier ones). Empty
+/// when no candidate was found.
+fn draw_batch(
+    tech: &pao_tech::Tech,
+    work: &mut pao_design::Design,
+    kind: MoveKind,
+    rng: &mut pao_ptest::Rng,
+) -> Vec<EcoMove> {
+    use pao_geom::{Point, Rect};
+    let step = work.rows[0].step;
+    let row_h = work.rows[0].height;
+    let (xmin, xmax) = work.rows.iter().fold((i64::MAX, i64::MIN), |(lo, hi), r| {
+        (
+            lo.min(r.origin.x),
+            hi.max(r.origin.x + i64::from(r.num_sites) * r.step),
+        )
+    });
+    let n = work.components().len();
+    let mut out = Vec::new();
+    let moves = if matches!(kind, MoveKind::Shift) {
+        2
+    } else {
+        1
+    };
+    for _ in 0..moves {
+        let bx = boxes(tech, work);
+        let free = |skip: &[usize], b: Rect| {
+            b.xlo() >= xmin
+                && b.xhi() <= xmax
+                && bx
+                    .iter()
+                    .enumerate()
+                    .all(|(j, o)| skip.contains(&j) || o.is_none_or(|o| !o.overlaps(b)))
+        };
+        // Nearest box edge to the right of / left of `b` in its y-span.
+        let gap_right = |i: usize, b: Rect| {
+            bx.iter()
+                .enumerate()
+                .filter_map(|(j, o)| o.filter(|o| j != i && o.ylo() < b.yhi() && b.ylo() < o.yhi()))
+                .filter(|o| o.xlo() >= b.xhi())
+                .map(|o| o.xlo() - b.xhi())
+                .min()
+        };
+        let abuts_left = |i: usize, b: Rect| {
+            bx.iter().enumerate().any(|(j, o)| {
+                o.is_some_and(|o| {
+                    j != i && o.xhi() == b.xlo() && o.ylo() < b.yhi() && b.ylo() < o.yhi()
+                })
+            })
+        };
+        let mut found: Option<Vec<(usize, Point)>> = None;
+        for _ in 0..4000 {
+            let i = rng.gen_range(0..n);
+            let Some(b) = bx[i] else { continue };
+            let tall = b.height() > row_h;
+            let delta = |dx: i64| Point::new(dx, 0);
+            let pick = match kind {
+                MoveKind::Shift | MoveKind::MultiHeight => {
+                    if matches!(kind, MoveKind::MultiHeight) != tall {
+                        continue;
+                    }
+                    let s = rng.gen_range(1i64..=3) * if rng.gen_bool(0.5) { step } else { -step };
+                    free(&[i], b.translated(delta(s))).then(|| vec![(i, delta(s))])
+                }
+                MoveKind::Merge => match gap_right(i, b) {
+                    Some(g) if !tall && g > 0 && g <= 3 * step && g % step == 0 => {
+                        free(&[i], b.translated(delta(g))).then(|| vec![(i, delta(g))])
+                    }
+                    _ => None,
+                },
+                MoveKind::Split => {
+                    let room = gap_right(i, b).is_none_or(|g| g >= step);
+                    (!tall && room && abuts_left(i, b) && free(&[i], b.translated(delta(step))))
+                        .then(|| vec![(i, delta(step))])
+                }
+                MoveKind::Swap => {
+                    let (ci, cands): (&pao_design::Component, Vec<usize>) = {
+                        let ci = &work.components()[i];
+                        let cands = (0..n)
+                            .filter(|&j| {
+                                let cj = &work.components()[j];
+                                j != i
+                                    && bx[j].is_some()
+                                    && cj.master == ci.master
+                                    && cj.orient == ci.orient
+                                    && cj.location.y != ci.location.y
+                            })
+                            .collect();
+                        (ci, cands)
+                    };
+                    if cands.is_empty() {
+                        continue;
+                    }
+                    let j = cands[rng.gen_range(0..cands.len())];
+                    let (li, lj) = (ci.location, work.components()[j].location);
+                    Some(vec![(i, lj - li), (j, li - lj)])
+                }
+            };
+            if pick.is_some() {
+                found = pick;
+                break;
+            }
+        }
+        for (i, d) in found.into_iter().flatten() {
+            let comp = CompId(i as u32);
+            work.component_mut(comp).location += d;
+            out.push(EcoMove {
+                inst: work.component(comp).name.to_string(),
+                target: EcoTarget::Delta(d),
+            });
+        }
+    }
+    out
+}
+
+/// The service's snapshot must equal a cold analysis of its placement:
+/// selection dump, every access point, the counters and each
+/// component's unique-instance index.
+fn assert_matches_cold(svc: &OracleService, config: &PaoConfig, ctx: &str) {
+    let design = svc.design().clone();
+    let tech = svc.tech().clone();
+    let cold = PinAccessOracle::with_config(config.clone()).analyze(&tech, &design);
+    let warm = svc.result().clone();
+    assert_eq!(
+        svc.selection_dump(),
+        selection_dump(&design, &cold),
+        "{ctx}: selection dump diverged"
+    );
+    assert!(
+        warm.stats.counters_eq(&cold.stats),
+        "{ctx}: counters diverged\nservice:\n{}\ncold:\n{}",
+        warm.stats,
+        cold.stats
+    );
+    for (ci, c) in design.components().iter().enumerate() {
+        let comp = CompId(ci as u32);
+        assert_eq!(
+            svc.instance_patterns(&c.name).ok().map(|r| r.unique_index),
+            cold.comp_uniq[ci].map(|u| u.index()),
+            "{ctx}: unique index of comp {ci}"
+        );
+        let Some(master) = c.master_in(&tech) else {
+            continue;
+        };
+        for pi in 0..master.pins.len() {
+            assert_eq!(
+                warm.access_point(&design, comp, pi),
+                cold.access_point(&design, comp, pi),
+                "{ctx}: access point of comp {ci} pin {pi}"
+            );
+        }
+    }
+}
+
+/// Seeded exactness property of the ECO tails: random batches of every
+/// move kind on three designs, at 1 and 4 threads, each compared with a
+/// cold analysis of the moved placement.
+#[test]
+fn eco_batches_match_cold_analysis() {
+    use MoveKind::{Merge, MultiHeight, Shift, Split, Swap};
+    let cases = [
+        SuiteCase::small_smoke(),
+        pao_testgen::case_by_name("ispd18s_test2").expect("suite case"),
+        pao_testgen::aes14_case(),
+    ];
+    let plan = [Shift, Swap, Merge, Split, MultiHeight, Swap, Shift];
+    for case in &cases {
+        for threads in [1, 4] {
+            let config = PaoConfig {
+                threads,
+                ..PaoConfig::default()
+            };
+            let (tech, design) = generate(case);
+            let mut work = design.clone();
+            let mut svc = OracleService::start(
+                tech.clone(),
+                design,
+                config.clone(),
+                RunBudget::unlimited(),
+                false,
+            );
+            let mut rng = pao_ptest::Rng::new(pao_ptest::case_seed(&case.name, threads as u32));
+            for (b, &kind) in plan.iter().enumerate() {
+                let batch = draw_batch(&tech, &mut work, kind, &mut rng);
+                assert!(!batch.is_empty(), "{}: no {kind:?} move found", case.name);
+                let reply = svc.eco_update(&batch, None, None).expect("eco applies");
+                let ctx = format!(
+                    "{} threads {threads} batch {b} ({kind:?}, {:?} tail)",
+                    case.name, reply.tail
+                );
+                assert_matches_cold(&svc, &config, &ctx);
+            }
+            assert!(
+                svc.eco_tail_count(EcoTail::Window) > 0,
+                "{} threads {threads}: no batch took the window tail",
+                case.name
+            );
+        }
+    }
+}
+
+/// Cases that must leave the window: a snapshot carrying repair
+/// overrides, and a move that makes a re-probed pin dirty. Both run the
+/// full tail and still land on the cold answer.
+#[test]
+fn eco_fallbacks_match_cold_analysis() {
+    // Without boundary-conflict-aware patterns the smoke case needs
+    // repair, so its snapshot carries overrides.
+    let mut config = PaoConfig {
+        threads: 2,
+        ..PaoConfig::default()
+    };
+    config.pattern.bca = false;
+    let (tech, design) = generate(&SuiteCase::small_smoke());
+    let mut work = design.clone();
+    let mut svc = OracleService::start(
+        tech.clone(),
+        design,
+        config.clone(),
+        RunBudget::unlimited(),
+        false,
+    );
+    assert!(!svc.result().overrides.is_empty(), "fixture needs repair");
+    let mut rng = pao_ptest::Rng::new(11);
+    let batch = draw_batch(&tech, &mut work, MoveKind::Swap, &mut rng);
+    let reply = svc.eco_update(&batch, None, None).expect("eco applies");
+    assert_eq!((reply.tail, reply.cache_misses), (EcoTail::Full, 0));
+    assert_matches_cold(&svc, &config, "snapshot with overrides");
+
+    // A repair-free snapshot, then a cell dropped onto a same-signature
+    // twin: every signature stays cached, but the stacked pins short.
+    let config = PaoConfig {
+        threads: 2,
+        ..PaoConfig::default()
+    };
+    let (tech, design) = generate(&SuiteCase::small_smoke());
+    let comps = design.components();
+    let (a, b) = (0..comps.len())
+        .flat_map(|i| (0..comps.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| {
+            i != j
+                && comps[i].master == comps[j].master
+                && comps[i].orient == comps[j].orient
+                && design.track_phases(&comps[i]) == design.track_phases(&comps[j])
+        })
+        .expect("smoke repeats a signature");
+    let (name_a, loc_a, loc_b) = (
+        comps[a].name.to_string(),
+        comps[a].location,
+        comps[b].location,
+    );
+    let mut svc = OracleService::start(tech, design, config.clone(), RunBudget::unlimited(), false);
+    assert!(svc.result().overrides.is_empty() && svc.result().stats.failed_pins == 0);
+    let stack = [EcoMove {
+        inst: name_a.clone(),
+        target: EcoTarget::Abs(loc_b),
+    }];
+    let reply = svc.eco_update(&stack, None, None).expect("eco applies");
+    assert_eq!(
+        (reply.tail, reply.cache_misses),
+        (EcoTail::Full, 0),
+        "a dirty re-probed pin must hand over to the full tail"
+    );
+    assert_matches_cold(&svc, &config, "dirty re-probe");
+    // The stacked snapshot is not repair-free: moving back is full too.
+    let back = [EcoMove {
+        inst: name_a,
+        target: EcoTarget::Abs(loc_a),
+    }];
+    let reply = svc.eco_update(&back, None, None).expect("eco applies");
+    assert_eq!(reply.tail, EcoTail::Full);
+    assert_matches_cold(&svc, &config, "after the dirty snapshot");
+}
+
+/// A move must re-probe the pins it can reach, not just its own: a pin-
+/// less filler whose obstruction lands beside a neighbor's via dirties
+/// only the neighbor's pin. The window has to notice and hand over to
+/// the full tail, which repairs exactly as a cold run does.
+#[test]
+fn window_reprobes_the_neighbors_a_move_reaches() {
+    use pao_design::{Component, Design, Net, NetPin, Row, TrackPattern};
+    use pao_geom::{Dir, Orient, Point, Rect};
+    use pao_tech::rules::MinStepRule;
+    use pao_tech::{Layer, Macro, Pin, PinDir, Port, Tech, ViaDef};
+
+    let mut t = Tech::new(1000);
+    let mut m1 = Layer::routing("M1", Dir::Horizontal, 200, 60, 70);
+    m1.min_step = Some(MinStepRule::simple(60));
+    let m1 = t.add_layer(m1);
+    let v1 = t.add_layer(Layer::cut("V1", 70, 80));
+    let m2 = t.add_layer(Layer::routing("M2", Dir::Vertical, 200, 60, 70));
+    let mut via = ViaDef::new(
+        "via1_0",
+        m1,
+        vec![Rect::new(-65, -35, 65, 35)],
+        v1,
+        vec![Rect::new(-35, -35, 35, 35)],
+        m2,
+        vec![Rect::new(-35, -65, 35, 65)],
+    );
+    via.is_default = true;
+    t.add_via(via);
+    let mut buf = Macro::new("BUFX1", 1200, 1400);
+    buf.pins.push(Pin::new(
+        "A",
+        PinDir::Input,
+        vec![Port::rects(m1, vec![Rect::new(150, 100, 300, 900)])],
+    ));
+    buf.pins.push(Pin::new(
+        "Y",
+        PinDir::Output,
+        vec![Port::rects(m1, vec![Rect::new(800, 100, 950, 900)])],
+    ));
+    t.add_macro(buf);
+    let mut fill = Macro::new("FILLX1", 400, 1400);
+    fill.obs.push((m1, Rect::new(0, 100, 60, 900)));
+    t.add_macro(fill);
+
+    let mut d = Design::new("reach", Rect::new(0, 0, 20_000, 20_000));
+    d.tracks
+        .push(TrackPattern::new(Dir::Horizontal, 100, 200, 90, vec![m1]));
+    d.tracks
+        .push(TrackPattern::new(Dir::Vertical, 100, 200, 90, vec![m2]));
+    d.rows.push(Row::new(
+        "r0",
+        "core",
+        Point::new(0, 0),
+        Orient::N,
+        100,
+        200,
+        1400,
+    ));
+    let u0 = d.add_component(Component::new("u0", "BUFX1", Point::new(0, 0), Orient::N));
+    d.add_component(Component::new(
+        "f0",
+        "FILLX1",
+        Point::new(6100, 0),
+        Orient::N,
+    ));
+    let mut n0 = Net::new("n0");
+    for pin in ["A", "Y"] {
+        n0.pins.push(NetPin::Comp {
+            comp: u0,
+            pin: pin.into(),
+        });
+    }
+    d.add_net(n0);
+
+    let config = PaoConfig {
+        threads: 2,
+        ..PaoConfig::default()
+    };
+    let mut svc = OracleService::start(t, d, config.clone(), RunBudget::unlimited(), false);
+    assert!(svc.result().overrides.is_empty() && svc.result().stats.failed_pins == 0);
+    // Whole track periods keep the filler's signature: 6100 → 900 puts
+    // its obstruction within M1 spacing of u0's Y vias (at x = 800).
+    let moves = [EcoMove {
+        inst: "f0".to_owned(),
+        target: EcoTarget::Delta(Point::new(-5200, 0)),
+    }];
+    let reply = svc.eco_update(&moves, None, None).expect("eco applies");
+    assert_eq!(reply.cache_misses, 0);
+    assert_matches_cold(&svc, &config, "filler beside a via");
+    let touched = svc.result().stats.repaired_pins + svc.result().stats.failed_pins;
+    assert!(
+        touched > 0,
+        "fixture must dirty u0/Y: {}",
+        svc.result().stats
+    );
+    assert_eq!(reply.tail, EcoTail::Full);
 }

@@ -60,11 +60,8 @@ if run.get("host_threads", 0) < requested:
 print(f"appended run #{len(hist)} ({run['workload']}) to {out_path}")
 sel = run.get("select")
 if sel:
-    lookups = sel["cache_hits"] + sel["cache_misses"]
-    rate = 100.0 * sel["cache_hits"] / lookups if lookups else 0.0
     print(
-        f"  select     compat-cache {rate:.1f}% hit rate "
-        f"({sel['cache_hits']}/{lookups}), {sel['probes']} probes, "
+        f"  select     {sel['probes']} probes, "
         f"{sel['edges_pruned']} edges pruned, {sel['pairs_far']} pairs far"
     )
 if prev is None:

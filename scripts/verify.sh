@@ -82,20 +82,16 @@ grep -q "watchdog.stalls" "$out" || { echo "watchdog counter missing"; exit 1; }
 echo "deadline e2e: OK"
 
 echo "== selection identity =="
-# The cluster-selection fast path (compat memo, DP pruning, wavefront
-# split) must be output-invariant: --dump-selection files from any
-# thread count / memo / split combination are byte-identical
-# (DESIGN.md §14). The memo is off by default, so --select-memo combos
-# keep the memoized path covered; --select-split 1 forces the
-# intra-group split even on small groups so the parallel merge path is
-# covered.
+# The cluster-selection fast path (DP pruning, wavefront split) must be
+# output-invariant: --dump-selection files from any thread count / split
+# combination are byte-identical (DESIGN.md §14). --select-split 1
+# forces the intra-group split even on small groups so the parallel
+# merge path is covered.
 ref="$rep/sel-ref.txt"
 target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
     --threads 1 --dump-selection "$ref" > /dev/null 2>&1
 i=0
-for flags in "--threads 4" "--threads 1 --select-memo" \
-             "--threads 4 --select-split 1" \
-             "--threads 4 --select-split 1 --select-memo"; do
+for flags in "--threads 4" "--threads 4 --select-split 1"; do
     i=$((i+1))
     # shellcheck disable=SC2086
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
@@ -149,7 +145,10 @@ echo "== serve smoke gate =="
 # the same bytes as one-shot `pao analyze` — before and after an ECO —
 # at 1 and 4 threads, and shut down cleanly (exit 0). The scripted
 # batch covers every method: dump, pin access, a fanned-out batch, one
-# signature-preserving ECO, stats, shutdown.
+# real ECO (two same-signature instances in different rows swap
+# places, so it must take the window tail), stats, shutdown. The moved
+# DEF is written alongside, and the daemon's post-ECO dump must equal
+# one-shot `pao analyze --dump-selection` of it.
 servedir="$(mktemp -d /tmp/pao_serve_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep" "$sweepdir" "$servedir"' EXIT
 if ! command -v python3 > /dev/null; then
@@ -173,9 +172,39 @@ for line in open('benchmarks/smoke.def'):
 PY
 )"
 [[ -n "$inst" ]] || { echo "no instance with pin A found"; exit 1; }
+# Two instances with one signature (master, orientation, track phases)
+# in different rows — hence different clusters — trade places. Prints
+# the ECO's move list and writes the moved DEF.
+moves="$(python3 - benchmarks/smoke.def "$servedir/moved.def" << 'PY'
+import json, re, sys
+lines = open(sys.argv[1]).read().split('\n')
+tracks, comps = [], []
+place = re.compile(r'\s*- (\S+) (\S+) \+ PLACED \( (-?\d+) (-?\d+) \) (\S+) ;')
+for i, line in enumerate(lines):
+    t = line.split()
+    if t[:1] == ['TRACKS']:
+        tracks.append((t[1], int(t[2]), int(t[6])))
+    m = place.match(line)
+    if m:
+        comps.append((i, m[1], m[2], int(m[3]), int(m[4]), m[5]))
+def sig(c):
+    return (c[2], c[5], tuple(((c[3] if ax == 'X' else c[4]) - start) % step
+                              for ax, start, step in tracks))
+a, b = next((a, b) for a in comps for b in comps
+            if a[4] < b[4] and sig(a) == sig(b))
+for c, (x, y) in ((a, b[3:5]), (b, a[3:5])):
+    lines[c[0]] = place.sub(f'  - {c[1]} {c[2]} + PLACED ( {x} {y} ) {c[5]} ;', lines[c[0]])
+open(sys.argv[2], 'w').write('\n'.join(lines))
+print(json.dumps([{'inst': a[1], 'x': b[3], 'y': b[4]},
+                  {'inst': b[1], 'x': a[3], 'y': a[4]}]))
+PY
+)"
+[[ -n "$moves" ]] || { echo "no same-signature pair found"; exit 1; }
 for t in 1 4; do
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --dump-selection "$servedir/ref-$t.txt" > /dev/null 2>&1
+    target/release/pao analyze benchmarks/smoke.lef "$servedir/moved.def" \
+        --threads "$t" --dump-selection "$servedir/moved-$t.txt" > /dev/null 2>&1
     sock="$servedir/pao-$t.sock"
     target/release/pao serve benchmarks/smoke.lef benchmarks/smoke.def \
         --socket "$sock" --threads "$t" > "$servedir/daemon-$t.log" 2>&1 &
@@ -184,7 +213,7 @@ for t in 1 4; do
         '{"id":1,"method":"dump_selection"}' \
         "{\"id\":2,\"method\":\"get_pin_access\",\"params\":{\"inst\":\"$inst\",\"pin\":\"A\"}}" \
         "{\"id\":3,\"method\":\"batch\",\"params\":[{\"id\":31,\"method\":\"get_instance_patterns\",\"params\":{\"inst\":\"$inst\"}},{\"id\":32,\"method\":\"get_cluster_selection\",\"params\":{\"inst\":\"$inst\"}}]}" \
-        "{\"id\":4,\"method\":\"eco_update\",\"params\":{\"moves\":[{\"inst\":\"$inst\",\"dx\":0,\"dy\":0}]}}" \
+        "{\"id\":4,\"method\":\"eco_update\",\"params\":{\"moves\":$moves}}" \
         '{"id":5,"method":"dump_selection"}' \
         '{"id":6,"method":"stats"}' \
         '{"id":7,"method":"shutdown"}' > "$servedir/resp-$t.jsonl" \
@@ -193,25 +222,33 @@ for t in 1 4; do
         || { echo "daemon (threads $t) exited non-zero"; cat "$servedir/daemon-$t.log"; exit 1; }
     [[ "$(wc -l < "$servedir/resp-$t.jsonl")" == 7 ]] \
         || { echo "expected 7 response lines (threads $t)"; exit 1; }
-    python3 - "$servedir/resp-$t.jsonl" "$servedir/ref-$t.txt" << 'PY'
+    python3 - "$servedir/resp-$t.jsonl" "$servedir/ref-$t.txt" \
+        "$servedir/moved-$t.txt" << 'PY'
 import json, sys
 resp = [json.loads(l) for l in open(sys.argv[1])]  # strict-parse every line
 ref = open(sys.argv[2]).read()
+moved = open(sys.argv[3]).read()
 assert resp[0]['result']['dump'] == ref, 'daemon dump != one-shot analyze'
 assert resp[1]['result']['selected'] is not None, 'pin has no access'
 assert len(resp[2]['result']) == 2, 'batch must answer both sub-requests'
 eco = resp[3]['result']
-assert eco['eco_seq'] == 1 and eco['cache_misses'] == 0, f'ECO off fast path: {eco}'
-assert resp[4]['result']['dump'] == ref, 'dump after no-op ECO diverged'
-assert resp[5]['result']['symbol']['interned'] > 0, 'symbol gauges missing'
+assert eco['eco_seq'] == 1 and eco['cache_misses'] == 0, f'ECO missed the cache: {eco}'
+assert eco['tail'] == 'window', f'swap ECO did not take the window tail: {eco}'
+assert eco['moved'] == 2 and eco['pins_reprobed'] > 0, f'vacuous ECO: {eco}'
+assert resp[4]['result']['dump'] == moved, 'dump after the swap != one-shot analyze of the moved DEF'
+stats = resp[5]['result']
+assert stats['eco_tails'] == {'window': 1, 'full': 0}, stats['eco_tails']
+assert stats['symbol']['interned'] > 0, 'symbol gauges missing'
 assert resp[6]['result']['ok'] is True, 'shutdown not acknowledged'
 PY
 done
 # Byte-identity across thread counts: the one-shot dumps and every
 # deterministic response line (stats — line 6 — reports measured phase
 # fractions, so it is the one line allowed to differ).
-cmp -s "$servedir/ref-1.txt" "$servedir/ref-4.txt" \
-    || { echo "one-shot dumps diverged between 1 and 4 threads"; exit 1; }
+for f in ref moved; do
+    cmp -s "$servedir/$f-1.txt" "$servedir/$f-4.txt" \
+        || { echo "one-shot $f dumps diverged between 1 and 4 threads"; exit 1; }
+done
 diff <(sed -n '1,5p' "$servedir/resp-1.jsonl") \
      <(sed -n '1,5p' "$servedir/resp-4.jsonl") \
     || { echo "daemon responses diverged between 1 and 4 threads"; exit 1; }
