@@ -911,40 +911,32 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
         design.components().len(),
         design.nets().len(),
     ));
-    // Per-phase wall vs busy time. select/repair/audit all run inside
-    // the cluster step, so only their combined row has a wall clock of
-    // its own; utilization is busy / (wall x threads).
+    // Per-phase wall vs busy time. select/repair/audit split the cluster
+    // step's wall clock (repair includes the shared context build);
+    // utilization is busy / (wall x threads).
     out.push_str("phase        wall_s     busy_s  thr   util%\n");
-    let row = |out: &mut String, name: &str, wall: Option<f64>, busy_us: u64, thr: usize| {
-        let busy_s = busy_us as f64 / 1e6;
-        match wall {
-            Some(w) => {
-                let util = if w > 0.0 {
-                    100.0 * busy_s / (w * thr.max(1) as f64)
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "{name:<10} {w:>8.3} {busy_s:>10.3} {thr:>4} {util:>6.1}\n"
-                ));
-            }
-            None => out.push_str(&format!(
-                "{name:<10} {:>8} {busy_s:>10.3} {thr:>4} {:>6}\n",
-                "--", "--"
-            )),
-        }
+    let row = |out: &mut String, name: &str, w: Duration, busy_us: u64, thr: usize| {
+        let (w, busy_s) = (w.as_secs_f64(), busy_us as f64 / 1e6);
+        let util = if w > 0.0 {
+            100.0 * busy_s / (w * thr.max(1) as f64)
+        } else {
+            0.0
+        };
+        out.push_str(&format!(
+            "{name:<10} {w:>8.3} {busy_s:>10.3} {thr:>4} {util:>6.1}\n"
+        ));
     };
     row(
         &mut out,
         "apgen",
-        Some(stats.apgen_time.as_secs_f64()),
+        stats.apgen_time,
         stats.apgen_exec.total_busy_us(),
         stats.apgen_exec.threads,
     );
     row(
         &mut out,
         "pattern",
-        Some(stats.pattern_time.as_secs_f64()),
+        stats.pattern_time,
         stats.pattern_exec.total_busy_us(),
         stats.pattern_exec.threads,
     );
@@ -959,28 +951,28 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     row(
         &mut out,
         "cluster",
-        Some(stats.cluster_time.as_secs_f64()),
+        stats.cluster_time,
         cluster_busy,
         cluster_thr,
     );
     row(
         &mut out,
         "  select",
-        None,
+        stats.select_time,
         stats.cluster_exec.total_busy_us(),
         stats.cluster_exec.threads,
     );
     row(
         &mut out,
         "  repair",
-        None,
+        stats.repair_time,
         stats.repair_exec.total_busy_us(),
         stats.repair_exec.threads,
     );
     row(
         &mut out,
         "  audit",
-        None,
+        stats.audit_time,
         stats.audit_exec.total_busy_us(),
         stats.audit_exec.threads,
     );

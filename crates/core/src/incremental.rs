@@ -473,47 +473,66 @@ impl PinAccessOracle {
     }
 }
 
-/// Each component's connected pins — the pins the audit counts — as a
-/// compressed row table. Nets never change under a move, so a resident
-/// service builds it once.
+/// The connected pins — the pins the audit counts — in net order, with a
+/// compressed row table from each component to its entries. Nets never
+/// change under a move, so a resident service builds it once; every
+/// select → repair → audit tail builds one too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConnectedPins {
-    /// `starts[c]..starts[c + 1]` indexes `pins` for component `c`.
+    /// Every `(component, pin index)` with a net attached, in net order.
+    list: Vec<(CompId, usize)>,
+    /// `starts[c]..starts[c + 1]` indexes `slots` for component `c`.
     starts: Vec<u32>,
-    pins: Vec<u32>,
+    /// Positions in `list`, grouped by component, each group in net order.
+    slots: Vec<u32>,
 }
 
 impl ConnectedPins {
     pub(crate) fn build(tech: &Tech, design: &Design) -> ConnectedPins {
-        let connected = crate::oracle::connected_pins(tech, design);
+        let list = crate::oracle::connected_pins(tech, design);
         let mut starts = vec![0u32; design.components().len() + 1];
-        for &(c, _) in &connected {
+        for &(c, _) in &list {
             starts[c.index() + 1] += 1;
         }
         for i in 1..starts.len() {
             starts[i] += starts[i - 1];
         }
         let mut fill = starts.clone();
-        let mut pins = vec![0u32; connected.len()];
-        for &(c, p) in &connected {
+        let mut slots = vec![0u32; list.len()];
+        for (slot, &(c, _)) in list.iter().enumerate() {
             let at = &mut fill[c.index()];
-            pins[*at as usize] = p as u32;
+            slots[*at as usize] = slot as u32;
             *at += 1;
         }
-        ConnectedPins { starts, pins }
+        ConnectedPins {
+            list,
+            starts,
+            slots,
+        }
+    }
+
+    /// Every connected `(component, pin index)`, in net order.
+    pub(crate) fn list(&self) -> &[(CompId, usize)] {
+        &self.list
     }
 
     /// Connected pins counted over the whole design (Table III's total).
     pub(crate) fn total(&self) -> usize {
-        self.pins.len()
+        self.list.len()
+    }
+
+    /// The positions in [`Self::list`] of `comp`'s connected pins, in net
+    /// order.
+    pub(crate) fn slots_of(&self, comp: CompId) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = (self.starts[comp.index()], self.starts[comp.index() + 1]);
+        self.slots[lo as usize..hi as usize]
+            .iter()
+            .map(|&s| s as usize)
     }
 
     /// The connected pin indices of `comp`, in net order.
     pub(crate) fn of(&self, comp: CompId) -> impl Iterator<Item = usize> + '_ {
-        let (lo, hi) = (self.starts[comp.index()], self.starts[comp.index() + 1]);
-        self.pins[lo as usize..hi as usize]
-            .iter()
-            .map(|&p| p as usize)
+        self.slots_of(comp).map(|s| self.list[s].1)
     }
 }
 
@@ -849,6 +868,7 @@ impl PinAccessOracle {
             select_token.reason().unwrap_or(CancelReason::Deadline),
         );
         let mut stalls = select_token.take_stalls();
+        let t_audit = std::time::Instant::now();
         let mut result = PaoResult {
             unique,
             comp_uniq,
@@ -857,6 +877,7 @@ impl PinAccessOracle {
             stats: PaoStats {
                 cluster_exec: select_exec,
                 select_telemetry: telemetry,
+                select_time: t_audit - t0,
                 ..stats
             },
         };
@@ -940,7 +961,9 @@ impl PinAccessOracle {
             skipped: skips,
             stalls,
         };
-        result.stats.cluster_time = t0.elapsed();
+        let t_end = std::time::Instant::now();
+        result.stats.audit_time = t_end - t_audit;
+        result.stats.cluster_time = t_end - t0;
         drop(span);
         run.close(&mut result.stats);
         Ok((result, probe_pins.len()))

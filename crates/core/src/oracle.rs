@@ -19,6 +19,7 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, MacroClass, Tech};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole three-step analysis.
@@ -677,6 +678,8 @@ impl PinAccessOracle {
         let engine = DrcEngine::new(tech);
         let watchdog = run.watchdog;
         let phase_span = pao_obs::span("phase.select");
+        // One stopwatch split per phase boundary, so the select, repair
+        // and audit wall times sum to `cluster_time`.
         let t2 = Instant::now();
         let select_token = run.alloc.phase_token(Phase::Select);
         let select_out = select_patterns_budget(
@@ -708,17 +711,19 @@ impl PinAccessOracle {
             stats,
         };
         drop(phase_span);
+        let t_repair = Instant::now();
+        result.stats.select_time = t_repair - t2;
         // Repair pass: for residual conflicts the whole-pattern DP cannot
         // untangle (frustrated chains of tightly-abutting boundary pins),
         // deviate per pin to any alternate clean AP — the same freedom the
         // detailed router has when it consumes the access points.
         let phase_span = pao_obs::span("phase.repair");
         let repair_token = run.alloc.phase_token(Phase::Repair);
-        // The whole-design base context and connected-pin list depend only
-        // on the placement, so they are built once and shared by every
-        // repair round and the final audit (each use completes a clone
-        // with the then-current selected vias).
-        let gctx = GlobalContext::build_threaded(tech, design, self.config.threads);
+        // The shape templates and connected-pin table depend only on the
+        // placement, so they are built once and shared by every repair
+        // round and the final audit; the packed whole-design context is
+        // built on first use, if any.
+        let gctx = GlobalContext::new(tech, design, self.config.threads);
         let mut repair_skipped = 0usize;
         // Scan verdicts of the last repair round, usable as audit hints:
         // valid only when that round repaired nothing (the overrides — and
@@ -734,11 +739,8 @@ impl PinAccessOracle {
             pao_obs::counter_add("repair.rounds", 1);
             let (repaired, exec, repair_faults, round_skipped, ok_flags) =
                 repair_failed_pins_budget(
-                    tech,
-                    design,
                     &gctx,
                     &mut result,
-                    self.config.threads,
                     round,
                     PhaseBudget::new(&repair_token, watchdog),
                 );
@@ -759,16 +761,15 @@ impl PinAccessOracle {
         stalls.extend(repair_token.take_stalls());
         result.stats.repaired_pins = result.overrides.len();
         drop(phase_span);
+        let t_audit = Instant::now();
+        result.stats.repair_time = t_audit - t_repair;
         let phase_span = pao_obs::span("phase.audit");
         let audit_token = run.alloc.phase_token(Phase::Audit);
         let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
             audit_pins_budget(
-                tech,
-                design,
                 &gctx,
                 &|comp, pin_idx| result.access_point(design, comp, pin_idx),
                 scan_ok.as_deref(),
-                self.config.threads,
                 PhaseBudget::new(&audit_token, watchdog),
             );
         faults.extend(audit_faults);
@@ -783,6 +784,9 @@ impl PinAccessOracle {
         result.stats.total_pins = total_pins;
         result.stats.failed_pins = failed_pins;
         drop(phase_span);
+        let t_end = Instant::now();
+        result.stats.audit_time = t_end - t_audit;
+        result.stats.cluster_time = t_end - t2;
         for fault in &faults {
             pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
         }
@@ -792,7 +796,6 @@ impl PinAccessOracle {
             skipped: skips,
             stalls,
         };
-        result.stats.cluster_time = t2.elapsed();
         run.close(&mut result.stats);
         result
     }
@@ -829,26 +832,6 @@ pub(crate) fn push_skip(
     }
 }
 
-/// One repair round: identifies every connected pin whose selected access
-/// is dirty in the whole-design context, **rips up** all their vias, and
-/// greedily re-places each (current AP first, then alternates) against the
-/// remaining context — so mutually-blocking pairs can both move. Returns
-/// the number of pins re-placed.
-///
-/// The dirty-pin scan (the dominant cost: one whole-design DRC probe per
-/// connected pin) fans out over `threads` workers. The greedy
-/// re-placement itself stays sequential — it is order-dependent by design
-/// and touches only the few dirty pins.
-///
-/// A scan item that panics is quarantined: its pin is treated as
-/// not-dirty (left untouched this round) and reported in the returned
-/// fault list instead of aborting the run. A scan item skipped by an
-/// expired [`CancelToken`] is likewise treated as not-dirty, but counted
-/// in the returned skip tally instead of producing a fault record.
-///
-/// The fifth element of the return is the per-connected-pin scan verdict
-/// (`Some(clean)`; `None` for panicked/skipped items) — reusable as audit
-/// hints when the round repaired nothing.
 /// What the repair scan needs from a selected access point: position,
 /// primary via and the planar fallback — resolved without cloning the
 /// access point's `Vec`s.
@@ -863,7 +846,11 @@ struct ScanAp {
 struct ScanScratch {
     ws: DrcScratch,
     memo: std::collections::HashMap<Vec<u64>, bool>,
-    neigh: Vec<u32>,
+    /// Neighbors whose shapes meet the probe windows, each with its
+    /// range in `vpins`.
+    neigh: Vec<(u32, usize, usize)>,
+    /// Pins whose selected vias meet the probe windows, per neighbor.
+    vpins: Vec<u64>,
     /// Stage-1 candidates: foreign components whose reach bounds meet
     /// the current pin's via-hull window.
     cands: Vec<u32>,
@@ -874,7 +861,9 @@ struct ScanScratch {
     /// during stage 2 of the neighborhood scan; never packed (probes
     /// scan its handful of raw items linearly).
     mini: ShapeSet,
-    tuples: Vec<(i64, i64, u64)>,
+    /// Memo-key parts of the current pin's neighbors: offset, identity
+    /// and their range in `vpins`.
+    tuples: Vec<(i64, i64, u64, usize, usize)>,
     key: Vec<u64>,
 }
 
@@ -884,6 +873,7 @@ impl Default for ScanScratch {
             ws: DrcScratch::default(),
             memo: std::collections::HashMap::new(),
             neigh: Vec::new(),
+            vpins: Vec::new(),
             cands: Vec::new(),
             wins: Vec::new(),
             // Sized lazily on first use (the layer count lives in `Tech`).
@@ -919,13 +909,29 @@ fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) ->
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One repair round: identifies every connected pin whose selected access
+/// is dirty in the whole-design context, **rips up** all their vias, and
+/// greedily re-places each (current AP first, then alternates) against the
+/// remaining context — so mutually-blocking pairs can both move. Returns
+/// the number of pins re-placed.
+///
+/// The dirty-pin scan (the dominant cost: one whole-design DRC probe per
+/// connected pin) fans out over the context's workers. The greedy
+/// re-placement itself stays sequential — it is order-dependent by design
+/// and touches only the few dirty pins.
+///
+/// A scan item that panics is quarantined: its pin is treated as
+/// not-dirty (left untouched this round) and reported in the returned
+/// fault list instead of aborting the run. A scan item skipped by an
+/// expired [`CancelToken`] is likewise treated as not-dirty, but counted
+/// in the returned skip tally instead of producing a fault record.
+///
+/// The fifth element of the return is the per-connected-pin scan verdict
+/// (`Some(clean)`; `None` for panicked/skipped items) — reusable as audit
+/// hints when the round repaired nothing.
 pub(crate) fn repair_failed_pins_budget(
-    tech: &Tech,
-    design: &Design,
-    gctx: &GlobalContext,
+    gctx: &GlobalContext<'_>,
     result: &mut PaoResult,
-    threads: usize,
     round: usize,
     budget: PhaseBudget<'_>,
 ) -> (
@@ -935,8 +941,9 @@ pub(crate) fn repair_failed_pins_budget(
     usize,
     Vec<Option<bool>>,
 ) {
+    let (tech, design) = (gctx.tech, gctx.design);
     let engine = DrcEngine::new(tech);
-    let connected = &gctx.connected;
+    let connected = gctx.pins.list();
     // Selected access points, reduced to what the scan needs (position,
     // primary via, planar fallback) and resolved once: `access_point`
     // clones two `Vec`s and walks the pin order per call, so the scan
@@ -946,16 +953,6 @@ pub(crate) fn repair_failed_pins_budget(
         .iter()
         .map(|&(comp, pin_idx)| scan_ap(result, design, comp, pin_idx))
         .collect();
-    // Selected-vias-only index: lets the same-component fast path below
-    // rule out foreign via conflicts without probing the full context.
-    let mut via_index = ShapeSet::new(tech.layers().len());
-    for (&(comp, pin_idx), ap) in connected.iter().zip(&selected) {
-        let Some(ap) = ap else { continue };
-        let Some(v) = ap.via else { continue };
-        for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-            via_index.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
-        }
-    }
     let overridden: std::collections::HashSet<u32> =
         result.overrides.keys().map(|&(c, _)| c.0).collect();
     let comp_uniq = &result.comp_uniq;
@@ -980,18 +977,42 @@ pub(crate) fn repair_failed_pins_budget(
             .get(sel)
             .is_some_and(|p| p.validated)
     };
-    // The packed form of the via index only serves direct probes (pins of
-    // poisoned or uncertified components) and the greedy re-place windows.
-    // When those are rare — the common case — the handful of raw linear
-    // window scans is far cheaper than a full STR pack of every selected
-    // via; with many direct probes the pack pays for itself.
-    if connected
+    // Pins of poisoned or uncertified components are probed directly
+    // against the whole-design context; every other verdict comes from
+    // the neighborhood scan below, which never reads it.
+    let direct = connected
         .iter()
         .filter(|&&(c, _)| poisoned(c.0) || !certified(c.0))
-        .count()
-        > 64
-    {
-        via_index.rebuild();
+        .count();
+    // Selected-vias-only index: lets the same-component fast path below
+    // rule out foreign via conflicts without probing the full context.
+    // Only direct probes and the greedy re-place windows read it, so it
+    // is filled on first use. Its packed form pays for itself only with
+    // many direct probes; otherwise the handful of raw linear window
+    // scans is far cheaper than a full STR pack of every selected via.
+    let via_index: OnceLock<ShapeSet> = OnceLock::new();
+    let vias = || {
+        via_index.get_or_init(|| {
+            let mut index = ShapeSet::new(tech.layers().len());
+            for (&(comp, pin_idx), ap) in connected.iter().zip(&selected) {
+                let Some(ap) = ap else { continue };
+                let Some(v) = ap.via else { continue };
+                for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
+                    index.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
+                }
+            }
+            if direct > 64 {
+                index.rebuild();
+            }
+            index
+        })
+    };
+    // A direct probe can come from a pin of a poisoned or uncertified
+    // component, or from a pin next to an overridden one: build both
+    // contexts up front, off the workers, when either may happen.
+    if direct > 0 || !result.overrides.is_empty() {
+        gctx.base();
+        vias();
     }
     // Split probe instead of one merged pack: the full check runs against
     // the packed base, and a pairwise-only check runs against the packed
@@ -1001,13 +1022,12 @@ pub(crate) fn repair_failed_pins_budget(
     // pairwise rules skip same-owner shapes, so the via's own copy in
     // the index is inert. Skipping the base+vias repack saves the
     // dominant setup cost of every scan round.
-    let base = &gctx.base;
     let is_dirty = |ap: &ScanAp, owner: Owner, ws: &mut DrcScratch| -> bool {
         match ap.via {
             Some(v) => {
                 let vd = tech.via(v);
-                !(engine.via_placement_clean(vd, ap.pos, owner, base, ws)
-                    && engine.via_pairwise_clean(vd, ap.pos, owner, &via_index, ws))
+                !(engine.via_placement_clean(vd, ap.pos, owner, gctx.base(), ws)
+                    && engine.via_pairwise_clean(vd, ap.pos, owner, vias(), ws))
             }
             None => !ap.planar_ok,
         }
@@ -1020,12 +1040,16 @@ pub(crate) fn repair_failed_pins_budget(
     // verdict is found with one query of the via hull window against a
     // component-bounds tree — no per-shape walks — and the verdict is a
     // pure function of the pin's (unique instance, pattern, pin index)
-    // plus every such neighbor's (offset, unique instance, pattern):
-    // equal keys see identical shape environments and the verdict
-    // transfers. Components carrying a repair override place vias
-    // off-pattern and components without a unique instance have no
-    // translation-invariant geometry; both poison the neighborhood and
-    // force direct probes.
+    // plus every such neighbor's (offset, unique instance, pattern, and
+    // the pins whose selected vias reach the windows): equal keys see
+    // identical shape environments and the verdict transfers. Only
+    // connected pins place vias, so two members of one unique instance
+    // on different nets can differ in exactly those pins. A direct probe
+    // also reads the pin's own component's other vias, so an uncertified
+    // pin's key lists its own such pins too. Components carrying a repair
+    // override place vias off-pattern and components without a unique
+    // instance have no translation-invariant geometry; both poison the
+    // neighborhood and force direct probes.
     // Hull of each via's shapes around the drop point, and the widest
     // search halo among the via's own layers: the hull translated to the
     // pin's position and expanded by that halo bounds every context
@@ -1086,37 +1110,12 @@ pub(crate) fn repair_failed_pins_budget(
             .filter_map(|(i, b)| b.map(|r| (r, i as u32)))
             .collect(),
     );
-    // Per-component shape lists (pin + obstruction + selected-via shapes,
-    // exactly the scan context's contents): once stage 1 has named the
-    // few candidate components near a pin, stage 2 walks their lists
-    // directly instead of descending the global trees once per probe
-    // window. One flat pass here beats thousands of tree queries there.
-    let mut csr: Vec<Vec<(LayerId, Rect, Owner)>> = vec![Vec::new(); design.components().len()];
-    for (ci, c) in design.components().iter().enumerate() {
-        let comp = CompId(ci as u32);
-        if c.master_in(tech).is_none() || !c.is_placed {
-            continue;
-        }
-        for (pin_idx, layer, rect) in design.placed_pin_shapes(tech, comp) {
-            csr[ci].push((layer, rect, pin_owner(comp, pin_idx)));
-        }
-        for (layer, rect) in design.placed_obs_shapes(tech, comp) {
-            csr[ci].push((layer, rect, Owner::obs(u64::from(comp.0))));
-        }
-    }
-    for (&(comp, pin_idx), ap) in connected.iter().zip(&selected) {
-        let Some(ap) = ap else { continue };
-        let Some(v) = ap.via else { continue };
-        for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-            csr[comp.index()].push((layer, rect, pin_owner(comp, pin_idx)));
-        }
-    }
     let (flags, exec) = {
-        let (selected, csr, is_dirty, engine) = (&selected, &csr, &is_dirty, &engine);
+        let (selected, is_dirty, engine) = (&selected, &is_dirty, &engine);
         let (comp_tree, via_hulls, poisoned, key_part) =
             (&comp_tree, &via_hulls, &poisoned, &key_part);
         parallel_map_budget(
-            threads,
+            gctx.threads,
             "repair.scan",
             (0..connected.len()).collect(),
             ScanScratch::default,
@@ -1151,55 +1150,95 @@ pub(crate) fn repair_failed_pins_budget(
                         // all, and the memo key shrinks to the real
                         // environment, so it repeats far more often.
                         s.neigh.clear();
+                        s.vpins.clear();
+                        let own_certified = certified(comp.0);
+                        if !s.cands.is_empty() || !own_certified {
+                            s.wins.clear();
+                            for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
+                                s.wins.push((layer, rect.expanded(engine.halo(layer))));
+                            }
+                        }
+                        // `touches` (closed contact) matches the spatial
+                        // index's window semantics, so the neighbor sets
+                        // — and hence the memo keys — are the same ones
+                        // tree queries would yield.
+                        let wins = &s.wins;
+                        let in_wins = |layer: LayerId, r: Rect| {
+                            wins.iter().any(|&(wl, w)| wl == layer && r.touches(w))
+                        };
                         if !s.cands.is_empty() {
                             if s.mini.num_layers() == tech.layers().len() {
                                 s.mini.clear();
                             } else {
                                 s.mini = ShapeSet::new(tech.layers().len());
                             }
-                            s.wins.clear();
-                            for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                                s.wins.push((layer, rect.expanded(engine.halo(layer))));
-                            }
-                            // `touches` (closed contact) matches the
-                            // spatial index's window semantics, so the
-                            // neighbor sets — and hence the memo keys —
-                            // are the same ones tree queries would yield.
+                            let (mini, vpins) = (&mut s.mini, &mut s.vpins);
                             for &c in &s.cands {
+                                let nc = CompId(c);
                                 let mut hit = false;
-                                for &(layer, r, o) in &csr[c as usize] {
-                                    if s.wins.iter().any(|&(wl, w)| wl == layer && r.touches(w)) {
-                                        s.mini.insert_deferred(layer, r, o);
+                                gctx.for_each_shape(nc, |layer, r, o| {
+                                    if in_wins(layer, r) {
+                                        mini.insert_deferred(layer, r, o);
                                         hit = true;
                                     }
-                                }
+                                });
+                                let (lo, mut last) = (vpins.len(), None);
+                                gctx.for_each_selected_via(nc, selected, |pin, layer, r| {
+                                    if in_wins(layer, r) {
+                                        mini.insert_deferred(layer, r, pin_owner(nc, pin));
+                                        hit = true;
+                                        if last != Some(pin) {
+                                            vpins.push(pin as u64);
+                                            last = Some(pin);
+                                        }
+                                    }
+                                });
                                 if hit {
-                                    s.neigh.push(c);
+                                    s.neigh.push((c, lo, vpins.len()));
                                 }
                             }
                         }
-                        if s.neigh.is_empty() && certified(comp.0) {
+                        if s.neigh.is_empty() && own_certified {
                             pao_obs::counter_add("repair.scan.fast_clean", 1);
                             break 'verdict false;
                         }
-                        if s.neigh.iter().any(|&c| poisoned(c)) {
+                        if s.neigh.iter().any(|&(c, _, _)| poisoned(c)) {
                             break 'verdict is_dirty(ap, pin_owner(comp, pin_idx), &mut s.ws);
                         }
                         let own_loc = design.component(comp).location;
                         s.tuples.clear();
-                        for &c in &s.neigh {
+                        for &(c, lo, hi) in &s.neigh {
                             let loc = design.component(CompId(c)).location;
-                            s.tuples
-                                .push((loc.x - own_loc.x, loc.y - own_loc.y, key_part(c)));
+                            s.tuples.push((
+                                loc.x - own_loc.x,
+                                loc.y - own_loc.y,
+                                key_part(c),
+                                lo,
+                                hi,
+                            ));
                         }
                         s.tuples.sort_unstable();
                         s.key.clear();
                         s.key.push(key_part(comp.0));
                         s.key.push(pin_idx as u64);
-                        for &(dx, dy, us) in &s.tuples {
+                        if !own_certified {
+                            let lo = s.key.len();
+                            s.key.push(0);
+                            let (key, mut last) = (&mut s.key, None);
+                            gctx.for_each_selected_via(comp, selected, |pin, layer, r| {
+                                if in_wins(layer, r) && last != Some(pin) {
+                                    key.push(pin as u64);
+                                    last = Some(pin);
+                                }
+                            });
+                            s.key[lo] = (s.key.len() - lo - 1) as u64;
+                        }
+                        for &(dx, dy, us, lo, hi) in &s.tuples {
                             s.key.push(dx as u64);
                             s.key.push(dy as u64);
                             s.key.push(us);
+                            s.key.push((hi - lo) as u64);
+                            s.key.extend_from_slice(&s.vpins[lo..hi]);
                         }
                         // Worker-local memo: verdicts are pure functions
                         // of the key, so results stay
@@ -1219,7 +1258,7 @@ pub(crate) fn repair_failed_pins_budget(
                             // unions are same-owner, hence own. One probe
                             // over a handful of raw shapes replaces two
                             // full-context probes.
-                            let d = if certified(comp.0) {
+                            let d = if own_certified {
                                 !engine.via_pairwise_clean(
                                     tech.via(v),
                                     ap.pos,
@@ -1302,7 +1341,8 @@ pub(crate) fn repair_failed_pins_budget(
     let margin = engine.interaction_range() + crate::cluster::max_via_extent(tech);
     let mut currents: Vec<Option<AccessPoint>> = Vec::with_capacity(dirty.len());
     let mut cand_lists: Vec<Vec<AccessPoint>> = Vec::with_capacity(dirty.len());
-    let mut ctx = ShapeSet::new(gctx.base.num_layers());
+    let (base, vias) = (gctx.base(), vias());
+    let mut ctx = ShapeSet::new(base.num_layers());
     for &(comp, pin_idx) in &dirty {
         let current = result.access_point(design, comp, pin_idx);
         let mut candidates: Vec<AccessPoint> = Vec::new();
@@ -1318,13 +1358,13 @@ pub(crate) fn repair_failed_pins_budget(
             .reduce(Rect::hull)
         {
             let w = hull.expanded(margin);
-            for li in 0..gctx.base.num_layers() {
+            for li in 0..base.num_layers() {
                 let layer = LayerId(li as u32);
-                gctx.base.for_each_in(layer, w, |r, o| {
+                base.for_each_in(layer, w, |r, o| {
                     ctx.insert_deferred(layer, r, o);
                     true
                 });
-                via_index.for_each_in(layer, w, |r, o| {
+                vias.for_each_in(layer, w, |r, o| {
                     if !ripped.contains(&o) {
                         ctx.insert_deferred(layer, r, o);
                     }
@@ -1410,27 +1450,51 @@ fn pin_label(tech: &Tech, design: &Design, comp: CompId, pin_idx: usize) -> Stri
     }
 }
 
-/// The placement-dependent half of the whole-design audit/repair context:
-/// every placed pin/obstruction shape (packed and queryable) plus the
-/// connected-pin list. Built **once** per analysis — selection-dependent
-/// via shapes are layered on per use by [`GlobalContext::with_vias`],
-/// which is far cheaper than re-walking and re-transforming the whole
-/// placement for every repair round and the final audit.
-pub(crate) struct GlobalContext {
-    /// All placed pin and obstruction shapes, packed: the repair scan
-    /// and its windowed greedy context query it directly (paired with
+/// The placement-dependent half of the whole-design audit/repair context,
+/// built **once** per analysis and shared by every repair round and the
+/// final audit: the connected-pin table, one shape template per (master,
+/// orientation) and, on first use, every placed pin/obstruction shape
+/// packed into one queryable set.
+///
+/// A template holds its master's placed pin and obstruction shapes at
+/// location (0, 0). A placement transform maps a master point to
+/// `location + f(orient, width, height, point)`, so every component of
+/// one master and orientation has exactly its template's shapes
+/// translated by its location — the invariance unique instances and the
+/// scan memo's keys already rest on. The repair scan reads neighbours
+/// through templates; only direct probes, greedy re-placement and
+/// unhinted or windowed audits read the packed set, so a run where every
+/// pin is certified and the audit is fully hinted never builds it.
+pub(crate) struct GlobalContext<'a> {
+    pub(crate) tech: &'a Tech,
+    pub(crate) design: &'a Design,
+    /// Worker count for the pack and every executor phase reading this.
+    pub(crate) threads: usize,
+    /// The connected pins in net order, with each component's entries.
+    pub(crate) pins: crate::incremental::ConnectedPins,
+    templates: Vec<Vec<TemplateShape>>,
+    /// Each component's template; `None` when the component is unplaced
+    /// or its master is unknown (it contributes no shapes).
+    comp_template: Vec<Option<u32>>,
+    /// Hull of each component's placed pin/obstruction shapes (`None`
+    /// when a component contributes no shapes). Feeds the repair scan's
+    /// bbox-proximity neighborhoods.
+    pub(crate) bounds: Vec<Option<Rect>>,
+    /// All placed pin and obstruction shapes, packed on first use: direct
+    /// scan probes and the windowed greedy context query it (paired with
     /// the selected-vias index), and [`GlobalContext::with_vias`] feeds
     /// it to [`ShapeSet::merged`] for the full-audit repack.
-    pub(crate) base: ShapeSet,
-    /// Every `(component, pin index)` with a net attached, in net order.
-    pub(crate) connected: Vec<(CompId, usize)>,
-    /// Hull of each component's placed pin/obstruction shapes (`None`
-    /// when a component contributes nothing to `base`). Feeds the repair
-    /// scan's bbox-proximity neighborhoods.
-    pub(crate) bounds: Vec<Option<Rect>>,
+    base: OnceLock<ShapeSet>,
 }
 
-/// Components per [`GlobalContext`] build shard. The partition depends
+/// One shape of a template: layer, rectangle at location (0, 0), and the
+/// master pin index ([`OBS_SHAPE`] for an obstruction).
+type TemplateShape = (LayerId, Rect, u32);
+
+/// The pin index a [`TemplateShape`] carries for obstruction geometry.
+const OBS_SHAPE: u32 = u32::MAX;
+
+/// Components per [`GlobalContext`] pack shard. The partition depends
 /// only on the design size — never on the thread count — so the merged
 /// tree structure (and with it every downstream query order) is
 /// byte-identical at any `--threads` value. 4096 components keep a
@@ -1438,78 +1502,126 @@ pub(crate) struct GlobalContext {
 /// design (≤4k cells) still packs as one monolithic tree.
 const GCTX_SHARD: usize = 4096;
 
-impl GlobalContext {
-    /// Walks the placement once (base shapes + connected-pin list), with
-    /// contiguous component chunks built (shapes transformed + STR-packed)
-    /// on up to `threads` workers, then stitched with
-    /// [`ShapeSet::from_shards`]. Placement rows make contiguous component
-    /// indices spatially local, so the stitched tree prunes nearly as well
-    /// as a monolithic pack.
-    pub(crate) fn build_threaded(tech: &Tech, design: &Design, threads: usize) -> GlobalContext {
+impl<'a> GlobalContext<'a> {
+    /// Walks the placement once: one template per (master, orientation),
+    /// each component's template and bounds, and the connected-pin
+    /// table. Nothing is packed yet.
+    pub(crate) fn new(tech: &'a Tech, design: &'a Design, threads: usize) -> GlobalContext<'a> {
         let n = design.components().len();
-        let num_layers = tech.layers().len();
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(GCTX_SHARD)
-            .map(|lo| (lo, (lo + GCTX_SHARD).min(n)))
-            .collect();
-        let shard_out: Vec<(ShapeSet, Vec<Option<Rect>>)> =
-            crate::parallel::parallel_map(threads, chunks, |(lo, hi)| {
-                let mut set = ShapeSet::new(num_layers);
-                let mut bounds: Vec<Option<Rect>> = vec![None; hi - lo];
-                for (slot, (ci, c)) in bounds
-                    .iter_mut()
-                    .zip(design.components()[lo..hi].iter().enumerate())
-                {
-                    let comp = CompId((lo + ci) as u32);
-                    if c.master_in(tech).is_none() || !c.is_placed {
-                        continue;
-                    }
-                    design.for_each_placed_pin_shape(tech, comp, |pin_idx, layer, rect| {
-                        set.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
-                        *slot = Some(slot.map_or(rect, |b| b.hull(rect)));
-                    });
-                    design.for_each_placed_obs_shape(tech, comp, |layer, rect| {
-                        set.insert_deferred(layer, rect, Owner::obs(u64::from(comp.0)));
-                        *slot = Some(slot.map_or(rect, |b| b.hull(rect)));
-                    });
-                }
-                set.rebuild();
-                (set, bounds)
+        let mut ids: std::collections::HashMap<(pao_tech::Symbol, pao_geom::Orient), u32> =
+            std::collections::HashMap::new();
+        let mut templates: Vec<Vec<TemplateShape>> = Vec::new();
+        let mut hulls: Vec<Option<Rect>> = Vec::new();
+        let mut comp_template: Vec<Option<u32>> = vec![None; n];
+        let mut bounds: Vec<Option<Rect>> = vec![None; n];
+        for (ci, c) in design.components().iter().enumerate() {
+            if c.master_in(tech).is_none() || !c.is_placed {
+                continue;
+            }
+            let tid = *ids.entry((c.master, c.orient)).or_insert_with(|| {
+                let shapes = template_of(tech, design, CompId(ci as u32));
+                hulls.push(shapes.iter().map(|s| s.1).reduce(Rect::hull));
+                templates.push(shapes);
+                (templates.len() - 1) as u32
             });
-        let mut bounds: Vec<Option<Rect>> = Vec::with_capacity(n);
-        let mut shards: Vec<ShapeSet> = Vec::with_capacity(shard_out.len());
-        for (set, b) in shard_out {
-            shards.push(set);
-            bounds.extend(b);
+            comp_template[ci] = Some(tid);
+            bounds[ci] = hulls[tid as usize].map(|h| h.translated(c.location));
         }
-        let base = if shards.is_empty() {
-            ShapeSet::new(num_layers)
-        } else {
-            ShapeSet::from_shards(shards)
-        };
         GlobalContext {
-            base,
-            connected: connected_pins(tech, design),
+            tech,
+            design,
+            threads,
+            pins: crate::incremental::ConnectedPins::build(tech, design),
+            templates,
+            comp_template,
             bounds,
+            base: OnceLock::new(),
         }
     }
 
+    /// Calls `f` with each placed pin and obstruction shape of `comp` —
+    /// its template translated by its location — and the shape's owner,
+    /// in master order (pin shapes, then obstructions).
+    pub(crate) fn for_each_shape(&self, comp: CompId, mut f: impl FnMut(LayerId, Rect, Owner)) {
+        let Some(tid) = self.comp_template[comp.index()] else {
+            return;
+        };
+        let loc = self.design.component(comp).location;
+        for &(layer, r, pin) in &self.templates[tid as usize] {
+            let owner = if pin == OBS_SHAPE {
+                Owner::obs(u64::from(comp.0))
+            } else {
+                pin_owner(comp, pin as usize)
+            };
+            f(layer, r.translated(loc), owner);
+        }
+    }
+
+    /// Calls `f` with the pin index and each shape of the primary via
+    /// selected for each of `comp`'s connected pins, in net order
+    /// (`selected` is aligned with
+    /// [`ConnectedPins::list`](crate::incremental::ConnectedPins::list)).
+    fn for_each_selected_via(
+        &self,
+        comp: CompId,
+        selected: &[Option<ScanAp>],
+        mut f: impl FnMut(usize, LayerId, Rect),
+    ) {
+        for slot in self.pins.slots_of(comp) {
+            let Some(ap) = &selected[slot] else { continue };
+            let Some(v) = ap.via else { continue };
+            let pin_idx = self.pins.list()[slot].1;
+            for (layer, rect) in self.tech.via(v).each_placed_shape(ap.pos) {
+                f(pin_idx, layer, rect);
+            }
+        }
+    }
+
+    /// Every placed pin and obstruction shape, packed on the first call:
+    /// contiguous component chunks are translated from their templates
+    /// and STR-packed on up to `threads` workers, then stitched with
+    /// [`ShapeSet::from_shards`]. Placement rows make contiguous
+    /// component indices spatially local, so the stitched tree prunes
+    /// nearly as well as a monolithic pack.
+    pub(crate) fn base(&self) -> &ShapeSet {
+        self.base.get_or_init(|| {
+            let n = self.design.components().len();
+            let num_layers = self.tech.layers().len();
+            let chunks: Vec<(usize, usize)> = (0..n)
+                .step_by(GCTX_SHARD)
+                .map(|lo| (lo, (lo + GCTX_SHARD).min(n)))
+                .collect();
+            let shards: Vec<ShapeSet> =
+                crate::parallel::parallel_map(self.threads, chunks, |(lo, hi)| {
+                    let mut set = ShapeSet::new(num_layers);
+                    for ci in lo..hi {
+                        self.for_each_shape(CompId(ci as u32), |layer, rect, owner| {
+                            set.insert_deferred(layer, rect, owner);
+                        });
+                    }
+                    set.rebuild();
+                    set
+                });
+            if shards.is_empty() {
+                ShapeSet::new(num_layers)
+            } else {
+                ShapeSet::from_shards(shards)
+            }
+        })
+    }
+
     /// A full context: the base plus every connected pin's selected via
-    /// per `accessor`, excluding pins in `skip` (rip-up). Repacked.
+    /// per `accessor`. Repacked.
     pub(crate) fn with_vias(
         &self,
-        tech: &Tech,
         accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + ?Sized),
-        skip: Option<&std::collections::HashSet<(CompId, usize)>>,
     ) -> ShapeSet {
-        let mut vias = ShapeSet::new(self.base.num_layers());
-        for &(comp, pin_idx) in &self.connected {
-            if skip.is_some_and(|s| s.contains(&(comp, pin_idx))) {
-                continue;
-            }
+        let base = self.base();
+        let mut vias = ShapeSet::new(base.num_layers());
+        for &(comp, pin_idx) in self.pins.list() {
             if let Some(ap) = accessor(comp, pin_idx) {
                 if let Some(v) = ap.primary_via() {
-                    for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
+                    for (layer, rect) in self.tech.via(v).each_placed_shape(ap.pos) {
                         vias.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
                     }
                 }
@@ -1517,8 +1629,23 @@ impl GlobalContext {
         }
         // `merged` bulk-loads base + vias in one pack per layer — no
         // clone of an index that the repack would discard anyway.
-        self.base.merged(&vias)
+        base.merged(&vias)
     }
+}
+
+/// The template of `comp`'s master and orientation: its placed pin and
+/// obstruction shapes moved back to location (0, 0), in master order.
+fn template_of(tech: &Tech, design: &Design, comp: CompId) -> Vec<TemplateShape> {
+    let loc = design.component(comp).location;
+    let back = pao_geom::Point::new(-loc.x, -loc.y);
+    let mut shapes: Vec<TemplateShape> = Vec::new();
+    design.for_each_placed_pin_shape(tech, comp, |pin_idx, layer, rect| {
+        shapes.push((layer, rect.translated(back), pin_idx as u32));
+    });
+    design.for_each_placed_obs_shape(tech, comp, |layer, rect| {
+        shapes.push((layer, rect.translated(back), OBS_SHAPE));
+    });
+    shapes
 }
 
 /// Every `(component, pin index)` with a net attached, in net order —
@@ -1628,27 +1755,26 @@ pub fn count_failed_pins_with_budget(
     threads: usize,
     budget: PhaseBudget<'_>,
 ) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
-    let gctx = GlobalContext::build_threaded(tech, design, threads);
-    audit_pins_budget(tech, design, &gctx, &accessor, None, threads, budget)
+    let gctx = GlobalContext::new(tech, design, threads);
+    audit_pins_budget(&gctx, &accessor, None, budget)
 }
 
 /// The audit over a prebuilt [`GlobalContext`], optionally short-cutting
 /// with per-pin `hints` (the last repair round's scan verdicts, aligned
-/// with `gctx.connected`; `None` entries are probed normally). When every
-/// pin carries a hint, the audit context is never even built — the scan
-/// already probed the identical context. Hinted pins still flow through
+/// with `gctx.pins.list()`; `None` entries are probed normally). When
+/// every pin carries a hint, no audit context is built and the packed
+/// whole-design context is never read — the scan already probed the
+/// identical context. Hinted pins still flow through
 /// the `audit.pin` executor, so fault isolation, budgeting and the
 /// thread-count identity contract are unchanged.
 pub(crate) fn audit_pins_budget(
-    tech: &Tech,
-    design: &Design,
-    gctx: &GlobalContext,
+    gctx: &GlobalContext<'_>,
     accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + Sync),
     hints: Option<&[Option<bool>]>,
-    threads: usize,
     budget: PhaseBudget<'_>,
 ) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
-    let connected = &gctx.connected;
+    let (tech, design) = (gctx.tech, gctx.design);
+    let connected = gctx.pins.list();
     let hint_of = |i: usize| -> Option<bool> {
         hints
             .filter(|h| h.len() == connected.len())
@@ -1676,7 +1802,8 @@ pub(crate) fn audit_pins_budget(
         // merged checks take idempotent same-owner unions, pairwise
         // checks merely re-test the same pair.
         pao_obs::counter_add("audit.windowed_ctx", 1);
-        let mut vias = ShapeSet::new(gctx.base.num_layers());
+        let base = gctx.base();
+        let mut vias = ShapeSet::new(base.num_layers());
         for &(comp, pin_idx) in connected {
             if let Some(ap) = accessor(comp, pin_idx) {
                 if let Some(v) = ap.primary_via() {
@@ -1686,7 +1813,7 @@ pub(crate) fn audit_pins_budget(
                 }
             }
         }
-        let mut wctx = ShapeSet::new(gctx.base.num_layers());
+        let mut wctx = ShapeSet::new(base.num_layers());
         for &i in &unhinted {
             let (comp, pin_idx) = connected[i];
             let Some(ap) = accessor(comp, pin_idx) else {
@@ -1699,19 +1826,19 @@ pub(crate) fn audit_pins_budget(
                     wctx.insert_deferred(layer, r, o);
                     true
                 };
-                gctx.base.for_each_in(layer, w, &mut put);
+                base.for_each_in(layer, w, &mut put);
                 vias.for_each_in(layer, w, &mut put);
             }
         }
         wctx.rebuild();
         Some(wctx)
     } else {
-        Some(gctx.with_vias(tech, accessor, None))
+        Some(gctx.with_vias(accessor))
     };
     let (oks, exec) = {
         let (ctx, engine, hint_of) = (&ctx, &engine, &hint_of);
         parallel_map_budget(
-            threads,
+            gctx.threads,
             "audit.pin",
             (0..connected.len()).collect::<Vec<_>>(),
             DrcScratch::new,
@@ -1770,6 +1897,43 @@ pub(crate) fn audit_pins_budget(
     ((connected.len(), failed), exec, faults, skipped)
 }
 
+/// The repair scan's per-component shape lists as they were built before
+/// shape templates: every placed pin and obstruction shape transformed
+/// component by component, then each connected pin's selected via in net
+/// order; plus the hull of each component's placed shapes.
+#[cfg(test)]
+#[allow(clippy::type_complexity)]
+fn scan_shapes_reference(
+    tech: &Tech,
+    design: &Design,
+    connected: &[(CompId, usize)],
+    selected: &[Option<ScanAp>],
+) -> (Vec<Vec<(LayerId, Rect, Owner)>>, Vec<Option<Rect>>) {
+    let mut csr: Vec<Vec<(LayerId, Rect, Owner)>> = vec![Vec::new(); design.components().len()];
+    let mut bounds: Vec<Option<Rect>> = vec![None; design.components().len()];
+    for (ci, c) in design.components().iter().enumerate() {
+        let comp = CompId(ci as u32);
+        if c.master_in(tech).is_none() || !c.is_placed {
+            continue;
+        }
+        for (pin_idx, layer, rect) in design.placed_pin_shapes(tech, comp) {
+            csr[ci].push((layer, rect, pin_owner(comp, pin_idx)));
+        }
+        for (layer, rect) in design.placed_obs_shapes(tech, comp) {
+            csr[ci].push((layer, rect, Owner::obs(u64::from(comp.0))));
+        }
+        bounds[ci] = csr[ci].iter().map(|s| s.1).reduce(Rect::hull);
+    }
+    for (&(comp, pin_idx), ap) in connected.iter().zip(selected) {
+        let Some(ap) = ap else { continue };
+        let Some(v) = ap.via else { continue };
+        for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
+            csr[comp.index()].push((layer, rect, pin_owner(comp, pin_idx)));
+        }
+    }
+    (csr, bounds)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1777,6 +1941,168 @@ mod tests {
     use pao_geom::{Dir, Orient, Point};
     use pao_tech::rules::MinStepRule;
     use pao_tech::{Layer, Macro, Pin, PinDir, Port, ViaDef};
+
+    /// Template shapes translated per component, followed by the selected
+    /// vias read through the connected-pin table, must equal the
+    /// component-by-component reference — layer, rectangle, owner and
+    /// order — and so must the component bounds.
+    fn assert_templates_match_reference(tech: &Tech, design: &Design, label: &str) {
+        let gctx = GlobalContext::new(tech, design, 1);
+        let connected = gctx.pins.list();
+        // Synthetic selections: vias spread over every via definition and
+        // over positions, plus planar-only and unresolved pins.
+        let nvias = tech.vias().len() as u32;
+        let selected: Vec<Option<ScanAp>> = connected
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, _))| {
+                let loc = design.component(c).location;
+                let pos =
+                    pao_geom::Point::new(loc.x + 37 * i as i64 % 500, loc.y + 11 * i as i64 % 300);
+                match i % 5 {
+                    4 => None,
+                    3 => Some(ScanAp {
+                        pos,
+                        via: None,
+                        planar_ok: true,
+                    }),
+                    _ => Some(ScanAp {
+                        pos,
+                        via: (nvias > 0).then(|| pao_tech::ViaId(i as u32 % nvias)),
+                        planar_ok: false,
+                    }),
+                }
+            })
+            .collect();
+        let (reference, bounds) = scan_shapes_reference(tech, design, connected, &selected);
+        assert_eq!(gctx.bounds, bounds, "{label}: bounds");
+        for (ci, want) in reference.iter().enumerate() {
+            let comp = CompId(ci as u32);
+            let mut got: Vec<(LayerId, Rect, Owner)> = Vec::new();
+            gctx.for_each_shape(comp, |l, r, o| got.push((l, r, o)));
+            gctx.for_each_selected_via(comp, &selected, |pin, l, r| {
+                got.push((l, r, pin_owner(comp, pin)));
+            });
+            assert_eq!(&got, want, "{label}: component {ci}");
+        }
+    }
+
+    #[test]
+    fn templates_match_reference_on_suite_cases() {
+        let mut cases = pao_testgen::ispd18s_suite();
+        cases.push(pao_testgen::aes14_case());
+        cases.push(pao_testgen::SuiteCase::small_smoke());
+        for case in cases {
+            let (t, d) = pao_testgen::generate(&case);
+            assert_templates_match_reference(&t, &d, &case.name);
+        }
+    }
+
+    #[test]
+    fn templates_match_reference_on_unit_cases() {
+        let (mut t, mut d) = world();
+        let (m1, m2) = (LayerId(0), LayerId(2));
+        // A double-height master with an L-shaped polygon port, a second
+        // port on another layer and obstructions on both metals.
+        let mut mh = Macro::new("DFF2MH", 1200, 2800);
+        let mut d_port = Port::rects(m1, vec![Rect::new(100, 200, 250, 900)]);
+        d_port.polygons.push(
+            pao_geom::Polygon::new(vec![
+                Point::new(300, 1500),
+                Point::new(700, 1500),
+                Point::new(700, 1700),
+                Point::new(450, 1700),
+                Point::new(450, 2400),
+                Point::new(300, 2400),
+            ])
+            .unwrap(),
+        );
+        mh.pins.push(Pin::new("D", PinDir::Input, vec![d_port]));
+        mh.pins.push(Pin::new(
+            "Q",
+            PinDir::Output,
+            vec![
+                Port::rects(m1, vec![Rect::new(900, 300, 1050, 2500)]),
+                Port::rects(m2, vec![Rect::new(850, 1200, 1100, 1300)]),
+            ],
+        ));
+        mh.obs.push((m1, Rect::new(500, 0, 600, 400)));
+        mh.obs.push((m2, Rect::new(0, 2600, 1200, 2800)));
+        t.add_macro(mh);
+        let mut comps = Vec::new();
+        for (i, orient) in [
+            Orient::S,
+            Orient::FS,
+            Orient::FN,
+            Orient::FS,
+            Orient::E,
+            Orient::W,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            comps.push(d.add_component(Component::new(
+                format!("b{i}"),
+                "BUFX1",
+                Point::new(2600 + 1400 * i as i64, 1400 * (i as i64 % 3)),
+                orient,
+            )));
+        }
+        for (i, orient) in [Orient::N, Orient::FS, Orient::N].into_iter().enumerate() {
+            comps.push(d.add_component(Component::new(
+                format!("mh{i}"),
+                "DFF2MH",
+                Point::new(200 + 1400 * i as i64, 5600),
+                orient,
+            )));
+        }
+        let mut unplaced = Component::new("un", "BUFX1", Point::new(9000, 0), Orient::N);
+        unplaced.is_placed = false;
+        let un = d.add_component(unplaced);
+        let nope = d.add_component(Component::new(
+            "x",
+            "NOPE",
+            Point::new(9000, 4200),
+            Orient::N,
+        ));
+        // Nets over every kind of component; u0/A sits on two nets.
+        let mut n = Net::new("n_mix");
+        for (c, pin) in [
+            (comps[0], "A"),
+            (comps[1], "Y"),
+            (comps[6], "D"),
+            (comps[7], "Q"),
+            (comps[8], "D"),
+            (un, "A"),
+            (nope, "Z"),
+            (CompId(0), "A"),
+        ] {
+            n.pins.push(NetPin::Comp {
+                comp: c,
+                pin: pin.into(),
+            });
+        }
+        d.add_net(n);
+        let mut n = Net::new("n_rest");
+        for (c, pin) in [
+            (comps[2], "A"),
+            (comps[3], "Y"),
+            (comps[4], "A"),
+            (comps[5], "Y"),
+        ] {
+            n.pins.push(NetPin::Comp {
+                comp: c,
+                pin: pin.into(),
+            });
+        }
+        d.add_net(n);
+        assert_templates_match_reference(&t, &d, "unit");
+        let gctx = GlobalContext::new(&t, &d, 1);
+        assert_eq!(gctx.bounds[un.index()], None);
+        assert_eq!(gctx.bounds[nope.index()], None);
+        // BUFX1 N/S/FS/FN/E/W and DFF2MH N/FS: eight templates.
+        assert_eq!(gctx.templates.len(), 8);
+    }
 
     /// A small but complete world: 3-layer tech, one 2-pin cell, a design
     /// with two abutting instances and nets.

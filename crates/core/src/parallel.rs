@@ -9,6 +9,10 @@
 //! index from a shared atomic counter, so load balances itself at
 //! per-item granularity with no work-queue allocation and no external
 //! thread-pool dependency — scoped threads and two atomics, std only.
+//! Phases of many tiny items claim small contiguous blocks instead (sized
+//! from the item count alone, always at least 4096 claims per phase), so
+//! the shared counter stops being the bottleneck; everything else —
+//! isolation, hooks, cancel polls, heartbeats, spans — stays per item.
 //!
 //! Results are written into a pre-sized slot table indexed by the claimed
 //! position, so output order equals input order regardless of which
@@ -27,15 +31,15 @@
 
 //! **Deadlines and the watchdog.** The budget-mode entry point
 //! ([`parallel_map_budget`]) threads a [`CancelToken`] through the claim
-//! loop: every worker polls it *before* claiming the next index, so an
+//! loop: every worker polls it *before* starting the next item, so an
 //! expired budget (or an explicit cancellation) finishes in-flight items
-//! and yields the unstarted ones as `Err(ItemFault::Skipped)`. Because
-//! indices are handed out strictly in order and claimed items always
-//! finish, the completed results always form a prefix of the input. A
-//! deterministic cancellation via [`CancelToken::cancel_at`]
-//! additionally discards any results that racing workers computed past
-//! the cut index, which keeps such cancellations bit-identical at every
-//! thread count. When a [`Watchdog`] is armed, a monitor thread samples
+//! and yields the unstarted ones as `Err(ItemFault::Skipped)`. A
+//! deterministic cancellation via [`CancelToken::cancel_at`] keeps every
+//! item up to the cut index running (indices are claimed strictly in
+//! order, so all of them were handed out before the cut item) and
+//! discards any results that racing workers computed past it, which
+//! keeps such cancellations bit-identical at every thread count and
+//! block size. When a [`Watchdog`] is armed, a monitor thread samples
 //! per-worker heartbeats and trips the token (recording a
 //! [`StallRecord`] and bumping `watchdog.stalls`) when a worker sits in
 //! one item for longer than a multiple of the observed per-item time —
@@ -68,7 +72,7 @@ pub enum ItemFault {
     /// The item panicked (quarantined); the payload message.
     Panic(String),
     /// The item was never run: the phase's budget expired, the watchdog
-    /// tripped, or the token was cancelled before the item was claimed.
+    /// tripped, or the token was cancelled before the item started.
     Skipped(CancelReason),
 }
 
@@ -91,7 +95,7 @@ enum Dropped {
 /// between items plus the optional stall watchdog.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseBudget<'a> {
-    /// Cancellation/deadline token; polled before every item claim.
+    /// Cancellation/deadline token; polled before every item starts.
     pub token: &'a CancelToken,
     /// Stall watchdog configuration (`None` = no monitor thread).
     pub watchdog: Option<Watchdog>,
@@ -351,6 +355,25 @@ where
     (out, report)
 }
 
+/// Indices a worker claims at once. Claiming is the one step workers
+/// contend on, so phases of many tiny items (a fully hinted audit visits
+/// every connected pin) claim contiguous blocks. The size depends on the
+/// item count only and always leaves at least 4096 claims, so load still
+/// balances; phases under 8192 items claim item by item.
+fn claim_block(n: usize) -> usize {
+    (n / 4096).clamp(1, 256)
+}
+
+/// `true` when a cancelled token stops item `i` mid-block: always for a
+/// cancellation without a deterministic cut, and past the cut otherwise.
+fn past_cut(token: &CancelToken, i: usize) -> bool {
+    // Pairs with the token's cancel store, which follows the cut store:
+    // a worker that saw the flag also sees the cut.
+    std::sync::atomic::fence(Ordering::Acquire);
+    let cut = token.cut();
+    cut == usize::MAX || i > cut
+}
+
 /// Applies the deterministic cut of [`CancelToken::cancel_at`]: results
 /// computed past the cut index (by workers racing the cancellation) are
 /// replaced with `Skipped`, so the surviving prefix is identical at
@@ -430,6 +453,7 @@ where
         return (out, report);
     }
     let threads = threads.min(n).max(1);
+    let block = claim_block(n);
 
     // Items move into per-index slots the workers drain; results come back
     // through parallel slots. Mutex<Option<T>> per slot keeps this safe
@@ -491,47 +515,63 @@ where
                                 pao_obs::flush_thread();
                                 return worker_busy_us(cpu_start, busy);
                             }
-                            // Claim the next unprocessed index; self-scheduling
-                            // makes uneven item costs balance automatically.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
+                            // Claim the next unprocessed block of indices;
+                            // self-scheduling makes uneven item costs
+                            // balance automatically.
+                            let lo = next.fetch_add(block, Ordering::Relaxed);
+                            if lo >= n {
                                 // Scope exit does not wait for TLS
                                 // destructors; push buffered spans and
                                 // metrics out while still joinable.
                                 pao_obs::flush_thread();
                                 return worker_busy_us(cpu_start, busy);
                             }
-                            if monitoring {
-                                cur_item[w].store(i, Ordering::Relaxed);
-                                beats[w].fetch_add(1, Ordering::Release);
+                            for i in lo..(lo + block).min(n) {
+                                // Inside a block the cancel poll stays per
+                                // item. A deterministic cut keeps every item
+                                // at or before it running — per-item claiming
+                                // would have handed all of them out before
+                                // the cut item — so the completed prefix is
+                                // the same at any block size.
+                                if i > lo
+                                    && budget.token.is_cancelled()
+                                    && past_cut(budget.token, i)
+                                {
+                                    pao_obs::flush_thread();
+                                    return worker_busy_us(cpu_start, busy);
+                                }
+                                if monitoring {
+                                    cur_item[w].store(i, Ordering::Relaxed);
+                                    beats[w].fetch_add(1, Ordering::Release);
+                                }
+                                let item = work[i]
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .take();
+                                let start = Instant::now();
+                                let out = match item {
+                                    Some(item) => run_one(&mut scratch, i, item),
+                                    // Unreachable: fetch_add hands out each
+                                    // index exactly once. Degrade, don't abort.
+                                    None => Err(Dropped::Panic(Box::new(format!(
+                                        "executor: work slot {i} claimed twice"
+                                    ))
+                                        as Payload)),
+                                };
+                                if out.is_err() {
+                                    // The unwind may have left the scratch
+                                    // arena mid-update; rebuild it.
+                                    scratch = init();
+                                }
+                                if monitoring {
+                                    beats[w].fetch_add(1, Ordering::Release);
+                                    done_count.fetch_add(1, Ordering::Relaxed);
+                                }
+                                let elapsed = start.elapsed();
+                                busy += elapsed;
+                                pao_obs::record_span_at(label, start, elapsed);
+                                *done[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                             }
-                            let item = work[i]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .take();
-                            let start = Instant::now();
-                            let out = match item {
-                                Some(item) => run_one(&mut scratch, i, item),
-                                // Unreachable: fetch_add hands out each
-                                // index exactly once. Degrade, don't abort.
-                                None => Err(Dropped::Panic(Box::new(format!(
-                                    "executor: work slot {i} claimed twice"
-                                ))
-                                    as Payload)),
-                            };
-                            if out.is_err() {
-                                // The unwind may have left the scratch
-                                // arena mid-update; rebuild it.
-                                scratch = init();
-                            }
-                            if monitoring {
-                                beats[w].fetch_add(1, Ordering::Release);
-                                done_count.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let elapsed = start.elapsed();
-                            busy += elapsed;
-                            pao_obs::record_span_at(label, start, elapsed);
-                            *done[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                         }
                     })
                 })
@@ -886,6 +926,97 @@ mod tests {
             }
         }
         crate::fault::disarm();
+    }
+
+    #[test]
+    fn claim_blocks_follow_the_item_count_only() {
+        assert_eq!(claim_block(0), 1);
+        assert_eq!(claim_block(8191), 1);
+        assert_eq!(claim_block(8192), 2);
+        assert_eq!(claim_block(524_166), 127);
+        assert_eq!(claim_block(usize::MAX), 256);
+        // At least 4096 claims whenever blocks are larger than one item.
+        for n in [8192usize, 100_000, 1 << 20, 1 << 24] {
+            assert!(n.div_ceil(claim_block(n)) >= 4096, "{n}");
+        }
+    }
+
+    /// Items per run of the block tests: 64 claims of 16-item blocks.
+    const BLOCKED: usize = 16 * 4096;
+
+    #[test]
+    fn fault_inside_a_claim_block_quarantines_only_its_item() {
+        let _g = crate::fault::test_lock();
+        assert_eq!(claim_block(BLOCKED), 16);
+        // A mid-block index, its block's first and last, and the last item.
+        for at in [16 * 7 + 5, 16 * 9, 16 * 9 + 15, BLOCKED - 1] {
+            for threads in [1, 2, 4] {
+                crate::fault::arm("test.block_fault", at);
+                let (out, _) = parallel_map_quarantine(
+                    threads,
+                    "test.block_fault",
+                    (0..BLOCKED).collect::<Vec<_>>(),
+                    || 0usize,
+                    |seen, x| {
+                        *seen += 1;
+                        x
+                    },
+                );
+                assert!(!crate::fault::armed(), "fault must have fired");
+                for (i, o) in out.iter().enumerate() {
+                    if i == at {
+                        assert!(o.is_err(), "threads {threads}: item {at} quarantined");
+                    } else {
+                        assert_eq!(*o, Ok(i), "threads {threads} item {i} (fault at {at})");
+                    }
+                }
+            }
+        }
+        crate::fault::disarm();
+    }
+
+    #[test]
+    fn cancel_at_inside_a_claim_block_keeps_the_prefix() {
+        // Cuts at a block's first item, mid-block and at its last item.
+        // The block before the cut's is slow, so another worker is still
+        // inside it when the cut lands and must finish it.
+        for cut in [16usize * 40, 16 * 40 + 7, 16 * 40 + 15, 3] {
+            let slow = (cut / 16).saturating_sub(1) * 16..(cut / 16) * 16;
+            let mut runs: Vec<Vec<Result<usize, ItemFault>>> = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let token = CancelToken::never();
+                let tok = &token;
+                let (out, _) = parallel_map_budget(
+                    threads,
+                    "test.block_cut",
+                    (0..BLOCKED).collect::<Vec<_>>(),
+                    || (),
+                    |(), x| {
+                        if slow.contains(&x) {
+                            std::thread::sleep(Duration::from_micros(500));
+                        }
+                        if x == cut {
+                            tok.cancel_at(cut, CancelReason::External);
+                        }
+                        x + 1
+                    },
+                    PhaseBudget::new(tok, None),
+                );
+                for (i, o) in out.iter().enumerate() {
+                    if i <= cut {
+                        assert_eq!(*o, Ok(i + 1), "threads {threads} item {i} (cut {cut})");
+                    } else {
+                        assert_eq!(
+                            *o,
+                            Err(ItemFault::Skipped(CancelReason::External)),
+                            "threads {threads} item {i} (cut {cut})"
+                        );
+                    }
+                }
+                runs.push(out);
+            }
+            assert!(runs.windows(2).all(|w| w[0] == w[1]), "cut {cut}");
+        }
     }
 
     #[test]

@@ -37,8 +37,18 @@ pub struct PaoStats {
     /// Wall time of step 2 (pattern generation).
     pub pattern_time: Duration,
     /// Wall time of step 3 (cluster-based selection) including the final
-    /// validation pass.
+    /// validation pass: the sum of [`Self::select_time`],
+    /// [`Self::repair_time`] and [`Self::audit_time`].
     pub cluster_time: Duration,
+    /// Wall time of cluster selection inside [`Self::cluster_time`].
+    pub select_time: Duration,
+    /// Wall time of the repair rounds inside [`Self::cluster_time`],
+    /// including the shared context build (zero on a service ECO's
+    /// window tail, which repairs nothing).
+    pub repair_time: Duration,
+    /// Wall time of the failed-pin audit inside [`Self::cluster_time`]
+    /// (on a window tail: the re-probe context build and its probes).
+    pub audit_time: Duration,
     /// Executor report of step 1 (threads used, per-thread busy time).
     pub apgen_exec: ExecReport,
     /// Executor report of step 2.

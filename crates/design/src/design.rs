@@ -8,9 +8,15 @@ use crate::tracks::TrackPattern;
 use pao_geom::{Dbu, Rect};
 use pao_tech::{LayerId, Symbol, Tech};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A placed design (the contents of a DEF file), resolved against a
 /// companion [`Tech`].
+///
+/// The name map, I/O pins and nets sit behind [`Arc`]s: a placement move
+/// never touches them, so a moved copy (a service ECO clones the design)
+/// shares them with the original instead of copying them. The mutating
+/// methods copy a shared table on write.
 ///
 /// ```
 /// use pao_design::{Component, Design};
@@ -34,10 +40,10 @@ pub struct Design {
     /// Track patterns in declaration order.
     pub tracks: Vec<TrackPattern>,
     components: Vec<Component>,
-    comp_names: HashMap<Symbol, CompId>,
-    io_pins: Vec<IoPin>,
-    nets: Vec<Net>,
-    net_names: HashMap<Symbol, NetId>,
+    comp_names: Arc<HashMap<Symbol, CompId>>,
+    io_pins: Arc<Vec<IoPin>>,
+    nets: Arc<Vec<Net>>,
+    net_names: Arc<HashMap<Symbol, NetId>>,
 }
 
 impl Design {
@@ -56,39 +62,39 @@ impl Design {
     /// the DEF section count header through here before the first add).
     pub fn reserve_components(&mut self, n: usize) {
         self.components.reserve(n);
-        self.comp_names.reserve(n);
+        Arc::make_mut(&mut self.comp_names).reserve(n);
     }
 
     /// Pre-sizes the net table and name map.
     pub fn reserve_nets(&mut self, n: usize) {
-        self.nets.reserve(n);
-        self.net_names.reserve(n);
+        Arc::make_mut(&mut self.nets).reserve(n);
+        Arc::make_mut(&mut self.net_names).reserve(n);
     }
 
     /// Pre-sizes the I/O pin table.
     pub fn reserve_io_pins(&mut self, n: usize) {
-        self.io_pins.reserve(n);
+        Arc::make_mut(&mut self.io_pins).reserve(n);
     }
 
     /// Adds a component and returns its id.
     pub fn add_component(&mut self, c: Component) -> CompId {
         let id = CompId(self.components.len() as u32);
-        self.comp_names.insert(c.name, id);
+        Arc::make_mut(&mut self.comp_names).insert(c.name, id);
         self.components.push(c);
         id
     }
 
     /// Adds an I/O pin and returns its index.
     pub fn add_io_pin(&mut self, p: IoPin) -> u32 {
-        self.io_pins.push(p);
+        Arc::make_mut(&mut self.io_pins).push(p);
         (self.io_pins.len() - 1) as u32
     }
 
     /// Adds a net and returns its id.
     pub fn add_net(&mut self, n: Net) -> NetId {
         let id = NetId(self.nets.len() as u32);
-        self.net_names.insert(n.name, id);
-        self.nets.push(n);
+        Arc::make_mut(&mut self.net_names).insert(n.name, id);
+        Arc::make_mut(&mut self.nets).push(n);
         id
     }
 
@@ -406,6 +412,53 @@ mod tests {
         assert_eq!(d.net_by_name("n1"), Some(id));
         assert_eq!(d.net(id).degree(), 3);
         assert_eq!(d.connected_pin_count(), 2);
+    }
+
+    #[test]
+    fn clone_shares_tables_until_the_copy_is_mutated() {
+        let mut d = design();
+        let u1 = d.add_component(Component::new("u1", "INVX1", Point::ORIGIN, Orient::N));
+        let mut n = Net::new("n1");
+        n.pins.push(NetPin::Comp {
+            comp: u1,
+            pin: "A".into(),
+        });
+        d.add_net(n);
+        let pin = |name: &str| {
+            IoPin::new(
+                name,
+                "n1",
+                LayerId(0),
+                Rect::new(-10, -10, 10, 10),
+                Point::new(0, 100),
+                Orient::N,
+            )
+        };
+        d.add_io_pin(pin("in0"));
+        let mut copy = d.clone();
+        assert!(Arc::ptr_eq(&d.nets, &copy.nets));
+        assert!(Arc::ptr_eq(&d.comp_names, &copy.comp_names));
+        // Mutate every shared table of the copy, and move a component.
+        copy.component_mut(u1).location = Point::new(760, 0);
+        let u2 = copy.add_component(Component::new("u2", "INVX1", Point::ORIGIN, Orient::N));
+        copy.add_net(Net::new("n2"));
+        copy.add_io_pin(pin("in1"));
+        copy.reserve_components(8);
+        copy.reserve_nets(8);
+        copy.reserve_io_pins(8);
+        // The original is unchanged.
+        assert_eq!(d.component(u1).location, Point::ORIGIN);
+        assert_eq!(d.components().len(), 1);
+        assert_eq!(d.component_by_name("u2"), None);
+        assert_eq!(d.nets().len(), 1);
+        assert_eq!(d.net_by_name("n2"), None);
+        assert_eq!(d.io_pins().len(), 1);
+        assert_eq!(d.connected_pin_count(), 1);
+        // The copy sees its own additions.
+        assert_eq!(copy.component_by_name("u2"), Some(u2));
+        assert_eq!(copy.nets().len(), 2);
+        assert!(copy.net_by_name("n2").is_some());
+        assert_eq!(copy.io_pins().len(), 2);
     }
 
     #[test]

@@ -99,6 +99,21 @@ for flags in "--threads 4" "--threads 4 --select-split 1"; do
     cmp -s "$ref" "$rep/sel-$i.txt" \
         || { echo "selection dump diverged for: $flags"; exit 1; }
 done
+# Without BCA, selection leaves conflicts for the repair rounds (572
+# repaired pins on ispd18s_test2): overrides, direct probes against the
+# packed whole-design context and greedy re-placement all run, and the
+# dumps and counters must still match across thread counts.
+target/release/pao gen ispd18s_test2 --lef "$rep/t2.lef" --def "$rep/t2.def" > /dev/null
+for t in 1 4; do
+    target/release/pao analyze "$rep/t2.lef" "$rep/t2.def" --no-bca --threads "$t" \
+        --dump-selection "$rep/nobca-sel-$t.txt" > "$rep/nobca-$t.txt"
+done
+cmp -s "$rep/nobca-sel-1.txt" "$rep/nobca-sel-4.txt" \
+    || { echo "--no-bca selection dump diverged between 1 and 4 threads"; exit 1; }
+diff <(counters "$rep/nobca-1.txt") <(counters "$rep/nobca-4.txt") \
+    || { echo "--no-bca counters diverged between 1 and 4 threads"; exit 1; }
+grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-1.txt" \
+    || { echo "--no-bca arm repaired nothing"; exit 1; }
 echo "selection identity: OK"
 
 echo "== selection zero-alloc gate =="

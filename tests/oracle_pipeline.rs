@@ -105,3 +105,30 @@ fn reported_stats_are_reproducible() {
     assert_eq!(result.selection, again.selection);
     assert_eq!(result.overrides.len(), again.overrides.len());
 }
+
+#[test]
+fn tail_phase_times_sum_to_cluster_time() {
+    let (tech, design) = generate(&paaf::testgen::ispd18s_suite().swap_remove(1));
+    for threads in [1, 2] {
+        let result = PinAccessOracle::with_config(PaoConfig {
+            threads,
+            ..PaoConfig::default()
+        })
+        .analyze(&tech, &design);
+        let s = &result.stats;
+        let parts = (s.select_time + s.repair_time + s.audit_time).as_secs_f64();
+        let whole = s.cluster_time.as_secs_f64();
+        assert!(
+            s.select_time > std::time::Duration::ZERO && s.repair_time > std::time::Duration::ZERO,
+            "{s:?}"
+        );
+        assert!(
+            parts <= whole && whole - parts <= 0.02 * whole,
+            "threads {threads}: select {:?} + repair {:?} + audit {:?} vs cluster {:?}",
+            s.select_time,
+            s.repair_time,
+            s.audit_time,
+            s.cluster_time
+        );
+    }
+}

@@ -85,3 +85,44 @@ fn smoke_benchmark_identical_across_thread_counts() {
         assert_identical(&base, &multi, &format!("smoke threads={threads}"));
     }
 }
+
+/// Without BCA, selection leaves conflicts behind, so the repair rounds
+/// place overrides, probe pins directly against the packed whole-design
+/// context and re-place pins greedily — every path that reads it. The
+/// result must still be identical at any thread count, and the audit
+/// inside the run must agree with an independent whole-design audit.
+/// aes14 has members of one unique instance on different nets, which a
+/// scan verdict memo keyed without the neighbors' via pins confuses.
+#[test]
+fn without_bca_identical_across_thread_counts_and_audited() {
+    let cases = [ispd18s_suite().swap_remove(1), paaf::testgen::aes14_case()];
+    for case in cases {
+        let (tech, design) = generate(&case);
+        let run = |threads: usize| {
+            let mut cfg = PaoConfig {
+                threads,
+                ..PaoConfig::default()
+            };
+            cfg.pattern.bca = false;
+            cfg.pattern.max_patterns = 1;
+            PinAccessOracle::with_config(cfg).analyze(&tech, &design)
+        };
+        let base = run(1);
+        assert!(
+            base.stats.repaired_pins > 0,
+            "{}: no repair override, the packed context went unused",
+            case.name
+        );
+        let ((total, failed), _) =
+            paaf::pao::oracle::count_failed_pins_threaded(&tech, &design, &base, 2);
+        assert_eq!(total, base.stats.total_pins, "{}", case.name);
+        assert_eq!(failed, base.stats.failed_pins, "{}", case.name);
+        for threads in [2, 4] {
+            assert_identical(
+                &base,
+                &run(threads),
+                &format!("{} no-bca threads={threads}", case.name),
+            );
+        }
+    }
+}
