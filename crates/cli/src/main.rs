@@ -1032,6 +1032,33 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
             hits + misses,
         ));
     }
+    // Intra-cell sharing (DESIGN.md §7), beside the paper's dedup of
+    // components into unique instances: unique instances per (master,
+    // orientation) class, candidates tried per distinct candidate
+    // validated, and unique instances per pattern DP group.
+    let classes = m.counter("apgen.classes");
+    if classes > 0 {
+        let per = |a: u64, b: u64| if b > 0 { a as f64 / b as f64 } else { 0.0 };
+        let unique = stats.unique_instances as u64;
+        let tried: u64 = m
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("apgen.tried."))
+            .map(|(_, &n)| n)
+            .sum();
+        let validated = m.counter("apgen.validated");
+        let groups = m.counter("pattern.groups");
+        out.push_str(&format!(
+            "sharing           : {} components -> {unique} unique instances ({:.2}x dedup) -> {classes} (master, orient) classes\n",
+            design.components().len(),
+            per(design.components().len() as u64, unique),
+        ));
+        out.push_str(&format!(
+            "                    {validated} distinct candidates validated of {tried} tried ({:.2}x); {groups} pattern groups ({:.2}x)\n",
+            per(tried, validated),
+            per(unique, groups),
+        ));
+    }
     let probes = m.counter("drc.probes");
     let rejects = m.counter("drc.rejects");
     let early = m.counter("drc.early_exit");

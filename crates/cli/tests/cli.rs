@@ -112,6 +112,9 @@ fn profile_smoke_writes_valid_chrome_trace() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("via-memo hit rate"), "{text}");
+    assert!(text.contains("(master, orient) classes"), "{text}");
+    assert!(text.contains("distinct candidates validated"), "{text}");
+    assert!(text.contains("pattern groups"), "{text}");
     assert!(text.contains("AP acceptance by type pair"), "{text}");
     assert!(text.contains("trace: item spans cover"), "{text}");
     // The trace must be valid JSON carrying the Chrome trace envelope

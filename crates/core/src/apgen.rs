@@ -1,23 +1,22 @@
 //! Pin-based access point generation (paper Section III-A, Algorithm 1).
 
 use crate::coord::CoordType;
+use crate::share::{CandidateKey, VerdictTable};
 use crate::unique::local_pin_owner;
-use pao_design::Design;
+use pao_design::{Design, TrackPattern};
 use pao_drc::{DrcEngine, DrcScratch, Owner, RejectInfo, ShapeSet};
 use pao_geom::{max_rects, Dbu, Dir, Point, Rect};
 use pao_obs::{ledger, LedgerEvent, LedgerRecord};
 use pao_tech::{LayerId, Tech, ViaId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
-/// Memo/ledger tag for a clean via placement.
-const TAG_CLEAN: u16 = u16::MAX;
-/// Tag for "rejected, but no rule attribution exists" — a pin with no
+/// Ledger tag for "rejected, but no rule attribution exists" — a pin with no
 /// up-via at all, or a planar-only failure. Distinct from every packed
 /// `(rule << 8) | subcheck` tag (rule codes stop far below `0xFF`).
 const TAG_NO_VIA: u16 = 0xFFFE;
 
-/// Packs a DRC reject attribution into a memoizable tag.
+/// Packs a DRC reject attribution into a storable tag.
 fn pack_reject(info: Option<RejectInfo>) -> u16 {
     info.map_or(TAG_NO_VIA, |i| {
         (u16::from(i.rule.code()) << 8) | u16::from(i.subcheck.code())
@@ -144,35 +143,81 @@ fn coord_span(rect: Rect, track_dir: Dir) -> (Dbu, Dbu) {
     }
 }
 
-/// Track coordinates governing one coordinate of a pin on `layer`, for
-/// governing tracks of wire direction `track_dir`.
-///
-/// Per the paper, the non-preferred-direction coordinates of a layer use
-/// the **upper layer's preferred-direction tracks**, so on-track up-vias
-/// align with both layers. Falls back to same-layer patterns when the
-/// upper layer has none.
-#[allow(clippy::too_many_arguments)]
-fn governing_coords_into(
-    tech: &Tech,
-    design: &Design,
-    layer: LayerId,
-    track_dir: Dir,
-    half: bool,
-    lo: Dbu,
-    hi: Dbu,
-    out: &mut Vec<Dbu>,
-) {
-    let mut pats: Vec<&pao_design::TrackPattern> = design.track_patterns_for(layer, track_dir);
-    if tech.layer(layer).dir != track_dir {
-        // Non-preferred coordinate: prefer the upper routing layer's
-        // tracks.
-        if let Some(up) = tech.routing_layer_above(layer) {
-            let up_pats = design.track_patterns_for(up, track_dir);
-            if !up_pats.is_empty() {
-                pats = up_pats;
-            }
-        }
+/// Slot of a wire direction in [`LayerPlan::governing`].
+fn dir_slot(dir: Dir) -> usize {
+    match dir {
+        Dir::Horizontal => 0,
+        Dir::Vertical => 1,
     }
+}
+
+/// The inputs of Algorithm 1 that depend only on the tech and the
+/// design's track patterns, computed once per analysis instead of once
+/// per candidate: each layer's up-vias and the track patterns governing
+/// each of its coordinates.
+#[derive(Debug)]
+pub(crate) struct ApgenPlan<'d> {
+    layers: Vec<LayerPlan<'d>>,
+}
+
+/// One layer's entry in an [`ApgenPlan`].
+#[derive(Debug)]
+struct LayerPlan<'d> {
+    /// [`Tech::up_vias_from`] the layer.
+    up_vias: Vec<ViaId>,
+    /// Track patterns governing one coordinate of a pin on the layer,
+    /// per wire direction of the governing tracks ([`dir_slot`]).
+    ///
+    /// Per the paper, the non-preferred-direction coordinates of a layer
+    /// use the **upper layer's preferred-direction tracks**, so on-track
+    /// up-vias align with both layers. Falls back to same-layer patterns
+    /// when the upper layer has none.
+    governing: [Vec<&'d TrackPattern>; 2],
+}
+
+impl<'d> ApgenPlan<'d> {
+    pub(crate) fn new(tech: &Tech, design: &'d Design) -> ApgenPlan<'d> {
+        let layers = (0..tech.layers().len())
+            .map(|i| {
+                let layer = LayerId(i as u32);
+                let governing = [Dir::Horizontal, Dir::Vertical].map(|track_dir| {
+                    let own = design.track_patterns_for(layer, track_dir);
+                    if tech.layer(layer).dir == track_dir {
+                        return own;
+                    }
+                    // Non-preferred coordinate: prefer the upper routing
+                    // layer's tracks.
+                    match tech.routing_layer_above(layer) {
+                        Some(up) => {
+                            let up_pats = design.track_patterns_for(up, track_dir);
+                            if up_pats.is_empty() {
+                                own
+                            } else {
+                                up_pats
+                            }
+                        }
+                        None => own,
+                    }
+                });
+                LayerPlan {
+                    up_vias: tech.up_vias_from(layer),
+                    governing,
+                }
+            })
+            .collect();
+        ApgenPlan { layers }
+    }
+
+    /// The up-vias of `layer`, in [`Tech::up_vias_from`] order.
+    pub(crate) fn up_vias(&self, layer: LayerId) -> &[ViaId] {
+        &self.layers[layer.index()].up_vias
+    }
+}
+
+/// Track coordinates within `[lo, hi]` of the governing patterns `pats`
+/// (half-track midpoints when `half`), appended to `out`, sorted and
+/// deduplicated.
+fn governing_coords_into(pats: &[&TrackPattern], half: bool, lo: Dbu, hi: Dbu, out: &mut Vec<Dbu>) {
     for p in pats {
         out.extend(if half {
             p.half_track_coords_in(lo, hi)
@@ -187,30 +232,24 @@ fn governing_coords_into(
 /// Candidate coordinates of one type within a pin rectangle's span, for
 /// governing tracks of wire direction `track_dir`, written into the
 /// reused buffer `out` (cleared first).
-#[allow(clippy::too_many_arguments)]
 fn candidate_coords_into(
     tech: &Tech,
-    design: &Design,
-    layer: LayerId,
+    lp: &LayerPlan<'_>,
     track_dir: Dir,
     ty: CoordType,
     rect: Rect,
-    up_vias: &[ViaId],
     out: &mut Vec<Dbu>,
 ) {
     out.clear();
     let (lo, hi) = coord_span(rect, track_dir);
+    let pats = &lp.governing[dir_slot(track_dir)];
     match ty {
-        CoordType::OnTrack => {
-            governing_coords_into(tech, design, layer, track_dir, false, lo, hi, out);
-        }
-        CoordType::HalfTrack => {
-            governing_coords_into(tech, design, layer, track_dir, true, lo, hi, out);
-        }
+        CoordType::OnTrack => governing_coords_into(pats, false, lo, hi, out),
+        CoordType::HalfTrack => governing_coords_into(pats, true, lo, hi, out),
         CoordType::ShapeCenter => {
             // Paper: skip shape-center when the span touches at least two
             // tracks, to reduce unique off-track coordinates.
-            governing_coords_into(tech, design, layer, track_dir, false, lo, hi, out);
+            governing_coords_into(pats, false, lo, hi, out);
             let on_track = out.len();
             out.clear();
             if on_track < 2 {
@@ -219,7 +258,7 @@ fn candidate_coords_into(
         }
         CoordType::EnclosureBoundary => {
             // Align the via's bottom enclosure with the shape boundary.
-            for &vid in up_vias {
+            for &vid in &lp.up_vias {
                 let bb = tech.via(vid).bottom_bbox();
                 let (blo, bhi) = coord_span(bb, track_dir);
                 for c in [lo - blo, hi - bhi] {
@@ -234,28 +273,76 @@ fn candidate_coords_into(
     }
 }
 
+/// Up-vias a [`Verdict`] can describe, one mask bit each. Candidates on a
+/// layer with more up-vias are probed every time instead of shared.
+const VERDICT_VIAS: usize = 32;
+
+/// One candidate's complete validation outcome in eight bytes: bit `i` of
+/// `vias` is set when the layer's `i`-th up-via drops clean, bit `d` of
+/// `planar` when the escape [`PlanarDir::ALL`]`[d]` is clean, and
+/// `reject` holds the first dirty via's tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    vias: u32,
+    reject: u16,
+    planar: u8,
+}
+
+impl Verdict {
+    /// A verdict with every up-via and escape in `vias`/`planar` clean
+    /// (test fixtures for the shared table).
+    #[cfg(test)]
+    pub(crate) fn clean(vias: u32, planar: u8) -> Verdict {
+        Verdict {
+            vias,
+            reject: TAG_NO_VIA,
+            planar,
+        }
+    }
+}
+
+/// Where Algorithm 1 reads candidate verdicts from.
+///
+/// A verdict depends only on the intra-cell context, which holds the
+/// cell's own shapes — identical up to translation for every unique
+/// instance of one (master, orientation) — and the DRC kernel reads only
+/// relative geometry. So each instance probes in the frame of its class:
+/// the class context `ctx` (built from one representative) at the
+/// candidate position minus `delta`, the offset of the instance's frame
+/// against the class frame. With a `table`, each distinct candidate of
+/// the class is probed once and every repeat is a lookup; without one
+/// every candidate is probed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerdictSource<'a> {
+    /// Intra-cell DRC context in the class frame.
+    pub(crate) ctx: &'a ShapeSet,
+    /// Instance frame minus class frame.
+    pub(crate) delta: Point,
+    /// The verdicts shared by the class, and the class id keying them.
+    pub(crate) table: Option<(&'a VerdictTable, u32)>,
+}
+
+impl<'a> VerdictSource<'a> {
+    /// Probes every candidate against `ctx`, in its own frame.
+    pub(crate) fn direct(ctx: &'a ShapeSet) -> VerdictSource<'a> {
+        VerdictSource {
+            ctx,
+            delta: Point::ORIGIN,
+            table: None,
+        }
+    }
+}
+
 /// Reusable scratch state for Algorithm 1, shared across the pins of one
-/// instance context.
+/// unique instance.
 ///
-/// The hot loop of access point generation probes the same
-/// `(via, position, owner)` placements repeatedly — once per candidate in
-/// [`generate_pin_access_points_scratch`] and again in the oracle's
-/// dirty-AP audit — and allocates coordinate/via/direction buffers per
-/// candidate. `ApScratch` memoizes the via probes and recycles the
-/// buffers, cutting per-candidate allocation to (amortized) zero.
-///
-/// Memoized results are only valid against one DRC context: call
-/// [`reset`](ApScratch::reset) before switching to a different instance.
+/// The candidate loop allocates nothing per candidate: coordinate, via
+/// and escape buffers recycle, and the tallies are plain integer adds
+/// published once per instance by [`flush_obs`](ApScratch::flush_obs).
 #[derive(Debug, Default)]
 pub struct ApScratch {
     /// Positions already enumerated for the current pin (cleared per pin).
     seen: HashSet<(LayerId, Point)>,
-    /// Memoized via-placement verdict per placement, packed as a reject
-    /// tag ([`TAG_CLEAN`] for clean) so repeat probes keep attribution
-    /// (persists across the pins of one instance context).
-    via_memo: HashMap<(ViaId, Point, Owner), u16>,
-    /// Tag answered by the most recent [`via_clean`](ApScratch::via_clean).
-    last_tag: u16,
     /// Tag describing why the last validated candidate was rejected (the
     /// first dirty via's tag, or [`TAG_NO_VIA`]).
     reject_tag: u16,
@@ -275,6 +362,7 @@ pub struct ApScratch {
     memo_hits: u64,
     memo_misses: u64,
     planar_probes: u64,
+    validated: u64,
     /// Candidates tried/accepted per coordinate-type pair, indexed by
     /// `pref.cost() * 4 + nonpref.cost()`.
     tried: [u64; 16],
@@ -330,38 +418,6 @@ impl ApScratch {
         ApScratch::default()
     }
 
-    /// Memoized via-placement probe: `true` when `via` drops DRC-clean at
-    /// `pos` for `owner` in `ctx`. The first probe per placement runs the
-    /// engine; repeats are table lookups. The memo stores the packed
-    /// reject tag, so even a memo hit leaves the rule + sub-check that
-    /// killed a dirty placement in [`last_tag`](ApScratch::last_tag).
-    pub fn via_clean(
-        &mut self,
-        tech: &Tech,
-        engine: &DrcEngine<'_>,
-        ctx: &ShapeSet,
-        via: ViaId,
-        pos: Point,
-        owner: Owner,
-    ) -> bool {
-        let key = (via, pos, owner);
-        if let Some(&tag) = self.via_memo.get(&key) {
-            self.memo_hits += 1;
-            self.last_tag = tag;
-            return tag == TAG_CLEAN;
-        }
-        self.memo_misses += 1;
-        let clean = engine.via_placement_clean(tech.via(via), pos, owner, ctx, &mut self.drc);
-        let tag = if clean {
-            TAG_CLEAN
-        } else {
-            pack_reject(self.drc.last_reject())
-        };
-        self.via_memo.insert(key, tag);
-        self.last_tag = tag;
-        clean
-    }
-
     /// Sets the unique-instance id stamped on ledger records emitted by
     /// this scratch (entity = `instance << 16 | pin_idx`).
     pub fn set_ledger_instance(&mut self, instance: u64) {
@@ -376,6 +432,7 @@ impl ApScratch {
             pao_obs::counter_add("apgen.via_memo.hits", self.memo_hits);
             pao_obs::counter_add("apgen.via_memo.misses", self.memo_misses);
             pao_obs::counter_add("apgen.planar_probes", self.planar_probes);
+            pao_obs::counter_add("apgen.validated", self.validated);
             for i in 0..16 {
                 pao_obs::counter_add(TRIED_NAMES[i], self.tried[i]);
                 pao_obs::counter_add(ACCEPTED_NAMES[i], self.accepted[i]);
@@ -384,16 +441,118 @@ impl ApScratch {
         self.memo_hits = 0;
         self.memo_misses = 0;
         self.planar_probes = 0;
+        self.validated = 0;
         self.tried = [0; 16];
         self.accepted = [0; 16];
         self.drc.flush_obs();
     }
 
-    /// Forgets memoized results. Required whenever the DRC context the
-    /// probes ran against changes (a different instance, edited shapes).
-    pub fn reset(&mut self) {
-        self.seen.clear();
-        self.via_memo.clear();
+    /// Probes one candidate at `at` against `ctx` — every up-via, then
+    /// the four planar escapes — and leaves the clean vias, the clean
+    /// escapes and the reject tag in the buffers. Returns the same
+    /// outcome as a compact [`Verdict`].
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &mut self,
+        tech: &Tech,
+        engine: &DrcEngine<'_>,
+        ctx: &ShapeSet,
+        owner: Owner,
+        layer: LayerId,
+        at: Point,
+        up_vias: &[ViaId],
+        planar_len: Dbu,
+    ) -> Verdict {
+        self.validated += 1;
+        self.vias_buf.clear();
+        self.reject_tag = TAG_NO_VIA;
+        let mut vias = 0u32;
+        for (i, &vid) in up_vias.iter().enumerate() {
+            self.memo_misses += 1;
+            if engine.via_placement_clean(tech.via(vid), at, owner, ctx, &mut self.drc) {
+                self.vias_buf.push(vid);
+                if i < VERDICT_VIAS {
+                    vias |= 1 << i;
+                }
+            } else if self.reject_tag == TAG_NO_VIA {
+                // First dirty via attributes the candidate's rejection
+                // (up-via order is fixed, so this is deterministic).
+                self.reject_tag = pack_reject(self.drc.last_reject());
+            }
+        }
+        let width = tech.layer(layer).width;
+        self.planar_buf.clear();
+        let mut planar = 0u8;
+        for (d, dir) in PlanarDir::ALL.into_iter().enumerate() {
+            self.planar_probes += 1;
+            if engine.shape_clean(layer, planar_probe(at, dir, width, planar_len), owner, ctx) {
+                self.planar_buf.push(dir);
+                planar |= 1 << d;
+            }
+        }
+        Verdict {
+            vias,
+            reject: self.reject_tag,
+            planar,
+        }
+    }
+
+    /// Loads a shared verdict into the buffers exactly as
+    /// [`probe`](ApScratch::probe) would have left them.
+    fn load(&mut self, v: Verdict, up_vias: &[ViaId]) {
+        self.memo_hits += up_vias.len() as u64;
+        self.vias_buf.clear();
+        self.vias_buf.extend(
+            up_vias
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| v.vias >> i & 1 == 1)
+                .map(|(_, &vid)| vid),
+        );
+        self.planar_buf.clear();
+        self.planar_buf.extend(
+            PlanarDir::ALL
+                .into_iter()
+                .enumerate()
+                .filter(|&(d, _)| v.planar >> d & 1 == 1)
+                .map(|(_, dir)| dir),
+        );
+        self.reject_tag = v.reject;
+    }
+
+    /// Fills the buffers with the verdict of the candidate `(pin_idx,
+    /// layer, pos)`: read from the class table when `src` shares one,
+    /// probed otherwise (and then stored for the class).
+    #[allow(clippy::too_many_arguments)]
+    fn candidate(
+        &mut self,
+        tech: &Tech,
+        engine: &DrcEngine<'_>,
+        src: &VerdictSource<'_>,
+        up_vias: &[ViaId],
+        cfg: &ApGenConfig,
+        pin_idx: usize,
+        layer: LayerId,
+        pos: Point,
+    ) {
+        let owner = local_pin_owner(pin_idx);
+        let l = tech.layer(layer);
+        let planar_len = l.pitch.max(l.width) * cfg.planar_pitches;
+        let at = pos - src.delta;
+        match src.table {
+            Some((table, class)) if up_vias.len() <= VERDICT_VIAS => {
+                let key = CandidateKey::new(class, layer, pin_idx, at);
+                let (v, hit) = table.get_or_probe(key, || {
+                    self.probe(tech, engine, src.ctx, owner, layer, at, up_vias, planar_len)
+                });
+                if hit {
+                    self.load(v, up_vias);
+                }
+            }
+            _ => {
+                self.probe(tech, engine, src.ctx, owner, layer, at, up_vias, planar_len);
+            }
+        }
     }
 }
 
@@ -409,6 +568,45 @@ fn planar_probe(pos: Point, dir: PlanarDir, width: Dbu, len: Dbu) -> Rect {
     }
 }
 
+/// The dirty-AP audit's question for one generated access point: does
+/// its primary via drop clean for pin `pin_idx`? Read from the class
+/// table, which generation has just filled for this very candidate;
+/// probed afresh when `src` shares no table. Planar-only points pass.
+pub(crate) fn primary_via_clean(
+    tech: &Tech,
+    plan: &ApgenPlan<'_>,
+    engine: &DrcEngine<'_>,
+    src: &VerdictSource<'_>,
+    pin_idx: usize,
+    ap: &AccessPoint,
+    scratch: &mut ApScratch,
+) -> bool {
+    let Some(via) = ap.primary_via() else {
+        return true;
+    };
+    let at = ap.pos - src.delta;
+    if let Some((table, class)) = src.table {
+        let slot = plan
+            .up_vias(ap.layer)
+            .iter()
+            .position(|&v| v == via)
+            .filter(|&i| i < VERDICT_VIAS);
+        let stored = table.get(CandidateKey::new(class, ap.layer, pin_idx, at));
+        if let (Some(i), Some(v)) = (slot, stored) {
+            scratch.memo_hits += 1;
+            return v.vias >> i & 1 == 1;
+        }
+    }
+    scratch.memo_misses += 1;
+    engine.via_placement_clean(
+        tech.via(via),
+        at,
+        local_pin_owner(pin_idx),
+        src.ctx,
+        &mut scratch.drc,
+    )
+}
+
 /// Validates one candidate position: collects the DRC-clean up-vias and
 /// planar escapes. Returns `None` when the point fails the config's
 /// validity requirement (paper `isValid`).
@@ -416,7 +614,7 @@ fn planar_probe(pos: Point, dir: PlanarDir, width: Dbu, len: Dbu) -> Rect {
 fn validate_point(
     tech: &Tech,
     engine: &DrcEngine<'_>,
-    ctx: &ShapeSet,
+    src: &VerdictSource<'_>,
     pin_idx: usize,
     layer: LayerId,
     pos: Point,
@@ -426,28 +624,7 @@ fn validate_point(
     up_vias: &[ViaId],
     scratch: &mut ApScratch,
 ) -> Option<AccessPoint> {
-    let owner = local_pin_owner(pin_idx);
-    scratch.vias_buf.clear();
-    scratch.reject_tag = TAG_NO_VIA;
-    for &vid in up_vias {
-        if scratch.via_clean(tech, engine, ctx, vid, pos, owner) {
-            scratch.vias_buf.push(vid);
-        } else if scratch.reject_tag == TAG_NO_VIA {
-            // First dirty via attributes the candidate's rejection
-            // (up-via order is fixed, so this is deterministic).
-            scratch.reject_tag = scratch.last_tag;
-        }
-    }
-    let l = tech.layer(layer);
-    let len = l.pitch.max(l.width) * cfg.planar_pitches;
-    scratch.planar_buf.clear();
-    for dir in PlanarDir::ALL {
-        let probe = planar_probe(pos, dir, l.width, len);
-        scratch.planar_probes += 1;
-        if engine.shape_clean(layer, probe, owner, ctx) {
-            scratch.planar_buf.push(dir);
-        }
-    }
+    scratch.candidate(tech, engine, src, up_vias, cfg, pin_idx, layer, pos);
     let valid = if cfg.require_via {
         !scratch.vias_buf.is_empty()
     } else {
@@ -486,30 +663,27 @@ pub fn generate_pin_access_points(
     pin_rects: &[(LayerId, Rect)],
     cfg: &ApGenConfig,
 ) -> Vec<AccessPoint> {
-    let mut scratch = ApScratch::new();
-    generate_pin_access_points_scratch(
+    generate_pin_access_points_with(
         tech,
-        design,
+        &ApgenPlan::new(tech, design),
         engine,
-        ctx,
+        &VerdictSource::direct(ctx),
         pin_idx,
         pin_rects,
         cfg,
-        &mut scratch,
+        &mut ApScratch::new(),
     )
 }
 
-/// [`generate_pin_access_points`] with caller-owned [`ApScratch`],
-/// letting one instance context's pins share buffers and memoized via
-/// probes. The caller must [`reset`](ApScratch::reset) the scratch when
-/// switching contexts.
-#[must_use]
+/// [`generate_pin_access_points`] with the analysis-wide `plan`, the
+/// verdict source of the pin's unique instance, and caller-owned
+/// [`ApScratch`] that the instance's pins share.
 #[allow(clippy::too_many_arguments)]
-pub fn generate_pin_access_points_scratch(
+pub(crate) fn generate_pin_access_points_with(
     tech: &Tech,
-    design: &Design,
+    plan: &ApgenPlan<'_>,
     engine: &DrcEngine<'_>,
-    ctx: &ShapeSet,
+    src: &VerdictSource<'_>,
     pin_idx: usize,
     pin_rects: &[(LayerId, Rect)],
     cfg: &ApGenConfig,
@@ -528,7 +702,7 @@ pub fn generate_pin_access_points_scratch(
     layers.dedup();
 
     // Coordinate buffers are threaded through the candidate loops by
-    // value so `scratch` stays borrowable for the via memo.
+    // value so `scratch` stays borrowable for validation.
     let mut pref_coords = std::mem::take(&mut scratch.pref_coords);
     let mut nonpref_coords = std::mem::take(&mut scratch.nonpref_coords);
 
@@ -542,36 +716,24 @@ pub fn generate_pin_access_points_scratch(
             .map(|&(_, r)| r)
             .collect();
         let maxes = max_rects(&rects);
-        let up_vias = tech.up_vias_from(layer);
-        let pref = tech.layer(layer).dir; // wires run this way
-                                          // The preferred-direction coordinate is governed by this layer's
-                                          // own tracks (a horizontal layer's track coordinate is y); the
-                                          // non-preferred coordinate by the perpendicular (upper-layer)
-                                          // tracks.
-        let pref_track_dir = pref;
+        let lp = &plan.layers[layer.index()];
+        // The preferred-direction coordinate is governed by this layer's
+        // own tracks (a horizontal layer's track coordinate is y); the
+        // non-preferred coordinate by the perpendicular (upper-layer)
+        // tracks.
+        let pref = tech.layer(layer).dir;
         let nonpref_track_dir = pref.perp();
 
         for &t_nonpref in &cfg.nonpref_types {
             for &t_pref in &cfg.pref_types {
                 for &rect in &maxes {
+                    candidate_coords_into(tech, lp, pref, t_pref, rect, &mut pref_coords);
                     candidate_coords_into(
                         tech,
-                        design,
-                        layer,
-                        pref_track_dir,
-                        t_pref,
-                        rect,
-                        &up_vias,
-                        &mut pref_coords,
-                    );
-                    candidate_coords_into(
-                        tech,
-                        design,
-                        layer,
+                        lp,
                         nonpref_track_dir,
                         t_nonpref,
                         rect,
-                        &up_vias,
                         &mut nonpref_coords,
                     );
                     for &pc in &pref_coords {
@@ -587,8 +749,17 @@ pub fn generate_pin_access_points_scratch(
                             let pair = (t_pref.cost() * 4 + t_nonpref.cost()) as usize;
                             scratch.tried[pair] += 1;
                             if let Some(ap) = validate_point(
-                                tech, engine, ctx, pin_idx, layer, pos, t_pref, t_nonpref, cfg,
-                                &up_vias, scratch,
+                                tech,
+                                engine,
+                                src,
+                                pin_idx,
+                                layer,
+                                pos,
+                                t_pref,
+                                t_nonpref,
+                                cfg,
+                                &lp.up_vias,
+                                scratch,
                             ) {
                                 scratch.accepted[pair] += 1;
                                 if pao_obs::ledger_enabled() {

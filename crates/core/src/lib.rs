@@ -51,6 +51,7 @@ pub mod parallel;
 pub mod pattern;
 pub mod persist;
 pub mod service;
+pub(crate) mod share;
 pub mod stats;
 pub mod unique;
 

@@ -1,6 +1,9 @@
 //! The top-level pin access oracle.
 
-use crate::apgen::{generate_pin_access_points_scratch, AccessPoint, ApGenConfig, ApScratch};
+use crate::apgen::{
+    generate_pin_access_points_with, primary_via_clean, AccessPoint, ApGenConfig, ApScratch,
+    ApgenPlan, VerdictSource,
+};
 use crate::budget::{
     BudgetAllocator, CancelReason, CancelToken, DeadlineReport, PhaseFractions, RunBudget,
     SkipRecord, StallRecord, Watchdog,
@@ -8,17 +11,15 @@ use crate::budget::{
 use crate::cluster::{select_patterns_budget, SelectTuning};
 use crate::error::{FaultRecord, PaoError, Phase};
 use crate::parallel::{parallel_map_budget, ExecReport, ItemFault, PhaseBudget};
-use crate::pattern::{generate_patterns_tagged, AccessPattern, PatternConfig};
+use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
 use crate::persist::{aps_fingerprint, ApgenSnapshot, CheckpointStore, PatternSnapshot};
+use crate::share::{CellClasses, PatternGroups};
 use crate::stats::PaoStats;
-use crate::unique::{
-    build_instance_context, extract_unique_instances, local_pin_owner, pin_owner, UniqueInstance,
-    UniqueInstanceId,
-};
+use crate::unique::{extract_unique_instances, pin_owner, UniqueInstance, UniqueInstanceId};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
-use pao_tech::{LayerId, MacroClass, Tech};
+use pao_tech::{LayerId, Macro, MacroClass, Tech};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -236,8 +237,43 @@ impl PinAccessOracle {
         } = budget;
         let mut ckpt = checkpoint;
         let run = RunCtx::new(deadline, fractions, watchdog);
+        let input = self.analyze_instances(tech, design, &mut ckpt, &run);
+        // ---- Step 3 and the validation tail.
+        let mut result = self.select_repair_audit(tech, design, input, &run);
+        // Record this run's observed phase-time split so the next budgeted
+        // run over this checkpoint directory allocates from history instead
+        // of the built-in default. Partial runs are biased (cut phases look
+        // cheap), so only complete runs update the history.
+        if let Some(store) = ckpt.as_mut() {
+            if !result.stats.deadline.is_partial() {
+                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
+                    result.stats.quarantined.push(FaultRecord {
+                        phase: Phase::Cache,
+                        item: "phase-history checkpoint".to_owned(),
+                        reason: e.to_string(),
+                    });
+                }
+            }
+        }
+        result
+    }
+
+    /// Steps 1 and 2: unique-instance extraction, access point generation
+    /// and pattern generation, one executor item per unique instance in
+    /// each phase. Intra-cell work is shared across instances (see
+    /// [`crate::share`]): candidate verdicts per (master, orientation),
+    /// and one pattern DP per relative access point set.
+    pub(crate) fn analyze_instances(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        ckpt: &mut Option<&mut CheckpointStore>,
+        run: &RunCtx,
+    ) -> TailInput {
+        let watchdog = run.watchdog;
         let mut skips: Vec<SkipRecord> = Vec::new();
         let mut stalls: Vec<StallRecord> = Vec::new();
+        let engine = DrcEngine::new(tech);
 
         // ---- Step 1: unique instances + access point generation.
         let phase_span = pao_obs::span("phase.apgen");
@@ -249,18 +285,19 @@ impl PinAccessOracle {
                 comp_uniq[m.index()] = Some(info.id);
             }
         }
-        let apcfg = &self.config.apgen;
+        let plan = ApgenPlan::new(tech, design);
+        let classes = CellClasses::new(&infos);
+        pao_obs::counter_add("apgen.classes", classes.len() as u64);
         let apgen_token = run.alloc.phase_token(Phase::Apgen);
-        type ApgenItem = (UniqueInstanceAccess, usize, usize, usize, usize);
         let (analyzed, apgen_exec) = {
-            let infos = &infos;
+            let (infos, plan, classes, engine) = (&infos, &plan, &classes, &engine);
             let ck: Option<&CheckpointStore> = ckpt.as_deref();
             parallel_map_budget(
                 self.config.threads,
                 "apgen.instance",
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
-                move |(), idx| -> Result<ApgenItem, PaoError> {
+                move |(), idx| -> Result<(UniqueInstanceAccess, usize), PaoError> {
                     let info = &infos[idx];
                     // Checkpoint restore: reuse the persisted snapshot when
                     // its signature (master/orient/phases + representative
@@ -278,16 +315,16 @@ impl PinAccessOracle {
                                     pin_aps: snap.pin_aps.clone(),
                                     pin_order: Vec::new(),
                                     patterns: Vec::new(),
-                                    tally: ApTally::default(),
+                                    tally: ApTally {
+                                        dirty: snap.dirty,
+                                        without: snap.without,
+                                        off_track: snap.off_track,
+                                    },
                                 },
                                 snap.total,
-                                snap.dirty,
-                                snap.without,
-                                snap.off_track,
                             ));
                         }
                     }
-                    let engine = DrcEngine::new(tech);
                     let Some(master) = tech.macro_by_name(&info.master) else {
                         return Err(PaoError::input(format!(
                             "unique instance {} (component `{}`) references unknown master `{}`",
@@ -296,85 +333,22 @@ impl PinAccessOracle {
                             info.master
                         )));
                     };
-                    let ctx = build_instance_context(tech, design, info.rep);
-                    let shapes = design.placed_pin_shapes(tech, info.rep);
-                    let mut apcfg = apcfg.clone();
-                    if master.class == MacroClass::Block {
-                        // Macro pins: planar access acceptable.
-                        apcfg.require_via = false;
-                    }
-                    let mut pin_aps: Vec<Vec<AccessPoint>> = vec![Vec::new(); master.pins.len()];
-                    let (mut total, mut dirty, mut without, mut off_track) =
-                        (0usize, 0usize, 0usize, 0usize);
-                    // One scratch per instance context: the pins share coordinate
-                    // buffers and memoized via probes (the audit below re-asks
-                    // exactly the placements generation already checked).
-                    let mut scratch = ApScratch::new();
-                    scratch.set_ledger_instance(idx as u64);
-                    for (pin_idx, pin) in master.pins.iter().enumerate() {
-                        if pin.use_.is_supply() {
-                            continue;
-                        }
-                        let rects: Vec<(LayerId, Rect)> = shapes
-                            .iter()
-                            .filter(|&&(pi, _, _)| pi == pin_idx)
-                            .map(|&(_, l, r)| (l, r))
-                            .collect();
-                        if rects.is_empty() {
-                            continue;
-                        }
-                        let aps = generate_pin_access_points_scratch(
-                            tech,
-                            design,
-                            &engine,
-                            &ctx,
-                            pin_idx,
-                            &rects,
-                            &apcfg,
-                            &mut scratch,
-                        );
-                        total += aps.len();
-                        off_track += aps.iter().filter(|ap| ap.is_off_track()).count();
-                        if aps.is_empty() {
-                            without += 1;
-                        } else {
-                            // Honest dirty-AP audit (0 by construction for PAAF) —
-                            // a memo lookup per AP, not a fresh DRC probe.
-                            for ap in &aps {
-                                if let Some(v) = ap.primary_via() {
-                                    if !scratch.via_clean(
-                                        tech,
-                                        &engine,
-                                        &ctx,
-                                        v,
-                                        ap.pos,
-                                        local_pin_owner(pin_idx),
-                                    ) {
-                                        dirty += 1;
-                                    }
-                                }
-                            }
-                        }
-                        pin_aps[pin_idx] = aps;
-                    }
-                    scratch.flush_obs();
-                    Ok((
-                        UniqueInstanceAccess {
-                            info: info.clone(),
-                            pin_aps,
-                            pin_order: Vec::new(),
-                            patterns: Vec::new(),
-                            tally: ApTally::default(),
-                        },
-                        total,
-                        dirty,
-                        without,
-                        off_track,
+                    let src = classes.source(tech, design, idx, info.rep);
+                    Ok(instance_access(
+                        tech,
+                        design,
+                        plan,
+                        engine,
+                        master,
+                        &self.config.apgen,
+                        info,
+                        &src,
                     ))
                 },
                 PhaseBudget::new(&apgen_token, watchdog),
             )
         };
+        drop(classes);
         let mut unique: Vec<UniqueInstanceAccess> = Vec::with_capacity(analyzed.len());
         let mut faults: Vec<FaultRecord> = Vec::new();
         let mut total_aps = 0usize;
@@ -397,12 +371,12 @@ impl PinAccessOracle {
                 }
             };
             match flat {
-                Ok((mut u, total, dirty, without, off_track)) => {
-                    u.tally = ApTally {
+                Ok((u, total)) => {
+                    let ApTally {
                         dirty,
                         without,
                         off_track,
-                    };
+                    } = u.tally;
                     total_aps += total;
                     dirty_aps += dirty;
                     pins_without_aps += without;
@@ -465,15 +439,18 @@ impl PinAccessOracle {
         let apgen_time = t0.elapsed();
         drop(phase_span);
 
-        // ---- Step 2: pattern generation per unique instance.
+        // ---- Step 2: pattern generation, one DP per group of unique
+        // instances with the same relative access points.
         let phase_span = pao_obs::span("phase.pattern");
         let t1 = Instant::now();
+        let groups = PatternGroups::new(design, &unique, self.config.pattern.alpha);
+        pao_obs::counter_add("pattern.groups", groups.len() as u64);
         let pattern_token = run.alloc.phase_token(Phase::Pattern);
         let pattern_exec;
         let mut pattern_skip_reasons: Vec<CancelReason> = Vec::new();
         let mut pattern_completed: Vec<usize> = Vec::new();
         {
-            let unique_ref = &unique;
+            let (unique_ref, groups, engine) = (&unique, &groups, &engine);
             let ck: Option<&CheckpointStore> = ckpt.as_deref();
             let (results, exec) = parallel_map_budget(
                 self.config.threads,
@@ -496,14 +473,17 @@ impl PinAccessOracle {
                             return (snap.pin_order.clone(), snap.patterns.clone());
                         }
                     }
-                    let engine = DrcEngine::new(tech);
-                    generate_patterns_tagged(
-                        tech,
-                        &engine,
-                        &unique_ref[i].pin_aps,
-                        &self.config.pattern,
-                        i as u64,
-                    )
+                    let out = groups.outcome(i, |order| {
+                        pattern_dp(
+                            tech,
+                            engine,
+                            &unique_ref[i].pin_aps,
+                            order,
+                            &self.config.pattern,
+                        )
+                    });
+                    out.replay_ledger(i as u64);
+                    (out.order.clone(), out.patterns.clone())
                 },
                 PhaseBudget::new(&pattern_token, watchdog),
             );
@@ -532,6 +512,7 @@ impl PinAccessOracle {
                 }
             }
         }
+        drop(groups);
         record_skips(&mut skips, Phase::Pattern, &pattern_skip_reasons);
         stalls.extend(pattern_token.take_stalls());
         if let Some(store) = ckpt.as_mut() {
@@ -560,47 +541,100 @@ impl PinAccessOracle {
         let pattern_time = t1.elapsed();
         drop(phase_span);
 
-        // ---- Step 3 and the validation tail.
-        let mut result = self.select_repair_audit(
-            tech,
-            design,
-            TailInput {
-                unique,
-                comp_uniq,
-                stats: PaoStats {
-                    total_aps,
-                    dirty_aps,
-                    pins_without_aps,
-                    off_track_aps,
-                    apgen_time,
-                    pattern_time,
-                    apgen_exec,
-                    pattern_exec,
-                    ..PaoStats::default()
-                },
-                faults,
-                skips,
-                stalls,
+        TailInput {
+            unique,
+            comp_uniq,
+            stats: PaoStats {
+                total_aps,
+                dirty_aps,
+                pins_without_aps,
+                off_track_aps,
+                apgen_time,
+                pattern_time,
+                apgen_exec,
+                pattern_exec,
+                ..PaoStats::default()
             },
-            &run,
+            faults,
+            skips,
+            stalls,
+        }
+    }
+}
+
+/// Step 1 for one unique instance: Algorithm 1 over each signal pin with
+/// geometry, candidate verdicts read from `src`, then the dirty-AP audit.
+/// Returns the instance's access (tally filled, no patterns yet) and its
+/// access point count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn instance_access(
+    tech: &Tech,
+    design: &Design,
+    plan: &ApgenPlan<'_>,
+    engine: &DrcEngine<'_>,
+    master: &Macro,
+    apcfg: &ApGenConfig,
+    info: &UniqueInstance,
+    src: &VerdictSource<'_>,
+) -> (UniqueInstanceAccess, usize) {
+    let shapes = design.placed_pin_shapes(tech, info.rep);
+    let mut apcfg = apcfg.clone();
+    if master.class == MacroClass::Block {
+        // Macro pins: planar access acceptable.
+        apcfg.require_via = false;
+    }
+    let mut pin_aps: Vec<Vec<AccessPoint>> = vec![Vec::new(); master.pins.len()];
+    let mut total = 0usize;
+    let mut tally = ApTally::default();
+    let mut scratch = ApScratch::new();
+    scratch.set_ledger_instance(u64::from(info.id.0));
+    for (pin_idx, pin) in master.pins.iter().enumerate() {
+        if pin.use_.is_supply() {
+            continue;
+        }
+        let rects: Vec<(LayerId, Rect)> = shapes
+            .iter()
+            .filter(|&&(pi, _, _)| pi == pin_idx)
+            .map(|&(_, l, r)| (l, r))
+            .collect();
+        if rects.is_empty() {
+            continue;
+        }
+        let aps = generate_pin_access_points_with(
+            tech,
+            plan,
+            engine,
+            src,
+            pin_idx,
+            &rects,
+            &apcfg,
+            &mut scratch,
         );
-        // Record this run's observed phase-time split so the next budgeted
-        // run over this checkpoint directory allocates from history instead
-        // of the built-in default. Partial runs are biased (cut phases look
-        // cheap), so only complete runs update the history.
-        if let Some(store) = ckpt.as_mut() {
-            if !result.stats.deadline.is_partial() {
-                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
-                    result.stats.quarantined.push(FaultRecord {
-                        phase: Phase::Cache,
-                        item: "phase-history checkpoint".to_owned(),
-                        reason: e.to_string(),
-                    });
-                }
+        total += aps.len();
+        tally.off_track += aps.iter().filter(|ap| ap.is_off_track()).count();
+        if aps.is_empty() {
+            tally.without += 1;
+        }
+        // Honest dirty-AP audit (0 by construction for PAAF) — a table
+        // read per AP, not a fresh DRC probe.
+        for ap in &aps {
+            if !primary_via_clean(tech, plan, engine, src, pin_idx, ap, &mut scratch) {
+                tally.dirty += 1;
             }
         }
-        result
+        pin_aps[pin_idx] = aps;
     }
+    scratch.flush_obs();
+    (
+        UniqueInstanceAccess {
+            info: info.clone(),
+            pin_aps,
+            pin_order: Vec::new(),
+            patterns: Vec::new(),
+            tally,
+        },
+        total,
+    )
 }
 
 /// What the steps ahead of cluster selection hand the shared tail: the

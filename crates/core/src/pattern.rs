@@ -175,7 +175,7 @@ fn ap_cost(tech: &Tech, ap: &AccessPoint) -> i64 {
 /// pattern is post-validated by dropping **all** its primary vias together
 /// and auditing (catching non-neighbor conflicts the pin-ordering
 /// assumption misses); dirty patterns are discarded unless nothing clean
-/// exists.
+/// exists. Decision-ledger records carry unique instance 0.
 #[must_use]
 pub fn generate_patterns(
     tech: &Tech,
@@ -183,27 +183,61 @@ pub fn generate_patterns(
     pin_aps: &[Vec<AccessPoint>],
     cfg: &PatternConfig,
 ) -> (Vec<usize>, Vec<AccessPattern>) {
-    generate_patterns_tagged(tech, engine, pin_aps, cfg, 0)
+    let out = pattern_dp(tech, engine, pin_aps, order_pins(pin_aps, cfg.alpha), cfg);
+    out.replay_ledger(0);
+    (out.order, out.patterns)
 }
 
-/// [`generate_patterns`] with a unique-instance id stamped on the decision
-/// ledger records it emits (pruned DP edges, BCA penalties, validation
-/// verdicts). The oracle uses this form; `instance` becomes the high bits
-/// of each record's entity (`instance << 16 | master_pin_idx`).
-#[must_use]
+/// What one pattern DP produced: the pin order, the patterns over it and,
+/// while the decision ledger is on, the records of its decisions (pruned
+/// DP edges, BCA penalties, validation verdicts). The records' entities
+/// hold the master pin index alone, so every unique instance that shares
+/// the outcome replays them under its own id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PatternOutcome {
+    pub(crate) order: Vec<usize>,
+    pub(crate) patterns: Vec<AccessPattern>,
+    pub(crate) ledger: Vec<LedgerRecord>,
+}
+
+impl PatternOutcome {
+    /// Emits the captured ledger records as unique instance `instance`'s
+    /// (entity `instance << 16 | master_pin_idx`).
+    pub(crate) fn replay_ledger(&self, instance: u64) {
+        for rec in &self.ledger {
+            ledger::record(LedgerRecord {
+                entity: rec.entity | instance << 16,
+                ..*rec
+            });
+        }
+    }
+}
+
+/// Algorithms 2 + 3 over the pins in `order` (which must be
+/// [`order_pins`] of `pin_aps`); see [`generate_patterns`].
+///
+/// The DP reads only the access points: their costs, and DRC verdicts of
+/// vias dropped at their positions, which depend on relative geometry
+/// alone. So two unique instances whose access points agree up to one
+/// translation, and whose pin orders agree, share one outcome.
 #[allow(clippy::if_same_then_else)] // the arms mirror Algorithm 3's cases
-pub fn generate_patterns_tagged(
+pub(crate) fn pattern_dp(
     tech: &Tech,
     engine: &DrcEngine<'_>,
     pin_aps: &[Vec<AccessPoint>],
+    order: Vec<usize>,
     cfg: &PatternConfig,
-    instance: u64,
-) -> (Vec<usize>, Vec<AccessPattern>) {
-    let entity_base = instance << 16;
-    let order = order_pins(pin_aps, cfg.alpha);
+) -> PatternOutcome {
     if order.is_empty() {
-        return (order, Vec::new());
+        return PatternOutcome {
+            order,
+            ..PatternOutcome::default()
+        };
     }
+    // Ledger records are captured with instance-relative entities and
+    // emitted by the caller (see [`PatternOutcome::replay_ledger`]).
+    let log = pao_obs::ledger_enabled();
+    let mut records: Vec<LedgerRecord> = Vec::new();
     let m = order.len();
     // Observability tallies: plain local adds in the DP loops, published
     // as `pattern.*` counters once per call. The compat counters live in
@@ -286,11 +320,11 @@ pub fn generate_patterns_tagged(
                     // attribution record when the ledger is on.
                     let edge = if cfg.bca && mi - 1 == 0 && used_boundary.contains(&(0, np)) {
                         bca_penalties += 1;
-                        if pao_obs::ledger_enabled() {
-                            ledger::record(
+                        if log {
+                            records.push(
                                 LedgerRecord::new(
                                     LedgerEvent::PatEdgeBca,
-                                    entity_base | prev_pin as u64,
+                                    prev_pin as u64,
                                     np as u32,
                                 )
                                 .with_aux(0),
@@ -299,11 +333,11 @@ pub fn generate_patterns_tagged(
                         PENALTY_COST
                     } else if cfg.bca && mi == m - 1 && used_boundary.contains(&(m - 1, n)) {
                         bca_penalties += 1;
-                        if pao_obs::ledger_enabled() {
-                            ledger::record(
+                        if log {
+                            records.push(
                                 LedgerRecord::new(
                                     LedgerEvent::PatEdgeBca,
-                                    entity_base | curr_pin as u64,
+                                    curr_pin as u64,
                                     n as u32,
                                 )
                                 .with_aux(1),
@@ -311,11 +345,11 @@ pub fn generate_patterns_tagged(
                         }
                         PENALTY_COST
                     } else if !compat(prev_pin, np, curr_pin, n) {
-                        if pao_obs::ledger_enabled() {
-                            ledger::record(
+                        if log {
+                            records.push(
                                 LedgerRecord::new(
                                     LedgerEvent::PatEdgeDrc,
-                                    entity_base | curr_pin as u64,
+                                    curr_pin as u64,
                                     n as u32,
                                 )
                                 .with_aux(np as u32),
@@ -327,11 +361,11 @@ pub fn generate_patterns_tagged(
                         && pcell.prev != usize::MAX
                         && !compat(order[mi - 2], pcell.prev, curr_pin, n)
                     {
-                        if pao_obs::ledger_enabled() {
-                            ledger::record(
+                        if log {
+                            records.push(
                                 LedgerRecord::new(
                                     LedgerEvent::PatEdgeHistory,
-                                    entity_base | curr_pin as u64,
+                                    curr_pin as u64,
                                     n as u32,
                                 )
                                 .with_aux(pcell.prev as u32),
@@ -384,15 +418,11 @@ pub fn generate_patterns_tagged(
         val_ctx.rebuild();
         validations += 1;
         let clean = engine.audit_clean(&val_ctx);
-        if pao_obs::ledger_enabled() {
-            ledger::record(
-                LedgerRecord::new(
-                    LedgerEvent::PatternValidated,
-                    entity_base,
-                    (dp_runs - 1) as u32,
-                )
-                .with_aux(u32::from(clean))
-                .with_pos(total, 0),
+        if log {
+            records.push(
+                LedgerRecord::new(LedgerEvent::PatternValidated, 0, (dp_runs - 1) as u32)
+                    .with_aux(u32::from(clean))
+                    .with_pos(total, 0),
             );
         }
         let pat = AccessPattern {
@@ -408,10 +438,9 @@ pub fn generate_patterns_tagged(
     }
     if patterns.is_empty() {
         if let Some(p) = dirty_fallback {
-            if pao_obs::ledger_enabled() {
-                ledger::record(
-                    LedgerRecord::new(LedgerEvent::PatternFallback, entity_base, 0)
-                        .with_pos(p.cost, 0),
+            if log {
+                records.push(
+                    LedgerRecord::new(LedgerEvent::PatternFallback, 0, 0).with_pos(p.cost, 0),
                 );
             }
             patterns.push(p);
@@ -427,7 +456,11 @@ pub fn generate_patterns_tagged(
         pao_obs::counter_add("pattern.validations", validations);
         pao_obs::counter_add("pattern.patterns_out", patterns.len() as u64);
     }
-    (order, patterns)
+    PatternOutcome {
+        order,
+        patterns,
+        ledger: records,
+    }
 }
 
 #[cfg(test)]

@@ -11,14 +11,22 @@
 //! 3. the degraded results are bit-identical between thread counts, and
 //! 4. everything *outside* the quarantined item matches the clean run.
 //!
-//! Everything lives in one `#[test]` because the injection plan is
-//! process-global state — concurrent tests in the same binary would race
-//! on it.
+//! The injection plan is process-global state, so the tests of this
+//! binary serialize on [`injection_lock`].
 
+use pao_core::unique::extract_unique_instances;
 use pao_core::{fault, PaoConfig, PaoResult, Phase, PinAccessOracle};
 use pao_design::CompId;
 use pao_tech::Tech;
-use pao_testgen::{generate, SuiteCase};
+use pao_testgen::{aes14_case, generate, SuiteCase};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that arm the process-global injection plan.
+fn injection_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn oracle(threads: usize) -> PinAccessOracle {
     PinAccessOracle::with_config(PaoConfig {
@@ -52,6 +60,7 @@ fn access_fingerprint(
 
 #[test]
 fn injected_faults_degrade_never_abort() {
+    let _g = injection_lock();
     let (tech, design) = generate(&SuiteCase::small_smoke());
     fault::disarm();
     let clean = oracle(1).analyze(&tech, &design);
@@ -144,6 +153,74 @@ fn injected_faults_degrade_never_abort() {
             }
             _ => unreachable!(),
         }
+    }
+    fault::disarm();
+}
+
+/// Unique instances of one (master, orientation) share candidate verdicts
+/// and pattern DPs. A fault in the class's first unique instance — the
+/// one whose representative anchors the class frame, and at one thread
+/// the one that fills the shared tables — must degrade that instance
+/// alone: every other member computes what it needs itself and equals
+/// the clean run.
+#[test]
+fn fault_in_a_shared_class_degrades_one_instance() {
+    let _g = injection_lock();
+    let (tech, design) = generate(&aes14_case());
+    fault::disarm();
+    let clean = oracle(1).analyze(&tech, &design);
+    assert!(clean.stats.quarantined.is_empty(), "clean run is healthy");
+
+    // The first unique instance of the class with the most components.
+    let infos = extract_unique_instances(&tech, &design);
+    let mut classes: HashMap<_, (usize, Vec<usize>)> = HashMap::new();
+    for (i, info) in infos.iter().enumerate() {
+        let class = classes.entry((info.master, info.orient)).or_default();
+        class.0 += info.members.len();
+        class.1.push(i);
+    }
+    let (_, largest) = classes
+        .into_values()
+        .max_by_key(|(components, unique)| (*components, std::cmp::Reverse(unique[0])))
+        .expect("aes14 has unique instances");
+    let first = largest[0];
+    assert!(largest.len() > 1, "the largest class shares work");
+    assert_ne!(
+        first, 0,
+        "the armed item is not the first item of the phase"
+    );
+
+    for (label, phase) in [
+        ("apgen.instance", Phase::Apgen),
+        ("pattern.instance", Phase::Pattern),
+    ] {
+        let mut runs: Vec<PaoResult> = Vec::new();
+        for threads in [1usize, 4] {
+            fault::arm(label, first);
+            let r = oracle(threads).analyze(&tech, &design);
+            assert!(!fault::armed(), "fault at {label}[{first}] must have fired");
+            assert_eq!(r.stats.quarantined.len(), 1, "{label} x{threads}");
+            assert_eq!(r.stats.quarantined[0].phase, phase, "{label} x{threads}");
+            assert_eq!(r.unique.len(), clean.unique.len(), "{label} x{threads}");
+            for (ui, (u, c)) in r.unique.iter().zip(&clean.unique).enumerate() {
+                if ui == first {
+                    assert!(u.patterns.is_empty(), "{label} x{threads}: degraded");
+                    continue;
+                }
+                assert_eq!(u.pin_aps, c.pin_aps, "{label} x{threads} ui={ui}");
+                assert_eq!(u.tally, c.tally, "{label} x{threads} ui={ui}");
+                assert_eq!(u.pin_order, c.pin_order, "{label} x{threads} ui={ui}");
+                assert_eq!(u.patterns, c.patterns, "{label} x{threads} ui={ui}");
+            }
+            runs.push(r);
+        }
+        let (one, four) = (&runs[0], &runs[1]);
+        assert!(
+            one.stats.counters_eq(&four.stats),
+            "{label}: counters diverged"
+        );
+        assert_eq!(one.selection, four.selection, "{label}");
+        assert_eq!(one.overrides, four.overrides, "{label}");
     }
     fault::disarm();
 }

@@ -116,6 +116,31 @@ grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-1.txt" \
     || { echo "--no-bca arm repaired nothing"; exit 1; }
 echo "selection identity: OK"
 
+echo "== shared intra-cell work identity =="
+# Unique instances of one (master, orientation) share candidate verdicts,
+# and those with one relative access point set share a pattern DP
+# (DESIGN.md §7). Each shared item is computed exactly once, so the work
+# counters repeat at any thread count, and the decision ledger behind
+# `pao report` is replayed per unique instance. (drc.probes is not gated:
+# the repair scan's memo is per worker, so it moves with the thread count.)
+target/release/pao gen ispd18s_test4 --lef "$rep/t4.lef" --def "$rep/t4.def" > /dev/null
+shared_work() {
+    grep -E '^ +(apgen\.via_memo\.misses|apgen\.planar_probes|pattern\.dp_runs) ' "$1"
+}
+for t in 1 4; do
+    target/release/pao analyze "$rep/t4.lef" "$rep/t4.def" --threads "$t" \
+        --metrics > "$rep/t4-$t.txt"
+    target/release/pao report "$rep/t4.lef" "$rep/t4.def" --threads "$t" \
+        --out "$rep/t4-$t.jsonl" > /dev/null
+done
+[[ "$(shared_work "$rep/t4-1.txt" | wc -l)" == 3 ]] \
+    || { echo "shared-work counters missing from --metrics"; exit 1; }
+diff <(shared_work "$rep/t4-1.txt") <(shared_work "$rep/t4-4.txt") \
+    || { echo "shared-work counters diverged between 1 and 4 threads"; exit 1; }
+cmp -s "$rep/t4-1.jsonl" "$rep/t4-4.jsonl" \
+    || { echo "pao report diverged between 1 and 4 threads"; exit 1; }
+echo "shared work identity: OK"
+
 echo "== selection zero-alloc gate =="
 # The warm selection pass must not allocate (counting-allocator
 # integration test; criterion is unavailable offline, so the gate lives
