@@ -30,7 +30,7 @@ use crate::oracle::{
 };
 use crate::parallel::{parallel_map_budget, ItemFault, PhaseBudget};
 use crate::stats::PaoStats;
-use crate::unique::{extract_unique_instances, pin_owner, UniqueInstanceId};
+use crate::unique::{pin_owner, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::{Dbu, Orient, Point, Rect};
@@ -346,36 +346,39 @@ impl AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// Rebuilds `design`'s unique instances from the cache, translated
-    /// into each representative's frame, counting one hit per instance.
-    /// `None` (and nothing counted) when any signature is missing.
-    pub(crate) fn warm(&mut self, tech: &Tech, design: &Design) -> Option<Warm> {
+    /// Rebuilds the unique instances of `table` — `design`'s table —
+    /// from the cache, translated into each representative's frame,
+    /// counting one hit per instance. `None` (and nothing counted) when
+    /// any signature is missing.
+    pub(crate) fn warm(&mut self, design: &Design, table: UniqueTable) -> Option<Warm> {
         // Resolving every entry up front makes the all-cached check and
         // the rebuild share one lookup — no later re-lookup can miss.
-        let infos = extract_unique_instances(tech, design);
-        let entries: Vec<&CacheEntry> = infos
+        let UniqueTable { classes, comp_uniq } = table;
+        let entries: Vec<&CacheEntry> = classes
             .iter()
             .map(|info| {
                 self.entries
                     .get(&(info.master, info.orient, info.phases.clone()))
             })
             .collect::<Option<_>>()?;
-        let mut comp_uniq = vec![None; design.components().len()];
-        let mut unique = Vec::with_capacity(infos.len());
-        for (info, entry) in infos.into_iter().zip(entries) {
-            for &m in &info.members {
-                comp_uniq[m.index()] = Some(info.id);
-            }
-            let delta = design.component(info.rep).location - entry.rep_location;
-            let mut data = entry.data.clone();
-            data.info = info;
-            for aps in &mut data.pin_aps {
-                for ap in aps {
+        let unique: Vec<UniqueInstanceAccess> = classes
+            .into_iter()
+            .zip(entries)
+            .map(|(info, entry)| {
+                let delta = design.component(info.rep).location - entry.rep_location;
+                let mut pin_aps = entry.data.pin_aps.clone();
+                for ap in pin_aps.iter_mut().flatten() {
                     ap.pos += delta;
                 }
-            }
-            unique.push(data);
-        }
+                UniqueInstanceAccess {
+                    info,
+                    pin_aps,
+                    pin_order: entry.data.pin_order.clone(),
+                    patterns: entry.data.patterns.clone(),
+                    tally: entry.data.tally,
+                }
+            })
+            .collect();
         self.hits += unique.len();
         pao_obs::counter_add("cache.hits", unique.len() as u64);
         Some(Warm { unique, comp_uniq })
@@ -429,7 +432,7 @@ impl PinAccessOracle {
         budget: RunBudget<'_>,
     ) -> PaoResult {
         let run = RunCtx::new(budget.deadline, budget.fractions, budget.watchdog);
-        match cache.warm(tech, design) {
+        match cache.warm(design, UniqueTable::build(tech, design)) {
             Some(warm) => self.analyze_warm(tech, design, warm, &run),
             None => self.analyze_and_fill(tech, design, cache, budget),
         }

@@ -15,7 +15,7 @@ use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
 use crate::persist::{aps_fingerprint, ApgenSnapshot, CheckpointStore, PatternSnapshot};
 use crate::share::{CellClasses, PatternGroups};
 use crate::stats::PaoStats;
-use crate::unique::{extract_unique_instances, pin_owner, UniqueInstance, UniqueInstanceId};
+use crate::unique::{pin_owner, UniqueInstance, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
@@ -114,6 +114,15 @@ pub struct PaoResult {
 }
 
 impl PaoResult {
+    /// The unique-instance table this result was analyzed over.
+    #[must_use]
+    pub fn unique_table(&self) -> UniqueTable {
+        UniqueTable {
+            classes: self.unique.iter().map(|u| u.info.clone()).collect(),
+            comp_uniq: self.comp_uniq.clone(),
+        }
+    }
+
     /// The selected access point for `(comp, pin_idx)`, translated into
     /// the component's die frame. `None` when the pin failed analysis.
     #[must_use]
@@ -278,13 +287,10 @@ impl PinAccessOracle {
         // ---- Step 1: unique instances + access point generation.
         let phase_span = pao_obs::span("phase.apgen");
         let t0 = Instant::now();
-        let infos = extract_unique_instances(tech, design);
-        let mut comp_uniq: Vec<Option<UniqueInstanceId>> = vec![None; design.components().len()];
-        for info in &infos {
-            for &m in &info.members {
-                comp_uniq[m.index()] = Some(info.id);
-            }
-        }
+        let UniqueTable {
+            classes: infos,
+            comp_uniq,
+        } = UniqueTable::build(tech, design);
         let plan = ApgenPlan::new(tech, design);
         let classes = CellClasses::new(&infos);
         pao_obs::counter_add("apgen.classes", classes.len() as u64);

@@ -12,7 +12,10 @@
 //!
 //! Re-analysis after a move ends in one of two tails. Intra-cell work
 //! (steps 1–2) is keyed by signature in the service's [`AnalysisCache`],
-//! so a move whose placement keeps every signature cached skips it.
+//! so a move whose placement keeps every signature cached skips it. A
+//! signature depends only on the component's own placement, so the moved
+//! placement's unique-instance table comes from the previous snapshot's
+//! with only the moved components re-classed (`UniqueTable::classify`).
 //!
 //! * The **window tail** runs when, in addition, the previous snapshot
 //!   is repair-free: no repair override, no failed pin, nothing
@@ -674,8 +677,12 @@ impl OracleService {
         if self.collect_rejects {
             pao_obs::enable_ledger();
         }
+        // Only the moved components can change class: fold them into the
+        // previous snapshot's unique-instance table.
+        let mut table = self.result.unique_table();
+        table.classify(&self.tech, &design, moved.iter().copied());
         let oracle = PinAccessOracle::with_config(self.config.clone());
-        let (result, tail, pins_reprobed) = match self.cache.warm(&self.tech, &design) {
+        let (result, tail, pins_reprobed) = match self.cache.warm(&design, table) {
             Some(warm) => {
                 let windowed = if self.window_ready(&design, &moved) {
                     let w = EcoWindow {

@@ -9,10 +9,16 @@
 //!    or audit fault, a watchdog-detected stall and an expired deadline
 //!    each answer [`ServiceError::EcoDegraded`] and keep the previous
 //!    snapshot serving.
+//! 3. The unique-instance table follows a cached ECO per moved
+//!    component: the `unique.classified` counter (a process-global
+//!    metric) rises by the ECO's distinct moved components on the window
+//!    and the full tail alike, and by every analyzable component in a
+//!    cold analysis.
 
 use pao_core::unique::extract_unique_instances;
 use pao_core::{
-    fault, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError, Watchdog,
+    fault, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, PinAccessOracle, RunBudget,
+    ServiceError, Watchdog,
 };
 use pao_design::{CompId, Design};
 use pao_tech::Tech;
@@ -174,4 +180,61 @@ fn window_rejects_and_degrade_contract() {
         let reply = svc.eco_update(&moves, None, None).expect("eco applies");
         assert_eq!(reply.tail, EcoTail::Window, "{arm}");
     }
+
+    // 3. Proportionality of the unique-instance update.
+    pao_obs::enable_metrics();
+    let classified = || pao_obs::snapshot().counter("unique.classified");
+    let analyzable = design
+        .components()
+        .iter()
+        .filter(|c| c.is_placed && c.master_in(&tech).is_some())
+        .count() as u64;
+    let before = classified();
+    let _ = PinAccessOracle::with_config(config()).analyze(&tech, &design);
+    assert_eq!(classified() - before, analyzable, "cold analysis");
+    let mut svc = start();
+    let eco = |svc: &mut OracleService, batch: &[EcoMove], distinct: u64, tail: EcoTail| {
+        let before = classified();
+        let reply = svc.eco_update(batch, None, None).expect("eco applies");
+        assert_eq!((reply.tail, reply.cache_misses), (tail, 0), "{batch:?}");
+        assert_eq!(
+            reply.cache_hits,
+            svc.result().unique.len(),
+            "one hit per class"
+        );
+        assert_eq!(classified() - before, distinct, "{tail:?} tail: {batch:?}");
+    };
+    // The renumbering swap with one move listed twice: two components.
+    let mut twice = moves.clone();
+    twice.push(moves[0].clone());
+    eco(&mut svc, &twice, 2, EcoTail::Window);
+    // A cell dropped onto a same-signature twin dirties a re-probed pin,
+    // so the window hands over to the full tail; the stacked snapshot
+    // is not repair-free, so moving back runs the full tail directly.
+    let (name, home, twin) = {
+        let d = svc.design();
+        let comps = d.components();
+        let (a, b) = (0..comps.len())
+            .flat_map(|i| (0..comps.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| {
+                i != j
+                    && comps[i].master == comps[j].master
+                    && comps[i].orient == comps[j].orient
+                    && d.track_phases(&comps[i]) == d.track_phases(&comps[j])
+            })
+            .expect("smoke repeats a signature");
+        (
+            comps[a].name.to_string(),
+            comps[a].location,
+            comps[b].location,
+        )
+    };
+    let to = |loc| {
+        [EcoMove {
+            inst: name.clone(),
+            target: EcoTarget::Abs(loc),
+        }]
+    };
+    eco(&mut svc, &to(twin), 1, EcoTail::Full);
+    eco(&mut svc, &to(home), 1, EcoTail::Full);
 }

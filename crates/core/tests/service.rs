@@ -450,8 +450,9 @@ fn draw_batch(
 }
 
 /// The service's snapshot must equal a cold analysis of its placement:
-/// selection dump, every access point, the counters and each
-/// component's unique-instance index.
+/// selection dump, every access point, the counters, the whole
+/// unique-instance table (ids, signatures, representatives, members and
+/// each component's class) and the index each query reports.
 fn assert_matches_cold(svc: &OracleService, config: &PaoConfig, ctx: &str) {
     let design = svc.design().clone();
     let tech = svc.tech().clone();
@@ -461,6 +462,18 @@ fn assert_matches_cold(svc: &OracleService, config: &PaoConfig, ctx: &str) {
         svc.selection_dump(),
         selection_dump(&design, &cold),
         "{ctx}: selection dump diverged"
+    );
+    let (got, want) = (warm.unique_table(), cold.unique_table());
+    let first = got
+        .classes
+        .iter()
+        .zip(&want.classes)
+        .position(|(g, w)| g != w);
+    assert!(
+        got == want,
+        "{ctx}: unique-instance table diverged ({} vs {} classes, first differing class {first:?})",
+        got.classes.len(),
+        want.classes.len()
     );
     assert!(
         warm.stats.counters_eq(&cold.stats),

@@ -230,6 +230,13 @@ impl<'t, R: BufRead> DefParser<'t, R> {
         }
     }
 
+    /// Parses a repeat count (`DO n`, `BY n`): a non-negative integer
+    /// that fits in `u32`.
+    fn count(&mut self) -> Result<u32> {
+        let v = self.int()?;
+        u32::try_from(v).or_else(|_| self.err(format!("count {v} out of range")))
+    }
+
     /// Parses `( x y )`.
     fn point(&mut self) -> Result<Point> {
         self.expect("(")?;
@@ -298,9 +305,9 @@ impl<'t, R: BufRead> DefParser<'t, R> {
         let y = self.int()?;
         let orient = self.orient()?;
         self.expect("DO")?;
-        let nx = self.int()?;
+        let nx = self.count()?;
         self.expect("BY")?;
-        let ny = self.int()?;
+        let ny = self.count()?;
         self.expect("STEP")?;
         let sx = self.int()?;
         let _sy = self.int()?;
@@ -314,7 +321,7 @@ impl<'t, R: BufRead> DefParser<'t, R> {
             site,
             Point::new(x, y),
             orient,
-            nx as u32,
+            nx,
             sx.max(1),
             height,
         ));
@@ -332,9 +339,12 @@ impl<'t, R: BufRead> DefParser<'t, R> {
         };
         let start = self.int()?;
         self.expect("DO")?;
-        let count = self.int()?;
+        let count = self.count()?;
         self.expect("STEP")?;
         let step = self.int()?;
+        if step <= 0 {
+            return self.err(format!("TRACKS STEP must be positive, found {step}"));
+        }
         let mut layers = Vec::new();
         if self.eat("LAYER")? {
             loop {
@@ -352,13 +362,9 @@ impl<'t, R: BufRead> DefParser<'t, R> {
             }
         }
         self.expect(";")?;
-        self.design.tracks.push(TrackPattern::new(
-            dir,
-            start,
-            step.max(1),
-            count as u32,
-            layers,
-        ));
+        self.design
+            .tracks
+            .push(TrackPattern::new(dir, start, step, count, layers));
         Ok(())
     }
 
@@ -755,6 +761,28 @@ DESIGN x ;\nGCELLGRID X 0 DO 10 STEP 3000 ;\nVIAS 0 ;\nEND VIAS\nEND DESIGN";
             "NETS 1 ; - n [ ;",
         ] {
             assert!(parse_def(src, &t).is_err(), "`{src}` must not parse");
+        }
+        // Out-of-range counts and non-positive track steps are typed
+        // errors at their line, never wrapped or clamped.
+        for src in [
+            "ROW r core 0 0 N DO -3 BY 1 STEP 380 0 ;",
+            "ROW r core 0 0 N DO 4294967296 BY 1 STEP 380 0 ;",
+            "ROW r core 0 0 N DO 1 BY -1 STEP 380 0 ;",
+            "TRACKS X 0 DO -3 STEP 140 ;",
+            "TRACKS Y 0 DO 4294967296 STEP 140 ;",
+            "TRACKS X 0 DO 10 STEP -140 ;",
+            "TRACKS Y 0 DO 10 STEP 0 ;",
+        ] {
+            let err = parse_def(src, &t).expect_err(src);
+            assert!(err.line > 0, "`{src}`: {err}");
+        }
+        // The largest count still parses, as does a single-site row
+        // with a zero step.
+        for src in [
+            "DESIGN x ;\nTRACKS X 0 DO 4294967295 STEP 140 ;\nEND DESIGN",
+            "DESIGN x ;\nROW r core 0 0 N DO 1 BY 1 STEP 0 0 ;\nEND DESIGN",
+        ] {
+            assert!(parse_def(src, &t).is_ok(), "`{src}` must parse");
         }
     }
 

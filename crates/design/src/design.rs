@@ -180,11 +180,22 @@ impl Design {
     /// unique-instance signature.
     #[must_use]
     pub fn track_phases(&self, comp: &Component) -> Vec<Dbu> {
+        // Patterns usually repeat layer by layer: the previous pattern on
+        // the same axis with the same start and step has the same phase,
+        // which saves a division. Steps are positive, so the zeroed seed
+        // never matches.
+        let mut last: [(Dbu, Dbu, Dbu); 2] = [(0, 0, 0); 2];
         self.tracks
             .iter()
-            .map(|t| match t.dir {
-                pao_geom::Dir::Horizontal => t.phase(comp.location.y),
-                pao_geom::Dir::Vertical => t.phase(comp.location.x),
+            .map(|t| {
+                let (axis, c) = match t.dir {
+                    pao_geom::Dir::Horizontal => (0, comp.location.y),
+                    pao_geom::Dir::Vertical => (1, comp.location.x),
+                };
+                if (last[axis].0, last[axis].1) != (t.start, t.step) {
+                    last[axis] = (t.start, t.step, t.phase(c));
+                }
+                last[axis].2
             })
             .collect()
     }
@@ -374,6 +385,36 @@ mod tests {
             Orient::N,
         ));
         assert_ne!(pa, d.track_phases(d.component(e)));
+    }
+
+    #[test]
+    fn track_phases_equal_per_pattern_phases() {
+        let mut d = design();
+        // Repeats, a changed start, a changed step and negative origins.
+        for (dir, start, step) in [
+            (Dir::Horizontal, 140, 280),
+            (Dir::Vertical, 190, 380),
+            (Dir::Horizontal, 100, 280),
+            (Dir::Horizontal, 100, 280),
+            (Dir::Vertical, 190, 300),
+            (Dir::Vertical, 190, 380),
+            (Dir::Horizontal, 140, 280),
+        ] {
+            d.tracks
+                .push(TrackPattern::new(dir, start, step, 10, vec![LayerId(0)]));
+        }
+        for (x, y) in [(0, 0), (380, 140), (-1234, 57), (999_999, -280)] {
+            let comp = Component::new("u", "INVX1", Point::new(x, y), Orient::N);
+            let want: Vec<Dbu> = d
+                .tracks
+                .iter()
+                .map(|t| match t.dir {
+                    Dir::Horizontal => t.phase(y),
+                    Dir::Vertical => t.phase(x),
+                })
+                .collect();
+            assert_eq!(d.track_phases(&comp), want, "at ({x}, {y})");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use pao_core::apgen::AccessPoint;
 use pao_core::coord::CoordType;
-use pao_core::unique::{extract_unique_instances, UniqueInstance, UniqueInstanceId};
+use pao_core::unique::{UniqueInstance, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_geom::{Dir, Point, Rect};
 use pao_tech::{LayerId, Tech, ViaId};
@@ -136,13 +136,10 @@ fn simple_rules_pass(
 #[must_use]
 pub fn baseline_pin_access(tech: &Tech, design: &Design, cfg: &BaselineConfig) -> BaselineResult {
     let t0 = std::time::Instant::now();
-    let infos = extract_unique_instances(tech, design);
-    let mut comp_uniq: Vec<Option<UniqueInstanceId>> = vec![None; design.components().len()];
-    for info in &infos {
-        for &m in &info.members {
-            comp_uniq[m.index()] = Some(info.id);
-        }
-    }
+    let UniqueTable {
+        classes: infos,
+        comp_uniq,
+    } = UniqueTable::build(tech, design);
     let mut unique = Vec::with_capacity(infos.len());
     let mut total_aps = 0usize;
     for info in infos {

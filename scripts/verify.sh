@@ -182,13 +182,18 @@ fi
 
 echo "== serve smoke gate =="
 # Service-mode contract (DESIGN.md §17): the resident daemon must answer
-# the same bytes as one-shot `pao analyze` — before and after an ECO —
+# the same bytes as one-shot `pao analyze` — before and after each ECO —
 # at 1 and 4 threads, and shut down cleanly (exit 0). The scripted
-# batch covers every method: dump, pin access, a fanned-out batch, one
-# real ECO (two same-signature instances in different rows swap
-# places, so it must take the window tail), stats, shutdown. The moved
-# DEF is written alongside, and the daemon's post-ECO dump must equal
-# one-shot `pao analyze --dump-selection` of it.
+# batch covers every method: dump, pin access, a fanned-out batch, two
+# real ECOs, stats, shutdown. The first ECO swaps two same-signature
+# instances in different rows; the second shifts one instance by one
+# site, which changes its X track phase (site 360, metal2 pitch 400) to
+# one another instance already has, so the daemon must re-class it
+# without re-analysis. Both must take the window tail. The moved DEFs
+# are written alongside: the daemon's dump after each ECO must equal
+# one-shot `pao analyze --dump-selection` of the matching DEF, and the
+# shifted instance's unique index and member count must equal
+# `pao explain --inst` on the twice-moved DEF.
 servedir="$(mktemp -d /tmp/pao_serve_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep" "$sweepdir" "$servedir"' EXIT
 if ! command -v python3 > /dev/null; then
@@ -212,39 +217,83 @@ for line in open('benchmarks/smoke.def'):
 PY
 )"
 [[ -n "$inst" ]] || { echo "no instance with pin A found"; exit 1; }
-# Two instances with one signature (master, orientation, track phases)
-# in different rows — hence different clusters — trade places. Prints
-# the ECO's move list and writes the moved DEF.
-moves="$(python3 - benchmarks/smoke.def "$servedir/moved.def" << 'PY'
+# Prints three lines — the swap's move list, the shift's move list and
+# the shifted instance — and writes moved.def (after the swap) and
+# moved2.def (after both ECOs).
+plan="$(python3 - benchmarks/smoke.def benchmarks/smoke.lef "$servedir" << 'PY'
 import json, re, sys
 lines = open(sys.argv[1]).read().split('\n')
-tracks, comps = [], []
+size, cur = {}, None
+for line in open(sys.argv[2]):
+    t = line.split()
+    if t[:1] == ['MACRO']:
+        cur = t[1]
+    if t[:1] == ['SIZE'] and cur:
+        size[cur] = (round(float(t[1]) * 1000), round(float(t[3]) * 1000))
+tracks, rows, comps = [], [], []
 place = re.compile(r'\s*- (\S+) (\S+) \+ PLACED \( (-?\d+) (-?\d+) \) (\S+) ;')
 for i, line in enumerate(lines):
     t = line.split()
     if t[:1] == ['TRACKS']:
         tracks.append((t[1], int(t[2]), int(t[6])))
+    if t[:1] == ['ROW']:
+        rows.append((int(t[3]), int(t[4]), int(t[7]), int(t[11])))
     m = place.match(line)
     if m:
-        comps.append((i, m[1], m[2], int(m[3]), int(m[4]), m[5]))
-def sig(c):
-    return (c[2], c[5], tuple(((c[3] if ax == 'X' else c[4]) - start) % step
+        comps.append([i, m[1], m[2], int(m[3]), int(m[4]), m[5]])
+def sig(c, x=None):
+    x = c[3] if x is None else x
+    return (c[2], c[5], tuple(((x if ax == 'X' else c[4]) - start) % step
                               for ax, start, step in tracks))
+def write(path):
+    out = list(lines)
+    for c in comps:
+        out[c[0]] = place.sub(f' - {c[1]} {c[2]} + PLACED ( {c[3]} {c[4]} ) {c[5]} ;', out[c[0]])
+    open(path, 'w').write('\n'.join(out))
+# ECO 1: two instances with one signature (master, orientation, track
+# phases) in different rows, hence different clusters, trade places.
 a, b = next((a, b) for a in comps for b in comps
             if a[4] < b[4] and sig(a) == sig(b))
-for c, (x, y) in ((a, b[3:5]), (b, a[3:5])):
-    lines[c[0]] = place.sub(f'  - {c[1]} {c[2]} + PLACED ( {x} {y} ) {c[5]} ;', lines[c[0]])
-open(sys.argv[2], 'w').write('\n'.join(lines))
-print(json.dumps([{'inst': a[1], 'x': b[3], 'y': b[4]},
-                  {'inst': b[1], 'x': a[3], 'y': a[4]}]))
+(a[3], a[4]), (b[3], b[4]) = (b[3], b[4]), (a[3], a[4])
+write(sys.argv[3] + '/moved.def')
+print(json.dumps([{'inst': a[1], 'x': a[3], 'y': a[4]},
+                  {'inst': b[1], 'x': b[3], 'y': b[4]}]))
+# ECO 2: a single-row instance steps one site into free row space and
+# lands on a signature another instance already has.
+def box(c, x=None):
+    w, h = size[c[2]]
+    x = c[3] if x is None else x
+    return (x, c[4], x + w, c[4] + h)
+def free(c, x):
+    b = box(c, x)
+    inside = any(r[1] == b[1] and r[0] <= b[0] and b[2] <= r[0] + r[2] * r[3] for r in rows)
+    return inside and all(d is c or box(d)[2] <= b[0] or b[2] <= box(d)[0]
+                          or box(d)[3] <= b[1] or b[3] <= box(d)[1] for d in comps)
+site = rows[0][3]
+c, x = next((c, c[3] + dx) for c in comps for dx in (site, -site)
+            if size[c[2]][1] == 2800 and free(c, c[3] + dx)
+            and any(d is not c and sig(d) == sig(c, c[3] + dx) for d in comps))
+c[3] = x
+write(sys.argv[3] + '/moved2.def')
+print(json.dumps([{'inst': c[1], 'x': c[3], 'y': c[4]}]))
+print(c[1])
 PY
 )"
-[[ -n "$moves" ]] || { echo "no same-signature pair found"; exit 1; }
+moves="$(sed -n 1p <<< "$plan")"
+shift_moves="$(sed -n 2p <<< "$plan")"
+shifted="$(sed -n 3p <<< "$plan")"
+[[ -n "$moves" && -n "$shift_moves" && -n "$shifted" ]] \
+    || { echo "no same-signature pair or one-site re-class found"; exit 1; }
 for t in 1 4; do
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --dump-selection "$servedir/ref-$t.txt" > /dev/null 2>&1
-    target/release/pao analyze benchmarks/smoke.lef "$servedir/moved.def" \
-        --threads "$t" --dump-selection "$servedir/moved-$t.txt" > /dev/null 2>&1
+    for d in moved moved2; do
+        target/release/pao analyze benchmarks/smoke.lef "$servedir/$d.def" \
+            --threads "$t" --dump-selection "$servedir/$d-$t.txt" > /dev/null 2>&1
+    done
+    target/release/pao explain benchmarks/smoke.lef "$servedir/moved2.def" \
+        --inst "$shifted" --threads "$t" > "$servedir/explain-$t.txt" \
+        || { echo "pao explain (threads $t) failed"; exit 1; }
     sock="$servedir/pao-$t.sock"
     target/release/pao serve benchmarks/smoke.lef benchmarks/smoke.def \
         --socket "$sock" --threads "$t" > "$servedir/daemon-$t.log" 2>&1 &
@@ -255,19 +304,23 @@ for t in 1 4; do
         "{\"id\":3,\"method\":\"batch\",\"params\":[{\"id\":31,\"method\":\"get_instance_patterns\",\"params\":{\"inst\":\"$inst\"}},{\"id\":32,\"method\":\"get_cluster_selection\",\"params\":{\"inst\":\"$inst\"}}]}" \
         "{\"id\":4,\"method\":\"eco_update\",\"params\":{\"moves\":$moves}}" \
         '{"id":5,"method":"dump_selection"}' \
-        '{"id":6,"method":"stats"}' \
-        '{"id":7,"method":"shutdown"}' > "$servedir/resp-$t.jsonl" \
+        "{\"id\":6,\"method\":\"eco_update\",\"params\":{\"moves\":$shift_moves}}" \
+        '{"id":7,"method":"dump_selection"}' \
+        "{\"id\":8,\"method\":\"get_instance_patterns\",\"params\":{\"inst\":\"$shifted\"}}" \
+        '{"id":9,"method":"stats"}' \
+        '{"id":10,"method":"shutdown"}' > "$servedir/resp-$t.jsonl" \
         || { echo "pao call (threads $t) failed"; cat "$servedir/daemon-$t.log"; exit 1; }
     wait "$daemon" \
         || { echo "daemon (threads $t) exited non-zero"; cat "$servedir/daemon-$t.log"; exit 1; }
-    [[ "$(wc -l < "$servedir/resp-$t.jsonl")" == 7 ]] \
-        || { echo "expected 7 response lines (threads $t)"; exit 1; }
+    [[ "$(wc -l < "$servedir/resp-$t.jsonl")" == 10 ]] \
+        || { echo "expected 10 response lines (threads $t)"; exit 1; }
     python3 - "$servedir/resp-$t.jsonl" "$servedir/ref-$t.txt" \
-        "$servedir/moved-$t.txt" << 'PY'
-import json, sys
+        "$servedir/moved-$t.txt" "$servedir/moved2-$t.txt" "$servedir/explain-$t.txt" << 'PY'
+import json, re, sys
 resp = [json.loads(l) for l in open(sys.argv[1])]  # strict-parse every line
-ref = open(sys.argv[2]).read()
-moved = open(sys.argv[3]).read()
+ref, moved, moved2 = (open(p).read() for p in sys.argv[2:5])
+explain = re.search(r'unique instance (\d+), (\d+) member', open(sys.argv[5]).read())
+assert explain, 'pao explain printed no unique instance'
 assert resp[0]['result']['dump'] == ref, 'daemon dump != one-shot analyze'
 assert resp[1]['result']['selected'] is not None, 'pin has no access'
 assert len(resp[2]['result']) == 2, 'batch must answer both sub-requests'
@@ -276,21 +329,30 @@ assert eco['eco_seq'] == 1 and eco['cache_misses'] == 0, f'ECO missed the cache:
 assert eco['tail'] == 'window', f'swap ECO did not take the window tail: {eco}'
 assert eco['moved'] == 2 and eco['pins_reprobed'] > 0, f'vacuous ECO: {eco}'
 assert resp[4]['result']['dump'] == moved, 'dump after the swap != one-shot analyze of the moved DEF'
-stats = resp[5]['result']
-assert stats['eco_tails'] == {'window': 1, 'full': 0}, stats['eco_tails']
+eco = resp[5]['result']
+assert eco['eco_seq'] == 2 and eco['cache_misses'] == 0, f'shift ECO missed the cache: {eco}'
+assert eco['tail'] == 'window', f'shift ECO did not take the window tail: {eco}'
+assert eco['moved'] == 1 and eco['pins_reprobed'] > 0, f'vacuous shift ECO: {eco}'
+assert resp[6]['result']['dump'] == moved2, 'dump after the shift != one-shot analyze of the twice-moved DEF'
+pat = resp[7]['result']
+assert (pat['unique_index'], pat['members']) == tuple(map(int, explain.groups())), \
+    f'shifted instance {pat["inst"]}: daemon says unique instance {pat["unique_index"]} with ' \
+    f'{pat["members"]} member(s), pao explain says {explain.group(0)}'
+stats = resp[8]['result']
+assert stats['eco_tails'] == {'window': 2, 'full': 0}, stats['eco_tails']
 assert stats['symbol']['interned'] > 0, 'symbol gauges missing'
-assert resp[6]['result']['ok'] is True, 'shutdown not acknowledged'
+assert resp[9]['result']['ok'] is True, 'shutdown not acknowledged'
 PY
 done
-# Byte-identity across thread counts: the one-shot dumps and every
-# deterministic response line (stats — line 6 — reports measured phase
-# fractions, so it is the one line allowed to differ).
-for f in ref moved; do
+# Byte-identity across thread counts: the one-shot dumps, pao explain
+# and every deterministic response line (stats — line 9 — reports
+# measured phase fractions, so it is the one line allowed to differ).
+for f in ref moved moved2 explain; do
     cmp -s "$servedir/$f-1.txt" "$servedir/$f-4.txt" \
-        || { echo "one-shot $f dumps diverged between 1 and 4 threads"; exit 1; }
+        || { echo "one-shot $f output diverged between 1 and 4 threads"; exit 1; }
 done
-diff <(sed -n '1,5p' "$servedir/resp-1.jsonl") \
-     <(sed -n '1,5p' "$servedir/resp-4.jsonl") \
+diff <(sed -n '1,8p' "$servedir/resp-1.jsonl") \
+     <(sed -n '1,8p' "$servedir/resp-4.jsonl") \
     || { echo "daemon responses diverged between 1 and 4 threads"; exit 1; }
 echo "serve smoke gate: OK"
 fi
