@@ -11,7 +11,7 @@ pub struct Args {
 
 /// Options that take a value (everything else starting with `--` is a
 /// boolean flag).
-const VALUE_OPTS: [&str; 37] = [
+const VALUE_OPTS: [&str; 36] = [
     "--threads",
     "--k",
     "--report",
@@ -19,7 +19,6 @@ const VALUE_OPTS: [&str; 37] = [
     "--lef",
     "--def",
     "--out",
-    "--cache",
     "--case",
     "--trace",
     "--inject-fault",

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pao analyze <tech.lef> <design.def> [--threads N] [--k N] [--no-bca]
-//!             [--report FILE] [--svg INSTANCE:FILE] [--cache FILE]
+//!             [--report FILE] [--svg INSTANCE:FILE]
 //!             [--metrics] [--trace FILE] [--deadline-ms MS]
 //!             [--deadline-ok] [--checkpoint DIR] [--resume]
 //!             [--watchdog-ms MS] [--select-split N]
@@ -22,7 +22,7 @@
 //!             [--heatmap FILE] [--threads N]
 //! ```
 
-use pao_core::{PaoConfig, PaoError, PinAccessOracle, RunBudget};
+use pao_core::{AnalysisCache, PaoConfig, PaoError, PinAccessOracle, RunBudget};
 use pao_design::Design;
 use pao_tech::Tech;
 use std::process::ExitCode;
@@ -42,7 +42,7 @@ use args::Args;
 /// |------|-------------------------------------------------------|
 /// | 0    | success                                               |
 /// | 2    | usage error (bad flags/arguments)                     |
-/// | 3    | input error (unreadable or malformed LEF/DEF/cache)   |
+/// | 3    | input error (unreadable or malformed LEF/DEF)         |
 /// | 4    | internal error (a `pao` bug)                          |
 /// | 5    | run completed degraded (quarantined items) and        |
 /// |      | `--degraded-ok` was not given                         |
@@ -275,32 +275,38 @@ fn selection_dump(design: &Design, result: &pao_core::PaoResult) -> String {
     pao_core::service::selection_dump(design, result)
 }
 
-/// Opens the `--checkpoint DIR` store. With `--resume` the directory's
-/// phase checkpoints are reloaded (corrupt sections degrade to recompute,
-/// with a warning); without it stale checkpoints are cleared so a fresh
-/// run never silently reuses them. The phase-time history survives both
-/// ways — it seeds the budget allocator.
-fn open_checkpoint(args: &Args) -> Result<Option<pao_core::CheckpointStore>, CliError> {
+/// Opens the `--checkpoint DIR` analysis store, bound to this run's
+/// inputs. With `--resume` the directory's store is reloaded; a corrupt
+/// one, or one computed from other inputs (LEF, apgen/pattern settings,
+/// track patterns), is rejected with a warning and recomputed. Without it
+/// a stale store is cleared so a fresh run never silently reuses it. The
+/// phase-time history survives both ways — it seeds the budget allocator.
+fn open_checkpoint(
+    args: &Args,
+    tech: &Tech,
+    design: &Design,
+    cfg: &PaoConfig,
+) -> Result<Option<AnalysisCache>, CliError> {
     let Some(dir) = args.value("--checkpoint") else {
         if args.flag("--resume") {
             return Err(CliError::usage("--resume requires --checkpoint DIR"));
         }
         return Ok(None);
     };
-    let store = if args.flag("--resume") {
-        let (store, rejected) = pao_core::CheckpointStore::resume(dir)
-            .map_err(|e| CliError::input(format!("cannot open checkpoint dir `{dir}`: {e}")))?;
-        for e in rejected {
-            eprintln!(
-                "warning: checkpoint in `{dir}` rejected, recomputing: {}",
-                PaoError::from(e)
-            );
-        }
-        store
+    let (mut store, rejected) = if args.flag("--resume") {
+        AnalysisCache::resume(dir, tech)
+            .map_err(|e| CliError::input(format!("cannot open checkpoint dir `{dir}`: {e}")))?
     } else {
-        pao_core::CheckpointStore::create(dir)
-            .map_err(|e| CliError::input(format!("cannot create checkpoint dir `{dir}`: {e}")))?
+        let store = AnalysisCache::create(dir)
+            .map_err(|e| CliError::input(format!("cannot create checkpoint dir `{dir}`: {e}")))?;
+        (store, None)
     };
+    let stale = store
+        .bind(pao_core::persist::input_stamp(tech, design, cfg))
+        .err();
+    for e in rejected.into_iter().chain(stale) {
+        eprintln!("warning: checkpoint in `{dir}` rejected, recomputing: {e}");
+    }
     Ok(Some(store))
 }
 
@@ -335,46 +341,24 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
         arm_injected_fault(spec)?;
     }
     let (deadline, watchdog) = parse_budget_flags(args)?;
-    let mut store = open_checkpoint(args)?;
+    let mut store = open_checkpoint(args, &tech, &design, &cfg)?;
     // Budget split: this checkpoint directory's recorded phase-time
     // history when available, the built-in default otherwise.
     let fractions = store
         .as_ref()
-        .and_then(pao_core::CheckpointStore::fractions)
+        .and_then(AnalysisCache::fractions)
         .unwrap_or_default();
     let budget = RunBudget {
         deadline,
         fractions,
         watchdog,
-        checkpoint: store.as_mut(),
+        store: store.as_mut(),
     };
-    let oracle = PinAccessOracle::with_config(cfg);
-    let result = match args.value("--cache") {
-        Some(path) => {
-            // Persisted incremental cache: load if present, save after. A
-            // corrupt/truncated/old-version cache is *rejected* (warning +
-            // `cache.rejected` counter inside load_or_rebuild) and the
-            // analysis transparently rebuilds it — never an abort.
-            let mut cache = match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    let (cache, rejected) =
-                        pao_core::incremental::AnalysisCache::load_or_rebuild(&text);
-                    if let Some(reason) = rejected {
-                        eprintln!("warning: cache `{path}` rejected, rebuilding: {reason}");
-                    }
-                    cache
-                }
-                Err(_) => pao_core::incremental::AnalysisCache::new(),
-            };
-            let r = oracle.analyze_with_cache_budget(&tech, &design, &mut cache, budget);
-            std::fs::write(path, cache.save_to_string())
-                .map_err(|e| CliError::input(format!("cannot write cache `{path}`: {e}")))?;
-            let (hits, misses) = cache.stats();
-            eprintln!("cache: {hits} hits, {misses} misses -> {path}");
-            r
-        }
-        None => oracle.analyze_with_budget(&tech, &design, budget),
-    };
+    let result = PinAccessOracle::with_config(cfg).analyze_with_budget(&tech, &design, budget);
+    if let (Some(store), Some(dir)) = (&store, args.value("--checkpoint")) {
+        let (hits, misses) = store.stats();
+        eprintln!("checkpoint: {hits} hits, {misses} misses -> {dir}");
+    }
     pao_core::fault::disarm();
     pao_obs::disable_all();
     let mut out = String::new();
@@ -1179,7 +1163,7 @@ pao — pin access oracle for detailed routing
 
 USAGE:
   pao analyze <tech.lef> <design.def> [--threads N] [--k N] [--no-bca]
-              [--report FILE] [--svg INSTANCE:FILE] [--cache FILE]
+              [--report FILE] [--svg INSTANCE:FILE]
               [--metrics] [--trace FILE] [--degraded-ok]
               [--inject-fault PHASE[:INDEX]]
               [--deadline-ms MS] [--deadline-ok] [--checkpoint DIR]
@@ -1265,10 +1249,13 @@ USAGE:
   is split across phases (by this checkpoint directory's recorded phase
   history when available), in-flight items finish when it expires, and
   unstarted items degrade like quarantined ones. A partial run exits 6
-  unless --deadline-ok is given. --checkpoint DIR persists completed
-  apgen/pattern work after each phase; --resume reloads it so a cut (or
-  killed) run continues without redoing finished phases. A watchdog
-  (armed automatically with any deadline flag; threshold floor
+  unless --deadline-ok is given. --checkpoint DIR keeps a
+  signature-keyed analysis store there, written after each phase;
+  --resume reloads it so a cut (or killed) run restores finished work
+  instead of redoing it, matching an uninterrupted run as long as the
+  store's input stamp (LEF, apgen/pattern settings, track patterns)
+  matches — otherwise it is rejected with a warning and recomputed. A
+  watchdog (armed automatically with any deadline flag; threshold floor
   --watchdog-ms) detects stalled workers and converts the stall into a
   degraded run. --inject-stall PHASE[:INDEX[:MS]] deterministically
   stalls one work item to exercise that path. Exit codes: 0 ok, 2 usage,

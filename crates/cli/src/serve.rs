@@ -983,16 +983,16 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // on the daemon targets the *first ECO*, not the load — disarm now
     // and re-arm once the service is resident.
     pao_core::fault::disarm();
-    let mut store = open_checkpoint(args)?;
+    let mut store = open_checkpoint(args, &tech, &design, &cfg)?;
     let fractions = store
         .as_ref()
-        .and_then(pao_core::CheckpointStore::fractions)
+        .and_then(pao_core::AnalysisCache::fractions)
         .unwrap_or_default();
     let budget = RunBudget {
         deadline: None, // the load is not deadline-cut; --deadline-ms bounds ECOs
         fractions,
         watchdog,
-        checkpoint: store.as_mut(),
+        store: store.as_mut(),
     };
     let collect_rejects = !args.flag("--no-ledger");
     eprintln!(

@@ -283,18 +283,28 @@ fn corrupt_cache_is_rejected_and_rebuilt() {
         .status()
         .expect("spawn")
         .success());
-    let cache = tmp("c.cache");
-    // Seed the cache with garbage (e.g. a truncated write from a killed
-    // process): the analysis must warn, rebuild, and exit 0.
-    std::fs::write(&cache, "PAO-CACHE v1\nENTRY master=X orient=N").expect("write");
-    let out = pao()
-        .arg("analyze")
-        .arg(&lef)
-        .arg(&def)
-        .arg("--cache")
-        .arg(&cache)
-        .output()
-        .expect("spawn");
+    let ckpt = tmp("c-ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
+    // Seed the store with garbage (e.g. a truncated write from a killed
+    // process): the resumed analysis must warn, recompute, and exit 0.
+    std::fs::write(
+        ckpt.join("analysis.ckpt"),
+        "PAO-CACHE v1\nENTRY master=X orient=N",
+    )
+    .expect("write");
+    let resume = || {
+        pao()
+            .arg("analyze")
+            .arg(&lef)
+            .arg(&def)
+            .arg("--checkpoint")
+            .arg(&ckpt)
+            .arg("--resume")
+            .output()
+            .expect("spawn")
+    };
+    let out = resume();
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -302,21 +312,131 @@ fn corrupt_cache_is_rejected_and_rebuilt() {
         String::from_utf8_lossy(&out.stderr)
     );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("rejected, rebuilding"), "{err}");
-    // The rebuilt cache is valid: a second run loads it cleanly (all
+    assert!(err.contains("rejected, recomputing"), "{err}");
+    // The rebuilt store is valid: a second resume loads it cleanly (all
     // hits, no rejection warning).
-    let out = pao()
-        .arg("analyze")
-        .arg(&lef)
-        .arg(&def)
-        .arg("--cache")
-        .arg(&cache)
-        .output()
-        .expect("spawn");
+    let out = resume();
     assert_eq!(out.status.code(), Some(0));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("rejected"), "{err}");
-    assert!(err.contains("hits"), "{err}");
+    assert!(err.contains(" hits, 0 misses"), "{err}");
+}
+
+/// `lef` without the `VIA` blocks whose name `keep` refuses.
+fn drop_vias(lef: &str, keep: impl Fn(&str) -> bool) -> String {
+    let mut out = String::new();
+    let mut skipping: Option<String> = None;
+    for line in lef.lines() {
+        let t: Vec<&str> = line.split_whitespace().collect();
+        if skipping.is_none() && t.len() > 1 && t[0] == "VIA" && !keep(t[1]) {
+            skipping = Some(t[1].to_owned());
+        }
+        match &skipping {
+            None => {
+                out.push_str(line);
+                out.push('\n');
+            }
+            Some(name) if t.len() > 1 && t[0] == "END" && t[1] == name => skipping = None,
+            Some(_) => {}
+        }
+    }
+    out
+}
+
+/// A store written from one set of inputs, resumed with another — BCA
+/// off, a via removed, all but one via removed, a coarser metal2 track
+/// step — is rejected with a warning and recomputed: exit 0, and the
+/// selection dump and counter lines equal a fresh run's exactly.
+#[test]
+fn resumed_store_of_other_inputs_matches_fresh_run() {
+    let gen = |case: &str| {
+        let (lef, def) = (
+            tmp(&format!("in-{case}.lef")),
+            tmp(&format!("in-{case}.def")),
+        );
+        assert!(pao()
+            .args(["gen", case, "--lef"])
+            .arg(&lef)
+            .arg("--def")
+            .arg(&def)
+            .status()
+            .expect("spawn")
+            .success());
+        (lef, def)
+    };
+    let (t2_lef, t2_def) = gen("ispd18s_test2");
+    let (lef, def) = gen("smoke");
+    let text = |p: &PathBuf| std::fs::read_to_string(p).expect("read input");
+    let write = |name: &str, body: String| {
+        let p = tmp(name);
+        std::fs::write(&p, body).expect("write input");
+        p
+    };
+    let no_via11 = write("in-no-via11.lef", drop_vias(&text(&lef), |v| v != "via1_1"));
+    let via10 = write("in-via10.lef", drop_vias(&text(&lef), |v| v == "via1_0"));
+    let step800 = write(
+        "in-step800.def",
+        text(&def).replace("STEP 400 LAYER metal2 ;", "STEP 800 LAYER metal2 ;"),
+    );
+    assert_ne!(
+        text(&step800),
+        text(&def),
+        "fixture must change a track step"
+    );
+    let cases = [
+        ("no-bca", (&t2_lef, &t2_def), (&t2_lef, &t2_def), "--no-bca"),
+        ("no-via1_1", (&lef, &def), (&no_via11, &def), ""),
+        ("via1_0-only", (&lef, &def), (&via10, &def), ""),
+        ("metal2-step-800", (&lef, &def), (&lef, &step800), ""),
+    ];
+    for (name, (lef1, def1), (lef2, def2), flags) in cases {
+        let ckpt = tmp(&format!("stamp-{name}"));
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let out = pao()
+            .arg("analyze")
+            .arg(lef1)
+            .arg(def1)
+            .arg("--checkpoint")
+            .arg(&ckpt)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "{name}: store-writing run");
+        let run = |tag: &str, resume: bool| {
+            let (report, dump) = (
+                tmp(&format!("stamp-{name}-{tag}.txt")),
+                tmp(&format!("stamp-{name}-{tag}.sel")),
+            );
+            let mut cmd = pao();
+            cmd.arg("analyze")
+                .arg(lef2)
+                .arg(def2)
+                .args(flags.split_whitespace());
+            if resume {
+                cmd.arg("--checkpoint").arg(&ckpt).arg("--resume");
+            }
+            let out = cmd
+                .arg("--report")
+                .arg(&report)
+                .arg("--dump-selection")
+                .arg(&dump)
+                .output()
+                .expect("spawn");
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(0), "{name} {tag}: {err}");
+            let report = std::fs::read_to_string(report).expect("report");
+            (report, std::fs::read(dump).expect("dump"), err)
+        };
+        let (resumed, resumed_dump, err) = run("resumed", true);
+        let (fresh, fresh_dump, _) = run("fresh", false);
+        assert!(err.contains("rejected, recomputing"), "{name}: {err}");
+        assert!(resumed_dump == fresh_dump, "{name}: selection dump differs");
+        assert_eq!(
+            counter_lines(&resumed),
+            counter_lines(&fresh),
+            "{name}: counters differ"
+        );
+        let _ = std::fs::remove_dir_all(&ckpt);
+    }
 }
 
 #[test]

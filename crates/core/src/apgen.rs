@@ -1,6 +1,7 @@
 //! Pin-based access point generation (paper Section III-A, Algorithm 1).
 
 use crate::coord::CoordType;
+use crate::persist::RejectTally;
 use crate::share::{CandidateKey, VerdictTable};
 use crate::unique::local_pin_owner;
 use pao_design::{Design, TrackPattern};
@@ -8,7 +9,7 @@ use pao_drc::{DrcEngine, DrcScratch, Owner, RejectInfo, ShapeSet};
 use pao_geom::{max_rects, Dbu, Dir, Point, Rect};
 use pao_obs::{ledger, LedgerEvent, LedgerRecord};
 use pao_tech::{LayerId, Tech, ViaId};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Ledger tag for "rejected, but no rule attribution exists" — a pin with no
@@ -367,6 +368,10 @@ pub struct ApScratch {
     /// `pref.cost() * 4 + nonpref.cost()`.
     tried: [u64; 16],
     accepted: [u64; 16],
+    /// Rejected candidates per `(pin, rule code, sub-check code)`, tallied
+    /// beside the decision ledger's records while it is on: the reject
+    /// histograms a stored analysis keeps.
+    rejects: BTreeMap<(usize, u8, u8), u64>,
 }
 
 /// Counter names per coordinate-type pair (`<pref>_<nonpref>` with the
@@ -422,6 +427,16 @@ impl ApScratch {
     /// this scratch (entity = `instance << 16 | pin_idx`).
     pub fn set_ledger_instance(&mut self, instance: u64) {
         self.entity_base = instance << 16;
+    }
+
+    /// Drains the reject tallies into per-pin `(rule, sub-check, count)`
+    /// lists, in code order, for a master with `pins` pins.
+    pub(crate) fn take_rejects(&mut self, pins: usize) -> Vec<Vec<RejectTally>> {
+        let mut out = vec![Vec::new(); pins];
+        for ((pin, rule, sub), n) in std::mem::take(&mut self.rejects) {
+            out[pin].push((rule, sub, n));
+        }
+        out
     }
 
     /// Publishes the accumulated tallies as `apgen.*` counters and zeroes
@@ -776,17 +791,22 @@ pub(crate) fn generate_pin_access_points_with(
                                 aps.push(ap);
                             } else if pao_obs::ledger_enabled() {
                                 let tag = scratch.reject_tag;
-                                let mut rec = LedgerRecord::new(
-                                    LedgerEvent::ApReject,
-                                    scratch.entity_base | pin_idx as u64,
-                                    candidate,
-                                )
-                                .with_aux(layer.0)
-                                .with_pos(pos.x, pos.y);
-                                if tag != TAG_NO_VIA {
-                                    rec = rec.with_reject((tag >> 8) as u8, (tag & 0xFF) as u8);
-                                }
-                                ledger::record(rec);
+                                let (rule, sub) = if tag == TAG_NO_VIA {
+                                    (ledger::NO_CODE, ledger::NO_CODE)
+                                } else {
+                                    ((tag >> 8) as u8, (tag & 0xFF) as u8)
+                                };
+                                *scratch.rejects.entry((pin_idx, rule, sub)).or_default() += 1;
+                                ledger::record(
+                                    LedgerRecord::new(
+                                        LedgerEvent::ApReject,
+                                        scratch.entity_base | pin_idx as u64,
+                                        candidate,
+                                    )
+                                    .with_aux(layer.0)
+                                    .with_pos(pos.x, pos.y)
+                                    .with_reject(rule, sub),
+                                );
                             }
                             candidate += 1;
                         }

@@ -562,8 +562,8 @@ impl BudgetAllocator {
 /// The per-run budget handed to
 /// [`PinAccessOracle::analyze_with_budget`](crate::PinAccessOracle::analyze_with_budget):
 /// an optional overall deadline, the phase split, an optional stall
-/// watchdog, and an optional phase-granular checkpoint store for
-/// cut/crash resume.
+/// watchdog, and an optional analysis store for reuse and cut/crash
+/// resume.
 #[derive(Debug, Default)]
 pub struct RunBudget<'a> {
     /// Overall wall-clock budget (`None` = unlimited).
@@ -572,14 +572,16 @@ pub struct RunBudget<'a> {
     pub fractions: PhaseFractions,
     /// Stall watchdog (`None` = no monitoring).
     pub watchdog: Option<Watchdog>,
-    /// Phase-granular checkpoint store: completed apgen/pattern items are
-    /// persisted after each phase and restored on the next run, so a cut
-    /// or crashed run resumes without redoing finished work.
-    pub checkpoint: Option<&'a mut crate::persist::CheckpointStore>,
+    /// Signature-keyed analysis store: stored signatures restore steps
+    /// 1–2 instead of recomputing them, and completed apgen/pattern items
+    /// are stored after each phase (and written, for a checkpoint
+    /// directory), so a cut or crashed run resumes without redoing
+    /// finished work.
+    pub store: Option<&'a mut crate::persist::AnalysisCache>,
 }
 
 impl RunBudget<'static> {
-    /// No deadline, no watchdog, no checkpointing — plain
+    /// No deadline, no watchdog, no store — plain
     /// [`analyze`](crate::PinAccessOracle::analyze) behavior.
     #[must_use]
     pub fn unlimited() -> RunBudget<'static> {

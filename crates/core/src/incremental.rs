@@ -7,10 +7,12 @@
 //!
 //! Intra-cell analysis (steps 1–2) depends only on the unique-instance
 //! *signature* — master, orientation and track phases — so its results are
-//! reusable across placements. [`AnalysisCache`] keys the per-signature
-//! work; [`PinAccessOracle::analyze_with_cache`] skips steps 1–2 for every
-//! signature seen before and runs only the placement-dependent tail
-//! (cluster selection, repair, audit) — the same tail a cold run ends in.
+//! reusable across placements. The [`AnalysisCache`] store keys them by
+//! signature; attached to [`PinAccessOracle::analyze_with_budget`] it
+//! restores every signature seen before, and when a placement repeats only
+//! stored signatures a resident service rebuilds steps 1–2 from it whole
+//! and runs only the placement-dependent tail (cluster selection, repair,
+//! audit) — the same tail a cold run ends in.
 //!
 //! A resident service goes one step further for a move that keeps every
 //! signature cached ([`PinAccessOracle::window_tail`]): selection is
@@ -19,7 +21,7 @@
 //! are re-solved and only the pins whose windows it can reach are
 //! re-probed.
 
-use crate::budget::{CancelReason, DeadlineReport, RunBudget};
+use crate::budget::{CancelReason, DeadlineReport};
 use crate::cluster::{
     comp_bbox, conflict_reach, form_clusters, pair_reach, solve_group, Cluster, RowIndex,
     SelectScratch, SelectTelemetry, StripeCells,
@@ -29,35 +31,16 @@ use crate::oracle::{
     push_skip, PaoResult, PinAccessOracle, RunCtx, TailInput, UniqueInstanceAccess,
 };
 use crate::parallel::{parallel_map_budget, ItemFault, PhaseBudget};
+use crate::persist::{signature_of, AnalysisCache, Entry, Step2};
 use crate::stats::PaoStats;
 use crate::unique::{pin_owner, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
-use pao_geom::{Dbu, Orient, Point, Rect};
-use pao_tech::{Symbol, Tech};
+use pao_geom::{Dbu, Point, Rect};
+use pao_tech::Tech;
 use std::collections::{HashMap, HashSet};
 
-/// Signature key for cached intra-cell analysis: master, orientation and
-/// track phases.
-pub(crate) type Signature = (Symbol, Orient, Vec<Dbu>);
-
-/// The signature of an analyzed unique instance.
-pub(crate) fn signature_of(u: &UniqueInstanceAccess) -> Signature {
-    (u.info.master, u.info.orient, u.info.phases.clone())
-}
-
-/// A cached per-signature analysis entry.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// The representative's placement location when the entry was made
-    /// (access point positions are stored in that frame).
-    rep_location: Point,
-    /// Steps 1–2 output (pin APs, ordering, patterns, Table II tallies)
-    /// in the old frame.
-    data: UniqueInstanceAccess,
-}
-
-/// One placement's unique instances rebuilt from the cache, in that
+/// One placement's unique instances rebuilt from the store, in that
 /// placement's frame and numbering.
 #[derive(Debug)]
 pub(crate) struct Warm {
@@ -66,7 +49,7 @@ pub(crate) struct Warm {
 }
 
 impl Warm {
-    /// The Table II counters the cached access point generation recorded
+    /// The Table II counters the stored access point generation recorded
     /// — equal to a cold run's, since each depends only on the signature.
     fn stats(&self) -> PaoStats {
         let mut stats = PaoStats {
@@ -83,375 +66,46 @@ impl Warm {
     }
 }
 
-/// A reusable cache of unique-instance analyses, keyed by signature.
-///
-/// ```no_run
-/// # let tech: pao_tech::Tech = unimplemented!();
-/// # let mut design: pao_design::Design = unimplemented!();
-/// use pao_core::{incremental::AnalysisCache, PinAccessOracle};
-///
-/// let oracle = PinAccessOracle::new();
-/// let mut cache = AnalysisCache::new();
-/// let first = oracle.analyze_with_cache(&tech, &design, &mut cache);
-/// // … move some cells …
-/// let second = oracle.analyze_with_cache(&tech, &design, &mut cache);
-/// assert!(cache.len() > 0); // intra-cell work was reused
-/// # let _ = (first, second);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisCache {
-    entries: HashMap<Signature, CacheEntry>,
-    hits: usize,
-    misses: usize,
-}
-
-impl AnalysisCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> AnalysisCache {
-        AnalysisCache::default()
-    }
-
-    /// Number of cached signatures.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` accumulated over all `analyze_with_cache` calls.
-    #[must_use]
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
-    }
-
-    /// Resets the hit/miss counters, e.g. after a discarded run.
-    pub(crate) fn restore_stats(&mut self, (hits, misses): (usize, usize)) {
-        self.hits = hits;
-        self.misses = misses;
-    }
-
-    /// Serializes the cache to the line-oriented `PAO-CACHE v3` format
-    /// (version + body checksum header), so short-lived tool invocations
-    /// (a placement optimizer's inner loop) can reuse intra-cell analysis
-    /// across process boundaries.
-    #[must_use]
-    pub fn save_to_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        // Deterministic order for diff-friendliness.
-        let mut sigs: Vec<&Signature> = self.entries.keys().collect();
-        // Symbols order by interning history, not text — sort on the name.
-        sigs.sort_by(|a, b| (a.0.as_str(), a.1, &a.2).cmp(&(b.0.as_str(), b.1, &b.2)));
-        for sig in sigs {
-            let e = &self.entries[sig];
-            let phases: Vec<String> = sig.2.iter().map(i64::to_string).collect();
-            let _ = writeln!(
-                out,
-                "ENTRY master={} orient={} phases={}",
-                sig.0,
-                sig.1,
-                if phases.is_empty() {
-                    "-".to_owned()
-                } else {
-                    phases.join(",")
-                },
-            );
-            let _ = writeln!(out, "REP {} {}", e.rep_location.x, e.rep_location.y);
-            let t = &e.data.tally;
-            let _ = writeln!(out, "TALLY {} {} {}", t.dirty, t.without, t.off_track);
-            for (pi, aps) in e.data.pin_aps.iter().enumerate() {
-                let _ = writeln!(out, "PIN {} {}", pi, aps.len());
-                for ap in aps {
-                    crate::persist::write_ap(&mut out, ap);
-                }
-            }
-            let order: Vec<String> = e.data.pin_order.iter().map(usize::to_string).collect();
-            let _ = writeln!(
-                out,
-                "ORDER {}",
-                if order.is_empty() {
-                    "-".to_owned()
-                } else {
-                    order.join(",")
-                },
-            );
-            for p in &e.data.patterns {
-                crate::persist::write_pattern(&mut out, p);
-            }
-            let _ = writeln!(out, "END");
-        }
-        crate::persist::seal(&out)
-    }
-
-    /// Loads a cache saved by [`save_to_string`](AnalysisCache::save_to_string).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadCacheError`](crate::persist::LoadCacheError) on a bad
-    /// header (wrong version, missing or mismatching checksum) or a
-    /// malformed entry. Line numbers in errors are 1-based whole-file
-    /// positions (the body starts on line 2, after the header).
-    pub fn load_from_string(text: &str) -> Result<AnalysisCache, crate::persist::LoadCacheError> {
-        use crate::persist::{open, parse_ap, parse_pattern, LoadCacheError};
-        let body = open(text)?;
-        let mut lines = body.lines().enumerate().peekable();
-        let err = |m: &str, n: usize| LoadCacheError {
-            message: m.to_owned(),
-            line: n + 2,
-        };
-        let mut cache = AnalysisCache::new();
-        while let Some((n, line)) = lines.next() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("ENTRY ")
-                .ok_or_else(|| err("expected ENTRY", n))?;
-            let mut master = None;
-            let mut orient = None;
-            let mut phases = None;
-            for tok in rest.split_whitespace() {
-                if let Some(v) = tok.strip_prefix("master=") {
-                    master = Some(Symbol::intern(v));
-                } else if let Some(v) = tok.strip_prefix("orient=") {
-                    orient = Some(v.parse::<Orient>().map_err(|e| err(&e.to_string(), n))?);
-                } else if let Some(v) = tok.strip_prefix("phases=") {
-                    phases = Some(if v == "-" {
-                        Vec::new()
-                    } else {
-                        v.split(',')
-                            .map(str::parse)
-                            .collect::<Result<Vec<i64>, _>>()
-                            .map_err(|_| err("bad phase", n))?
-                    });
-                }
-            }
-            let master = master.ok_or_else(|| err("ENTRY missing master", n))?;
-            let orient = orient.ok_or_else(|| err("ENTRY missing orient", n))?;
-            let phases = phases.ok_or_else(|| err("ENTRY missing phases", n))?;
-            let (rn, rep_line) = lines.next().ok_or_else(|| err("missing REP", n))?;
-            let rep = rep_line
-                .trim()
-                .strip_prefix("REP ")
-                .and_then(|r| {
-                    let mut it = r.split_whitespace();
-                    Some(Point::new(
-                        it.next()?.parse().ok()?,
-                        it.next()?.parse().ok()?,
-                    ))
-                })
-                .ok_or_else(|| err("bad REP", rn))?;
-            let (tn, tally_line) = lines.next().ok_or_else(|| err("missing TALLY", rn))?;
-            let tally = tally_line
-                .trim()
-                .strip_prefix("TALLY ")
-                .and_then(|r| {
-                    let mut it = r.split_whitespace().map(str::parse::<usize>);
-                    let t = crate::oracle::ApTally {
-                        dirty: it.next()?.ok()?,
-                        without: it.next()?.ok()?,
-                        off_track: it.next()?.ok()?,
-                    };
-                    it.next().is_none().then_some(t)
-                })
-                .ok_or_else(|| err("bad TALLY", tn))?;
-            let mut pin_aps: Vec<Vec<crate::apgen::AccessPoint>> = Vec::new();
-            let mut pin_order = Vec::new();
-            let mut patterns = Vec::new();
-            loop {
-                let (bn, body) = lines.next().ok_or_else(|| err("unterminated ENTRY", n))?;
-                let body = body.trim();
-                if body == "END" {
-                    break;
-                } else if let Some(rest) = body.strip_prefix("PIN ") {
-                    let mut it = rest.split_whitespace();
-                    let pi: usize = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad PIN index", bn))?;
-                    let count: usize = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad PIN count", bn))?;
-                    while pin_aps.len() <= pi {
-                        pin_aps.push(Vec::new());
-                    }
-                    for _ in 0..count {
-                        let (an, ap_line) =
-                            lines.next().ok_or_else(|| err("missing AP line", bn))?;
-                        pin_aps[pi].push(parse_ap(ap_line.trim(), an + 2)?);
-                    }
-                } else if let Some(rest) = body.strip_prefix("ORDER ") {
-                    if rest != "-" {
-                        pin_order = rest
-                            .split(',')
-                            .map(str::parse)
-                            .collect::<Result<Vec<usize>, _>>()
-                            .map_err(|_| err("bad ORDER", bn))?;
-                    }
-                } else if body.starts_with("PATTERN") {
-                    patterns.push(parse_pattern(body, bn + 2)?);
-                } else {
-                    return Err(err("unexpected line in ENTRY", bn));
-                }
-            }
-            let sig = (master, orient, phases.clone());
-            let data = UniqueInstanceAccess {
-                info: crate::unique::UniqueInstance {
-                    id: crate::unique::UniqueInstanceId(cache.entries.len() as u32),
-                    master,
-                    orient,
-                    phases,
-                    rep: pao_design::CompId(0),
-                    members: Vec::new(),
-                },
-                pin_aps,
-                pin_order,
-                patterns,
-                tally,
-            };
-            cache.entries.insert(
-                sig,
-                CacheEntry {
-                    rep_location: rep,
-                    data,
-                },
-            );
-        }
-        Ok(cache)
-    }
-
-    /// Loads a persisted cache, degrading on failure instead of erroring:
-    /// corrupt, truncated or version-mismatched input yields an **empty**
-    /// cache (so the caller transparently rebuilds via the full-analysis
-    /// path) plus the rejection reason. Every rejection bumps the
-    /// `cache.rejected` counter.
-    #[must_use]
-    pub fn load_or_rebuild(text: &str) -> (AnalysisCache, Option<crate::error::PaoError>) {
-        match AnalysisCache::load_from_string(text) {
-            Ok(cache) => (cache, None),
-            Err(e) => {
-                pao_obs::counter_add("cache.rejected", 1);
-                (AnalysisCache::new(), Some(crate::error::PaoError::from(e)))
-            }
-        }
-    }
-}
-
 impl AnalysisCache {
     /// Rebuilds the unique instances of `table` — `design`'s table —
-    /// from the cache, translated into each representative's frame,
+    /// from the store, translated into each representative's frame,
     /// counting one hit per instance. `None` (and nothing counted) when
-    /// any signature is missing.
+    /// any signature lacks a full entry: one without patterns, or, with
+    /// the decision ledger on, without reject histograms.
     pub(crate) fn warm(&mut self, design: &Design, table: UniqueTable) -> Option<Warm> {
-        // Resolving every entry up front makes the all-cached check and
+        let ledger = pao_obs::ledger_enabled();
+        // Resolving every entry up front makes the all-stored check and
         // the rebuild share one lookup — no later re-lookup can miss.
         let UniqueTable { classes, comp_uniq } = table;
-        let entries: Vec<&CacheEntry> = classes
+        let entries: Vec<(&Entry, &Step2)> = classes
             .iter()
             .map(|info| {
-                self.entries
-                    .get(&(info.master, info.orient, info.phases.clone()))
+                let e = self.step1(&signature_of(info), ledger)?;
+                Some((e, e.patterns.as_ref()?))
             })
             .collect::<Option<_>>()?;
         let unique: Vec<UniqueInstanceAccess> = classes
             .into_iter()
             .zip(entries)
-            .map(|(info, entry)| {
-                let delta = design.component(info.rep).location - entry.rep_location;
-                let mut pin_aps = entry.data.pin_aps.clone();
-                for ap in pin_aps.iter_mut().flatten() {
-                    ap.pos += delta;
-                }
+            .map(|(info, (e, (order, patterns)))| {
+                let rep = design.component(info.rep).location;
                 UniqueInstanceAccess {
-                    info,
-                    pin_aps,
-                    pin_order: entry.data.pin_order.clone(),
-                    patterns: entry.data.patterns.clone(),
-                    tally: entry.data.tally,
+                    pin_order: order.clone(),
+                    patterns: patterns.clone(),
+                    ..e.restore(info, rep)
                 }
             })
             .collect();
-        self.hits += unique.len();
-        pao_obs::counter_add("cache.hits", unique.len() as u64);
+        let n = unique.len();
+        pao_obs::counter_add("cache.restored.apgen", n as u64);
+        pao_obs::counter_add("cache.restored.pattern", n as u64);
+        self.count(n, 0);
         Some(Warm { unique, comp_uniq })
-    }
-
-    /// Refreshes the cache from a full analysis of `design`, counting a
-    /// miss per unique instance.
-    fn fill(&mut self, design: &Design, result: &PaoResult) {
-        for u in &result.unique {
-            self.misses += 1;
-            pao_obs::counter_add("cache.misses", 1);
-            self.entries.insert(
-                signature_of(u),
-                CacheEntry {
-                    rep_location: design.component(u.info.rep).location,
-                    data: u.clone(),
-                },
-            );
-        }
     }
 }
 
 impl PinAccessOracle {
-    /// Like [`analyze`](PinAccessOracle::analyze), but reuses (and fills)
-    /// `cache` for the placement-independent steps 1–2. On a placement
-    /// where every signature was seen before, only cluster selection,
-    /// repair and validation run — the workload of a placement-optimization
-    /// inner loop.
-    #[must_use]
-    pub fn analyze_with_cache(
-        &self,
-        tech: &Tech,
-        design: &Design,
-        cache: &mut AnalysisCache,
-    ) -> PaoResult {
-        self.analyze_with_cache_budget(tech, design, cache, RunBudget::unlimited())
-    }
-
-    /// [`analyze_with_cache`](PinAccessOracle::analyze_with_cache) under a
-    /// [`RunBudget`]. With a new signature present the full analysis runs
-    /// under the whole budget (checkpointing included) and refreshes the
-    /// cache. Otherwise steps 1–2 come from the cache and the run enters
-    /// the same select → repair → audit tail as a cold run, each phase
-    /// minting its token from the remaining deadline.
-    #[must_use]
-    pub fn analyze_with_cache_budget(
-        &self,
-        tech: &Tech,
-        design: &Design,
-        cache: &mut AnalysisCache,
-        budget: RunBudget<'_>,
-    ) -> PaoResult {
-        let run = RunCtx::new(budget.deadline, budget.fractions, budget.watchdog);
-        match cache.warm(design, UniqueTable::build(tech, design)) {
-            Some(warm) => self.analyze_warm(tech, design, warm, &run),
-            None => self.analyze_and_fill(tech, design, cache, budget),
-        }
-    }
-
-    /// The full analysis under `budget`, refreshing `cache` from it.
-    pub(crate) fn analyze_and_fill(
-        &self,
-        tech: &Tech,
-        design: &Design,
-        cache: &mut AnalysisCache,
-        budget: RunBudget<'_>,
-    ) -> PaoResult {
-        let result = self.analyze_with_budget(tech, design, budget);
-        cache.fill(design, &result);
-        result
-    }
-
-    /// The shared select → repair → audit tail over cached steps 1–2.
+    /// The shared select → repair → audit tail over stored steps 1–2.
     pub(crate) fn analyze_warm(
         &self,
         tech: &Tech,
@@ -976,28 +630,39 @@ impl PinAccessOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RunBudget;
     use pao_design::CompId;
     use pao_testgen::{generate, SuiteCase};
+
+    /// One analysis of `design` with `cache` attached.
+    fn analyze_with(
+        oracle: &PinAccessOracle,
+        tech: &Tech,
+        design: &Design,
+        cache: &mut AnalysisCache,
+    ) -> PaoResult {
+        let budget = RunBudget {
+            store: Some(cache),
+            ..RunBudget::unlimited()
+        };
+        oracle.analyze_with_budget(tech, design, budget)
+    }
 
     #[test]
     fn cache_fast_path_matches_full_analysis() {
         let (tech, mut design) = generate(&SuiteCase::small_smoke());
         let oracle = PinAccessOracle::new();
         let mut cache = AnalysisCache::new();
-        let first = oracle.analyze_with_cache(&tech, &design, &mut cache);
+        let first = analyze_with(&oracle, &tech, &design, &mut cache);
         assert!(!cache.is_empty());
         let (h0, m0) = cache.stats();
-        assert_eq!(h0, 0);
-        assert!(m0 > 0);
+        assert_eq!((h0, m0), (0, first.unique.len()), "a cold store misses");
 
-        // Swap two same-master instances' locations (signatures preserved
-        // when they share a signature; shifting by whole pitch periods
-        // also preserves them). Here: re-analyze the identical placement —
-        // the pure fast path.
-        let second = oracle.analyze_with_cache(&tech, &design, &mut cache);
-        let (h1, _) = cache.stats();
-        assert!(h1 > 0, "fast path must hit the cache");
-        // Table II counters included: the cached entries carry their
+        // Re-analyze the identical placement: every signature restores.
+        let second = analyze_with(&oracle, &tech, &design, &mut cache);
+        let (h1, m1) = cache.stats();
+        assert_eq!((h1, m1), (second.unique.len(), m0), "all hits");
+        // Table II counters included: the stored entries carry their
         // apgen tallies.
         assert!(first.stats.off_track_aps > 0);
         assert!(
@@ -1013,13 +678,19 @@ mod tests {
             assert_eq!(a, b, "{comp}");
         }
 
-        // A genuine move: shift one instance by a full signature period in
-        // x (site width × pitch lcm keeps phases — use zero shift in y).
-        // Moving by the design's full row keeps the same signature set.
+        // The resident-service path rebuilds the same steps 1–2 whole.
+        let warm = cache
+            .warm(&design, UniqueTable::build(&tech, &design))
+            .expect("every signature stored");
+        let run = RunCtx::new(None, crate::budget::PhaseFractions::default(), None);
+        let third = oracle.analyze_warm(&tech, &design, warm, &run);
+        assert!(third.stats.counters_eq(&first.stats));
+
+        // Moving a cell onto its own location keeps every signature.
         let c0 = design.component(CompId(0)).clone();
         design.component_mut(CompId(0)).location = c0.location;
-        let third = oracle.analyze_with_cache(&tech, &design, &mut cache);
-        assert!(third.stats.counters_eq(&first.stats));
+        let fourth = analyze_with(&oracle, &tech, &design, &mut cache);
+        assert!(fourth.stats.counters_eq(&first.stats));
     }
 
     #[test]
@@ -1027,108 +698,21 @@ mod tests {
         let (tech, design) = generate(&SuiteCase::small_smoke());
         let oracle = PinAccessOracle::new();
         let mut cache = AnalysisCache::new();
-        let _ = oracle.analyze_with_cache(&tech, &design, &mut cache);
+        let _ = analyze_with(&oracle, &tech, &design, &mut cache);
         let before = cache.len();
 
-        // A different seed produces placements with (likely) new phases.
+        // A different seed produces placements with (likely) new phases:
+        // only the new signatures run apgen and pattern work.
         let (_, design2) = generate(&SuiteCase {
             seed: 777,
             ..SuiteCase::small_smoke()
         });
-        let r = oracle.analyze_with_cache(&tech, &design2, &mut cache);
+        let (h0, m0) = cache.stats();
+        let r = analyze_with(&oracle, &tech, &design2, &mut cache);
         assert_eq!(r.stats.failed_pins, 0);
-        assert!(cache.len() >= before);
-    }
-}
-
-#[cfg(test)]
-mod persist_tests {
-    use super::*;
-    use pao_testgen::{generate, SuiteCase};
-
-    #[test]
-    fn cache_save_load_roundtrip_preserves_analysis() {
-        let (tech, design) = generate(&SuiteCase::small_smoke());
-        let oracle = PinAccessOracle::new();
-        let mut cache = AnalysisCache::new();
-        let first = oracle.analyze_with_cache(&tech, &design, &mut cache);
-
-        let text = cache.save_to_string();
-        assert!(text.starts_with("PAO-CACHE v3 fnv1a="));
-        let mut loaded = AnalysisCache::load_from_string(&text).expect("loads");
-        assert_eq!(loaded.len(), cache.len());
-
-        // A fresh "process" using the loaded cache hits on everything and
-        // produces the same result.
-        let again = oracle.analyze_with_cache(&tech, &design, &mut loaded);
-        let (hits, misses) = loaded.stats();
-        assert!(hits > 0);
-        assert_eq!(misses, 0, "loaded cache must cover all signatures");
-        assert!(again.stats.counters_eq(&first.stats));
-        for ci in 0..design.components().len() {
-            let comp = pao_design::CompId(ci as u32);
-            assert_eq!(
-                first.access_point(&design, comp, 0).map(|a| a.pos),
-                again.access_point(&design, comp, 0).map(|a| a.pos),
-            );
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        assert!(AnalysisCache::load_from_string("").is_err());
-        assert!(AnalysisCache::load_from_string("NOT A CACHE").is_err());
-        // Legacy (un-checksummed) caches are a version mismatch: rebuilt,
-        // not parsed on trust.
-        assert!(
-            AnalysisCache::load_from_string("PAO-CACHE v1\nENTRY master=X orient=N phases=-\n")
-                .is_err(),
-            "v1 cache must be rejected"
-        );
-        let sealed = crate::persist::seal("ENTRY master=X orient=N phases=-\n");
-        assert!(
-            AnalysisCache::load_from_string(&sealed).is_err(),
-            "unterminated entry"
-        );
-    }
-
-    #[test]
-    fn load_or_rebuild_degrades_to_empty_cache() {
-        let (cache, err) = AnalysisCache::load_or_rebuild("PAO-CACHE v1\ngarbage\n");
-        assert!(cache.is_empty());
-        let err = err.expect("rejection reason");
-        assert!(matches!(err, crate::error::PaoError::Cache { .. }), "{err}");
-    }
-
-    #[test]
-    fn byte_mutated_cache_never_panics() {
-        let (tech, design) = generate(&SuiteCase::small_smoke());
-        let oracle = PinAccessOracle::new();
-        let mut cache = AnalysisCache::new();
-        let _ = oracle.analyze_with_cache(&tech, &design, &mut cache);
-        let text = cache.save_to_string();
-        assert!(AnalysisCache::load_from_string(&text).is_ok());
-        pao_ptest::check("persist.byte_mutation", 200, |rng| {
-            let mut bytes = text.clone().into_bytes();
-            // 1–4 random byte smashes (overwrites, not just bit flips), or
-            // a truncation — the half-written-file case.
-            if rng.gen_bool(0.25) {
-                bytes.truncate(rng.gen_range(0..bytes.len()));
-            } else {
-                for _ in 0..rng.gen_range(1..=4usize) {
-                    let i = rng.gen_range(0..bytes.len());
-                    bytes[i] = rng.gen_range(0..=255u64) as u8;
-                }
-            }
-            let mutated = String::from_utf8_lossy(&bytes).into_owned();
-            // Must never panic; any outcome other than a clean parse or a
-            // typed rejection is a bug. The checksum makes silent
-            // acceptance of a *changed* body effectively impossible.
-            let (loaded, err) = AnalysisCache::load_or_rebuild(&mutated);
-            if mutated != text {
-                assert!(err.is_some(), "mutated cache accepted: {mutated:?}");
-                assert!(loaded.is_empty());
-            }
-        });
+        let (h1, m1) = cache.stats();
+        assert_eq!(h1 - h0 + m1 - m0, r.unique.len(), "one hit or miss each");
+        assert_eq!(cache.len(), before + (m1 - m0), "misses are new signatures");
+        assert!(r.stats.counters_eq(&oracle.analyze(&tech, &design2).stats));
     }
 }

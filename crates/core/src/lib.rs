@@ -68,7 +68,7 @@ pub use oracle::{
 };
 pub use parallel::{ExecReport, ItemFault, PhaseBudget};
 pub use pattern::{AccessPattern, PatternConfig};
-pub use persist::{CheckpointStore, EcoJournal, JournalEntry};
+pub use persist::{AnalysisCache, EcoJournal, JournalEntry};
 pub use service::{
     ClusterSelectionReply, EcoMove, EcoReply, EcoTail, EcoTarget, InstancePatternsReply,
     OracleService, PinAccessReply, RejectCount, ServiceError,

@@ -12,7 +12,7 @@ use crate::cluster::{select_patterns_budget, SelectTuning};
 use crate::error::{FaultRecord, PaoError, Phase};
 use crate::parallel::{parallel_map_budget, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
-use crate::persist::{aps_fingerprint, ApgenSnapshot, CheckpointStore, PatternSnapshot};
+use crate::persist::{input_stamp, signature_of, AnalysisCache, Entry, RejectTally};
 use crate::share::{CellClasses, PatternGroups};
 use crate::stats::PaoStats;
 use crate::unique::{pin_owner, UniqueInstance, UniqueInstanceId, UniqueTable};
@@ -219,7 +219,7 @@ impl PinAccessOracle {
     /// [`analyze`](Self::analyze) under a [`RunBudget`]: an optional
     /// wall-clock deadline split across the five phases (see
     /// [`BudgetAllocator`]), an optional stall watchdog, and an optional
-    /// phase-granular checkpoint store.
+    /// signature-keyed [`AnalysisCache`] store.
     ///
     /// This is the *anytime* entry point — it **always returns a usable
     /// result**. When the budget expires mid-phase, in-flight items
@@ -228,9 +228,13 @@ impl PinAccessOracle {
     /// default patterns, repair scan → not-dirty, audit pin → counted
     /// failed), and the cuts are reported in
     /// [`PaoStats::deadline`](crate::stats::PaoStats::deadline). With a
-    /// checkpoint store attached, completed apgen/pattern work is
-    /// persisted after each phase so a later `--resume` run completes the
-    /// analysis without redoing it.
+    /// store attached, each unique instance whose signature it holds
+    /// restores steps 1–2 instead of recomputing them (an apgen-only entry
+    /// restores step 1 and the pattern DP runs), and every completed item
+    /// is stored after its phase — and, for a checkpoint-directory store,
+    /// persisted, so a later `--resume` run completes the analysis as an
+    /// ordinary cache hit. A store computed from other inputs
+    /// ([`input_stamp`]) is emptied first.
     #[must_use]
     pub fn analyze_with_budget(
         &self,
@@ -242,18 +246,22 @@ impl PinAccessOracle {
             deadline,
             fractions,
             watchdog,
-            checkpoint,
+            mut store,
         } = budget;
-        let mut ckpt = checkpoint;
+        if let Some(store) = store.as_deref_mut() {
+            // A mismatch is counted here; the CLI reports it when it opens
+            // the store.
+            let _ = store.bind(input_stamp(tech, design, &self.config));
+        }
         let run = RunCtx::new(deadline, fractions, watchdog);
-        let input = self.analyze_instances(tech, design, &mut ckpt, &run);
+        let input = self.analyze_instances(tech, design, store.as_deref_mut(), &run);
         // ---- Step 3 and the validation tail.
         let mut result = self.select_repair_audit(tech, design, input, &run);
         // Record this run's observed phase-time split so the next budgeted
         // run over this checkpoint directory allocates from history instead
         // of the built-in default. Partial runs are biased (cut phases look
         // cheap), so only complete runs update the history.
-        if let Some(store) = ckpt.as_mut() {
+        if let Some(store) = store {
             if !result.stats.deadline.is_partial() {
                 if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
                     result.stats.quarantined.push(FaultRecord {
@@ -271,18 +279,23 @@ impl PinAccessOracle {
     /// and pattern generation, one executor item per unique instance in
     /// each phase. Intra-cell work is shared across instances (see
     /// [`crate::share`]): candidate verdicts per (master, orientation),
-    /// and one pattern DP per relative access point set.
+    /// and one pattern DP per relative access point set. With `store`,
+    /// each item first looks its signature up there, and the completed
+    /// items of each phase are stored after it.
     pub(crate) fn analyze_instances(
         &self,
         tech: &Tech,
         design: &Design,
-        ckpt: &mut Option<&mut CheckpointStore>,
+        mut store: Option<&mut AnalysisCache>,
         run: &RunCtx,
     ) -> TailInput {
         let watchdog = run.watchdog;
         let mut skips: Vec<SkipRecord> = Vec::new();
         let mut stalls: Vec<StallRecord> = Vec::new();
         let engine = DrcEngine::new(tech);
+        // With the decision ledger on, only entries that kept their reject
+        // histograms may stand in for step 1.
+        let ledger = pao_obs::ledger_enabled();
 
         // ---- Step 1: unique instances + access point generation.
         let phase_span = pao_obs::span("phase.apgen");
@@ -297,39 +310,18 @@ impl PinAccessOracle {
         let apgen_token = run.alloc.phase_token(Phase::Apgen);
         let (analyzed, apgen_exec) = {
             let (infos, plan, classes, engine) = (&infos, &plan, &classes, &engine);
-            let ck: Option<&CheckpointStore> = ckpt.as_deref();
+            let store = store.as_deref();
             parallel_map_budget(
                 self.config.threads,
                 "apgen.instance",
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
-                move |(), idx| -> Result<(UniqueInstanceAccess, usize), PaoError> {
+                move |(), idx| -> Result<(UniqueInstanceAccess, Option<Entry>), PaoError> {
                     let info = &infos[idx];
-                    // Checkpoint restore: reuse the persisted snapshot when
-                    // its signature (master/orient/phases + representative
-                    // location) still matches this run's instance.
-                    if let Some(snap) = ck.and_then(|c| c.apgen(idx)) {
-                        if snap.master == info.master
-                            && snap.orient == info.orient
-                            && snap.phases == info.phases
-                            && snap.rep_location == design.component(info.rep).location
-                        {
-                            pao_obs::counter_add("checkpoint.restored.apgen", 1);
-                            return Ok((
-                                UniqueInstanceAccess {
-                                    info: info.clone(),
-                                    pin_aps: snap.pin_aps.clone(),
-                                    pin_order: Vec::new(),
-                                    patterns: Vec::new(),
-                                    tally: ApTally {
-                                        dirty: snap.dirty,
-                                        without: snap.without,
-                                        off_track: snap.off_track,
-                                    },
-                                },
-                                snap.total,
-                            ));
-                        }
+                    let rep = design.component(info.rep).location;
+                    if let Some(e) = store.and_then(|s| s.step1(&signature_of(info), ledger)) {
+                        pao_obs::counter_add("cache.restored.apgen", 1);
+                        return Ok((e.restore(info.clone(), rep), None));
                     }
                     let Some(master) = tech.macro_by_name(&info.master) else {
                         return Err(PaoError::input(format!(
@@ -340,7 +332,7 @@ impl PinAccessOracle {
                         )));
                     };
                     let src = classes.source(tech, design, idx, info.rep);
-                    Ok(instance_access(
+                    let (u, rejects) = instance_access(
                         tech,
                         design,
                         plan,
@@ -349,13 +341,26 @@ impl PinAccessOracle {
                         &self.config.apgen,
                         info,
                         &src,
-                    ))
+                    );
+                    let entry = store.is_some().then(|| Entry {
+                        rep,
+                        tally: u.tally,
+                        pin_aps: u.pin_aps.clone(),
+                        rejects,
+                        patterns: None,
+                    });
+                    Ok((u, entry))
                 },
                 PhaseBudget::new(&apgen_token, watchdog),
             )
         };
         drop(classes);
-        let mut unique: Vec<UniqueInstanceAccess> = Vec::with_capacity(analyzed.len());
+        let n = infos.len();
+        let mut unique: Vec<UniqueInstanceAccess> = Vec::with_capacity(n);
+        // Per instance: step 1 finished (restored or computed), and step 1
+        // came from the store.
+        let mut apgen_done = vec![false; n];
+        let mut apgen_restored = vec![false; n];
         let mut faults: Vec<FaultRecord> = Vec::new();
         let mut total_aps = 0usize;
         let mut dirty_aps = 0usize;
@@ -377,30 +382,16 @@ impl PinAccessOracle {
                 }
             };
             match flat {
-                Ok((u, total)) => {
-                    let ApTally {
-                        dirty,
-                        without,
-                        off_track,
-                    } = u.tally;
-                    total_aps += total;
-                    dirty_aps += dirty;
-                    pins_without_aps += without;
-                    off_track_aps += off_track;
-                    if ckpt.is_some() {
-                        let snap = ApgenSnapshot {
-                            master: u.info.master,
-                            orient: u.info.orient,
-                            phases: u.info.phases.clone(),
-                            rep_location: design.component(u.info.rep).location,
-                            pin_aps: u.pin_aps.clone(),
-                            total,
-                            dirty,
-                            without,
-                            off_track,
-                        };
-                        if let Some(store) = ckpt.as_mut() {
-                            store.put_apgen(idx, snap);
+                Ok((u, entry)) => {
+                    total_aps += u.pin_aps.iter().map(Vec::len).sum::<usize>();
+                    dirty_aps += u.tally.dirty;
+                    pins_without_aps += u.tally.without;
+                    off_track_aps += u.tally.off_track;
+                    apgen_done[idx] = true;
+                    if let Some(store) = store.as_deref_mut() {
+                        match entry {
+                            Some(e) => store.insert(signature_of(&u.info), e),
+                            None => apgen_restored[idx] = true,
                         }
                     }
                     unique.push(u);
@@ -433,15 +424,7 @@ impl PinAccessOracle {
         drop(infos);
         record_skips(&mut skips, Phase::Apgen, &apgen_skip_reasons);
         stalls.extend(apgen_token.take_stalls());
-        if let Some(store) = ckpt.as_mut() {
-            if let Err(e) = store.save_apgen() {
-                faults.push(FaultRecord {
-                    phase: Phase::Cache,
-                    item: "apgen checkpoint".to_owned(),
-                    reason: e.to_string(),
-                });
-            }
-        }
+        save_store(store.as_deref(), "apgen", &mut faults);
         let apgen_time = t0.elapsed();
         drop(phase_span);
 
@@ -454,30 +437,27 @@ impl PinAccessOracle {
         let pattern_token = run.alloc.phase_token(Phase::Pattern);
         let pattern_exec;
         let mut pattern_skip_reasons: Vec<CancelReason> = Vec::new();
-        let mut pattern_completed: Vec<usize> = Vec::new();
+        // Unique instances whose steps 1 and 2 both came from the store.
+        let mut hits = 0usize;
         {
-            let (unique_ref, groups, engine) = (&unique, &groups, &engine);
-            let ck: Option<&CheckpointStore> = ckpt.as_deref();
+            let (unique_ref, groups, engine, apgen_done) = (&unique, &groups, &engine, &apgen_done);
+            let lookup = store.as_deref();
             let (results, exec) = parallel_map_budget(
                 self.config.threads,
                 "pattern.instance",
                 (0..unique_ref.len()).collect::<Vec<_>>(),
                 || (),
                 |(), i| {
-                    // Checkpoint restore: a pattern snapshot is only valid
-                    // for the exact access-point table it was computed from,
-                    // so the guard pins it to the fingerprint of this run's
-                    // (possibly just-restored) apgen output.
-                    if let Some(snap) = ck.and_then(|c| c.pattern(i)) {
-                        let u = &unique_ref[i];
-                        if snap.master == u.info.master
-                            && snap.orient == u.info.orient
-                            && snap.phases == u.info.phases
-                            && snap.aps_fnv == aps_fingerprint(&u.pin_aps)
-                        {
-                            pao_obs::counter_add("checkpoint.restored.pattern", 1);
-                            return (snap.pin_order.clone(), snap.patterns.clone());
-                        }
+                    // The stored entry holds exactly this run's access
+                    // points once step 1 finished: restored from it, or
+                    // stored into it after the phase.
+                    let stored = lookup
+                        .filter(|_| apgen_done[i])
+                        .and_then(|s| s.get(&signature_of(&unique_ref[i].info)))
+                        .and_then(|e| e.patterns.as_ref());
+                    if let Some((order, patterns)) = stored {
+                        pao_obs::counter_add("cache.restored.pattern", 1);
+                        return (order.clone(), patterns.clone(), true);
                     }
                     let out = groups.outcome(i, |order| {
                         pattern_dp(
@@ -489,17 +469,23 @@ impl PinAccessOracle {
                         )
                     });
                     out.replay_ledger(i as u64);
-                    (out.order.clone(), out.patterns.clone())
+                    (out.order.clone(), out.patterns.clone(), false)
                 },
                 PhaseBudget::new(&pattern_token, watchdog),
             );
             pattern_exec = exec;
             for (i, res) in results.into_iter().enumerate() {
                 match res {
-                    Ok((order, patterns)) => {
+                    Ok((order, patterns, from_store)) => {
+                        hits += usize::from(from_store && apgen_restored[i]);
+                        if !from_store && apgen_done[i] {
+                            if let Some(store) = store.as_deref_mut() {
+                                let sig = signature_of(&unique[i].info);
+                                store.attach_patterns(&sig, order.clone(), patterns.clone());
+                            }
+                        }
                         unique[i].pin_order = order;
                         unique[i].patterns = patterns;
-                        pattern_completed.push(i);
                     }
                     // Skipped by the budget: the instance keeps empty
                     // order/patterns (no selected access), tallied below.
@@ -521,29 +507,10 @@ impl PinAccessOracle {
         drop(groups);
         record_skips(&mut skips, Phase::Pattern, &pattern_skip_reasons);
         stalls.extend(pattern_token.take_stalls());
-        if let Some(store) = ckpt.as_mut() {
-            for &i in &pattern_completed {
-                let u = &unique[i];
-                store.put_pattern(
-                    i,
-                    PatternSnapshot {
-                        master: u.info.master,
-                        orient: u.info.orient,
-                        phases: u.info.phases.clone(),
-                        aps_fnv: aps_fingerprint(&u.pin_aps),
-                        pin_order: u.pin_order.clone(),
-                        patterns: u.patterns.clone(),
-                    },
-                );
-            }
-            if let Err(e) = store.save_pattern() {
-                faults.push(FaultRecord {
-                    phase: Phase::Cache,
-                    item: "pattern checkpoint".to_owned(),
-                    reason: e.to_string(),
-                });
-            }
+        if let Some(store) = store.as_deref_mut() {
+            store.count(hits, n - hits);
         }
+        save_store(store.as_deref(), "pattern", &mut faults);
         let pattern_time = t1.elapsed();
         drop(phase_span);
 
@@ -568,10 +535,22 @@ impl PinAccessOracle {
     }
 }
 
+/// Persists `store` after `phase` (a no-op for an in-memory store),
+/// recording a write failure as a cache fault.
+fn save_store(store: Option<&AnalysisCache>, phase: &str, faults: &mut Vec<FaultRecord>) {
+    if let Some(Err(e)) = store.map(AnalysisCache::save) {
+        faults.push(FaultRecord {
+            phase: Phase::Cache,
+            item: format!("{phase} checkpoint"),
+            reason: e.to_string(),
+        });
+    }
+}
+
 /// Step 1 for one unique instance: Algorithm 1 over each signal pin with
 /// geometry, candidate verdicts read from `src`, then the dirty-AP audit.
-/// Returns the instance's access (tally filled, no patterns yet) and its
-/// access point count.
+/// Returns the instance's access (tally filled, no patterns yet) and,
+/// with the decision ledger on, its per-pin reject tallies.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn instance_access(
     tech: &Tech,
@@ -582,7 +561,7 @@ pub(crate) fn instance_access(
     apcfg: &ApGenConfig,
     info: &UniqueInstance,
     src: &VerdictSource<'_>,
-) -> (UniqueInstanceAccess, usize) {
+) -> (UniqueInstanceAccess, Option<Vec<Vec<RejectTally>>>) {
     let shapes = design.placed_pin_shapes(tech, info.rep);
     let mut apcfg = apcfg.clone();
     if master.class == MacroClass::Block {
@@ -590,7 +569,6 @@ pub(crate) fn instance_access(
         apcfg.require_via = false;
     }
     let mut pin_aps: Vec<Vec<AccessPoint>> = vec![Vec::new(); master.pins.len()];
-    let mut total = 0usize;
     let mut tally = ApTally::default();
     let mut scratch = ApScratch::new();
     scratch.set_ledger_instance(u64::from(info.id.0));
@@ -616,7 +594,6 @@ pub(crate) fn instance_access(
             &apcfg,
             &mut scratch,
         );
-        total += aps.len();
         tally.off_track += aps.iter().filter(|ap| ap.is_off_track()).count();
         if aps.is_empty() {
             tally.without += 1;
@@ -630,6 +607,7 @@ pub(crate) fn instance_access(
         }
         pin_aps[pin_idx] = aps;
     }
+    let rejects = pao_obs::ledger_enabled().then(|| scratch.take_rejects(master.pins.len()));
     scratch.flush_obs();
     (
         UniqueInstanceAccess {
@@ -639,7 +617,7 @@ pub(crate) fn instance_access(
             patterns: Vec::new(),
             tally,
         },
-        total,
+        rejects,
     )
 }
 

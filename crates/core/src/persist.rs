@@ -1,28 +1,58 @@
-//! Persistence for the incremental-analysis cache and the phase-granular
-//! checkpoint store.
+//! The two persisted formats: the analysis store and the ECO journal.
 //!
-//! Placement optimization runs in many short tool invocations; persisting
-//! the per-signature intra-cell analysis lets every invocation after the
-//! first skip steps 1–2 entirely. The format is a plain line-oriented
-//! text format (like LEF/DEF, greppable and diff-friendly), versioned by
-//! a header.
+//! [`AnalysisCache`] is the one store of intra-cell analysis. Steps 1–2
+//! depend only on a unique instance's *signature* — master, orientation
+//! and track phases, the paper's unique-instance key — so the store keeps
+//! each signature's access points, Table II tallies, reject histograms
+//! and patterns, and any placement that repeats a signature restores them
+//! instead of recomputing. The one store backs in-process reuse (the
+//! resident daemon's ECOs) and, backed by a directory, `--checkpoint DIR
+//! --resume`: completed items are written after each phase (atomic
+//! tmp+rename, see [`write_atomic`]), so a cut, killed or crashed run
+//! resumes as an ordinary cache hit. The format is line-oriented text
+//! (like LEF/DEF, greppable and diff-friendly), sealed by a versioned,
+//! checksummed header and stamped with a fingerprint of the inputs steps
+//! 1–2 read besides the signature ([`input_stamp`]):
 //!
-//! [`CheckpointStore`] (format v3) extends the same machinery to
-//! *within-run* durability: completed apgen and pattern items are written
-//! after each phase (atomic tmp+rename, see [`write_atomic`]), so a
-//! deadline-cut, killed, or crashed run resumes via `--checkpoint DIR
-//! --resume` without redoing finished work.
+//! ```text
+//! PAO-CACHE v4 fnv1a=<16 hex>
+//! STAMP <16 hex>
+//! ENTRY master=BUFX1 orient=N phases=0,140
+//! REP 1200 -400
+//! TALLY 0 1 2
+//! PIN 0 1
+//! AP -120 4500 0 2 0 vias=3,1 planar=ES
+//! PIN 1 0
+//! REJECTS 0/1/3=4 1/255/255=2
+//! ORDER 0
+//! PATTERN cost=5 validated=true choice=0
+//! END
+//! ```
+//!
+//! `REP` is the representative's location (the access points' frame) and
+//! `TALLY` its dirty / without / off-track counts. `REJECTS pin/rule/
+//! subcheck=count` is present when step 1 ran with the decision ledger on;
+//! `ORDER` and the `PATTERN` lines once the instance's pattern item
+//! finished.
+//!
+//! [`EcoJournal`] is the daemon's write-ahead log of accepted ECO move
+//! batches, in its own append-only format.
 
 use crate::apgen::{AccessPoint, PlanarDir};
 use crate::budget::PhaseFractions;
 use crate::coord::CoordType;
+use crate::error::PaoError;
+use crate::oracle::{ApTally, PaoConfig, UniqueInstanceAccess};
 use crate::pattern::AccessPattern;
+use crate::unique::UniqueInstance;
+use pao_design::Design;
 use pao_geom::{Dbu, Orient, Point};
-use pao_tech::Symbol;
+use pao_tech::{LayerId, Symbol, Tech, ViaId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Error produced while loading a persisted cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +75,10 @@ impl fmt::Display for LoadCacheError {
 
 impl std::error::Error for LoadCacheError {}
 
-const MAGIC: &str = "PAO-CACHE v3";
+const MAGIC: &str = "PAO-CACHE v4";
+
+/// The store's file in a checkpoint directory.
+const STORE_FILE: &str = "analysis.ckpt";
 
 fn coord_code(t: CoordType) -> u8 {
     t.cost() as u8
@@ -80,9 +113,31 @@ fn planar_from(c: char) -> Option<PlanarDir> {
     })
 }
 
+/// `a,b,c`, or `-` for an empty list.
+fn join<T: fmt::Display>(items: &[T]) -> String {
+    if items.is_empty() {
+        return "-".to_owned();
+    }
+    items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+}
+
+/// Parses a list written by [`join`]. Every item parses straight into its
+/// own type, so an out-of-range value is `None`, never a wrapped number.
+fn list<T: FromStr>(s: &str) -> Option<Vec<T>> {
+    if s == "-" {
+        return Some(Vec::new());
+    }
+    s.split(',').map(|t| t.parse().ok()).collect()
+}
+
+/// Parses whitespace-separated numbers, each into its own type.
+fn nums<T: FromStr>(s: &str) -> Option<Vec<T>> {
+    s.split_whitespace().map(|t| t.parse().ok()).collect()
+}
+
 /// Serializes one access point as a single line.
 pub fn write_ap(out: &mut String, ap: &AccessPoint) {
-    let vias: Vec<String> = ap.vias.iter().map(|v| v.0.to_string()).collect();
+    let vias: Vec<u32> = ap.vias.iter().map(|v| v.0).collect();
     let planar: String = ap.planar.iter().map(|&d| planar_code(d)).collect();
     let _ = writeln!(
         out,
@@ -92,20 +147,14 @@ pub fn write_ap(out: &mut String, ap: &AccessPoint) {
         ap.layer.0,
         coord_code(ap.pref_type),
         coord_code(ap.nonpref_type),
-        if vias.is_empty() {
-            "-".to_owned()
-        } else {
-            vias.join(",")
-        },
-        if planar.is_empty() {
-            "-".to_owned()
-        } else {
-            planar
-        },
+        join(&vias),
+        if planar.is_empty() { "-" } else { &planar },
     );
 }
 
-/// Parses a line produced by [`write_ap`].
+/// Parses a line produced by [`write_ap`]. Each field parses into its own
+/// type: a negative layer or a coordinate-type code past `u8` is an
+/// error, not a wrapped value.
 ///
 /// # Errors
 ///
@@ -119,65 +168,48 @@ pub fn parse_ap(line: &str, lineno: usize) -> Result<AccessPoint, LoadCacheError
     if it.next() != Some("AP") {
         return Err(err("expected AP line"));
     }
-    let mut num = |name: &str| -> Result<i64, LoadCacheError> {
-        it.next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| err(&format!("bad {name}")))
+    let mut field = |name: &str| it.next().ok_or_else(|| err(&format!("missing {name}")));
+    let bad = |name: &str| err(&format!("bad {name}"));
+    let x: Dbu = field("x")?.parse().map_err(|_| bad("x"))?;
+    let y: Dbu = field("y")?.parse().map_err(|_| bad("y"))?;
+    let layer: u32 = field("layer")?.parse().map_err(|_| bad("layer"))?;
+    let mut coord = |name: &str| {
+        field(name)?
+            .parse()
+            .ok()
+            .and_then(coord_from)
+            .ok_or_else(|| bad(name))
     };
-    let x = num("x")?;
-    let y = num("y")?;
-    let layer = num("layer")? as u32;
-    let pref = coord_from(num("pref")? as u8).ok_or_else(|| err("bad pref type"))?;
-    let nonpref = coord_from(num("nonpref")? as u8).ok_or_else(|| err("bad nonpref type"))?;
-    let vias_tok = it.next().ok_or_else(|| err("missing vias"))?;
-    let vias_str = vias_tok
+    let pref_type = coord("pref type")?;
+    let nonpref_type = coord("nonpref type")?;
+    let vias: Vec<u32> = field("vias")?
         .strip_prefix("vias=")
-        .ok_or_else(|| err("missing vias="))?;
-    let vias = if vias_str == "-" {
-        Vec::new()
-    } else {
-        vias_str
-            .split(',')
-            .map(|v| v.parse().map(pao_tech::ViaId))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|_| err("bad via id"))?
-    };
-    let planar_tok = it.next().ok_or_else(|| err("missing planar"))?;
-    let planar_str = planar_tok
-        .strip_prefix("planar=")
-        .ok_or_else(|| err("missing planar="))?;
-    let planar = if planar_str == "-" {
-        Vec::new()
-    } else {
-        planar_str
-            .chars()
-            .map(planar_from)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| err("bad planar code"))?
-    };
+        .and_then(list)
+        .ok_or_else(|| bad("vias"))?;
+    let planar = match field("planar")?.strip_prefix("planar=") {
+        Some("-") => Some(Vec::new()),
+        Some(codes) => codes.chars().map(planar_from).collect(),
+        None => None,
+    }
+    .ok_or_else(|| bad("planar"))?;
     Ok(AccessPoint {
-        pos: pao_geom::Point::new(x, y),
-        layer: pao_tech::LayerId(layer),
-        pref_type: pref,
-        nonpref_type: nonpref,
-        vias,
+        pos: Point::new(x, y),
+        layer: LayerId(layer),
+        pref_type,
+        nonpref_type,
+        vias: vias.into_iter().map(ViaId).collect(),
         planar,
     })
 }
 
 /// Serializes one access pattern as a single line.
 pub fn write_pattern(out: &mut String, p: &AccessPattern) {
-    let choice: Vec<String> = p.choice.iter().map(usize::to_string).collect();
     let _ = writeln!(
         out,
         "PATTERN cost={} validated={} choice={}",
         p.cost,
         p.validated,
-        if choice.is_empty() {
-            "-".to_owned()
-        } else {
-            choice.join(",")
-        },
+        join(&p.choice),
     );
 }
 
@@ -205,19 +237,11 @@ pub fn parse_pattern(line: &str, lineno: usize) -> Result<AccessPattern, LoadCac
         .and_then(|t| t.strip_prefix("validated="))
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| err("bad validated"))?;
-    let choice_str = it
+    let choice = it
         .next()
         .and_then(|t| t.strip_prefix("choice="))
-        .ok_or_else(|| err("missing choice"))?;
-    let choice = if choice_str == "-" {
-        Vec::new()
-    } else {
-        choice_str
-            .split(',')
-            .map(str::parse)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|_| err("bad choice index"))?
-    };
+        .and_then(list)
+        .ok_or_else(|| err("bad choice"))?;
     Ok(AccessPattern {
         choice,
         cost,
@@ -225,20 +249,24 @@ pub fn parse_pattern(line: &str, lineno: usize) -> Result<AccessPattern, LoadCac
     })
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a (64-bit) state `h`.
+fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a (64-bit) over the serialized cache body. Not cryptographic —
 /// it guards against truncation and accidental corruption, exactly the
 /// failure modes of half-written files in an interrupted optimizer loop.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv_fold(FNV_BASIS, bytes)
 }
 
-/// Prepends the versioned, checksummed header (`PAO-CACHE v3
-/// fnv1a=<16 hex>`) to a serialized cache body.
+/// Prepends the versioned, checksummed header (`PAO-CACHE v4
+/// fnv1a=<16 hex>`) to a serialized store body.
 pub(crate) fn seal(body: &str) -> String {
     format!("{MAGIC} fnv1a={:016x}\n{body}", fnv1a(body.as_bytes()))
 }
@@ -269,6 +297,41 @@ pub(crate) fn open(text: &str) -> Result<&str, LoadCacheError> {
     Ok(body)
 }
 
+/// Streams formatted text into an FNV-1a state.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv_fold(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Fingerprint of every input steps 1–2 read besides a unique instance's
+/// signature: the LEF (layers, vias, sites, masters), the access point
+/// and pattern generation settings, and the design's track patterns.
+/// Thread count, repair rounds and selection tuning never change a stored
+/// result, so they are left out. A store stamped with other inputs is
+/// rejected whole ([`AnalysisCache::bind`]).
+#[must_use]
+pub fn input_stamp(tech: &Tech, design: &Design, config: &PaoConfig) -> u64 {
+    let mut h = FnvWriter(FNV_BASIS);
+    let _ = write!(
+        h,
+        "{} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+        tech.dbu_per_micron,
+        tech.manufacturing_grid,
+        tech.layers(),
+        tech.vias(),
+        tech.sites(),
+        tech.macros(),
+        config.apgen,
+        config.pattern,
+        design.tracks,
+    );
+    h.0
+}
+
 /// Writes `text` to `path` atomically: the bytes go to a sibling `.tmp`
 /// file which is then renamed over the target, so a reader (or a crash
 /// mid-write) never observes a half-written file — the checkpoint either
@@ -290,8 +353,8 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 /// file is by definition incomplete (the rename never happened), so it is
 /// garbage — but without this sweep it survives forever, and a daemon
 /// cycling checkpoints accumulates one orphan per crash. Each removal
-/// bumps the `checkpoint.tmp_reclaimed` counter; removal errors are
-/// ignored (the next open retries).
+/// bumps the `cache.tmp_reclaimed` counter; removal errors are ignored
+/// (the next open retries).
 fn sweep_stale_tmp(dir: &Path) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
@@ -305,512 +368,517 @@ fn sweep_stale_tmp(dir: &Path) -> usize {
         }
     }
     if reclaimed > 0 {
-        pao_obs::counter_add("checkpoint.tmp_reclaimed", reclaimed as u64);
+        pao_obs::counter_add("cache.tmp_reclaimed", reclaimed as u64);
     }
     reclaimed
 }
 
-/// FNV-1a fingerprint of a per-pin access point table, via its canonical
-/// serialization. The pattern checkpoint stores this for each instance so
-/// a resumed run only reuses pattern results whose *inputs* (the apgen
-/// output) are byte-identical to what produced them.
-#[must_use]
-pub fn aps_fingerprint(pin_aps: &[Vec<AccessPoint>]) -> u64 {
-    let mut s = String::new();
-    for (pi, aps) in pin_aps.iter().enumerate() {
-        let _ = writeln!(s, "PIN {} {}", pi, aps.len());
-        for ap in aps {
-            write_ap(&mut s, ap);
+/// A stored analysis's key: master, orientation and track phases.
+pub(crate) type Signature = (Symbol, Orient, Vec<Dbu>);
+
+/// The signature of a unique instance.
+pub(crate) fn signature_of(info: &UniqueInstance) -> Signature {
+    (info.master, info.orient, info.phases.clone())
+}
+
+/// One pin's rejected candidates under one attribution: `(rule code,
+/// sub-check code, count)`, with the codes of [`pao_drc::RuleKind`] and
+/// [`pao_drc::SubCheck`], or [`pao_obs::ledger::NO_CODE`] for a candidate
+/// that had no via to check.
+pub(crate) type RejectTally = (u8, u8, u64);
+
+/// Step 2's output for one unique instance: pin order and patterns.
+pub(crate) type Step2 = (Vec<usize>, Vec<AccessPattern>);
+
+/// One signature's stored analysis.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    /// The representative's location when step 1 ran: the access points'
+    /// frame.
+    pub(crate) rep: Point,
+    /// Table II tallies of step 1.
+    pub(crate) tally: ApTally,
+    /// Access points per master pin.
+    pub(crate) pin_aps: Vec<Vec<AccessPoint>>,
+    /// Per-pin reject tallies in code order, when step 1 ran with the
+    /// decision ledger on.
+    pub(crate) rejects: Option<Vec<Vec<RejectTally>>>,
+    /// Pin order and patterns, once the pattern item finished.
+    pub(crate) patterns: Option<Step2>,
+}
+
+impl Entry {
+    /// The stored step 1 for `info`, whose representative sits at `rep`:
+    /// the access points shift by how far the representative moved.
+    pub(crate) fn restore(&self, info: UniqueInstance, rep: Point) -> UniqueInstanceAccess {
+        let delta = rep - self.rep;
+        let mut pin_aps = self.pin_aps.clone();
+        for ap in pin_aps.iter_mut().flatten() {
+            ap.pos += delta;
+        }
+        UniqueInstanceAccess {
+            info,
+            pin_aps,
+            pin_order: Vec::new(),
+            patterns: Vec::new(),
+            tally: self.tally,
         }
     }
-    fnv1a(s.as_bytes())
 }
 
-fn phases_str(phases: &[Dbu]) -> String {
-    if phases.is_empty() {
-        "-".to_owned()
-    } else {
-        phases
-            .iter()
-            .map(i64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-fn parse_phases(s: &str) -> Option<Vec<Dbu>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split(',').map(|t| t.parse().ok()).collect()
-}
-
-/// Checkpointed step-1 output for one unique instance: its signature
-/// (master/orient/phases + representative location, which anchors the AP
-/// frame) plus the per-pin access points and the instance's contribution
-/// to the run counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApgenSnapshot {
-    /// Cell master name (interned).
-    pub master: Symbol,
-    /// Placement orientation.
-    pub orient: Orient,
-    /// Track-phase signature.
-    pub phases: Vec<Dbu>,
-    /// The representative's placement when the snapshot was made (AP
-    /// positions are in that die frame).
-    pub rep_location: Point,
-    /// Access points per master pin.
-    pub pin_aps: Vec<Vec<AccessPoint>>,
-    /// This instance's `total_aps` contribution.
-    pub total: usize,
-    /// This instance's `dirty_aps` contribution.
-    pub dirty: usize,
-    /// This instance's `pins_without_aps` contribution.
-    pub without: usize,
-    /// This instance's `off_track_aps` contribution.
-    pub off_track: usize,
-}
-
-/// Checkpointed step-2 output for one unique instance. `aps_fnv` pins the
-/// snapshot to the exact apgen output it was computed from (see
-/// [`aps_fingerprint`]); a mismatch on resume — different design, config,
-/// or a partially redone apgen — makes the snapshot a miss, never a wrong
-/// answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatternSnapshot {
-    /// Cell master name (interned).
-    pub master: Symbol,
-    /// Placement orientation.
-    pub orient: Orient,
-    /// Track-phase signature.
-    pub phases: Vec<Dbu>,
-    /// Fingerprint of the `pin_aps` the patterns were derived from.
-    pub aps_fnv: u64,
-    /// The analyzed pin ordering.
-    pub pin_order: Vec<usize>,
-    /// Generated access patterns over `pin_order`.
-    pub patterns: Vec<AccessPattern>,
-}
-
-/// Phase-granular checkpoint store backing `--checkpoint DIR --resume`:
-/// completed apgen/pattern items are persisted (atomically) after each
-/// phase, keyed by unique-instance index, and restored on the next run
-/// when their signatures still match. The directory also carries the
-/// measured phase fractions of the last finished run (`history.ckpt`),
-/// which seed the next run's [`BudgetAllocator`](crate::budget::BudgetAllocator).
+/// The signature-keyed store of intra-cell analysis (see the module
+/// docs). Attached to a run through
+/// [`RunBudget::store`](crate::budget::RunBudget::store), it restores
+/// steps 1–2 of every unique instance whose signature it holds — an
+/// apgen-only entry restores step 1 and the pattern DP runs — and takes
+/// every completed apgen and pattern item after its phase.
 ///
-/// All files use the sealed v3 format; a corrupt or legacy file on resume
-/// degrades to an empty section (reported, never fatal).
-#[derive(Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-    apgen: HashMap<usize, ApgenSnapshot>,
-    pattern: HashMap<usize, PatternSnapshot>,
+/// ```no_run
+/// # let tech: pao_tech::Tech = unimplemented!();
+/// # let design: pao_design::Design = unimplemented!();
+/// use pao_core::{AnalysisCache, PinAccessOracle, RunBudget};
+///
+/// let oracle = PinAccessOracle::new();
+/// let mut store = AnalysisCache::new();
+/// let budget = RunBudget { store: Some(&mut store), ..RunBudget::unlimited() };
+/// let first = oracle.analyze_with_budget(&tech, &design, budget);
+/// // … move some cells; repeated signatures are restored, not recomputed:
+/// let budget = RunBudget { store: Some(&mut store), ..RunBudget::unlimited() };
+/// let second = oracle.analyze_with_budget(&tech, &design, budget);
+/// assert!(store.stats().0 > 0);
+/// # let _ = (first, second);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct AnalysisCache {
+    entries: HashMap<Signature, Entry>,
+    /// [`input_stamp`] of the inputs the entries were computed from.
+    stamp: Option<u64>,
+    /// The checkpoint directory the store is written to after each phase.
+    dir: Option<PathBuf>,
+    /// Phase fractions of the last finished run in `dir`.
     fractions: Option<PhaseFractions>,
+    hits: usize,
+    misses: usize,
 }
 
-impl CheckpointStore {
-    /// Starts a fresh checkpoint in `dir` (created if missing). Stale
-    /// apgen/pattern checkpoints from earlier runs are removed — a
-    /// non-resume run must never silently reuse them — but the fraction
-    /// history survives (it seeds the budget allocator).
+impl AnalysisCache {
+    /// Creates an empty in-memory store.
+    #[must_use]
+    pub fn new() -> AnalysisCache {
+        AnalysisCache::default()
+    }
+
+    /// Starts a fresh store in checkpoint directory `dir` (created if
+    /// missing). A stale store from an earlier run is removed — a
+    /// non-resume run must never silently reuse it — but the phase
+    /// history survives: it seeds the budget allocator.
     ///
     /// # Errors
     ///
     /// Any underlying filesystem error.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<CheckpointStore> {
+    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<AnalysisCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         sweep_stale_tmp(&dir);
-        for name in ["apgen.ckpt", "pattern.ckpt"] {
-            let p = dir.join(name);
-            if p.exists() {
-                std::fs::remove_file(&p)?;
-            }
+        match std::fs::remove_file(dir.join(STORE_FILE)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
-        let fractions = load_history(&dir.join("history.ckpt"));
-        Ok(CheckpointStore {
-            dir,
-            apgen: HashMap::new(),
-            pattern: HashMap::new(),
-            fractions,
+        Ok(AnalysisCache {
+            fractions: load_history(&dir),
+            dir: Some(dir),
+            ..AnalysisCache::default()
         })
     }
 
-    /// Resumes from the checkpoints in `dir`. Missing files are empty
-    /// sections; corrupt or legacy-version files are *rejected* sections
-    /// — their parse errors come back alongside the (empty-there) store
-    /// so the caller can report them, and the run proceeds as if that
-    /// phase had no checkpoint.
+    /// Reopens the store in checkpoint directory `dir`, checking every id
+    /// against `tech`. A missing file is an empty store. A corrupt,
+    /// legacy-version or out-of-range one is *rejected*: the store comes
+    /// back empty with the typed reason beside it (and `cache.rejected`
+    /// counted), and the run recomputes what it needs.
     ///
     /// # Errors
     ///
-    /// Only on filesystem errors creating the directory; data problems
-    /// are returned as [`LoadCacheError`]s, not failures.
+    /// Only filesystem errors creating the directory; data problems come
+    /// back as the [`PaoError`], not as failures.
     pub fn resume(
         dir: impl Into<PathBuf>,
-    ) -> std::io::Result<(CheckpointStore, Vec<LoadCacheError>)> {
+        tech: &Tech,
+    ) -> std::io::Result<(AnalysisCache, Option<PaoError>)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         sweep_stale_tmp(&dir);
-        let mut rejected = Vec::new();
-        let mut apgen = HashMap::new();
-        let mut pattern = HashMap::new();
-        if let Ok(text) = std::fs::read_to_string(dir.join("apgen.ckpt")) {
-            match parse_apgen_checkpoint(&text) {
-                Ok(map) => apgen = map,
-                Err(e) => rejected.push(e),
+        let loaded = std::fs::read_to_string(dir.join(STORE_FILE))
+            .map_or(Ok(AnalysisCache::new()), |text| {
+                AnalysisCache::load_from_string(&text, tech)
+            });
+        let (mut store, rejected) = match loaded {
+            Ok(store) => (store, None),
+            Err(e) => {
+                pao_obs::counter_add("cache.rejected", 1);
+                (AnalysisCache::new(), Some(PaoError::from(e)))
             }
-        }
-        if let Ok(text) = std::fs::read_to_string(dir.join("pattern.ckpt")) {
-            match parse_pattern_checkpoint(&text) {
-                Ok(map) => pattern = map,
-                Err(e) => rejected.push(e),
-            }
-        }
-        let fractions = load_history(&dir.join("history.ckpt"));
-        Ok((
-            CheckpointStore {
-                dir,
-                apgen,
-                pattern,
-                fractions,
-            },
-            rejected,
-        ))
+        };
+        store.fractions = load_history(&dir);
+        store.dir = Some(dir);
+        Ok((store, rejected))
     }
 
-    /// The checkpoint directory.
+    /// Number of stored signatures.
     #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Restorable apgen snapshot for unique-instance index `idx`.
+    /// `true` when nothing is stored yet.
     #[must_use]
-    pub fn apgen(&self, idx: usize) -> Option<&ApgenSnapshot> {
-        self.apgen.get(&idx)
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
-    /// Restorable pattern snapshot for unique-instance index `idx`.
+    /// `(hits, misses)` over every run the store was attached to: a hit
+    /// is a unique instance restored whole, a miss one that ran apgen or
+    /// pattern work.
     #[must_use]
-    pub fn pattern(&self, idx: usize) -> Option<&PatternSnapshot> {
-        self.pattern.get(&idx)
+    pub fn stats(&self) -> (usize, usize) {
+        (self.hits, self.misses)
     }
 
-    /// Number of apgen snapshots currently held.
-    #[must_use]
-    pub fn apgen_len(&self) -> usize {
-        self.apgen.len()
+    /// Resets the hit/miss counters, e.g. after a discarded run.
+    pub(crate) fn restore_stats(&mut self, (hits, misses): (usize, usize)) {
+        self.hits = hits;
+        self.misses = misses;
     }
 
-    /// Number of pattern snapshots currently held.
-    #[must_use]
-    pub fn pattern_len(&self) -> usize {
-        self.pattern.len()
+    /// Counts `hits` unique instances restored whole and `misses` that
+    /// ran apgen or pattern work.
+    pub(crate) fn count(&mut self, hits: usize, misses: usize) {
+        self.hits += hits;
+        self.misses += misses;
+        pao_obs::counter_add("cache.hits", hits as u64);
+        pao_obs::counter_add("cache.misses", misses as u64);
     }
 
-    /// Records (or replaces) the apgen snapshot for instance `idx`.
-    pub fn put_apgen(&mut self, idx: usize, snap: ApgenSnapshot) {
-        self.apgen.insert(idx, snap);
-    }
-
-    /// Records (or replaces) the pattern snapshot for instance `idx`.
-    pub fn put_pattern(&mut self, idx: usize, snap: PatternSnapshot) {
-        self.pattern.insert(idx, snap);
-    }
-
-    /// Persists the apgen section atomically (tmp+rename).
+    /// Binds the store to the inputs of one analysis, their
+    /// [`input_stamp`]. Entries computed from other inputs are dropped
+    /// whole and `cache.rejected` is counted; the run then recomputes
+    /// them.
     ///
     /// # Errors
     ///
-    /// Any underlying filesystem error.
-    pub fn save_apgen(&self) -> std::io::Result<()> {
-        let mut body = String::new();
-        let mut idxs: Vec<&usize> = self.apgen.keys().collect();
-        idxs.sort();
-        for &idx in idxs {
-            let s = &self.apgen[&idx];
-            let _ = writeln!(
-                body,
-                "INST {} master={} orient={} phases={} rep={},{} counts={},{},{},{}",
-                idx,
-                s.master,
-                s.orient,
-                phases_str(&s.phases),
-                s.rep_location.x,
-                s.rep_location.y,
-                s.total,
-                s.dirty,
-                s.without,
-                s.off_track,
-            );
-            for (pi, aps) in s.pin_aps.iter().enumerate() {
-                let _ = writeln!(body, "PIN {} {}", pi, aps.len());
-                for ap in aps {
-                    write_ap(&mut body, ap);
-                }
-            }
-            let _ = writeln!(body, "END");
+    /// [`PaoError::Cache`] naming both stamps when entries were dropped.
+    pub fn bind(&mut self, stamp: u64) -> Result<(), PaoError> {
+        let old = self.stamp.replace(stamp);
+        if old == Some(stamp) || self.entries.is_empty() {
+            return Ok(());
         }
-        write_atomic(&self.dir.join("apgen.ckpt"), &seal(&body))
+        self.entries.clear();
+        pao_obs::counter_add("cache.rejected", 1);
+        let old = old.map_or("none".to_owned(), |s| format!("{s:016x}"));
+        Err(PaoError::from(LoadCacheError {
+            message: format!(
+                "store stamp {old} does not match this run's inputs {stamp:016x} \
+                 (LEF, apgen/pattern settings or track patterns changed)"
+            ),
+            line: 2,
+        }))
     }
 
-    /// Persists the pattern section atomically (tmp+rename).
-    ///
-    /// # Errors
-    ///
-    /// Any underlying filesystem error.
-    pub fn save_pattern(&self) -> std::io::Result<()> {
-        let mut body = String::new();
-        let mut idxs: Vec<&usize> = self.pattern.keys().collect();
-        idxs.sort();
-        for &idx in idxs {
-            let s = &self.pattern[&idx];
-            let _ = writeln!(
-                body,
-                "INST {} master={} orient={} phases={} aps={:016x}",
-                idx,
-                s.master,
-                s.orient,
-                phases_str(&s.phases),
-                s.aps_fnv,
-            );
-            let order: Vec<String> = s.pin_order.iter().map(usize::to_string).collect();
-            let _ = writeln!(
-                body,
-                "ORDER {}",
-                if order.is_empty() {
-                    "-".to_owned()
-                } else {
-                    order.join(",")
-                },
-            );
-            for p in &s.patterns {
-                write_pattern(&mut body, p);
-            }
-            let _ = writeln!(body, "END");
-        }
-        write_atomic(&self.dir.join("pattern.ckpt"), &seal(&body))
+    /// The entry for `sig`, if stored.
+    pub(crate) fn get(&self, sig: &Signature) -> Option<&Entry> {
+        self.entries.get(sig)
     }
 
-    /// The phase fractions measured by the last finished run in this
-    /// directory, if any.
+    /// The entry for `sig` when it may stand in for step 1: with the
+    /// decision ledger on (`ledger`), only one that kept its reject
+    /// histograms.
+    pub(crate) fn step1(&self, sig: &Signature, ledger: bool) -> Option<&Entry> {
+        self.entries
+            .get(sig)
+            .filter(|e| !ledger || e.rejects.is_some())
+    }
+
+    /// Stores a completed step 1 for `sig`, replacing any older entry.
+    pub(crate) fn insert(&mut self, sig: Signature, entry: Entry) {
+        self.entries.insert(sig, entry);
+    }
+
+    /// Attaches a completed step 2 to the entry for `sig`, which holds
+    /// the access points it was computed from.
+    pub(crate) fn attach_patterns(
+        &mut self,
+        sig: &Signature,
+        order: Vec<usize>,
+        patterns: Vec<AccessPattern>,
+    ) {
+        if let Some(e) = self.entries.get_mut(sig) {
+            e.patterns = Some((order, patterns));
+        }
+    }
+
+    /// Pin `pin`'s reject tallies under `sig` (empty when none were kept).
+    pub(crate) fn pin_rejects(&self, sig: &Signature, pin: usize) -> &[RejectTally] {
+        self.entries
+            .get(sig)
+            .and_then(|e| e.rejects.as_ref()?.get(pin))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// A copy that lives in memory only: nothing it stores reaches the
+    /// checkpoint directory.
+    pub(crate) fn detached(&self) -> AnalysisCache {
+        AnalysisCache {
+            dir: None,
+            ..self.clone()
+        }
+    }
+
+    /// Writes the store to its checkpoint directory, atomically; an
+    /// in-memory store writes nothing.
+    pub(crate) fn save(&self) -> std::io::Result<()> {
+        match &self.dir {
+            Some(dir) => write_atomic(&dir.join(STORE_FILE), &self.save_to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// The phase fractions measured by the last finished run in the
+    /// checkpoint directory, if any.
     #[must_use]
     pub fn fractions(&self) -> Option<PhaseFractions> {
         self.fractions
     }
 
-    /// Persists `fractions` as this directory's history (atomically) and
-    /// remembers them in the store.
+    /// Remembers `fractions` and, for a directory store, persists them
+    /// (atomically) as the directory's history.
+    pub(crate) fn save_fractions(&mut self, fractions: PhaseFractions) -> std::io::Result<()> {
+        self.fractions = Some(fractions);
+        match &self.dir {
+            Some(dir) => write_atomic(
+                &dir.join("history.ckpt"),
+                &seal(&format!("{}\n", fractions.to_line())),
+            ),
+            None => Ok(()),
+        }
+    }
+
+    /// Serializes the store in the sealed `PAO-CACHE v4` format (see the
+    /// module docs), entries sorted by signature.
+    #[must_use]
+    pub fn save_to_string(&self) -> String {
+        let mut out = String::new();
+        let stamp = self.stamp.map_or("-".to_owned(), |s| format!("{s:016x}"));
+        let _ = writeln!(out, "STAMP {stamp}");
+        let mut sigs: Vec<&Signature> = self.entries.keys().collect();
+        // Symbols order by interning history, not text — sort on the name.
+        sigs.sort_by(|a, b| (a.0.as_str(), a.1, &a.2).cmp(&(b.0.as_str(), b.1, &b.2)));
+        for sig in sigs {
+            let e = &self.entries[sig];
+            let _ = writeln!(
+                out,
+                "ENTRY master={} orient={} phases={}",
+                sig.0,
+                sig.1,
+                join(&sig.2)
+            );
+            let _ = writeln!(out, "REP {} {}", e.rep.x, e.rep.y);
+            let t = &e.tally;
+            let _ = writeln!(out, "TALLY {} {} {}", t.dirty, t.without, t.off_track);
+            for (pi, aps) in e.pin_aps.iter().enumerate() {
+                let _ = writeln!(out, "PIN {pi} {}", aps.len());
+                for ap in aps {
+                    write_ap(&mut out, ap);
+                }
+            }
+            if let Some(rejects) = &e.rejects {
+                out.push_str("REJECTS");
+                let start = out.len();
+                for (pi, tallies) in rejects.iter().enumerate() {
+                    for (rule, sub, n) in tallies {
+                        let _ = write!(out, " {pi}/{rule}/{sub}={n}");
+                    }
+                }
+                if out.len() == start {
+                    out.push_str(" -");
+                }
+                out.push('\n');
+            }
+            if let Some((order, patterns)) = &e.patterns {
+                let _ = writeln!(out, "ORDER {}", join(order));
+                for p in patterns {
+                    write_pattern(&mut out, p);
+                }
+            }
+            out.push_str("END\n");
+        }
+        seal(&out)
+    }
+
+    /// Loads a store saved by [`save_to_string`](AnalysisCache::save_to_string),
+    /// checking it against `tech`: every master must exist, and every
+    /// layer and via id, pin index, pin-order entry and pattern choice
+    /// must be in range for the tech and the entry's master.
     ///
     /// # Errors
     ///
-    /// Any underlying filesystem error.
-    pub fn save_fractions(&mut self, fractions: PhaseFractions) -> std::io::Result<()> {
-        self.fractions = Some(fractions);
-        let body = format!("{}\n", fractions.to_line());
-        write_atomic(&self.dir.join("history.ckpt"), &seal(&body))
+    /// Returns [`LoadCacheError`] on a bad header (wrong version, missing
+    /// or mismatching checksum), a malformed line or an out-of-range
+    /// value. Line numbers are 1-based whole-file positions (the body
+    /// starts on line 2, after the header).
+    pub fn load_from_string(text: &str, tech: &Tech) -> Result<AnalysisCache, LoadCacheError> {
+        let body = open(text)?;
+        let err = |m: &str, n: usize| LoadCacheError {
+            message: m.to_owned(),
+            line: n + 2,
+        };
+        let mut lines = body.lines().enumerate();
+        let mut next = |what: &str, after: usize| {
+            lines
+                .next()
+                .map(|(n, l)| (n, l.trim()))
+                .ok_or_else(|| err(&format!("missing {what}"), after))
+        };
+        let (_, stamp) = next("STAMP", 0)?;
+        let stamp = match stamp.strip_prefix("STAMP ") {
+            Some("-") => None,
+            Some(s) => Some(u64::from_str_radix(s, 16).map_err(|_| err("bad STAMP", 0))?),
+            None => return Err(err("expected STAMP", 0)),
+        };
+        let mut cache = AnalysisCache {
+            stamp,
+            ..AnalysisCache::default()
+        };
+        let in_tech = |ap: &AccessPoint| {
+            ap.layer.index() < tech.layers().len()
+                && ap.vias.iter().all(|v| v.index() < tech.vias().len())
+        };
+        while let Ok((n, line)) = next("ENTRY", 0) {
+            if line.is_empty() {
+                continue;
+            }
+            let rest = line
+                .strip_prefix("ENTRY ")
+                .ok_or_else(|| err("expected ENTRY", n))?;
+            let (mut master, mut orient, mut phases) = (None, None, None);
+            for tok in rest.split_whitespace() {
+                match tok.split_once('=') {
+                    Some(("master", v)) => master = tech.macro_by_name(v),
+                    Some(("orient", v)) => orient = v.parse::<Orient>().ok(),
+                    Some(("phases", v)) => phases = list::<Dbu>(v),
+                    _ => {}
+                }
+            }
+            let master = master.ok_or_else(|| err("ENTRY names no master of this LEF", n))?;
+            let orient = orient.ok_or_else(|| err("ENTRY missing orient", n))?;
+            let phases = phases.ok_or_else(|| err("ENTRY missing phases", n))?;
+            let (rn, rep) = next("REP", n)?;
+            let rep = rep
+                .strip_prefix("REP ")
+                .and_then(nums::<Dbu>)
+                .filter(|xy| xy.len() == 2)
+                .map(|xy| Point::new(xy[0], xy[1]))
+                .ok_or_else(|| err("bad REP", rn))?;
+            let (tn, tally) = next("TALLY", rn)?;
+            let tally = tally
+                .strip_prefix("TALLY ")
+                .and_then(nums::<usize>)
+                .filter(|t| t.len() == 3)
+                .map(|t| ApTally {
+                    dirty: t[0],
+                    without: t[1],
+                    off_track: t[2],
+                })
+                .ok_or_else(|| err("bad TALLY", tn))?;
+            let pins = master.pins.len();
+            let mut entry = Entry {
+                rep,
+                tally,
+                pin_aps: vec![Vec::new(); pins],
+                rejects: None,
+                patterns: None,
+            };
+            loop {
+                let (bn, body) = next("END", n)?;
+                let (kw, rest) = body.split_once(' ').unwrap_or((body, ""));
+                match kw {
+                    "END" => break,
+                    "PIN" => {
+                        let pc = nums::<usize>(rest)
+                            .filter(|pc| pc.len() == 2 && pc[0] < pins)
+                            .ok_or_else(|| err("bad PIN", bn))?;
+                        for _ in 0..pc[1] {
+                            let (an, ap_line) = next("AP line", bn)?;
+                            let ap = parse_ap(ap_line, an + 2)?;
+                            if !in_tech(&ap) {
+                                return Err(err("AP layer or via id out of range", an));
+                            }
+                            entry.pin_aps[pc[0]].push(ap);
+                        }
+                    }
+                    "REJECTS" => {
+                        let rejects =
+                            parse_rejects(rest, pins).ok_or_else(|| err("bad REJECTS", bn))?;
+                        entry.rejects = Some(rejects);
+                    }
+                    "ORDER" => {
+                        let order = list::<usize>(rest)
+                            .filter(|o| o.iter().all(|&p| p < pins))
+                            .ok_or_else(|| err("bad ORDER", bn))?;
+                        entry.patterns = Some((order, Vec::new()));
+                    }
+                    "PATTERN" => {
+                        let p = parse_pattern(body, bn + 2)?;
+                        let (order, patterns) = entry
+                            .patterns
+                            .as_mut()
+                            .ok_or_else(|| err("PATTERN before ORDER", bn))?;
+                        let in_range = p.choice.len() == order.len()
+                            && p.choice
+                                .iter()
+                                .zip(order.iter())
+                                .all(|(&c, &pin)| c < entry.pin_aps[pin].len());
+                        if !in_range {
+                            return Err(err("PATTERN choice out of range", bn));
+                        }
+                        patterns.push(p);
+                    }
+                    _ => return Err(err("unexpected line in ENTRY", bn)),
+                }
+            }
+            cache.entries.insert((master.name, orient, phases), entry);
+        }
+        Ok(cache)
     }
 }
 
-/// Loads the fraction history, degrading to `None` on any problem (a
-/// corrupt history only costs allocator accuracy, never correctness).
-fn load_history(path: &Path) -> Option<PhaseFractions> {
-    let text = std::fs::read_to_string(path).ok()?;
+/// Parses a `REJECTS` line's body (`pin/rule/subcheck=count …`, or `-`)
+/// into per-pin tallies for a master with `pins` pins.
+fn parse_rejects(rest: &str, pins: usize) -> Option<Vec<Vec<RejectTally>>> {
+    let mut out = vec![Vec::new(); pins];
+    if rest == "-" {
+        return Some(out);
+    }
+    for tok in rest.split_whitespace() {
+        let (key, count) = tok.split_once('=')?;
+        let mut it = key.split('/');
+        let pin: usize = it.next()?.parse().ok()?;
+        let rule: u8 = it.next()?.parse().ok()?;
+        let sub: u8 = it.next()?.parse().ok()?;
+        if it.next().is_some() {
+            return None;
+        }
+        out.get_mut(pin)?.push((rule, sub, count.parse().ok()?));
+    }
+    Some(out)
+}
+
+/// Loads the fraction history of checkpoint directory `dir`, degrading
+/// to `None` on any problem (a corrupt history only costs allocator
+/// accuracy, never correctness).
+fn load_history(dir: &Path) -> Option<PhaseFractions> {
+    let text = std::fs::read_to_string(dir.join("history.ckpt")).ok()?;
     let body = open(&text).ok()?;
     body.lines().find_map(PhaseFractions::parse_line)
-}
-
-/// Parsed `INST` header: the instance index plus its `key=value` pairs.
-type InstHeader<'a> = (usize, Vec<(&'a str, &'a str)>);
-
-/// Splits `rest` of an `INST` line into `(idx, key=value map iterator)`.
-fn parse_inst_header(line: &str, lineno: usize) -> Result<InstHeader<'_>, LoadCacheError> {
-    let err = |m: &str| LoadCacheError {
-        message: m.to_owned(),
-        line: lineno,
-    };
-    let rest = line
-        .strip_prefix("INST ")
-        .ok_or_else(|| err("expected INST"))?;
-    let mut it = rest.split_whitespace();
-    let idx: usize = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| err("bad INST index"))?;
-    let kvs = it.filter_map(|tok| tok.split_once('=')).collect();
-    Ok((idx, kvs))
-}
-
-fn parse_apgen_checkpoint(text: &str) -> Result<HashMap<usize, ApgenSnapshot>, LoadCacheError> {
-    let body = open(text)?;
-    let err = |m: &str, n: usize| LoadCacheError {
-        message: m.to_owned(),
-        line: n + 2,
-    };
-    let mut out = HashMap::new();
-    let mut lines = body.lines().enumerate();
-    while let Some((n, line)) = lines.next() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (idx, kvs) = parse_inst_header(line, n + 2)?;
-        let mut master = None;
-        let mut orient = None;
-        let mut phases = None;
-        let mut rep = None;
-        let mut counts = None;
-        for (k, v) in kvs {
-            match k {
-                "master" => master = Some(Symbol::intern(v)),
-                "orient" => {
-                    orient = Some(v.parse::<Orient>().map_err(|e| err(&e.to_string(), n))?);
-                }
-                "phases" => phases = parse_phases(v),
-                "rep" => {
-                    let (x, y) = v.split_once(',').ok_or_else(|| err("bad rep", n))?;
-                    rep = Some(Point::new(
-                        x.parse().map_err(|_| err("bad rep x", n))?,
-                        y.parse().map_err(|_| err("bad rep y", n))?,
-                    ));
-                }
-                "counts" => {
-                    let cs: Vec<usize> = v
-                        .split(',')
-                        .map(|t| t.parse().ok())
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| err("bad counts", n))?;
-                    if cs.len() != 4 {
-                        return Err(err("counts needs 4 fields", n));
-                    }
-                    counts = Some((cs[0], cs[1], cs[2], cs[3]));
-                }
-                _ => {}
-            }
-        }
-        let master = master.ok_or_else(|| err("INST missing master", n))?;
-        let orient = orient.ok_or_else(|| err("INST missing orient", n))?;
-        let phases = phases.ok_or_else(|| err("INST missing phases", n))?;
-        let rep_location = rep.ok_or_else(|| err("INST missing rep", n))?;
-        let (total, dirty, without, off_track) =
-            counts.ok_or_else(|| err("INST missing counts", n))?;
-        let mut pin_aps: Vec<Vec<AccessPoint>> = Vec::new();
-        loop {
-            let (bn, bline) = lines.next().ok_or_else(|| err("unterminated INST", n))?;
-            let bline = bline.trim();
-            if bline == "END" {
-                break;
-            } else if let Some(rest) = bline.strip_prefix("PIN ") {
-                let mut it = rest.split_whitespace();
-                let pi: usize = it
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("bad PIN index", bn))?;
-                let count: usize = it
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("bad PIN count", bn))?;
-                while pin_aps.len() <= pi {
-                    pin_aps.push(Vec::new());
-                }
-                for _ in 0..count {
-                    let (an, ap_line) = lines.next().ok_or_else(|| err("missing AP line", bn))?;
-                    pin_aps[pi].push(parse_ap(ap_line.trim(), an + 2)?);
-                }
-            } else {
-                return Err(err("unexpected line in INST", bn));
-            }
-        }
-        out.insert(
-            idx,
-            ApgenSnapshot {
-                master,
-                orient,
-                phases,
-                rep_location,
-                pin_aps,
-                total,
-                dirty,
-                without,
-                off_track,
-            },
-        );
-    }
-    Ok(out)
-}
-
-fn parse_pattern_checkpoint(text: &str) -> Result<HashMap<usize, PatternSnapshot>, LoadCacheError> {
-    let body = open(text)?;
-    let err = |m: &str, n: usize| LoadCacheError {
-        message: m.to_owned(),
-        line: n + 2,
-    };
-    let mut out = HashMap::new();
-    let mut lines = body.lines().enumerate();
-    while let Some((n, line)) = lines.next() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (idx, kvs) = parse_inst_header(line, n + 2)?;
-        let mut master = None;
-        let mut orient = None;
-        let mut phases = None;
-        let mut aps_fnv = None;
-        for (k, v) in kvs {
-            match k {
-                "master" => master = Some(Symbol::intern(v)),
-                "orient" => {
-                    orient = Some(v.parse::<Orient>().map_err(|e| err(&e.to_string(), n))?);
-                }
-                "phases" => phases = parse_phases(v),
-                "aps" => {
-                    aps_fnv = Some(u64::from_str_radix(v, 16).map_err(|_| err("bad aps hash", n))?);
-                }
-                _ => {}
-            }
-        }
-        let master = master.ok_or_else(|| err("INST missing master", n))?;
-        let orient = orient.ok_or_else(|| err("INST missing orient", n))?;
-        let phases = phases.ok_or_else(|| err("INST missing phases", n))?;
-        let aps_fnv = aps_fnv.ok_or_else(|| err("INST missing aps hash", n))?;
-        let mut pin_order = Vec::new();
-        let mut patterns = Vec::new();
-        loop {
-            let (bn, bline) = lines.next().ok_or_else(|| err("unterminated INST", n))?;
-            let bline = bline.trim();
-            if bline == "END" {
-                break;
-            } else if let Some(rest) = bline.strip_prefix("ORDER ") {
-                if rest != "-" {
-                    pin_order = rest
-                        .split(',')
-                        .map(str::parse)
-                        .collect::<Result<Vec<usize>, _>>()
-                        .map_err(|_| err("bad ORDER", bn))?;
-                }
-            } else if bline.starts_with("PATTERN") {
-                patterns.push(parse_pattern(bline, bn + 2)?);
-            } else {
-                return Err(err("unexpected line in INST", bn));
-            }
-        }
-        out.insert(
-            idx,
-            PatternSnapshot {
-                master,
-                orient,
-                phases,
-                aps_fnv,
-                pin_order,
-                patterns,
-            },
-        );
-    }
-    Ok(out)
 }
 
 /// One recovered entry of the [`EcoJournal`]: a batch of moves that was
@@ -903,7 +971,7 @@ fn parse_move(line: &str) -> Option<crate::service::EcoMove> {
 impl EcoJournal {
     /// Starts a fresh journal at `path`, truncating whatever was there (a
     /// non-resume daemon start must never replay stale entries — same
-    /// rule as [`CheckpointStore::create`]).
+    /// rule as [`AnalysisCache::create`]).
     ///
     /// # Errors
     ///
@@ -1260,8 +1328,9 @@ mod journal_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pao_geom::Point;
-    use pao_tech::{LayerId, ViaId};
+    use crate::budget::RunBudget;
+    use crate::PinAccessOracle;
+    use pao_testgen::{generate, SuiteCase};
 
     fn sample_ap() -> AccessPoint {
         AccessPoint {
@@ -1310,12 +1379,24 @@ mod tests {
         assert!(parse_ap("AP 1 2", 7).unwrap_err().line == 7);
         assert!(parse_ap("NOPE", 3).is_err());
         assert!(parse_pattern("PATTERN cost=x validated=true choice=-", 2).is_err());
+        // Out-of-range numbers are errors, never wrapped values.
+        for bad in [
+            "AP 0 0 -1 0 0 vias=- planar=-",
+            "AP 0 0 4294967296 0 0 vias=- planar=-",
+            "AP 0 0 0 256 0 vias=- planar=-",
+            "AP 0 0 0 4 0 vias=- planar=-",
+            "AP 0 0 0 0 0 vias=-3 planar=-",
+            "AP 0 0 0 0 0 vias=- planar=Q",
+        ] {
+            assert!(parse_ap(bad, 1).is_err(), "{bad}");
+        }
+        assert!(parse_pattern("PATTERN cost=1 validated=true choice=-1", 2).is_err());
     }
 
     #[test]
     fn seal_open_roundtrip() {
         let sealed = seal("BODY line 1\nBODY line 2\n");
-        assert!(sealed.starts_with("PAO-CACHE v3 fnv1a="));
+        assert!(sealed.starts_with("PAO-CACHE v4 fnv1a="));
         assert_eq!(open(&sealed).unwrap(), "BODY line 1\nBODY line 2\n");
     }
 
@@ -1325,10 +1406,12 @@ mod tests {
         assert!(open("garbage").is_err());
         assert!(open("PAO-CACHE v1\nENTRY ...\n").is_err());
         assert!(open("PAO-CACHE v2 fnv1a=0000000000000000\n").is_err());
+        let v3 = format!("PAO-CACHE v3 fnv1a={:016x}\nbody\n", fnv1a(b"body\n"));
+        assert!(open(&v3).is_err(), "v3 files are rejected and recomputed");
         assert!(open("").is_err());
         // Missing or malformed checksum.
-        assert!(open("PAO-CACHE v3\nbody\n").is_err());
-        assert!(open("PAO-CACHE v3 fnv1a=xyz\nbody\n").is_err());
+        assert!(open("PAO-CACHE v4\nbody\n").is_err());
+        assert!(open("PAO-CACHE v4 fnv1a=xyz\nbody\n").is_err());
         // Truncated body no longer matches the recorded checksum.
         let sealed = seal("line 1\nline 2\n");
         let truncated = &sealed[..sealed.len() - 3];
@@ -1346,55 +1429,58 @@ mod tests {
         dir
     }
 
-    fn sample_apgen_snapshot() -> ApgenSnapshot {
-        ApgenSnapshot {
-            master: "BUFX1".into(),
-            orient: Orient::N,
-            phases: vec![0, 140],
-            rep_location: Point::new(1200, -400),
-            pin_aps: vec![
-                vec![sample_ap()],
-                Vec::new(),
-                vec![sample_ap(), sample_ap()],
-            ],
-            total: 3,
-            dirty: 0,
-            without: 1,
-            off_track: 2,
-        }
+    /// One analysis of the smoke case with `store` attached.
+    fn analyze_into(tech: &Tech, design: &Design, store: &mut AnalysisCache) {
+        let budget = RunBudget {
+            store: Some(store),
+            ..RunBudget::unlimited()
+        };
+        let _ = PinAccessOracle::new().analyze_with_budget(tech, design, budget);
+    }
+
+    /// `true` when every id of `store` is in range for `tech` and the
+    /// entry's master — what the loader guarantees of any store it
+    /// accepts.
+    fn ids_in_range(store: &AnalysisCache, tech: &Tech) -> bool {
+        store.entries.iter().all(|(sig, e)| {
+            let Some(m) = tech.macro_by_name(&sig.0) else {
+                return false;
+            };
+            let pins = m.pins.len();
+            e.pin_aps.len() == pins
+                && e.pin_aps.iter().flatten().all(|ap| {
+                    ap.layer.index() < tech.layers().len()
+                        && ap.vias.iter().all(|v| v.index() < tech.vias().len())
+                })
+                && e.rejects.as_ref().is_none_or(|r| r.len() == pins)
+                && e.patterns.as_ref().is_none_or(|(order, pats)| {
+                    order.iter().all(|&p| p < pins)
+                        && pats.iter().all(|p| {
+                            p.choice.len() == order.len()
+                                && p.choice
+                                    .iter()
+                                    .zip(order)
+                                    .all(|(&c, &pin)| c < e.pin_aps[pin].len())
+                        })
+                })
+        })
     }
 
     #[test]
     fn checkpoint_roundtrips_through_disk() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
         let dir = tmpdir("roundtrip");
-        let mut store = CheckpointStore::create(&dir).unwrap();
-        let apgen = sample_apgen_snapshot();
-        store.put_apgen(7, apgen.clone());
-        let pattern = PatternSnapshot {
-            master: "BUFX1".into(),
-            orient: Orient::FS,
-            phases: Vec::new(),
-            aps_fnv: aps_fingerprint(&apgen.pin_aps),
-            pin_order: vec![2, 0],
-            patterns: vec![AccessPattern {
-                choice: vec![0, 1],
-                cost: 5,
-                validated: true,
-            }],
-        };
-        store.put_pattern(7, pattern.clone());
-        store.save_apgen().unwrap();
-        store.save_pattern().unwrap();
+        let mut store = AnalysisCache::create(&dir).unwrap();
+        analyze_into(&tech, &design, &mut store);
+        assert!(!store.is_empty());
         store
             .save_fractions(PhaseFractions([0.5, 0.2, 0.1, 0.1, 0.1]))
             .unwrap();
 
-        let (back, rejected) = CheckpointStore::resume(&dir).unwrap();
-        assert!(rejected.is_empty(), "{rejected:?}");
-        assert_eq!(back.apgen(7), Some(&apgen));
-        assert_eq!(back.pattern(7), Some(&pattern));
-        assert_eq!(back.apgen(0), None);
-        assert_eq!(back.apgen_len(), 1);
+        let (back, rejected) = AnalysisCache::resume(&dir, &tech).unwrap();
+        assert!(rejected.is_none(), "{rejected:?}");
+        assert_eq!(back.len(), store.len());
+        assert_eq!(back.save_to_string(), store.save_to_string());
         let f = back.fractions().expect("history restored");
         assert!((f.0[0] - 0.5).abs() < 1e-3, "{f:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1402,15 +1488,15 @@ mod tests {
 
     #[test]
     fn create_clears_stale_checkpoints_but_keeps_history() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
         let dir = tmpdir("stale");
-        let mut store = CheckpointStore::create(&dir).unwrap();
-        store.put_apgen(0, sample_apgen_snapshot());
-        store.save_apgen().unwrap();
-        store.save_fractions(PhaseFractions::DEFAULT).unwrap();
-        // A fresh (non-resume) run must not see the old snapshots…
-        let fresh = CheckpointStore::create(&dir).unwrap();
-        assert_eq!(fresh.apgen_len(), 0);
-        assert!(!dir.join("apgen.ckpt").exists());
+        let mut store = AnalysisCache::create(&dir).unwrap();
+        analyze_into(&tech, &design, &mut store);
+        assert!(dir.join(STORE_FILE).exists());
+        // A fresh (non-resume) run must not see the old store…
+        let fresh = AnalysisCache::create(&dir).unwrap();
+        assert!(fresh.is_empty());
+        assert!(!dir.join(STORE_FILE).exists());
         // …but keeps the measured fractions for its allocator.
         assert!(fresh.fractions().is_some());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1421,41 +1507,46 @@ mod tests {
         // A crash between write_atomic's write and rename leaves a
         // `*.tmp` orphan; both open paths must sweep it so a daemon
         // cycling checkpoints never accumulates garbage.
+        let (tech, _) = generate(&SuiteCase::small_smoke());
         let dir = tmpdir("tmp_orphans");
         // Seed a real (sealed) history file through the store API, then
         // fake the crash leftovers by hand.
-        CheckpointStore::create(&dir)
+        AnalysisCache::create(&dir)
             .unwrap()
             .save_fractions(PhaseFractions([0.5, 0.2, 0.1, 0.1, 0.1]))
             .unwrap();
-        std::fs::write(dir.join("apgen.ckpt.tmp"), "half-written").unwrap();
-        std::fs::write(dir.join("pattern.ckpt.tmp"), "also half").unwrap();
-        let (store, rejected) = CheckpointStore::resume(&dir).unwrap();
-        assert!(rejected.is_empty(), "{rejected:?}");
-        assert!(!dir.join("apgen.ckpt.tmp").exists(), "orphan swept");
-        assert!(!dir.join("pattern.ckpt.tmp").exists(), "orphan swept");
+        std::fs::write(dir.join("analysis.ckpt.tmp"), "half-written").unwrap();
+        std::fs::write(dir.join("history.ckpt.tmp"), "also half").unwrap();
+        let (store, rejected) = AnalysisCache::resume(&dir, &tech).unwrap();
+        assert!(rejected.is_none(), "{rejected:?}");
+        assert!(!dir.join("analysis.ckpt.tmp").exists(), "orphan swept");
+        assert!(!dir.join("history.ckpt.tmp").exists(), "orphan swept");
         assert!(store.fractions().is_some(), "real files survive the sweep");
         drop(store);
 
-        std::fs::write(dir.join("history.ckpt.tmp"), "stale").unwrap();
-        let fresh = CheckpointStore::create(&dir).unwrap();
-        assert!(!dir.join("history.ckpt.tmp").exists(), "create sweeps too");
+        std::fs::write(dir.join("analysis.ckpt.tmp"), "stale").unwrap();
+        let fresh = AnalysisCache::create(&dir).unwrap();
+        assert!(!dir.join("analysis.ckpt.tmp").exists(), "create sweeps too");
         assert!(fresh.fractions().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_checkpoint_degrades_to_empty_with_report() {
+        let (tech, _) = generate(&SuiteCase::small_smoke());
         let dir = tmpdir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("apgen.ckpt"), "PAO-CACHE v2 fnv1a=0\nINST\n").unwrap();
-        std::fs::write(dir.join("pattern.ckpt"), seal("INST not-a-number\n")).unwrap();
+        std::fs::write(dir.join(STORE_FILE), "PAO-CACHE v3 fnv1a=0\nINST\n").unwrap();
         std::fs::write(dir.join("history.ckpt"), "garbage").unwrap();
-        let (store, rejected) = CheckpointStore::resume(&dir).unwrap();
-        assert_eq!(rejected.len(), 2, "{rejected:?}");
-        assert_eq!(store.apgen_len(), 0);
-        assert_eq!(store.pattern_len(), 0);
+        let (store, rejected) = AnalysisCache::resume(&dir, &tech).unwrap();
+        let err = rejected.expect("a corrupt store is reported");
+        assert!(matches!(err, PaoError::Cache { .. }), "{err}");
+        assert!(store.is_empty());
         assert!(store.fractions().is_none());
+        // A sealed body that is not a store is rejected the same way.
+        std::fs::write(dir.join(STORE_FILE), seal("INST not-a-number\n")).unwrap();
+        let (store, rejected) = AnalysisCache::resume(&dir, &tech).unwrap();
+        assert!(rejected.is_some() && store.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1472,13 +1563,217 @@ mod tests {
     }
 
     #[test]
-    fn aps_fingerprint_distinguishes_tables() {
-        let a = vec![vec![sample_ap()]];
-        let mut moved = sample_ap();
-        moved.pos.x += 10;
-        let b = vec![vec![moved]];
-        assert_eq!(aps_fingerprint(&a), aps_fingerprint(&a));
-        assert_ne!(aps_fingerprint(&a), aps_fingerprint(&b));
-        assert_ne!(aps_fingerprint(&a), aps_fingerprint(&[]));
+    fn input_stamp_covers_what_steps_one_and_two_read() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
+        let config = PaoConfig::default();
+        let base = input_stamp(&tech, &design, &config);
+        assert_eq!(base, input_stamp(&tech, &design, &config), "deterministic");
+        // Thread count, repair rounds and selection tuning never change a
+        // stored result.
+        let mut same = config.clone();
+        same.threads += 3;
+        same.repair_rounds = 0;
+        same.select.split_min_clusters += 1;
+        assert_eq!(input_stamp(&tech, &design, &same), base);
+        // The LEF, both generation settings and the track patterns do.
+        let mut no_bca = config.clone();
+        no_bca.pattern.bca = false;
+        let mut k = config.clone();
+        k.apgen.k += 1;
+        let mut tracks = design.clone();
+        tracks.tracks[0].step *= 2;
+        let mut lef = tech.clone();
+        lef.dbu_per_micron *= 2;
+        for stamp in [
+            input_stamp(&tech, &design, &no_bca),
+            input_stamp(&tech, &design, &k),
+            input_stamp(&tech, &tracks, &config),
+            input_stamp(&lef, &design, &config),
+        ] {
+            assert_ne!(stamp, base);
+        }
+    }
+
+    #[test]
+    fn bind_rejects_a_store_of_other_inputs() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
+        let mut store = AnalysisCache::new();
+        analyze_into(&tech, &design, &mut store);
+        let stamp = input_stamp(&tech, &design, &PaoConfig::default());
+        assert!(store.bind(stamp).is_ok(), "the run bound its own stamp");
+        assert!(!store.is_empty());
+        let err = store.bind(stamp ^ 1).expect_err("other inputs");
+        assert!(matches!(err, PaoError::Cache { .. }), "{err}");
+        assert!(store.is_empty(), "rejected whole");
+        // The stamp survives a save/load round trip.
+        analyze_into(&tech, &design, &mut store);
+        let back = AnalysisCache::load_from_string(&store.save_to_string(), &tech).unwrap();
+        assert_eq!(back.stamp, Some(stamp));
+    }
+
+    #[test]
+    fn cache_save_load_roundtrip_preserves_analysis() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
+        let oracle = PinAccessOracle::new();
+        let mut cache = AnalysisCache::new();
+        let budget = RunBudget {
+            store: Some(&mut cache),
+            ..RunBudget::unlimited()
+        };
+        let first = oracle.analyze_with_budget(&tech, &design, budget);
+
+        let text = cache.save_to_string();
+        assert!(text.starts_with("PAO-CACHE v4 fnv1a="));
+        let mut loaded = AnalysisCache::load_from_string(&text, &tech).expect("loads");
+        assert_eq!(loaded.len(), cache.len());
+        assert_eq!(loaded.save_to_string(), text, "lossless");
+
+        // A fresh "process" using the loaded store restores everything and
+        // produces the same result.
+        let budget = RunBudget {
+            store: Some(&mut loaded),
+            ..RunBudget::unlimited()
+        };
+        let again = oracle.analyze_with_budget(&tech, &design, budget);
+        assert_eq!(loaded.stats(), (first.unique.len(), 0), "all hits");
+        assert!(again.stats.counters_eq(&first.stats));
+        assert_eq!(
+            crate::service::selection_dump(&design, &again),
+            crate::service::selection_dump(&design, &first)
+        );
+    }
+
+    #[test]
+    fn load_rejects_garbage() {
+        let (tech, _) = generate(&SuiteCase::small_smoke());
+        let load = |text: &str| AnalysisCache::load_from_string(text, &tech);
+        assert!(load("").is_err());
+        assert!(load("NOT A CACHE").is_err());
+        // Legacy (un-checksummed) caches are a version mismatch: rebuilt,
+        // not parsed on trust.
+        assert!(
+            load("PAO-CACHE v1\nENTRY master=X orient=N phases=-\n").is_err(),
+            "v1 cache must be rejected"
+        );
+        assert!(
+            load(&seal("ENTRY master=X orient=N phases=-\n")).is_err(),
+            "no STAMP"
+        );
+        let master = tech.macros()[0].name;
+        for body in [
+            "STAMP -\nENTRY master=NOPE orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nEND\n".to_owned(),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nPIN 999 0\nEND\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nPIN 0 1\nAP 0 0 99 0 0 vias=- planar=-\nEND\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nPIN 0 1\nAP 0 0 0 0 0 vias=99999 planar=-\nEND\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nORDER 999\nEND\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nORDER 0\nPATTERN cost=0 validated=true choice=0\nEND\n"),
+            format!("STAMP -\nENTRY master={master} orient=N phases=-\nREP 0 0\nTALLY 0 0 0\nREJECTS 999/0/0=1\nEND\n"),
+        ] {
+            assert!(load(&seal(&body)).is_err(), "accepted:\n{body}");
+        }
+    }
+
+    #[test]
+    fn load_or_rebuild_degrades_to_empty_cache() {
+        let (tech, _) = generate(&SuiteCase::small_smoke());
+        let dir = tmpdir("rebuild");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(STORE_FILE), "PAO-CACHE v1\ngarbage\n").unwrap();
+        let (store, err) = AnalysisCache::resume(&dir, &tech).unwrap();
+        assert!(store.is_empty());
+        let err = err.expect("rejection reason");
+        assert!(matches!(err, PaoError::Cache { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Mutations of the store *body*, resealed so they reach the parser:
+    /// every outcome is a typed rejection or a store whose ids are all in
+    /// range — never a panic. Truncation at every line boundary too.
+    #[test]
+    fn byte_mutated_cache_never_panics() {
+        let (tech, design) = generate(&SuiteCase::small_smoke());
+        let mut cache = AnalysisCache::new();
+        analyze_into(&tech, &design, &mut cache);
+        // Reject histograms as a ledger-on run keeps them (the ledger is
+        // process-global, so this test does not switch it on).
+        for e in cache.entries.values_mut() {
+            e.rejects = Some(vec![
+                vec![(1, 3, 4), (u8::MAX, u8::MAX, 2)];
+                e.pin_aps.len()
+            ]);
+        }
+        let text = cache.save_to_string();
+        let body = open(&text).expect("sealed").to_owned();
+        let lines: Vec<&str> = body.lines().collect();
+        let check = |body: &str| {
+            if let Ok(store) = AnalysisCache::load_from_string(&seal(body), &tech) {
+                assert!(
+                    ids_in_range(&store, &tech),
+                    "out-of-range id accepted:\n{body}"
+                );
+            }
+        };
+        for k in 0..=lines.len() {
+            let mut cut = lines[..k].join("\n");
+            cut.push('\n');
+            check(&cut);
+        }
+        const NUMBERS: [&str; 10] = [
+            "-1",
+            "0",
+            "1",
+            "2",
+            "4",
+            "255",
+            "256",
+            "65536",
+            "4294967296",
+            "-9223372036854775809",
+        ];
+        pao_ptest::check("persist.body_mutation", 256, |rng| {
+            let mut out: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let i = rng.gen_range(0..out.len());
+                match rng.gen_range(0..4u32) {
+                    // Replace one number inside a line with an edge value.
+                    0 => {
+                        let digits: Vec<usize> = out[i]
+                            .char_indices()
+                            .filter(|(_, c)| c.is_ascii_digit())
+                            .map(|(at, _)| at)
+                            .collect();
+                        if let Some(&at) = digits.get(rng.gen_range(0..digits.len().max(1))) {
+                            let end = out[i][at..]
+                                .find(|c: char| !c.is_ascii_digit())
+                                .map_or(out[i].len(), |e| at + e);
+                            let n = NUMBERS[rng.gen_range(0..NUMBERS.len())];
+                            out[i].replace_range(at..end, n);
+                        }
+                    }
+                    1 => {
+                        out.remove(i);
+                    }
+                    2 => {
+                        let line = out[i].clone();
+                        out.insert(rng.gen_range(0..=out.len()), line);
+                    }
+                    _ => {
+                        let mut bytes = out[i].clone().into_bytes();
+                        if !bytes.is_empty() {
+                            let at = rng.gen_range(0..bytes.len());
+                            bytes[at] = rng.gen_range(0..=255u64) as u8;
+                        }
+                        out[i] = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                }
+                if out.is_empty() {
+                    break;
+                }
+            }
+            let mut mutated = out.join("\n");
+            mutated.push('\n');
+            check(&mutated);
+        });
     }
 }

@@ -11,11 +11,12 @@
 //! keep the `Arc` they already cloned, new queries see the new placement.
 //!
 //! Re-analysis after a move ends in one of two tails. Intra-cell work
-//! (steps 1–2) is keyed by signature in the service's [`AnalysisCache`],
-//! so a move whose placement keeps every signature cached skips it. A
-//! signature depends only on the component's own placement, so the moved
-//! placement's unique-instance table comes from the previous snapshot's
-//! with only the moved components re-classed (`UniqueTable::classify`).
+//! (steps 1–2) is keyed by signature in the service's resident
+//! [`AnalysisCache`] store, so a move whose placement keeps every
+//! signature stored skips it. A signature depends only on the component's
+//! own placement, so the moved placement's unique-instance table comes
+//! from the previous snapshot's with only the moved components re-classed
+//! (`UniqueTable::classify`).
 //!
 //! * The **window tail** runs when, in addition, the previous snapshot
 //!   is repair-free: no repair override, no failed pin, nothing
@@ -32,7 +33,8 @@
 //! * The **full tail** — the select → repair → audit function every
 //!   cold and cached analysis ends in — runs when that precondition
 //!   fails or a re-probed pin is dirty (only the full tail repairs). A
-//!   new signature runs the whole pipeline first.
+//!   move onto a new signature runs the whole pipeline with the store
+//!   attached first, so only the new signatures run apgen and patterns.
 //!
 //! Both give the answer a cold analysis of the moved placement gives: a
 //! dirty set that is too large costs time, never exactness.
@@ -44,13 +46,12 @@
 
 use crate::budget::{PhaseFractions, RunBudget, SharedFractions, Watchdog};
 use crate::cluster::{comp_bbox, RowIndex, StripeCells};
-use crate::incremental::{signature_of, AnalysisCache, ConnectedPins, EcoWindow, Signature};
-use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle, RunCtx, UniqueInstanceAccess};
-use crate::persist::{EcoJournal, JournalEntry};
+use crate::incremental::{ConnectedPins, EcoWindow};
+use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle, RunCtx};
+use crate::persist::{signature_of, AnalysisCache, EcoJournal, JournalEntry};
 use pao_design::{CompId, Design};
 use pao_geom::Point;
 use pao_tech::Tech;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,7 +76,8 @@ pub enum ServiceError {
     /// An `eco_update` re-analysis degraded — it blew its deadline,
     /// tripped the watchdog, or quarantined faulted work — so the update
     /// was **not** applied: the previous snapshot keeps serving and the
-    /// signature cache was restored. The journaled entry is revoked.
+    /// store's hit/miss counts were rolled back. The journaled entry is
+    /// revoked.
     EcoDegraded {
         /// Work items quarantined by faults during the re-analysis.
         quarantined: usize,
@@ -148,8 +150,8 @@ pub struct PinAccessReply {
     pub from_override: bool,
     /// All surviving access points (die frame), selected one included.
     pub candidates: Vec<crate::apgen::AccessPoint>,
-    /// Reject-rule tallies from apgen (empty without ledger collection,
-    /// and for checkpoint-restored instances whose apgen was skipped).
+    /// Reject-rule tallies from apgen, as the store keeps them for the
+    /// pin's signature (empty without ledger collection).
     pub rejects: Vec<RejectCount>,
 }
 
@@ -229,13 +231,14 @@ impl EcoTail {
 pub struct EcoReply {
     /// Components moved.
     pub moved: usize,
-    /// Signature cache hits during the re-analysis (fast-path reuse).
+    /// Unique instances whose steps 1–2 came whole from the store.
     pub cache_hits: usize,
-    /// Signature cache misses (each one forced intra-cell re-analysis).
+    /// Unique instances that ran apgen or pattern work; with
+    /// `cache_hits`, every unique instance of the moved placement.
     pub cache_misses: usize,
-    /// `true` when a new signature forced the full five-phase pipeline
-    /// (apgen and pattern generation included); `false` means steps 1–2
-    /// came from the signature cache and only a tail ran — see
+    /// `true` when a new signature forced the five-phase pipeline (apgen
+    /// and pattern generation for the new signatures only); `false`
+    /// means steps 1–2 came from the store and only a tail ran — see
     /// [`tail`](EcoReply::tail) for which one.
     pub full_reanalysis: bool,
     /// The tail the re-analysis ended in.
@@ -250,15 +253,6 @@ pub struct EcoReply {
     pub eco_seq: u64,
 }
 
-/// One signature's reject histograms, indexed by pin.
-type PinRejects = Arc<[Vec<RejectCount>]>;
-
-/// Reject histograms keyed by signature, built from a ledger-enabled
-/// analysis. Unique-instance indices follow first appearance and
-/// renumber when moves reorder the placement; a signature names the same
-/// intra-cell analysis in every placement.
-type RejectMap = HashMap<Signature, PinRejects>;
-
 /// A resident, query-answering pin access oracle (see the module docs).
 #[derive(Debug)]
 pub struct OracleService {
@@ -269,7 +263,6 @@ pub struct OracleService {
     config: PaoConfig,
     fractions: SharedFractions,
     collect_rejects: bool,
-    rejects: RejectMap,
     eco_updates: u64,
     journal: Option<EcoJournal>,
     degraded_ecos: u64,
@@ -291,40 +284,6 @@ fn reject_label(rule: u8, subcheck: u8) -> String {
         (Some(r), None) => r.to_string(),
         _ => "no via candidate".to_owned(),
     }
-}
-
-/// Folds a drained ledger dump into per-pin reject histograms, in
-/// stable `(rule, subcheck)` code order. Apgen records name the unique
-/// instance by its index in `unique`, the analysis that produced them.
-fn build_rejects(dump: &pao_obs::LedgerDump, unique: &[UniqueInstanceAccess]) -> RejectMap {
-    let mut tallies: HashMap<Signature, BTreeMap<(usize, u8, u8), u64>> = HashMap::new();
-    for r in &dump.records {
-        if r.decode_event() == Some(pao_obs::LedgerEvent::ApReject) {
-            let Some(u) = unique.get((r.entity >> 16) as usize) else {
-                continue;
-            };
-            let pin = (r.entity & 0xFFFF) as usize;
-            *tallies
-                .entry(signature_of(u))
-                .or_default()
-                .entry((pin, r.rule, r.subcheck))
-                .or_default() += 1;
-        }
-    }
-    tallies
-        .into_iter()
-        .map(|(sig, by_pin)| {
-            let pins = by_pin.keys().map(|k| k.0 + 1).max().unwrap_or(0);
-            let mut counts = vec![Vec::new(); pins];
-            for ((pin, rule, sub), count) in by_pin {
-                counts[pin].push(RejectCount {
-                    rule: reject_label(rule, sub),
-                    count,
-                });
-            }
-            (sig, counts.into())
-        })
-        .collect()
 }
 
 /// Deterministic text dump of a result's cluster-selection outcome: one
@@ -365,33 +324,45 @@ pub fn selection_dump(design: &Design, result: &PaoResult) -> String {
 }
 
 impl OracleService {
-    /// Loads the service: analyzes `design` once under `budget` (pass a
-    /// checkpoint store inside the budget for the warm-start path) and
-    /// keeps the result resident for queries. With `collect_rejects` the
-    /// load runs with the decision ledger enabled so `get_pin_access`
-    /// can report per-pin reject reasons; the ledger switch is
-    /// process-global, so leave it off when other analyses share the
-    /// process.
+    /// Loads the service: analyzes `design` once under `budget` and
+    /// keeps the result resident for queries. A store in the budget (a
+    /// checkpoint directory) warm-starts the load and takes its results;
+    /// the service then keeps an in-memory copy, so no later ECO writes
+    /// to the directory. With `collect_rejects` the analysis runs with
+    /// the decision ledger enabled, so the store keeps each signature's
+    /// reject histograms for `get_pin_access` — and a stored entry
+    /// without them is recomputed. The ledger switch is process-global,
+    /// so leave it off when other analyses share the process.
     #[must_use]
     pub fn start(
         tech: Tech,
         design: Design,
         config: PaoConfig,
-        budget: RunBudget<'_>,
+        mut budget: RunBudget<'_>,
         collect_rejects: bool,
     ) -> OracleService {
-        let mut cache = AnalysisCache::new();
         if collect_rejects {
             pao_obs::enable_ledger();
         }
         let oracle = PinAccessOracle::with_config(config.clone());
-        let result = oracle.analyze_with_cache_budget(&tech, &design, &mut cache, budget);
-        let rejects = if collect_rejects {
-            pao_obs::disable_ledger();
-            build_rejects(&pao_obs::take_ledger(), &result.unique)
-        } else {
-            RejectMap::new()
+        let mut own = AnalysisCache::new();
+        let checkpoint = budget.store.is_some();
+        let store = budget.store.take().unwrap_or(&mut own);
+        let budget = RunBudget {
+            store: Some(&mut *store),
+            ..budget
         };
+        let result = oracle.analyze_with_budget(&tech, &design, budget);
+        let cache = if checkpoint {
+            store.detached()
+        } else {
+            std::mem::take(store)
+        };
+        if collect_rejects {
+            pao_obs::disable_ledger();
+            // The store kept the histograms; drop the drained records.
+            let _ = pao_obs::take_ledger();
+        }
         let fractions = SharedFractions::new(PhaseFractions::from_stats(&result.stats));
         let rows = RowIndex::build(&tech, &design);
         let pins = ConnectedPins::build(&tech, &design);
@@ -403,7 +374,6 @@ impl OracleService {
             config,
             fractions,
             collect_rejects,
-            rejects,
             eco_updates: 0,
             journal: None,
             degraded_ecos: 0,
@@ -500,7 +470,7 @@ impl OracleService {
         self.tails[tail as usize]
     }
 
-    /// `(hits, misses)` of the resident signature cache.
+    /// `(hits, misses)` of the resident store.
     #[must_use]
     pub fn cache_stats(&self) -> (usize, usize) {
         self.cache.stats()
@@ -549,11 +519,18 @@ impl OracleService {
         let selected = self.result.access_point(&self.design, comp, pin_idx);
         let from_override = self.result.overrides.contains_key(&(comp, pin_idx));
         let candidates = self.result.all_access_points(&self.design, comp, pin_idx);
-        let rejects = self
-            .rejects
-            .get(&signature_of(&self.result.unique[ui]))
-            .and_then(|r| r.get(pin_idx).cloned())
-            .unwrap_or_default();
+        let rejects = if self.collect_rejects {
+            self.cache
+                .pin_rejects(&signature_of(&self.result.unique[ui].info), pin_idx)
+                .iter()
+                .map(|&(rule, sub, count)| RejectCount {
+                    rule: reject_label(rule, sub),
+                    count,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(PinAccessReply {
             inst: inst.to_owned(),
             pin: pin.to_owned(),
@@ -633,9 +610,10 @@ impl OracleService {
     /// durably record the batch (again rejected whole, before analysis).
     /// [`ServiceError::EcoDegraded`] when the re-analysis blows its
     /// deadline, trips the watchdog, or quarantines faulted work — the
-    /// previous snapshot keeps serving, the signature cache is restored
-    /// (a degraded full run would otherwise pollute it with partial
-    /// entries), and the journaled record is revoked.
+    /// previous snapshot keeps serving, the store's hit/miss counts are
+    /// rolled back (it only ever takes completed items, so what a
+    /// degraded run stored stays valid), and the journaled record is
+    /// revoked.
     pub fn eco_update(
         &mut self,
         moves: &[EcoMove],
@@ -670,10 +648,6 @@ impl OracleService {
         let old_cells = self.relocate(&design, &moved, false);
         let run = RunCtx::new(deadline, self.fractions.snapshot(), watchdog);
         let cache_stats = self.cache.stats();
-        // A degraded full re-analysis would insert partial entries into
-        // the resident cache; keep a pre-analysis copy to restore. A warm
-        // run only counts hits.
-        let mut cache_before = None;
         if self.collect_rejects {
             pao_obs::enable_ledger();
         }
@@ -707,33 +681,29 @@ impl OracleService {
                 }
             }
             None => {
-                cache_before = Some(self.cache.clone());
+                // A move onto a new signature: the pipeline with the
+                // resident store attached analyzes only the new ones.
                 let budget = RunBudget {
                     deadline,
                     fractions: run.alloc.fractions(),
                     watchdog,
-                    checkpoint: None,
+                    store: Some(&mut self.cache),
                 };
-                let result = oracle.analyze_and_fill(&self.tech, &design, &mut self.cache, budget);
+                let result = oracle.analyze_with_budget(&self.tech, &design, budget);
                 let pins = result.stats.total_pins;
                 (result, EcoTail::Full, pins)
             }
         };
         let (h1, m1) = self.cache.stats();
         let full_reanalysis = m1 > cache_stats.1;
-        let dump = if self.collect_rejects {
+        if self.collect_rejects {
             pao_obs::disable_ledger();
-            Some(pao_obs::take_ledger())
-        } else {
-            None
-        };
+            let _ = pao_obs::take_ledger();
+        }
         let degraded = result.stats.deadline.is_partial() || !result.stats.quarantined.is_empty();
         if degraded {
             // Graceful degradation: the old snapshot keeps serving.
-            match cache_before {
-                Some(cache) => self.cache = cache,
-                None => self.cache.restore_stats(cache_stats),
-            }
+            self.cache.restore_stats(cache_stats);
             self.relocate(&design, &moved, true);
             self.degraded_ecos += 1;
             if let (Some(j), Some(seq)) = (self.journal.as_mut(), journal_seq) {
@@ -745,14 +715,6 @@ impl OracleService {
                 skipped: result.stats.deadline.skipped_items(),
                 stalls: result.stats.deadline.stalls.len(),
             });
-        }
-        if let Some(dump) = dump {
-            if full_reanalysis {
-                // Apgen re-ran: the drained records re-attribute every pin.
-                self.rejects = build_rejects(&dump, &result.unique);
-            }
-            // Otherwise apgen was skipped, so the drain holds no apgen
-            // record — and the signature-keyed map stays valid.
         }
         if full_reanalysis {
             self.fractions

@@ -387,7 +387,7 @@ mod tests {
     fn shared(tech: &Tech, design: &Design, config: &PaoConfig) -> Vec<UniqueInstanceAccess> {
         let run = RunCtx::new(None, PhaseFractions::default(), None);
         PinAccessOracle::with_config(config.clone())
-            .analyze_instances(tech, design, &mut None, &run)
+            .analyze_instances(tech, design, None, &run)
             .unique
     }
 

@@ -4,18 +4,19 @@
 //!
 //! 1. never aborts — an exhausted budget still yields a usable partial
 //!    result with per-phase skip tallies,
-//! 2. resumes from a phase-granular checkpoint bit-identically to an
-//!    uninterrupted run (at 1 and 4 threads), and
+//! 2. resumes from the analysis store of a cut run bit-identically to an
+//!    uninterrupted run (at 1 and 4 threads), recomputing exactly the
+//!    items the cut left out, and
 //! 3. detects an injected worker stall via the watchdog and converts it
 //!    into a degraded (never hung, never aborted) run.
 //!
-//! Everything lives in one `#[test]` because the stall-injection plan is
-//! process-global state — concurrent tests in the same binary would race
-//! on it.
+//! Everything lives in one `#[test]` because the fault and stall plans
+//! and the metrics registry are process-global state — concurrent tests
+//! in the same binary would race on them.
 
+use pao_core::service::selection_dump;
 use pao_core::{
-    fault, CancelReason, CheckpointStore, PaoConfig, PaoResult, PinAccessOracle, RunBudget,
-    Watchdog,
+    fault, AnalysisCache, CancelReason, PaoConfig, PaoResult, PinAccessOracle, RunBudget, Watchdog,
 };
 use pao_design::CompId;
 use pao_tech::Tech;
@@ -92,67 +93,105 @@ fn deadline_watchdog_and_resume_contract() {
     // Pins the audit never certified count as failed, not as missing.
     assert_eq!(zero.stats.failed_pins, zero.stats.total_pins);
 
-    // ---- 2. Checkpoint + resume: a run cut mid-way persists its finished
-    // apgen/pattern work; resuming with a fresh budget completes the
-    // analysis bit-identically to the uninterrupted run.
+    // ---- 2. Deterministic cuts + resume. An injected apgen fault at
+    // unique instance K leaves no entry for K, so the resumed run
+    // recomputes exactly K; an injected pattern fault at K leaves an
+    // apgen-only entry, so the resumed run restores every step 1 and runs
+    // exactly one pattern DP. Both end bit-identical to the clean run.
+    pao_obs::enable_metrics();
+    let counter = |name: &str| pao_obs::snapshot().counter(name);
+    let n = clean.unique.len();
+    let k = n / 2;
+    let clean_dump = selection_dump(&design, &clean);
     for threads in [1usize, 4] {
-        let dir = ckpt_dir(&format!("resume-t{threads}"));
-        {
-            let mut store = CheckpointStore::create(&dir).expect("create checkpoint dir");
-            // A 2 ms budget cuts somewhere inside the pipeline; wherever
-            // the cut lands, completed work is checkpointed.
+        for (label, restored_apgen) in [("apgen.instance", n - 1), ("pattern.instance", n)] {
+            let at = format!("{label}:{k} x{threads}");
+            let dir = ckpt_dir(&format!("cut-{label}-t{threads}"));
+            {
+                let mut store = AnalysisCache::create(&dir).expect("create checkpoint dir");
+                fault::arm(label, k);
+                let budget = RunBudget {
+                    store: Some(&mut store),
+                    ..RunBudget::unlimited()
+                };
+                let cut = oracle(threads).analyze_with_budget(&tech, &design, budget);
+                assert!(!fault::armed(), "{at}: injected fault must have fired");
+                assert_eq!(cut.stats.quarantined.len(), 1, "{at}: {}", cut.stats);
+                let stored = if label == "apgen.instance" { n - 1 } else { n };
+                assert_eq!(store.len(), stored, "{at}: entries left by the cut run");
+            }
+            let (mut store, rejected) = AnalysisCache::resume(&dir, &tech).expect("resume");
+            assert!(
+                rejected.is_none(),
+                "{at}: clean store reloads: {rejected:?}"
+            );
+            let before = [
+                counter("cache.restored.apgen"),
+                counter("cache.restored.pattern"),
+                counter("pattern.dp_runs"),
+            ];
             let budget = RunBudget {
-                checkpoint: Some(&mut store),
-                ..RunBudget::with_deadline(Duration::from_millis(2))
+                store: Some(&mut store),
+                ..RunBudget::unlimited()
             };
-            let _partial = oracle(threads).analyze_with_budget(&tech, &design, budget);
+            let resumed = oracle(threads).analyze_with_budget(&tech, &design, budget);
+            let apgen = counter("cache.restored.apgen") - before[0];
+            let pattern = counter("cache.restored.pattern") - before[1];
+            let dp_runs = counter("pattern.dp_runs") - before[2];
+            assert_eq!(store.stats(), (n - 1, 1), "{at}: exactly K recomputed");
+            assert_eq!(apgen, restored_apgen as u64, "{at}: step-1 restores");
+            assert_eq!(pattern, (n - 1) as u64, "{at}: step-2 restores");
+            let max = PaoConfig::default().pattern.max_patterns as u64;
+            assert!(
+                (1..=max).contains(&dp_runs),
+                "{at}: one pattern DP, {dp_runs} runs"
+            );
+            assert!(
+                resumed.stats.quarantined.is_empty(),
+                "{at}: {}",
+                resumed.stats
+            );
+            assert!(
+                resumed.stats.counters_eq(&clean.stats),
+                "{at}: counters match the uninterrupted run:\n{}\nvs\n{}",
+                resumed.stats,
+                clean.stats
+            );
+            assert_eq!(selection_dump(&design, &resumed), clean_dump, "{at}: dump");
+            assert_eq!(
+                access_fingerprint(&tech, &design, &resumed),
+                clean_fp,
+                "{at}: resume is bit-identical to the uninterrupted run"
+            );
+            // The completed run left full entries and phase history.
+            let (store2, rejected) = AnalysisCache::resume(&dir, &tech).expect("resume");
+            assert!(rejected.is_none(), "{rejected:?}");
+            assert_eq!(store2.len(), n);
+            assert!(store2.fractions().is_some(), "history saved on completion");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let (mut store, errors) = CheckpointStore::resume(&dir).expect("resume");
-        assert!(errors.is_empty(), "clean checkpoints reload: {errors:?}");
-        let budget = RunBudget {
-            checkpoint: Some(&mut store),
-            ..RunBudget::unlimited()
-        };
-        let resumed = oracle(threads).analyze_with_budget(&tech, &design, budget);
-        assert!(!resumed.stats.deadline.is_partial(), "{}", resumed.stats);
-        assert!(
-            resumed.stats.counters_eq(&clean.stats),
-            "resume x{threads} counters match uninterrupted run:\n{}\nvs\n{}",
-            resumed.stats,
-            clean.stats
-        );
-        assert_eq!(
-            access_fingerprint(&tech, &design, &resumed),
-            clean_fp,
-            "resume x{threads} is bit-identical to the uninterrupted run"
-        );
-        // The complete run left full checkpoints + phase history behind.
-        let (store2, errors2) = CheckpointStore::resume(&dir).expect("resume");
-        assert!(errors2.is_empty(), "{errors2:?}");
-        assert_eq!(store2.apgen_len(), resumed.stats.unique_instances);
-        assert_eq!(store2.pattern_len(), resumed.stats.unique_instances);
-        assert!(store2.fractions().is_some(), "history saved on completion");
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    fault::disarm();
 
-    // ---- 3. A fully-checkpointed directory restores instead of
-    // recomputing (and still produces the identical result).
+    // ---- 3. A fully stored directory restores instead of recomputing
+    // (and still produces the identical result).
     let dir = ckpt_dir("warm");
     {
-        let mut store = CheckpointStore::create(&dir).expect("create checkpoint dir");
+        let mut store = AnalysisCache::create(&dir).expect("create checkpoint dir");
         let budget = RunBudget {
-            checkpoint: Some(&mut store),
+            store: Some(&mut store),
             ..RunBudget::unlimited()
         };
         let _ = oracle(2).analyze_with_budget(&tech, &design, budget);
     }
-    let (mut store, _) = CheckpointStore::resume(&dir).expect("resume");
-    assert!(store.apgen_len() > 0 && store.pattern_len() > 0);
+    let (mut store, _) = AnalysisCache::resume(&dir, &tech).expect("resume");
+    assert_eq!(store.len(), n);
     let budget = RunBudget {
-        checkpoint: Some(&mut store),
+        store: Some(&mut store),
         ..RunBudget::unlimited()
     };
     let warm = oracle(2).analyze_with_budget(&tech, &design, budget);
+    assert_eq!(store.stats(), (n, 0), "every instance restored whole");
     assert_eq!(access_fingerprint(&tech, &design, &warm), clean_fp);
     let _ = std::fs::remove_dir_all(&dir);
 

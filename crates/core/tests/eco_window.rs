@@ -14,11 +14,17 @@
 //!    metric) rises by the ECO's distinct moved components on the window
 //!    and the full tail alike, and by every analyzable component in a
 //!    cold analysis.
+//! 4. Reject reasons live in the analysis store: a service restarted on
+//!    a checkpoint directory answers every `get_pin_access` exactly as
+//!    the uninterrupted one — from a store a ledger-on service wrote
+//!    (restored whole) and from one a plain analysis wrote (no
+//!    histograms, so recomputed) — and, after an ECO onto a new
+//!    signature, exactly as a freshly started service.
 
 use pao_core::unique::extract_unique_instances;
 use pao_core::{
-    fault, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, PinAccessOracle, RunBudget,
-    ServiceError, Watchdog,
+    fault, AnalysisCache, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, PinAccessOracle,
+    RunBudget, ServiceError, Watchdog,
 };
 use pao_design::{CompId, Design};
 use pao_tech::Tech;
@@ -74,8 +80,9 @@ fn swap_moves(design: &Design, (a, b): (usize, usize)) -> Vec<EcoMove> {
     ]
 }
 
-/// Every pin's reject histogram, in component/pin order.
-fn all_rejects(svc: &OracleService) -> Vec<String> {
+/// Every pin's `get_pin_access` reply (reject histograms included), in
+/// component/pin order.
+fn all_replies(svc: &OracleService) -> Vec<String> {
     let (design, tech) = (svc.design().clone(), svc.tech().clone());
     let mut out = Vec::new();
     for c in design.components() {
@@ -83,13 +90,7 @@ fn all_rejects(svc: &OracleService) -> Vec<String> {
             continue;
         };
         for pin in &master.pins {
-            let reply = svc.pin_access(&c.name, &pin.name);
-            out.push(format!(
-                "{} {} {:?}",
-                c.name,
-                pin.name,
-                reply.map(|r| r.rejects)
-            ));
+            out.push(format!("{:?}", svc.pin_access(&c.name, &pin.name)));
         }
     }
     out
@@ -119,7 +120,7 @@ fn window_rejects_and_degrade_contract() {
         RunBudget::unlimited(),
         true,
     );
-    let (got, want) = (all_rejects(&svc), all_rejects(&fresh));
+    let (got, want) = (all_replies(&svc), all_replies(&fresh));
     assert!(want.iter().any(|l| l.contains("count")), "vacuous fixture");
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "reject histogram diverged after the swap");
@@ -237,4 +238,87 @@ fn window_rejects_and_degrade_contract() {
     };
     eco(&mut svc, &to(twin), 1, EcoTail::Full);
     eco(&mut svc, &to(home), 1, EcoTail::Full);
+    drop(svc);
+
+    // 4. Restarts read reject reasons from the store.
+    let dir = std::env::temp_dir().join(format!("pao-eco-window-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start_on = |store: &mut AnalysisCache| {
+        let budget = RunBudget {
+            store: Some(store),
+            ..RunBudget::unlimited()
+        };
+        OracleService::start(tech.clone(), design.clone(), config(), budget, true)
+    };
+    let uninterrupted = {
+        let mut store = AnalysisCache::create(&dir).expect("checkpoint dir");
+        all_replies(&start_on(&mut store))
+    };
+    assert!(
+        uninterrupted.iter().any(|l| l.contains("count")),
+        "vacuous fixture"
+    );
+    let restart = || {
+        let (mut store, rejected) = AnalysisCache::resume(&dir, &tech).expect("resume");
+        assert!(rejected.is_none(), "{rejected:?}");
+        start_on(&mut store)
+    };
+    let n = extract_unique_instances(&tech, &design).len();
+    let svc = restart();
+    assert_eq!(
+        svc.cache_stats(),
+        (n, 0),
+        "restored whole, histograms included"
+    );
+    assert_eq!(all_replies(&svc), uninterrupted, "daemon-written store");
+    // A plain analysis (ledger off) stores no histograms: the ledger-on
+    // restart treats its entries as misses and recomputes them.
+    {
+        let mut store = AnalysisCache::create(&dir).expect("checkpoint dir");
+        let budget = RunBudget {
+            store: Some(&mut store),
+            ..RunBudget::unlimited()
+        };
+        let _ = PinAccessOracle::with_config(config()).analyze_with_budget(&tech, &design, budget);
+    }
+    let mut svc = restart();
+    assert_eq!(svc.cache_stats(), (0, n), "entries without histograms miss");
+    assert_eq!(all_replies(&svc), uninterrupted, "analyze-written store");
+    // An ECO onto a new signature analyzes only it, with the ledger on.
+    let before = extract_unique_instances(&tech, &design);
+    let (inst, dx) = design
+        .components()
+        .iter()
+        .flat_map(|c| [40i64, -40, 80].map(move |dx| (c, dx)))
+        .find(|&(c, dx)| {
+            let mut moved = design.clone();
+            let id = moved.component_by_name(&c.name).expect("named");
+            moved.component_mut(id).location.x += dx;
+            extract_unique_instances(&tech, &moved).iter().any(|u| {
+                !before
+                    .iter()
+                    .any(|b| (b.master, b.orient, &b.phases) == (u.master, u.orient, &u.phases))
+            })
+        })
+        .map(|(c, dx)| (c.name.to_string(), dx))
+        .expect("a shift onto a new signature");
+    let shift = [EcoMove {
+        inst,
+        target: EcoTarget::Delta(pao_geom::Point::new(dx, 0)),
+    }];
+    let reply = svc.eco_update(&shift, None, None).expect("eco applies");
+    assert!(reply.full_reanalysis && reply.cache_misses > 0, "{reply:?}");
+    let fresh = OracleService::start(
+        tech.clone(),
+        (**svc.design()).clone(),
+        config(),
+        RunBudget::unlimited(),
+        true,
+    );
+    assert_eq!(
+        all_replies(&svc),
+        all_replies(&fresh),
+        "after a new signature"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -191,8 +191,8 @@ fn eco_update_rejects_unknown_instance_atomically() {
 }
 
 /// An ECO whose re-analysis blows its deadline degrades gracefully: the
-/// previous snapshot keeps serving, the signature cache is restored, and
-/// a later unconstrained ECO still lands bit-identically.
+/// previous snapshot keeps serving, the store's counts roll back, and a
+/// later unconstrained ECO still lands bit-identically.
 #[test]
 fn degraded_eco_keeps_previous_snapshot_and_cache() {
     let mut svc = start_service();
@@ -230,7 +230,7 @@ fn degraded_eco_keeps_previous_snapshot_and_cache() {
     assert_eq!(
         svc.cache_stats(),
         cache_before,
-        "degraded ECO must restore the signature cache"
+        "degraded ECO must roll back the store's counts"
     );
 
     // The service stays healthy: the same move applies cleanly without a
@@ -549,8 +549,9 @@ fn eco_batches_match_cold_analysis() {
 }
 
 /// Cases that must leave the window: a snapshot carrying repair
-/// overrides, and a move that makes a re-probed pin dirty. Both run the
-/// full tail and still land on the cold answer.
+/// overrides, a move that makes a re-probed pin dirty, and a move onto a
+/// new signature. All run the full tail and still land on the cold
+/// answer.
 #[test]
 fn eco_fallbacks_match_cold_analysis() {
     // Without boundary-conflict-aware patterns the smoke case needs
@@ -619,6 +620,50 @@ fn eco_fallbacks_match_cold_analysis() {
     let reply = svc.eco_update(&back, None, None).expect("eco applies");
     assert_eq!(reply.tail, EcoTail::Full);
     assert_matches_cold(&svc, &config, "after the dirty snapshot");
+
+    // A move onto a new signature: a free off-grid shift. The pipeline
+    // runs with the resident store attached, so only the new signatures
+    // run apgen and pattern work.
+    let (tech, design) = generate(&SuiteCase::small_smoke());
+    let signatures = |d: &pao_design::Design| -> std::collections::HashSet<_> {
+        pao_core::unique::extract_unique_instances(&tech, d)
+            .into_iter()
+            .map(|u| (u.master, u.orient, u.phases))
+            .collect()
+    };
+    let before = signatures(&design);
+    let bx = boxes(&tech, &design);
+    let (comp, dx, new) = (0..bx.len())
+        .flat_map(|i| [40i64, -40, 80, -80].map(move |dx| (i, dx)))
+        .find_map(|(i, dx)| {
+            let b = bx[i]?.translated(pao_geom::Point::new(dx, 0));
+            let clash = bx
+                .iter()
+                .enumerate()
+                .any(|(j, o)| j != i && o.is_some_and(|o| o.overlaps(b)));
+            let mut moved = design.clone();
+            moved.component_mut(CompId(i as u32)).location.x += dx;
+            let new = signatures(&moved).difference(&before).count();
+            (!clash && new > 0).then_some((i, dx, new))
+        })
+        .expect("a free shift onto a new signature");
+    let name = design.components()[comp].name.to_string();
+    let mut svc = OracleService::start(tech, design, config.clone(), RunBudget::unlimited(), false);
+    let shift = [EcoMove {
+        inst: name,
+        target: EcoTarget::Delta(pao_geom::Point::new(dx, 0)),
+    }];
+    let reply = svc.eco_update(&shift, None, None).expect("eco applies");
+    assert_eq!(
+        reply.cache_misses, new,
+        "only the new signatures run apgen and patterns"
+    );
+    assert_eq!(
+        reply.cache_hits + reply.cache_misses,
+        svc.result().unique.len()
+    );
+    assert!(reply.full_reanalysis && reply.tail == EcoTail::Full);
+    assert_matches_cold(&svc, &config, "move onto a new signature");
 }
 
 /// A move must re-probe the pins it can reach, not just its own: a pin-

@@ -7,8 +7,7 @@
 //! ```
 
 use paaf::design::CompId;
-use paaf::pao::incremental::AnalysisCache;
-use paaf::pao::PinAccessOracle;
+use paaf::pao::{AnalysisCache, PinAccessOracle, RunBudget};
 use paaf::testgen::{generate, ispd18s_suite, SuiteCase};
 use std::time::Instant;
 
@@ -22,9 +21,13 @@ fn main() {
     let oracle = PinAccessOracle::new();
     let mut cache = AnalysisCache::new();
 
-    // Cold run: full three-step analysis (fills the cache).
+    // Cold run: full three-step analysis (fills the store).
     let t0 = Instant::now();
-    let cold = oracle.analyze_with_cache(&tech, &design, &mut cache);
+    let budget = RunBudget {
+        store: Some(&mut cache),
+        ..RunBudget::unlimited()
+    };
+    let cold = oracle.analyze_with_budget(&tech, &design, budget);
     let cold_t = t0.elapsed();
     println!(
         "cold analysis : {:.3}s  ({} unique instances, {} failed pins)",
@@ -64,7 +67,11 @@ fn main() {
         }
         moves += 1;
         let t0 = Instant::now();
-        let warm = oracle.analyze_with_cache(&tech, &design, &mut cache);
+        let budget = RunBudget {
+            store: Some(&mut cache),
+            ..RunBudget::unlimited()
+        };
+        let warm = oracle.analyze_with_budget(&tech, &design, budget);
         warm_total += t0.elapsed().as_secs_f64();
         assert_eq!(warm.stats.failed_pins, 0);
     }

@@ -10,9 +10,13 @@
 #   halves (no per-connection leak), the serve.* counters recorded the
 #   abuse, and shutdown still exits 0.
 # Phase 2 (crash): a journaled daemon is SIGKILLed mid-ECO-burst, then
-#   restarted with --resume. The resumed dump must be byte-identical to
-#   a fresh twin daemon that serially replays the recovered journal
-#   (soak --mode emit | pao call).
+#   restarted with --resume. The resumed dump, and its get_pin_access
+#   replies for a fixed set of pins (reject reasons included), must be
+#   byte-identical to a fresh twin daemon that serially replays the
+#   recovered journal (soak --mode emit | pao call). A third restart
+#   restores every signature from the checkpoint store and replays
+#   nothing (an empty journal): its pin replies must equal the fresh
+#   twin's before replay.
 # Phase 3 (degrade): --inject-fault / --inject-stall arm a one-shot
 #   fault against the first ECO re-analysis. That ECO must answer the
 #   typed -32004 degrade error while the previous snapshot keeps
@@ -43,6 +47,18 @@ trap cleanup EXIT
 insts="$(awk '$1 == "-" && NF > 2 { print $2 }' "$DEF" | head -2 | paste -sd,)"
 [[ -n "$insts" ]] || { echo "no instances found in $DEF"; exit 1; }
 first_inst="${insts%%,*}"
+# A fixed set of get_pin_access requests: the first 8 instances × pins
+# A, B, C and Y (a pin a master lacks answers a typed error, which must
+# match too).
+awk '$1 == "-" && NF > 2 { print $2 }' "$DEF" | head -8 | python3 -c "
+import json, sys
+i = 0
+for inst in sys.stdin.read().split():
+    for pin in 'ABCY':
+        i += 1
+        print(json.dumps({'id': i, 'method': 'get_pin_access',
+                          'params': {'inst': inst, 'pin': pin}}))
+" > "$dir/pins.jsonl"
 
 # Blocks until the daemon answers a stats round trip.
 wait_ready() { # socket
@@ -136,6 +152,7 @@ PY
     daemon_pid=$!
     wait_ready "$sock2"
     dump_to "$sock2" "$dir/dump-resumed-$t.txt"
+    "$PAO" call --socket "$sock2" < "$dir/pins.jsonl" > "$dir/pins-resumed-$t.jsonl"
     "$PAO" call --socket "$sock2" '{"id":9,"method":"shutdown"}' > /dev/null
     wait "$daemon_pid" || { echo "resumed daemon exited non-zero"; exit 1; }
     daemon_pid=""
@@ -152,9 +169,11 @@ PY
         > "$dir/twin-$t.log" 2>&1 &
     daemon_pid=$!
     wait_ready "$sock3"
+    "$PAO" call --socket "$sock3" < "$dir/pins.jsonl" > "$dir/pins-fresh-$t.jsonl"
     "$PAO" call --socket "$sock3" < "$dir/emit-$t.jsonl" \
         > "$dir/twin-replay-$t.jsonl"
     dump_to "$sock3" "$dir/dump-twin-$t.txt"
+    "$PAO" call --socket "$sock3" < "$dir/pins.jsonl" > "$dir/pins-twin-$t.jsonl"
     "$PAO" call --socket "$sock3" '{"id":9,"method":"shutdown"}' > /dev/null
     wait "$daemon_pid" || { echo "twin daemon exited non-zero"; exit 1; }
     daemon_pid=""
@@ -162,7 +181,23 @@ PY
         || { echo "resumed dump != serial-replay twin (threads $t)"; exit 1; }
     grep -q "replaying" "$dir/resumed-$t.log" \
         || { echo "resumed daemon did not report a journal replay"; exit 1; }
-    echo "crash replay ok: $replayed journaled batch(es), dumps byte-identical"
+    cmp "$dir/pins-resumed-$t.jsonl" "$dir/pins-twin-$t.jsonl" \
+        || { echo "resumed get_pin_access replies != twin (threads $t)"; exit 1; }
+    grep -q '"rejects":\[{' "$dir/pins-twin-$t.jsonl" \
+        || { echo "no reply carries reject reasons: vacuous pin check"; exit 1; }
+    sock4="$dir/restored-$t.sock"
+    "$PAO" serve "$LEF" "$DEF" --socket "$sock4" --threads "$t" \
+        --checkpoint "$ckpt" --resume --journal "$dir/empty-$t.journal" \
+        > "$dir/restored-$t.log" 2>&1 &
+    daemon_pid=$!
+    wait_ready "$sock4"
+    "$PAO" call --socket "$sock4" < "$dir/pins.jsonl" > "$dir/pins-restored-$t.jsonl"
+    "$PAO" call --socket "$sock4" '{"id":9,"method":"shutdown"}' > /dev/null
+    wait "$daemon_pid" || { echo "restored daemon exited non-zero"; exit 1; }
+    daemon_pid=""
+    cmp "$dir/pins-restored-$t.jsonl" "$dir/pins-fresh-$t.jsonl" \
+        || { echo "store-restored pin replies != fresh daemon (threads $t)"; exit 1; }
+    echo "crash replay ok: $replayed journaled batch(es), dumps and pin replies byte-identical"
 
     echo "== soak (threads $t): phase 3 — fault + stall degrade arms =="
     for arm in "--inject-fault select:0" \

@@ -51,23 +51,28 @@ rc=$?
 target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
     --deadline-ms 0 --deadline-ok > /dev/null
 # 2. Checkpoint + resume reproduces an uninterrupted run bit-identically
-#    (stable stat lines; timings excluded) at 1 and 4 threads.
+#    (stable stat lines, timings excluded, and the selection dump) at 1
+#    and 4 threads.
 ckpt="$(mktemp -d /tmp/pao_ckpt_XXXXXX)"
 rep="$(mktemp -d /tmp/pao_rep_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep"' EXIT
 counters() { grep -E '^(unique|total|dirty|pins|off-track|repaired|failed|quarantined)' "$1"; }
 for t in 1 4; do
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
-        --threads "$t" --report "$rep/clean-$t.txt" > /dev/null
+        --threads "$t" --report "$rep/clean-$t.txt" \
+        --dump-selection "$rep/clean-$t.sel" > /dev/null 2>&1
     rm -rf "$ckpt"
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --deadline-ms 3 --deadline-ok \
-        --checkpoint "$ckpt" > /dev/null
+        --checkpoint "$ckpt" > /dev/null 2>&1
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --checkpoint "$ckpt" --resume \
-        --report "$rep/resumed-$t.txt" > /dev/null
+        --report "$rep/resumed-$t.txt" \
+        --dump-selection "$rep/resumed-$t.sel" > /dev/null 2>&1
     diff <(counters "$rep/clean-$t.txt") <(counters "$rep/resumed-$t.txt") \
         || { echo "resume x$t diverged from uninterrupted run"; exit 1; }
+    cmp -s "$rep/clean-$t.sel" "$rep/resumed-$t.sel" \
+        || { echo "resume x$t selection dump diverged from uninterrupted run"; exit 1; }
 done
 # 3. An injected mid-item stall is detected by the watchdog (exit 6,
 #    stall recorded) instead of hanging the run.
@@ -115,6 +120,47 @@ diff <(counters "$rep/nobca-1.txt") <(counters "$rep/nobca-4.txt") \
 grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-1.txt" \
     || { echo "--no-bca arm repaired nothing"; exit 1; }
 echo "selection identity: OK"
+
+echo "== store input stamp =="
+# A checkpoint store is stamped with the inputs steps 1-2 read besides
+# the signature (DESIGN.md §12). Resumed with other inputs it must be
+# rejected with a warning and recomputed, landing on a fresh run's dump
+# and counters: a BCA store resumed with --no-bca (the fresh --no-bca
+# runs above), and a smoke store resumed with one via removed.
+stamp_ok() { # name resumed-report resumed-dump resumed-stderr fresh-report fresh-dump
+    grep -q "rejected, recomputing" "$4" \
+        || { echo "$1: stale store not rejected"; exit 1; }
+    cmp -s "$3" "$6" || { echo "$1: resumed dump != fresh run"; exit 1; }
+    diff <(counters "$2") <(counters "$5") \
+        || { echo "$1: resumed counters != fresh run"; exit 1; }
+}
+awk '$1 == "VIA" && $2 == "via1_1" { skip = 1 } !skip { print }
+     skip && $1 == "END" && $2 == "via1_1" { skip = 0 }' \
+    benchmarks/smoke.lef > "$rep/no-via1_1.lef"
+! cmp -s benchmarks/smoke.lef "$rep/no-via1_1.lef" \
+    || { echo "via1_1 not found in smoke.lef"; exit 1; }
+target/release/pao analyze "$rep/no-via1_1.lef" benchmarks/smoke.def \
+    --report "$rep/novia-fresh.txt" --dump-selection "$rep/novia-fresh.sel" > /dev/null 2>&1
+for t in 1 4; do
+    rm -rf "$ckpt"
+    target/release/pao analyze "$rep/t2.lef" "$rep/t2.def" --threads "$t" \
+        --checkpoint "$ckpt" > /dev/null 2>&1
+    target/release/pao analyze "$rep/t2.lef" "$rep/t2.def" --no-bca --threads "$t" \
+        --checkpoint "$ckpt" --resume --report "$rep/nobca-res-$t.txt" \
+        --dump-selection "$rep/nobca-res-$t.sel" > /dev/null 2> "$rep/nobca-res-$t.err"
+    stamp_ok "--no-bca x$t" "$rep/nobca-res-$t.txt" "$rep/nobca-res-$t.sel" \
+        "$rep/nobca-res-$t.err" "$rep/nobca-$t.txt" "$rep/nobca-sel-$t.txt"
+    rm -rf "$ckpt"
+    target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
+        --threads "$t" --checkpoint "$ckpt" > /dev/null 2>&1
+    target/release/pao analyze "$rep/no-via1_1.lef" benchmarks/smoke.def \
+        --threads "$t" --checkpoint "$ckpt" --resume \
+        --report "$rep/novia-res-$t.txt" --dump-selection "$rep/novia-res-$t.sel" \
+        > /dev/null 2> "$rep/novia-res-$t.err"
+    stamp_ok "via removed x$t" "$rep/novia-res-$t.txt" "$rep/novia-res-$t.sel" \
+        "$rep/novia-res-$t.err" "$rep/novia-fresh.txt" "$rep/novia-fresh.sel"
+done
+echo "store input stamp: OK"
 
 echo "== shared intra-cell work identity =="
 # Unique instances of one (master, orientation) share candidate verdicts,
