@@ -1,6 +1,6 @@
-//! Experiment harness shared by the `tables` binary and the Criterion
-//! benches: runs the paper's Experiments 1–3 on the synthetic suite and
-//! formats the corresponding tables.
+//! Experiment harness behind the `tables` binary: runs the paper's
+//! Experiments 1–3 on the synthetic suite and formats the corresponding
+//! tables.
 
 pub mod experiments;
 pub mod report;

@@ -11,7 +11,7 @@ pub struct Args {
 
 /// Options that take a value (everything else starting with `--` is a
 /// boolean flag).
-const VALUE_OPTS: [&str; 36] = [
+const VALUE_OPTS: [&str; 35] = [
     "--threads",
     "--k",
     "--report",
@@ -26,7 +26,6 @@ const VALUE_OPTS: [&str; 36] = [
     "--deadline-ms",
     "--checkpoint",
     "--watchdog-ms",
-    "--select-split",
     "--dump-selection",
     "--pin",
     "--inst",

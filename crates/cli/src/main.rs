@@ -5,8 +5,7 @@
 //!             [--report FILE] [--svg INSTANCE:FILE]
 //!             [--metrics] [--trace FILE] [--deadline-ms MS]
 //!             [--deadline-ok] [--checkpoint DIR] [--resume]
-//!             [--watchdog-ms MS] [--select-split N]
-//!             [--dump-selection FILE]
+//!             [--watchdog-ms MS] [--dump-selection FILE]
 //! pao route   <tech.lef> <design.def> [--naive] [--report FILE]
 //! pao drc     <tech.lef> <design.def>
 //! pao gen     <case> --lef FILE --def FILE      (case: ispd18s_test1..10,
@@ -251,23 +250,6 @@ fn parse_budget_flags(
     Ok((deadline, watchdog))
 }
 
-/// Applies the cluster-selection tuning flag: `--select-split N` sets
-/// the minimum group size for the intra-group wavefront split (0
-/// disables, 1 forces it). Shared by analyze/profile.
-fn parse_select_flags(args: &Args, select: &mut pao_core::SelectTuning) -> Result<(), CliError> {
-    for name in ["--select-split", "--dump-selection"] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
-    if let Some(v) = args.value("--select-split") {
-        select.split_min_clusters = v
-            .parse()
-            .map_err(|_| CliError::usage("--select-split expects a cluster count"))?;
-    }
-    Ok(())
-}
-
 /// Deterministic text dump of the cluster-selection outcome; shared with
 /// the `pao serve` daemon's `dump_selection` method so the verify gate
 /// can diff the two byte-for-byte (see `pao_core::service::selection_dump`).
@@ -336,7 +318,9 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
         cfg.pattern.bca = false;
         cfg.pattern.max_patterns = 1;
     }
-    parse_select_flags(args, &mut cfg.select)?;
+    if args.value_missing("--dump-selection") {
+        return Err(CliError::usage("--dump-selection requires a value"));
+    }
     if let Some(spec) = args.value("--inject-fault") {
         arm_injected_fault(spec)?;
     }
@@ -675,8 +659,8 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
             "deadline-mode run diverged from unbudgeted baseline".to_owned(),
         ));
     }
-    // Selection-identity evidence backing `identical_output`: the
-    // wavefront split must not change a single selection. Compare the
+    // Selection-identity evidence backing `identical_output`: the group
+    // fan-out must not change a single selection. Compare the
     // full selection vector and the repair overrides — not just the
     // aggregate counters — between thread counts.
     if baseline.selection != parallel.selection || baseline.overrides != parallel.overrides {
@@ -688,9 +672,9 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
     let select_json = format!(
         concat!(
             "{{\"edges\": {}, \"probes\": {}, ",
-            "\"edges_pruned\": {}, \"pairs_far\": {}, \"subranges\": {}}}"
+            "\"edges_pruned\": {}, \"pairs_far\": {}}}"
         ),
-        tel.edges, tel.probes, tel.edges_pruned, tel.pairs_far, tel.subranges,
+        tel.edges, tel.probes, tel.edges_pruned, tel.pairs_far,
     );
     let speedup =
         baseline.stats.total_time().as_secs_f64() / parallel.stats.total_time().as_secs_f64();
@@ -873,11 +857,10 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     if args.value("--trace").is_some() {
         pao_obs::enable_trace();
     }
-    let mut cfg = PaoConfig {
+    let cfg = PaoConfig {
         threads,
         ..PaoConfig::default()
     };
-    parse_select_flags(args, &mut cfg.select)?;
     let cfg_ab = cfg.clone();
     let budget = RunBudget {
         deadline,
@@ -1076,7 +1059,6 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
             "  via-pair probes : {} ({} pairs skipped as far)\n",
             tel.probes, tel.pairs_far,
         ));
-        out.push_str(&format!("  wavefront ranges: {}\n", tel.subranges));
     }
     cache_warning(&mut out, "apgen via-memo", hits, hits + misses);
     // Per-type-pair acceptance, derived from the apgen.tried.* /
@@ -1169,7 +1151,7 @@ USAGE:
               [--deadline-ms MS] [--deadline-ok] [--checkpoint DIR]
               [--resume] [--watchdog-ms MS]
               [--inject-stall PHASE[:INDEX[:MS]]]
-              [--select-split N] [--dump-selection FILE]
+              [--dump-selection FILE]
   pao route   <tech.lef> <design.def> [--naive] [--report FILE]
   pao drc     <tech.lef> <design.def>
   pao gen     <case|list> --lef FILE --def FILE
@@ -1179,7 +1161,7 @@ USAGE:
   pao profile [<tech.lef> <design.def>] [--case NAME] [--threads N]
               [--trace FILE] [--report FILE] [--deadline-ms MS]
               [--watchdog-ms MS] [--inject-stall PHASE[:INDEX[:MS]]]
-              [--select-split N] [--ledger]
+              [--ledger]
   pao explain <tech.lef> <design.def> (--pin INSTANCE/PIN | --inst NAME)
               [--threads N] [--report FILE]
   pao report  <tech.lef> <design.def> [--out FILE] [--top N]
@@ -1223,12 +1205,10 @@ USAGE:
   work item (phases: apgen, pattern, select, repair, audit) to exercise
   that path.
 
-  Selection fast path: cluster selection prunes dominated DP edges;
-  large groups additionally split into component-disjoint wavefront
-  levels when --threads > 1. Both are output-invariant, and
-  --dump-selection FILE (analyze) writes a deterministic per-component
-  selection dump to prove it; dumps from any thread count / split
-  setting are byte-identical. bench fails with exit 4 if a single
+  Selection fast path: cluster selection prunes dominated DP edges.
+  Pruning is output-invariant, and --dump-selection FILE (analyze)
+  writes a deterministic per-component selection dump to prove it;
+  dumps from any thread count are byte-identical. bench fails with exit 4 if a single
   selection differs between thread counts; profile prints the
   pruned-edge share and probe counts under `selection fast path`, and
   warns when any memo cache's hit rate drops below 5%.

@@ -40,6 +40,7 @@
 
 use crate::args::Args;
 use crate::{load_world, open_checkpoint, parse_budget_flags, CliError};
+use pao_core::parallel::{expect_all, parallel_map, ExecOptions};
 use pao_core::{
     EcoJournal, EcoMove, EcoTail, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError,
     Watchdog,
@@ -598,9 +599,13 @@ fn handle_batch(id: &str, req: &Value, shared: &Shared) -> String {
             .collect()
     } else {
         let refs: Vec<&Value> = items.iter().collect();
-        pao_core::parallel::parallel_map(shared.threads, refs, |r| {
-            dispatch_request(r, shared, false).0
-        })
+        let (out, _) = parallel_map(
+            ExecOptions::new(shared.threads, "serve.batch"),
+            refs,
+            || (),
+            |(), r| dispatch_request(r, shared, false).0,
+        );
+        expect_all(out)
     };
     ok_resp(id, &format!("[{}]", responses.join(",")))
 }

@@ -1,13 +1,10 @@
 //! Cluster-based access pattern selection (paper Section III-C), extended
 //! with multi-height cell support (the paper's future-work item (i)).
 
-use crate::budget::CancelToken;
 use crate::cost::DRC_COST;
 use crate::error::{FaultRecord, Phase};
 use crate::oracle::UniqueInstanceAccess;
-use crate::parallel::{
-    parallel_map_budget, parallel_map_scratch, ExecReport, ItemFault, PhaseBudget,
-};
+use crate::parallel::{parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::vias_compatible;
 use crate::unique::UniqueInstanceId;
 use pao_design::{CompId, Design};
@@ -390,24 +387,6 @@ fn near_boundary_vias_into(
     );
 }
 
-/// Tuning knobs for the cluster-selection fast path. Every setting
-/// produces bit-identical selections; the knobs only trade wall-clock
-/// for parallelism.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelectTuning {
-    /// Minimum clusters in a selection group before its DP fans out over
-    /// comp-disjoint wavefront levels (`0` disables the split).
-    pub split_min_clusters: usize,
-}
-
-impl Default for SelectTuning {
-    fn default() -> SelectTuning {
-        SelectTuning {
-            split_min_clusters: 16,
-        }
-    }
-}
-
 /// Deterministic instrumentation of one selection pass, aggregated from
 /// the per-group solves in group order (also published as `select.*`
 /// counters when metrics are on).
@@ -422,9 +401,6 @@ pub struct SelectTelemetry {
     pub edges_pruned: u64,
     /// Via pairs skipped by the `pair_reach` distance bound.
     pub pairs_far: u64,
-    /// Clusters solved by the intra-group wavefront fan-out (0 when the
-    /// split never engaged; varies with thread count by design).
-    pub subranges: u64,
     /// Selection groups solved (every group on a full pass; only the
     /// groups a move reached on an ECO's window pass).
     pub groups: u64,
@@ -437,7 +413,6 @@ impl SelectTelemetry {
         self.probes += o.probes;
         self.edges_pruned += o.edges_pruned;
         self.pairs_far += o.pairs_far;
-        self.subranges += o.subranges;
         self.groups += o.groups;
     }
 }
@@ -487,6 +462,49 @@ impl SelectScratch {
     }
 }
 
+/// The clusters of one selection pass, partitioned into groups.
+///
+/// Clusters only interact through shared components (a multi-height cell
+/// appears in one cluster per covered row, and the later cluster must
+/// honor the earlier cluster's assignment), so the groups — connected
+/// components over shared members — are mutually independent, while the
+/// clusters within a group solve left to right.
+#[derive(Debug, Default)]
+pub(crate) struct SelectGroups {
+    pub(crate) clusters: Vec<Cluster>,
+    /// Indices into `clusters`, in cluster order within each group.
+    pub(crate) groups: Vec<Vec<usize>>,
+}
+
+impl SelectGroups {
+    /// Every cluster of the design, grouped (see [`group_clusters`]).
+    pub(crate) fn of_design(tech: &Tech, design: &Design) -> SelectGroups {
+        let clusters = build_clusters(tech, design);
+        let groups = group_clusters(&clusters, design.components().len());
+        if pao_obs::metrics_enabled() {
+            pao_obs::counter_add("select.clusters", clusters.len() as u64);
+            pao_obs::counter_add("select.groups", groups.len() as u64);
+            for cluster in &clusters {
+                pao_obs::hist_record("select.cluster_size", cluster.comps.len() as u64);
+            }
+        }
+        SelectGroups { clusters, groups }
+    }
+}
+
+/// A component's default pattern: the best (first) pattern of its unique
+/// instance, or `None` when it has none. Members of a group the DP did
+/// not solve keep it.
+pub(crate) fn default_pattern(
+    comp_uniq: &[Option<UniqueInstanceId>],
+    uniq: &[UniqueInstanceAccess],
+    ci: usize,
+) -> Option<usize> {
+    comp_uniq[ci]
+        .filter(|ui| !uniq[ui.index()].patterns.is_empty())
+        .map(|_| 0)
+}
+
 /// **Cluster-based pattern selection** — the Algorithm 2 DP re-used with
 /// instances as layers and access patterns as vertices.
 ///
@@ -496,25 +514,9 @@ impl SelectScratch {
 /// lower row) are constrained to their assigned pattern. Returns, per
 /// component, the chosen pattern index (`None` for components without
 /// patterns).
-#[must_use]
-pub fn select_patterns(
-    tech: &Tech,
-    engine: &DrcEngine<'_>,
-    design: &Design,
-    comp_uniq: &[Option<UniqueInstanceId>],
-    uniq: &[UniqueInstanceAccess],
-) -> Vec<Option<usize>> {
-    select_patterns_threaded(tech, engine, design, comp_uniq, uniq, 1).selection
-}
-
-/// [`select_patterns`] with a self-scheduling worker pool.
 ///
-/// Clusters only interact through shared components (a multi-height cell
-/// appears in one cluster per covered row, and the later cluster must
-/// honor the earlier cluster's assignment). Clusters are therefore grouped
-/// into connected components over shared members; groups are mutually
-/// independent and solved in parallel, while the clusters *within* a group
-/// run in wavefront order (see [`solve_group`]). Each group records its
+/// The independent selection groups (see [`SelectGroups`]) fan out over
+/// a self-scheduling pool of `threads` workers. Each group records its
 /// assignments in a local overlay merged afterwards, so the output is
 /// bit-identical to the sequential pass for every thread count.
 ///
@@ -530,98 +532,89 @@ pub fn select_patterns_threaded(
     uniq: &[UniqueInstanceAccess],
     threads: usize,
 ) -> SelectOutput {
-    let token = CancelToken::never();
+    let defaults = (0..comp_uniq.len())
+        .map(|ci| default_pattern(comp_uniq, uniq, ci))
+        .collect();
+    let groups = SelectGroups::of_design(tech, design);
     select_patterns_budget(
-        tech,
-        engine,
-        design,
-        comp_uniq,
-        uniq,
-        threads,
-        &SelectTuning::default(),
-        PhaseBudget::new(&token, None),
+        tech, engine, design, comp_uniq, uniq, &groups, defaults, threads, None,
     )
 }
 
-/// Deadline-aware [`select_patterns_threaded`]: `budget` is polled between
-/// groups, and a group skipped by an expired budget simply keeps its
-/// members' default (best intra-cell) pattern — the same degraded-but-
-/// routable semantics as a quarantined group, minus the fault record.
+/// The one selection fan-out and merge, behind cold runs
+/// ([`select_patterns_threaded`]) and the ECO window tail alike: solves
+/// every group of `groups` as one `select.group` executor item and
+/// merges its assignments into `selection`, which arrives holding every
+/// component's starting pattern.
+///
+/// `budget` is polled between groups. A group skipped by an expired
+/// budget, or quarantined, resets its members to their default (best
+/// intra-cell) pattern — degraded but routable — and on a checkpoint
+/// resume it selects normally.
 #[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn select_patterns_budget(
+pub(crate) fn select_patterns_budget(
     tech: &Tech,
     engine: &DrcEngine<'_>,
     design: &Design,
     comp_uniq: &[Option<UniqueInstanceId>],
     uniq: &[UniqueInstanceAccess],
+    groups: &SelectGroups,
+    mut selection: Vec<Option<usize>>,
     threads: usize,
-    tuning: &SelectTuning,
-    budget: PhaseBudget<'_>,
+    budget: Option<PhaseBudget<'_>>,
 ) -> SelectOutput {
-    // Default: best (first) pattern everywhere; the cluster DP refines.
-    let defaults: Vec<Option<usize>> = comp_uniq
-        .iter()
-        .map(|cu| {
-            cu.filter(|ui| !uniq[ui.index()].patterns.is_empty())
-                .map(|_| 0)
-        })
-        .collect();
     let reach = conflict_reach(tech);
     let far = pair_reach(tech, engine);
-    let clusters = build_clusters(tech, design);
-    let groups = group_clusters(&clusters, design.components().len());
-    if pao_obs::metrics_enabled() {
-        pao_obs::counter_add("select.clusters", clusters.len() as u64);
-        pao_obs::counter_add("select.groups", groups.len() as u64);
-        for cluster in &clusters {
-            pao_obs::hist_record("select.cluster_size", cluster.comps.len() as u64);
-        }
-    }
-
-    let group_sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let clusters = &clusters;
-    let (locals, report) = parallel_map_budget(
-        threads,
-        "select.group",
-        groups,
+    let SelectGroups { clusters, groups } = groups;
+    let (locals, exec) = parallel_map(
+        ExecOptions::new(threads, "select.group").with_budget(budget),
+        (0..groups.len()).collect(),
         || SelectScratch::new(tech.layers().len()),
-        |scratch, group| {
+        |scratch, gi: usize| {
             // Overlay: component index -> final assignment; presence = pinned.
             let mut local: HashMap<usize, Option<usize>> = HashMap::new();
             let tel = solve_group(
-                tech, engine, design, comp_uniq, uniq, reach, far, clusters, &group, tuning,
-                threads, &mut local, scratch,
+                tech,
+                engine,
+                design,
+                comp_uniq,
+                uniq,
+                reach,
+                far,
+                clusters,
+                &groups[gi],
+                &mut local,
+                scratch,
             );
             (local, tel)
         },
-        budget,
     );
 
-    let mut selection = defaults;
     let mut faults = Vec::new();
     let mut skipped = 0usize;
     let mut telemetry = SelectTelemetry {
-        groups: group_sizes.len() as u64,
+        groups: groups.len() as u64,
         ..SelectTelemetry::default()
     };
     for (gi, local) in locals.into_iter().enumerate() {
-        match local {
+        let fault = match local {
             Ok((local, tel)) => {
                 telemetry.absorb(&tel);
                 for (ci, sel) in local {
                     selection[ci] = sel;
                 }
+                continue;
             }
-            // Budget ran out before the group was claimed: its members
-            // keep their defaults, and on a checkpoint resume the group
-            // selects normally.
-            Err(ItemFault::Skipped(_)) => skipped += 1,
-            // Quarantined group: its members keep the default (best
-            // intra-cell) pattern — degraded but routable.
-            Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
+            Err(fault) => fault,
+        };
+        for c in groups[gi].iter().flat_map(|&cl| &clusters[cl].comps) {
+            selection[c.index()] = default_pattern(comp_uniq, uniq, c.index());
+        }
+        match fault {
+            ItemFault::Skipped(_) => skipped += 1,
+            ItemFault::Panic(reason) => faults.push(FaultRecord {
                 phase: Phase::Select,
-                item: format!("selection group {gi} ({} clusters)", group_sizes[gi]),
+                item: format!("selection group {gi} ({} clusters)", groups[gi].len()),
                 reason,
             }),
         }
@@ -631,11 +624,10 @@ pub fn select_patterns_budget(
         pao_obs::counter_add("select.compat_edges", telemetry.edges);
         pao_obs::counter_add("select.edges_pruned", telemetry.edges_pruned);
         pao_obs::counter_add("select.pairs_far", telemetry.pairs_far);
-        pao_obs::counter_add("select.subranges", telemetry.subranges);
     }
     SelectOutput {
         selection,
-        exec: report,
+        exec,
         faults,
         skipped,
         telemetry,
@@ -645,7 +637,7 @@ pub fn select_patterns_budget(
 /// Partitions cluster indices into connected components over shared
 /// members (multi-height cells), preserving the original cluster order
 /// within every group. Exposed (hidden) for the allocation regression
-/// test and the criterion bench.
+/// test.
 #[doc(hidden)]
 pub fn group_clusters(clusters: &[Cluster], n_comps: usize) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..clusters.len()).collect();
@@ -681,11 +673,8 @@ pub fn group_clusters(clusters: &[Cluster], n_comps: usize) -> Vec<Vec<usize>> {
 
 /// Solves one selection group: clusters in their original order, each
 /// DP reading earlier assignments from `local` and merging its results
-/// back. Large groups fan out over comp-disjoint wavefront levels (see
-/// [`solve_group_wavefront`]); the fan-out changes wall-clock only, never
-/// the assignments. Exposed (hidden) for the allocation regression test
-/// and the criterion bench: with a warm `local` and `scratch`, the
-/// sequential path performs zero allocations.
+/// back. Exposed (hidden) for the allocation regression test: with a
+/// warm `local` and `scratch`, it performs zero allocations.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn solve_group(
@@ -698,133 +687,29 @@ pub fn solve_group(
     far: Dbu,
     clusters: &[Cluster],
     group: &[usize],
-    tuning: &SelectTuning,
-    threads: usize,
     local: &mut HashMap<usize, Option<usize>>,
     scratch: &mut SelectScratch,
 ) -> SelectTelemetry {
     let mut tel = SelectTelemetry::default();
-    if threads > 1 && tuning.split_min_clusters > 0 && group.len() >= tuning.split_min_clusters {
-        solve_group_wavefront(
-            tech, engine, design, comp_uniq, uniq, reach, far, clusters, group, threads, local,
-            scratch, &mut tel,
+    for &cl in group {
+        solve_cluster(
+            tech,
+            engine,
+            design,
+            comp_uniq,
+            uniq,
+            reach,
+            far,
+            &clusters[cl],
+            local,
+            scratch,
+            &mut tel,
         );
-    } else {
-        for &cl in group {
-            solve_cluster(
-                tech,
-                engine,
-                design,
-                comp_uniq,
-                uniq,
-                reach,
-                far,
-                &clusters[cl],
-                local,
-                scratch,
-                &mut tel,
-            );
-            for &(ci, sel) in &scratch.emit {
-                local.entry(ci).or_insert(sel);
-            }
+        for &(ci, sel) in &scratch.emit {
+            local.entry(ci).or_insert(sel);
         }
     }
     tel
-}
-
-/// Intra-group parallelism for big groups: assigns every cluster to the
-/// earliest wavefront level after all earlier clusters it shares a
-/// component with. Clusters on one level are pairwise comp-disjoint, so
-/// they read an identical pinned overlay and write disjoint components —
-/// solving a level in parallel and merging the emitted assignments in
-/// cluster order is bit-identical to the sequential left-to-right pass.
-/// In row-based placements multi-height cells chain only locally, so the
-/// bulk of a group lands on level 0 and the critical path collapses.
-#[allow(clippy::too_many_arguments)]
-fn solve_group_wavefront(
-    tech: &Tech,
-    engine: &DrcEngine<'_>,
-    design: &Design,
-    comp_uniq: &[Option<UniqueInstanceId>],
-    uniq: &[UniqueInstanceAccess],
-    reach: Dbu,
-    far: Dbu,
-    clusters: &[Cluster],
-    group: &[usize],
-    threads: usize,
-    local: &mut HashMap<usize, Option<usize>>,
-    scratch: &mut SelectScratch,
-    tel: &mut SelectTelemetry,
-) {
-    let mut comp_level: HashMap<usize, usize> = HashMap::new();
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    for &cl in group {
-        let lvl = clusters[cl]
-            .comps
-            .iter()
-            .filter_map(|c| comp_level.get(&c.index()).copied())
-            .max()
-            .unwrap_or(0);
-        if levels.len() <= lvl {
-            levels.resize_with(lvl + 1, Vec::new);
-        }
-        levels[lvl].push(cl);
-        for c in &clusters[cl].comps {
-            comp_level.insert(c.index(), lvl + 1);
-        }
-    }
-    for level in levels {
-        if level.len() == 1 {
-            solve_cluster(
-                tech,
-                engine,
-                design,
-                comp_uniq,
-                uniq,
-                reach,
-                far,
-                &clusters[level[0]],
-                local,
-                scratch,
-                tel,
-            );
-            for &(ci, sel) in &scratch.emit {
-                local.entry(ci).or_insert(sel);
-            }
-            continue;
-        }
-        tel.subranges += level.len() as u64;
-        let pinned: &HashMap<usize, Option<usize>> = local;
-        let (results, _nested) = parallel_map_scratch(
-            threads.min(level.len()),
-            "select.subrange",
-            level,
-            || SelectScratch::new(tech.layers().len()),
-            |s, cl| {
-                let mut t = SelectTelemetry::default();
-                solve_cluster(
-                    tech,
-                    engine,
-                    design,
-                    comp_uniq,
-                    uniq,
-                    reach,
-                    far,
-                    &clusters[cl],
-                    pinned,
-                    s,
-                    &mut t,
-                );
-                (s.emit.clone(), t)
-            },
-        );
-        for (emit, t) in results {
-            tel.absorb(&t);
-            for (ci, sel) in emit {
-                local.entry(ci).or_insert(sel);
-            }
-        }
-    }
 }
 
 /// Runs the Algorithm 2 DP on one cluster against the pinned overlay:

@@ -23,19 +23,19 @@
 
 use crate::budget::{CancelReason, DeadlineReport};
 use crate::cluster::{
-    comp_bbox, conflict_reach, form_clusters, pair_reach, solve_group, Cluster, RowIndex,
-    SelectScratch, SelectTelemetry, StripeCells,
+    comp_bbox, default_pattern, form_clusters, select_patterns_budget, Cluster, RowIndex,
+    SelectGroups, StripeCells,
 };
-use crate::error::{FaultRecord, Phase};
+use crate::error::Phase;
 use crate::oracle::{
-    push_skip, PaoResult, PinAccessOracle, RunCtx, TailInput, UniqueInstanceAccess,
+    probe_pins, push_skip, PaoResult, PinAccessOracle, RunCtx, TailInput, UniqueInstanceAccess,
 };
-use crate::parallel::{parallel_map_budget, ItemFault, PhaseBudget};
+use crate::parallel::PhaseBudget;
 use crate::persist::{signature_of, AnalysisCache, Entry, Step2};
 use crate::stats::PaoStats;
 use crate::unique::{pin_owner, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
-use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
+use pao_drc::{DrcEngine, Owner, ShapeSet};
 use pao_geom::{Dbu, Point, Rect};
 use pao_tech::Tech;
 use std::collections::{HashMap, HashSet};
@@ -248,14 +248,14 @@ fn stripe_clusters<'c>(
     })
 }
 
-/// The selection groups a move changed, each as its clusters in the
+/// The selection groups a move changed, each holding its clusters in the
 /// global (stripe, x) order, groups ordered by their first cluster.
 ///
 /// Clusters re-form only in the touched stripes; a new cluster that
 /// matches no old one of its stripe, or holds a moved component, is
 /// changed. Its group is every cluster linked to it through members that
 /// cover more than one stripe.
-fn changed_groups(tech: &Tech, design: &Design, w: &EcoWindow<'_>) -> Vec<Vec<Cluster>> {
+fn changed_groups(tech: &Tech, design: &Design, w: &EcoWindow<'_>) -> SelectGroups {
     let moved: HashSet<CompId> = w.moved.iter().copied().collect();
     let mut formed: HashMap<usize, Vec<Cluster>> = HashMap::new();
     let mut seeds: Vec<(usize, usize)> = Vec::new();
@@ -304,10 +304,14 @@ fn changed_groups(tech: &Tech, design: &Design, w: &EcoWindow<'_>) -> Vec<Vec<Cl
         groups.push(group);
     }
     groups.sort_unstable();
-    groups
-        .iter()
-        .map(|g| g.iter().map(|&(s, k)| formed[&s][k].clone()).collect())
-        .collect()
+    let mut out = SelectGroups::default();
+    for g in groups {
+        let lo = out.clusters.len();
+        out.clusters
+            .extend(g.iter().map(|&(s, k)| formed[&s][k].clone()));
+        out.groups.push((lo..out.clusters.len()).collect());
+    }
+    out
 }
 
 /// The connected pins to re-probe after `changed` components moved or
@@ -414,14 +418,14 @@ impl PinAccessOracle {
     /// * Selection is local to a selection group (the clusters linked by
     ///   shared multi-height members): a group whose clusters are all
     ///   unchanged solves exactly as before. Only the groups holding a
-    ///   cluster the move changed ([`changed_groups`]) are re-solved,
-    ///   with [`solve_group`] under the `select.group` executor label.
+    ///   cluster the move changed ([`changed_groups`]) are re-solved, by
+    ///   the cold pass's own fan-out and merge
+    ///   ([`select_patterns_budget`]).
     /// * An audit verdict depends only on the shapes inside the pin's
     ///   probe windows. Only the connected pins whose windows can reach a
     ///   moved component, or one whose selected pattern changed
-    ///   ([`reprobe`]), are re-probed with the audit's exact
-    ///   `via_placement_clean` under the `audit.pin` label; every other
-    ///   pin keeps its clean verdict.
+    ///   ([`reprobe`]), are re-probed, by the cold audit's own probe
+    ///   ([`probe_pins`]); every other pin keeps its clean verdict.
     ///
     /// Returns the finished result — degraded when a group or probe
     /// faulted, was skipped or stalled — with the number of re-probed
@@ -444,87 +448,44 @@ impl PinAccessOracle {
         let Warm { unique, comp_uniq } = warm;
         let groups = changed_groups(tech, design, w);
 
-        // Re-solve the changed groups.
-        let (reach, far) = (conflict_reach(tech), pair_reach(tech, &engine));
+        // Re-solve the changed groups over the previous selection, with
+        // the moved components back at their defaults.
         let select_token = run.alloc.phase_token(Phase::Select);
-        let (locals, select_exec) = {
-            let (groups, engine, comp_uniq, unique) = (&groups, &engine, &comp_uniq, &unique);
-            parallel_map_budget(
-                threads,
-                "select.group",
-                (0..groups.len()).collect(),
-                || SelectScratch::new(tech.layers().len()),
-                |scratch, gi: usize| {
-                    let order: Vec<usize> = (0..groups[gi].len()).collect();
-                    let mut local = HashMap::new();
-                    let tel = solve_group(
-                        tech,
-                        engine,
-                        design,
-                        comp_uniq,
-                        unique,
-                        reach,
-                        far,
-                        &groups[gi],
-                        &order,
-                        &self.config().select,
-                        threads,
-                        &mut local,
-                        scratch,
-                    );
-                    (local, tel)
-                },
-                PhaseBudget::new(&select_token, run.watchdog),
-            )
-        };
-        let default_of = |c: CompId| {
-            comp_uniq[c.index()]
-                .filter(|u| !unique[u.index()].patterns.is_empty())
-                .map(|_| 0)
-        };
         let mut selection = w.old.selection.clone();
         for &m in w.moved {
-            selection[m.index()] = default_of(m);
+            selection[m.index()] = default_pattern(&comp_uniq, &unique, m.index());
         }
-        let mut faults: Vec<FaultRecord> = Vec::new();
+        let select_out = select_patterns_budget(
+            tech,
+            &engine,
+            design,
+            &comp_uniq,
+            &unique,
+            &groups,
+            selection,
+            threads,
+            Some(PhaseBudget::new(&select_token, run.watchdog)),
+        );
+        let selection = select_out.selection;
+        let mut faults = select_out.faults;
         let mut skips = Vec::new();
-        let mut skipped = 0usize;
-        let mut telemetry = SelectTelemetry {
-            groups: groups.len() as u64,
-            ..SelectTelemetry::default()
-        };
-        let mut changed: Vec<CompId> = w.moved.to_vec();
-        for (gi, local) in locals.into_iter().enumerate() {
-            let members = || groups[gi].iter().flat_map(|cl| &cl.comps);
-            for c in members() {
-                selection[c.index()] = default_of(*c);
-            }
-            match local {
-                Ok((local, tel)) => {
-                    telemetry.absorb(&tel);
-                    for (ci, sel) in local {
-                        selection[ci] = sel;
-                    }
-                }
-                Err(ItemFault::Skipped(_)) => skipped += 1,
-                Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
-                    phase: Phase::Select,
-                    item: format!("selection group {gi} ({} clusters)", groups[gi].len()),
-                    reason,
-                }),
-            }
-            changed
-                .extend(members().filter(|c| selection[c.index()] != w.old.selection[c.index()]));
-        }
-        changed.sort_unstable();
-        changed.dedup();
         push_skip(
             &mut skips,
             Phase::Select,
-            skipped,
+            select_out.skipped,
             select_token.reason().unwrap_or(CancelReason::Deadline),
         );
         let mut stalls = select_token.take_stalls();
+        let mut changed: Vec<CompId> = w.moved.to_vec();
+        changed.extend(
+            groups
+                .clusters
+                .iter()
+                .flat_map(|cl| &cl.comps)
+                .filter(|c| selection[c.index()] != w.old.selection[c.index()]),
+        );
+        changed.sort_unstable();
+        changed.dedup();
         let t_audit = std::time::Instant::now();
         let mut result = PaoResult {
             unique,
@@ -532,8 +493,8 @@ impl PinAccessOracle {
             selection,
             overrides: HashMap::new(),
             stats: PaoStats {
-                cluster_exec: select_exec,
-                select_telemetry: telemetry,
+                cluster_exec: select_out.exec,
+                select_telemetry: select_out.telemetry,
                 select_time: t_audit - t0,
                 ..stats
             },
@@ -541,54 +502,23 @@ impl PinAccessOracle {
 
         // Re-probe the pins the change can reach (none when selection
         // already degraded: the result is discarded anyway).
-        let (probe_pins, ctx) = if faults.is_empty() && skips.is_empty() && stalls.is_empty() {
+        let (pins, ctx) = if faults.is_empty() && skips.is_empty() && stalls.is_empty() {
             reprobe(tech, design, &engine, w, &result, &changed)
         } else {
             (Vec::new(), ShapeSet::new(tech.layers().len()))
         };
         let audit_token = run.alloc.phase_token(Phase::Audit);
-        let (oks, audit_exec) = {
-            let (result, ctx, engine, probe_pins) = (&result, &ctx, &engine, &probe_pins);
-            parallel_map_budget(
-                threads,
-                "audit.pin",
-                (0..probe_pins.len()).collect(),
-                DrcScratch::new,
-                move |ws, i: usize| {
-                    let (comp, pin_idx) = probe_pins[i];
-                    let ok = match result.access_point(design, comp, pin_idx) {
-                        Some(ap) => match ap.primary_via() {
-                            Some(v) => engine.via_placement_clean(
-                                tech.via(v),
-                                ap.pos,
-                                pin_owner(comp, pin_idx),
-                                ctx,
-                                ws,
-                            ),
-                            None => !ap.planar.is_empty(),
-                        },
-                        None => false,
-                    };
-                    ws.flush_obs();
-                    ok
-                },
-                PhaseBudget::new(&audit_token, run.watchdog),
-            )
-        };
-        let mut failed = 0usize;
-        skipped = 0;
-        for (&(comp, pin_idx), ok) in probe_pins.iter().zip(oks) {
-            failed += usize::from(!matches!(ok, Ok(true)));
-            match ok {
-                Ok(_) => {}
-                Err(ItemFault::Skipped(_)) => skipped += 1,
-                Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
-                    phase: Phase::Audit,
-                    item: format!("pin {}/#{pin_idx}", design.component(comp).name),
-                    reason,
-                }),
-            }
-        }
+        let ((_, failed), audit_exec, audit_faults, skipped) = probe_pins(
+            &engine,
+            design,
+            &pins,
+            &|comp, pin_idx| result.access_point(design, comp, pin_idx),
+            None,
+            Some(&ctx),
+            threads,
+            Some(PhaseBudget::new(&audit_token, run.watchdog)),
+        );
+        faults.extend(audit_faults);
         push_skip(
             &mut skips,
             Phase::Audit,
@@ -604,8 +534,8 @@ impl PinAccessOracle {
                 comp_uniq: result.comp_uniq,
             });
         }
-        pao_obs::counter_add("eco.window.groups", groups.len() as u64);
-        pao_obs::counter_add("eco.window.pins", probe_pins.len() as u64);
+        pao_obs::counter_add("eco.window.groups", groups.groups.len() as u64);
+        pao_obs::counter_add("eco.window.pins", pins.len() as u64);
         for fault in &faults {
             pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
         }
@@ -623,7 +553,7 @@ impl PinAccessOracle {
         result.stats.cluster_time = t_end - t0;
         drop(span);
         run.close(&mut result.stats);
-        Ok((result, probe_pins.len()))
+        Ok((result, pins.len()))
     }
 }
 

@@ -60,13 +60,13 @@ pub use budget::{
     BudgetAllocator, CancelReason, CancelToken, DeadlineReport, PhaseFractions, RunBudget,
     SharedFractions, SkipRecord, StallRecord, Watchdog,
 };
-pub use cluster::{Cluster, SelectTelemetry, SelectTuning};
+pub use cluster::{Cluster, SelectTelemetry};
 pub use coord::CoordType;
 pub use error::{FaultRecord, PaoError, Phase};
 pub use oracle::{
     default_threads, ApTally, PaoConfig, PaoResult, PinAccessOracle, UniqueInstanceAccess,
 };
-pub use parallel::{ExecReport, ItemFault, PhaseBudget};
+pub use parallel::{ExecOptions, ExecReport, ItemFault, PhaseBudget};
 pub use pattern::{AccessPattern, PatternConfig};
 pub use persist::{AnalysisCache, EcoJournal, JournalEntry};
 pub use service::{

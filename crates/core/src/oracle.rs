@@ -5,12 +5,12 @@ use crate::apgen::{
     ApgenPlan, VerdictSource,
 };
 use crate::budget::{
-    BudgetAllocator, CancelReason, CancelToken, DeadlineReport, PhaseFractions, RunBudget,
-    SkipRecord, StallRecord, Watchdog,
+    BudgetAllocator, CancelReason, DeadlineReport, PhaseFractions, RunBudget, SkipRecord,
+    StallRecord, Watchdog,
 };
-use crate::cluster::{select_patterns_budget, SelectTuning};
+use crate::cluster::{default_pattern, select_patterns_budget, SelectGroups};
 use crate::error::{FaultRecord, PaoError, Phase};
-use crate::parallel::{parallel_map_budget, ExecReport, ItemFault, PhaseBudget};
+use crate::parallel::{expect_all, parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
 use crate::persist::{input_stamp, signature_of, AnalysisCache, Entry, RejectTally};
 use crate::share::{CellClasses, PatternGroups};
@@ -41,9 +41,6 @@ pub struct PaoConfig {
     /// dirty access points, mirroring the router's per-pin freedom).
     /// 0 disables repair — use that to measure the selection stage alone.
     pub repair_rounds: usize,
-    /// Cluster-selection fast-path tuning (memoization, wavefront split).
-    /// Every setting produces bit-identical selections.
-    pub select: SelectTuning,
 }
 
 /// The default worker count: all available hardware parallelism.
@@ -61,7 +58,6 @@ impl Default for PaoConfig {
             pattern: PatternConfig::default(),
             threads: default_threads(),
             repair_rounds: 3,
-            select: SelectTuning::default(),
         }
     }
 }
@@ -311,9 +307,9 @@ impl PinAccessOracle {
         let (analyzed, apgen_exec) = {
             let (infos, plan, classes, engine) = (&infos, &plan, &classes, &engine);
             let store = store.as_deref();
-            parallel_map_budget(
-                self.config.threads,
-                "apgen.instance",
+            parallel_map(
+                ExecOptions::new(self.config.threads, "apgen.instance")
+                    .with_budget(Some(PhaseBudget::new(&apgen_token, watchdog))),
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
                 move |(), idx| -> Result<(UniqueInstanceAccess, Option<Entry>), PaoError> {
@@ -351,7 +347,6 @@ impl PinAccessOracle {
                     });
                     Ok((u, entry))
                 },
-                PhaseBudget::new(&apgen_token, watchdog),
             )
         };
         drop(classes);
@@ -442,9 +437,9 @@ impl PinAccessOracle {
         {
             let (unique_ref, groups, engine, apgen_done) = (&unique, &groups, &engine, &apgen_done);
             let lookup = store.as_deref();
-            let (results, exec) = parallel_map_budget(
-                self.config.threads,
-                "pattern.instance",
+            let (results, exec) = parallel_map(
+                ExecOptions::new(self.config.threads, "pattern.instance")
+                    .with_budget(Some(PhaseBudget::new(&pattern_token, watchdog))),
                 (0..unique_ref.len()).collect::<Vec<_>>(),
                 || (),
                 |(), i| {
@@ -471,7 +466,6 @@ impl PinAccessOracle {
                     out.replay_ledger(i as u64);
                     (out.order.clone(), out.patterns.clone(), false)
                 },
-                PhaseBudget::new(&pattern_token, watchdog),
             );
             pattern_exec = exec;
             for (i, res) in results.into_iter().enumerate() {
@@ -700,15 +694,19 @@ impl PinAccessOracle {
         // and audit wall times sum to `cluster_time`.
         let t2 = Instant::now();
         let select_token = run.alloc.phase_token(Phase::Select);
+        let defaults = (0..comp_uniq.len())
+            .map(|ci| default_pattern(&comp_uniq, &unique, ci))
+            .collect();
         let select_out = select_patterns_budget(
             tech,
             &engine,
             design,
             &comp_uniq,
             &unique,
+            &SelectGroups::of_design(tech, design),
+            defaults,
             self.config.threads,
-            &self.config.select,
-            PhaseBudget::new(&select_token, watchdog),
+            Some(PhaseBudget::new(&select_token, watchdog)),
         );
         faults.extend(select_out.faults);
         push_skip(
@@ -788,7 +786,7 @@ impl PinAccessOracle {
                 &gctx,
                 &|comp, pin_idx| result.access_point(design, comp, pin_idx),
                 scan_ok.as_deref(),
-                PhaseBudget::new(&audit_token, watchdog),
+                Some(PhaseBudget::new(&audit_token, watchdog)),
             );
         faults.extend(audit_faults);
         push_skip(
@@ -941,8 +939,9 @@ fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) ->
 /// A scan item that panics is quarantined: its pin is treated as
 /// not-dirty (left untouched this round) and reported in the returned
 /// fault list instead of aborting the run. A scan item skipped by an
-/// expired [`CancelToken`] is likewise treated as not-dirty, but counted
-/// in the returned skip tally instead of producing a fault record.
+/// expired [`CancelToken`](crate::budget::CancelToken) is likewise
+/// treated as not-dirty, but counted in the returned skip tally instead
+/// of producing a fault record.
 ///
 /// The fifth element of the return is the per-connected-pin scan verdict
 /// (`Some(clean)`; `None` for panicked/skipped items) — reusable as audit
@@ -1132,9 +1131,8 @@ pub(crate) fn repair_failed_pins_budget(
         let (selected, is_dirty, engine) = (&selected, &is_dirty, &engine);
         let (comp_tree, via_hulls, poisoned, key_part) =
             (&comp_tree, &via_hulls, &poisoned, &key_part);
-        parallel_map_budget(
-            gctx.threads,
-            "repair.scan",
+        parallel_map(
+            ExecOptions::new(gctx.threads, "repair.scan").with_budget(Some(budget)),
             (0..connected.len()).collect(),
             ScanScratch::default,
             move |s, i: usize| {
@@ -1297,7 +1295,6 @@ pub(crate) fn repair_failed_pins_budget(
                 s.ws.flush_obs();
                 dirty
             },
-            budget,
         )
     };
     let mut faults: Vec<FaultRecord> = Vec::new();
@@ -1609,8 +1606,11 @@ impl<'a> GlobalContext<'a> {
                 .step_by(GCTX_SHARD)
                 .map(|lo| (lo, (lo + GCTX_SHARD).min(n)))
                 .collect();
-            let shards: Vec<ShapeSet> =
-                crate::parallel::parallel_map(self.threads, chunks, |(lo, hi)| {
+            let (shards, _) = parallel_map(
+                ExecOptions::new(self.threads, "gctx.shard"),
+                chunks,
+                || (),
+                |(), (lo, hi)| {
                     let mut set = ShapeSet::new(num_layers);
                     for ci in lo..hi {
                         self.for_each_shape(CompId(ci as u32), |layer, rect, owner| {
@@ -1619,7 +1619,9 @@ impl<'a> GlobalContext<'a> {
                     }
                     set.rebuild();
                     set
-                });
+                },
+            );
+            let shards = expect_all(shards);
             if shards.is_empty() {
                 ShapeSet::new(num_layers)
             } else {
@@ -1691,14 +1693,8 @@ pub(crate) fn connected_pins(tech: &Tech, design: &Design) -> Vec<(CompId, usize
 /// Counts Table III's `(total pins, failed pins)`: every component pin
 /// with a net attached must end with a DRC-clean access point, checked
 /// against the **whole-design** context (all pins, obstructions and every
-/// other selected via).
-#[must_use]
-pub fn count_failed_pins(tech: &Tech, design: &Design, result: &PaoResult) -> (usize, usize) {
-    count_failed_pins_threaded(tech, design, result, 1).0
-}
-
-/// [`count_failed_pins`] with the per-pin DRC probes fanned out over
-/// `threads` workers.
+/// other selected via). The per-pin DRC probes fan out over `threads`
+/// workers.
 #[must_use]
 pub fn count_failed_pins_threaded(
     tech: &Tech,
@@ -1706,75 +1702,24 @@ pub fn count_failed_pins_threaded(
     result: &PaoResult,
     threads: usize,
 ) -> ((usize, usize), ExecReport) {
-    count_failed_pins_with_threaded(
-        tech,
-        design,
-        |comp, pin_idx| result.access_point(design, comp, pin_idx),
-        threads,
-    )
+    let gctx = GlobalContext::new(tech, design, threads);
+    let accessor = |comp, pin_idx| result.access_point(design, comp, pin_idx);
+    let (counts, exec, _, _) = audit_pins_budget(&gctx, &accessor, None, None);
+    (counts, exec)
 }
 
-/// Generic form of [`count_failed_pins`]: `accessor` supplies the selected
-/// access point per `(component, pin index)` in die coordinates. Used to
-/// score both PAAF and baseline pin access with identical rules.
+/// [`count_failed_pins_threaded`] on one thread with `accessor`
+/// supplying the selected access point per `(component, pin index)` in
+/// die coordinates. Used to score both PAAF and baseline pin access with
+/// identical rules.
 #[must_use]
 pub fn count_failed_pins_with(
     tech: &Tech,
     design: &Design,
     accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
 ) -> (usize, usize) {
-    count_failed_pins_with_threaded(tech, design, accessor, 1).0
-}
-
-/// [`count_failed_pins_with`] with the per-pin DRC probes fanned out over
-/// `threads` workers. The audit context is immutable once built, so every
-/// connected pin checks independently.
-#[must_use]
-pub fn count_failed_pins_with_threaded(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-    threads: usize,
-) -> ((usize, usize), ExecReport) {
-    let (counts, exec, _faults) = count_failed_pins_with_faults(tech, design, accessor, threads);
-    (counts, exec)
-}
-
-/// Fault-isolated form of [`count_failed_pins_with_threaded`]: an audit
-/// probe that panics quarantines its pin (counted failed — the audit could
-/// not certify it) and the fault is returned instead of aborting.
-#[must_use]
-pub fn count_failed_pins_with_faults(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-    threads: usize,
-) -> ((usize, usize), ExecReport, Vec<FaultRecord>) {
-    let token = CancelToken::never();
-    let (counts, exec, faults, _skipped) = count_failed_pins_with_budget(
-        tech,
-        design,
-        accessor,
-        threads,
-        PhaseBudget::new(&token, None),
-    );
-    (counts, exec, faults)
-}
-
-/// [`count_failed_pins_with_faults`] under a phase budget: a pin skipped
-/// by an expired [`CancelToken`] conservatively counts as failed (it was
-/// never certified clean) and lands in the returned skip tally rather
-/// than the fault list.
-#[must_use]
-pub fn count_failed_pins_with_budget(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-    threads: usize,
-    budget: PhaseBudget<'_>,
-) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
-    let gctx = GlobalContext::new(tech, design, threads);
-    audit_pins_budget(&gctx, &accessor, None, budget)
+    let gctx = GlobalContext::new(tech, design, 1);
+    audit_pins_budget(&gctx, &accessor, None, None).0
 }
 
 /// The audit over a prebuilt [`GlobalContext`], optionally short-cutting
@@ -1789,25 +1734,19 @@ pub(crate) fn audit_pins_budget(
     gctx: &GlobalContext<'_>,
     accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + Sync),
     hints: Option<&[Option<bool>]>,
-    budget: PhaseBudget<'_>,
+    budget: Option<PhaseBudget<'_>>,
 ) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
     let (tech, design) = (gctx.tech, gctx.design);
     let connected = gctx.pins.list();
-    let hint_of = |i: usize| -> Option<bool> {
-        hints
-            .filter(|h| h.len() == connected.len())
-            .and_then(|h| h[i])
-    };
+    let hints = hints.filter(|h| h.len() == connected.len());
     let engine = DrcEngine::new(tech);
     let unhinted: Vec<usize> = (0..connected.len())
-        .filter(|&i| hint_of(i).is_none())
+        .filter(|&i| hints.is_none_or(|h| h[i].is_none()))
         .collect();
     let ctx = if unhinted.is_empty() {
         pao_obs::counter_add("audit.hinted_all", 1);
         None
-    } else if hints.is_some_and(|h| h.len() == connected.len())
-        && unhinted.len() * 8 <= connected.len()
-    {
+    } else if hints.is_some() && unhinted.len() * 8 <= connected.len() {
         // A hinted audit with only a few residual probes (the last repair
         // round's greedy pins) doesn't need the full base+vias repack:
         // every probe reads only within its via shapes' per-layer search
@@ -1853,55 +1792,77 @@ pub(crate) fn audit_pins_budget(
     } else {
         Some(gctx.with_vias(accessor))
     };
-    let (oks, exec) = {
-        let (ctx, engine, hint_of) = (&ctx, &engine, &hint_of);
-        parallel_map_budget(
-            gctx.threads,
-            "audit.pin",
-            (0..connected.len()).collect::<Vec<_>>(),
-            DrcScratch::new,
-            move |ws, i| {
-                if let Some(ok) = hint_of(i) {
-                    pao_obs::counter_add("audit.hint_hits", 1);
-                    return ok;
-                }
-                let (comp, pin_idx) = connected[i];
-                // `ctx` is `Some` whenever any pin lacks a hint.
-                let ok = match (accessor(comp, pin_idx), ctx) {
-                    (Some(ap), Some(ctx)) => match ap.primary_via() {
-                        Some(v) => engine.via_placement_clean(
-                            tech.via(v),
-                            ap.pos,
-                            pin_owner(comp, pin_idx),
-                            ctx,
-                            ws,
-                        ),
-                        // Planar-only access (macro pins): accept.
-                        None => !ap.planar.is_empty(),
-                    },
-                    _ => false,
-                };
-                ws.flush_obs();
-                ok
-            },
-            budget,
-        )
-    };
+    probe_pins(
+        &engine,
+        design,
+        connected,
+        accessor,
+        hints,
+        ctx.as_ref(),
+        gctx.threads,
+        budget,
+    )
+}
+
+/// Probes `pins` with the audit's exact `via_placement_clean` in `ctx`,
+/// one `audit.pin` executor item per pin, and tallies
+/// `(pins.len(), failed pins)`, the quarantined probes and the skipped
+/// ones. A pin with a `hints` entry (aligned with `pins`) takes it as its
+/// verdict unprobed; `ctx` may be `None` only when every pin has one.
+/// A pin without a selected access point, or whose probe was skipped by
+/// the budget or quarantined, was never certified clean, so it counts as
+/// failed. Behind the cold audit and the ECO window tail alike.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe_pins(
+    engine: &DrcEngine<'_>,
+    design: &Design,
+    pins: &[(CompId, usize)],
+    accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + Sync),
+    hints: Option<&[Option<bool>]>,
+    ctx: Option<&ShapeSet>,
+    threads: usize,
+    budget: Option<PhaseBudget<'_>>,
+) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
+    let tech = engine.tech();
+    let (oks, exec) = parallel_map(
+        ExecOptions::new(threads, "audit.pin").with_budget(budget),
+        (0..pins.len()).collect::<Vec<_>>(),
+        DrcScratch::new,
+        |ws, i| {
+            if let Some(ok) = hints.and_then(|h| h[i]) {
+                pao_obs::counter_add("audit.hint_hits", 1);
+                return ok;
+            }
+            let (comp, pin_idx) = pins[i];
+            let ok = match (accessor(comp, pin_idx), ctx) {
+                (Some(ap), Some(ctx)) => match ap.primary_via() {
+                    Some(v) => engine.via_placement_clean(
+                        tech.via(v),
+                        ap.pos,
+                        pin_owner(comp, pin_idx),
+                        ctx,
+                        ws,
+                    ),
+                    // Planar-only access (macro pins): accept.
+                    None => !ap.planar.is_empty(),
+                },
+                _ => false,
+            };
+            ws.flush_obs();
+            ok
+        },
+    );
     let mut faults: Vec<FaultRecord> = Vec::new();
     let mut failed = 0usize;
     let mut skipped = 0usize;
-    for (&(comp, pin_idx), ok) in connected.iter().zip(oks) {
+    for (&(comp, pin_idx), ok) in pins.iter().zip(oks) {
         match ok {
             Ok(true) => {}
             Ok(false) => failed += 1,
-            // Skipped by the budget: never certified clean, so it
-            // conservatively counts as failed (no fault record).
             Err(ItemFault::Skipped(_)) => {
                 failed += 1;
                 skipped += 1;
             }
-            // Quarantined probe: the pin could not be certified clean, so
-            // it conservatively counts as failed.
             Err(ItemFault::Panic(reason)) => {
                 failed += 1;
                 faults.push(FaultRecord {
@@ -1912,7 +1873,7 @@ pub(crate) fn audit_pins_budget(
             }
         }
     }
-    ((connected.len(), failed), exec, faults, skipped)
+    ((pins.len(), failed), exec, faults, skipped)
 }
 
 /// The repair scan's per-component shape lists as they were built before

@@ -18,19 +18,24 @@
 //! position, so output order equals input order regardless of which
 //! worker finished what — callers observe output identical to the
 //! sequential mode (`threads <= 1`).
+//!
+//! [`parallel_map`] is the one entry point. An [`ExecOptions`] value says
+//! how the phase runs — worker count, span label, optional budget — and
+//! every phase, the ECO window tail's included, goes through it the same
+//! way.
 
 //! **Fault isolation.** Every work item runs under
 //! [`std::panic::catch_unwind`], so one panicking item cannot take down
-//! the phase: the quarantine-mode entry point
-//! ([`parallel_map_quarantine`]) yields the panic as a per-item `Err`
-//! while every other item completes, and the strict entry points
-//! re-raise the first payload only after the full phase has drained.
+//! the phase: the panic comes back as that item's
+//! `Err(ItemFault::Panic)` while every other item completes. Callers
+//! whose items must all succeed pass the output to [`expect_all`], which
+//! re-raises the first panic only after the full phase has drained.
 //! Slot mutexes recover from poisoning (`PoisonError::into_inner`) so a
 //! fault in one item can never cascade into an unrelated "done slot"
 //! panic on another thread.
 
-//! **Deadlines and the watchdog.** The budget-mode entry point
-//! ([`parallel_map_budget`]) threads a [`CancelToken`] through the claim
+//! **Deadlines and the watchdog.** A phase run under a [`PhaseBudget`]
+//! threads its [`CancelToken`] through the claim
 //! loop: every worker polls it *before* starting the next item, so an
 //! expired budget (or an explicit cancellation) finishes in-flight items
 //! and yields the unstarted ones as `Err(ItemFault::Skipped)`. A
@@ -53,8 +58,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A caught worker-panic payload (kept intact so strict callers can
-/// re-raise it with the original assertion message).
+/// A caught worker-panic payload.
 type Payload = Box<dyn Any + Send + 'static>;
 
 /// Renders a caught panic payload as the quarantine reason string.
@@ -66,7 +70,7 @@ fn payload_reason(payload: &Payload) -> String {
         .unwrap_or_else(|| "panic with non-string payload".to_owned())
 }
 
-/// Why one work item produced no result in budget mode.
+/// Why one work item produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemFault {
     /// The item panicked (quarantined); the payload message.
@@ -109,6 +113,40 @@ impl<'a> PhaseBudget<'a> {
     }
 }
 
+/// How one phase runs on the executor.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions<'a> {
+    /// Worker threads; `<= 1` (or a single item) runs inline on the
+    /// caller's thread, matching the paper's single-threaded measurement
+    /// mode exactly.
+    pub threads: usize,
+    /// Observability label: when span recording is on
+    /// ([`pao_obs::enable_trace`]), every item becomes one span named
+    /// `label` — on worker `w`'s track `w + 1`, or on the caller's track
+    /// inline. Fault and stall injection (`crate::fault`) match it too.
+    pub label: &'static str,
+    /// The budget polled between items; `None` runs every item.
+    pub budget: Option<PhaseBudget<'a>>,
+}
+
+impl<'a> ExecOptions<'a> {
+    /// `threads` workers recording spans as `label`, with no budget.
+    #[must_use]
+    pub fn new(threads: usize, label: &'static str) -> ExecOptions<'a> {
+        ExecOptions {
+            threads,
+            label,
+            budget: None,
+        }
+    }
+
+    /// These options under `budget` (`None` keeps them unbudgeted).
+    #[must_use]
+    pub fn with_budget(self, budget: Option<PhaseBudget<'a>>) -> ExecOptions<'a> {
+        ExecOptions { budget, ..self }
+    }
+}
+
 /// What one parallel phase did: how many workers ran and how long each
 /// was busy (claimed items, excluding idle/steal time). Powers the
 /// per-step parallel-efficiency lines in [`crate::stats::PaoStats`].
@@ -123,7 +161,8 @@ impl<'a> PhaseBudget<'a> {
 pub struct ExecReport {
     /// Worker threads that participated (1 for the inline mode).
     pub threads: usize,
-    /// Busy time per worker, in microseconds (empty for empty inputs).
+    /// Busy time per worker, in microseconds: one entry per worker, and
+    /// a single entry in inline mode (an empty input included).
     pub busy_us: Vec<u64>,
 }
 
@@ -148,133 +187,37 @@ impl ExecReport {
     }
 }
 
-/// Maps `f` over `items` with a self-scheduling pool of up to `threads`
-/// workers, preserving order. With `threads <= 1` (or one item) this runs
-/// inline on the caller's thread, matching the paper's single-threaded
-/// measurement mode exactly.
+/// Maps `f` over `items` with a self-scheduling pool of up to
+/// `opts.threads` workers, preserving order, and reports worker count and
+/// per-worker busy time for the phase.
+///
+/// `init` builds per-worker scratch state: it runs once on each worker
+/// thread (and once for the inline mode), and every item call receives
+/// that worker's `&mut S`. This is how per-worker arenas (e.g.
+/// [`pao_drc::DrcScratch`]) reach fine-grained scans — the repair and
+/// audit phases probe one pin per item and would otherwise re-allocate
+/// the DRC workspace per probe. The scratch is dropped when its worker
+/// finishes; state that must outlive the phase (observability tallies)
+/// should be published from inside `f`.
+///
+/// Every item is fault-isolated: a panicking item yields
+/// `Err(ItemFault::Panic(reason))` in its output slot while **every other
+/// item completes normally**, and the executor stays fully usable
+/// afterwards. A worker whose item panicked gets a fresh scratch (`init`
+/// is re-run) before its next item, since the unwind may have left the
+/// old one mid-update.
+///
+/// Under `opts.budget`, every item start polls the token, and an item
+/// never started because it tripped yields
+/// `Err(ItemFault::Skipped(reason))`. In-flight items always finish, so
+/// the `Ok` results form a prefix of the input (plus, for
+/// non-deterministic cancellations, whatever racing workers had already
+/// claimed).
 ///
 /// ```
-/// let squares = pao_core::parallel::parallel_map(4, vec![1, 2, 3, 4], |x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_report(threads, items, f).0
-}
-
-/// [`parallel_map`] that also reports worker count and per-worker busy
-/// time for the phase.
-///
-/// A worker panic is re-raised on the caller with its original payload
-/// (via [`std::panic::resume_unwind`]), so assertion messages from inside
-/// `f` survive the thread boundary.
-pub fn parallel_map_report<T, R, F>(threads: usize, items: Vec<T>, f: F) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_labeled(threads, "item", items, f)
-}
-
-/// [`parallel_map_report`] with an observability label: when span
-/// recording is on ([`pao_obs::enable_trace`]), every item becomes one
-/// span named `label` on the claiming worker's track (worker `w` records
-/// on track `w + 1`; the labels reuse the busy-time instants, so tracing
-/// adds no clock reads to the hot loop). When recording is off the label
-/// is inert.
-pub fn parallel_map_labeled<T, R, F>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    f: F,
-) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_scratch(threads, label, items, || (), |(), item| f(item))
-}
-
-/// [`parallel_map_labeled`] with per-worker scratch state: `init` runs
-/// once on each worker thread (and once for the inline mode), and every
-/// item call receives that worker's `&mut S`. This is how per-worker
-/// arenas (e.g. [`pao_drc::DrcScratch`]) reach fine-grained scans — the
-/// repair and audit phases probe one pin per item and would otherwise
-/// re-allocate the DRC workspace per probe.
-///
-/// The scratch is dropped when its worker finishes; state that must
-/// outlive the phase (observability tallies) should be published from
-/// inside `f`.
-pub fn parallel_map_scratch<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let token = CancelToken::never();
-    let (outcomes, report) = run_isolated(
-        threads,
-        label,
-        items,
-        init,
-        f,
-        PhaseBudget::new(&token, None),
-    );
-    let mut panic: Option<Payload> = None;
-    let out: Vec<R> = outcomes
-        .into_iter()
-        .filter_map(|o| match o {
-            Ok(r) => Some(r),
-            Err(Dropped::Panic(payload)) => {
-                panic = panic.take().or(Some(payload));
-                None
-            }
-            // Unreachable with a never-cancelled token; degrade to the
-            // strict panic path rather than silently dropping the slot.
-            Err(Dropped::Skipped(reason)) => {
-                panic = panic
-                    .take()
-                    .or_else(|| Some(Box::new(format!("executor: item skipped ({reason})"))));
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic {
-        // Strict contract: the whole phase drained (no half-poisoned
-        // state), then the first payload is re-raised with its original
-        // assertion message.
-        std::panic::resume_unwind(payload);
-    }
-    (out, report)
-}
-
-/// Fault-isolated map: like [`parallel_map_scratch`], but a panicking
-/// work item yields `Err(reason)` in its output slot (its quarantine
-/// record) while **every other item completes normally**. The executor
-/// and its slot mutexes stay fully usable afterwards — quarantine is
-/// per item, not per phase.
-///
-/// A worker whose item panicked gets a fresh scratch (`init` is re-run)
-/// before claiming its next item, since the old scratch may have been
-/// left mid-update by the unwind.
-///
-/// ```
-/// let (out, _) = pao_core::parallel::parallel_map_quarantine(
-///     2,
-///     "docs.quarantine",
+/// use pao_core::parallel::{parallel_map, ExecOptions};
+/// let (out, _) = parallel_map(
+///     ExecOptions::new(2, "docs.quarantine"),
 ///     vec![1, 2, 3],
 ///     || (),
 ///     |(), x| {
@@ -283,58 +226,14 @@ where
 ///     },
 /// );
 /// assert_eq!(out[0], Ok(10));
-/// assert!(out[1].as_ref().unwrap_err().contains("two is right out"));
+/// assert!(out[1].as_ref().unwrap_err().to_string().contains("two is right out"));
 /// assert_eq!(out[2], Ok(30));
 /// ```
-pub fn parallel_map_quarantine<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
+pub fn parallel_map<T, R, S, I, F>(
+    opts: ExecOptions<'_>,
     items: Vec<T>,
     init: I,
     f: F,
-) -> (Vec<Result<R, String>>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let token = CancelToken::never();
-    let (outcomes, report) = run_isolated(
-        threads,
-        label,
-        items,
-        init,
-        f,
-        PhaseBudget::new(&token, None),
-    );
-    let out = outcomes
-        .into_iter()
-        .map(|o| {
-            o.map_err(|d| match d {
-                Dropped::Panic(payload) => payload_reason(&payload),
-                Dropped::Skipped(reason) => format!("executor: item skipped ({reason})"),
-            })
-        })
-        .collect();
-    (out, report)
-}
-
-/// Deadline-aware fault-isolated map: like [`parallel_map_quarantine`],
-/// but additionally polls `budget.token` before every item claim and
-/// (optionally) runs a stall watchdog. An item that was never started
-/// because the token tripped yields `Err(ItemFault::Skipped(reason))`;
-/// a panicking item yields `Err(ItemFault::Panic(reason))`. In-flight
-/// items always finish, so the `Ok` results form a prefix of the input
-/// (plus, for non-deterministic cancellations, whatever racing workers
-/// had already claimed).
-pub fn parallel_map_budget<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-    budget: PhaseBudget<'_>,
 ) -> (Vec<Result<R, ItemFault>>, ExecReport)
 where
     T: Send,
@@ -342,7 +241,9 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let (outcomes, report) = run_isolated(threads, label, items, init, f, budget);
+    let never = CancelToken::never();
+    let budget = opts.budget.unwrap_or(PhaseBudget::new(&never, None));
+    let (outcomes, report) = run_isolated(opts.threads, opts.label, items, init, f, budget);
     let out = outcomes
         .into_iter()
         .map(|o| {
@@ -353,6 +254,23 @@ where
         })
         .collect();
     (out, report)
+}
+
+/// The strict contract, for phases whose items must all succeed: the
+/// results of a drained [`parallel_map`] in input order, or a panic that
+/// re-raises the first faulted item's message.
+///
+/// ```
+/// use pao_core::parallel::{expect_all, parallel_map, ExecOptions};
+/// let opts = ExecOptions::new(4, "docs.squares");
+/// let (out, _) = parallel_map(opts, vec![1, 2, 3, 4], || (), |(), x| x * x);
+/// assert_eq!(expect_all(out), vec![1, 4, 9, 16]);
+/// ```
+pub fn expect_all<R>(results: Vec<Result<R, ItemFault>>) -> Vec<R> {
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|fault| panic!("{fault}")))
+        .collect()
 }
 
 /// Indices a worker claims at once. Claiming is the one step workers
@@ -391,10 +309,9 @@ fn apply_cut<R>(out: &mut [Result<R, Dropped>], token: &CancelToken) {
     }
 }
 
-/// The shared engine: self-scheduling order-preserving map with per-item
-/// `catch_unwind` isolation and cooperative cancellation. All entry
-/// points run through here; they differ only in how `Err` slots are
-/// surfaced (the strict/quarantine paths pass a never-cancelled token).
+/// The engine behind [`parallel_map`]: self-scheduling order-preserving
+/// map with per-item `catch_unwind` isolation and cooperative
+/// cancellation (an unbudgeted phase passes a never-cancelled token).
 fn run_isolated<T, R, S, F, I>(
     threads: usize,
     label: &'static str,
@@ -426,8 +343,13 @@ where
     // the output is bit-identical by construction, and the monitor needs
     // its own thread to observe a stalled worker).
     if n == 0 || (budget.watchdog.is_none() && (threads <= 1 || n == 1)) {
-        let start = Instant::now();
+        let tracing = pao_obs::trace_enabled();
         let mut scratch = init();
+        let start = Instant::now();
+        // With tracing on, each item's span runs from the previous item's
+        // end, so the spans tile the busy interval exactly; with it off,
+        // the loop reads no clock.
+        let mut mark = start;
         let mut out: Vec<Result<R, Dropped>> = Vec::with_capacity(n);
         for (i, item) in items.into_iter().enumerate() {
             if budget.token.is_cancelled() {
@@ -439,16 +361,18 @@ where
             if res.is_err() {
                 scratch = init();
             }
+            if tracing {
+                let now = Instant::now();
+                pao_obs::record_span_at(label, mark, now - mark);
+                mark = now;
+            }
             out.push(res);
         }
+        let end = if tracing { mark } else { Instant::now() };
         apply_cut(&mut out, budget.token);
-        let elapsed = start.elapsed();
-        if n > 0 {
-            pao_obs::record_span_at(label, start, elapsed);
-        }
         let report = ExecReport {
             threads: 1,
-            busy_us: vec![duration_us(elapsed)],
+            busy_us: vec![duration_us(end - start)],
         };
         return (out, report);
     }
@@ -719,13 +643,33 @@ fn worker_busy_us(cpu_start_ns: Option<u64>, wall_busy: Duration) -> u64 {
 mod tests {
     use super::*;
 
+    /// A scratch-free strict map: the shape the order tests exercise.
+    fn strict<T: Send, R: Send>(
+        threads: usize,
+        items: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        let opts = ExecOptions::new(threads, "test.strict");
+        expect_all(parallel_map(opts, items, || (), |(), x| f(x)).0)
+    }
+
+    /// Options for `threads` workers labelled `label` under `token`.
+    fn budgeted<'a>(
+        threads: usize,
+        label: &'static str,
+        token: &'a CancelToken,
+        watchdog: Option<Watchdog>,
+    ) -> ExecOptions<'a> {
+        ExecOptions::new(threads, label).with_budget(Some(PhaseBudget::new(token, watchdog)))
+    }
+
     #[test]
     fn preserves_order() {
         let input: Vec<i64> = (0..1000).collect();
         let expect: Vec<i64> = input.iter().map(|x| x * 2).collect();
         for threads in [1, 2, 3, 8, 64] {
             assert_eq!(
-                parallel_map(threads, input.clone(), |x| x * 2),
+                strict(threads, input.clone(), |x| x * 2),
                 expect,
                 "{threads}"
             );
@@ -734,20 +678,20 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(parallel_map(8, Vec::<i32>::new(), |x| x), Vec::<i32>::new());
-        assert_eq!(parallel_map(8, vec![7], |x| x + 1), vec![8]);
+        assert_eq!(strict(8, Vec::<i32>::new(), |x| x), Vec::<i32>::new());
+        assert_eq!(strict(8, vec![7], |x| x + 1), vec![8]);
     }
 
     #[test]
     fn more_threads_than_items() {
-        assert_eq!(parallel_map(100, vec![1, 2, 3], |x| x), vec![1, 2, 3]);
+        assert_eq!(strict(100, vec![1, 2, 3], |x| x), vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn propagates_panic_payload() {
         // The original assertion message must survive the worker boundary.
-        let _ = parallel_map(2, vec![1, 2, 3, 4], |x| {
+        let _ = strict(2, vec![1, 2, 3, 4], |x| {
             assert!(x != 3, "boom");
             x
         });
@@ -764,7 +708,7 @@ mod tests {
             .iter()
             .map(|&spin| (0..spin).fold(0u64, |a, b| a.wrapping_add(b * b)))
             .collect();
-        let got = parallel_map(4, items, |spin| {
+        let got = strict(4, items, |spin| {
             (0..spin).fold(0u64, |a, b| a.wrapping_add(b * b))
         });
         assert_eq!(got, expect);
@@ -772,51 +716,64 @@ mod tests {
 
     #[test]
     fn reports_threads_and_busy_time() {
-        let (out, rep) = parallel_map_report(3, (0..64).collect::<Vec<u32>>(), |x| x + 1);
+        let opts = ExecOptions::new(3, "test.report");
+        let (out, rep) = parallel_map(opts, (0..64).collect::<Vec<u32>>(), || (), |(), x| x + 1);
         assert_eq!(out.len(), 64);
         assert_eq!(rep.threads, 3);
         assert_eq!(rep.busy_us.len(), 3);
-        // Inline mode reports a single worker.
-        let (_, rep1) = parallel_map_report(1, vec![1, 2, 3], |x| x);
-        assert_eq!(rep1.threads, 1);
-        assert_eq!(rep1.busy_us.len(), 1);
+        // Inline mode reports a single worker, an empty input included.
+        for items in [vec![1, 2, 3], vec![]] {
+            let opts = ExecOptions::new(1, "test.report");
+            let (_, rep1) = parallel_map(opts, items, || (), |(), x: u32| x);
+            assert_eq!(rep1.threads, 1);
+            assert_eq!(rep1.busy_us.len(), 1);
+        }
     }
 
     #[test]
     fn labeled_run_records_spans_covering_busy_time() {
-        pao_obs::enable_trace();
-        let (out, rep) = parallel_map_labeled(3, "test.core.tick", (0..64u64).collect(), |x| {
-            (0..20_000 + x).fold(0u64, |a, b| a.wrapping_add(b * b))
-        });
-        pao_obs::disable_all();
-        let dump = pao_obs::take_trace();
-        assert_eq!(out.len(), 64);
-        // Other tests in this binary may record spans concurrently; judge
-        // only our own label.
-        let ours: Vec<_> = dump
-            .events
-            .iter()
-            .filter(|e| e.name == "test.core.tick")
-            .collect();
-        assert_eq!(ours.len(), 64, "one span per item");
-        // Every span sits on a worker track (1..=threads), and the span
-        // total matches the executor's busy total to µs rounding: the
-        // spans reuse the busy-time instants, so coverage is structural.
-        assert!(ours.iter().all(|e| (1..=3).contains(&e.track)));
-        let span_ns: u64 = ours.iter().map(|e| e.dur_ns).sum();
-        let busy_ns = rep.total_busy_us() * 1000;
-        assert!(
-            span_ns + 1000 >= busy_ns,
-            "span total {span_ns}ns must cover busy total {busy_ns}ns"
-        );
+        // Inline (threads 1) and pooled (threads 3) runs alike record one
+        // span per item.
+        for threads in [1, 3] {
+            pao_obs::enable_trace();
+            let (out, rep) = parallel_map(
+                ExecOptions::new(threads, "test.core.tick"),
+                (0..64u64).collect(),
+                || (),
+                |(), x| (0..20_000 + x).fold(0u64, |a, b| a.wrapping_add(b * b)),
+            );
+            pao_obs::disable_all();
+            let dump = pao_obs::take_trace();
+            assert_eq!(out.len(), 64);
+            // Other tests in this binary may record spans concurrently;
+            // judge only our own label.
+            let ours: Vec<_> = dump
+                .events
+                .iter()
+                .filter(|e| e.name == "test.core.tick")
+                .collect();
+            assert_eq!(ours.len(), 64, "one span per item at {threads} threads");
+            // Pooled spans sit on worker tracks (1..=threads); inline ones
+            // on the caller's. The span total matches the executor's busy
+            // total to µs rounding: the spans reuse the busy-time
+            // instants, so coverage is structural.
+            if threads > 1 {
+                assert!(ours.iter().all(|e| (1..=3).contains(&e.track)));
+            }
+            let span_ns: u64 = ours.iter().map(|e| e.dur_ns).sum();
+            let busy_ns = rep.total_busy_us() * 1000;
+            assert!(
+                span_ns + 1000 >= busy_ns,
+                "span total {span_ns}ns must cover busy total {busy_ns}ns at {threads} threads"
+            );
+        }
     }
 
     #[test]
     fn scratch_state_persists_per_worker() {
         for threads in [1, 3] {
-            let (out, _) = parallel_map_scratch(
-                threads,
-                "test.scratch",
+            let (out, _) = parallel_map(
+                ExecOptions::new(threads, "test.scratch"),
                 (0..100u32).collect::<Vec<_>>(),
                 || 0u32,
                 |seen, x| {
@@ -824,6 +781,7 @@ mod tests {
                     (x, *seen)
                 },
             );
+            let out = expect_all(out);
             // Order preserved; every worker's counter is monotone from 1.
             assert!(out.iter().enumerate().all(|(i, &(x, _))| x == i as u32));
             assert!(out.iter().all(|&(_, s)| s >= 1));
@@ -838,9 +796,8 @@ mod tests {
     #[test]
     fn quarantine_isolates_panicking_item() {
         for threads in [1, 4] {
-            let (out, rep) = parallel_map_quarantine(
-                threads,
-                "test.quarantine",
+            let (out, rep) = parallel_map(
+                ExecOptions::new(threads, "test.quarantine"),
                 (0..16i64).collect::<Vec<_>>(),
                 || (),
                 |(), x| {
@@ -852,7 +809,10 @@ mod tests {
             for (i, o) in out.iter().enumerate() {
                 if i == 5 {
                     let reason = o.as_ref().expect_err("item 5 must be quarantined");
-                    assert!(reason.contains("item five exploded"), "{reason}");
+                    assert!(
+                        reason.to_string().contains("item five exploded"),
+                        "{reason}"
+                    );
                 } else {
                     assert_eq!(*o, Ok(i as i64 * 2), "item {i} at {threads} threads");
                 }
@@ -866,9 +826,8 @@ mod tests {
         // Regression: a panicking item used to poison the done-slot chain
         // and abort the scope; now the same executor (and the process)
         // keeps working afterwards.
-        let (out, _) = parallel_map_quarantine(
-            4,
-            "test.reuse.faulty",
+        let (out, _) = parallel_map(
+            ExecOptions::new(4, "test.reuse.faulty"),
             (0..32u64).collect::<Vec<_>>(),
             || (),
             |(), x| {
@@ -879,7 +838,7 @@ mod tests {
         assert_eq!(out.iter().filter(|o| o.is_err()).count(), 5);
         // Strict mode right after: must behave exactly as on a fresh
         // process.
-        let clean = parallel_map(4, (0..32u64).collect::<Vec<_>>(), |x| x + 1);
+        let clean = strict(4, (0..32u64).collect::<Vec<_>>(), |x| x + 1);
         assert_eq!(clean, (1..=32).collect::<Vec<u64>>());
     }
 
@@ -887,9 +846,8 @@ mod tests {
     fn quarantine_reinitializes_scratch_after_panic() {
         // Inline mode is deterministic: the item after the panic must see
         // a fresh scratch, not one abandoned mid-unwind.
-        let (out, _) = parallel_map_quarantine(
-            1,
-            "test.scratch.reinit",
+        let (out, _) = parallel_map(
+            ExecOptions::new(1, "test.scratch.reinit"),
             vec![10u32, 11, 12],
             || 0u32,
             |seen, x| {
@@ -908,9 +866,8 @@ mod tests {
         let _g = crate::fault::test_lock();
         for threads in [1, 4] {
             crate::fault::arm("test.inject", 2);
-            let (out, _) = parallel_map_quarantine(
-                threads,
-                "test.inject",
+            let (out, _) = parallel_map(
+                ExecOptions::new(threads, "test.inject"),
                 (0..8u32).collect::<Vec<_>>(),
                 || (),
                 |(), x| x,
@@ -919,7 +876,7 @@ mod tests {
             for (i, o) in out.iter().enumerate() {
                 if i == 2 {
                     let reason = o.as_ref().expect_err("armed item quarantined");
-                    assert!(reason.contains("injected fault"), "{reason}");
+                    assert!(reason.to_string().contains("injected fault"), "{reason}");
                 } else {
                     assert_eq!(*o, Ok(i as u32), "{threads}");
                 }
@@ -952,9 +909,8 @@ mod tests {
         for at in [16 * 7 + 5, 16 * 9, 16 * 9 + 15, BLOCKED - 1] {
             for threads in [1, 2, 4] {
                 crate::fault::arm("test.block_fault", at);
-                let (out, _) = parallel_map_quarantine(
-                    threads,
-                    "test.block_fault",
+                let (out, _) = parallel_map(
+                    ExecOptions::new(threads, "test.block_fault"),
                     (0..BLOCKED).collect::<Vec<_>>(),
                     || 0usize,
                     |seen, x| {
@@ -986,9 +942,8 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let token = CancelToken::never();
                 let tok = &token;
-                let (out, _) = parallel_map_budget(
-                    threads,
-                    "test.block_cut",
+                let (out, _) = parallel_map(
+                    budgeted(threads, "test.block_cut", tok, None),
                     (0..BLOCKED).collect::<Vec<_>>(),
                     || (),
                     |(), x| {
@@ -1000,7 +955,6 @@ mod tests {
                         }
                         x + 1
                     },
-                    PhaseBudget::new(tok, None),
                 );
                 for (i, o) in out.iter().enumerate() {
                     if i <= cut {
@@ -1038,13 +992,11 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::never();
             token.cancel(CancelReason::External);
-            let (out, rep) = parallel_map_budget(
-                threads,
-                "test.precancel",
+            let (out, rep) = parallel_map(
+                budgeted(threads, "test.precancel", &token, None),
                 (0..16u32).collect::<Vec<_>>(),
                 || (),
                 |(), x| x,
-                PhaseBudget::new(&token, None),
             );
             assert_eq!(out.len(), 16, "{threads}");
             assert!(
@@ -1056,13 +1008,11 @@ mod tests {
         }
         // The executor (and a fresh token) works normally right after.
         let token = CancelToken::never();
-        let (out, _) = parallel_map_budget(
-            4,
-            "test.precancel.reuse",
+        let (out, _) = parallel_map(
+            budgeted(4, "test.precancel.reuse", &token, None),
             (0..8u32).collect::<Vec<_>>(),
             || (),
             |(), x| x + 1,
-            PhaseBudget::new(&token, None),
         );
         assert!(out.iter().enumerate().all(|(i, o)| *o == Ok(i as u32 + 1)));
     }
@@ -1074,9 +1024,8 @@ mod tests {
         for threads in [1usize, 4] {
             let token = CancelToken::never();
             let tok = &token;
-            let (out, _) = parallel_map_budget(
-                threads,
-                "test.cancel_at",
+            let (out, _) = parallel_map(
+                budgeted(threads, "test.cancel_at", tok, None),
                 (0..32u32).collect::<Vec<_>>(),
                 || (),
                 move |(), x| {
@@ -1085,7 +1034,6 @@ mod tests {
                     }
                     x * 3
                 },
-                PhaseBudget::new(tok, None),
             );
             // Completed prefix 0..=CUT in input order; everything after is
             // skipped even if a racing worker computed it.
@@ -1118,9 +1066,8 @@ mod tests {
             for threads in [1usize, 4] {
                 let token = CancelToken::never();
                 let tok = &token;
-                let (out, _) = parallel_map_budget(
-                    threads,
-                    "prop.cancel_cut",
+                let (out, _) = parallel_map(
+                    budgeted(threads, "prop.cancel_cut", tok, None),
                     (0..n).collect::<Vec<_>>(),
                     || (),
                     move |(), x| {
@@ -1129,7 +1076,6 @@ mod tests {
                         }
                         x * 7 + 1
                     },
-                    PhaseBudget::new(tok, None),
                 );
                 for (i, o) in out.iter().enumerate() {
                     if i <= cut {
@@ -1146,13 +1092,11 @@ mod tests {
                 // Reusable: a fresh run right after the cancelled one
                 // completes every item.
                 let clean = CancelToken::never();
-                let (again, _) = parallel_map_budget(
-                    threads,
-                    "prop.cancel_cut.again",
+                let (again, _) = parallel_map(
+                    budgeted(threads, "prop.cancel_cut.again", &clean, None),
                     (0..n).collect::<Vec<_>>(),
                     || (),
                     |(), x| x,
-                    PhaseBudget::new(&clean, None),
                 );
                 for (i, r) in again.iter().enumerate() {
                     assert_eq!(*r, Ok(i), "reuse after cancel, threads {threads}");
@@ -1165,16 +1109,14 @@ mod tests {
     #[test]
     fn deadline_finishes_in_flight_items_and_skips_the_rest() {
         let token = CancelToken::after(Duration::from_millis(10));
-        let (out, _) = parallel_map_budget(
-            2,
-            "test.deadline",
+        let (out, _) = parallel_map(
+            budgeted(2, "test.deadline", &token, None),
             (0..64u32).collect::<Vec<_>>(),
             || (),
             |(), x| {
                 std::thread::sleep(Duration::from_millis(2));
                 x
             },
-            PhaseBudget::new(&token, None),
         );
         assert_eq!(out.len(), 64);
         let done = out.iter().filter(|o| o.is_ok()).count();
@@ -1203,16 +1145,14 @@ mod tests {
             min_stall: Duration::from_millis(50),
             poll: Duration::from_millis(1),
         };
-        let (out, _) = parallel_map_budget(
-            2,
-            "test.stall",
+        let (out, _) = parallel_map(
+            budgeted(2, "test.stall", &token, Some(wd)),
             (0..32u32).collect::<Vec<_>>(),
             || (),
             |(), x| {
                 std::thread::sleep(Duration::from_millis(5));
                 x
             },
-            PhaseBudget::new(&token, Some(wd)),
         );
         crate::fault::disarm();
         assert!(token.is_cancelled(), "watchdog must trip the token");
@@ -1239,13 +1179,12 @@ mod tests {
     fn watchdog_runs_clean_phases_to_completion() {
         // A healthy phase under watchdog: identical output, no stalls.
         let token = CancelToken::never();
-        let (out, _) = parallel_map_budget(
-            1, // exercises the forced-threaded path for threads <= 1
-            "test.watchdog.clean",
+        let (out, _) = parallel_map(
+            // Threads 1 exercises the forced-threaded path.
+            budgeted(1, "test.watchdog.clean", &token, Some(Watchdog::default())),
             (0..16u32).collect::<Vec<_>>(),
             || (),
             |(), x| x * 2,
-            PhaseBudget::new(&token, Some(Watchdog::default())),
         );
         assert!(out.iter().enumerate().all(|(i, o)| *o == Ok(i as u32 * 2)));
         assert!(!token.is_cancelled());

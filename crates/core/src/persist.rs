@@ -1568,12 +1568,10 @@ mod tests {
         let config = PaoConfig::default();
         let base = input_stamp(&tech, &design, &config);
         assert_eq!(base, input_stamp(&tech, &design, &config), "deterministic");
-        // Thread count, repair rounds and selection tuning never change a
-        // stored result.
+        // Thread count and repair rounds never change a stored result.
         let mut same = config.clone();
         same.threads += 3;
         same.repair_rounds = 0;
-        same.select.split_min_clusters += 1;
         assert_eq!(input_stamp(&tech, &design, &same), base);
         // The LEF, both generation settings and the track patterns do.
         let mut no_bca = config.clone();

@@ -80,9 +80,9 @@ pub struct PaoStats {
     /// cuts are deterministic).
     pub deadline: DeadlineReport,
     /// Cluster-selection fast-path instrumentation (probe/edge counts,
-    /// memo hit rate, pruning, wavefront sub-ranges). Deterministic per
-    /// tuning except `subranges`, which scales with the worker count —
-    /// excluded from [`Self::counters_eq`] for that reason.
+    /// pruning, groups solved). Deterministic at every thread count, but
+    /// excluded from [`Self::counters_eq`]: an ECO's window tail counts
+    /// only the groups it re-solved, so it differs from a cold run's.
     pub select_telemetry: crate::cluster::SelectTelemetry,
 }
 

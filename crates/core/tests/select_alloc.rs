@@ -5,12 +5,11 @@
 //! [`SelectScratch`]'s reused buffers. This test drives `solve_group`
 //! twice over the same workload with a warm scratch and asserts the
 //! second pass performs **zero** heap allocations, using a counting
-//! wrapper around the system allocator (criterion is not available in
-//! the offline build, so the gate lives here instead of a bench).
+//! wrapper around the system allocator.
 
 use pao_core::cluster::{
     build_clusters, conflict_reach, group_clusters, pair_reach, solve_group, SelectScratch,
-    SelectTelemetry, SelectTuning,
+    SelectTelemetry,
 };
 use pao_core::{PinAccessOracle, UniqueInstanceAccess};
 use pao_design::{Component, Design, TrackPattern};
@@ -102,7 +101,7 @@ fn world() -> (Tech, Design) {
 }
 
 /// One full selection pass over every group with a shared warm scratch,
-/// mirroring the sequential path of `select_patterns_budget`.
+/// mirroring one worker of the `select.group` fan-out.
 #[allow(clippy::too_many_arguments)]
 fn run_selection(
     t: &Tech,
@@ -112,7 +111,6 @@ fn run_selection(
     uniq: &[UniqueInstanceAccess],
     groups: &[Vec<usize>],
     clusters: &[pao_core::Cluster],
-    tuning: &SelectTuning,
     local: &mut HashMap<usize, Option<usize>>,
     scratch: &mut SelectScratch,
 ) -> SelectTelemetry {
@@ -122,7 +120,7 @@ fn run_selection(
     for group in groups {
         local.clear();
         tel.absorb(&solve_group(
-            t, engine, d, comp_uniq, uniq, reach, far, clusters, group, tuning, 1, local, scratch,
+            t, engine, d, comp_uniq, uniq, reach, far, clusters, group, local, scratch,
         ));
     }
     tel
@@ -137,7 +135,6 @@ fn warm_selection_pass_allocates_nothing() {
     let engine = DrcEngine::new(&t);
     let clusters = build_clusters(&t, &d);
     let groups = group_clusters(&clusters, d.components().len());
-    let tuning = SelectTuning::default();
     let mut local: HashMap<usize, Option<usize>> = HashMap::new();
     let mut scratch = SelectScratch::new(t.layers().len());
 
@@ -150,7 +147,6 @@ fn warm_selection_pass_allocates_nothing() {
         &result.unique,
         &groups,
         &clusters,
-        &tuning,
         &mut local,
         &mut scratch,
     );
@@ -169,7 +165,6 @@ fn warm_selection_pass_allocates_nothing() {
         &result.unique,
         &groups,
         &clusters,
-        &tuning,
         &mut local,
         &mut scratch,
     );

@@ -2,7 +2,7 @@
 # Times the three PAAF steps (std::time::Instant inside the oracle)
 # single-threaded vs. parallel and appends the comparison to a history
 # array in BENCH_pao.json, printing the delta against the previous run.
-# Offline; uses the generated suite, no criterion.
+# Offline; uses the generated suite.
 #
 # Usage: scripts/bench_steps.sh [case] [threads] [out.json]
 #   case     testgen case name (smoke, ispd18s_test1..10, aes14);

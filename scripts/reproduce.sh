@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Full reproduction: build, test, regenerate every table/figure, run benches.
-# Total wall time is dominated by Experiment 3 (full routing of
-# ispd18s_test5) and the Criterion benches; use `tables -- all --fast` for
-# a CI-sized pass.
+# Full reproduction: build, test, regenerate every table/figure, time the
+# steps. Total wall time is dominated by Experiment 3 (full routing of
+# ispd18s_test5); use `tables -- all --fast` for a CI-sized pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,9 +12,7 @@ echo "== tests =="
 cargo test --workspace 2>&1 | tee test_output.txt
 
 echo "== tables and figures (out/) =="
-# pao-bench is excluded from the workspace so the workspace builds
-# offline; its criterion dependency needs registry access once.
-cargo run --release --manifest-path crates/bench/Cargo.toml --bin tables -- all
+cargo run --release -p pao-bench --bin tables -- all
 
 echo "== figure examples =="
 cargo run --release --example coordinate_types
@@ -24,7 +21,4 @@ cargo run --release --example routed_def
 echo "== step timings (offline, BENCH_pao.json) =="
 scripts/bench_steps.sh
 
-echo "== criterion benches =="
-cargo bench --manifest-path crates/bench/Cargo.toml 2>&1 | tee bench_output.txt
-
-echo "Done. See out/, test_output.txt, bench_output.txt, EXPERIMENTS.md."
+echo "Done. See out/, test_output.txt, EXPERIMENTS.md."

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Offline tier-1 verification: formatting, lints, release build and the
 # full test suite. Needs no network — the workspace has zero external
-# dependencies (the criterion benches live in the excluded crates/bench
-# package; see scripts/reproduce.sh for those).
+# dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,22 +86,17 @@ grep -q "watchdog.stalls" "$out" || { echo "watchdog counter missing"; exit 1; }
 echo "deadline e2e: OK"
 
 echo "== selection identity =="
-# The cluster-selection fast path (DP pruning, wavefront split) must be
-# output-invariant: --dump-selection files from any thread count / split
-# combination are byte-identical (DESIGN.md §14). --select-split 1
-# forces the intra-group split even on small groups so the parallel
-# merge path is covered.
+# The cluster-selection fast path (DP pruning, the group fan-out and
+# merge) must be output-invariant: --dump-selection files from any
+# thread count are byte-identical (DESIGN.md §14).
 ref="$rep/sel-ref.txt"
 target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
     --threads 1 --dump-selection "$ref" > /dev/null 2>&1
-i=0
-for flags in "--threads 4" "--threads 4 --select-split 1"; do
-    i=$((i+1))
-    # shellcheck disable=SC2086
+for t in 2 4; do
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
-        $flags --dump-selection "$rep/sel-$i.txt" > /dev/null 2>&1
-    cmp -s "$ref" "$rep/sel-$i.txt" \
-        || { echo "selection dump diverged for: $flags"; exit 1; }
+        --threads "$t" --dump-selection "$rep/sel-$t.txt" > /dev/null 2>&1
+    cmp -s "$ref" "$rep/sel-$t.txt" \
+        || { echo "selection dump diverged for: --threads $t"; exit 1; }
 done
 # Without BCA, selection leaves conflicts for the repair rounds (572
 # repaired pins on ispd18s_test2): overrides, direct probes against the
@@ -189,8 +183,7 @@ echo "shared work identity: OK"
 
 echo "== selection zero-alloc gate =="
 # The warm selection pass must not allocate (counting-allocator
-# integration test; criterion is unavailable offline, so the gate lives
-# in the test suite and is re-run here explicitly).
+# integration test, re-run here explicitly).
 cargo test -p pao-core --test select_alloc -q
 
 echo "== sweep scale identity =="

@@ -96,7 +96,8 @@ fn reported_stats_are_reproducible() {
     // The stats in the result must agree with an independent recount.
     let (tech, design) = generate(&SuiteCase::small_smoke());
     let result = PinAccessOracle::new().analyze(&tech, &design);
-    let (total, failed) = paaf::pao::oracle::count_failed_pins(&tech, &design, &result);
+    let (total, failed) =
+        paaf::pao::oracle::count_failed_pins_threaded(&tech, &design, &result, 1).0;
     assert_eq!(total, result.stats.total_pins);
     assert_eq!(failed, result.stats.failed_pins);
     // And the whole analysis is deterministic.
