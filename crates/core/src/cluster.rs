@@ -58,14 +58,22 @@ pub(crate) fn comp_bbox(tech: &Tech, design: &Design, comp: CompId) -> Option<Re
 /// One stripe's members: `(xlo, xhi, component)`, sorted.
 pub(crate) type StripeCells = Vec<(Dbu, Dbu, CompId)>;
 
+/// Members more than this many of the shortest stripe's heights tall are
+/// *tall*: they stay in the clusters of every stripe they cover, but
+/// [`RowIndex::near`] finds them through the side list, so its stripe
+/// scan reaches only as far as the tallest other member.
+const TALL_ROWS: Dbu = 4;
+
 /// Placed components bucketed into the row stripes their bounding boxes
 /// cover, x-sorted within each stripe.
 ///
-/// It backs [`build_clusters`], and the resident service keeps one
-/// alive across ECOs: a move re-buckets only the moved component
+/// It backs [`build_clusters`] and one select → repair tail: selection
+/// forms its clusters from it, and every repair round's scan finds a
+/// pin's neighbours with [`RowIndex::near`]. The resident service keeps
+/// one alive across ECOs: a move re-buckets only the moved component
 /// ([`RowIndex::relocate`]), the clusters of a touched stripe re-form
-/// from its sorted cells alone, and [`RowIndex::near`] answers "which
-/// components can reach this window" without a whole-design pass.
+/// from its sorted cells alone, and `near` answers "which components can
+/// reach this window" without a whole-design pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowIndex {
     /// Row stripes `(y, height)`, sorted and deduplicated.
@@ -75,11 +83,17 @@ pub(crate) struct RowIndex {
     /// Per stripe: the widest member ever indexed (bounds the x scan of
     /// [`RowIndex::near`]; never shrinks, which keeps it an upper bound).
     max_w: Vec<Dbu>,
-    /// The tallest bounding box ever indexed (bounds the stripe scan).
+    /// The tallest bounding box ever indexed outside the side list
+    /// (bounds the stripe scan; at most `tall_h`).
     max_h: Dbu,
-    /// Placed components covering no stripe (off-row placements): in no
-    /// cluster, but still somebody's neighbor. Sorted.
-    loose: Vec<CompId>,
+    /// Members covering no stripe (off-row placements: in no cluster,
+    /// but still somebody's neighbour) or taller than `tall_h`, searched
+    /// by x alone like one more stripe. Sorted like a stripe.
+    side: StripeCells,
+    /// [`TALL_ROWS`] times the shortest stripe's height.
+    tall_h: Dbu,
+    /// The widest side member ever indexed.
+    side_w: Dbu,
     /// `true` when the stripes come from `ROW` statements, so moves can
     /// never create or remove one.
     fixed: bool,
@@ -102,13 +116,14 @@ impl RowIndex {
         };
         stripes.sort_unstable();
         stripes.dedup();
+        let row_h = stripes.iter().map(|&(_, h)| h).filter(|&h| h > 0).min();
         let mut index = RowIndex {
             cells: vec![Vec::new(); stripes.len()],
             max_w: vec![0; stripes.len()],
             stripes,
-            max_h: 0,
-            loose: Vec::new(),
+            tall_h: TALL_ROWS * row_h.unwrap_or(1),
             fixed,
+            ..RowIndex::default()
         };
         let mut covered = Vec::new();
         for i in 0..design.components().len() {
@@ -117,18 +132,22 @@ impl RowIndex {
                 continue;
             };
             index.covered_into(b, &mut covered);
-            if covered.is_empty() {
-                index.loose.push(comp);
-            }
+            let key = (b.xlo(), b.xhi(), comp);
             for &s in &covered {
-                index.cells[s].push((b.xlo(), b.xhi(), comp));
+                index.cells[s].push(key);
                 index.max_w[s] = index.max_w[s].max(b.width());
             }
-            index.max_h = index.max_h.max(b.height());
+            if index.on_side(b, &covered) {
+                index.side.push(key);
+                index.side_w = index.side_w.max(b.width());
+            } else {
+                index.max_h = index.max_h.max(b.height());
+            }
         }
         for cells in &mut index.cells {
             cells.sort_unstable();
         }
+        index.side.sort_unstable();
         index
     }
 
@@ -153,6 +172,19 @@ impl RowIndex {
         &self.cells[s]
     }
 
+    /// The side list (see the field).
+    #[cfg(test)]
+    pub(crate) fn side(&self) -> &[(Dbu, Dbu, CompId)] {
+        &self.side
+    }
+
+    /// `true` for a member [`RowIndex::near`] searches in the side list:
+    /// one whose box `b` covers no stripe (an off-row placement), or a
+    /// tall one.
+    fn on_side(&self, b: Rect, covered: &[usize]) -> bool {
+        covered.is_empty() || b.height() > self.tall_h
+    }
+
     /// The stripes a bounding box `b` covers, ascending, into `out`.
     pub(crate) fn covered_into(&self, b: Rect, out: &mut Vec<usize>) {
         out.clear();
@@ -170,53 +202,62 @@ impl RowIndex {
     /// Moves `comp` from bounding box `from` to `to` (either `None` for
     /// "not indexed"). Only valid on a [fixed](RowIndex::is_fixed) index.
     pub(crate) fn relocate(&mut self, comp: CompId, from: Option<Rect>, to: Option<Rect>) {
+        fn remove(cells: &mut StripeCells, key: (Dbu, Dbu, CompId)) {
+            if let Ok(at) = cells.binary_search(&key) {
+                cells.remove(at);
+            }
+        }
+        fn insert(cells: &mut StripeCells, key: (Dbu, Dbu, CompId)) {
+            let at = cells.partition_point(|&k| k < key);
+            cells.insert(at, key);
+        }
         let mut covered = Vec::new();
         if let Some(b) = from {
             self.covered_into(b, &mut covered);
-            if covered.is_empty() {
-                self.loose.retain(|&c| c != comp);
+            let key = (b.xlo(), b.xhi(), comp);
+            if self.on_side(b, &covered) {
+                remove(&mut self.side, key);
             }
             for &s in &covered {
-                let key = (b.xlo(), b.xhi(), comp);
-                if let Ok(at) = self.cells[s].binary_search(&key) {
-                    self.cells[s].remove(at);
-                }
+                remove(&mut self.cells[s], key);
             }
         }
         if let Some(b) = to {
             self.covered_into(b, &mut covered);
-            if covered.is_empty() {
-                let at = self.loose.partition_point(|&c| c < comp);
-                self.loose.insert(at, comp);
+            let key = (b.xlo(), b.xhi(), comp);
+            if self.on_side(b, &covered) {
+                insert(&mut self.side, key);
+                self.side_w = self.side_w.max(b.width());
+            } else {
+                self.max_h = self.max_h.max(b.height());
             }
             for &s in &covered {
-                let key = (b.xlo(), b.xhi(), comp);
-                let at = self.cells[s].partition_point(|&k| k < key);
-                self.cells[s].insert(at, key);
+                insert(&mut self.cells[s], key);
                 self.max_w[s] = self.max_w[s].max(b.width());
             }
-            self.max_h = self.max_h.max(b.height());
         }
     }
 
-    /// Every indexed component whose bounding box (per `bbox`) touches
-    /// `w`, appended to `out` (unsorted, possibly repeated — a
-    /// multi-height member shows up once per stripe it covers).
-    pub(crate) fn near(
-        &self,
-        w: Rect,
-        bbox: &impl Fn(CompId) -> Option<Rect>,
-        out: &mut Vec<CompId>,
-    ) {
-        let mut hit = |c: CompId| {
-            if bbox(c).is_some_and(|b| b.touches(w)) {
-                out.push(c);
+    /// Every indexed component whose bounding box touches `w` and that
+    /// `keep` accepts, appended to `out` (unsorted, possibly repeated — a
+    /// multi-height member shows up once per stripe it covers). The index
+    /// settles only x and bounds y, so `keep` must accept only components
+    /// whose box touches `w`.
+    pub(crate) fn near(&self, w: Rect, keep: impl Fn(CompId) -> bool, out: &mut Vec<CompId>) {
+        // The members whose x-extent meets `w`'s, among `cells` no wider
+        // than `max_w`.
+        let mut scan = |cells: &[(Dbu, Dbu, CompId)], max_w: Dbu| {
+            let lo = cells.partition_point(|&(xlo, _, _)| xlo < w.xlo() - max_w);
+            let hi = cells.partition_point(|&(xlo, _, _)| xlo <= w.xhi());
+            for &(_, xhi, c) in &cells[lo..hi.max(lo)] {
+                if xhi >= w.xlo() && keep(c) {
+                    out.push(c);
+                }
             }
         };
-        // A member covers its stripe, and its box is at most `max_h`
-        // tall: a box touching `w` puts the stripe's `y` within `max_h`
-        // of `w`'s y-range. Likewise in x with the stripe's widest
-        // member.
+        // A member outside the side list covers its stripe, and its box
+        // is at most `max_h` tall: a box touching `w` puts the stripe's
+        // `y` within `max_h` of `w`'s y-range.
         let first = self
             .stripes
             .partition_point(|&(y, _)| y < w.ylo() - self.max_h);
@@ -224,18 +265,9 @@ impl RowIndex {
             if y > w.yhi() + self.max_h {
                 break;
             }
-            let cells = &self.cells[s];
-            let lo = cells.partition_point(|&(xlo, _, _)| xlo < w.xlo() - self.max_w[s]);
-            let hi = cells.partition_point(|&(xlo, _, _)| xlo <= w.xhi());
-            for &(_, xhi, c) in &cells[lo..hi.max(lo)] {
-                if xhi >= w.xlo() {
-                    hit(c);
-                }
-            }
+            scan(&self.cells[s], self.max_w[s]);
         }
-        for &c in &self.loose {
-            hit(c);
-        }
+        scan(&self.side, self.side_w);
     }
 }
 
@@ -477,10 +509,11 @@ pub(crate) struct SelectGroups {
 }
 
 impl SelectGroups {
-    /// Every cluster of the design, grouped (see [`group_clusters`]).
-    pub(crate) fn of_design(tech: &Tech, design: &Design) -> SelectGroups {
-        let clusters = build_clusters(tech, design);
-        let groups = group_clusters(&clusters, design.components().len());
+    /// Every cluster of the design `rows` indexes, grouped (see
+    /// [`group_clusters`]); `n_comps` is the design's component count.
+    pub(crate) fn of_rows(rows: &RowIndex, n_comps: usize) -> SelectGroups {
+        let clusters = rows.clusters();
+        let groups = group_clusters(&clusters, n_comps);
         if pao_obs::metrics_enabled() {
             pao_obs::counter_add("select.clusters", clusters.len() as u64);
             pao_obs::counter_add("select.groups", groups.len() as u64);
@@ -535,7 +568,7 @@ pub fn select_patterns_threaded(
     let defaults = (0..comp_uniq.len())
         .map(|ci| default_pattern(comp_uniq, uniq, ci))
         .collect();
-    let groups = SelectGroups::of_design(tech, design);
+    let groups = SelectGroups::of_rows(&RowIndex::build(tech, design), design.components().len());
     select_patterns_budget(
         tech, engine, design, comp_uniq, uniq, &groups, defaults, threads, None,
     )
@@ -1133,16 +1166,125 @@ mod tests {
                 x + rng.gen_range(0i64..3000),
                 y + rng.gen_range(0i64..3000),
             );
-            let mut got = Vec::new();
-            index.near(w, &bbox, &mut got);
-            got.sort_unstable();
-            got.dedup();
-            let want: Vec<CompId> = (0..d.components().len())
-                .map(|i| CompId(i as u32))
-                .filter(|&c| bbox(c).is_some_and(|b| b.touches(w)))
-                .collect();
-            assert_eq!(got, want);
+            assert_eq!(near_sorted(&index, w, &bbox), touching(&d, w, &bbox));
         }
+    }
+
+    /// [`RowIndex::near`] with the box test, sorted and deduplicated.
+    fn near_sorted(
+        index: &RowIndex,
+        w: Rect,
+        bbox: &impl Fn(CompId) -> Option<Rect>,
+    ) -> Vec<CompId> {
+        let mut got = Vec::new();
+        index.near(w, |c| bbox(c).is_some_and(|b| b.touches(w)), &mut got);
+        got.sort_unstable();
+        got.dedup();
+        got
+    }
+
+    /// Every component of `d` whose box touches `w`, by brute force.
+    fn touching(d: &Design, w: Rect, bbox: &impl Fn(CompId) -> Option<Rect>) -> Vec<CompId> {
+        (0..d.components().len())
+            .map(|i| CompId(i as u32))
+            .filter(|&c| bbox(c).is_some_and(|b| b.touches(w)))
+            .collect()
+    }
+
+    /// Random placements on and off rows, with multi-height cells and
+    /// macros up to 30 rows tall in every orientation: `near` equals a
+    /// brute-force box scan before and after moves, off-row and tall
+    /// members land in the side list, and the stripe scan's reach counts
+    /// neither.
+    #[test]
+    fn near_matches_brute_force_with_loose_and_tall_members() {
+        let mut t = tech();
+        t.add_macro(Macro::new("RAM8", 4000, 1400 * 8));
+        t.add_macro(Macro::new("RAM30", 6000, 1400 * 30));
+        let masters = ["INVX1", "NAND2X1", "DFF2MH", "RAM8", "RAM30", "GHOST"];
+        let orients = [
+            Orient::N,
+            Orient::S,
+            Orient::FN,
+            Orient::FS,
+            Orient::E,
+            Orient::W,
+        ];
+        pao_ptest::check("cluster.near_side_list", 24, |rng| {
+            let mut d = Design::new("x", Rect::new(0, 0, 200_000, 100_000));
+            for r in 0..40 {
+                d.rows.push(pao_design::Row::new(
+                    format!("r{r}"),
+                    "core",
+                    Point::new(0, 1400 * r),
+                    Orient::N,
+                    500,
+                    400,
+                    1400,
+                ));
+            }
+            for i in 0..rng.gen_range(1..=120usize) {
+                let master = masters[rng.gen_range(0..masters.len())];
+                let x = rng.gen_range(0i64..500) * 400;
+                // One placement in four is off-row.
+                let y = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_range(0i64..56_000),
+                    _ => rng.gen_range(0i64..40) * 1400,
+                };
+                let orient = orients[rng.gen_range(0..orients.len())];
+                let mut c = Component::new(format!("c{i}"), master, Point::new(x, y), orient);
+                c.is_placed = rng.gen_range(0..10u32) > 0;
+                d.add_component(c);
+            }
+            let mut index = RowIndex::build(&t, &d);
+            let bbox = |c: CompId| comp_bbox(&t, &d, c);
+            let mut covered = Vec::new();
+            let mut other_h = 0;
+            for ci in 0..d.components().len() {
+                let comp = CompId(ci as u32);
+                let Some(b) = bbox(comp) else { continue };
+                index.covered_into(b, &mut covered);
+                let side = index.side().iter().any(|&(_, _, c)| c == comp);
+                assert_eq!(side, index.on_side(b, &covered), "{comp}");
+                assert_eq!(side, covered.is_empty() || b.height() > 1400 * 4, "{comp}");
+                if !side {
+                    other_h = other_h.max(b.height());
+                }
+            }
+            assert_eq!(index.max_h, other_h);
+            let window = |rng: &mut pao_ptest::Rng| {
+                let (x, y) = (rng.gen_range(0i64..200_000), rng.gen_range(0i64..60_000));
+                Rect::new(
+                    x,
+                    y,
+                    x + rng.gen_range(0i64..4000),
+                    y + rng.gen_range(0i64..4000),
+                )
+            };
+            for _ in 0..20 {
+                let w = window(rng);
+                assert_eq!(near_sorted(&index, w, &bbox), touching(&d, w, &bbox));
+            }
+            // Moves between rows, off rows and back keep it exact.
+            let mut d = d.clone();
+            for _ in 0..20 {
+                let ci = CompId(rng.gen_range(0..d.components().len()) as u32);
+                let from = comp_bbox(&t, &d, ci);
+                d.component_mut(ci).location = match rng.gen_range(0..3u32) {
+                    0 => Point::new(rng.gen_range(0i64..200_000), rng.gen_range(0i64..56_000)),
+                    _ => Point::new(
+                        rng.gen_range(0i64..500) * 400,
+                        rng.gen_range(0i64..40) * 1400,
+                    ),
+                };
+                let to = comp_bbox(&t, &d, ci);
+                index.relocate(ci, from, to);
+                let bbox = |c: CompId| comp_bbox(&t, &d, c);
+                let w = window(rng);
+                assert_eq!(near_sorted(&index, w, &bbox), touching(&d, w, &bbox));
+            }
+            assert_eq!(index.clusters(), build_clusters_reference(&t, &d));
+        });
     }
 
     #[test]

@@ -28,7 +28,8 @@ use crate::cluster::{
 };
 use crate::error::Phase;
 use crate::oracle::{
-    probe_pins, push_skip, PaoResult, PinAccessOracle, RunCtx, TailInput, UniqueInstanceAccess,
+    probe_pins, push_skip, via_hulls, PaoResult, PinAccessOracle, RunCtx, TailInput,
+    UniqueInstanceAccess,
 };
 use crate::parallel::PhaseBudget;
 use crate::persist::{signature_of, AnalysisCache, Entry, Step2};
@@ -36,7 +37,7 @@ use crate::stats::PaoStats;
 use crate::unique::{pin_owner, UniqueInstanceId, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, Owner, ShapeSet};
-use pao_geom::{Dbu, Point, Rect};
+use pao_geom::{Dbu, Rect};
 use pao_tech::Tech;
 use std::collections::{HashMap, HashSet};
 
@@ -332,17 +333,7 @@ fn reprobe(
     result: &PaoResult,
     changed: &[CompId],
 ) -> (Vec<(CompId, usize)>, ShapeSet) {
-    let origin = Point::new(0, 0);
-    let via_hulls: Vec<Rect> = tech
-        .vias()
-        .iter()
-        .map(|v| {
-            v.each_placed_shape(origin)
-                .map(|(_, r)| r)
-                .reduce(Rect::hull)
-                .unwrap_or_else(|| Rect::new(0, 0, 0, 0))
-        })
-        .collect();
+    let via_hulls = via_hulls(tech);
     let hang = result
         .unique
         .iter()
@@ -357,6 +348,11 @@ fn reprobe(
         .unwrap_or(0);
     let range = engine.interaction_range();
     let bbox = |c: CompId| comp_bbox(tech, design, c);
+    // The index's components whose boxes touch `win`, into `out`.
+    let touching = |win: Rect, out: &mut Vec<CompId>| {
+        w.rows
+            .near(win, |c| bbox(c).is_some_and(|b| b.touches(win)), out);
+    };
     let mut near: Vec<CompId> = Vec::new();
     for &d in changed {
         let before = comp_bbox(tech, w.old_design, d);
@@ -365,7 +361,7 @@ fn reprobe(
             .into_iter()
             .chain(after.filter(|&a| Some(a) != before))
         {
-            w.rows.near(b.expanded(2 * hang + range), &bbox, &mut near);
+            touching(b.expanded(2 * hang + range), &mut near);
         }
     }
     near.sort_unstable();
@@ -383,7 +379,7 @@ fn reprobe(
         let window = via_hulls[v.index()]
             .translated(ap.pos)
             .expanded(range + hang);
-        w.rows.near(window, &bbox, &mut reach);
+        touching(window, &mut reach);
     }
     reach.sort_unstable();
     reach.dedup();

@@ -8,7 +8,7 @@ use crate::budget::{
     BudgetAllocator, CancelReason, DeadlineReport, PhaseFractions, RunBudget, SkipRecord,
     StallRecord, Watchdog,
 };
-use crate::cluster::{default_pattern, select_patterns_budget, SelectGroups};
+use crate::cluster::{comp_bbox, default_pattern, select_patterns_budget, RowIndex, SelectGroups};
 use crate::error::{FaultRecord, PaoError, Phase};
 use crate::parallel::{expect_all, parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
@@ -697,13 +697,17 @@ impl PinAccessOracle {
         let defaults = (0..comp_uniq.len())
             .map(|ci| default_pattern(&comp_uniq, &unique, ci))
             .collect();
+        // One row index serves the whole tail: selection forms its
+        // clusters from it, and every repair round's scan finds a pin's
+        // neighbours through it.
+        let rows = RowIndex::build(tech, design);
         let select_out = select_patterns_budget(
             tech,
             &engine,
             design,
             &comp_uniq,
             &unique,
-            &SelectGroups::of_design(tech, design),
+            &SelectGroups::of_rows(&rows, design.components().len()),
             defaults,
             self.config.threads,
             Some(PhaseBudget::new(&select_token, watchdog)),
@@ -756,6 +760,7 @@ impl PinAccessOracle {
             let (repaired, exec, repair_faults, round_skipped, ok_flags) =
                 repair_failed_pins_budget(
                     &gctx,
+                    &rows,
                     &mut result,
                     round,
                     PhaseBudget::new(&repair_token, watchdog),
@@ -868,8 +873,8 @@ struct ScanScratch {
     /// Pins whose selected vias meet the probe windows, per neighbor.
     vpins: Vec<u64>,
     /// Stage-1 candidates: foreign components whose reach bounds meet
-    /// the current pin's via-hull window.
-    cands: Vec<u32>,
+    /// the current pin's via-hull window, sorted.
+    cands: Vec<CompId>,
     /// The current pin's per-via-shape probe windows (layer, halo-grown
     /// rect).
     wins: Vec<(LayerId, Rect)>,
@@ -897,6 +902,114 @@ impl Default for ScanScratch {
             tuples: Vec::new(),
             key: Vec::new(),
         }
+    }
+}
+
+/// The hull of each via's shapes around its drop point, by via id.
+pub(crate) fn via_hulls(tech: &Tech) -> Vec<Rect> {
+    tech.vias()
+        .iter()
+        .map(|v| {
+            v.each_placed_shape(pao_geom::Point::new(0, 0))
+                .map(|(_, r)| r)
+                .reduce(Rect::hull)
+                .unwrap_or_else(|| Rect::new(0, 0, 0, 0))
+        })
+        .collect()
+}
+
+/// Stage 1 of one repair round's neighbourhood scan: which foreign
+/// components can reach a pin's probe windows, found through the tail's
+/// row index.
+struct ScanReach<'r> {
+    rows: &'r RowIndex,
+    /// Hull of each via's shapes around its drop point.
+    via_hulls: Vec<Rect>,
+    /// The widest search halo among each via's own layers.
+    via_margins: Vec<pao_geom::Dbu>,
+    /// Component reach bounds: base-shape hull grown by every selected
+    /// via's full placed hull, so all via geometry is covered even where
+    /// an access point sits outside the pin shapes.
+    bounds: Vec<Option<Rect>>,
+    /// The farthest any component's reach bounds stick out of its cell
+    /// box. Reach bounds touching a window put the cell box within
+    /// `hang` of it, so the row index, searched with the window grown by
+    /// `hang`, meets every component whose reach bounds touch it.
+    hang: pao_geom::Dbu,
+}
+
+impl<'r> ScanReach<'r> {
+    /// The reach of every component under the round's `selected` access
+    /// points (aligned with `gctx.pins.list()`).
+    fn new(
+        gctx: &GlobalContext<'_>,
+        rows: &'r RowIndex,
+        engine: &DrcEngine<'_>,
+        selected: &[Option<ScanAp>],
+    ) -> ScanReach<'r> {
+        let (tech, design) = (gctx.tech, gctx.design);
+        let via_hulls = via_hulls(tech);
+        let via_margins = tech
+            .vias()
+            .iter()
+            .map(|v| {
+                v.each_placed_shape(pao_geom::Point::new(0, 0))
+                    .map(|(l, _)| engine.halo(l))
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut bounds: Vec<Option<Rect>> = gctx.bounds.clone();
+        for (&(comp, _), ap) in gctx.pins.list().iter().zip(selected) {
+            let Some(ap) = ap else { continue };
+            let Some(v) = ap.via else { continue };
+            let p = via_hulls[v.index()].translated(ap.pos);
+            let b = &mut bounds[comp.index()];
+            *b = Some(b.map_or(p, |r| r.hull(p)));
+        }
+        let hang = bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, b)| {
+                let (b, cell) = ((*b)?, comp_bbox(tech, design, CompId(ci as u32))?);
+                Some(
+                    (cell.xlo() - b.xlo())
+                        .max(b.xhi() - cell.xhi())
+                        .max(cell.ylo() - b.ylo())
+                        .max(b.yhi() - cell.yhi()),
+                )
+            })
+            .fold(0, pao_geom::Dbu::max);
+        ScanReach {
+            rows,
+            via_hulls,
+            via_margins,
+            bounds,
+            hang,
+        }
+    }
+
+    /// The stage-1 window of via `v` dropped at `pos`: its hull grown by
+    /// the widest halo of its layers, which bounds every context shape a
+    /// probe of it can read.
+    fn window(&self, v: pao_tech::ViaId, pos: pao_geom::Point) -> Rect {
+        self.via_hulls[v.index()]
+            .translated(pos)
+            .expanded(self.via_margins[v.index()])
+    }
+
+    /// Every component other than `comp` whose reach bounds touch `w`,
+    /// sorted and distinct, into `out` (cleared first). The row index
+    /// lists a multi-height member once per stripe, hence the dedup.
+    fn candidates(&self, comp: CompId, w: Rect, out: &mut Vec<CompId>) {
+        out.clear();
+        self.rows.near(
+            w.expanded(self.hang),
+            |c| c != comp && self.bounds[c.index()].is_some_and(|b| b.touches(w)),
+            out,
+        );
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -948,6 +1061,7 @@ fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) ->
 /// hints when the round repaired nothing.
 pub(crate) fn repair_failed_pins_budget(
     gctx: &GlobalContext<'_>,
+    rows: &RowIndex,
     result: &mut PaoResult,
     round: usize,
     budget: PhaseBudget<'_>,
@@ -1054,8 +1168,8 @@ pub(crate) fn repair_failed_pins_budget(
     // and a neighboring component's shapes all lie inside that
     // component's reach bounds (base-shape hull grown by its selected
     // via hulls). So the set of components that can influence the
-    // verdict is found with one query of the via hull window against a
-    // component-bounds tree — no per-shape walks — and the verdict is a
+    // verdict is found with one row-index query of the via hull window
+    // (stage 1, `ScanReach`) — no per-shape walks — and the verdict is a
     // pure function of the pin's (unique instance, pattern, pin index)
     // plus every such neighbor's (offset, unique instance, pattern, and
     // the pins whose selected vias reach the windows): equal keys see
@@ -1067,31 +1181,6 @@ pub(crate) fn repair_failed_pins_budget(
     // override place vias off-pattern and components without a unique
     // instance have no translation-invariant geometry; both poison the
     // neighborhood and force direct probes.
-    // Hull of each via's shapes around the drop point, and the widest
-    // search halo among the via's own layers: the hull translated to the
-    // pin's position and expanded by that halo bounds every context
-    // shape a probe of this via can read.
-    let origin = pao_geom::Point::new(0, 0);
-    let via_hulls: Vec<Rect> = tech
-        .vias()
-        .iter()
-        .map(|v| {
-            v.each_placed_shape(origin)
-                .map(|(_, r)| r)
-                .reduce(Rect::hull)
-                .unwrap_or_else(|| Rect::new(0, 0, 0, 0))
-        })
-        .collect();
-    let via_margins: Vec<pao_geom::Dbu> = tech
-        .vias()
-        .iter()
-        .map(|v| {
-            v.each_placed_shape(origin)
-                .map(|(l, _)| engine.halo(l))
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
     // `(unique << 32) | pattern` — the memoized identity of one
     // component. A missing pattern keeps the `u32::MAX` sentinel: its
     // base shapes still follow from the unique instance, it just
@@ -1109,28 +1198,10 @@ pub(crate) fn repair_failed_pins_budget(
             .map_or(u64::from(u32::MAX), |s| s as u64);
         (u << 32) | sel
     };
-    // Component reach bounds: base-shape hull grown by every selected
-    // via's full placed hull, so all via geometry is covered even where
-    // an access point sits outside the pin shapes.
-    let mut bounds_ext: Vec<Option<Rect>> = gctx.bounds.clone();
-    for (&(comp, _), ap) in connected.iter().zip(&selected) {
-        let Some(ap) = ap else { continue };
-        let Some(v) = ap.via else { continue };
-        let p = via_hulls[v.index()].translated(ap.pos);
-        let b = &mut bounds_ext[comp.index()];
-        *b = Some(b.map_or(p, |r| r.hull(p)));
-    }
-    let comp_tree: pao_geom::RTree<u32> = pao_geom::RTree::bulk_load(
-        bounds_ext
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.map(|r| (r, i as u32)))
-            .collect(),
-    );
+    let reach = ScanReach::new(gctx, rows, &engine, &selected);
     let (flags, exec) = {
         let (selected, is_dirty, engine) = (&selected, &is_dirty, &engine);
-        let (comp_tree, via_hulls, poisoned, key_part) =
-            (&comp_tree, &via_hulls, &poisoned, &key_part);
+        let (reach, poisoned, key_part) = (&reach, &poisoned, &key_part);
         parallel_map(
             ExecOptions::new(gctx.threads, "repair.scan").with_budget(Some(budget)),
             (0..connected.len()).collect(),
@@ -1148,16 +1219,7 @@ pub(crate) fn repair_failed_pins_budget(
                         }
                         // Stage 1 — bbox filter: any foreign component
                         // whose reach bounds meet the via hull window?
-                        let w = via_hulls[v.index()]
-                            .translated(ap.pos)
-                            .expanded(via_margins[v.index()]);
-                        s.cands.clear();
-                        comp_tree.visit(w, &mut |_, &c| {
-                            if c != comp.0 {
-                                s.cands.push(c);
-                            }
-                            true
-                        });
+                        reach.candidates(comp, reach.window(v, ap.pos), &mut s.cands);
                         // Stage 2 — for bbox-near pins, refine to the
                         // components whose shapes actually fall inside
                         // the probe windows (per-shape, per-layer
@@ -1189,8 +1251,7 @@ pub(crate) fn repair_failed_pins_budget(
                                 s.mini = ShapeSet::new(tech.layers().len());
                             }
                             let (mini, vpins) = (&mut s.mini, &mut s.vpins);
-                            for &c in &s.cands {
-                                let nc = CompId(c);
+                            for &nc in &s.cands {
                                 let mut hit = false;
                                 gctx.for_each_shape(nc, |layer, r, o| {
                                     if in_wins(layer, r) {
@@ -1210,7 +1271,7 @@ pub(crate) fn repair_failed_pins_budget(
                                     }
                                 });
                                 if hit {
-                                    s.neigh.push((c, lo, vpins.len()));
+                                    s.neigh.push((nc.0, lo, vpins.len()));
                                 }
                             }
                         }
@@ -1921,23 +1982,25 @@ mod tests {
     use pao_tech::rules::MinStepRule;
     use pao_tech::{Layer, Macro, Pin, PinDir, Port, ViaDef};
 
-    /// Template shapes translated per component, followed by the selected
-    /// vias read through the connected-pin table, must equal the
-    /// component-by-component reference — layer, rectangle, owner and
-    /// order — and so must the component bounds.
-    fn assert_templates_match_reference(tech: &Tech, design: &Design, label: &str) {
-        let gctx = GlobalContext::new(tech, design, 1);
-        let connected = gctx.pins.list();
-        // Synthetic selections: vias spread over every via definition and
-        // over positions, plus planar-only and unresolved pins.
+    /// Synthetic selections: vias spread over every via definition and
+    /// over positions — some up to 200 DBU left of and below the cell
+    /// box, so via hulls overhang it — plus planar-only and unresolved
+    /// pins.
+    fn synthetic_selection(
+        tech: &Tech,
+        design: &Design,
+        connected: &[(CompId, usize)],
+    ) -> Vec<Option<ScanAp>> {
         let nvias = tech.vias().len() as u32;
-        let selected: Vec<Option<ScanAp>> = connected
+        connected
             .iter()
             .enumerate()
             .map(|(i, &(c, _))| {
                 let loc = design.component(c).location;
-                let pos =
-                    pao_geom::Point::new(loc.x + 37 * i as i64 % 500, loc.y + 11 * i as i64 % 300);
+                let pos = pao_geom::Point::new(
+                    loc.x + 37 * i as i64 % 700 - 200,
+                    loc.y + 11 * i as i64 % 500 - 200,
+                );
                 match i % 5 {
                     4 => None,
                     3 => Some(ScanAp {
@@ -1952,7 +2015,17 @@ mod tests {
                     }),
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    /// Template shapes translated per component, followed by the selected
+    /// vias read through the connected-pin table, must equal the
+    /// component-by-component reference — layer, rectangle, owner and
+    /// order — and so must the component bounds.
+    fn assert_templates_match_reference(tech: &Tech, design: &Design, label: &str) {
+        let gctx = GlobalContext::new(tech, design, 1);
+        let connected = gctx.pins.list();
+        let selected = synthetic_selection(tech, design, connected);
         let (reference, bounds) = scan_shapes_reference(tech, design, connected, &selected);
         assert_eq!(gctx.bounds, bounds, "{label}: bounds");
         for (ci, want) in reference.iter().enumerate() {
@@ -1963,6 +2036,104 @@ mod tests {
                 got.push((l, r, pin_owner(comp, pin)));
             });
             assert_eq!(&got, want, "{label}: component {ci}");
+        }
+    }
+
+    /// Stage 1 of the repair scan, read through the row index, must list
+    /// for every connected pin with a via exactly the components the
+    /// scan's former whole-design query did: every other component whose
+    /// reach bounds touch the pin's window, from an R-tree over all reach
+    /// bounds. So must it for 2000 random windows over the design, which
+    /// also land in the margins between cell boxes and reach bounds that
+    /// few pin windows reach. Returns the reach's `hang`.
+    fn assert_stage_one_matches_reference(
+        tech: &Tech,
+        design: &Design,
+        selected: &[Option<ScanAp>],
+        label: &str,
+    ) -> pao_geom::Dbu {
+        let gctx = GlobalContext::new(tech, design, 1);
+        let rows = RowIndex::build(tech, design);
+        let reach = ScanReach::new(&gctx, &rows, &DrcEngine::new(tech), selected);
+        let tree: pao_geom::RTree<u32> = pao_geom::RTree::bulk_load(
+            reach
+                .bounds
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| b.map(|r| (r, i as u32)))
+                .collect(),
+        );
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut check = |comp: CompId, w: Rect| {
+            reach.candidates(comp, w, &mut got);
+            want.clear();
+            tree.visit(w, &mut |_, &c| {
+                if c != comp.0 {
+                    want.push(CompId(c));
+                }
+                true
+            });
+            want.sort_unstable();
+            assert_eq!(got, want, "{label}: {comp} in {w}");
+        };
+        let mut probed = 0;
+        for (&(comp, _), ap) in gctx.pins.list().iter().zip(selected) {
+            let Some(ScanAp {
+                pos, via: Some(v), ..
+            }) = *ap
+            else {
+                continue;
+            };
+            check(comp, reach.window(v, pos));
+            probed += 1;
+        }
+        assert!(probed > 0, "{label}: no pin with a via");
+        let Some(area) = reach.bounds.iter().flatten().copied().reduce(Rect::hull) else {
+            return reach.hang;
+        };
+        let mut rng = pao_ptest::Rng::new(probed as u64);
+        for _ in 0..2000 {
+            let x = rng.gen_range(area.xlo()..=area.xhi());
+            let y = rng.gen_range(area.ylo()..=area.yhi());
+            let w = Rect::new(
+                x,
+                y,
+                x + rng.gen_range(0i64..=600),
+                y + rng.gen_range(0i64..=600),
+            );
+            let comp = CompId(rng.gen_range(0..design.components().len()) as u32);
+            check(comp, w);
+        }
+        reach.hang
+    }
+
+    /// The stage-1 reference on every suite case and smoke, under the
+    /// selections of a BCA and a `--no-bca` analysis (the latter with
+    /// repair overrides).
+    #[test]
+    fn stage_one_matches_reference_on_suite_cases() {
+        let mut cases = pao_testgen::ispd18s_suite();
+        cases.push(pao_testgen::aes14_case());
+        cases.push(pao_testgen::SuiteCase::small_smoke());
+        for case in cases {
+            let (t, d) = pao_testgen::generate(&case);
+            for bca in [true, false] {
+                let mut cfg = PaoConfig {
+                    threads: 2,
+                    ..PaoConfig::default()
+                };
+                if !bca {
+                    cfg.pattern.bca = false;
+                    cfg.pattern.max_patterns = 1;
+                }
+                let result = PinAccessOracle::with_config(cfg).analyze(&t, &d);
+                let selected: Vec<Option<ScanAp>> = connected_pins(&t, &d)
+                    .into_iter()
+                    .map(|(c, p)| scan_ap(&result, &d, c, p))
+                    .collect();
+                let label = format!("{} bca={bca}", case.name);
+                assert!(assert_stage_one_matches_reference(&t, &d, &selected, &label) > 0);
+            }
         }
     }
 
@@ -2035,6 +2206,39 @@ mod tests {
                 orient,
             )));
         }
+        // A 21-row macro with a pin and an obstruction, on the rows below.
+        let mut ram = Macro::new("RAM21", 4000, 1400 * 21);
+        ram.pins.push(Pin::new(
+            "D",
+            PinDir::Input,
+            vec![Port::rects(m1, vec![Rect::new(0, 700, 300, 900)])],
+        ));
+        ram.obs.push((m2, Rect::new(500, 500, 3500, 29_000)));
+        t.add_macro(ram);
+        for r in 0..22 {
+            d.rows.push(pao_design::Row::new(
+                format!("r{r}"),
+                "core",
+                Point::new(0, 1400 * r),
+                Orient::N,
+                100,
+                200,
+                1400,
+            ));
+        }
+        let tall = d.add_component(Component::new(
+            "ram",
+            "RAM21",
+            Point::new(12_000, 0),
+            Orient::N,
+        ));
+        // Off row: between two rows' boundaries.
+        let off = d.add_component(Component::new(
+            "off",
+            "BUFX1",
+            Point::new(10_000, 700),
+            Orient::FS,
+        ));
         let mut unplaced = Component::new("un", "BUFX1", Point::new(9000, 0), Orient::N);
         unplaced.is_placed = false;
         let un = d.add_component(unplaced);
@@ -2068,6 +2272,9 @@ mod tests {
             (comps[3], "Y"),
             (comps[4], "A"),
             (comps[5], "Y"),
+            (tall, "D"),
+            (off, "A"),
+            (off, "Y"),
         ] {
             n.pins.push(NetPin::Comp {
                 comp: c,
@@ -2079,8 +2286,18 @@ mod tests {
         let gctx = GlobalContext::new(&t, &d, 1);
         assert_eq!(gctx.bounds[un.index()], None);
         assert_eq!(gctx.bounds[nope.index()], None);
-        // BUFX1 N/S/FS/FN/E/W and DFF2MH N/FS: eight templates.
-        assert_eq!(gctx.templates.len(), 8);
+        // BUFX1 N/S/FS/FN/E/W, DFF2MH N/FS and RAM21 N: nine templates.
+        assert_eq!(gctx.templates.len(), 9);
+        // The row index keeps the macro and the off-row cells (`off`, and
+        // b4 and b5, rotated to 1200 DBU tall) in its side list.
+        let rows = RowIndex::build(&t, &d);
+        let side: Vec<CompId> = rows.side().iter().map(|&(_, _, c)| c).collect();
+        for c in [tall, off, comps[4], comps[5]] {
+            assert!(side.contains(&c), "{c} not on the side list");
+        }
+        let selected = synthetic_selection(&t, &d, gctx.pins.list());
+        let hang = assert_stage_one_matches_reference(&t, &d, &selected, "unit");
+        assert!(hang >= 200, "via hulls overhang their boxes: hang {hang}");
     }
 
     /// A small but complete world: 3-layer tech, one 2-pin cell, a design

@@ -6,18 +6,20 @@
 //! RAM macro's pin takes orders of magnitude longer than an inverter's).
 //! A static chunking scheme stalls on the unlucky worker that drew the
 //! expensive chunk; instead every worker *claims* the next unprocessed
-//! index from a shared atomic counter, so load balances itself at
-//! per-item granularity with no work-queue allocation and no external
-//! thread-pool dependency — scoped threads and two atomics, std only.
-//! Phases of many tiny items claim small contiguous blocks instead (sized
-//! from the item count alone, always at least 4096 claims per phase), so
-//! the shared counter stops being the bottleneck; everything else —
-//! isolation, hooks, cancel polls, heartbeats, spans — stays per item.
+//! items from one shared queue, so load balances itself with no external
+//! thread-pool dependency — scoped threads and one lock, std only. A
+//! claim takes a contiguous block of items (sized from the item count
+//! alone: one item below 8192, always at least 4096 claims per phase), so
+//! the queue lock is taken once per block, never per item; everything
+//! else — isolation, hooks, cancel polls, heartbeats, spans — stays per
+//! item.
 //!
-//! Results are written into a pre-sized slot table indexed by the claimed
-//! position, so output order equals input order regardless of which
-//! worker finished what — callers observe output identical to the
-//! sequential mode (`threads <= 1`).
+//! A claim block owns its items and its results: the worker moves the
+//! block's items out of the queue and appends their results to its own
+//! list, noting the block's first index, and the blocks are put in input
+//! order after the join — so output order equals input order regardless
+//! of which worker finished what, and callers observe output identical to
+//! the sequential mode (`threads <= 1`).
 //!
 //! [`parallel_map`] is the one entry point. An [`ExecOptions`] value says
 //! how the phase runs — worker count, span label, optional budget — and
@@ -30,9 +32,9 @@
 //! `Err(ItemFault::Panic)` while every other item completes. Callers
 //! whose items must all succeed pass the output to [`expect_all`], which
 //! re-raises the first panic only after the full phase has drained.
-//! Slot mutexes recover from poisoning (`PoisonError::into_inner`) so a
-//! fault in one item can never cascade into an unrelated "done slot"
-//! panic on another thread.
+//! The claim lock recovers from poisoning (`PoisonError::into_inner`) and
+//! is never held across an item call, so a fault in one item can never
+//! cascade into a panic on another thread.
 
 //! **Deadlines and the watchdog.** A phase run under a [`PhaseBudget`]
 //! threads its [`CancelToken`] through the claim
@@ -379,14 +381,15 @@ where
     let threads = threads.min(n).max(1);
     let block = claim_block(n);
 
-    // Items move into per-index slots the workers drain; results come back
-    // through parallel slots. Mutex<Option<T>> per slot keeps this safe
-    // without unsafe code; each slot is locked exactly once per side, so
-    // contention is nil. No lock is held across the item call, and every
-    // lock recovers from poisoning, so one fault cannot cascade.
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let done: Vec<Mutex<Option<Result<R, Dropped>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    // Claims hand out contiguous index blocks under one lock — the next
+    // unclaimed index and the unclaimed items. A worker moves its block's
+    // items into its own buffer and appends their results to its own
+    // list, noting each block's first index and length, so nothing is
+    // locked per item; the blocks are put in input order after the join.
+    // The lock is never held across an item call and recovers from
+    // poisoning, so one fault cannot cascade.
+    let queue = Mutex::new((0usize, items.into_iter()));
+    let tracing = pao_obs::trace_enabled();
 
     // Watchdog instrumentation. Heartbeats are per-worker counters with
     // claim/finish parity: an odd value means the worker is inside the
@@ -399,8 +402,8 @@ where
     let finished = Mutex::new(false);
     let finished_cv = Condvar::new();
 
-    let busy_us = {
-        let (work, done, next, init, run_one) = (&work, &done, &next, &init, &run_one);
+    let (busy_us, workers) = {
+        let (queue, init, run_one) = (&queue, &init, &run_one);
         let (beats, cur_item, done_count) = (&beats, &cur_item, &done_count);
         let (finished, finished_cv) = (&finished, &finished_cv);
         std::thread::scope(|scope| {
@@ -421,36 +424,48 @@ where
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     scope.spawn(move || {
-                        if pao_obs::trace_enabled() {
+                        if tracing {
                             // Worker w of every phase shares track w + 1,
                             // so one Perfetto row shows a worker's whole run.
                             pao_obs::trace::set_track(w as u32 + 1, &format!("worker {w}"));
                         }
                         let mut scratch = init();
                         let mut busy = Duration::ZERO;
+                        let mut claimed: Vec<T> = Vec::with_capacity(block);
+                        // Results in claim order, and `(first index,
+                        // length)` per block they came from.
+                        let mut done: Vec<Result<R, Dropped>> =
+                            Vec::with_capacity(n.div_ceil(threads));
+                        let mut blocks: Vec<(usize, usize)> = Vec::new();
                         // Sampled after init() so scratch construction
                         // doesn't count as item work.
                         let cpu_start = pao_obs::thread_cpu_ns();
-                        loop {
-                            // Cooperative cancellation: poll before claiming,
-                            // so in-flight items finish and unclaimed ones
-                            // stay unclaimed (the post-pass skips them).
-                            if budget.token.is_cancelled() {
-                                pao_obs::flush_thread();
-                                return worker_busy_us(cpu_start, busy);
-                            }
+                        // Cooperative cancellation: poll before claiming,
+                        // so in-flight items finish and unclaimed ones
+                        // stay unclaimed (the post-pass skips them).
+                        while !budget.token.is_cancelled() {
                             // Claim the next unprocessed block of indices;
                             // self-scheduling makes uneven item costs
                             // balance automatically.
-                            let lo = next.fetch_add(block, Ordering::Relaxed);
-                            if lo >= n {
-                                // Scope exit does not wait for TLS
-                                // destructors; push buffered spans and
-                                // metrics out while still joinable.
-                                pao_obs::flush_thread();
-                                return worker_busy_us(cpu_start, busy);
+                            let lo = {
+                                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                                let (next, rest) = &mut *q;
+                                let lo = *next;
+                                claimed.extend(rest.by_ref().take(block));
+                                *next += claimed.len();
+                                lo
+                            };
+                            if claimed.is_empty() {
+                                break;
                             }
-                            for i in lo..(lo + block).min(n) {
+                            let first = done.len();
+                            // One clock read per block; with tracing on,
+                            // each item's span runs from the previous
+                            // item's end, so the spans tile the block.
+                            let start = Instant::now();
+                            let mut mark = start;
+                            let mut cut = false;
+                            for (i, item) in (lo..).zip(claimed.drain(..)) {
                                 // Inside a block the cancel poll stays per
                                 // item. A deterministic cut keeps every item
                                 // at or before it running — per-item claiming
@@ -461,27 +476,14 @@ where
                                     && budget.token.is_cancelled()
                                     && past_cut(budget.token, i)
                                 {
-                                    pao_obs::flush_thread();
-                                    return worker_busy_us(cpu_start, busy);
+                                    cut = true;
+                                    break;
                                 }
                                 if monitoring {
                                     cur_item[w].store(i, Ordering::Relaxed);
                                     beats[w].fetch_add(1, Ordering::Release);
                                 }
-                                let item = work[i]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .take();
-                                let start = Instant::now();
-                                let out = match item {
-                                    Some(item) => run_one(&mut scratch, i, item),
-                                    // Unreachable: fetch_add hands out each
-                                    // index exactly once. Degrade, don't abort.
-                                    None => Err(Dropped::Panic(Box::new(format!(
-                                        "executor: work slot {i} claimed twice"
-                                    ))
-                                        as Payload)),
-                                };
+                                let out = run_one(&mut scratch, i, item);
                                 if out.is_err() {
                                     // The unwind may have left the scratch
                                     // arena mid-update; rebuild it.
@@ -491,22 +493,38 @@ where
                                     beats[w].fetch_add(1, Ordering::Release);
                                     done_count.fetch_add(1, Ordering::Relaxed);
                                 }
-                                let elapsed = start.elapsed();
-                                busy += elapsed;
-                                pao_obs::record_span_at(label, start, elapsed);
-                                *done[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+                                if tracing {
+                                    let now = Instant::now();
+                                    pao_obs::record_span_at(label, mark, now - mark);
+                                    mark = now;
+                                }
+                                done.push(out);
+                            }
+                            busy += if tracing { mark } else { Instant::now() } - start;
+                            blocks.push((lo, done.len() - first));
+                            if cut {
+                                break;
                             }
                         }
+                        // Scope exit does not wait for TLS destructors;
+                        // push buffered spans and metrics out while still
+                        // joinable.
+                        pao_obs::flush_thread();
+                        (worker_busy_us(cpu_start, busy), blocks, done)
                     })
                 })
                 .collect();
             let mut busy_us = Vec::with_capacity(threads);
+            let mut workers = Vec::with_capacity(threads);
             for h in handles {
                 match h.join() {
-                    Ok(us) => busy_us.push(us),
+                    Ok((us, blocks, done)) => {
+                        busy_us.push(us);
+                        workers.push((blocks, done));
+                    }
                     // Workers catch item panics, so a join error means the
                     // worker loop itself failed; report idle rather than
-                    // abort — the done slots below degrade per item.
+                    // abort — its items degrade below.
                     Err(_) => busy_us.push(0),
                 }
             }
@@ -515,26 +533,36 @@ where
                 finished_cv.notify_all();
                 let _ = m.join();
             }
-            busy_us
+            (busy_us, workers)
         })
     };
 
+    // Every worker's blocks in input order; a worker claims ascending
+    // indices, so each one's results are consumed front to back.
+    let mut blocks: Vec<(usize, usize, usize)> = Vec::new();
+    let mut results = Vec::with_capacity(workers.len());
+    for (w, (worker_blocks, done)) in workers.into_iter().enumerate() {
+        blocks.extend(worker_blocks.into_iter().map(|(lo, len)| (lo, len, w)));
+        results.push(done.into_iter());
+    }
+    blocks.sort_unstable();
     let cancel_reason = budget.token.reason();
-    let mut out: Vec<Result<R, Dropped>> = done
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| match cancel_reason {
-                    // Never claimed because the token tripped first.
-                    Some(reason) => Err(Dropped::Skipped(reason)),
-                    None => Err(Dropped::Panic(Box::new(format!(
-                        "executor: result slot {i} never filled"
-                    )) as Payload)),
-                })
-        })
-        .collect();
+    let missing = |i: usize| match cancel_reason {
+        // Never claimed (or dropped past a cut) because the token tripped
+        // first.
+        Some(reason) => Err(Dropped::Skipped(reason)),
+        None => Err(Dropped::Panic(
+            Box::new(format!("executor: result {i} never filled")) as Payload,
+        )),
+    };
+    let mut out: Vec<Result<R, Dropped>> = Vec::with_capacity(n);
+    for (lo, len, w) in blocks {
+        let at = out.len();
+        out.extend((at..lo).map(missing));
+        out.extend(results[w].by_ref().take(len));
+    }
+    let at = out.len();
+    out.extend((at..n).map(missing));
     apply_cut(&mut out, budget.token);
     (out, ExecReport { threads, busy_us })
 }

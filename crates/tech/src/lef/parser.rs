@@ -64,16 +64,30 @@ impl LefParser {
         }
     }
 
+    /// A finite number: `NaN`, `inf` and overflowing literals such as
+    /// `1e400` are rejected, not passed on to saturating conversions.
     fn number(&mut self) -> Result<f64> {
         let t = self.next_word()?;
-        t.parse::<f64>().map_err(|_| {
-            ParseLefError::new(format!("expected a number, found `{t}`"), self.cur.line())
-        })
+        match t.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            Ok(_) => self.err(format!("expected a finite number, found `{t}`")),
+            Err(_) => self.err(format!("expected a number, found `{t}`")),
+        }
     }
 
+    /// A length in microns, converted to database units; the result must
+    /// fit in 32 bits, which leaves the 64-bit geometry arithmetic (sums,
+    /// areas in `i128`) far from overflow.
     fn dbu(&mut self) -> Result<Dbu> {
         let v = self.number()?;
-        Ok(self.tech.microns_to_dbu(v))
+        let d = self.tech.microns_to_dbu(v);
+        if d.unsigned_abs() > i32::MAX.unsigned_abs().into() {
+            return self.err(format!(
+                "value {v} is out of range at {} DBU per micron",
+                self.tech.dbu_per_micron
+            ));
+        }
+        Ok(d)
     }
 
     fn parse(mut self) -> Result<Tech> {
@@ -120,8 +134,10 @@ impl LefParser {
                 "DATABASE" => {
                     self.expect("MICRONS")?;
                     let n = self.number()?;
-                    if n <= 0.0 {
-                        return self.err("DATABASE MICRONS must be positive");
+                    if !(1.0..=f64::from(i32::MAX)).contains(&n) || n.fract() != 0.0 {
+                        return self.err(format!(
+                            "DATABASE MICRONS must be a positive whole number, found {n}"
+                        ));
                     }
                     self.tech.dbu_per_micron = n as Dbu;
                     self.expect(";")?;
@@ -254,20 +270,35 @@ impl LefParser {
         Ok(())
     }
 
+    /// The next threshold of a `SPACINGTABLE` axis onto `axis`: the first
+    /// must be 0 and each later one larger than the one before, as
+    /// [`SpacingTable::new`] requires.
+    fn threshold(&mut self, axis: &mut Vec<Dbu>, what: &str) -> Result<()> {
+        let v = self.dbu()?;
+        match axis.last() {
+            None if v != 0 => return self.err(format!("SPACINGTABLE {what} must start at 0")),
+            Some(&last) if v <= last => {
+                return self.err(format!("SPACINGTABLE {what} must ascend"));
+            }
+            _ => axis.push(v),
+        }
+        Ok(())
+    }
+
     fn parse_spacing_table(&mut self) -> Result<SpacingTable> {
         self.expect("PARALLELRUNLENGTH")?;
         let mut prls = Vec::new();
         loop {
             match self.cur.peek() {
                 Some(t) if t.text == "WIDTH" => break,
-                Some(_) => prls.push(self.dbu()?),
+                Some(_) => self.threshold(&mut prls, "PARALLELRUNLENGTH thresholds")?,
                 None => return self.err("unterminated SPACINGTABLE"),
             }
         }
         let mut widths = Vec::new();
         let mut matrix = Vec::new();
         while self.cur.eat("WIDTH") {
-            widths.push(self.dbu()?);
+            self.threshold(&mut widths, "WIDTH thresholds")?;
             let mut row = Vec::with_capacity(prls.len());
             for _ in 0..prls.len() {
                 row.push(self.dbu()?);
@@ -361,6 +392,9 @@ impl LefParser {
         let (Some(bottom), Some(cut), Some(top)) = (bottom, cut, top) else {
             return self.err(format!("VIA `{name}` must have bottom, cut and top layers"));
         };
+        if bottom.1.is_empty() || cut.1.is_empty() || top.1.is_empty() {
+            return self.err(format!("VIA `{name}` needs a RECT on every layer"));
+        }
         let mut via = ViaDef::new(name, bottom.0, bottom.1, cut.0, cut.1, top.0, top.1);
         via.is_default = is_default;
         self.tech.add_via(via);
@@ -722,5 +756,57 @@ LAYER M1 TYPE ROUTING ; FANCYNEWRULE 1 2 3 ; WIDTH 0.1 ; END M1\n\
 END LIBRARY";
         let t = parse_lef(src).unwrap();
         assert_eq!(t.layers().len(), 1);
+    }
+
+    /// [`SAMPLE`] with its first `from` replaced by `to`, and the 1-based
+    /// line `from` sits on.
+    fn edited(from: &str, to: &str) -> (String, u32) {
+        let line = SAMPLE.lines().position(|l| l.contains(from)).unwrap() + 1;
+        (SAMPLE.replacen(from, to, 1), line as u32)
+    }
+
+    #[test]
+    fn spacing_table_thresholds_must_start_at_zero_and_ascend() {
+        for (from, to) in [
+            ("PARALLELRUNLENGTH 0 0.5", "PARALLELRUNLENGTH 0.5 0"),
+            ("WIDTH 0.2 0.06 0.14", "WIDTH 0 0.06 0.14"),
+            ("WIDTH 0 0.06 0.06", "WIDTH 0.05 0.06 0.06"),
+        ] {
+            let (src, line) = edited(from, to);
+            let err = parse_lef(&src).unwrap_err();
+            assert!(err.message.contains("SPACINGTABLE"), "{to}: {err}");
+            assert_eq!(err.line, line, "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn database_microns_must_be_a_positive_whole_number() {
+        for bad in ["0.5", "NaN", "inf", "1e400", "0", "-1000", "1000.5"] {
+            let src = format!("UNITS\n  DATABASE MICRONS {bad} ;\nEND UNITS\nEND LIBRARY");
+            let err = parse_lef(&src).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}: {err}");
+        }
+        let t = parse_lef("UNITS DATABASE MICRONS 2000.0 ; END UNITS").unwrap();
+        assert_eq!(t.dbu_per_micron, 2000);
+    }
+
+    #[test]
+    fn non_finite_and_out_of_range_lengths_are_rejected() {
+        for bad in [
+            "NaN", "inf", "-inf", "1e400", "1e300", "3000000", "-3000000",
+        ] {
+            let src = format!(
+                "UNITS DATABASE MICRONS 1000 ; END UNITS\nLAYER M1 TYPE ROUTING ;\n  WIDTH {bad} ;\nEND M1"
+            );
+            let err = parse_lef(&src).unwrap_err();
+            assert_eq!(err.line, 3, "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn via_layer_without_a_rect_is_rejected() {
+        let (src, _) = edited("RECT -0.025 -0.025 0.025 0.025 ;", "");
+        let err = parse_lef(&src).unwrap_err();
+        assert!(err.message.contains("RECT on every layer"), "{err}");
     }
 }

@@ -161,11 +161,14 @@ echo "== shared intra-cell work identity =="
 # and those with one relative access point set share a pattern DP
 # (DESIGN.md §7). Each shared item is computed exactly once, so the work
 # counters repeat at any thread count, and the decision ledger behind
-# `pao report` is replayed per unique instance. (drc.probes is not gated:
-# the repair scan's memo is per worker, so it moves with the thread count.)
+# `pao report` is replayed per unique instance. repair.scan.fast_clean
+# counts the pins whose probe windows hold no foreign shape, so it also
+# fingerprints the repair scan's neighbour search (stages 1-2). (drc.probes
+# is not gated: the repair scan's memo is per worker, so it moves with the
+# thread count.)
 target/release/pao gen ispd18s_test4 --lef "$rep/t4.lef" --def "$rep/t4.def" > /dev/null
 shared_work() {
-    grep -E '^ +(apgen\.via_memo\.misses|apgen\.planar_probes|pattern\.dp_runs) ' "$1"
+    grep -E '^ +(apgen\.via_memo\.misses|apgen\.planar_probes|pattern\.dp_runs|repair\.scan\.fast_clean) ' "$1"
 }
 for t in 1 4; do
     target/release/pao analyze "$rep/t4.lef" "$rep/t4.def" --threads "$t" \
@@ -173,7 +176,7 @@ for t in 1 4; do
     target/release/pao report "$rep/t4.lef" "$rep/t4.def" --threads "$t" \
         --out "$rep/t4-$t.jsonl" > /dev/null
 done
-[[ "$(shared_work "$rep/t4-1.txt" | wc -l)" == 3 ]] \
+[[ "$(shared_work "$rep/t4-1.txt" | wc -l)" == 4 ]] \
     || { echo "shared-work counters missing from --metrics"; exit 1; }
 diff <(shared_work "$rep/t4-1.txt") <(shared_work "$rep/t4-4.txt") \
     || { echo "shared-work counters diverged between 1 and 4 threads"; exit 1; }
@@ -187,11 +190,13 @@ echo "== selection zero-alloc gate =="
 cargo test -p pao-core --test select_alloc -q
 
 echo "== sweep scale identity =="
-# The tiled spatial index (ShapeSet::from_shards) + streamed scale DEFs
-# must keep results thread-count-invariant: the deterministic fields of
-# the sweep JSON (everything but the timings and RSS) are identical at
-# 1 and 4 threads for both the benchmark size and the streamed 20k
-# case.
+# Streamed scale DEFs and the analysis tail (row-index clusters and
+# repair-scan neighbours, claim-block executor phases) must keep results
+# thread-count-invariant: the deterministic fields of the sweep JSON
+# (everything but the timings and RSS) are identical at 1 and 4 threads
+# for both the benchmark size and the streamed 20k case. (These runs
+# never build the packed whole-design context: every pin is certified
+# and the audit fully hinted.)
 sweepdir="$(mktemp -d /tmp/pao_sweepchk_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep" "$sweepdir"' EXIT
 det() { # strip timing/rss fields, keep counters

@@ -51,6 +51,44 @@ fn def_text_references_resolve() {
     }
 }
 
+/// Truncation at every line boundary and 1–3 random byte flips of a
+/// generated suite LEF (ispd18s_test8's, with a block macro) and the
+/// checked-in `benchmarks/smoke.lef`: each gives a library or a typed
+/// [`lef::ParseLefError`], never a panic.
+#[test]
+fn lef_parser_never_panics_on_truncation_or_byte_flips() {
+    let case = paaf::testgen::case_by_name("ispd18s_test8").expect("suite case");
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks/smoke.lef");
+    let sources = [
+        lef::write_lef(&generate(&case).0),
+        std::fs::read_to_string(smoke).expect("smoke LEF readable"),
+    ];
+    for src in &sources {
+        assert!(lef::parse_lef(src).is_ok());
+        let lines: Vec<&str> = src.lines().collect();
+        for k in 0..lines.len() {
+            let _ = lef::parse_lef(&lines[..k].join("\n"));
+        }
+    }
+    // Half the flips write a byte that tends to matter to the parser:
+    // digits, signs, exponents, separators.
+    const LEXICAL: &[u8] = b"0123456789.-+eE; \nXNinfa";
+    pao_ptest::check("lef.byte_flips", 512, |rng| {
+        let mut bytes = sources[rng.gen_range(0..sources.len())]
+            .clone()
+            .into_bytes();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] = if rng.gen_range(0..2u32) == 0 {
+                LEXICAL[rng.gen_range(0..LEXICAL.len())]
+            } else {
+                rng.gen_range(0..=255u8)
+            };
+        }
+        let _ = lef::parse_lef(&String::from_utf8_lossy(&bytes));
+    });
+}
+
 #[test]
 fn lef_parser_rejects_garbage_gracefully() {
     assert!(lef::parse_lef("LAYER M1 TYPE ROUTING ; WIDTH banana ; END M1").is_err());
