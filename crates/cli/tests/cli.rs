@@ -218,6 +218,52 @@ fn exit_codes_distinguish_usage_input_and_degraded() {
 }
 
 #[test]
+fn def_coordinate_beyond_32_bits_is_an_input_error() {
+    // A component placed far outside 32-bit DBU used to panic analysis
+    // items in the geometry arithmetic (exit 5); it is rejected at parse
+    // time instead, naming the file and line.
+    let lef = tmp("far.lef");
+    let def = tmp("far.def");
+    let out = pao()
+        .args(["gen", "smoke", "--lef"])
+        .arg(&lef)
+        .arg("--def")
+        .arg(&def)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&def).expect("read def");
+    let mut line = 0;
+    let mut far = String::new();
+    for (i, l) in text.lines().enumerate() {
+        match l.find("PLACED ( ") {
+            Some(at) if l.trim_start().starts_with("- u0 ") => {
+                let at = at + "PLACED ( ".len();
+                let end = at + l[at..].find(' ').expect("x coordinate");
+                far += &format!("{}9223372036854775000{}\n", &l[..at], &l[end..]);
+                line = i + 1;
+            }
+            _ => far += &format!("{l}\n"),
+        }
+    }
+    assert!(line > 0, "u0 not placed in the smoke DEF");
+    std::fs::write(&def, far).expect("write def");
+    let out = pao()
+        .arg("analyze")
+        .arg(&lef)
+        .arg(&def)
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "input errors exit 3: {err}");
+    assert!(
+        err.contains("far.def") && err.contains(&format!("line {line}")),
+        "{err}"
+    );
+    assert!(err.contains("does not fit in 32 bits"), "{err}");
+}
+
+#[test]
 fn injected_fault_degrades_and_exit_codes_honor_degraded_ok() {
     let lef = tmp("f.lef");
     let def = tmp("f.def");

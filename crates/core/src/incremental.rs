@@ -28,8 +28,8 @@ use crate::cluster::{
 };
 use crate::error::Phase;
 use crate::oracle::{
-    probe_pins, push_skip, via_hulls, PaoResult, PinAccessOracle, RunCtx, TailInput,
-    UniqueInstanceAccess,
+    probe_pins, push_skip, scan_ap, via_hulls, PaoResult, PinAccessOracle, ProbeCtx, RunCtx,
+    TailInput, UniqueInstanceAccess,
 };
 use crate::parallel::PhaseBudget;
 use crate::persist::{signature_of, AnalysisCache, Entry, Step2};
@@ -503,14 +503,17 @@ impl PinAccessOracle {
         } else {
             (Vec::new(), ShapeSet::new(tech.layers().len()))
         };
+        let selected: Vec<_> = pins
+            .iter()
+            .map(|&(comp, pin_idx)| scan_ap(&result, design, comp, pin_idx))
+            .collect();
         let audit_token = run.alloc.phase_token(Phase::Audit);
         let ((_, failed), audit_exec, audit_faults, skipped) = probe_pins(
             &engine,
             design,
             &pins,
-            &|comp, pin_idx| result.access_point(design, comp, pin_idx),
             None,
-            Some(&ctx),
+            Some(ProbeCtx::Shared(&ctx, &selected)),
             threads,
             Some(PhaseBudget::new(&audit_token, run.watchdog)),
         );

@@ -10,7 +10,7 @@ use crate::budget::{
 };
 use crate::cluster::{comp_bbox, default_pattern, select_patterns_budget, RowIndex, SelectGroups};
 use crate::error::{FaultRecord, PaoError, Phase};
-use crate::parallel::{expect_all, parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
+use crate::parallel::{parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
 use crate::persist::{input_stamp, signature_of, AnalysisCache, Entry, RejectTally};
 use crate::share::{CellClasses, PatternGroups};
@@ -20,7 +20,6 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, Macro, MacroClass, Tech};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole three-step analysis.
@@ -741,8 +740,7 @@ impl PinAccessOracle {
         let repair_token = run.alloc.phase_token(Phase::Repair);
         // The shape templates and connected-pin table depend only on the
         // placement, so they are built once and shared by every repair
-        // round and the final audit; the packed whole-design context is
-        // built on first use, if any.
+        // round and the final audit.
         let gctx = GlobalContext::new(tech, design, self.config.threads);
         let mut repair_skipped = 0usize;
         // Scan verdicts of the last repair round, usable as audit hints:
@@ -789,7 +787,8 @@ impl PinAccessOracle {
         let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
             audit_pins_budget(
                 &gctx,
-                &|comp, pin_idx| result.access_point(design, comp, pin_idx),
+                &rows,
+                |comp, pin_idx| scan_ap(&result, design, comp, pin_idx),
                 scan_ok.as_deref(),
                 Some(PhaseBudget::new(&audit_token, watchdog)),
             );
@@ -853,56 +852,69 @@ pub(crate) fn push_skip(
     }
 }
 
-/// What the repair scan needs from a selected access point: position,
-/// primary via and the planar fallback — resolved without cloning the
-/// access point's `Vec`s.
-struct ScanAp {
+/// What a probe needs from a selected access point: position, primary
+/// via and the planar fallback — resolved without cloning the access
+/// point's `Vec`s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanAp {
     pos: pao_geom::Point,
     via: Option<pao_tech::ViaId>,
     planar_ok: bool,
 }
 
-/// Per-worker scan state: the DRC workspace plus the verdict memo and
-/// its reusable key buffer.
-struct ScanScratch {
+impl ScanAp {
+    /// The probe's view of `ap`.
+    fn of(ap: &AccessPoint) -> ScanAp {
+        ScanAp {
+            pos: ap.pos,
+            via: ap.primary_via(),
+            planar_ok: !ap.planar.is_empty(),
+        }
+    }
+}
+
+/// One worker's probe buffers: the DRC workspace and a local context —
+/// its windows, the components that can reach them and the shapes
+/// inside them (never packed: probes scan its handful of raw items).
+#[derive(Default)]
+struct LocalProbe {
     ws: DrcScratch,
+    /// The probe windows: `(layer, grown via shape)`.
+    wins: Vec<(LayerId, Rect)>,
+    /// Components whose reach bounds meet the windows, sorted.
+    cands: Vec<CompId>,
+    ctx: ShapeSet,
+}
+
+impl LocalProbe {
+    /// Empties the context, sized for `layers` layers.
+    fn reset(&mut self, layers: usize) {
+        if self.ctx.num_layers() == layers {
+            self.ctx.clear();
+        } else {
+            self.ctx = ShapeSet::new(layers);
+        }
+    }
+}
+
+/// Per-worker scan state: the probe buffers plus the verdict memo and
+/// its reusable key buffer.
+#[derive(Default)]
+struct ScanScratch {
+    /// Stage 1 fills its `cands`, stage 2 its `wins` (halo windows) and
+    /// `ctx` (the foreign shapes inside them); a direct probe refills
+    /// all three.
+    local: LocalProbe,
     memo: std::collections::HashMap<Vec<u64>, bool>,
     /// Neighbors whose shapes meet the probe windows, each with its
     /// range in `vpins`.
     neigh: Vec<(u32, usize, usize)>,
     /// Pins whose selected vias meet the probe windows, per neighbor.
     vpins: Vec<u64>,
-    /// Stage-1 candidates: foreign components whose reach bounds meet
-    /// the current pin's via-hull window, sorted.
-    cands: Vec<CompId>,
-    /// The current pin's per-via-shape probe windows (layer, halo-grown
-    /// rect).
-    wins: Vec<(LayerId, Rect)>,
-    /// Foreign shapes inside the current pin's probe windows, copied
-    /// during stage 2 of the neighborhood scan; never packed (probes
-    /// scan its handful of raw items linearly).
-    mini: ShapeSet,
     /// Memo-key parts of the current pin's neighbors: offset, identity
     /// and their range in `vpins`.
     tuples: Vec<(i64, i64, u64, usize, usize)>,
     key: Vec<u64>,
-}
-
-impl Default for ScanScratch {
-    fn default() -> ScanScratch {
-        ScanScratch {
-            ws: DrcScratch::default(),
-            memo: std::collections::HashMap::new(),
-            neigh: Vec::new(),
-            vpins: Vec::new(),
-            cands: Vec::new(),
-            wins: Vec::new(),
-            // Sized lazily on first use (the layer count lives in `Tech`).
-            mini: ShapeSet::new(0),
-            tuples: Vec::new(),
-            key: Vec::new(),
-        }
-    }
 }
 
 /// The hull of each via's shapes around its drop point, by via id.
@@ -918,11 +930,16 @@ pub(crate) fn via_hulls(tech: &Tech) -> Vec<Rect> {
         .collect()
 }
 
-/// Stage 1 of one repair round's neighbourhood scan: which foreign
-/// components can reach a pin's probe windows, found through the tail's
-/// row index.
-struct ScanReach<'r> {
+/// Which components can reach a probe's windows under one selection,
+/// found through the tail's row index: stage 1 of the repair scan, and
+/// the source of the local context every other post-pattern probe reads
+/// ([`Reach::probe`]).
+pub(crate) struct Reach<'r> {
+    gctx: &'r GlobalContext<'r>,
     rows: &'r RowIndex,
+    /// Each connected pin's selected access point (aligned with
+    /// `gctx.pins.list()`).
+    selected: Vec<Option<ScanAp>>,
     /// Hull of each via's shapes around its drop point.
     via_hulls: Vec<Rect>,
     /// The widest search halo among each via's own layers.
@@ -938,15 +955,15 @@ struct ScanReach<'r> {
     hang: pao_geom::Dbu,
 }
 
-impl<'r> ScanReach<'r> {
-    /// The reach of every component under the round's `selected` access
-    /// points (aligned with `gctx.pins.list()`).
+impl<'r> Reach<'r> {
+    /// The reach of every component under the `selected` access points
+    /// (aligned with `gctx.pins.list()`).
     fn new(
-        gctx: &GlobalContext<'_>,
+        gctx: &'r GlobalContext<'r>,
         rows: &'r RowIndex,
         engine: &DrcEngine<'_>,
-        selected: &[Option<ScanAp>],
-    ) -> ScanReach<'r> {
+        selected: Vec<Option<ScanAp>>,
+    ) -> Reach<'r> {
         let (tech, design) = (gctx.tech, gctx.design);
         let via_hulls = via_hulls(tech);
         let via_margins = tech
@@ -960,7 +977,7 @@ impl<'r> ScanReach<'r> {
             })
             .collect();
         let mut bounds: Vec<Option<Rect>> = gctx.bounds.clone();
-        for (&(comp, _), ap) in gctx.pins.list().iter().zip(selected) {
+        for (&(comp, _), ap) in gctx.pins.list().iter().zip(&selected) {
             let Some(ap) = ap else { continue };
             let Some(v) = ap.via else { continue };
             let p = via_hulls[v.index()].translated(ap.pos);
@@ -980,8 +997,10 @@ impl<'r> ScanReach<'r> {
                 )
             })
             .fold(0, pao_geom::Dbu::max);
-        ScanReach {
+        Reach {
+            gctx,
             rows,
+            selected,
             via_hulls,
             via_margins,
             bounds,
@@ -1011,17 +1030,88 @@ impl<'r> ScanReach<'r> {
         out.sort_unstable();
         out.dedup();
     }
+
+    /// `true` when via `v` lands clean at `pos` for pin `pin_idx` of
+    /// `comp`, probed in its local context: every template shape and
+    /// selected via of `comp` and of each component whose reach bounds
+    /// meet the windows, that touches a window on its layer. A window is
+    /// a via shape grown by its layer's halo (at least 1: the reach of
+    /// every engine query), so the probe reads nothing the context
+    /// lacks, and its verdict is the whole design's. Selected vias whose
+    /// owner `skip` holds are left out (greedy re-placement's ripped-up
+    /// pins), and the `placed` shapes inside the windows are added.
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &self,
+        engine: &DrcEngine<'_>,
+        comp: CompId,
+        pin_idx: usize,
+        v: pao_tech::ViaId,
+        pos: pao_geom::Point,
+        skip: impl Fn(Owner) -> bool,
+        placed: &[(LayerId, Rect, Owner)],
+        lp: &mut LocalProbe,
+    ) -> bool {
+        let tech = self.gctx.tech;
+        let via = tech.via(v);
+        lp.wins.clear();
+        for (layer, rect) in via.each_placed_shape(pos) {
+            lp.wins
+                .push((layer, rect.expanded(engine.halo(layer).max(1))));
+        }
+        if via.bottom_shapes.len() > 1 {
+            // The merged-geometry check reads same-owner metal around the
+            // bottom shapes' hull, which their own windows may not cover.
+            let hull = via.bottom_bbox().translated(pos).expanded(1);
+            lp.wins.push((via.bottom_layer, hull));
+        }
+        lp.cands.clear();
+        if let Some(w) = lp.wins.iter().map(|&(_, r)| r).reduce(Rect::hull) {
+            self.candidates(comp, w, &mut lp.cands);
+        }
+        lp.cands.push(comp);
+        lp.reset(tech.layers().len());
+        let LocalProbe {
+            ws,
+            wins,
+            cands,
+            ctx,
+        } = lp;
+        let in_wins =
+            |layer: LayerId, r: Rect| wins.iter().any(|&(wl, w)| wl == layer && r.touches(w));
+        for &c in cands.iter() {
+            self.gctx.for_each_shape(c, |layer, r, o| {
+                if in_wins(layer, r) {
+                    ctx.insert_deferred(layer, r, o);
+                }
+            });
+            self.gctx
+                .for_each_selected_via(c, &self.selected, |pin, layer, r| {
+                    let o = pin_owner(c, pin);
+                    if in_wins(layer, r) && !skip(o) {
+                        ctx.insert_deferred(layer, r, o);
+                    }
+                });
+        }
+        for &(layer, r, o) in placed {
+            if in_wins(layer, r) {
+                ctx.insert_deferred(layer, r, o);
+            }
+        }
+        engine.via_placement_clean(via, pos, pin_owner(comp, pin_idx), ctx, ws)
+    }
 }
 
 /// [`PaoResult::access_point`] minus the allocations: resolves the
 /// selected AP for `(comp, pin_idx)` into a [`ScanAp`].
-fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) -> Option<ScanAp> {
+pub(crate) fn scan_ap(
+    result: &PaoResult,
+    design: &Design,
+    comp: CompId,
+    pin_idx: usize,
+) -> Option<ScanAp> {
     if let Some(ap) = result.overrides.get(&(comp, pin_idx)) {
-        return Some(ScanAp {
-            pos: ap.pos,
-            via: ap.primary_via(),
-            planar_ok: !ap.planar.is_empty(),
-        });
+        return Some(ScanAp::of(ap));
     }
     let ui = result.comp_uniq.get(comp.index()).copied().flatten()?;
     let u = &result.unique[ui.index()];
@@ -1033,21 +1123,19 @@ fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) ->
     let delta = design.component(comp).location - design.component(u.info.rep).location;
     Some(ScanAp {
         pos: ap.pos + delta,
-        via: ap.primary_via(),
-        planar_ok: !ap.planar.is_empty(),
+        ..ScanAp::of(ap)
     })
 }
 
 /// One repair round: identifies every connected pin whose selected access
 /// is dirty in the whole-design context, **rips up** all their vias, and
-/// greedily re-places each (current AP first, then alternates) against the
-/// remaining context — so mutually-blocking pairs can both move. Returns
-/// the number of pins re-placed.
+/// greedily re-places each ([`replace_dirty`]). Returns the number of
+/// pins re-placed.
 ///
-/// The dirty-pin scan (the dominant cost: one whole-design DRC probe per
-/// connected pin) fans out over the context's workers. The greedy
-/// re-placement itself stays sequential — it is order-dependent by design
-/// and touches only the few dirty pins.
+/// The dirty-pin scan (the dominant cost: one verdict per connected pin)
+/// fans out over the context's workers. The greedy re-placement itself
+/// stays sequential — it is order-dependent by design and touches only
+/// the few dirty pins.
 ///
 /// A scan item that panics is quarantined: its pin is treated as
 /// not-dirty (left untouched this round) and reported in the returned
@@ -1075,15 +1163,19 @@ pub(crate) fn repair_failed_pins_budget(
     let (tech, design) = (gctx.tech, gctx.design);
     let engine = DrcEngine::new(tech);
     let connected = gctx.pins.list();
-    // Selected access points, reduced to what the scan needs (position,
+    // Selected access points, reduced to what a probe needs (position,
     // primary via, planar fallback) and resolved once: `access_point`
     // clones two `Vec`s and walks the pin order per call, so the scan
-    // below indexes this slice instead of re-resolving every pin (and
-    // the via-index fill reuses the same resolutions).
-    let selected: Vec<Option<ScanAp>> = connected
-        .iter()
-        .map(|&(comp, pin_idx)| scan_ap(result, design, comp, pin_idx))
-        .collect();
+    // below indexes the reach's copy instead of re-resolving every pin.
+    let reach = Reach::new(
+        gctx,
+        rows,
+        &engine,
+        connected
+            .iter()
+            .map(|&(comp, pin_idx)| scan_ap(result, design, comp, pin_idx))
+            .collect(),
+    );
     let overridden: std::collections::HashSet<u32> =
         result.overrides.keys().map(|&(c, _)| c.0).collect();
     let comp_uniq = &result.comp_uniq;
@@ -1108,68 +1200,13 @@ pub(crate) fn repair_failed_pins_budget(
             .get(sel)
             .is_some_and(|p| p.validated)
     };
-    // Pins of poisoned or uncertified components are probed directly
-    // against the whole-design context; every other verdict comes from
-    // the neighborhood scan below, which never reads it.
-    let direct = connected
-        .iter()
-        .filter(|&&(c, _)| poisoned(c.0) || !certified(c.0))
-        .count();
-    // Selected-vias-only index: lets the same-component fast path below
-    // rule out foreign via conflicts without probing the full context.
-    // Only direct probes and the greedy re-place windows read it, so it
-    // is filled on first use. Its packed form pays for itself only with
-    // many direct probes; otherwise the handful of raw linear window
-    // scans is far cheaper than a full STR pack of every selected via.
-    let via_index: OnceLock<ShapeSet> = OnceLock::new();
-    let vias = || {
-        via_index.get_or_init(|| {
-            let mut index = ShapeSet::new(tech.layers().len());
-            for (&(comp, pin_idx), ap) in connected.iter().zip(&selected) {
-                let Some(ap) = ap else { continue };
-                let Some(v) = ap.via else { continue };
-                for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                    index.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
-                }
-            }
-            if direct > 64 {
-                index.rebuild();
-            }
-            index
-        })
-    };
-    // A direct probe can come from a pin of a poisoned or uncertified
-    // component, or from a pin next to an overridden one: build both
-    // contexts up front, off the workers, when either may happen.
-    if direct > 0 || !result.overrides.is_empty() {
-        gctx.base();
-        vias();
-    }
-    // Split probe instead of one merged pack: the full check runs against
-    // the packed base, and a pairwise-only check runs against the packed
-    // via index. This covers every rule exactly once — merged-geometry
-    // rules only ever union same-owner shapes, which all live in the
-    // base (a pin's own selected via adds nothing to its own union), and
-    // pairwise rules skip same-owner shapes, so the via's own copy in
-    // the index is inert. Skipping the base+vias repack saves the
-    // dominant setup cost of every scan round.
-    let is_dirty = |ap: &ScanAp, owner: Owner, ws: &mut DrcScratch| -> bool {
-        match ap.via {
-            Some(v) => {
-                let vd = tech.via(v);
-                !(engine.via_placement_clean(vd, ap.pos, owner, gctx.base(), ws)
-                    && engine.via_pairwise_clean(vd, ap.pos, owner, vias(), ws))
-            }
-            None => !ap.planar_ok,
-        }
-    };
     // Scan neighborhoods: a probe for a pin's via only ever touches
     // shapes within the via's own layers' search halos of its shapes,
     // and a neighboring component's shapes all lie inside that
     // component's reach bounds (base-shape hull grown by its selected
     // via hulls). So the set of components that can influence the
     // verdict is found with one row-index query of the via hull window
-    // (stage 1, `ScanReach`) — no per-shape walks — and the verdict is a
+    // (stage 1, `Reach`) — no per-shape walks — and the verdict is a
     // pure function of the pin's (unique instance, pattern, pin index)
     // plus every such neighbor's (offset, unique instance, pattern, and
     // the pins whose selected vias reach the windows): equal keys see
@@ -1180,7 +1217,8 @@ pub(crate) fn repair_failed_pins_budget(
     // pin's key lists its own such pins too. Components carrying a repair
     // override place vias off-pattern and components without a unique
     // instance have no translation-invariant geometry; both poison the
-    // neighborhood and force direct probes.
+    // neighborhood and force direct probes, each one full probe in the
+    // pin's local context (`Reach::probe`).
     // `(unique << 32) | pattern` — the memoized identity of one
     // component. A missing pattern keeps the `u32::MAX` sentinel: its
     // base shapes still follow from the unique instance, it just
@@ -1198,28 +1236,30 @@ pub(crate) fn repair_failed_pins_budget(
             .map_or(u64::from(u32::MAX), |s| s as u64);
         (u << 32) | sel
     };
-    let reach = ScanReach::new(gctx, rows, &engine, &selected);
     let (flags, exec) = {
-        let (selected, is_dirty, engine) = (&selected, &is_dirty, &engine);
-        let (reach, poisoned, key_part) = (&reach, &poisoned, &key_part);
+        let (reach, engine) = (&reach, &engine);
+        let (poisoned, key_part) = (&poisoned, &key_part);
         parallel_map(
             ExecOptions::new(gctx.threads, "repair.scan").with_budget(Some(budget)),
             (0..connected.len()).collect(),
             ScanScratch::default,
             move |s, i: usize| {
                 let (comp, pin_idx) = connected[i];
-                let dirty = match &selected[i] {
+                let dirty = match &reach.selected[i] {
                     Some(ap) => 'verdict: {
                         let Some(v) = ap.via else {
                             // Planar-only verdicts are a field read.
                             break 'verdict !ap.planar_ok;
                         };
+                        let direct = |lp: &mut LocalProbe| {
+                            !reach.probe(engine, comp, pin_idx, v, ap.pos, |_| false, &[], lp)
+                        };
                         if poisoned(comp.0) {
-                            break 'verdict is_dirty(ap, pin_owner(comp, pin_idx), &mut s.ws);
+                            break 'verdict direct(&mut s.local);
                         }
                         // Stage 1 — bbox filter: any foreign component
                         // whose reach bounds meet the via hull window?
-                        reach.candidates(comp, reach.window(v, ap.pos), &mut s.cands);
+                        reach.candidates(comp, reach.window(v, ap.pos), &mut s.local.cands);
                         // Stage 2 — for bbox-near pins, refine to the
                         // components whose shapes actually fall inside
                         // the probe windows (per-shape, per-layer
@@ -1230,28 +1270,26 @@ pub(crate) fn repair_failed_pins_budget(
                         s.neigh.clear();
                         s.vpins.clear();
                         let own_certified = certified(comp.0);
-                        if !s.cands.is_empty() || !own_certified {
-                            s.wins.clear();
+                        if !s.local.cands.is_empty() || !own_certified {
+                            s.local.wins.clear();
                             for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                                s.wins.push((layer, rect.expanded(engine.halo(layer))));
+                                s.local
+                                    .wins
+                                    .push((layer, rect.expanded(engine.halo(layer))));
                             }
+                            s.local.reset(tech.layers().len());
                         }
                         // `touches` (closed contact) matches the spatial
                         // index's window semantics, so the neighbor sets
                         // — and hence the memo keys — are the same ones
                         // tree queries would yield.
-                        let wins = &s.wins;
+                        let wins = &s.local.wins;
                         let in_wins = |layer: LayerId, r: Rect| {
                             wins.iter().any(|&(wl, w)| wl == layer && r.touches(w))
                         };
-                        if !s.cands.is_empty() {
-                            if s.mini.num_layers() == tech.layers().len() {
-                                s.mini.clear();
-                            } else {
-                                s.mini = ShapeSet::new(tech.layers().len());
-                            }
-                            let (mini, vpins) = (&mut s.mini, &mut s.vpins);
-                            for &nc in &s.cands {
+                        if !s.local.cands.is_empty() {
+                            let (mini, vpins) = (&mut s.local.ctx, &mut s.vpins);
+                            for &nc in &s.local.cands {
                                 let mut hit = false;
                                 gctx.for_each_shape(nc, |layer, r, o| {
                                     if in_wins(layer, r) {
@@ -1260,7 +1298,7 @@ pub(crate) fn repair_failed_pins_budget(
                                     }
                                 });
                                 let (lo, mut last) = (vpins.len(), None);
-                                gctx.for_each_selected_via(nc, selected, |pin, layer, r| {
+                                gctx.for_each_selected_via(nc, &reach.selected, |pin, layer, r| {
                                     if in_wins(layer, r) {
                                         mini.insert_deferred(layer, r, pin_owner(nc, pin));
                                         hit = true;
@@ -1280,7 +1318,7 @@ pub(crate) fn repair_failed_pins_budget(
                             break 'verdict false;
                         }
                         if s.neigh.iter().any(|&(c, _, _)| poisoned(c)) {
-                            break 'verdict is_dirty(ap, pin_owner(comp, pin_idx), &mut s.ws);
+                            break 'verdict direct(&mut s.local);
                         }
                         let own_loc = design.component(comp).location;
                         s.tuples.clear();
@@ -1302,7 +1340,7 @@ pub(crate) fn repair_failed_pins_budget(
                             let lo = s.key.len();
                             s.key.push(0);
                             let (key, mut last) = (&mut s.key, None);
-                            gctx.for_each_selected_via(comp, selected, |pin, layer, r| {
+                            gctx.for_each_selected_via(comp, &reach.selected, |pin, layer, r| {
                                 if in_wins(layer, r) && last != Some(pin) {
                                     key.push(pin as u64);
                                     last = Some(pin);
@@ -1332,19 +1370,19 @@ pub(crate) fn repair_failed_pins_budget(
                             // exact set stage 2 copied into the scratch
                             // mini-context — can still reject, and only
                             // through pairwise rules: merged-geometry
-                            // unions are same-owner, hence own. One probe
-                            // over a handful of raw shapes replaces two
-                            // full-context probes.
+                            // unions are same-owner, hence own. One
+                            // pairwise probe over a handful of raw shapes
+                            // replaces a full local probe.
                             let d = if own_certified {
                                 !engine.via_pairwise_clean(
                                     tech.via(v),
                                     ap.pos,
                                     pin_owner(comp, pin_idx),
-                                    &s.mini,
-                                    &mut s.ws,
+                                    &s.local.ctx,
+                                    &mut s.local.ws,
                                 )
                             } else {
-                                is_dirty(ap, pin_owner(comp, pin_idx), &mut s.ws)
+                                direct(&mut s.local)
                             };
                             s.memo.insert(s.key.clone(), d);
                             pao_obs::counter_add("repair.scan.memo_misses", 1);
@@ -1353,7 +1391,7 @@ pub(crate) fn repair_failed_pins_budget(
                     }
                     None => true,
                 };
-                s.ws.flush_obs();
+                s.local.ws.flush_obs();
                 dirty
             },
         )
@@ -1402,114 +1440,108 @@ pub(crate) fn repair_failed_pins_budget(
     if dirty.is_empty() {
         return (0, exec, faults, skipped, scan_ok);
     }
-    // Greedy re-placement probes a windowed rip-up context instead of a
-    // full base+vias repack: only shapes a dirty pin's candidate probes
-    // can actually read are copied in. Each window is the hull of the
-    // pin's candidate positions grown by the widest via extent plus the
-    // engine's interaction range — a superset of every probe window —
-    // filled from the packed base and via index with the dirty pins'
-    // own (ripped-up) vias filtered out. Shapes duplicated by
-    // overlapping windows cannot change a verdict: every check is a
-    // predicate over individual context shapes or same-owner unions,
-    // and a union is idempotent.
+    let repaired = replace_dirty(&reach, &engine, result, &dirty, round);
+    (repaired, exec, faults, skipped, scan_ok)
+}
+
+/// The access points a repair tries for `(comp, pin_idx)`, in order: the
+/// current one first, then every alternate of the pin; with the current
+/// one on its own.
+fn repair_candidates(
+    result: &PaoResult,
+    design: &Design,
+    comp: CompId,
+    pin_idx: usize,
+) -> (Option<AccessPoint>, Vec<AccessPoint>) {
+    let current = result.access_point(design, comp, pin_idx);
+    let mut candidates: Vec<AccessPoint> = current.iter().cloned().collect();
+    for alt in result.all_access_points(design, comp, pin_idx) {
+        if current.as_ref().map(|c| c.pos) != Some(alt.pos) {
+            candidates.push(alt);
+        }
+    }
+    (current, candidates)
+}
+
+/// Greedy re-placement of one round's `dirty` pins, in scan order: each
+/// takes its first clean [candidate](repair_candidates) as an override,
+/// or keeps its current access point when none is clean. A candidate is
+/// probed in its local context ([`Reach::probe`]) with every dirty pin's
+/// selected via ripped up and the vias this loop committed so far put
+/// back, so mutually-blocking pairs can both move. Returns the number of
+/// pins re-placed.
+fn replace_dirty(
+    reach: &Reach<'_>,
+    engine: &DrcEngine<'_>,
+    result: &mut PaoResult,
+    dirty: &[(CompId, usize)],
+    round: usize,
+) -> usize {
+    let (tech, design) = (reach.gctx.tech, reach.gctx.design);
     let ripped: std::collections::HashSet<Owner> =
         dirty.iter().map(|&(c, p)| pin_owner(c, p)).collect();
-    let margin = engine.interaction_range() + crate::cluster::max_via_extent(tech);
-    let mut currents: Vec<Option<AccessPoint>> = Vec::with_capacity(dirty.len());
-    let mut cand_lists: Vec<Vec<AccessPoint>> = Vec::with_capacity(dirty.len());
-    let (base, vias) = (gctx.base(), vias());
-    let mut ctx = ShapeSet::new(base.num_layers());
-    for &(comp, pin_idx) in &dirty {
-        let current = result.access_point(design, comp, pin_idx);
-        let mut candidates: Vec<AccessPoint> = Vec::new();
-        candidates.extend(current.clone());
-        for alt in result.all_access_points(design, comp, pin_idx) {
-            if current.as_ref().map(|c| c.pos) != Some(alt.pos) {
-                candidates.push(alt);
-            }
-        }
-        if let Some(hull) = candidates
-            .iter()
-            .map(|c| Rect::from_points(c.pos, c.pos))
-            .reduce(Rect::hull)
-        {
-            let w = hull.expanded(margin);
-            for li in 0..base.num_layers() {
-                let layer = LayerId(li as u32);
-                base.for_each_in(layer, w, |r, o| {
-                    ctx.insert_deferred(layer, r, o);
-                    true
-                });
-                vias.for_each_in(layer, w, |r, o| {
-                    if !ripped.contains(&o) {
-                        ctx.insert_deferred(layer, r, o);
-                    }
-                    true
-                });
-            }
-        }
-        currents.push(current);
-        cand_lists.push(candidates);
-    }
-    ctx.rebuild();
+    // Resolved before any override lands, so a pin listed twice (on two
+    // nets) sees the same candidates both times.
+    let candidates: Vec<(Option<AccessPoint>, Vec<AccessPoint>)> = dirty
+        .iter()
+        .map(|&(comp, pin_idx)| repair_candidates(result, design, comp, pin_idx))
+        .collect();
+    let mut committed: Vec<(LayerId, Rect, Owner)> = Vec::new();
+    let mut lp = LocalProbe::default();
     let mut repaired = 0usize;
-    let mut ws = DrcScratch::new();
-    for (i, &(comp, pin_idx)) in dirty.iter().enumerate() {
+    for (&(comp, pin_idx), (current, cands)) in dirty.iter().zip(candidates) {
         let owner = pin_owner(comp, pin_idx);
-        let current = currents[i].take();
         // `find_map` keeps the winning candidate *and* its via together,
         // so there is no second (fallible) `primary_via` lookup.
-        let placed = std::mem::take(&mut cand_lists[i])
-            .into_iter()
-            .enumerate()
-            .find_map(|(ci, cand)| {
-                let v = cand.primary_via()?;
-                engine
-                    .via_placement_clean(tech.via(v), cand.pos, owner, &ctx, &mut ws)
-                    .then_some((ci, cand, v))
-            });
-        if let Some((ci, cand, v)) = placed {
-            for (l, r) in tech.via(v).each_placed_shape(cand.pos) {
-                ctx.insert(l, r, owner);
-            }
+        let placed = cands.into_iter().enumerate().find_map(|(ci, cand)| {
+            let v = cand.primary_via()?;
+            reach
+                .probe(
+                    engine,
+                    comp,
+                    pin_idx,
+                    v,
+                    cand.pos,
+                    |o| ripped.contains(&o),
+                    &committed,
+                    &mut lp,
+                )
+                .then_some((ci, cand, v))
+        });
+        let record = |event, choice: u32| {
+            pao_obs::LedgerRecord::new(event, (u64::from(comp.0) << 16) | pin_idx as u64, choice)
+                .with_aux(round as u32)
+        };
+        let kept = if let Some((ci, cand, v)) = placed {
             if pao_obs::ledger_enabled() {
                 pao_obs::ledger::record(
-                    pao_obs::LedgerRecord::new(
-                        pao_obs::LedgerEvent::RepairReplaced,
-                        (u64::from(comp.0) << 16) | pin_idx as u64,
-                        ci as u32,
-                    )
-                    .with_aux(round as u32)
-                    .with_pos(cand.pos.x, cand.pos.y),
+                    record(pao_obs::LedgerEvent::RepairReplaced, ci as u32)
+                        .with_pos(cand.pos.x, cand.pos.y),
                 );
             }
+            let pos = cand.pos;
             result.overrides.insert((comp, pin_idx), cand);
             repaired += 1;
             pao_obs::counter_add("repair.replaced", 1);
+            Some((v, pos))
         } else {
             if pao_obs::ledger_enabled() {
-                pao_obs::ledger::record(
-                    pao_obs::LedgerRecord::new(
-                        pao_obs::LedgerEvent::RepairStuck,
-                        (u64::from(comp.0) << 16) | pin_idx as u64,
-                        0,
-                    )
-                    .with_aux(round as u32),
-                );
+                pao_obs::ledger::record(record(pao_obs::LedgerEvent::RepairStuck, 0));
             }
-            if let Some(cur) = current {
-                // Nothing clean: keep the current choice committed so later
-                // pins at least see it.
-                if let Some(v) = cur.primary_via() {
-                    for (l, r) in tech.via(v).each_placed_shape(cur.pos) {
-                        ctx.insert(l, r, owner);
-                    }
-                }
-            }
+            // Nothing clean: keep the current choice committed so later
+            // pins at least see it.
+            current.and_then(|cur| Some((cur.primary_via()?, cur.pos)))
+        };
+        if let Some((v, pos)) = kept {
+            committed.extend(
+                tech.via(v)
+                    .each_placed_shape(pos)
+                    .map(|(l, r)| (l, r, owner)),
+            );
         }
     }
-    ws.flush_obs();
-    (repaired, exec, faults, skipped, scan_ok)
+    lp.ws.flush_obs();
+    repaired
 }
 
 /// `"pin <component>/<pin name>"` for fault reports; degrades to the pin
@@ -1526,25 +1558,23 @@ fn pin_label(tech: &Tech, design: &Design, comp: CompId, pin_idx: usize) -> Stri
     }
 }
 
-/// The placement-dependent half of the whole-design audit/repair context,
+/// The placement-dependent half of every post-pattern probe context,
 /// built **once** per analysis and shared by every repair round and the
-/// final audit: the connected-pin table, one shape template per (master,
-/// orientation) and, on first use, every placed pin/obstruction shape
-/// packed into one queryable set.
+/// final audit: the connected-pin table and one shape template per
+/// (master, orientation).
 ///
 /// A template holds its master's placed pin and obstruction shapes at
 /// location (0, 0). A placement transform maps a master point to
 /// `location + f(orient, width, height, point)`, so every component of
 /// one master and orientation has exactly its template's shapes
 /// translated by its location — the invariance unique instances and the
-/// scan memo's keys already rest on. The repair scan reads neighbours
-/// through templates; only direct probes, greedy re-placement and
-/// unhinted or windowed audits read the packed set, so a run where every
-/// pin is certified and the audit is fully hinted never builds it.
+/// scan memo's keys already rest on. Every probe reads neighbours
+/// through templates: the repair scan's stage 2 and each local context
+/// ([`Reach::probe`]) alike.
 pub(crate) struct GlobalContext<'a> {
     pub(crate) tech: &'a Tech,
     pub(crate) design: &'a Design,
-    /// Worker count for the pack and every executor phase reading this.
+    /// Worker count for every executor phase reading this.
     pub(crate) threads: usize,
     /// The connected pins in net order, with each component's entries.
     pub(crate) pins: crate::incremental::ConnectedPins,
@@ -1553,14 +1583,8 @@ pub(crate) struct GlobalContext<'a> {
     /// or its master is unknown (it contributes no shapes).
     comp_template: Vec<Option<u32>>,
     /// Hull of each component's placed pin/obstruction shapes (`None`
-    /// when a component contributes no shapes). Feeds the repair scan's
-    /// bbox-proximity neighborhoods.
+    /// when a component contributes no shapes). Feeds the reach bounds.
     pub(crate) bounds: Vec<Option<Rect>>,
-    /// All placed pin and obstruction shapes, packed on first use: direct
-    /// scan probes and the windowed greedy context query it (paired with
-    /// the selected-vias index), and [`GlobalContext::with_vias`] feeds
-    /// it to [`ShapeSet::merged`] for the full-audit repack.
-    base: OnceLock<ShapeSet>,
 }
 
 /// One shape of a template: layer, rectangle at location (0, 0), and the
@@ -1570,18 +1594,10 @@ type TemplateShape = (LayerId, Rect, u32);
 /// The pin index a [`TemplateShape`] carries for obstruction geometry.
 const OBS_SHAPE: u32 = u32::MAX;
 
-/// Components per [`GlobalContext`] pack shard. The partition depends
-/// only on the design size — never on the thread count — so the merged
-/// tree structure (and with it every downstream query order) is
-/// byte-identical at any `--threads` value. 4096 components keep a
-/// million-instance design at a few hundred shards while a benchmark-size
-/// design (≤4k cells) still packs as one monolithic tree.
-const GCTX_SHARD: usize = 4096;
-
 impl<'a> GlobalContext<'a> {
     /// Walks the placement once: one template per (master, orientation),
     /// each component's template and bounds, and the connected-pin
-    /// table. Nothing is packed yet.
+    /// table.
     pub(crate) fn new(tech: &'a Tech, design: &'a Design, threads: usize) -> GlobalContext<'a> {
         let n = design.components().len();
         let mut ids: std::collections::HashMap<(pao_tech::Symbol, pao_geom::Orient), u32> =
@@ -1611,7 +1627,6 @@ impl<'a> GlobalContext<'a> {
             templates,
             comp_template,
             bounds,
-            base: OnceLock::new(),
         }
     }
 
@@ -1651,66 +1666,6 @@ impl<'a> GlobalContext<'a> {
                 f(pin_idx, layer, rect);
             }
         }
-    }
-
-    /// Every placed pin and obstruction shape, packed on the first call:
-    /// contiguous component chunks are translated from their templates
-    /// and STR-packed on up to `threads` workers, then stitched with
-    /// [`ShapeSet::from_shards`]. Placement rows make contiguous
-    /// component indices spatially local, so the stitched tree prunes
-    /// nearly as well as a monolithic pack.
-    pub(crate) fn base(&self) -> &ShapeSet {
-        self.base.get_or_init(|| {
-            let n = self.design.components().len();
-            let num_layers = self.tech.layers().len();
-            let chunks: Vec<(usize, usize)> = (0..n)
-                .step_by(GCTX_SHARD)
-                .map(|lo| (lo, (lo + GCTX_SHARD).min(n)))
-                .collect();
-            let (shards, _) = parallel_map(
-                ExecOptions::new(self.threads, "gctx.shard"),
-                chunks,
-                || (),
-                |(), (lo, hi)| {
-                    let mut set = ShapeSet::new(num_layers);
-                    for ci in lo..hi {
-                        self.for_each_shape(CompId(ci as u32), |layer, rect, owner| {
-                            set.insert_deferred(layer, rect, owner);
-                        });
-                    }
-                    set.rebuild();
-                    set
-                },
-            );
-            let shards = expect_all(shards);
-            if shards.is_empty() {
-                ShapeSet::new(num_layers)
-            } else {
-                ShapeSet::from_shards(shards)
-            }
-        })
-    }
-
-    /// A full context: the base plus every connected pin's selected via
-    /// per `accessor`. Repacked.
-    pub(crate) fn with_vias(
-        &self,
-        accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + ?Sized),
-    ) -> ShapeSet {
-        let base = self.base();
-        let mut vias = ShapeSet::new(base.num_layers());
-        for &(comp, pin_idx) in self.pins.list() {
-            if let Some(ap) = accessor(comp, pin_idx) {
-                if let Some(v) = ap.primary_via() {
-                    for (layer, rect) in self.tech.via(v).each_placed_shape(ap.pos) {
-                        vias.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
-                    }
-                }
-            }
-        }
-        // `merged` bulk-loads base + vias in one pack per layer — no
-        // clone of an index that the repack would discard anyway.
-        base.merged(&vias)
     }
 }
 
@@ -1754,8 +1709,9 @@ pub(crate) fn connected_pins(tech: &Tech, design: &Design) -> Vec<(CompId, usize
 /// Counts Table III's `(total pins, failed pins)`: every component pin
 /// with a net attached must end with a DRC-clean access point, checked
 /// against the **whole-design** context (all pins, obstructions and every
-/// other selected via). The per-pin DRC probes fan out over `threads`
-/// workers.
+/// other selected via) — each probe in its local context, which holds
+/// every such shape it can read. The per-pin DRC probes fan out over
+/// `threads` workers.
 #[must_use]
 pub fn count_failed_pins_threaded(
     tech: &Tech,
@@ -1764,8 +1720,9 @@ pub fn count_failed_pins_threaded(
     threads: usize,
 ) -> ((usize, usize), ExecReport) {
     let gctx = GlobalContext::new(tech, design, threads);
-    let accessor = |comp, pin_idx| result.access_point(design, comp, pin_idx);
-    let (counts, exec, _, _) = audit_pins_budget(&gctx, &accessor, None, None);
+    let rows = RowIndex::build(tech, design);
+    let select = |comp, pin_idx| scan_ap(result, design, comp, pin_idx);
+    let (counts, exec, _, _) = audit_pins_budget(&gctx, &rows, select, None, None);
     (counts, exec)
 }
 
@@ -1780,89 +1737,102 @@ pub fn count_failed_pins_with(
     accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
 ) -> (usize, usize) {
     let gctx = GlobalContext::new(tech, design, 1);
-    audit_pins_budget(&gctx, &accessor, None, None).0
+    let rows = RowIndex::build(tech, design);
+    let select = |comp, pin_idx| accessor(comp, pin_idx).as_ref().map(ScanAp::of);
+    audit_pins_budget(&gctx, &rows, select, None, None).0
 }
 
-/// The audit over a prebuilt [`GlobalContext`], optionally short-cutting
-/// with per-pin `hints` (the last repair round's scan verdicts, aligned
-/// with `gctx.pins.list()`; `None` entries are probed normally). When
-/// every pin carries a hint, no audit context is built and the packed
-/// whole-design context is never read — the scan already probed the
-/// identical context. Hinted pins still flow through
-/// the `audit.pin` executor, so fault isolation, budgeting and the
-/// thread-count identity contract are unchanged.
+/// The audit over a prebuilt [`GlobalContext`] and row index, optionally
+/// short-cutting with per-pin `hints` (the last repair round's scan
+/// verdicts, aligned with `gctx.pins.list()`; `None` entries are probed
+/// normally). When every pin carries a hint, nothing is resolved or
+/// built — the scan already probed the identical context. Otherwise
+/// `select` resolves each connected pin's access point and every
+/// unhinted pin is probed in its local context ([`Reach::probe`]).
+/// Hinted pins still flow through the `audit.pin` executor, so fault
+/// isolation, budgeting and the thread-count identity contract are
+/// unchanged.
 pub(crate) fn audit_pins_budget(
     gctx: &GlobalContext<'_>,
-    accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + Sync),
+    rows: &RowIndex,
+    select: impl Fn(CompId, usize) -> Option<ScanAp>,
     hints: Option<&[Option<bool>]>,
     budget: Option<PhaseBudget<'_>>,
 ) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
-    let (tech, design) = (gctx.tech, gctx.design);
     let connected = gctx.pins.list();
     let hints = hints.filter(|h| h.len() == connected.len());
-    let engine = DrcEngine::new(tech);
-    let unhinted: Vec<usize> = (0..connected.len())
-        .filter(|&i| hints.is_none_or(|h| h[i].is_none()))
-        .collect();
-    let ctx = if unhinted.is_empty() {
+    let engine = DrcEngine::new(gctx.tech);
+    let reach = if hints.is_some_and(|h| h.iter().all(Option::is_some)) {
         pao_obs::counter_add("audit.hinted_all", 1);
         None
-    } else if hints.is_some() && unhinted.len() * 8 <= connected.len() {
-        // A hinted audit with only a few residual probes (the last repair
-        // round's greedy pins) doesn't need the full base+vias repack:
-        // every probe reads only within its via shapes' per-layer search
-        // halos, so a context holding just those windows' shapes gives
-        // identical verdicts. The windows are filled from the packed
-        // base plus a raw (never packed) selected-via set — raw queries
-        // scan each layer's pending items linearly, which for a handful
-        // of windows beats packing four-digit via counts outright.
-        // Shapes duplicated by overlapping windows are verdict-neutral:
-        // merged checks take idempotent same-owner unions, pairwise
-        // checks merely re-test the same pair.
-        pao_obs::counter_add("audit.windowed_ctx", 1);
-        let base = gctx.base();
-        let mut vias = ShapeSet::new(base.num_layers());
-        for &(comp, pin_idx) in connected {
-            if let Some(ap) = accessor(comp, pin_idx) {
-                if let Some(v) = ap.primary_via() {
-                    for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                        vias.insert_deferred(layer, rect, pin_owner(comp, pin_idx));
-                    }
-                }
-            }
-        }
-        let mut wctx = ShapeSet::new(base.num_layers());
-        for &i in &unhinted {
-            let (comp, pin_idx) = connected[i];
-            let Some(ap) = accessor(comp, pin_idx) else {
-                continue;
-            };
-            let Some(v) = ap.primary_via() else { continue };
-            for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                let w = rect.expanded(engine.halo(layer));
-                let mut put = |r: Rect, o: Owner| {
-                    wctx.insert_deferred(layer, r, o);
-                    true
-                };
-                base.for_each_in(layer, w, &mut put);
-                vias.for_each_in(layer, w, &mut put);
-            }
-        }
-        wctx.rebuild();
-        Some(wctx)
     } else {
-        Some(gctx.with_vias(accessor))
+        let selected = connected.iter().map(|&(c, p)| select(c, p)).collect();
+        Some(Reach::new(gctx, rows, &engine, selected))
     };
     probe_pins(
         &engine,
-        design,
+        gctx.design,
         connected,
-        accessor,
         hints,
-        ctx.as_ref(),
+        reach.as_ref().map(ProbeCtx::Local),
         gctx.threads,
         budget,
     )
+}
+
+/// Where [`probe_pins`] reads each pin's selected access point and the
+/// context its probe checks against.
+pub(crate) enum ProbeCtx<'a> {
+    /// One set holding every shape any of the probes can read, and each
+    /// pin's selected access point (aligned with the pins).
+    Shared(&'a ShapeSet, &'a [Option<ScanAp>]),
+    /// Each pin's own local context under the reach's selection (aligned
+    /// with the pins).
+    Local(&'a Reach<'a>),
+}
+
+impl ProbeCtx<'_> {
+    /// `true` when `(comp, pin_idx)`, the `i`-th probed pin, has clean
+    /// access: its selected via lands clean, or it has planar-only
+    /// access (macro pins).
+    fn clean(
+        &self,
+        engine: &DrcEngine<'_>,
+        i: usize,
+        (comp, pin_idx): (CompId, usize),
+        lp: &mut LocalProbe,
+    ) -> bool {
+        let ap = match self {
+            ProbeCtx::Shared(_, selected) => selected[i],
+            ProbeCtx::Local(reach) => reach.selected[i],
+        };
+        match (ap, self) {
+            (None, _) => false,
+            (
+                Some(ScanAp {
+                    via: None,
+                    planar_ok,
+                    ..
+                }),
+                _,
+            ) => planar_ok,
+            (
+                Some(ScanAp {
+                    via: Some(v), pos, ..
+                }),
+                ProbeCtx::Shared(set, _),
+            ) => {
+                let via = engine.tech().via(v);
+                engine.via_placement_clean(via, pos, pin_owner(comp, pin_idx), set, &mut lp.ws)
+            }
+            (
+                Some(ScanAp {
+                    via: Some(v), pos, ..
+                }),
+                ProbeCtx::Local(reach),
+            ) => reach.probe(engine, comp, pin_idx, v, pos, |_| false, &[], lp),
+        }
+    }
 }
 
 /// Probes `pins` with the audit's exact `via_placement_clean` in `ctx`,
@@ -1873,14 +1843,12 @@ pub(crate) fn audit_pins_budget(
 /// A pin without a selected access point, or whose probe was skipped by
 /// the budget or quarantined, was never certified clean, so it counts as
 /// failed. Behind the cold audit and the ECO window tail alike.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_pins(
     engine: &DrcEngine<'_>,
     design: &Design,
     pins: &[(CompId, usize)],
-    accessor: &(impl Fn(CompId, usize) -> Option<AccessPoint> + Sync),
     hints: Option<&[Option<bool>]>,
-    ctx: Option<&ShapeSet>,
+    ctx: Option<ProbeCtx<'_>>,
     threads: usize,
     budget: Option<PhaseBudget<'_>>,
 ) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
@@ -1888,28 +1856,16 @@ pub(crate) fn probe_pins(
     let (oks, exec) = parallel_map(
         ExecOptions::new(threads, "audit.pin").with_budget(budget),
         (0..pins.len()).collect::<Vec<_>>(),
-        DrcScratch::new,
-        |ws, i| {
+        LocalProbe::default,
+        |lp, i| {
             if let Some(ok) = hints.and_then(|h| h[i]) {
                 pao_obs::counter_add("audit.hint_hits", 1);
                 return ok;
             }
-            let (comp, pin_idx) = pins[i];
-            let ok = match (accessor(comp, pin_idx), ctx) {
-                (Some(ap), Some(ctx)) => match ap.primary_via() {
-                    Some(v) => engine.via_placement_clean(
-                        tech.via(v),
-                        ap.pos,
-                        pin_owner(comp, pin_idx),
-                        ctx,
-                        ws,
-                    ),
-                    // Planar-only access (macro pins): accept.
-                    None => !ap.planar.is_empty(),
-                },
-                _ => false,
-            };
-            ws.flush_obs();
+            let ok = ctx
+                .as_ref()
+                .is_some_and(|ctx| ctx.clean(engine, i, pins[i], lp));
+            lp.ws.flush_obs();
             ok
         },
     );
@@ -1972,6 +1928,80 @@ fn scan_shapes_reference(
         }
     }
     (csr, bounds)
+}
+
+/// The whole-design context as one monolithic pack, the reference every
+/// local context must agree with: every template shape, and the
+/// selected via of every connected pin whose owner `ripped` lacks.
+#[cfg(test)]
+fn packed_reference(
+    gctx: &GlobalContext<'_>,
+    selected: &[Option<ScanAp>],
+    ripped: &std::collections::HashSet<Owner>,
+) -> ShapeSet {
+    let mut set = ShapeSet::new(gctx.tech.layers().len());
+    for ci in 0..gctx.design.components().len() {
+        gctx.for_each_shape(CompId(ci as u32), |l, r, o| set.insert_deferred(l, r, o));
+    }
+    for (&(comp, pin_idx), ap) in gctx.pins.list().iter().zip(selected) {
+        let owner = pin_owner(comp, pin_idx);
+        if let Some(ScanAp {
+            pos, via: Some(v), ..
+        }) = *ap
+        {
+            if !ripped.contains(&owner) {
+                for (l, r) in gctx.tech.via(v).each_placed_shape(pos) {
+                    set.insert_deferred(l, r, owner);
+                }
+            }
+        }
+    }
+    set.rebuild();
+    set
+}
+
+/// [`replace_dirty`] over the packed reference: the dirty pins' selected
+/// vias ripped up, and each committed via inserted as the loop goes.
+#[cfg(test)]
+fn replace_dirty_reference(
+    gctx: &GlobalContext<'_>,
+    selected: &[Option<ScanAp>],
+    result: &mut PaoResult,
+    dirty: &[(CompId, usize)],
+) -> usize {
+    let (tech, engine) = (gctx.tech, DrcEngine::new(gctx.tech));
+    let ripped = dirty.iter().map(|&(c, p)| pin_owner(c, p)).collect();
+    let mut ctx = packed_reference(gctx, selected, &ripped);
+    let candidates: Vec<_> = dirty
+        .iter()
+        .map(|&(c, p)| repair_candidates(result, gctx.design, c, p))
+        .collect();
+    let (mut ws, mut repaired) = (DrcScratch::new(), 0);
+    for (&(comp, pin_idx), (current, cands)) in dirty.iter().zip(candidates) {
+        let owner = pin_owner(comp, pin_idx);
+        let placed = cands.into_iter().find_map(|cand| {
+            let v = cand.primary_via()?;
+            engine
+                .via_placement_clean(tech.via(v), cand.pos, owner, &ctx, &mut ws)
+                .then_some((cand, v))
+        });
+        let kept = match placed {
+            Some((cand, v)) => {
+                let pos = cand.pos;
+                result.overrides.insert((comp, pin_idx), cand);
+                repaired += 1;
+                Some((v, pos))
+            }
+            None => current.and_then(|cur| Some((cur.primary_via()?, cur.pos))),
+        };
+        for (l, r) in kept
+            .into_iter()
+            .flat_map(|(v, pos)| tech.via(v).each_placed_shape(pos))
+        {
+            ctx.insert(l, r, owner);
+        }
+    }
+    repaired
 }
 
 #[cfg(test)]
@@ -2054,7 +2084,7 @@ mod tests {
     ) -> pao_geom::Dbu {
         let gctx = GlobalContext::new(tech, design, 1);
         let rows = RowIndex::build(tech, design);
-        let reach = ScanReach::new(&gctx, &rows, &DrcEngine::new(tech), selected);
+        let reach = Reach::new(&gctx, &rows, &DrcEngine::new(tech), selected.to_vec());
         let tree: pao_geom::RTree<u32> = pao_geom::RTree::bulk_load(
             reach
                 .bounds
@@ -2107,9 +2137,80 @@ mod tests {
         reach.hang
     }
 
-    /// The stage-1 reference on every suite case and smoke, under the
-    /// selections of a BCA and a `--no-bca` analysis (the latter with
-    /// repair overrides).
+    /// Every connected pin's verdict in its local context must equal its
+    /// verdict in the packed reference. Returns the pins whose selected
+    /// via is dirty there, in connected order.
+    fn assert_local_matches_packed(
+        gctx: &GlobalContext<'_>,
+        selected: &[Option<ScanAp>],
+        label: &str,
+    ) -> Vec<(CompId, usize)> {
+        let (tech, design) = (gctx.tech, gctx.design);
+        let rows = RowIndex::build(tech, design);
+        let engine = DrcEngine::new(tech);
+        let packed = packed_reference(gctx, selected, &std::collections::HashSet::new());
+        let reach = Reach::new(gctx, &rows, &engine, selected.to_vec());
+        let (mut lp, mut ws) = (LocalProbe::default(), DrcScratch::new());
+        let mut dirty = Vec::new();
+        for (i, (&(comp, pin_idx), ap)) in gctx.pins.list().iter().zip(selected).enumerate() {
+            let Some(ScanAp {
+                pos, via: Some(v), ..
+            }) = *ap
+            else {
+                continue;
+            };
+            let owner = pin_owner(comp, pin_idx);
+            let want = engine.via_placement_clean(tech.via(v), pos, owner, &packed, &mut ws);
+            let got = reach.probe(&engine, comp, pin_idx, v, pos, |_| false, &[], &mut lp);
+            assert_eq!(got, want, "{label}: pin {i} ({comp}/{pin_idx} at {pos})");
+            if !want {
+                dirty.push((comp, pin_idx));
+            }
+        }
+        dirty
+    }
+
+    /// The audit and greedy re-placement under `result`'s selection must
+    /// agree with the packed reference: every pin's verdict, the failed
+    /// count [`count_failed_pins_threaded`] reports, and the overrides
+    /// re-placing the first 150 dirty pins leaves. Returns the number of
+    /// failed pins.
+    fn assert_result_matches_packed(
+        tech: &Tech,
+        design: &Design,
+        result: &PaoResult,
+        label: &str,
+    ) -> usize {
+        let gctx = GlobalContext::new(tech, design, 1);
+        let selected: Vec<Option<ScanAp>> = gctx
+            .pins
+            .list()
+            .iter()
+            .map(|&(c, p)| scan_ap(result, design, c, p))
+            .collect();
+        let dirty = assert_local_matches_packed(&gctx, &selected, label);
+        let unrouted = selected
+            .iter()
+            .filter(|ap| ap.is_none_or(|ap| ap.via.is_none() && !ap.planar_ok))
+            .count();
+        let failed = dirty.len() + unrouted;
+        let audited = count_failed_pins_threaded(tech, design, result, 2).0 .1;
+        assert_eq!(audited, failed, "{label}: audit");
+        let dirty = &dirty[..dirty.len().min(150)];
+        let rows = RowIndex::build(tech, design);
+        let engine = DrcEngine::new(tech);
+        let reach = Reach::new(&gctx, &rows, &engine, selected.clone());
+        let (mut got, mut want) = (result.clone(), result.clone());
+        let repaired = replace_dirty(&reach, &engine, &mut got, dirty, 0);
+        let expected = replace_dirty_reference(&gctx, &selected, &mut want, dirty);
+        assert_eq!(repaired, expected, "{label}: repaired");
+        assert_eq!(got.overrides, want.overrides, "{label}: overrides");
+        failed
+    }
+
+    /// The stage-1 and packed-context references on every suite case and
+    /// smoke, under the selections of a BCA and a `--no-bca` analysis (the
+    /// latter with repair overrides) and of a random access point per pin.
     #[test]
     fn stage_one_matches_reference_on_suite_cases() {
         let mut cases = pao_testgen::ispd18s_suite();
@@ -2133,6 +2234,24 @@ mod tests {
                     .collect();
                 let label = format!("{} bca={bca}", case.name);
                 assert!(assert_stage_one_matches_reference(&t, &d, &selected, &label) > 0);
+                let failed = assert_result_matches_packed(&t, &d, &result, &label);
+                assert_eq!(failed, result.stats.failed_pins, "{label}: tail audit");
+                // A seeded random access point per pin, like the
+                // baseline's accessor: many dirty pins.
+                let mut rng = pao_ptest::Rng::new(selected.len() as u64);
+                let mut random = result.clone();
+                for (c, p) in connected_pins(&t, &d) {
+                    let aps = result.all_access_points(&d, c, p);
+                    if !aps.is_empty() {
+                        let ap = aps[rng.gen_range(0..aps.len())].clone();
+                        random.overrides.insert((c, p), ap);
+                    }
+                }
+                let label = format!("{label} random");
+                assert!(
+                    assert_result_matches_packed(&t, &d, &random, &label) > 0,
+                    "{label}"
+                );
             }
         }
     }
@@ -2298,6 +2417,64 @@ mod tests {
         let selected = synthetic_selection(&t, &d, gctx.pins.list());
         let hang = assert_stage_one_matches_reference(&t, &d, &selected, "unit");
         assert!(hang >= 200, "via hulls overhang their boxes: hang {hang}");
+        assert_local_matches_packed(&gctx, &selected, "unit");
+    }
+
+    /// A via with two bottom shapes: the merged-geometry check reads the
+    /// same-owner metal around their hull, beyond each shape's own
+    /// window. Here a pin rect between the two shapes (more than a halo
+    /// from both) extends the one touching the left shape into a notch,
+    /// which makes the via dirty.
+    #[test]
+    fn local_context_covers_a_split_bottom_enclosure() {
+        let (mut t, mut d) = world();
+        let (m1, v1, m2) = (LayerId(0), LayerId(1), LayerId(2));
+        let bar = t.add_via(ViaDef::new(
+            "bar",
+            m1,
+            vec![Rect::new(-400, -35, -270, 35), Rect::new(270, -35, 400, 35)],
+            v1,
+            vec![Rect::new(-35, -35, 35, 35)],
+            m2,
+            vec![Rect::new(-35, -65, 35, 65)],
+        ));
+        let mut cell = Macro::new("NOTCH", 1200, 1400);
+        cell.pins.push(Pin::new(
+            "A",
+            PinDir::Input,
+            vec![Port::rects(
+                m1,
+                vec![Rect::new(300, 665, 450, 735), Rect::new(450, 665, 600, 700)],
+            )],
+        ));
+        t.add_macro(cell);
+        let c = d.add_component(Component::new(
+            "notch",
+            "NOTCH",
+            Point::new(5000, 5000),
+            Orient::N,
+        ));
+        let mut n = Net::new("n_notch");
+        n.pins.push(NetPin::Comp {
+            comp: c,
+            pin: "A".into(),
+        });
+        d.add_net(n);
+        let gctx = GlobalContext::new(&t, &d, 1);
+        let selected: Vec<Option<ScanAp>> = gctx
+            .pins
+            .list()
+            .iter()
+            .map(|&(comp, _)| {
+                (comp == c).then_some(ScanAp {
+                    pos: Point::new(5600, 5700),
+                    via: Some(bar),
+                    planar_ok: false,
+                })
+            })
+            .collect();
+        let dirty = assert_local_matches_packed(&gctx, &selected, "split bottom");
+        assert_eq!(dirty, vec![(c, 0)]);
     }
 
     /// A small but complete world: 3-layer tech, one 2-pin cell, a design

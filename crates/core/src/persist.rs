@@ -1016,8 +1016,8 @@ impl EcoJournal {
             let journal = EcoJournal::create(&path)?;
             return Ok((journal, Vec::new(), None));
         }
-        let text = std::fs::read_to_string(&path)?;
-        let (entries, truncated, warning) = parse_journal(&text);
+        let bytes = std::fs::read(&path)?;
+        let (entries, truncated, warning) = parse_journal(&bytes);
         if truncated {
             // Drop the torn tail on disk too, so the next append extends a
             // well-formed file instead of burying garbage mid-journal.
@@ -1102,46 +1102,56 @@ fn entry_text(seq: u64, moves: usize, body: &str) -> String {
     )
 }
 
-/// Recovers `(entries, tail_truncated, warning)` from journal text.
+/// Recovers `(entries, tail_truncated, warning)` from journal bytes.
 /// Entries after the first malformed record are discarded.
-fn parse_journal(text: &str) -> (Vec<JournalEntry>, bool, Option<LoadCacheError>) {
+fn parse_journal(bytes: &[u8]) -> (Vec<JournalEntry>, bool, Option<LoadCacheError>) {
     let mut entries: Vec<JournalEntry> = Vec::new();
-    let bad = |line: usize, message: String| {
-        (
-            true,
-            Some(LoadCacheError {
-                message: format!("journal tail discarded: {message}"),
-                line,
-            }),
-        )
+    match read_entries(bytes, &mut entries) {
+        Ok(()) => (entries, false, None),
+        Err(warning) => (entries, true, Some(warning)),
+    }
+}
+
+/// Appends the journal's entries to `entries` in order, up to the first
+/// malformed record, which comes back as the warning. Lines decode one
+/// at a time, so a line that is not UTF-8 (a tail torn inside a
+/// multi-byte instance name) is one more malformed record.
+fn read_entries(bytes: &[u8], entries: &mut Vec<JournalEntry>) -> Result<(), LoadCacheError> {
+    let bad = |line: usize, message: String| LoadCacheError {
+        message: format!("journal tail discarded: {message}"),
+        line,
     };
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        let (t, w) = bad(1, "empty journal".to_owned());
-        return (entries, t, w);
+    if bytes.is_empty() {
+        return Err(bad(1, "empty journal".to_owned()));
+    }
+    // Split like `str::lines`: no empty line after the final newline.
+    let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    let mut lines = body.split(|&b| b == b'\n').enumerate().map(|(n, line)| {
+        std::str::from_utf8(line)
+            .map(|line| (n + 1, line))
+            .map_err(|_| bad(n + 1, "line is not valid UTF-8".to_owned()))
+    });
+    let Some((_, header)) = lines.next().transpose()? else {
+        return Err(bad(1, "empty journal".to_owned()));
     };
     if header.trim() != JOURNAL_MAGIC {
-        let (t, w) = bad(1, format!("expected `{JOURNAL_MAGIC}` header"));
-        return (entries, t, w);
+        return Err(bad(1, format!("expected `{JOURNAL_MAGIC}` header")));
     }
-    while let Some((n, line)) = lines.next() {
+    while let Some((n, line)) = lines.next().transpose()? {
         let line = line.trim_end();
         if line.is_empty() {
             continue;
         }
         if let Some(seq_str) = line.strip_prefix("REVOKE ") {
-            match seq_str.trim().parse::<u64>() {
-                Ok(seq) => entries.retain(|e| e.seq != seq),
-                Err(_) => {
-                    let (t, w) = bad(n + 1, "bad REVOKE sequence".to_owned());
-                    return (entries, t, w);
-                }
-            }
+            let seq = seq_str
+                .trim()
+                .parse::<u64>()
+                .map_err(|_| bad(n, "bad REVOKE sequence".to_owned()))?;
+            entries.retain(|e| e.seq != seq);
             continue;
         }
         let Some(rest) = line.strip_prefix("BEGIN ") else {
-            let (t, w) = bad(n + 1, format!("unexpected line `{line}`"));
-            return (entries, t, w);
+            return Err(bad(n, format!("unexpected line `{line}`")));
         };
         let mut seq = None;
         let mut count = None;
@@ -1156,38 +1166,31 @@ fn parse_journal(text: &str) -> (Vec<JournalEntry>, bool, Option<LoadCacheError>
             }
         }
         let (Some(seq), Some(count), Some(sum)) = (seq, count, sum) else {
-            let (t, w) = bad(n + 1, "bad BEGIN header".to_owned());
-            return (entries, t, w);
+            return Err(bad(n, "bad BEGIN header".to_owned()));
         };
         let mut body = String::new();
-        let mut moves = Vec::with_capacity(count);
+        let mut moves = Vec::with_capacity(count.min(64));
         for _ in 0..count {
-            let Some((mn, mline)) = lines.next() else {
-                let (t, w) = bad(n + 1, "entry truncated mid-moves".to_owned());
-                return (entries, t, w);
+            let Some((mn, mline)) = lines.next().transpose()? else {
+                return Err(bad(n, "entry truncated mid-moves".to_owned()));
             };
             let Some(m) = parse_move(mline.trim_end()) else {
-                let (t, w) = bad(mn + 1, format!("bad move line `{mline}`"));
-                return (entries, t, w);
+                return Err(bad(mn, format!("bad move line `{mline}`")));
             };
             body.push_str(mline.trim_end());
             body.push('\n');
             moves.push(m);
         }
         if fnv1a(body.as_bytes()) != sum {
-            let (t, w) = bad(n + 1, format!("entry seq={seq} failed its checksum"));
-            return (entries, t, w);
+            return Err(bad(n, format!("entry seq={seq} failed its checksum")));
         }
-        match lines.next() {
+        match lines.next().transpose()? {
             Some((_, cline)) if cline.trim_end() == format!("COMMIT {seq}") => {}
-            _ => {
-                let (t, w) = bad(n + 1, format!("entry seq={seq} missing COMMIT"));
-                return (entries, t, w);
-            }
+            _ => return Err(bad(n, format!("entry seq={seq} missing COMMIT"))),
         }
         entries.push(JournalEntry { seq, moves });
     }
-    (entries, false, None)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1293,17 +1296,46 @@ mod journal_tests {
     }
 
     #[test]
+    fn tail_torn_inside_a_multibyte_name_is_discarded() {
+        let path = tmp("torn_utf8");
+        let mut j = EcoJournal::create(&path).unwrap();
+        let b1 = vec![mv("u1", EcoTarget::Abs(Point::new(1, 2)))];
+        j.append(&b1).unwrap();
+        j.append(&[mv("zelle_\u{fc}", EcoTarget::Abs(Point::new(3, 4)))])
+            .unwrap();
+        drop(j);
+        // A kill mid-append cuts `\u{fc}` (0xC3 0xBC) after its first byte.
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = bytes.windows(2).position(|w| w == [0xC3, 0xBC]).unwrap() + 1;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (_, entries, warn) = EcoJournal::resume(&path).unwrap();
+        assert_eq!(entries, vec![JournalEntry { seq: 1, moves: b1 }]);
+        let warn = warn.expect("torn tail must be reported");
+        assert!(warn.message.contains("not valid UTF-8"), "{warn:?}");
+        assert_eq!(warn.line, 6, "{warn:?}");
+        // Resume rewrote the committed prefix: a second resume is clean.
+        let (_, again, warn) = EcoJournal::resume(&path).unwrap();
+        assert_eq!(again, entries);
+        assert!(warn.is_none(), "{warn:?}");
+    }
+
+    #[test]
     fn random_byte_smashes_never_panic_or_misparse() {
         let path = tmp("fuzz");
         let mut j = EcoJournal::create(&path).unwrap();
         for i in 0..4 {
-            j.append(&[mv(&format!("u{i}"), EcoTarget::Abs(Point::new(i, -i)))])
-                .unwrap();
+            j.append(&[mv(
+                &format!("zelle_\u{fc}{i}"),
+                EcoTarget::Abs(Point::new(i, -i)),
+            )])
+            .unwrap();
         }
         drop(j);
-        let text = std::fs::read_to_string(&path).unwrap();
+        let original = std::fs::read(&path).unwrap();
+        let (_, reference, warn) = EcoJournal::resume(&path).unwrap();
+        assert!(warn.is_none(), "{warn:?}");
         pao_ptest::check("journal.byte_mutation", 200, |rng| {
-            let mut bytes = text.clone().into_bytes();
+            let mut bytes = original.clone();
             if rng.gen_bool(0.3) {
                 bytes.truncate(rng.gen_range(0..bytes.len()));
             } else {
@@ -1312,11 +1344,10 @@ mod journal_tests {
                     bytes[i] = rng.gen_range(0..=255u64) as u8;
                 }
             }
-            let mutated = String::from_utf8_lossy(&bytes).into_owned();
-            let (entries, _, _) = parse_journal(&mutated);
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, entries, _) = EcoJournal::resume(&path).unwrap();
             // Recovered entries must be a prefix of the originals: a
             // mutation may shorten the journal, never change a move.
-            let (reference, _, _) = parse_journal(&text);
             assert!(entries.len() <= reference.len());
             for (got, want) in entries.iter().zip(&reference) {
                 assert_eq!(got, want, "mutation changed a recovered entry");

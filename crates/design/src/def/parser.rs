@@ -237,11 +237,22 @@ impl<'t, R: BufRead> DefParser<'t, R> {
         u32::try_from(v).or_else(|_| self.err(format!("count {v} out of range")))
     }
 
+    /// Parses a coordinate: an integer that fits in 32 bits, the bound
+    /// every LEF length has too, which leaves the 64-bit geometry
+    /// arithmetic (sums, areas in `i128`) far from overflow.
+    fn coord(&mut self) -> Result<Dbu> {
+        let v = self.int()?;
+        if i32::try_from(v).is_err() {
+            return self.err(format!("coordinate {v} does not fit in 32 bits"));
+        }
+        Ok(v)
+    }
+
     /// Parses `( x y )`.
     fn point(&mut self) -> Result<Point> {
         self.expect("(")?;
-        let x = self.int()?;
-        let y = self.int()?;
+        let x = self.coord()?;
+        let y = self.coord()?;
         self.expect(")")?;
         Ok(Point::new(x, y))
     }
@@ -301,16 +312,16 @@ impl<'t, R: BufRead> DefParser<'t, R> {
         self.expect("ROW")?;
         let name = self.next_string()?;
         let site = self.next_string()?;
-        let x = self.int()?;
-        let y = self.int()?;
+        let x = self.coord()?;
+        let y = self.coord()?;
         let orient = self.orient()?;
         self.expect("DO")?;
         let nx = self.count()?;
         self.expect("BY")?;
         let ny = self.count()?;
         self.expect("STEP")?;
-        let sx = self.int()?;
-        let _sy = self.int()?;
+        let sx = self.coord()?;
+        let _sy = self.coord()?;
         self.expect(";")?;
         if ny != 1 {
             return self.err("only DO n BY 1 rows are supported");
@@ -337,11 +348,11 @@ impl<'t, R: BufRead> DefParser<'t, R> {
             "Y" => Dir::Horizontal,
             other => return self.err(format!("expected TRACKS X or Y, found `{other}`")),
         };
-        let start = self.int()?;
+        let start = self.coord()?;
         self.expect("DO")?;
         let count = self.count()?;
         self.expect("STEP")?;
-        let step = self.int()?;
+        let step = self.coord()?;
         if step <= 0 {
             return self.err(format!("TRACKS STEP must be positive, found {step}"));
         }
@@ -721,6 +732,31 @@ DESIGN x ;\nCOMPONENTS 0 ;\nEND COMPONENTS\nNETS 1 ;\n - n ( ghost A ) ;\nEND NE
 DESIGN x ;\nGCELLGRID X 0 DO 10 STEP 3000 ;\nVIAS 0 ;\nEND VIAS\nEND DESIGN";
         let d = parse_def(src, &t).unwrap();
         assert_eq!(d.name, "x");
+    }
+
+    #[test]
+    fn rejects_coordinates_beyond_32_bits() {
+        let t = tech();
+        let far = SAMPLE.replace("PLACED ( 380 0 )", "PLACED ( 9223372036854775000 0 )");
+        let err = parse_def(&far, &t).unwrap_err();
+        assert!(err.message.contains("does not fit in 32 bits"), "{err}");
+        assert_eq!(err.line, 12);
+        for (from, to) in [
+            ("ROW row_0 core 0 0", "ROW row_0 core 0 -2147483649"),
+            ("STEP 380 0 ;\nROW row_1", "STEP 4294967296 0 ;\nROW row_1"),
+            ("TRACKS Y 140", "TRACKS Y 2147483648"),
+            ("STEP 280 LAYER", "STEP 2147483648 LAYER"),
+            ("( 40000 38000 )", "( 40000 -9223372036854775808 )"),
+        ] {
+            assert!(SAMPLE.contains(from), "{from}");
+            let err = parse_def(&SAMPLE.replace(from, to), &t).unwrap_err();
+            assert!(
+                err.message.contains("does not fit in 32 bits"),
+                "{to}: {err}"
+            );
+        }
+        let edge = SAMPLE.replace("PLACED ( 380 0 )", "PLACED ( 2147483647 -2147483648 )");
+        assert!(parse_def(&edge, &t).is_ok());
     }
 
     #[test]

@@ -503,12 +503,10 @@ impl<'t> DrcEngine<'t> {
     /// `true` when `via` at `at` passes every *pairwise* rule against
     /// `ctx` (cut spacing, metal spacing, EOL) — the merged-geometry
     /// rules are skipped. This is [`Self::via_placement_clean`] minus
-    /// the same-owner merged checks, for split-context probing: when the
-    /// base placement and the selected vias live in two separate packed
-    /// sets, probing the base with the full check and the via set with
-    /// this one covers every rule exactly once, because merged geometry
-    /// only ever unions same-owner shapes and a pin's own via copy adds
-    /// nothing to its own union.
+    /// the same-owner merged checks. Its one caller is the repair scan's
+    /// certified path, whose `ctx` holds only foreign shapes: merged
+    /// geometry only ever unions same-owner shapes, and a certified
+    /// pin's own-cell checks were already proven clean.
     #[must_use]
     pub fn via_pairwise_clean(
         &self,

@@ -78,7 +78,7 @@ impl fmt::Display for Owner {
 /// assert_eq!(ctx.query(LayerId(0), Rect::new(5, 5, 6, 6)).count(), 1);
 /// assert_eq!(ctx.query(LayerId(1), Rect::new(5, 5, 6, 6)).count(), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShapeSet {
     layers: Vec<RTree<Owner>>,
 }
@@ -136,68 +136,6 @@ impl ShapeSet {
     pub fn rebuild(&mut self) {
         for t in &mut self.layers {
             t.rebuild();
-        }
-    }
-
-    /// Stitches independently packed shard sets into one set — the
-    /// whole-design scaling path. Each shard keeps its per-layer subtree
-    /// intact ([`pao_geom::RTree::from_shards`]), so shards can be built
-    /// and packed on worker threads while the merged result depends only
-    /// on the shard partitioning, never on thread count.
-    ///
-    /// An empty `shards` yields a set spanning zero layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shards span differing numbers of layers.
-    #[must_use]
-    pub fn from_shards(shards: Vec<ShapeSet>) -> ShapeSet {
-        let num_layers = shards.first().map_or(0, ShapeSet::num_layers);
-        let mut per_layer: Vec<Vec<RTree<Owner>>> = (0..num_layers)
-            .map(|_| Vec::with_capacity(shards.len()))
-            .collect();
-        for s in shards {
-            assert_eq!(
-                s.num_layers(),
-                num_layers,
-                "shard contexts must span the same layers"
-            );
-            for (li, tree) in s.layers.into_iter().enumerate() {
-                per_layer[li].push(tree);
-            }
-        }
-        ShapeSet {
-            layers: per_layer.into_iter().map(RTree::from_shards).collect(),
-        }
-    }
-
-    /// A new, fully packed set holding this set's shapes plus `extra`'s —
-    /// one bulk load per layer, with none of the clone-then-rebuild waste
-    /// of copying an index that is about to be discarded. `extra` need not
-    /// be rebuilt; its raw items are read directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sets span a different number of layers.
-    #[must_use]
-    pub fn merged(&self, extra: &ShapeSet) -> ShapeSet {
-        assert_eq!(
-            self.layers.len(),
-            extra.layers.len(),
-            "merged contexts must span the same layers"
-        );
-        ShapeSet {
-            layers: self
-                .layers
-                .iter()
-                .zip(&extra.layers)
-                .map(|(a, b)| {
-                    let mut items = Vec::with_capacity(a.len() + b.len());
-                    items.extend(a.iter().copied());
-                    items.extend(b.iter().copied());
-                    RTree::bulk_load(items)
-                })
-                .collect(),
         }
     }
 
@@ -378,34 +316,6 @@ mod tests {
             false
         }));
         assert_eq!(first, 1);
-    }
-
-    #[test]
-    fn from_shards_merges_layers_and_owners() {
-        let mut a = ShapeSet::new(2);
-        a.insert_deferred(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1));
-        a.insert_deferred(LayerId(1), Rect::new(0, 0, 10, 10), Owner::obs(7));
-        a.rebuild();
-        let mut b = ShapeSet::new(2);
-        b.insert_deferred(LayerId(0), Rect::new(100, 0, 110, 10), Owner::pin(2));
-        b.rebuild();
-        let merged = ShapeSet::from_shards(vec![a, b, ShapeSet::new(2)]);
-        assert_eq!(merged.num_layers(), 2);
-        assert_eq!(merged.len(), 3);
-        let w = Rect::new(-1000, -1000, 1000, 1000);
-        let mut l0: Vec<Owner> = merged.query(LayerId(0), w).map(|(_, o)| o).collect();
-        l0.sort();
-        assert_eq!(l0, vec![Owner::pin(1), Owner::pin(2)]);
-        assert_eq!(merged.query(LayerId(1), w).count(), 1);
-        // The merged set still composes with the audit-path repack.
-        let full = merged.merged(&ShapeSet::new(2));
-        assert_eq!(full.len(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_shards_rejects_layer_mismatch() {
-        let _ = ShapeSet::from_shards(vec![ShapeSet::new(1), ShapeSet::new(2)]);
     }
 
     #[test]

@@ -141,58 +141,6 @@ impl<T> RTree<T> {
         self.root = level.pop();
     }
 
-    /// Concatenates pre-packed shard trees into one tree **without**
-    /// re-sorting their items: each shard's subtree is kept intact (leaf
-    /// indices rebased into the merged arena) and the shard roots are
-    /// packed upward into a single root.
-    ///
-    /// This is the scaling path for whole-design contexts: shards are
-    /// bulk-loaded independently (possibly on worker threads), then
-    /// stitched in O(items) with no global sort. The resulting tree
-    /// structure depends only on the shard partitioning — never on how
-    /// many threads packed the shards — so query results and iteration
-    /// order are reproducible.
-    ///
-    /// Spatially disjoint shards (e.g. contiguous placement chunks) keep
-    /// query cost near a monolithic pack; fully overlapping shards
-    /// degrade toward scanning one subtree per shard.
-    #[must_use]
-    pub fn from_shards(shards: Vec<RTree<T>>) -> RTree<T> {
-        let total: usize = shards.iter().map(RTree::len).sum();
-        let mut items: Vec<(Rect, T)> = Vec::with_capacity(total);
-        let mut overflow: Vec<usize> = Vec::new();
-        let mut roots: Vec<Node> = Vec::new();
-        for shard in shards {
-            let base = items.len() as u32;
-            if let Some(mut root) = shard.root {
-                rebase_node(&mut root, base);
-                roots.push(root);
-            }
-            overflow.extend(shard.overflow.iter().map(|&i| i + base as usize));
-            items.extend(shard.items);
-        }
-        // Pack shard roots upward exactly like build_root's level loop.
-        let mut level = roots;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(NODE_CAPACITY));
-            let mut iter = level.into_iter().peekable();
-            while iter.peek().is_some() {
-                let children: Vec<Node> = iter.by_ref().take(NODE_CAPACITY).collect();
-                let mut bbox = children[0].bbox();
-                for c in &children[1..] {
-                    bbox = Rect::hull(bbox, c.bbox());
-                }
-                next.push(Node::Inner { bbox, children });
-            }
-            level = next;
-        }
-        RTree {
-            items,
-            root: level.pop(),
-            overflow,
-        }
-    }
-
     /// Number of stored items.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -287,23 +235,6 @@ impl<T> RTree<T> {
     /// Iterates over all stored items.
     pub fn iter(&self) -> std::slice::Iter<'_, (Rect, T)> {
         self.items.iter()
-    }
-}
-
-/// Shifts every leaf item index by `base` — rebases a shard subtree into
-/// the merged arena of [`RTree::from_shards`].
-fn rebase_node(node: &mut Node, base: u32) {
-    match node {
-        Node::Leaf { items, .. } => {
-            for i in items {
-                *i += base;
-            }
-        }
-        Node::Inner { children, .. } => {
-            for c in children {
-                rebase_node(c, base);
-            }
-        }
     }
 }
 
@@ -547,83 +478,6 @@ mod tests {
         tree.insert(Rect::new(1, 1, 2, 2), (1, 1));
         tree.rebuild();
         assert!(tree.any_touching(Rect::new(0, 0, 3, 3)));
-    }
-
-    #[test]
-    fn from_shards_matches_monolithic_queries() {
-        // Three disjoint placement chunks plus one with overflow inserts.
-        let mut all: Vec<(Rect, (i64, i64))> = Vec::new();
-        let mut shards: Vec<RTree<(i64, i64)>> = Vec::new();
-        for s in 0..3i64 {
-            let mut items = Vec::new();
-            for i in 0..7 {
-                for j in 0..5 {
-                    let r = Rect::new(
-                        s * 1000 + i * 100,
-                        j * 100,
-                        s * 1000 + i * 100 + 60,
-                        j * 100 + 60,
-                    );
-                    items.push((r, (s * 100 + i, j)));
-                }
-            }
-            all.extend(items.iter().copied());
-            shards.push(RTree::bulk_load(items));
-        }
-        let mut tail = RTree::new();
-        tail.defer_insert(Rect::new(5000, 0, 5010, 10), (999, 0));
-        all.push((Rect::new(5000, 0, 5010, 10), (999, 0)));
-        shards.push(tail);
-        shards.push(RTree::new()); // empty shard is fine
-        let merged = RTree::from_shards(shards);
-        assert_eq!(merged.len(), all.len());
-        let windows = [
-            Rect::new(-100, -100, 6000, 1000),
-            Rect::new(950, 150, 1250, 450), // straddles a shard boundary
-            Rect::new(4990, 0, 5050, 50),   // overflow-only region
-            Rect::new(7000, 7000, 7001, 7001),
-        ];
-        for w in windows {
-            let mut expect: Vec<(i64, i64)> = all
-                .iter()
-                .filter(|(r, _)| r.touches(w))
-                .map(|&(_, t)| t)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(query_set(&merged, w), expect, "window {w}");
-        }
-    }
-
-    #[test]
-    fn from_shards_structure_is_partition_deterministic() {
-        // Same partition → same iteration order, regardless of who packs.
-        let make = || {
-            let shards: Vec<RTree<u32>> = (0..4)
-                .map(|s| {
-                    RTree::bulk_load(
-                        (0..9)
-                            .map(|i| {
-                                (Rect::new(s * 50 + i, i, s * 50 + i + 3, i + 3), {
-                                    (s * 9 + i) as u32
-                                })
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            RTree::from_shards(shards)
-        };
-        let a = make();
-        let b = make();
-        let seq = |t: &RTree<u32>| -> Vec<u32> {
-            let mut v = Vec::new();
-            t.visit(Rect::new(-1000, -1000, 1000, 1000), &mut |_, &k| {
-                v.push(k);
-                true
-            });
-            v
-        };
-        assert_eq!(seq(&a), seq(&b));
     }
 
     #[test]

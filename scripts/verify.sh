@@ -99,20 +99,24 @@ for t in 2 4; do
         || { echo "selection dump diverged for: --threads $t"; exit 1; }
 done
 # Without BCA, selection leaves conflicts for the repair rounds (572
-# repaired pins on ispd18s_test2): overrides, direct probes against the
-# packed whole-design context and greedy re-placement all run, and the
-# dumps and counters must still match across thread counts.
+# repaired pins on ispd18s_test2, ~950 on the N14 aes14): overrides,
+# direct probes and greedy re-placement, each probe in its own local
+# window context, all run on two techs, and the dumps and counters must
+# still match across thread counts.
 target/release/pao gen ispd18s_test2 --lef "$rep/t2.lef" --def "$rep/t2.def" > /dev/null
-for t in 1 4; do
-    target/release/pao analyze "$rep/t2.lef" "$rep/t2.def" --no-bca --threads "$t" \
-        --dump-selection "$rep/nobca-sel-$t.txt" > "$rep/nobca-$t.txt"
+target/release/pao gen aes14 --lef "$rep/aes14.lef" --def "$rep/aes14.def" > /dev/null
+for case in t2 aes14; do
+    for t in 1 4; do
+        target/release/pao analyze "$rep/$case.lef" "$rep/$case.def" --no-bca --threads "$t" \
+            --dump-selection "$rep/nobca-$case-sel-$t.txt" > "$rep/nobca-$case-$t.txt"
+    done
+    cmp -s "$rep/nobca-$case-sel-1.txt" "$rep/nobca-$case-sel-4.txt" \
+        || { echo "$case --no-bca selection dump diverged between 1 and 4 threads"; exit 1; }
+    diff <(counters "$rep/nobca-$case-1.txt") <(counters "$rep/nobca-$case-4.txt") \
+        || { echo "$case --no-bca counters diverged between 1 and 4 threads"; exit 1; }
+    grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-$case-1.txt" \
+        || { echo "$case --no-bca arm repaired nothing"; exit 1; }
 done
-cmp -s "$rep/nobca-sel-1.txt" "$rep/nobca-sel-4.txt" \
-    || { echo "--no-bca selection dump diverged between 1 and 4 threads"; exit 1; }
-diff <(counters "$rep/nobca-1.txt") <(counters "$rep/nobca-4.txt") \
-    || { echo "--no-bca counters diverged between 1 and 4 threads"; exit 1; }
-grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-1.txt" \
-    || { echo "--no-bca arm repaired nothing"; exit 1; }
 echo "selection identity: OK"
 
 echo "== store input stamp =="
@@ -143,7 +147,7 @@ for t in 1 4; do
         --checkpoint "$ckpt" --resume --report "$rep/nobca-res-$t.txt" \
         --dump-selection "$rep/nobca-res-$t.sel" > /dev/null 2> "$rep/nobca-res-$t.err"
     stamp_ok "--no-bca x$t" "$rep/nobca-res-$t.txt" "$rep/nobca-res-$t.sel" \
-        "$rep/nobca-res-$t.err" "$rep/nobca-$t.txt" "$rep/nobca-sel-$t.txt"
+        "$rep/nobca-res-$t.err" "$rep/nobca-t2-$t.txt" "$rep/nobca-t2-sel-$t.txt"
     rm -rf "$ckpt"
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --checkpoint "$ckpt" > /dev/null 2>&1
@@ -195,8 +199,8 @@ echo "== sweep scale identity =="
 # thread-count-invariant: the deterministic fields of the sweep JSON
 # (everything but the timings and RSS) are identical at 1 and 4 threads
 # for both the benchmark size and the streamed 20k case. (These runs
-# never build the packed whole-design context: every pin is certified
-# and the audit fully hinted.)
+# make no direct probe and no greedy re-placement, and their audit is
+# fully hinted: every verdict comes from the repair scan.)
 sweepdir="$(mktemp -d /tmp/pao_sweepchk_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep" "$sweepdir"' EXIT
 det() { # strip timing/rss fields, keep counters

@@ -87,10 +87,10 @@ fn smoke_benchmark_identical_across_thread_counts() {
 }
 
 /// Without BCA, selection leaves conflicts behind, so the repair rounds
-/// place overrides, probe pins directly against the packed whole-design
-/// context and re-place pins greedily — every path that reads it. The
-/// result must still be identical at any thread count, and the audit
-/// inside the run must agree with an independent whole-design audit.
+/// place overrides, probe pins directly and re-place pins greedily —
+/// every path that builds a local probe context. The result must still
+/// be identical at any thread count, and the audit inside the run must
+/// agree with an independent whole-design audit.
 /// aes14 has members of one unique instance on different nets, which a
 /// scan verdict memo keyed without the neighbors' via pins confuses.
 #[test]
@@ -110,7 +110,7 @@ fn without_bca_identical_across_thread_counts_and_audited() {
         let base = run(1);
         assert!(
             base.stats.repaired_pins > 0,
-            "{}: no repair override, the packed context went unused",
+            "{}: no repair override, the local probe contexts went unused",
             case.name
         );
         let ((total, failed), _) =
