@@ -17,7 +17,7 @@
 //!
 //! Rendered tables are also written under `out/`.
 
-use pao_bench::experiments::{run_expt1, run_expt2};
+use pao_bench::experiments::{run_expt1, run_expt2, run_fig9};
 use pao_bench::report::{print_table, Table};
 use pao_core::oracle::count_failed_pins_with;
 use pao_core::{CoordType, PaoConfig, PinAccessOracle};
@@ -245,19 +245,7 @@ fn expt3_14nm(fast: bool) {
         case.nets = 380;
     }
     println!("14 nm study: {} ({} instances)", case.name, case.cells);
-    let (tech, design) = generate(&case);
-    let result = PinAccessOracle::new().analyze(&tech, &design);
-    let s = &result.stats;
-    let mut off_track = 0usize;
-    let mut total = 0usize;
-    for u in &result.unique {
-        for aps in &u.pin_aps {
-            for ap in aps {
-                total += 1;
-                off_track += usize::from(ap.is_off_track());
-            }
-        }
-    }
+    let o = run_fig9(&case);
     let mut t = Table::new(
         "14 nm AES study (Fig. 9): PAAF on the 14 nm flavour",
         &[
@@ -271,24 +259,23 @@ fn expt3_14nm(fast: bool) {
         ],
     );
     t.row(vec![
-        case.name.clone(),
-        design.components().len().to_string(),
-        s.unique_instances.to_string(),
-        s.total_pins.to_string(),
-        s.failed_pins.to_string(),
+        o.name.clone(),
+        o.insts.to_string(),
+        o.unique_insts.to_string(),
+        o.total_pins.to_string(),
+        o.failed_pins.to_string(),
         format!(
-            "{off_track}/{total} ({:.0}%)",
-            100.0 * off_track as f64 / total.max(1) as f64
+            "{}/{} ({:.0}%)",
+            o.off_track_aps,
+            o.total_aps,
+            100.0 * o.off_track_aps as f64 / o.total_aps.max(1) as f64
         ),
-        format!("{:.2}", s.total_time().as_secs_f64()),
+        format!("{:.2}", o.time.as_secs_f64()),
     ]);
     print_table(&t);
     save("expt3_14nm.txt", &t.render());
-
     // Fig. 9: a cell access overview (off-track APs enabled automatically).
-    let comp = pao_design::CompId(0);
-    let svg = pao_viz::render_cell_access(&tech, &design, &result, comp);
-    save("fig9_aes14.svg", &svg);
+    save("fig9_aes14.svg", &o.svg);
 }
 
 fn ablations(fast: bool) {

@@ -180,6 +180,49 @@ pub fn run_expt3(case: &SuiteCase) -> Expt3Outcome {
     }
 }
 
+/// The outcome of the 14 nm study (Fig. 9): PAAF on the 14 nm-flavoured
+/// AES case, whose pin shapes leave no on-track access point.
+#[derive(Debug, Clone)]
+pub struct Fig9Outcome {
+    /// Testcase name.
+    pub name: String,
+    /// Placed instances.
+    pub insts: usize,
+    /// Unique instance count.
+    pub unique_insts: usize,
+    /// Total connected instance pins.
+    pub total_pins: usize,
+    /// Failed pins after the full flow.
+    pub failed_pins: usize,
+    /// Access points with an off-track coordinate.
+    pub off_track_aps: usize,
+    /// All access points.
+    pub total_aps: usize,
+    /// Analysis runtime.
+    pub time: Duration,
+    /// Fig. 9's access overview of the first component, as SVG.
+    pub svg: String,
+}
+
+/// Runs the 14 nm study on one testcase.
+#[must_use]
+pub fn run_fig9(case: &SuiteCase) -> Fig9Outcome {
+    let (tech, design) = generate(case);
+    let pao = PinAccessOracle::new().analyze(&tech, &design);
+    let s = &pao.stats;
+    Fig9Outcome {
+        name: case.name.clone(),
+        insts: design.components().len(),
+        unique_insts: s.unique_instances,
+        total_pins: s.total_pins,
+        failed_pins: s.failed_pins,
+        off_track_aps: s.off_track_aps,
+        total_aps: s.total_aps,
+        time: s.total_time(),
+        svg: pao_viz::render_cell_access(&tech, &design, &pao, pao_design::CompId(0)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

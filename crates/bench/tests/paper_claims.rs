@@ -1,9 +1,10 @@
 //! The paper's headline claims as assertions over the ten `ispd18s`
-//! cases, measured by the same experiment runners that print Tables II
-//! and III (`tables -- table2|table3`).
+//! cases and the 14 nm AES case, measured by the same experiment runners
+//! that print Tables II and III and the 14 nm study
+//! (`tables -- table2|table3|expt3-14nm`).
 
-use pao_bench::{run_expt1, run_expt2};
-use pao_testgen::ispd18s_suite;
+use pao_bench::{run_expt1, run_expt2, run_fig9};
+use pao_testgen::{aes14_case, ispd18s_suite};
 
 /// Table II: PAAF generates no dirty access point and at least as many
 /// access points as the baseline, whose own access points include dirty
@@ -38,4 +39,18 @@ fn table3_bca_leaves_no_failed_pin() {
             row.paaf_failed_bca
         );
     }
+}
+
+/// Fig. 9: on the 14 nm flavour every access point is off-track, and
+/// still no pin fails.
+#[test]
+fn fig9_aes14_is_clean_with_off_track_access() {
+    let o = run_fig9(&aes14_case());
+    assert_eq!(o.failed_pins, 0, "{}: failed pins", o.name);
+    assert!(o.total_aps > 0, "{}: no access point", o.name);
+    assert_eq!(
+        o.off_track_aps, o.total_aps,
+        "{}: on-track access points",
+        o.name
+    );
 }

@@ -12,8 +12,9 @@ use crate::args::Args;
 use crate::{emit, load_world, parse_threads, CliError};
 use pao_core::{PaoConfig, PaoResult, PinAccessOracle};
 use pao_design::{CompId, Design};
-use pao_drc::{RuleKind, SubCheck};
+use pao_drc::{reject_label, RuleKind, SubCheck};
 use pao_geom::Point;
+use pao_obs::json::quote;
 use pao_obs::{LedgerDump, LedgerEvent};
 use pao_tech::Tech;
 use std::collections::BTreeMap;
@@ -40,39 +41,11 @@ fn ledger_analyze(tech: &Tech, design: &Design, threads: usize) -> (PaoResult, L
     (result, dump)
 }
 
-/// Presentation name for a record's reject attribution. Undecodable
-/// codes (the `NO_CODE` sentinel) mean no via candidate existed at all,
-/// so there was no rule to blame.
-fn reject_label(rule: u8, subcheck: u8) -> String {
-    match (RuleKind::from_code(rule), SubCheck::from_code(subcheck)) {
-        (Some(r), Some(s)) => format!("{r} ({s})"),
-        (Some(r), None) => r.to_string(),
-        _ => "no via candidate".to_owned(),
-    }
-}
-
 /// Layer name for a record's `aux` layer index, or a stable fallback.
 fn layer_name(tech: &Tech, idx: u32) -> String {
     tech.layers()
         .get(idx as usize)
         .map_or_else(|| format!("layer{idx}"), |l| l.name.to_string())
-}
-
-/// Minimal JSON string encoder. Names come from LEF/DEF identifiers and
-/// are almost always plain, but escape defensively anyway.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `pao explain <lef> <def> (--pin INSTANCE/PIN | --inst INSTANCE)`:
@@ -358,7 +331,7 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
             "\"unique_instances\": {}, \"records\": {}, \"dropped\": {}, ",
             "\"total_aps\": {}, \"failed_pins\": {}}}"
         ),
-        json_str(&design.name),
+        quote(&design.name),
         design.components().len(),
         result.unique.len(),
         dump.records.len(),
@@ -375,8 +348,8 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
         };
         lines.push(format!(
             "{{\"kind\": \"reject\", \"rule\": {}, \"subcheck\": {}, \"count\": {count}}}",
-            json_str(&rname),
-            json_str(&sname),
+            quote(&rname),
+            quote(&sname),
         ));
     }
     // Per-master aggregates over the master's unique instances (each
@@ -399,7 +372,7 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
                 "{{\"kind\": \"master\", \"master\": {}, \"unique_instances\": {insts}, ",
                 "\"members\": {members}, \"aps\": {aps}, \"rejects\": {rej}}}"
             ),
-            json_str(master),
+            quote(master),
             insts = insts,
             members = members,
             aps = aps,
@@ -426,9 +399,9 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
                     "{{\"kind\": \"pin\", \"inst\": {}, \"master\": {}, \"pin\": {}, ",
                     "\"members\": {}, \"aps\": {aps}, \"rejects\": {rej}}}"
                 ),
-                json_str(rep),
-                json_str(&ua.info.master),
-                json_str(&pin),
+                quote(rep),
+                quote(&ua.info.master),
+                quote(&pin),
                 ua.info.members.len(),
                 aps = aps,
                 rej = rej,
@@ -457,8 +430,8 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
                 "\"aps\": {aps}, \"rejects\": {rej}}}"
             ),
             rank + 1,
-            json_str(rep),
-            json_str(&pin),
+            quote(rep),
+            quote(&pin),
             aps = aps,
             rej = rej,
         ));

@@ -897,25 +897,10 @@ impl LocalProbe {
     }
 }
 
-/// Per-worker scan state: the probe buffers plus the verdict memo and
-/// its reusable key buffer.
-#[derive(Default)]
-struct ScanScratch {
-    /// Stage 1 fills its `cands`, stage 2 its `wins` (halo windows) and
-    /// `ctx` (the foreign shapes inside them); a direct probe refills
-    /// all three.
-    local: LocalProbe,
-    memo: std::collections::HashMap<Vec<u64>, bool>,
-    /// Neighbors whose shapes meet the probe windows, each with its
-    /// range in `vpins`.
-    neigh: Vec<(u32, usize, usize)>,
-    /// Pins whose selected vias meet the probe windows, per neighbor.
-    vpins: Vec<u64>,
-    /// Memo-key parts of the current pin's neighbors: offset, identity
-    /// and their range in `vpins`.
-    tuples: Vec<(i64, i64, u64, usize, usize)>,
-    key: Vec<u64>,
-}
+/// What a full probe adds to its context ([`Reach::probe`]): selected
+/// vias whose owner the predicate holds are left out (greedy
+/// re-placement's ripped-up pins), and the listed shapes are added.
+type FullProbe<'p> = (&'p dyn Fn(Owner) -> bool, &'p [(LayerId, Rect, Owner)]);
 
 /// The hull of each via's shapes around its drop point, by via id.
 pub(crate) fn via_hulls(tech: &Tech) -> Vec<Rect> {
@@ -931,9 +916,8 @@ pub(crate) fn via_hulls(tech: &Tech) -> Vec<Rect> {
 }
 
 /// Which components can reach a probe's windows under one selection,
-/// found through the tail's row index: stage 1 of the repair scan, and
-/// the source of the local context every other post-pattern probe reads
-/// ([`Reach::probe`]).
+/// found through the tail's row index, and the local context each
+/// post-pattern probe reads ([`Reach::fill`]).
 pub(crate) struct Reach<'r> {
     gctx: &'r GlobalContext<'r>,
     rows: &'r RowIndex,
@@ -942,7 +926,7 @@ pub(crate) struct Reach<'r> {
     selected: Vec<Option<ScanAp>>,
     /// Hull of each via's shapes around its drop point.
     via_hulls: Vec<Rect>,
-    /// The widest search halo among each via's own layers.
+    /// The widest search halo (at least 1) among each via's own layers.
     via_margins: Vec<pao_geom::Dbu>,
     /// Component reach bounds: base-shape hull grown by every selected
     /// via's full placed hull, so all via geometry is covered even where
@@ -971,9 +955,9 @@ impl<'r> Reach<'r> {
             .iter()
             .map(|v| {
                 v.each_placed_shape(pao_geom::Point::new(0, 0))
-                    .map(|(l, _)| engine.halo(l))
+                    .map(|(l, _)| engine.halo(l).max(1))
                     .max()
-                    .unwrap_or(0)
+                    .unwrap_or(1)
             })
             .collect();
         let mut bounds: Vec<Option<Rect>> = gctx.bounds.clone();
@@ -1009,8 +993,8 @@ impl<'r> Reach<'r> {
     }
 
     /// The stage-1 window of via `v` dropped at `pos`: its hull grown by
-    /// the widest halo of its layers, which bounds every context shape a
-    /// probe of it can read.
+    /// the widest halo of its layers, which holds every probe window
+    /// [`fill`](Self::fill) grows from it.
     fn window(&self, v: pao_tech::ViaId, pos: pao_geom::Point) -> Rect {
         self.via_hulls[v.index()]
             .translated(pos)
@@ -1031,27 +1015,34 @@ impl<'r> Reach<'r> {
         out.dedup();
     }
 
-    /// `true` when via `v` lands clean at `pos` for pin `pin_idx` of
-    /// `comp`, probed in its local context: every template shape and
-    /// selected via of `comp` and of each component whose reach bounds
-    /// meet the windows, that touches a window on its layer. A window is
-    /// a via shape grown by its layer's halo (at least 1: the reach of
-    /// every engine query), so the probe reads nothing the context
-    /// lacks, and its verdict is the whole design's. Selected vias whose
-    /// owner `skip` holds are left out (greedy re-placement's ripped-up
-    /// pins), and the `placed` shapes inside the windows are added.
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
+    /// Fills `lp.ctx` with what a probe of via `v` at `pos` for `comp`
+    /// reads, and returns `false` when that is nothing. The candidates
+    /// are the components whose reach bounds meet the stage-1
+    /// [window](Self::window); their template shapes and selected vias
+    /// that touch a probe window on its layer land in the context. A
+    /// probe window is a via shape grown by its layer's halo (at least 1:
+    /// the reach of every engine query), so the probe reads nothing the
+    /// context lacks, and its verdict is the whole design's.
+    ///
+    /// Without `full` the context is foreign only, what a pairwise probe
+    /// reads, and the fill stops after the candidate query when there is
+    /// no candidate. With `full` (see [`FullProbe`]) it holds `comp`'s own
+    /// shapes and vias too, and a via with several bottom shapes adds
+    /// their hull grown by 1: the merged-geometry check reads same-owner
+    /// metal around it, which their own windows may not cover.
+    fn fill(
         &self,
         engine: &DrcEngine<'_>,
         comp: CompId,
-        pin_idx: usize,
         v: pao_tech::ViaId,
         pos: pao_geom::Point,
-        skip: impl Fn(Owner) -> bool,
-        placed: &[(LayerId, Rect, Owner)],
+        full: Option<FullProbe<'_>>,
         lp: &mut LocalProbe,
     ) -> bool {
+        self.candidates(comp, self.window(v, pos), &mut lp.cands);
+        if full.is_none() && lp.cands.is_empty() {
+            return false;
+        }
         let tech = self.gctx.tech;
         let via = tech.via(v);
         lp.wins.clear();
@@ -1059,26 +1050,20 @@ impl<'r> Reach<'r> {
             lp.wins
                 .push((layer, rect.expanded(engine.halo(layer).max(1))));
         }
-        if via.bottom_shapes.len() > 1 {
-            // The merged-geometry check reads same-owner metal around the
-            // bottom shapes' hull, which their own windows may not cover.
-            let hull = via.bottom_bbox().translated(pos).expanded(1);
-            lp.wins.push((via.bottom_layer, hull));
+        if full.is_some() {
+            lp.cands.push(comp);
+            if via.bottom_shapes.len() > 1 {
+                let hull = via.bottom_bbox().translated(pos).expanded(1);
+                lp.wins.push((via.bottom_layer, hull));
+            }
         }
-        lp.cands.clear();
-        if let Some(w) = lp.wins.iter().map(|&(_, r)| r).reduce(Rect::hull) {
-            self.candidates(comp, w, &mut lp.cands);
-        }
-        lp.cands.push(comp);
         lp.reset(tech.layers().len());
         let LocalProbe {
-            ws,
-            wins,
-            cands,
-            ctx,
+            wins, cands, ctx, ..
         } = lp;
         let in_wins =
             |layer: LayerId, r: Rect| wins.iter().any(|&(wl, w)| wl == layer && r.touches(w));
+        let (skip, placed) = full.unwrap_or((&|_| false, &[]));
         for &c in cands.iter() {
             self.gctx.for_each_shape(c, |layer, r, o| {
                 if in_wins(layer, r) {
@@ -1098,7 +1083,28 @@ impl<'r> Reach<'r> {
                 ctx.insert_deferred(layer, r, o);
             }
         }
-        engine.via_placement_clean(via, pos, pin_owner(comp, pin_idx), ctx, ws)
+        !ctx.is_empty()
+    }
+
+    /// `true` when via `v` lands clean at `pos` for pin `pin_idx` of
+    /// `comp`: one full probe in its local context ([`fill`](Self::fill)),
+    /// with selected vias whose owner `skip` holds left out and the
+    /// `placed` shapes added.
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &self,
+        engine: &DrcEngine<'_>,
+        comp: CompId,
+        pin_idx: usize,
+        v: pao_tech::ViaId,
+        pos: pao_geom::Point,
+        skip: impl Fn(Owner) -> bool,
+        placed: &[(LayerId, Rect, Owner)],
+        lp: &mut LocalProbe,
+    ) -> bool {
+        self.fill(engine, comp, v, pos, Some((&skip, placed)), lp);
+        let via = self.gctx.tech.via(v);
+        engine.via_placement_clean(via, pos, pin_owner(comp, pin_idx), &lp.ctx, &mut lp.ws)
     }
 }
 
@@ -1176,222 +1182,64 @@ pub(crate) fn repair_failed_pins_budget(
             .map(|&(comp, pin_idx)| scan_ap(result, design, comp, pin_idx))
             .collect(),
     );
-    let overridden: std::collections::HashSet<u32> =
-        result.overrides.keys().map(|&(c, _)| c.0).collect();
-    let comp_uniq = &result.comp_uniq;
-    let selection = &result.selection;
-    let poisoned =
-        |c: u32| overridden.contains(&c) || comp_uniq.get(c as usize).copied().flatten().is_none();
-    // A pin of a certified component needs no probe when no foreign
-    // component is in reach: AP generation proved its via clean against
-    // the cell's own shapes, and whole-pattern validation proved the
-    // pattern's vias clean against each other — together exactly the
-    // isolated pin's probe environment.
-    let unique = &result.unique;
-    let certified = |c: u32| -> bool {
-        let Some(u) = comp_uniq.get(c as usize).copied().flatten() else {
+    let overridden: std::collections::HashSet<CompId> =
+        result.overrides.keys().map(|&(c, _)| c).collect();
+    // A pin of a certified component — no repair override, and a selected
+    // pattern whole-pattern validation proved — has its own-cell checks
+    // proven: AP generation probed its via against every own-cell shape,
+    // and validation probed the pattern's vias against each other. Only
+    // foreign shapes can still reject it, and only through pairwise rules
+    // (merged-geometry unions are same-owner, hence own). So a certified
+    // pin is clean unprobed when nothing foreign lands in its windows
+    // (`repair.scan.fast_clean`), and takes one pairwise probe over the
+    // foreign shapes otherwise; every other pin takes a full probe.
+    let (comp_uniq, selection, unique) = (&result.comp_uniq, &result.selection, &result.unique);
+    let certified = |c: CompId| -> bool {
+        let Some(u) = comp_uniq.get(c.index()).copied().flatten() else {
             return false;
         };
-        let Some(sel) = selection.get(c as usize).copied().flatten() else {
+        let Some(sel) = selection.get(c.index()).copied().flatten() else {
             return false;
         };
-        unique[u.index()]
-            .patterns
-            .get(sel)
-            .is_some_and(|p| p.validated)
-    };
-    // Scan neighborhoods: a probe for a pin's via only ever touches
-    // shapes within the via's own layers' search halos of its shapes,
-    // and a neighboring component's shapes all lie inside that
-    // component's reach bounds (base-shape hull grown by its selected
-    // via hulls). So the set of components that can influence the
-    // verdict is found with one row-index query of the via hull window
-    // (stage 1, `Reach`) — no per-shape walks — and the verdict is a
-    // pure function of the pin's (unique instance, pattern, pin index)
-    // plus every such neighbor's (offset, unique instance, pattern, and
-    // the pins whose selected vias reach the windows): equal keys see
-    // identical shape environments and the verdict transfers. Only
-    // connected pins place vias, so two members of one unique instance
-    // on different nets can differ in exactly those pins. A direct probe
-    // also reads the pin's own component's other vias, so an uncertified
-    // pin's key lists its own such pins too. Components carrying a repair
-    // override place vias off-pattern and components without a unique
-    // instance have no translation-invariant geometry; both poison the
-    // neighborhood and force direct probes, each one full probe in the
-    // pin's local context (`Reach::probe`).
-    // `(unique << 32) | pattern` — the memoized identity of one
-    // component. A missing pattern keeps the `u32::MAX` sentinel: its
-    // base shapes still follow from the unique instance, it just
-    // contributes no via.
-    let key_part = |c: u32| -> u64 {
-        let u = comp_uniq
-            .get(c as usize)
-            .copied()
-            .flatten()
-            .map_or(u64::MAX, |u| u.index() as u64);
-        let sel = selection
-            .get(c as usize)
-            .copied()
-            .flatten()
-            .map_or(u64::from(u32::MAX), |s| s as u64);
-        (u << 32) | sel
+        !overridden.contains(&c)
+            && unique[u.index()]
+                .patterns
+                .get(sel)
+                .is_some_and(|p| p.validated)
     };
     let (flags, exec) = {
-        let (reach, engine) = (&reach, &engine);
-        let (poisoned, key_part) = (&poisoned, &key_part);
+        let (reach, engine, certified) = (&reach, &engine, &certified);
         parallel_map(
             ExecOptions::new(gctx.threads, "repair.scan").with_budget(Some(budget)),
             (0..connected.len()).collect(),
-            ScanScratch::default,
-            move |s, i: usize| {
+            LocalProbe::default,
+            move |lp, i: usize| {
                 let (comp, pin_idx) = connected[i];
-                let dirty = match &reach.selected[i] {
-                    Some(ap) => 'verdict: {
-                        let Some(v) = ap.via else {
-                            // Planar-only verdicts are a field read.
-                            break 'verdict !ap.planar_ok;
-                        };
-                        let direct = |lp: &mut LocalProbe| {
-                            !reach.probe(engine, comp, pin_idx, v, ap.pos, |_| false, &[], lp)
-                        };
-                        if poisoned(comp.0) {
-                            break 'verdict direct(&mut s.local);
-                        }
-                        // Stage 1 — bbox filter: any foreign component
-                        // whose reach bounds meet the via hull window?
-                        reach.candidates(comp, reach.window(v, ap.pos), &mut s.local.cands);
-                        // Stage 2 — for bbox-near pins, refine to the
-                        // components whose shapes actually fall inside
-                        // the probe windows (per-shape, per-layer
-                        // halos). Pins whose windows hold nothing
-                        // foreign join the certified fast path after
-                        // all, and the memo key shrinks to the real
-                        // environment, so it repeats far more often.
-                        s.neigh.clear();
-                        s.vpins.clear();
-                        let own_certified = certified(comp.0);
-                        if !s.local.cands.is_empty() || !own_certified {
-                            s.local.wins.clear();
-                            for (layer, rect) in tech.via(v).each_placed_shape(ap.pos) {
-                                s.local
-                                    .wins
-                                    .push((layer, rect.expanded(engine.halo(layer))));
-                            }
-                            s.local.reset(tech.layers().len());
-                        }
-                        // `touches` (closed contact) matches the spatial
-                        // index's window semantics, so the neighbor sets
-                        // — and hence the memo keys — are the same ones
-                        // tree queries would yield.
-                        let wins = &s.local.wins;
-                        let in_wins = |layer: LayerId, r: Rect| {
-                            wins.iter().any(|&(wl, w)| wl == layer && r.touches(w))
-                        };
-                        if !s.local.cands.is_empty() {
-                            let (mini, vpins) = (&mut s.local.ctx, &mut s.vpins);
-                            for &nc in &s.local.cands {
-                                let mut hit = false;
-                                gctx.for_each_shape(nc, |layer, r, o| {
-                                    if in_wins(layer, r) {
-                                        mini.insert_deferred(layer, r, o);
-                                        hit = true;
-                                    }
-                                });
-                                let (lo, mut last) = (vpins.len(), None);
-                                gctx.for_each_selected_via(nc, &reach.selected, |pin, layer, r| {
-                                    if in_wins(layer, r) {
-                                        mini.insert_deferred(layer, r, pin_owner(nc, pin));
-                                        hit = true;
-                                        if last != Some(pin) {
-                                            vpins.push(pin as u64);
-                                            last = Some(pin);
-                                        }
-                                    }
-                                });
-                                if hit {
-                                    s.neigh.push((nc.0, lo, vpins.len()));
-                                }
-                            }
-                        }
-                        if s.neigh.is_empty() && own_certified {
-                            pao_obs::counter_add("repair.scan.fast_clean", 1);
-                            break 'verdict false;
-                        }
-                        if s.neigh.iter().any(|&(c, _, _)| poisoned(c)) {
-                            break 'verdict direct(&mut s.local);
-                        }
-                        let own_loc = design.component(comp).location;
-                        s.tuples.clear();
-                        for &(c, lo, hi) in &s.neigh {
-                            let loc = design.component(CompId(c)).location;
-                            s.tuples.push((
-                                loc.x - own_loc.x,
-                                loc.y - own_loc.y,
-                                key_part(c),
-                                lo,
-                                hi,
-                            ));
-                        }
-                        s.tuples.sort_unstable();
-                        s.key.clear();
-                        s.key.push(key_part(comp.0));
-                        s.key.push(pin_idx as u64);
-                        if !own_certified {
-                            let lo = s.key.len();
-                            s.key.push(0);
-                            let (key, mut last) = (&mut s.key, None);
-                            gctx.for_each_selected_via(comp, &reach.selected, |pin, layer, r| {
-                                if in_wins(layer, r) && last != Some(pin) {
-                                    key.push(pin as u64);
-                                    last = Some(pin);
-                                }
-                            });
-                            s.key[lo] = (s.key.len() - lo - 1) as u64;
-                        }
-                        for &(dx, dy, us, lo, hi) in &s.tuples {
-                            s.key.push(dx as u64);
-                            s.key.push(dy as u64);
-                            s.key.push(us);
-                            s.key.push((hi - lo) as u64);
-                            s.key.extend_from_slice(&s.vpins[lo..hi]);
-                        }
-                        // Worker-local memo: verdicts are pure functions
-                        // of the key, so results stay
-                        // thread-count-invariant.
-                        if let Some(&d) = s.memo.get(s.key.as_slice()) {
-                            pao_obs::counter_add("repair.scan.memo_hits", 1);
-                            d
+                let dirty = match reach.selected[i] {
+                    None => true,
+                    // Planar-only verdicts are a field read.
+                    Some(ScanAp {
+                        via: None,
+                        planar_ok,
+                        ..
+                    }) => !planar_ok,
+                    Some(ScanAp {
+                        via: Some(v), pos, ..
+                    }) => {
+                        if !certified(comp) {
+                            pao_obs::counter_add("repair.scan.probed", 1);
+                            !reach.probe(engine, comp, pin_idx, v, pos, |_| false, &[], lp)
+                        } else if reach.fill(engine, comp, v, pos, None, lp) {
+                            pao_obs::counter_add("repair.scan.probed", 1);
+                            let owner = pin_owner(comp, pin_idx);
+                            !engine.via_pairwise_clean(tech.via(v), pos, owner, &lp.ctx, &mut lp.ws)
                         } else {
-                            // A certified component's own-cell checks are
-                            // already proven (AP generation probed the via
-                            // against every own-cell shape; whole-pattern
-                            // validation probed sibling vias against each
-                            // other), so only the *foreign* shapes — the
-                            // exact set stage 2 copied into the scratch
-                            // mini-context — can still reject, and only
-                            // through pairwise rules: merged-geometry
-                            // unions are same-owner, hence own. One
-                            // pairwise probe over a handful of raw shapes
-                            // replaces a full local probe.
-                            let d = if own_certified {
-                                !engine.via_pairwise_clean(
-                                    tech.via(v),
-                                    ap.pos,
-                                    pin_owner(comp, pin_idx),
-                                    &s.local.ctx,
-                                    &mut s.local.ws,
-                                )
-                            } else {
-                                direct(&mut s.local)
-                            };
-                            s.memo.insert(s.key.clone(), d);
-                            pao_obs::counter_add("repair.scan.memo_misses", 1);
-                            d
+                            pao_obs::counter_add("repair.scan.fast_clean", 1);
+                            false
                         }
                     }
-                    None => true,
                 };
-                s.local.ws.flush_obs();
+                lp.ws.flush_obs();
                 dirty
             },
         )
@@ -1567,10 +1415,9 @@ fn pin_label(tech: &Tech, design: &Design, comp: CompId, pin_idx: usize) -> Stri
 /// location (0, 0). A placement transform maps a master point to
 /// `location + f(orient, width, height, point)`, so every component of
 /// one master and orientation has exactly its template's shapes
-/// translated by its location — the invariance unique instances and the
-/// scan memo's keys already rest on. Every probe reads neighbours
-/// through templates: the repair scan's stage 2 and each local context
-/// ([`Reach::probe`]) alike.
+/// translated by its location — the invariance unique instances already
+/// rest on. Every probe reads neighbours through templates, in the
+/// local context [`Reach::fill`] builds for it.
 pub(crate) struct GlobalContext<'a> {
     pub(crate) tech: &'a Tech,
     pub(crate) design: &'a Design,
@@ -2208,9 +2055,58 @@ mod tests {
         failed
     }
 
+    /// One repair round's scan over a clone of `result` must give every
+    /// connected pin the verdict the packed reference does: a planar field
+    /// read, a full probe, a fast clean or a pairwise probe alike. Returns
+    /// the number of dirty pins.
+    fn assert_scan_matches_packed(
+        tech: &Tech,
+        design: &Design,
+        result: &PaoResult,
+        label: &str,
+    ) -> usize {
+        let gctx = GlobalContext::new(tech, design, 2);
+        let rows = RowIndex::build(tech, design);
+        let token = crate::budget::CancelToken::never();
+        let (_, _, faults, skipped, flags) = repair_failed_pins_budget(
+            &gctx,
+            &rows,
+            &mut result.clone(),
+            0,
+            PhaseBudget::new(&token, None),
+        );
+        assert!(
+            faults.is_empty() && skipped == 0,
+            "{label}: scan incomplete"
+        );
+        let selected: Vec<Option<ScanAp>> = gctx
+            .pins
+            .list()
+            .iter()
+            .map(|&(c, p)| scan_ap(result, design, c, p))
+            .collect();
+        let packed = packed_reference(&gctx, &selected, &std::collections::HashSet::new());
+        let (engine, mut lp) = (DrcEngine::new(tech), LocalProbe::default());
+        let shared = ProbeCtx::Shared(&packed, &selected);
+        let mut dirty = 0;
+        for (i, (&pin, flag)) in gctx.pins.list().iter().zip(flags).enumerate() {
+            let want = shared.clean(&engine, i, pin, &mut lp);
+            assert_eq!(
+                flag,
+                Some(want),
+                "{label}: scan verdict of pin {i} ({pin:?})"
+            );
+            dirty += usize::from(!want);
+        }
+        dirty
+    }
+
     /// The stage-1 and packed-context references on every suite case and
     /// smoke, under the selections of a BCA and a `--no-bca` analysis (the
-    /// latter with repair overrides) and of a random access point per pin.
+    /// latter with repair overrides) and of a random access point per pin;
+    /// and the repair scan's verdicts under each analysis's selection, with
+    /// and without its overrides (the latter is round 0's, with the dirty
+    /// pins the repair rounds went on to move).
     #[test]
     fn stage_one_matches_reference_on_suite_cases() {
         let mut cases = pao_testgen::ispd18s_suite();
@@ -2236,6 +2132,19 @@ mod tests {
                 assert!(assert_stage_one_matches_reference(&t, &d, &selected, &label) > 0);
                 let failed = assert_result_matches_packed(&t, &d, &result, &label);
                 assert_eq!(failed, result.stats.failed_pins, "{label}: tail audit");
+                let dirty = assert_scan_matches_packed(&t, &d, &result, &label);
+                assert_eq!(dirty, failed, "{label}: scan");
+                if !result.overrides.is_empty() {
+                    let round0 = PaoResult {
+                        overrides: std::collections::HashMap::new(),
+                        ..result.clone()
+                    };
+                    let label = format!("{label} round 0");
+                    assert!(
+                        assert_scan_matches_packed(&t, &d, &round0, &label) > 0,
+                        "{label}"
+                    );
+                }
                 // A seeded random access point per pin, like the
                 // baseline's accessor: many dirty pins.
                 let mut rng = pao_ptest::Rng::new(selected.len() as u64);

@@ -275,17 +275,6 @@ pub struct OracleService {
     tails: [u64; 2],
 }
 
-/// Presentation label for a ledger reject attribution (mirrors
-/// `pao explain`): rule + sub-check, or the no-candidate sentinel.
-fn reject_label(rule: u8, subcheck: u8) -> String {
-    use pao_drc::{RuleKind, SubCheck};
-    match (RuleKind::from_code(rule), SubCheck::from_code(subcheck)) {
-        (Some(r), Some(s)) => format!("{r} ({s})"),
-        (Some(r), None) => r.to_string(),
-        _ => "no via candidate".to_owned(),
-    }
-}
-
 /// Deterministic text dump of a result's cluster-selection outcome: one
 /// line per component (selected pattern index), repair overrides in
 /// component order, and the failed-pin count. Byte-identical across
@@ -524,7 +513,7 @@ impl OracleService {
                 .pin_rejects(&signature_of(&self.result.unique[ui].info), pin_idx)
                 .iter()
                 .map(|&(rule, sub, count)| RejectCount {
-                    rule: reject_label(rule, sub),
+                    rule: pao_drc::reject_label(rule, sub),
                     count,
                 })
                 .collect()

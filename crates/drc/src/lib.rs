@@ -47,4 +47,4 @@ pub use engine::DrcEngine;
 pub use scratch::DrcScratch;
 pub use shapes::{Owner, ShapeSet};
 pub use sink::{CaptureFirst, CollectAll, CountOnly, DrcSink, FirstOnly};
-pub use violation::{DrcViolation, RejectInfo, RuleKind, SubCheck};
+pub use violation::{reject_label, DrcViolation, RejectInfo, RuleKind, SubCheck};

@@ -124,6 +124,19 @@ impl fmt::Display for SubCheck {
     }
 }
 
+/// Presentation name of a decision-ledger reject attribution: the rule
+/// and the sub-check it fired in. Undecodable codes (the ledger's
+/// no-code sentinel) mean no via candidate existed at all, so there was
+/// no rule to blame.
+#[must_use]
+pub fn reject_label(rule: u8, subcheck: u8) -> String {
+    match (RuleKind::from_code(rule), SubCheck::from_code(subcheck)) {
+        (Some(r), Some(s)) => format!("{r} ({s})"),
+        (Some(r), None) => r.to_string(),
+        _ => "no via candidate".to_owned(),
+    }
+}
+
 /// Attribution of one rejected probe: the rule that fired and the
 /// sub-check it fired in. Stored in [`DrcScratch`](crate::DrcScratch)
 /// after every rejected via probe, for decision-ledger recording.

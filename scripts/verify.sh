@@ -56,6 +56,7 @@ ckpt="$(mktemp -d /tmp/pao_ckpt_XXXXXX)"
 rep="$(mktemp -d /tmp/pao_rep_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep"' EXIT
 counters() { grep -E '^(unique|total|dirty|pins|off-track|repaired|failed|quarantined)' "$1"; }
+metrics() { sed -n '/^metrics:/,$p' "$1"; }
 for t in 1 4; do
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
         --threads "$t" --report "$rep/clean-$t.txt" \
@@ -99,21 +100,25 @@ for t in 2 4; do
         || { echo "selection dump diverged for: --threads $t"; exit 1; }
 done
 # Without BCA, selection leaves conflicts for the repair rounds (572
-# repaired pins on ispd18s_test2, ~950 on the N14 aes14): overrides,
+# repaired pins on ispd18s_test2, 958 on the N14 aes14): overrides,
 # direct probes and greedy re-placement, each probe in its own local
-# window context, all run on two techs, and the dumps and counters must
-# still match across thread counts.
+# window context, all run on two techs, and the dumps, counters and the
+# whole --metrics table must still match across thread counts.
 target/release/pao gen ispd18s_test2 --lef "$rep/t2.lef" --def "$rep/t2.def" > /dev/null
 target/release/pao gen aes14 --lef "$rep/aes14.lef" --def "$rep/aes14.def" > /dev/null
 for case in t2 aes14; do
     for t in 1 4; do
         target/release/pao analyze "$rep/$case.lef" "$rep/$case.def" --no-bca --threads "$t" \
-            --dump-selection "$rep/nobca-$case-sel-$t.txt" > "$rep/nobca-$case-$t.txt"
+            --metrics --dump-selection "$rep/nobca-$case-sel-$t.txt" > "$rep/nobca-$case-$t.txt"
     done
     cmp -s "$rep/nobca-$case-sel-1.txt" "$rep/nobca-$case-sel-4.txt" \
         || { echo "$case --no-bca selection dump diverged between 1 and 4 threads"; exit 1; }
     diff <(counters "$rep/nobca-$case-1.txt") <(counters "$rep/nobca-$case-4.txt") \
         || { echo "$case --no-bca counters diverged between 1 and 4 threads"; exit 1; }
+    grep -q '^metrics:' "$rep/nobca-$case-1.txt" \
+        || { echo "$case --no-bca --metrics printed no metrics table"; exit 1; }
+    diff <(metrics "$rep/nobca-$case-1.txt") <(metrics "$rep/nobca-$case-4.txt") \
+        || { echo "$case --no-bca metrics diverged between 1 and 4 threads"; exit 1; }
     grep -Eq '^repaired pins +: [1-9]' "$rep/nobca-$case-1.txt" \
         || { echo "$case --no-bca arm repaired nothing"; exit 1; }
 done
@@ -167,9 +172,9 @@ echo "== shared intra-cell work identity =="
 # counters repeat at any thread count, and the decision ledger behind
 # `pao report` is replayed per unique instance. repair.scan.fast_clean
 # counts the pins whose probe windows hold no foreign shape, so it also
-# fingerprints the repair scan's neighbour search (stages 1-2). (drc.probes
-# is not gated: the repair scan's memo is per worker, so it moves with the
-# thread count.)
+# fingerprints the repair scan's neighbour search. No phase keeps
+# per-worker state that changes what it computes, so the whole --metrics
+# table, drc.* included, repeats at any thread count.
 target/release/pao gen ispd18s_test4 --lef "$rep/t4.lef" --def "$rep/t4.def" > /dev/null
 shared_work() {
     grep -E '^ +(apgen\.via_memo\.misses|apgen\.planar_probes|pattern\.dp_runs|repair\.scan\.fast_clean) ' "$1"
@@ -182,8 +187,8 @@ for t in 1 4; do
 done
 [[ "$(shared_work "$rep/t4-1.txt" | wc -l)" == 4 ]] \
     || { echo "shared-work counters missing from --metrics"; exit 1; }
-diff <(shared_work "$rep/t4-1.txt") <(shared_work "$rep/t4-4.txt") \
-    || { echo "shared-work counters diverged between 1 and 4 threads"; exit 1; }
+diff <(metrics "$rep/t4-1.txt") <(metrics "$rep/t4-4.txt") \
+    || { echo "--metrics table diverged between 1 and 4 threads"; exit 1; }
 cmp -s "$rep/t4-1.jsonl" "$rep/t4-4.jsonl" \
     || { echo "pao report diverged between 1 and 4 threads"; exit 1; }
 echo "shared work identity: OK"

@@ -2,8 +2,8 @@
 //! re-parse, and verify the analysis is identical on both copies.
 
 use paaf::design::def;
-use paaf::pao::PinAccessOracle;
-use paaf::tech::lef;
+use paaf::pao::{PaoConfig, PinAccessOracle};
+use paaf::tech::{lef, Tech};
 use paaf::testgen::{generate, SuiteCase};
 
 #[test]
@@ -87,6 +87,66 @@ fn lef_parser_never_panics_on_truncation_or_byte_flips() {
         }
         let _ = lef::parse_lef(&String::from_utf8_lossy(&bytes));
     });
+}
+
+/// The DEF twin of the LEF test above: truncation at line boundaries
+/// (every 7th of a generated ispd18s_test2 DEF, every one of the
+/// checked-in `benchmarks/smoke.def`) and 1–3 random byte flips of
+/// either. Each gives a design or a typed [`def::ParseDefError`], never a
+/// panic, and a smoke variant that parses also analyzes on one thread
+/// without a panic (the analysis may quarantine items). Some smoke
+/// variants must parse, so the analysis half runs.
+#[test]
+fn def_parser_never_panics_on_truncation_or_byte_flips() {
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks");
+    let read = |name: &str| std::fs::read_to_string(format!("{bench}/{name}")).expect("readable");
+    let smoke_tech = lef::parse_lef(&read("smoke.lef")).expect("smoke LEF parses");
+    let case = paaf::testgen::case_by_name("ispd18s_test2").expect("suite case");
+    let (t2_tech, t2) = generate(&case);
+    // (text, tech, truncation stride, analyze what parses)
+    let sources = [
+        (def::write_def(&t2, &t2_tech), &t2_tech, 7, false),
+        (read("smoke.def"), &smoke_tech, 1, true),
+    ];
+    let oracle = PinAccessOracle::with_config(PaoConfig {
+        threads: 1,
+        ..PaoConfig::default()
+    });
+    let analyzed = std::cell::Cell::new(0usize);
+    let check = |text: &str, (_, tech, _, analyze): &(String, &Tech, usize, bool)| {
+        if let Ok(design) = def::parse_def(text, tech) {
+            if *analyze {
+                let _ = oracle.analyze(tech, &design);
+                analyzed.set(analyzed.get() + 1);
+            }
+        }
+    };
+    for source in &sources {
+        let (src, tech, stride, _) = source;
+        assert!(def::parse_def(src, tech).is_ok());
+        let lines: Vec<&str> = src.lines().collect();
+        for k in (0..lines.len()).step_by(*stride) {
+            check(&lines[..k].join("\n"), source);
+        }
+    }
+    // Half the flips write a byte that tends to matter to the parser:
+    // digits, signs, terminators, parentheses and the `*` of a
+    // repeated coordinate.
+    const LEXICAL: &[u8] = b"0123456789-+;()*";
+    pao_ptest::check("def.byte_flips", 512, |rng| {
+        let source = &sources[rng.gen_range(0..sources.len())];
+        let mut bytes = source.0.clone().into_bytes();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] = if rng.gen_range(0..2u32) == 0 {
+                LEXICAL[rng.gen_range(0..LEXICAL.len())]
+            } else {
+                rng.gen_range(0..=255u8)
+            };
+        }
+        check(&String::from_utf8_lossy(&bytes), source);
+    });
+    assert!(analyzed.get() > 0, "no smoke variant parsed");
 }
 
 #[test]
