@@ -430,7 +430,11 @@ fn scaling(fast: bool) {
             ..ispd18s_suite()[8].clone()
         };
         let (tech, design) = generate(&case);
-        let r = PinAccessOracle::new().analyze(&tech, &design);
+        let cfg = PaoConfig {
+            threads: 1,
+            ..PaoConfig::default()
+        };
+        let r = PinAccessOracle::with_config(cfg).analyze(&tech, &design);
         let s = &r.stats;
         t.row(vec![
             cells.to_string(),

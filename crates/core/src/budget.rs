@@ -1,14 +1,20 @@
 //! Deadline-aware anytime execution: cancellation tokens, per-phase
-//! budget allocation, and the stall-watchdog configuration.
+//! budget allocation, the stall-watchdog configuration, and the run
+//! that owns every degradation.
 //!
 //! PAAF is an oracle consulted by a detailed router under a wall-clock
 //! budget. This module makes the whole pipeline *anytime*: a
 //! [`CancelToken`] (an atomic flag plus an optional monotonic
-//! [`Instant`] deadline) is polled by every executor variant between
-//! work items, so an expired budget finishes in-flight items, marks the
-//! remaining ones skipped, and lets every phase degrade exactly like a
-//! quarantined item would (PR 4 semantics) — the oracle always returns a
-//! usable partial result, never aborts.
+//! [`Instant`] deadline) is polled by the executor between work items,
+//! so an expired budget finishes in-flight items, marks the remaining
+//! ones skipped, and lets every phase degrade exactly like a quarantined
+//! item would — the oracle always returns a usable partial result, never
+//! aborts.
+//!
+//! One run (`RunCtx`) owns that policy for every phase: it mints each
+//! phase's token, runs the phase's items (`PhaseRun::map`), and records
+//! the faults, skips and stalls that end up in [`PaoStats::quarantined`]
+//! and [`PaoStats::deadline`].
 //!
 //! All duration and deadline arithmetic in this module (and everywhere
 //! in the pipeline) uses the **monotonic** [`Instant`] clock. The
@@ -16,10 +22,11 @@
 //! provenance timestamps only and must never feed an elapsed-time or
 //! deadline comparison.
 
-use crate::error::Phase;
+use crate::error::{FaultRecord, Phase};
+use crate::parallel::{parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
 use crate::stats::PaoStats;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -30,9 +37,6 @@ pub enum CancelReason {
     Deadline,
     /// The watchdog detected a stalled worker and tripped the token.
     Stall,
-    /// An explicit caller-side cancellation (e.g. a test, or an embedding
-    /// router revoking the query).
-    External,
 }
 
 impl CancelReason {
@@ -42,7 +46,6 @@ impl CancelReason {
         match self {
             CancelReason::Deadline => "deadline",
             CancelReason::Stall => "stall",
-            CancelReason::External => "external",
         }
     }
 }
@@ -156,11 +159,6 @@ impl fmt::Display for DeadlineReport {
 #[derive(Debug)]
 struct TokenState {
     cancelled: AtomicBool,
-    /// Deterministic cut index for [`CancelToken::cancel_at`]: items with
-    /// input index strictly greater than this are skipped even if a
-    /// concurrent worker already computed them, which keeps deterministic
-    /// cancellations bit-identical across thread counts.
-    cut: AtomicUsize,
     deadline: Option<Instant>,
     reason: Mutex<Option<CancelReason>>,
     stalls: Mutex<Vec<StallRecord>>,
@@ -170,7 +168,6 @@ impl Default for TokenState {
     fn default() -> TokenState {
         TokenState {
             cancelled: AtomicBool::new(false),
-            cut: AtomicUsize::new(usize::MAX),
             deadline: None,
             reason: Mutex::new(None),
             stalls: Mutex::new(Vec::new()),
@@ -249,24 +246,6 @@ impl CancelToken {
         }
         drop(slot);
         self.inner.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Trips the token *at a specific input index*: items with index
-    /// `<= index` keep their results, later items are skipped even if a
-    /// concurrent worker already computed them. This is what makes a
-    /// deterministic cancellation (triggered from inside item `index`)
-    /// produce bit-identical output at every thread count.
-    pub fn cancel_at(&self, index: usize, reason: CancelReason) {
-        self.inner.cut.fetch_min(index, Ordering::SeqCst);
-        self.cancel(reason);
-    }
-
-    /// The deterministic cut index set by
-    /// [`cancel_at`](CancelToken::cancel_at) (`usize::MAX` when the token
-    /// was cancelled without one, or not at all).
-    #[must_use]
-    pub fn cut(&self) -> usize {
-        self.inner.cut.load(Ordering::SeqCst)
     }
 
     /// `true` once the token is tripped — explicitly, or lazily when the
@@ -598,6 +577,178 @@ impl RunBudget<'static> {
     }
 }
 
+/// One run's budget, clocks and degradations: the allocator every phase
+/// mints its token from, the watchdog, the start-of-run stopwatch and
+/// metrics snapshot, and every fault, skip and stall its phases recorded,
+/// which [`RunCtx::close`] stamps into the finished stats.
+pub(crate) struct RunCtx {
+    alloc: BudgetAllocator,
+    deadline: Option<Duration>,
+    watchdog: Option<Watchdog>,
+    start: Instant,
+    metrics_before: Option<pao_obs::MetricsSnapshot>,
+    faults: Vec<FaultRecord>,
+    skips: Vec<SkipRecord>,
+    stalls: Vec<StallRecord>,
+}
+
+impl RunCtx {
+    /// Starts the run clock and anchors the deadline at now.
+    pub(crate) fn new(
+        deadline: Option<Duration>,
+        fractions: PhaseFractions,
+        watchdog: Option<Watchdog>,
+    ) -> RunCtx {
+        RunCtx {
+            alloc: BudgetAllocator::new(deadline, fractions),
+            deadline,
+            watchdog,
+            start: Instant::now(),
+            metrics_before: pao_obs::metrics_enabled().then(pao_obs::snapshot),
+            faults: Vec::new(),
+            skips: Vec::new(),
+            stalls: Vec::new(),
+        }
+    }
+
+    /// The phase split this run allocates its deadline by.
+    pub(crate) fn fractions(&self) -> PhaseFractions {
+        self.alloc.fractions()
+    }
+
+    /// Starts `phase` under a token minted now from the time left (see
+    /// [`BudgetAllocator::phase_token`]) and the run's watchdog.
+    pub(crate) fn phase(&self, phase: Phase) -> PhaseRun {
+        PhaseRun {
+            phase,
+            token: self.alloc.phase_token(phase),
+            watchdog: self.watchdog,
+            faults: Vec::new(),
+            skipped: 0,
+        }
+    }
+
+    /// Ends `ph`: appends its faults, one [`SkipRecord`] for its skipped
+    /// items (a token latches its first reason, so they all share it) and
+    /// its token's stalls.
+    pub(crate) fn end(&mut self, ph: PhaseRun) {
+        self.faults.extend(ph.faults);
+        if ph.skipped > 0 {
+            pao_obs::counter_add(ph.phase.deadline_counter(), ph.skipped as u64);
+            self.skips.push(SkipRecord {
+                phase: ph.phase,
+                items: ph.skipped,
+                reason: ph.token.reason().unwrap_or(CancelReason::Deadline),
+            });
+        }
+        self.stalls.extend(ph.token.take_stalls());
+    }
+
+    /// `true` once an ended phase recorded a fault, a skip or a stall.
+    pub(crate) fn degraded(&self) -> bool {
+        !(self.faults.is_empty() && self.skips.is_empty() && self.stalls.is_empty())
+    }
+
+    /// Stamps the finished run into `stats`: its faults (bumping
+    /// `fault.quarantined.<phase>`), its deadline report, its wall time
+    /// and its metrics delta.
+    pub(crate) fn close(&mut self, stats: &mut PaoStats) {
+        for fault in &self.faults {
+            pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
+        }
+        stats.quarantined = std::mem::take(&mut self.faults);
+        stats.deadline = DeadlineReport {
+            budget: self.deadline,
+            skipped: std::mem::take(&mut self.skips),
+            stalls: std::mem::take(&mut self.stalls),
+        };
+        stats.run_time = self.start.elapsed();
+        if let Some(before) = &self.metrics_before {
+            stats.metrics = pao_obs::snapshot().delta_since(before);
+        }
+    }
+}
+
+/// One phase of a run: its cancel token and watchdog, and the faults and
+/// skips its items recorded so far. [`RunCtx::phase`] starts it and
+/// [`RunCtx::end`] hands its records to the run.
+pub(crate) struct PhaseRun {
+    phase: Phase,
+    token: CancelToken,
+    watchdog: Option<Watchdog>,
+    faults: Vec<FaultRecord>,
+    skipped: usize,
+}
+
+impl PhaseRun {
+    /// A phase outside any run: never cancelled and unwatched, its records
+    /// dropped with it.
+    pub(crate) fn unbudgeted(phase: Phase) -> PhaseRun {
+        PhaseRun {
+            phase,
+            token: CancelToken::never(),
+            watchdog: None,
+            faults: Vec::new(),
+            skipped: 0,
+        }
+    }
+
+    /// `true` once the phase's token has tripped.
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.token.is_cancelled()
+    }
+
+    /// Records a fault that no executor item raised (a typed error, a
+    /// failed store write).
+    pub(crate) fn fault(&mut self, fault: FaultRecord) {
+        self.faults.push(fault);
+    }
+
+    /// [`parallel_map`] of `f` over `items` as `threads` workers labelled
+    /// `label`, under the phase's token and watchdog. A panicked item comes
+    /// back `None` and is recorded as a fault named `name(index)`; a
+    /// skipped one comes back `None` and is counted.
+    pub(crate) fn map<T, R, S, I, F>(
+        &mut self,
+        label: &'static str,
+        threads: usize,
+        items: Vec<T>,
+        init: I,
+        f: F,
+        name: impl Fn(usize) -> String,
+    ) -> (Vec<Option<R>>, ExecReport)
+    where
+        T: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, T) -> R + Sync,
+    {
+        let budget = PhaseBudget::new(&self.token, self.watchdog);
+        let opts = ExecOptions::new(threads, label).with_budget(Some(budget));
+        let (out, exec) = parallel_map(opts, items, init, f);
+        let out = out
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| match r {
+                Ok(r) => Some(r),
+                Err(ItemFault::Skipped(_)) => {
+                    self.skipped += 1;
+                    None
+                }
+                Err(ItemFault::Panic(reason)) => {
+                    self.faults.push(FaultRecord {
+                        phase: self.phase,
+                        item: name(i),
+                        reason,
+                    });
+                    None
+                }
+            })
+            .collect();
+        (out, exec)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,7 +821,6 @@ mod tests {
         assert_eq!(t.reason(), None);
         assert_eq!(t.deadline(), None);
         assert_eq!(t.remaining(), None);
-        assert_eq!(t.cut(), usize::MAX);
     }
 
     #[test]
@@ -690,19 +840,9 @@ mod tests {
         let t = CancelToken::never();
         let c = t.clone();
         c.cancel(CancelReason::Stall);
-        t.cancel(CancelReason::External);
+        t.cancel(CancelReason::Deadline);
         assert!(t.is_cancelled());
         assert_eq!(t.reason(), Some(CancelReason::Stall));
-    }
-
-    #[test]
-    fn cancel_at_latches_minimum_cut() {
-        let t = CancelToken::never();
-        t.cancel_at(9, CancelReason::External);
-        t.cancel_at(4, CancelReason::External);
-        t.cancel_at(7, CancelReason::External);
-        assert_eq!(t.cut(), 4);
-        assert!(t.is_cancelled());
     }
 
     #[test]
@@ -780,6 +920,61 @@ mod tests {
         let t = alloc.phase_token(Phase::Pattern);
         assert!(t.is_cancelled());
         assert_eq!(t.reason(), Some(CancelReason::Deadline));
+    }
+
+    #[test]
+    fn run_records_each_phase_skips_and_faults() {
+        // A zero budget skips every item of a phase: one record, with the
+        // token's reason.
+        let mut run = RunCtx::new(Some(Duration::ZERO), PhaseFractions::DEFAULT, None);
+        let mut ph = run.phase(Phase::Pattern);
+        let (out, _) = ph.map(
+            "test.run.skip",
+            2,
+            vec![1u32, 2, 3],
+            || (),
+            |(), x| x,
+            |i| i.to_string(),
+        );
+        assert_eq!(out, vec![None; 3]);
+        run.end(ph);
+        assert!(run.degraded());
+        let mut stats = PaoStats::default();
+        run.close(&mut stats);
+        let skip = SkipRecord {
+            phase: Phase::Pattern,
+            items: 3,
+            reason: CancelReason::Deadline,
+        };
+        assert_eq!(stats.deadline.skipped, vec![skip]);
+        assert_eq!(stats.deadline.budget, Some(Duration::ZERO));
+        assert!(stats.quarantined.is_empty());
+
+        // A panicked item is a fault named by its index; the rest complete.
+        let mut run = RunCtx::new(None, PhaseFractions::DEFAULT, None);
+        let mut ph = run.phase(Phase::Audit);
+        let (out, _) = ph.map(
+            "test.run.fault",
+            2,
+            vec![1u32, 2, 3],
+            || (),
+            |(), x| {
+                assert!(x != 2, "two failed");
+                x
+            },
+            |i| format!("pin {i}"),
+        );
+        assert_eq!(out, vec![Some(1), None, Some(3)]);
+        run.end(ph);
+        let mut stats = PaoStats::default();
+        run.close(&mut stats);
+        let fault = FaultRecord {
+            phase: Phase::Audit,
+            item: "pin 1".to_owned(),
+            reason: "two failed".to_owned(),
+        };
+        assert_eq!(stats.quarantined, vec![fault]);
+        assert!(!stats.deadline.is_partial());
     }
 
     #[test]

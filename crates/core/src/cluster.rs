@@ -1,10 +1,11 @@
 //! Cluster-based access pattern selection (paper Section III-C), extended
 //! with multi-height cell support (the paper's future-work item (i)).
 
+use crate::budget::PhaseRun;
 use crate::cost::DRC_COST;
-use crate::error::{FaultRecord, Phase};
+use crate::error::Phase;
 use crate::oracle::UniqueInstanceAccess;
-use crate::parallel::{parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
+use crate::parallel::ExecReport;
 use crate::pattern::vias_compatible;
 use crate::unique::UniqueInstanceId;
 use pao_design::{CompId, Design};
@@ -456,10 +457,6 @@ pub struct SelectOutput {
     pub selection: Vec<Option<usize>>,
     /// Executor report of the group fan-out.
     pub exec: ExecReport,
-    /// Quarantined selection groups (members kept their defaults).
-    pub faults: Vec<FaultRecord>,
-    /// Groups skipped by an expired budget.
-    pub skipped: usize,
     /// Aggregated fast-path instrumentation.
     pub telemetry: SelectTelemetry,
 }
@@ -554,8 +551,8 @@ pub(crate) fn default_pattern(
 /// bit-identical to the sequential pass for every thread count.
 ///
 /// Groups run fault-isolated: a panic inside one group's DP quarantines
-/// that group (its members keep their default pattern) and is reported in
-/// the returned [`FaultRecord`]s; every other group selects normally.
+/// that group (its members keep their default pattern); every other
+/// group selects normally.
 #[must_use]
 pub fn select_patterns_threaded(
     tech: &Tech,
@@ -569,8 +566,17 @@ pub fn select_patterns_threaded(
         .map(|ci| default_pattern(comp_uniq, uniq, ci))
         .collect();
     let groups = SelectGroups::of_rows(&RowIndex::build(tech, design), design.components().len());
+    let mut select = PhaseRun::unbudgeted(Phase::Select);
     select_patterns_budget(
-        tech, engine, design, comp_uniq, uniq, &groups, defaults, threads, None,
+        tech,
+        engine,
+        design,
+        comp_uniq,
+        uniq,
+        &groups,
+        defaults,
+        threads,
+        &mut select,
     )
 }
 
@@ -580,10 +586,10 @@ pub fn select_patterns_threaded(
 /// merges its assignments into `selection`, which arrives holding every
 /// component's starting pattern.
 ///
-/// `budget` is polled between groups. A group skipped by an expired
-/// budget, or quarantined, resets its members to their default (best
-/// intra-cell) pattern — degraded but routable — and on a checkpoint
-/// resume it selects normally.
+/// The groups are items of `phase`. A group it skips or quarantines
+/// resets its members to their default (best intra-cell) pattern —
+/// degraded but routable — and on a checkpoint resume it selects
+/// normally.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_patterns_budget(
     tech: &Tech,
@@ -594,13 +600,14 @@ pub(crate) fn select_patterns_budget(
     groups: &SelectGroups,
     mut selection: Vec<Option<usize>>,
     threads: usize,
-    budget: Option<PhaseBudget<'_>>,
+    phase: &mut PhaseRun,
 ) -> SelectOutput {
     let reach = conflict_reach(tech);
     let far = pair_reach(tech, engine);
     let SelectGroups { clusters, groups } = groups;
-    let (locals, exec) = parallel_map(
-        ExecOptions::new(threads, "select.group").with_budget(budget),
+    let (locals, exec) = phase.map(
+        "select.group",
+        threads,
         (0..groups.len()).collect(),
         || SelectScratch::new(tech.layers().len()),
         |scratch, gi: usize| {
@@ -621,35 +628,26 @@ pub(crate) fn select_patterns_budget(
             );
             (local, tel)
         },
+        |gi| format!("selection group {gi} ({} clusters)", groups[gi].len()),
     );
 
-    let mut faults = Vec::new();
-    let mut skipped = 0usize;
     let mut telemetry = SelectTelemetry {
         groups: groups.len() as u64,
         ..SelectTelemetry::default()
     };
     for (gi, local) in locals.into_iter().enumerate() {
-        let fault = match local {
-            Ok((local, tel)) => {
+        match local {
+            Some((local, tel)) => {
                 telemetry.absorb(&tel);
                 for (ci, sel) in local {
                     selection[ci] = sel;
                 }
-                continue;
             }
-            Err(fault) => fault,
-        };
-        for c in groups[gi].iter().flat_map(|&cl| &clusters[cl].comps) {
-            selection[c.index()] = default_pattern(comp_uniq, uniq, c.index());
-        }
-        match fault {
-            ItemFault::Skipped(_) => skipped += 1,
-            ItemFault::Panic(reason) => faults.push(FaultRecord {
-                phase: Phase::Select,
-                item: format!("selection group {gi} ({} clusters)", groups[gi].len()),
-                reason,
-            }),
+            None => {
+                for c in groups[gi].iter().flat_map(|&cl| &clusters[cl].comps) {
+                    selection[c.index()] = default_pattern(comp_uniq, uniq, c.index());
+                }
+            }
         }
     }
     if pao_obs::metrics_enabled() {
@@ -661,8 +659,6 @@ pub(crate) fn select_patterns_budget(
     SelectOutput {
         selection,
         exec,
-        faults,
-        skipped,
         telemetry,
     }
 }

@@ -21,59 +21,33 @@
 //! are re-solved and only the pins whose windows it can reach are
 //! re-probed.
 
-use crate::budget::{CancelReason, DeadlineReport};
+use crate::budget::RunCtx;
 use crate::cluster::{
     comp_bbox, default_pattern, form_clusters, select_patterns_budget, Cluster, RowIndex,
     SelectGroups, StripeCells,
 };
 use crate::error::Phase;
 use crate::oracle::{
-    probe_pins, push_skip, scan_ap, via_hulls, PaoResult, PinAccessOracle, ProbeCtx, RunCtx,
-    TailInput, UniqueInstanceAccess,
+    probe_pins, scan_ap, via_hulls, PaoResult, PinAccessOracle, ProbeCtx, TailInput,
+    UniqueInstanceAccess,
 };
-use crate::parallel::PhaseBudget;
 use crate::persist::{signature_of, AnalysisCache, Entry, Step2};
 use crate::stats::PaoStats;
-use crate::unique::{pin_owner, UniqueInstanceId, UniqueTable};
+use crate::unique::{pin_owner, UniqueTable};
 use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, Owner, ShapeSet};
 use pao_geom::{Dbu, Rect};
 use pao_tech::Tech;
 use std::collections::{HashMap, HashSet};
 
-/// One placement's unique instances rebuilt from the store, in that
-/// placement's frame and numbering.
-#[derive(Debug)]
-pub(crate) struct Warm {
-    pub(crate) unique: Vec<UniqueInstanceAccess>,
-    pub(crate) comp_uniq: Vec<Option<UniqueInstanceId>>,
-}
-
-impl Warm {
-    /// The Table II counters the stored access point generation recorded
-    /// — equal to a cold run's, since each depends only on the signature.
-    fn stats(&self) -> PaoStats {
-        let mut stats = PaoStats {
-            unique_instances: self.unique.len(),
-            ..PaoStats::default()
-        };
-        for u in &self.unique {
-            stats.total_aps += u.pin_aps.iter().map(Vec::len).sum::<usize>();
-            stats.dirty_aps += u.tally.dirty;
-            stats.pins_without_aps += u.tally.without;
-            stats.off_track_aps += u.tally.off_track;
-        }
-        stats
-    }
-}
-
 impl AnalysisCache {
     /// Rebuilds the unique instances of `table` — `design`'s table —
-    /// from the store, translated into each representative's frame,
-    /// counting one hit per instance. `None` (and nothing counted) when
-    /// any signature lacks a full entry: one without patterns, or, with
-    /// the decision ledger on, without reject histograms.
-    pub(crate) fn warm(&mut self, design: &Design, table: UniqueTable) -> Option<Warm> {
+    /// from the store, translated into each representative's frame, as
+    /// the tail's input, counting one hit per instance. `None` (and
+    /// nothing counted) when any signature lacks a full entry: one without
+    /// patterns, or, with the decision ledger on, without reject
+    /// histograms.
+    pub(crate) fn warm(&mut self, design: &Design, table: UniqueTable) -> Option<TailInput> {
         let ledger = pao_obs::ledger_enabled();
         // Resolving every entry up front makes the all-stored check and
         // the rebuild share one lookup — no later re-lookup can miss.
@@ -101,33 +75,7 @@ impl AnalysisCache {
         pao_obs::counter_add("cache.restored.apgen", n as u64);
         pao_obs::counter_add("cache.restored.pattern", n as u64);
         self.count(n, 0);
-        Some(Warm { unique, comp_uniq })
-    }
-}
-
-impl PinAccessOracle {
-    /// The shared select → repair → audit tail over stored steps 1–2.
-    pub(crate) fn analyze_warm(
-        &self,
-        tech: &Tech,
-        design: &Design,
-        warm: Warm,
-        run: &RunCtx,
-    ) -> PaoResult {
-        let stats = warm.stats();
-        self.select_repair_audit(
-            tech,
-            design,
-            TailInput {
-                unique: warm.unique,
-                comp_uniq: warm.comp_uniq,
-                stats,
-                faults: Vec::new(),
-                skips: Vec::new(),
-                stalls: Vec::new(),
-            },
-            run,
-        )
+        Some(TailInput::new(unique, comp_uniq))
     }
 }
 
@@ -425,28 +373,31 @@ impl PinAccessOracle {
     ///
     /// Returns the finished result — degraded when a group or probe
     /// faulted, was skipped or stalled — with the number of re-probed
-    /// pins, or hands `warm` back when a re-probed pin is dirty, so the
+    /// pins, or hands `input` back when a re-probed pin is dirty, so the
     /// caller can run the full tail (repair is needed, and only the full
     /// tail repairs).
     pub(crate) fn window_tail(
         &self,
         tech: &Tech,
         design: &Design,
-        warm: Warm,
+        input: TailInput,
         w: &EcoWindow<'_>,
-        run: &RunCtx,
-    ) -> Result<(PaoResult, usize), Warm> {
+        run: &mut RunCtx,
+    ) -> Result<(PaoResult, usize), Box<TailInput>> {
         let span = pao_obs::span("phase.eco_window");
         let t0 = std::time::Instant::now();
         let threads = self.config().threads;
         let engine = DrcEngine::new(tech);
-        let stats = warm.stats();
-        let Warm { unique, comp_uniq } = warm;
+        let TailInput {
+            unique,
+            comp_uniq,
+            stats,
+        } = input;
         let groups = changed_groups(tech, design, w);
 
         // Re-solve the changed groups over the previous selection, with
         // the moved components back at their defaults.
-        let select_token = run.alloc.phase_token(Phase::Select);
+        let mut select = run.phase(Phase::Select);
         let mut selection = w.old.selection.clone();
         for &m in w.moved {
             selection[m.index()] = default_pattern(&comp_uniq, &unique, m.index());
@@ -460,18 +411,10 @@ impl PinAccessOracle {
             &groups,
             selection,
             threads,
-            Some(PhaseBudget::new(&select_token, run.watchdog)),
+            &mut select,
         );
+        run.end(select);
         let selection = select_out.selection;
-        let mut faults = select_out.faults;
-        let mut skips = Vec::new();
-        push_skip(
-            &mut skips,
-            Phase::Select,
-            select_out.skipped,
-            select_token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        let mut stalls = select_token.take_stalls();
         let mut changed: Vec<CompId> = w.moved.to_vec();
         changed.extend(
             groups
@@ -498,55 +441,35 @@ impl PinAccessOracle {
 
         // Re-probe the pins the change can reach (none when selection
         // already degraded: the result is discarded anyway).
-        let (pins, ctx) = if faults.is_empty() && skips.is_empty() && stalls.is_empty() {
-            reprobe(tech, design, &engine, w, &result, &changed)
-        } else {
+        let (pins, ctx) = if run.degraded() {
             (Vec::new(), ShapeSet::new(tech.layers().len()))
+        } else {
+            reprobe(tech, design, &engine, w, &result, &changed)
         };
         let selected: Vec<_> = pins
             .iter()
             .map(|&(comp, pin_idx)| scan_ap(&result, design, comp, pin_idx))
             .collect();
-        let audit_token = run.alloc.phase_token(Phase::Audit);
-        let ((_, failed), audit_exec, audit_faults, skipped) = probe_pins(
+        let mut audit = run.phase(Phase::Audit);
+        let ((_, failed), audit_exec) = probe_pins(
             &engine,
             design,
             &pins,
             None,
             Some(ProbeCtx::Shared(&ctx, &selected)),
             threads,
-            Some(PhaseBudget::new(&audit_token, run.watchdog)),
+            &mut audit,
         );
-        faults.extend(audit_faults);
-        push_skip(
-            &mut skips,
-            Phase::Audit,
-            skipped,
-            audit_token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        stalls.extend(audit_token.take_stalls());
-        let degraded = !(faults.is_empty() && skips.is_empty() && stalls.is_empty());
-        if failed > 0 && !degraded {
+        run.end(audit);
+        if failed > 0 && !run.degraded() {
             pao_obs::counter_add("eco.window.dirty_fallback", 1);
-            return Err(Warm {
-                unique: result.unique,
-                comp_uniq: result.comp_uniq,
-            });
+            return Err(Box::new(TailInput::new(result.unique, result.comp_uniq)));
         }
         pao_obs::counter_add("eco.window.groups", groups.groups.len() as u64);
         pao_obs::counter_add("eco.window.pins", pins.len() as u64);
-        for fault in &faults {
-            pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
-        }
         result.stats.audit_exec = audit_exec;
         result.stats.total_pins = w.pins.total();
         result.stats.failed_pins = failed;
-        result.stats.quarantined = faults;
-        result.stats.deadline = DeadlineReport {
-            budget: run.deadline,
-            skipped: skips,
-            stalls,
-        };
         let t_end = std::time::Instant::now();
         result.stats.audit_time = t_end - t_audit;
         result.stats.cluster_time = t_end - t0;
@@ -611,8 +534,8 @@ mod tests {
         let warm = cache
             .warm(&design, UniqueTable::build(&tech, &design))
             .expect("every signature stored");
-        let run = RunCtx::new(None, crate::budget::PhaseFractions::default(), None);
-        let third = oracle.analyze_warm(&tech, &design, warm, &run);
+        let mut run = RunCtx::new(None, crate::budget::PhaseFractions::default(), None);
+        let third = oracle.select_repair_audit(&tech, &design, warm, &mut run);
         assert!(third.stats.counters_eq(&first.stats));
 
         // Moving a cell onto its own location keeps every signature.

@@ -4,13 +4,10 @@ use crate::apgen::{
     generate_pin_access_points_with, primary_via_clean, AccessPoint, ApGenConfig, ApScratch,
     ApgenPlan, VerdictSource,
 };
-use crate::budget::{
-    BudgetAllocator, CancelReason, DeadlineReport, PhaseFractions, RunBudget, SkipRecord,
-    StallRecord, Watchdog,
-};
+use crate::budget::{PhaseFractions, PhaseRun, RunBudget, RunCtx};
 use crate::cluster::{comp_bbox, default_pattern, select_patterns_budget, RowIndex, SelectGroups};
 use crate::error::{FaultRecord, PaoError, Phase};
-use crate::parallel::{parallel_map, ExecOptions, ExecReport, ItemFault, PhaseBudget};
+use crate::parallel::ExecReport;
 use crate::pattern::{pattern_dp, AccessPattern, PatternConfig};
 use crate::persist::{input_stamp, signature_of, AnalysisCache, Entry, RejectTally};
 use crate::share::{CellClasses, PatternGroups};
@@ -20,7 +17,7 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, Macro, MacroClass, Tech};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the whole three-step analysis.
 #[derive(Debug, Clone)]
@@ -213,8 +210,9 @@ impl PinAccessOracle {
 
     /// [`analyze`](Self::analyze) under a [`RunBudget`]: an optional
     /// wall-clock deadline split across the five phases (see
-    /// [`BudgetAllocator`]), an optional stall watchdog, and an optional
-    /// signature-keyed [`AnalysisCache`] store.
+    /// [`BudgetAllocator`](crate::budget::BudgetAllocator)), an optional
+    /// stall watchdog, and an optional signature-keyed [`AnalysisCache`]
+    /// store.
     ///
     /// This is the *anytime* entry point — it **always returns a usable
     /// result**. When the budget expires mid-phase, in-flight items
@@ -248,10 +246,10 @@ impl PinAccessOracle {
             // the store.
             let _ = store.bind(input_stamp(tech, design, &self.config));
         }
-        let run = RunCtx::new(deadline, fractions, watchdog);
-        let input = self.analyze_instances(tech, design, store.as_deref_mut(), &run);
+        let mut run = RunCtx::new(deadline, fractions, watchdog);
+        let input = self.analyze_instances(tech, design, store.as_deref_mut(), &mut run);
         // ---- Step 3 and the validation tail.
-        let mut result = self.select_repair_audit(tech, design, input, &run);
+        let mut result = self.select_repair_audit(tech, design, input, &mut run);
         // Record this run's observed phase-time split so the next budgeted
         // run over this checkpoint directory allocates from history instead
         // of the built-in default. Partial runs are biased (cut phases look
@@ -282,11 +280,8 @@ impl PinAccessOracle {
         tech: &Tech,
         design: &Design,
         mut store: Option<&mut AnalysisCache>,
-        run: &RunCtx,
+        run: &mut RunCtx,
     ) -> TailInput {
-        let watchdog = run.watchdog;
-        let mut skips: Vec<SkipRecord> = Vec::new();
-        let mut stalls: Vec<StallRecord> = Vec::new();
         let engine = DrcEngine::new(tech);
         // With the decision ledger on, only entries that kept their reject
         // histograms may stand in for step 1.
@@ -302,13 +297,22 @@ impl PinAccessOracle {
         let plan = ApgenPlan::new(tech, design);
         let classes = CellClasses::new(&infos);
         pao_obs::counter_add("apgen.classes", classes.len() as u64);
-        let apgen_token = run.alloc.phase_token(Phase::Apgen);
+        let label = |idx: usize| {
+            let info = &infos[idx];
+            format!(
+                "unique instance {} (`{}` of master `{}`)",
+                info.id.index(),
+                design.component(info.rep).name,
+                info.master
+            )
+        };
+        let mut apgen = run.phase(Phase::Apgen);
         let (analyzed, apgen_exec) = {
             let (infos, plan, classes, engine) = (&infos, &plan, &classes, &engine);
             let store = store.as_deref();
-            parallel_map(
-                ExecOptions::new(self.config.threads, "apgen.instance")
-                    .with_budget(Some(PhaseBudget::new(&apgen_token, watchdog))),
+            apgen.map(
+                "apgen.instance",
+                self.config.threads,
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
                 move |(), idx| -> Result<(UniqueInstanceAccess, Option<Entry>), PaoError> {
@@ -346,6 +350,7 @@ impl PinAccessOracle {
                     });
                     Ok((u, entry))
                 },
+                label,
             )
         };
         drop(classes);
@@ -355,32 +360,9 @@ impl PinAccessOracle {
         // came from the store.
         let mut apgen_done = vec![false; n];
         let mut apgen_restored = vec![false; n];
-        let mut faults: Vec<FaultRecord> = Vec::new();
-        let mut total_aps = 0usize;
-        let mut dirty_aps = 0usize;
-        let mut pins_without_aps = 0usize;
-        let mut off_track_aps = 0usize;
-        let mut apgen_skip_reasons: Vec<CancelReason> = Vec::new();
         for (idx, outcome) in analyzed.into_iter().enumerate() {
-            // Flatten quarantined panics and typed errors into one degraded
-            // path: the instance keeps a placeholder (no APs, no patterns)
-            // and the run records why. Budget-skipped instances take the
-            // same placeholder but are tallied as skips, not faults.
-            let flat = match outcome {
-                Ok(Ok(item)) => Ok(item),
-                Ok(Err(e)) => Err(Some(e.to_string())),
-                Err(ItemFault::Panic(reason)) => Err(Some(reason)),
-                Err(ItemFault::Skipped(r)) => {
-                    apgen_skip_reasons.push(r);
-                    Err(None)
-                }
-            };
-            match flat {
-                Ok((u, entry)) => {
-                    total_aps += u.pin_aps.iter().map(Vec::len).sum::<usize>();
-                    dirty_aps += u.tally.dirty;
-                    pins_without_aps += u.tally.without;
-                    off_track_aps += u.tally.off_track;
+            match outcome {
+                Some(Ok((u, entry))) => {
                     apgen_done[idx] = true;
                     if let Some(store) = store.as_deref_mut() {
                         match entry {
@@ -390,20 +372,17 @@ impl PinAccessOracle {
                     }
                     unique.push(u);
                 }
-                Err(reason) => {
-                    let info = &infos[idx];
-                    if let Some(reason) = reason {
-                        faults.push(FaultRecord {
+                // A quarantined, skipped or failed instance keeps a
+                // placeholder: no access points, no patterns.
+                outcome => {
+                    if let Some(Err(e)) = outcome {
+                        apgen.fault(FaultRecord {
                             phase: Phase::Apgen,
-                            item: format!(
-                                "unique instance {} (`{}` of master `{}`)",
-                                info.id.index(),
-                                design.component(info.rep).name,
-                                info.master
-                            ),
-                            reason,
+                            item: label(idx),
+                            reason: e.to_string(),
                         });
                     }
+                    let info = &infos[idx];
                     let npins = tech.macro_by_name(&info.master).map_or(0, |m| m.pins.len());
                     unique.push(UniqueInstanceAccess {
                         info: info.clone(),
@@ -415,10 +394,9 @@ impl PinAccessOracle {
                 }
             }
         }
+        save_store(store.as_deref(), "apgen", &mut apgen);
+        run.end(apgen);
         drop(infos);
-        record_skips(&mut skips, Phase::Apgen, &apgen_skip_reasons);
-        stalls.extend(apgen_token.take_stalls());
-        save_store(store.as_deref(), "apgen", &mut faults);
         let apgen_time = t0.elapsed();
         drop(phase_span);
 
@@ -428,17 +406,16 @@ impl PinAccessOracle {
         let t1 = Instant::now();
         let groups = PatternGroups::new(design, &unique, self.config.pattern.alpha);
         pao_obs::counter_add("pattern.groups", groups.len() as u64);
-        let pattern_token = run.alloc.phase_token(Phase::Pattern);
+        let mut pattern = run.phase(Phase::Pattern);
         let pattern_exec;
-        let mut pattern_skip_reasons: Vec<CancelReason> = Vec::new();
         // Unique instances whose steps 1 and 2 both came from the store.
         let mut hits = 0usize;
         {
             let (unique_ref, groups, engine, apgen_done) = (&unique, &groups, &engine, &apgen_done);
             let lookup = store.as_deref();
-            let (results, exec) = parallel_map(
-                ExecOptions::new(self.config.threads, "pattern.instance")
-                    .with_budget(Some(PhaseBudget::new(&pattern_token, watchdog))),
+            let (results, exec) = pattern.map(
+                "pattern.instance",
+                self.config.threads,
                 (0..unique_ref.len()).collect::<Vec<_>>(),
                 || (),
                 |(), i| {
@@ -465,74 +442,56 @@ impl PinAccessOracle {
                     out.replay_ledger(i as u64);
                     (out.order.clone(), out.patterns.clone(), false)
                 },
+                |i| {
+                    let info = &unique_ref[i].info;
+                    format!(
+                        "unique instance {} (master `{}`)",
+                        info.id.index(),
+                        info.master
+                    )
+                },
             );
             pattern_exec = exec;
             for (i, res) in results.into_iter().enumerate() {
-                match res {
-                    Ok((order, patterns, from_store)) => {
-                        hits += usize::from(from_store && apgen_restored[i]);
-                        if !from_store && apgen_done[i] {
-                            if let Some(store) = store.as_deref_mut() {
-                                let sig = signature_of(&unique[i].info);
-                                store.attach_patterns(&sig, order.clone(), patterns.clone());
-                            }
-                        }
-                        unique[i].pin_order = order;
-                        unique[i].patterns = patterns;
+                // A skipped or quarantined instance keeps empty order and
+                // patterns, so its members simply have no selected access.
+                let Some((order, patterns, from_store)) = res else {
+                    continue;
+                };
+                hits += usize::from(from_store && apgen_restored[i]);
+                if !from_store && apgen_done[i] {
+                    if let Some(store) = store.as_deref_mut() {
+                        let sig = signature_of(&unique[i].info);
+                        store.attach_patterns(&sig, order.clone(), patterns.clone());
                     }
-                    // Skipped by the budget: the instance keeps empty
-                    // order/patterns (no selected access), tallied below.
-                    Err(ItemFault::Skipped(r)) => pattern_skip_reasons.push(r),
-                    // Quarantined: the instance keeps empty order/patterns,
-                    // so its members simply have no selected access.
-                    Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
-                        phase: Phase::Pattern,
-                        item: format!(
-                            "unique instance {} (master `{}`)",
-                            unique[i].info.id.index(),
-                            unique[i].info.master
-                        ),
-                        reason,
-                    }),
                 }
+                unique[i].pin_order = order;
+                unique[i].patterns = patterns;
             }
         }
         drop(groups);
-        record_skips(&mut skips, Phase::Pattern, &pattern_skip_reasons);
-        stalls.extend(pattern_token.take_stalls());
         if let Some(store) = store.as_deref_mut() {
             store.count(hits, n - hits);
         }
-        save_store(store.as_deref(), "pattern", &mut faults);
+        save_store(store.as_deref(), "pattern", &mut pattern);
+        run.end(pattern);
         let pattern_time = t1.elapsed();
         drop(phase_span);
 
-        TailInput {
-            unique,
-            comp_uniq,
-            stats: PaoStats {
-                total_aps,
-                dirty_aps,
-                pins_without_aps,
-                off_track_aps,
-                apgen_time,
-                pattern_time,
-                apgen_exec,
-                pattern_exec,
-                ..PaoStats::default()
-            },
-            faults,
-            skips,
-            stalls,
-        }
+        let mut input = TailInput::new(unique, comp_uniq);
+        input.stats.apgen_time = apgen_time;
+        input.stats.pattern_time = pattern_time;
+        input.stats.apgen_exec = apgen_exec;
+        input.stats.pattern_exec = pattern_exec;
+        input
     }
 }
 
 /// Persists `store` after `phase` (a no-op for an in-memory store),
-/// recording a write failure as a cache fault.
-fn save_store(store: Option<&AnalysisCache>, phase: &str, faults: &mut Vec<FaultRecord>) {
+/// recording a write failure as a cache fault of the phase.
+fn save_store(store: Option<&AnalysisCache>, phase: &str, run: &mut PhaseRun) {
     if let Some(Err(e)) = store.map(AnalysisCache::save) {
-        faults.push(FaultRecord {
+        run.fault(FaultRecord {
             phase: Phase::Cache,
             item: format!("{phase} checkpoint"),
             reason: e.to_string(),
@@ -615,51 +574,36 @@ pub(crate) fn instance_access(
 }
 
 /// What the steps ahead of cluster selection hand the shared tail: the
-/// analyzed unique instances, each component's unique instance, the
-/// stats filled so far (Table II counters, apgen/pattern reports) and
-/// every degradation recorded on the way.
+/// analyzed unique instances, each component's unique instance, and the
+/// stats filled so far (Table II counters, apgen/pattern reports).
 pub(crate) struct TailInput {
     pub(crate) unique: Vec<UniqueInstanceAccess>,
     pub(crate) comp_uniq: Vec<Option<UniqueInstanceId>>,
     pub(crate) stats: PaoStats,
-    pub(crate) faults: Vec<FaultRecord>,
-    pub(crate) skips: Vec<SkipRecord>,
-    pub(crate) stalls: Vec<StallRecord>,
 }
 
-/// One run's budget and clocks: the deadline allocator every phase
-/// mints its token from, the watchdog, and the start-of-run stopwatch
-/// and metrics snapshot that [`RunCtx::close`] turns into `run_time`
-/// and the metrics delta.
-pub(crate) struct RunCtx {
-    pub(crate) alloc: BudgetAllocator,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) watchdog: Option<Watchdog>,
-    start: Instant,
-    metrics_before: Option<pao_obs::MetricsSnapshot>,
-}
-
-impl RunCtx {
-    /// Starts the run clock and anchors the deadline at now.
+impl TailInput {
+    /// The tail's input over `unique`, with the Table II counters its
+    /// instances' access point generation tallied — computed or stored,
+    /// each depends only on the signature.
     pub(crate) fn new(
-        deadline: Option<Duration>,
-        fractions: PhaseFractions,
-        watchdog: Option<Watchdog>,
-    ) -> RunCtx {
-        RunCtx {
-            alloc: BudgetAllocator::new(deadline, fractions),
-            deadline,
-            watchdog,
-            start: Instant::now(),
-            metrics_before: pao_obs::metrics_enabled().then(pao_obs::snapshot),
+        unique: Vec<UniqueInstanceAccess>,
+        comp_uniq: Vec<Option<UniqueInstanceId>>,
+    ) -> TailInput {
+        let mut stats = PaoStats {
+            unique_instances: unique.len(),
+            ..PaoStats::default()
+        };
+        for u in &unique {
+            stats.total_aps += u.pin_aps.iter().map(Vec::len).sum::<usize>();
+            stats.dirty_aps += u.tally.dirty;
+            stats.pins_without_aps += u.tally.without;
+            stats.off_track_aps += u.tally.off_track;
         }
-    }
-
-    /// Stamps the finished run's wall time and metrics delta.
-    pub(crate) fn close(&self, stats: &mut PaoStats) {
-        stats.run_time = self.start.elapsed();
-        if let Some(before) = &self.metrics_before {
-            stats.metrics = pao_obs::snapshot().delta_since(before);
+        TailInput {
+            unique,
+            comp_uniq,
+            stats,
         }
     }
 }
@@ -667,32 +611,29 @@ impl RunCtx {
 impl PinAccessOracle {
     /// Step 3 and everything after it — cluster selection, the repair
     /// rounds and the failed-pin audit — as the one tail shared by cold
-    /// runs ([`analyze_with_budget`](Self::analyze_with_budget)), warm
-    /// cache runs and the service's ECO fallback. Each phase mints its
-    /// own token from `run`'s allocator, so unspent budget rolls forward
-    /// whether or not apgen and pattern generation ran first.
+    /// runs ([`analyze_with_budget`](Self::analyze_with_budget)) and by
+    /// the service's ECOs over the store (the full tail, or the window
+    /// tail's fallback). Each phase mints its own token from `run`, so
+    /// unspent budget rolls forward whether or not apgen and pattern
+    /// generation ran first.
     pub(crate) fn select_repair_audit(
         &self,
         tech: &Tech,
         design: &Design,
         input: TailInput,
-        run: &RunCtx,
+        run: &mut RunCtx,
     ) -> PaoResult {
         let TailInput {
             unique,
             comp_uniq,
             mut stats,
-            mut faults,
-            mut skips,
-            mut stalls,
         } = input;
         let engine = DrcEngine::new(tech);
-        let watchdog = run.watchdog;
         let phase_span = pao_obs::span("phase.select");
         // One stopwatch split per phase boundary, so the select, repair
         // and audit wall times sum to `cluster_time`.
         let t2 = Instant::now();
-        let select_token = run.alloc.phase_token(Phase::Select);
+        let mut select = run.phase(Phase::Select);
         let defaults = (0..comp_uniq.len())
             .map(|ci| default_pattern(&comp_uniq, &unique, ci))
             .collect();
@@ -709,17 +650,9 @@ impl PinAccessOracle {
             &SelectGroups::of_rows(&rows, design.components().len()),
             defaults,
             self.config.threads,
-            Some(PhaseBudget::new(&select_token, watchdog)),
+            &mut select,
         );
-        faults.extend(select_out.faults);
-        push_skip(
-            &mut skips,
-            Phase::Select,
-            select_out.skipped,
-            select_token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        stalls.extend(select_token.take_stalls());
-        stats.unique_instances = unique.len();
+        run.end(select);
         stats.cluster_exec = select_out.exec;
         stats.select_telemetry = select_out.telemetry;
         let mut result = PaoResult {
@@ -737,12 +670,11 @@ impl PinAccessOracle {
         // deviate per pin to any alternate clean AP — the same freedom the
         // detailed router has when it consumes the access points.
         let phase_span = pao_obs::span("phase.repair");
-        let repair_token = run.alloc.phase_token(Phase::Repair);
+        let mut repair = run.phase(Phase::Repair);
         // The shape templates and connected-pin table depend only on the
         // placement, so they are built once and shared by every repair
         // round and the final audit.
         let gctx = GlobalContext::new(tech, design, self.config.threads);
-        let mut repair_skipped = 0usize;
         // Scan verdicts of the last repair round, usable as audit hints:
         // valid only when that round repaired nothing (the overrides — and
         // therefore the audit context — are unchanged since the scan).
@@ -750,56 +682,34 @@ impl PinAccessOracle {
         for round in 0..self.config.repair_rounds {
             // All repair rounds share one phase token: once it expires, no
             // further round starts and the remaining scans are skipped.
-            if repair_token.is_cancelled() {
+            if repair.is_cancelled() {
                 scan_ok = None;
                 break;
             }
             pao_obs::counter_add("repair.rounds", 1);
-            let (repaired, exec, repair_faults, round_skipped, ok_flags) =
-                repair_failed_pins_budget(
-                    &gctx,
-                    &rows,
-                    &mut result,
-                    round,
-                    PhaseBudget::new(&repair_token, watchdog),
-                );
+            let (repaired, exec, ok_flags) =
+                repair_failed_pins_budget(&gctx, &rows, &mut result, round, &mut repair);
             result.stats.repair_exec.merge(&exec);
-            faults.extend(repair_faults);
-            repair_skipped += round_skipped;
             scan_ok = (repaired == 0).then_some(ok_flags);
             if repaired == 0 {
                 break;
             }
         }
-        push_skip(
-            &mut skips,
-            Phase::Repair,
-            repair_skipped,
-            repair_token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        stalls.extend(repair_token.take_stalls());
+        run.end(repair);
         result.stats.repaired_pins = result.overrides.len();
         drop(phase_span);
         let t_audit = Instant::now();
         result.stats.repair_time = t_audit - t_repair;
         let phase_span = pao_obs::span("phase.audit");
-        let audit_token = run.alloc.phase_token(Phase::Audit);
-        let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
-            audit_pins_budget(
-                &gctx,
-                &rows,
-                |comp, pin_idx| scan_ap(&result, design, comp, pin_idx),
-                scan_ok.as_deref(),
-                Some(PhaseBudget::new(&audit_token, watchdog)),
-            );
-        faults.extend(audit_faults);
-        push_skip(
-            &mut skips,
-            Phase::Audit,
-            audit_skipped,
-            audit_token.reason().unwrap_or(CancelReason::Deadline),
+        let mut audit = run.phase(Phase::Audit);
+        let ((total_pins, failed_pins), audit_exec) = audit_pins_budget(
+            &gctx,
+            &rows,
+            |comp, pin_idx| scan_ap(&result, design, comp, pin_idx),
+            scan_ok.as_deref(),
+            &mut audit,
         );
-        stalls.extend(audit_token.take_stalls());
+        run.end(audit);
         result.stats.audit_exec = audit_exec;
         result.stats.total_pins = total_pins;
         result.stats.failed_pins = failed_pins;
@@ -807,48 +717,8 @@ impl PinAccessOracle {
         let t_end = Instant::now();
         result.stats.audit_time = t_end - t_audit;
         result.stats.cluster_time = t_end - t2;
-        for fault in &faults {
-            pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
-        }
-        result.stats.quarantined = faults;
-        result.stats.deadline = DeadlineReport {
-            budget: run.deadline,
-            skipped: skips,
-            stalls,
-        };
         run.close(&mut result.stats);
         result
-    }
-}
-
-/// Tallies one phase's budget-skipped items into the run's skip records
-/// (grouped by cancel reason) and the `deadline.skipped.<phase>` counter.
-fn record_skips(skips: &mut Vec<SkipRecord>, phase: Phase, reasons: &[CancelReason]) {
-    for reason in [
-        CancelReason::Deadline,
-        CancelReason::Stall,
-        CancelReason::External,
-    ] {
-        let items = reasons.iter().filter(|&&r| r == reason).count();
-        push_skip(skips, phase, items, reason);
-    }
-}
-
-/// Appends one [`SkipRecord`] (and bumps the phase's skip counter) when
-/// `items > 0`; no-op otherwise.
-pub(crate) fn push_skip(
-    skips: &mut Vec<SkipRecord>,
-    phase: Phase,
-    items: usize,
-    reason: CancelReason,
-) {
-    if items > 0 {
-        pao_obs::counter_add(phase.deadline_counter(), items as u64);
-        skips.push(SkipRecord {
-            phase,
-            items,
-            reason,
-        });
     }
 }
 
@@ -1143,14 +1013,10 @@ pub(crate) fn scan_ap(
 /// stays sequential — it is order-dependent by design and touches only
 /// the few dirty pins.
 ///
-/// A scan item that panics is quarantined: its pin is treated as
-/// not-dirty (left untouched this round) and reported in the returned
-/// fault list instead of aborting the run. A scan item skipped by an
-/// expired [`CancelToken`](crate::budget::CancelToken) is likewise
-/// treated as not-dirty, but counted in the returned skip tally instead
-/// of producing a fault record.
+/// A scan item that panics, or that `phase` skips, leaves its pin
+/// untouched this round; `phase` records the fault or the skip.
 ///
-/// The fifth element of the return is the per-connected-pin scan verdict
+/// The third element of the return is the per-connected-pin scan verdict
 /// (`Some(clean)`; `None` for panicked/skipped items) — reusable as audit
 /// hints when the round repaired nothing.
 pub(crate) fn repair_failed_pins_budget(
@@ -1158,14 +1024,8 @@ pub(crate) fn repair_failed_pins_budget(
     rows: &RowIndex,
     result: &mut PaoResult,
     round: usize,
-    budget: PhaseBudget<'_>,
-) -> (
-    usize,
-    ExecReport,
-    Vec<FaultRecord>,
-    usize,
-    Vec<Option<bool>>,
-) {
+    phase: &mut PhaseRun,
+) -> (usize, ExecReport, Vec<Option<bool>>) {
     let (tech, design) = (gctx.tech, gctx.design);
     let engine = DrcEngine::new(tech);
     let connected = gctx.pins.list();
@@ -1209,8 +1069,9 @@ pub(crate) fn repair_failed_pins_budget(
     };
     let (flags, exec) = {
         let (reach, engine, certified) = (&reach, &engine, &certified);
-        parallel_map(
-            ExecOptions::new(gctx.threads, "repair.scan").with_budget(Some(budget)),
+        phase.map(
+            "repair.scan",
+            gctx.threads,
             (0..connected.len()).collect(),
             LocalProbe::default,
             move |lp, i: usize| {
@@ -1242,54 +1103,39 @@ pub(crate) fn repair_failed_pins_budget(
                 lp.ws.flush_obs();
                 dirty
             },
+            |i| pin_label(tech, design, connected[i].0, connected[i].1),
         )
     };
-    let mut faults: Vec<FaultRecord> = Vec::new();
-    let mut skipped = 0usize;
     let mut scan_ok: Vec<Option<bool>> = Vec::with_capacity(connected.len());
     let dirty: Vec<(CompId, usize)> = connected
         .iter()
         .copied()
         .zip(flags)
-        .filter_map(|((comp, pin_idx), d)| match d {
-            Ok(d) => {
-                scan_ok.push(Some(!d));
-                // Sequential collection loop: the dirty-pin records land
-                // in scan order regardless of worker count.
-                if d && pao_obs::ledger_enabled() {
-                    pao_obs::ledger::record(
-                        pao_obs::LedgerRecord::new(
-                            pao_obs::LedgerEvent::RepairDirty,
-                            (u64::from(comp.0) << 16) | pin_idx as u64,
-                            0,
-                        )
-                        .with_aux(round as u32),
-                    );
-                }
-                d.then_some((comp, pin_idx))
+        .filter_map(|((comp, pin_idx), d)| {
+            scan_ok.push(d.map(|d| !d));
+            // A skipped or quarantined scan leaves its pin untouched.
+            let d = d?;
+            // Sequential collection loop: the dirty-pin records land in
+            // scan order regardless of worker count.
+            if d && pao_obs::ledger_enabled() {
+                pao_obs::ledger::record(
+                    pao_obs::LedgerRecord::new(
+                        pao_obs::LedgerEvent::RepairDirty,
+                        (u64::from(comp.0) << 16) | pin_idx as u64,
+                        0,
+                    )
+                    .with_aux(round as u32),
+                );
             }
-            Err(ItemFault::Skipped(_)) => {
-                scan_ok.push(None);
-                skipped += 1;
-                None
-            }
-            Err(ItemFault::Panic(reason)) => {
-                scan_ok.push(None);
-                faults.push(FaultRecord {
-                    phase: Phase::Repair,
-                    item: pin_label(tech, design, comp, pin_idx),
-                    reason,
-                });
-                None
-            }
+            d.then_some((comp, pin_idx))
         })
         .collect();
     pao_obs::hist_record("repair.dirty_pins", dirty.len() as u64);
     if dirty.is_empty() {
-        return (0, exec, faults, skipped, scan_ok);
+        return (0, exec, scan_ok);
     }
     let repaired = replace_dirty(&reach, &engine, result, &dirty, round);
-    (repaired, exec, faults, skipped, scan_ok)
+    (repaired, exec, scan_ok)
 }
 
 /// The access points a repair tries for `(comp, pin_idx)`, in order: the
@@ -1569,8 +1415,8 @@ pub fn count_failed_pins_threaded(
     let gctx = GlobalContext::new(tech, design, threads);
     let rows = RowIndex::build(tech, design);
     let select = |comp, pin_idx| scan_ap(result, design, comp, pin_idx);
-    let (counts, exec, _, _) = audit_pins_budget(&gctx, &rows, select, None, None);
-    (counts, exec)
+    let mut audit = PhaseRun::unbudgeted(Phase::Audit);
+    audit_pins_budget(&gctx, &rows, select, None, &mut audit)
 }
 
 /// [`count_failed_pins_threaded`] on one thread with `accessor`
@@ -1586,7 +1432,8 @@ pub fn count_failed_pins_with(
     let gctx = GlobalContext::new(tech, design, 1);
     let rows = RowIndex::build(tech, design);
     let select = |comp, pin_idx| accessor(comp, pin_idx).as_ref().map(ScanAp::of);
-    audit_pins_budget(&gctx, &rows, select, None, None).0
+    let mut audit = PhaseRun::unbudgeted(Phase::Audit);
+    audit_pins_budget(&gctx, &rows, select, None, &mut audit).0
 }
 
 /// The audit over a prebuilt [`GlobalContext`] and row index, optionally
@@ -1604,8 +1451,8 @@ pub(crate) fn audit_pins_budget(
     rows: &RowIndex,
     select: impl Fn(CompId, usize) -> Option<ScanAp>,
     hints: Option<&[Option<bool>]>,
-    budget: Option<PhaseBudget<'_>>,
-) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
+    phase: &mut PhaseRun,
+) -> ((usize, usize), ExecReport) {
     let connected = gctx.pins.list();
     let hints = hints.filter(|h| h.len() == connected.len());
     let engine = DrcEngine::new(gctx.tech);
@@ -1623,7 +1470,7 @@ pub(crate) fn audit_pins_budget(
         hints,
         reach.as_ref().map(ProbeCtx::Local),
         gctx.threads,
-        budget,
+        phase,
     )
 }
 
@@ -1683,13 +1530,13 @@ impl ProbeCtx<'_> {
 }
 
 /// Probes `pins` with the audit's exact `via_placement_clean` in `ctx`,
-/// one `audit.pin` executor item per pin, and tallies
-/// `(pins.len(), failed pins)`, the quarantined probes and the skipped
-/// ones. A pin with a `hints` entry (aligned with `pins`) takes it as its
-/// verdict unprobed; `ctx` may be `None` only when every pin has one.
-/// A pin without a selected access point, or whose probe was skipped by
-/// the budget or quarantined, was never certified clean, so it counts as
-/// failed. Behind the cold audit and the ECO window tail alike.
+/// one `audit.pin` item of `phase` per pin, and tallies
+/// `(pins.len(), failed pins)`. A pin with a `hints` entry (aligned with
+/// `pins`) takes it as its verdict unprobed; `ctx` may be `None` only
+/// when every pin has one. A pin without a selected access point, or
+/// whose probe was skipped or quarantined, was never certified clean, so
+/// it counts as failed. Behind the cold audit and the ECO window tail
+/// alike.
 pub(crate) fn probe_pins(
     engine: &DrcEngine<'_>,
     design: &Design,
@@ -1697,11 +1544,12 @@ pub(crate) fn probe_pins(
     hints: Option<&[Option<bool>]>,
     ctx: Option<ProbeCtx<'_>>,
     threads: usize,
-    budget: Option<PhaseBudget<'_>>,
-) -> ((usize, usize), ExecReport, Vec<FaultRecord>, usize) {
+    phase: &mut PhaseRun,
+) -> ((usize, usize), ExecReport) {
     let tech = engine.tech();
-    let (oks, exec) = parallel_map(
-        ExecOptions::new(threads, "audit.pin").with_budget(budget),
+    let (oks, exec) = phase.map(
+        "audit.pin",
+        threads,
         (0..pins.len()).collect::<Vec<_>>(),
         LocalProbe::default,
         |lp, i| {
@@ -1715,29 +1563,10 @@ pub(crate) fn probe_pins(
             lp.ws.flush_obs();
             ok
         },
+        |i| pin_label(tech, design, pins[i].0, pins[i].1),
     );
-    let mut faults: Vec<FaultRecord> = Vec::new();
-    let mut failed = 0usize;
-    let mut skipped = 0usize;
-    for (&(comp, pin_idx), ok) in pins.iter().zip(oks) {
-        match ok {
-            Ok(true) => {}
-            Ok(false) => failed += 1,
-            Err(ItemFault::Skipped(_)) => {
-                failed += 1;
-                skipped += 1;
-            }
-            Err(ItemFault::Panic(reason)) => {
-                failed += 1;
-                faults.push(FaultRecord {
-                    phase: Phase::Audit,
-                    item: pin_label(tech, design, comp, pin_idx),
-                    reason,
-                });
-            }
-        }
-    }
-    ((pins.len(), failed), exec, faults, skipped)
+    let failed = oks.iter().filter(|&&ok| ok != Some(true)).count();
+    ((pins.len(), failed), exec)
 }
 
 /// The repair scan's per-component shape lists as they were built before
@@ -2067,17 +1896,12 @@ mod tests {
     ) -> usize {
         let gctx = GlobalContext::new(tech, design, 2);
         let rows = RowIndex::build(tech, design);
-        let token = crate::budget::CancelToken::never();
-        let (_, _, faults, skipped, flags) = repair_failed_pins_budget(
+        let (_, _, flags) = repair_failed_pins_budget(
             &gctx,
             &rows,
             &mut result.clone(),
             0,
-            PhaseBudget::new(&token, None),
-        );
-        assert!(
-            faults.is_empty() && skipped == 0,
-            "{label}: scan incomplete"
+            &mut PhaseRun::unbudgeted(Phase::Repair),
         );
         let selected: Vec<Option<ScanAp>> = gctx
             .pins

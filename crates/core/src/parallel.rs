@@ -24,7 +24,8 @@
 //! [`parallel_map`] is the one entry point. An [`ExecOptions`] value says
 //! how the phase runs — worker count, span label, optional budget — and
 //! every phase, the ECO window tail's included, goes through it the same
-//! way.
+//! way: the analysis runs each of its phases through the run that owns
+//! the phase's token (`budget::PhaseRun::map`).
 
 //! **Fault isolation.** Every work item runs under
 //! [`std::panic::catch_unwind`], so one panicking item cannot take down
@@ -37,20 +38,16 @@
 //! cascade into a panic on another thread.
 
 //! **Deadlines and the watchdog.** A phase run under a [`PhaseBudget`]
-//! threads its [`CancelToken`] through the claim
-//! loop: every worker polls it *before* starting the next item, so an
-//! expired budget (or an explicit cancellation) finishes in-flight items
-//! and yields the unstarted ones as `Err(ItemFault::Skipped)`. A
-//! deterministic cancellation via [`CancelToken::cancel_at`] keeps every
-//! item up to the cut index running (indices are claimed strictly in
-//! order, so all of them were handed out before the cut item) and
-//! discards any results that racing workers computed past it, which
-//! keeps such cancellations bit-identical at every thread count and
-//! block size. When a [`Watchdog`] is armed, a monitor thread samples
-//! per-worker heartbeats and trips the token (recording a
-//! [`StallRecord`] and bumping `watchdog.stalls`) when a worker sits in
-//! one item for longer than a multiple of the observed per-item time —
-//! a hung run becomes a degraded one.
+//! threads its [`CancelToken`] through the claim loop: every worker polls
+//! it *before* starting the next item, so an expired deadline or a
+//! tripped watchdog finishes in-flight items and yields the unstarted
+//! ones as `Err(ItemFault::Skipped)`. When a [`Watchdog`] is armed, a
+//! monitor thread samples per-worker heartbeats and trips the token
+//! (recording a [`StallRecord`] and bumping `watchdog.stalls`) when a
+//! worker sits in one item for longer than a multiple of the observed
+//! per-item time — a hung run becomes a degraded one. The run that owns
+//! a phase's token turns its skipped and panicked items into the run's
+//! skip and fault records.
 
 use crate::budget::{CancelReason, CancelToken, StallRecord, Watchdog};
 use std::any::Any;
@@ -212,9 +209,8 @@ impl ExecReport {
 /// Under `opts.budget`, every item start polls the token, and an item
 /// never started because it tripped yields
 /// `Err(ItemFault::Skipped(reason))`. In-flight items always finish, so
-/// the `Ok` results form a prefix of the input (plus, for
-/// non-deterministic cancellations, whatever racing workers had already
-/// claimed).
+/// the `Ok` results form a prefix of the input plus whatever racing
+/// workers had already claimed.
 ///
 /// ```
 /// use pao_core::parallel::{parallel_map, ExecOptions};
@@ -284,33 +280,6 @@ fn claim_block(n: usize) -> usize {
     (n / 4096).clamp(1, 256)
 }
 
-/// `true` when a cancelled token stops item `i` mid-block: always for a
-/// cancellation without a deterministic cut, and past the cut otherwise.
-fn past_cut(token: &CancelToken, i: usize) -> bool {
-    // Pairs with the token's cancel store, which follows the cut store:
-    // a worker that saw the flag also sees the cut.
-    std::sync::atomic::fence(Ordering::Acquire);
-    let cut = token.cut();
-    cut == usize::MAX || i > cut
-}
-
-/// Applies the deterministic cut of [`CancelToken::cancel_at`]: results
-/// computed past the cut index (by workers racing the cancellation) are
-/// replaced with `Skipped`, so the surviving prefix is identical at
-/// every thread count.
-fn apply_cut<R>(out: &mut [Result<R, Dropped>], token: &CancelToken) {
-    let cut = token.cut();
-    if cut == usize::MAX {
-        return;
-    }
-    let reason = token.reason().unwrap_or(CancelReason::External);
-    for (i, slot) in out.iter_mut().enumerate() {
-        if i > cut && slot.is_ok() {
-            *slot = Err(Dropped::Skipped(reason));
-        }
-    }
-}
-
 /// The engine behind [`parallel_map`]: self-scheduling order-preserving
 /// map with per-item `catch_unwind` isolation and cooperative
 /// cancellation (an unbudgeted phase passes a never-cancelled token).
@@ -371,7 +340,6 @@ where
             out.push(res);
         }
         let end = if tracing { mark } else { Instant::now() };
-        apply_cut(&mut out, budget.token);
         let report = ExecReport {
             threads: 1,
             busy_us: vec![duration_us(end - start)],
@@ -464,19 +432,11 @@ where
                             // item's end, so the spans tile the block.
                             let start = Instant::now();
                             let mut mark = start;
-                            let mut cut = false;
                             for (i, item) in (lo..).zip(claimed.drain(..)) {
                                 // Inside a block the cancel poll stays per
-                                // item. A deterministic cut keeps every item
-                                // at or before it running — per-item claiming
-                                // would have handed all of them out before
-                                // the cut item — so the completed prefix is
-                                // the same at any block size.
-                                if i > lo
-                                    && budget.token.is_cancelled()
-                                    && past_cut(budget.token, i)
-                                {
-                                    cut = true;
+                                // item; a tripped token stays tripped, so
+                                // the claim loop's poll then ends the worker.
+                                if i > lo && budget.token.is_cancelled() {
                                     break;
                                 }
                                 if monitoring {
@@ -502,9 +462,6 @@ where
                             }
                             busy += if tracing { mark } else { Instant::now() } - start;
                             blocks.push((lo, done.len() - first));
-                            if cut {
-                                break;
-                            }
                         }
                         // Scope exit does not wait for TLS destructors;
                         // push buffered spans and metrics out while still
@@ -548,8 +505,7 @@ where
     blocks.sort_unstable();
     let cancel_reason = budget.token.reason();
     let missing = |i: usize| match cancel_reason {
-        // Never claimed (or dropped past a cut) because the token tripped
-        // first.
+        // Never claimed because the token tripped first.
         Some(reason) => Err(Dropped::Skipped(reason)),
         None => Err(Dropped::Panic(
             Box::new(format!("executor: result {i} never filled")) as Payload,
@@ -563,7 +519,6 @@ where
     }
     let at = out.len();
     out.extend((at..n).map(missing));
-    apply_cut(&mut out, budget.token);
     (out, ExecReport { threads, busy_us })
 }
 
@@ -960,48 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_at_inside_a_claim_block_keeps_the_prefix() {
-        // Cuts at a block's first item, mid-block and at its last item.
-        // The block before the cut's is slow, so another worker is still
-        // inside it when the cut lands and must finish it.
-        for cut in [16usize * 40, 16 * 40 + 7, 16 * 40 + 15, 3] {
-            let slow = (cut / 16).saturating_sub(1) * 16..(cut / 16) * 16;
-            let mut runs: Vec<Vec<Result<usize, ItemFault>>> = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let token = CancelToken::never();
-                let tok = &token;
-                let (out, _) = parallel_map(
-                    budgeted(threads, "test.block_cut", tok, None),
-                    (0..BLOCKED).collect::<Vec<_>>(),
-                    || (),
-                    |(), x| {
-                        if slow.contains(&x) {
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
-                        if x == cut {
-                            tok.cancel_at(cut, CancelReason::External);
-                        }
-                        x + 1
-                    },
-                );
-                for (i, o) in out.iter().enumerate() {
-                    if i <= cut {
-                        assert_eq!(*o, Ok(i + 1), "threads {threads} item {i} (cut {cut})");
-                    } else {
-                        assert_eq!(
-                            *o,
-                            Err(ItemFault::Skipped(CancelReason::External)),
-                            "threads {threads} item {i} (cut {cut})"
-                        );
-                    }
-                }
-                runs.push(out);
-            }
-            assert!(runs.windows(2).all(|w| w[0] == w[1]), "cut {cut}");
-        }
-    }
-
-    #[test]
     fn merge_accumulates_reports() {
         let mut a = ExecReport {
             threads: 2,
@@ -1019,7 +932,7 @@ mod tests {
     fn pre_cancelled_token_skips_everything_and_executor_stays_usable() {
         for threads in [1, 4] {
             let token = CancelToken::never();
-            token.cancel(CancelReason::External);
+            token.cancel(CancelReason::Deadline);
             let (out, rep) = parallel_map(
                 budgeted(threads, "test.precancel", &token, None),
                 (0..16u32).collect::<Vec<_>>(),
@@ -1029,7 +942,7 @@ mod tests {
             assert_eq!(out.len(), 16, "{threads}");
             assert!(
                 out.iter()
-                    .all(|o| *o == Err(ItemFault::Skipped(CancelReason::External))),
+                    .all(|o| *o == Err(ItemFault::Skipped(CancelReason::Deadline))),
                 "{threads}: every item skipped"
             );
             assert_eq!(rep.busy_us.len(), rep.threads);
@@ -1043,95 +956,6 @@ mod tests {
             |(), x| x + 1,
         );
         assert!(out.iter().enumerate().all(|(i, o)| *o == Ok(i as u32 + 1)));
-    }
-
-    #[test]
-    fn cancel_at_is_bit_identical_across_thread_counts() {
-        const CUT: usize = 5;
-        let mut runs: Vec<Vec<Result<u32, ItemFault>>> = Vec::new();
-        for threads in [1usize, 4] {
-            let token = CancelToken::never();
-            let tok = &token;
-            let (out, _) = parallel_map(
-                budgeted(threads, "test.cancel_at", tok, None),
-                (0..32u32).collect::<Vec<_>>(),
-                || (),
-                move |(), x| {
-                    if x as usize == CUT {
-                        tok.cancel_at(CUT, CancelReason::External);
-                    }
-                    x * 3
-                },
-            );
-            // Completed prefix 0..=CUT in input order; everything after is
-            // skipped even if a racing worker computed it.
-            for (i, o) in out.iter().enumerate() {
-                if i <= CUT {
-                    assert_eq!(*o, Ok(i as u32 * 3), "{threads} item {i}");
-                } else {
-                    assert_eq!(
-                        *o,
-                        Err(ItemFault::Skipped(CancelReason::External)),
-                        "{threads} item {i}"
-                    );
-                }
-            }
-            runs.push(out);
-        }
-        assert_eq!(runs[0], runs[1], "bit-identical at threads 1 and 4");
-    }
-
-    /// Property: for *any* cancel index, the deterministic cut keeps the
-    /// completed prefix in input order, is bit-identical at threads
-    /// {1, 4}, and leaves the executor fully reusable afterwards.
-    #[test]
-    fn prop_cancel_cut_is_ordered_deterministic_and_reusable() {
-        pao_ptest::check("parallel.cancel_cut", 40, |rng| {
-            let n = rng.gen_range(1..=48u64) as usize;
-            // `cut >= n` exercises the no-cancel edge (nothing skipped).
-            let cut = rng.gen_range(0..=(n as u64 + 1)) as usize;
-            let mut runs: Vec<Vec<Result<usize, ItemFault>>> = Vec::new();
-            for threads in [1usize, 4] {
-                let token = CancelToken::never();
-                let tok = &token;
-                let (out, _) = parallel_map(
-                    budgeted(threads, "prop.cancel_cut", tok, None),
-                    (0..n).collect::<Vec<_>>(),
-                    || (),
-                    move |(), x| {
-                        if x == cut {
-                            tok.cancel_at(cut, CancelReason::External);
-                        }
-                        x * 7 + 1
-                    },
-                );
-                for (i, o) in out.iter().enumerate() {
-                    if i <= cut {
-                        assert_eq!(*o, Ok(i * 7 + 1), "threads {threads} item {i}");
-                    } else {
-                        assert_eq!(
-                            *o,
-                            Err(ItemFault::Skipped(CancelReason::External)),
-                            "threads {threads} item {i}"
-                        );
-                    }
-                }
-                runs.push(out);
-                // Reusable: a fresh run right after the cancelled one
-                // completes every item.
-                let clean = CancelToken::never();
-                let (again, _) = parallel_map(
-                    budgeted(threads, "prop.cancel_cut.again", &clean, None),
-                    (0..n).collect::<Vec<_>>(),
-                    || (),
-                    |(), x| x,
-                );
-                for (i, r) in again.iter().enumerate() {
-                    assert_eq!(*r, Ok(i), "reuse after cancel, threads {threads}");
-                }
-            }
-            assert_eq!(runs[0], runs[1], "bit-identical at threads 1 and 4");
-        });
     }
 
     #[test]

@@ -44,10 +44,10 @@
 //! snapshot (one request's history roll-forward never mutates a
 //! concurrent request's split).
 
-use crate::budget::{PhaseFractions, RunBudget, SharedFractions, Watchdog};
+use crate::budget::{PhaseFractions, RunBudget, RunCtx, SharedFractions, Watchdog};
 use crate::cluster::{comp_bbox, RowIndex, StripeCells};
 use crate::incremental::{ConnectedPins, EcoWindow};
-use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle, RunCtx};
+use crate::oracle::{PaoConfig, PaoResult, PinAccessOracle};
 use crate::persist::{signature_of, AnalysisCache, EcoJournal, JournalEntry};
 use pao_design::{CompId, Design};
 use pao_geom::Point;
@@ -635,7 +635,7 @@ impl OracleService {
         resolved.dedup();
         let moved = resolved;
         let old_cells = self.relocate(&design, &moved, false);
-        let run = RunCtx::new(deadline, self.fractions.snapshot(), watchdog);
+        let mut run = RunCtx::new(deadline, self.fractions.snapshot(), watchdog);
         let cache_stats = self.cache.stats();
         if self.collect_rejects {
             pao_obs::enable_ledger();
@@ -646,7 +646,7 @@ impl OracleService {
         table.classify(&self.tech, &design, moved.iter().copied());
         let oracle = PinAccessOracle::with_config(self.config.clone());
         let (result, tail, pins_reprobed) = match self.cache.warm(&design, table) {
-            Some(warm) => {
+            Some(input) => {
                 let windowed = if self.window_ready(&design, &moved) {
                     let w = EcoWindow {
                         old_design: &self.design,
@@ -656,14 +656,15 @@ impl OracleService {
                         moved: &moved,
                         pins: &self.pins,
                     };
-                    oracle.window_tail(&self.tech, &design, warm, &w, &run)
+                    oracle.window_tail(&self.tech, &design, input, &w, &mut run)
                 } else {
-                    Err(warm)
+                    Err(Box::new(input))
                 };
                 match windowed {
                     Ok((result, pins)) => (result, EcoTail::Window, pins),
-                    Err(warm) => {
-                        let result = oracle.analyze_warm(&self.tech, &design, warm, &run);
+                    Err(input) => {
+                        let result =
+                            oracle.select_repair_audit(&self.tech, &design, *input, &mut run);
                         let pins = result.stats.total_pins;
                         (result, EcoTail::Full, pins)
                     }
@@ -674,7 +675,7 @@ impl OracleService {
                 // resident store attached analyzes only the new ones.
                 let budget = RunBudget {
                     deadline,
-                    fractions: run.alloc.fractions(),
+                    fractions: run.fractions(),
                     watchdog,
                     store: Some(&mut self.cache),
                 };

@@ -335,9 +335,9 @@ fn same_inputs(a: &UniqueInstanceAccess, oa: Point, b: &UniqueInstanceAccess, ob
 mod tests {
     use super::*;
     use crate::apgen::ApgenPlan;
-    use crate::budget::PhaseFractions;
+    use crate::budget::{PhaseFractions, RunCtx};
     use crate::coord::CoordType;
-    use crate::oracle::{instance_access, RunCtx};
+    use crate::oracle::instance_access;
     use crate::pattern::{pattern_dp, AccessPattern};
     use crate::unique::extract_unique_instances;
     use crate::{PaoConfig, PinAccessOracle};
@@ -385,9 +385,9 @@ mod tests {
 
     /// Steps 1 and 2 with sharing, exactly as an analysis runs them.
     fn shared(tech: &Tech, design: &Design, config: &PaoConfig) -> Vec<UniqueInstanceAccess> {
-        let run = RunCtx::new(None, PhaseFractions::default(), None);
+        let mut run = RunCtx::new(None, PhaseFractions::default(), None);
         PinAccessOracle::with_config(config.clone())
-            .analyze_instances(tech, design, None, &run)
+            .analyze_instances(tech, design, None, &mut run)
             .unique
     }
 

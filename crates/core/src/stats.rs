@@ -68,16 +68,17 @@ pub struct PaoStats {
     /// [`pao_obs::enable_metrics`] before analyzing).
     pub metrics: pao_obs::MetricsSnapshot,
     /// Work items quarantined by the fault-isolation layer: the run
-    /// completed *without* these items instead of aborting. Empty on a
-    /// healthy run; deterministic (input order) for a given fault set, so
-    /// it participates in the thread-count identity contract.
+    /// completed *without* these items instead of aborting. Every phase
+    /// hands its faults to the run, which stamps them here in pipeline
+    /// order. Empty on a healthy run; deterministic (input order) for a
+    /// given fault set, so it participates in the thread-count identity
+    /// contract.
     pub quarantined: Vec<FaultRecord>,
-    /// What the deadline budget did to this run: per-phase skip tallies
-    /// and any watchdog stall records. Empty/default for unbudgeted runs.
-    /// Deliberately **excluded** from [`Self::counters_eq`] — where the
-    /// wall clock cuts a phase is inherently timing-dependent (only
-    /// [`CancelToken::cancel_at`](crate::budget::CancelToken::cancel_at)
-    /// cuts are deterministic).
+    /// What the deadline budget did to this run: one skip record per cut
+    /// phase (reason `deadline` or `stall`) and any watchdog stall
+    /// records. Empty/default for unbudgeted runs. Deliberately
+    /// **excluded** from [`Self::counters_eq`] — where the wall clock or
+    /// the watchdog cuts a phase is inherently timing-dependent.
     pub deadline: DeadlineReport,
     /// Cluster-selection fast-path instrumentation (probe/edge counts,
     /// pruning, groups solved). Deterministic at every thread count, but

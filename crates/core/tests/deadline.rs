@@ -3,7 +3,8 @@
 //! Asserts that the oracle under a [`RunBudget`]
 //!
 //! 1. never aborts — an exhausted budget still yields a usable partial
-//!    result with per-phase skip tallies,
+//!    result with one skip record per cut phase, at any thread count,
+//!    while a budget the run never reaches changes nothing,
 //! 2. resumes from the analysis store of a cut run bit-identically to an
 //!    uninterrupted run (at 1 and 4 threads), recomputing exactly the
 //!    items the cut left out, and
@@ -16,7 +17,8 @@
 
 use pao_core::service::selection_dump;
 use pao_core::{
-    fault, AnalysisCache, CancelReason, PaoConfig, PaoResult, PinAccessOracle, RunBudget, Watchdog,
+    fault, AnalysisCache, CancelReason, PaoConfig, PaoResult, Phase, PinAccessOracle, RunBudget,
+    SkipRecord, Watchdog,
 };
 use pao_design::CompId;
 use pao_tech::Tech;
@@ -70,39 +72,82 @@ fn deadline_watchdog_and_resume_contract() {
     let clean_fp = access_fingerprint(&tech, &design, &clean);
 
     // ---- 1. Zero budget: everything skippable is skipped, the run still
-    // returns a structurally usable result (partial, never aborted).
-    let zero =
-        oracle(2).analyze_with_budget(&tech, &design, RunBudget::with_deadline(Duration::ZERO));
-    assert!(zero.stats.deadline.is_partial(), "{}", zero.stats);
-    assert_eq!(zero.stats.deadline.budget, Some(Duration::ZERO));
-    assert!(zero.stats.deadline.skipped_items() > 0);
-    assert!(
-        zero.stats
-            .deadline
-            .skipped
-            .iter()
-            .all(|s| s.reason == CancelReason::Deadline),
-        "{}",
-        zero.stats.deadline
-    );
-    // Skips are not faults: the quarantine list stays clean.
-    assert!(zero.stats.quarantined.is_empty(), "{}", zero.stats);
-    // The partial result answers access queries without panicking
-    // (every pin simply has no access yet).
-    let _ = access_fingerprint(&tech, &design, &zero);
-    // Pins the audit never certified count as failed, not as missing.
-    assert_eq!(zero.stats.failed_pins, zero.stats.total_pins);
+    // returns a structurally usable result (partial, never aborted). Every
+    // unique instance is skipped by apgen and by pattern generation, every
+    // selection group by selection, and every connected pin by the audit;
+    // no repair round starts. One record per phase, in pipeline order.
+    pao_obs::enable_metrics();
+    let n = clean.unique.len();
+    let groups = clean.stats.select_telemetry.groups as usize;
+    let want: Vec<SkipRecord> = [
+        (Phase::Apgen, n),
+        (Phase::Pattern, n),
+        (Phase::Select, groups),
+        (Phase::Audit, clean.stats.total_pins),
+    ]
+    .into_iter()
+    .map(|(phase, items)| SkipRecord {
+        phase,
+        items,
+        reason: CancelReason::Deadline,
+    })
+    .collect();
+    let clean_dump = selection_dump(&design, &clean);
+    for threads in [1usize, 4] {
+        let zero = oracle(threads).analyze_with_budget(
+            &tech,
+            &design,
+            RunBudget::with_deadline(Duration::ZERO),
+        );
+        assert!(zero.stats.deadline.is_partial(), "{}", zero.stats);
+        assert_eq!(zero.stats.deadline.budget, Some(Duration::ZERO));
+        assert_eq!(zero.stats.deadline.skipped, want, "threads {threads}");
+        for s in &want {
+            assert_eq!(
+                zero.stats.metrics.counter(s.phase.deadline_counter()),
+                s.items as u64,
+                "threads {threads}: {}",
+                s.phase.deadline_counter()
+            );
+        }
+        // Skips are not faults: the quarantine list stays clean.
+        assert!(zero.stats.quarantined.is_empty(), "{}", zero.stats);
+        // The partial result answers access queries without panicking
+        // (every pin simply has no access yet).
+        let _ = access_fingerprint(&tech, &design, &zero);
+        // Pins the audit never certified count as failed, not as missing.
+        assert_eq!(zero.stats.failed_pins, zero.stats.total_pins);
+
+        // A one-day budget is never reached: the run equals the
+        // unbudgeted one.
+        let day = oracle(threads).analyze_with_budget(
+            &tech,
+            &design,
+            RunBudget::with_deadline(Duration::from_secs(86_400)),
+        );
+        assert!(!day.stats.deadline.is_partial(), "{}", day.stats);
+        assert!(
+            day.stats.counters_eq(&clean.stats),
+            "threads {threads}:\n{}\nvs\n{}",
+            day.stats,
+            clean.stats
+        );
+        assert_eq!(day.selection, clean.selection, "threads {threads}");
+        assert_eq!(day.overrides, clean.overrides, "threads {threads}");
+        assert_eq!(
+            selection_dump(&design, &day),
+            clean_dump,
+            "threads {threads}"
+        );
+    }
 
     // ---- 2. Deterministic cuts + resume. An injected apgen fault at
     // unique instance K leaves no entry for K, so the resumed run
     // recomputes exactly K; an injected pattern fault at K leaves an
     // apgen-only entry, so the resumed run restores every step 1 and runs
     // exactly one pattern DP. Both end bit-identical to the clean run.
-    pao_obs::enable_metrics();
     let counter = |name: &str| pao_obs::snapshot().counter(name);
-    let n = clean.unique.len();
     let k = n / 2;
-    let clean_dump = selection_dump(&design, &clean);
     for threads in [1usize, 4] {
         for (label, restored_apgen) in [("apgen.instance", n - 1), ("pattern.instance", n)] {
             let at = format!("{label}:{k} x{threads}");

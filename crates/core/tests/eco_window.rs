@@ -173,13 +173,18 @@ fn window_rejects_and_degrade_contract() {
         match arm {
             "select-fault" | "audit-fault" => assert_eq!(quarantined, 1, "{arm}"),
             "select-stall" => assert!(stalls > 0, "{arm}"),
-            _ => assert!(skipped > 0, "{arm}"),
+            _ => {}
         }
         assert_eq!(svc.selection_dump(), before, "{arm}: snapshot replaced");
         assert_eq!((svc.eco_updates(), svc.degraded_ecos()), (0, 1), "{arm}");
         // The service stays healthy and the same batch still windows.
         let reply = svc.eco_update(&moves, None, None).expect("eco applies");
         assert_eq!(reply.tail, EcoTail::Window, "{arm}");
+        if arm == "deadline" {
+            // A zero budget skips every group the window re-solves, and a
+            // window whose selection degraded re-probes no pin.
+            assert_eq!(skipped, reply.groups_resolved, "{arm}");
+        }
     }
 
     // 3. Proportionality of the unique-instance update.

@@ -73,12 +73,6 @@ impl Orient {
         matches!(self, Orient::W | Orient::E | Orient::FW | Orient::FE)
     }
 
-    /// `true` when the orientation includes a mirror (changes handedness).
-    #[must_use]
-    pub fn is_mirrored(self) -> bool {
-        matches!(self, Orient::FN | Orient::FS | Orient::FW | Orient::FE)
-    }
-
     /// The LEF/DEF keyword for this orientation.
     #[must_use]
     pub fn as_str(self) -> &'static str {

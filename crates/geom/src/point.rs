@@ -50,15 +50,6 @@ impl Point {
         }
     }
 
-    /// Returns a copy with the coordinate along `dir` replaced by `v`.
-    #[must_use]
-    pub fn with_coord(self, dir: Dir, v: Dbu) -> Point {
-        match dir {
-            Dir::Horizontal => Point::new(v, self.y),
-            Dir::Vertical => Point::new(self.x, v),
-        }
-    }
-
     /// Manhattan (L1) distance to `other`.
     ///
     /// ```
@@ -157,8 +148,6 @@ mod tests {
         let p = Point::new(7, 9);
         assert_eq!(p.coord(Dir::Horizontal), 7);
         assert_eq!(p.coord(Dir::Vertical), 9);
-        assert_eq!(p.with_coord(Dir::Horizontal, 0), Point::new(0, 9));
-        assert_eq!(p.with_coord(Dir::Vertical, 0), Point::new(7, 0));
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl Rect {
         self.x_span().contains(p.x) && self.y_span().contains(p.y)
     }
 
-    /// `true` when the point lies strictly inside (not on the boundary).
-    #[must_use]
-    pub fn contains_strict(self, p: Point) -> bool {
-        self.xlo < p.x && p.x < self.xhi && self.ylo < p.y && p.y < self.yhi
-    }
-
     /// `true` when `other` lies entirely within `self` (closed containment).
     #[must_use]
     pub fn contains_rect(self, other: Rect) -> bool {
@@ -222,14 +216,6 @@ impl Rect {
     pub fn expanded(self, d: Dbu) -> Rect {
         let xs = self.x_span().expanded(d);
         let ys = self.y_span().expanded(d);
-        Rect::new(xs.lo(), ys.lo(), xs.hi(), ys.hi())
-    }
-
-    /// The rectangle expanded by possibly different amounts per axis.
-    #[must_use]
-    pub fn expanded_xy(self, dx: Dbu, dy: Dbu) -> Rect {
-        let xs = self.x_span().expanded(dx);
-        let ys = self.y_span().expanded(dy);
         Rect::new(xs.lo(), ys.lo(), xs.hi(), ys.hi())
     }
 
@@ -301,8 +287,6 @@ mod tests {
         let r = Rect::new(0, 0, 10, 10);
         assert!(r.contains(Point::new(0, 0)));
         assert!(r.contains(Point::new(10, 10)));
-        assert!(!r.contains_strict(Point::new(0, 5)));
-        assert!(r.contains_strict(Point::new(5, 5)));
         assert!(r.contains_rect(Rect::new(0, 0, 10, 10)));
         assert!(!r.contains_rect(Rect::new(0, 0, 11, 10)));
     }
@@ -345,7 +329,6 @@ mod tests {
     fn expansion_translation() {
         let a = Rect::new(0, 0, 10, 10);
         assert_eq!(a.expanded(2), Rect::new(-2, -2, 12, 12));
-        assert_eq!(a.expanded_xy(1, 0), Rect::new(-1, 0, 11, 10));
         assert_eq!(
             a.translated(Point::new(100, -100)),
             Rect::new(100, -100, 110, -90)

@@ -1,7 +1,7 @@
 //! Placement transforms mapping cell-master coordinates into die
 //! coordinates.
 
-use crate::{Dbu, Dir, Orient, Point, Rect};
+use crate::{Dbu, Orient, Point, Rect};
 
 /// The affine transform induced by placing a cell master of size
 /// `width × height` at `location` with a given [`Orient`].
@@ -115,17 +115,6 @@ impl Transform {
         Rect::from_points(self.invert(r.ll()), self.invert(r.ur()))
     }
 
-    /// Maps a master-space direction into die space (axes swap under 90°
-    /// rotations).
-    #[must_use]
-    pub fn apply_dir(self, dir: Dir) -> Dir {
-        if self.orient.swaps_axes() {
-            dir.perp()
-        } else {
-            dir
-        }
-    }
-
     /// Bounding box of the placed master.
     #[must_use]
     pub fn placed_bbox(self) -> Rect {
@@ -216,14 +205,6 @@ mod tests {
         );
         // S rotates 180: master LL -> placed UR.
         assert_eq!(t(Orient::S).apply(Point::new(0, 0)), Point::new(1100, 2050));
-    }
-
-    #[test]
-    fn dir_mapping() {
-        assert_eq!(t(Orient::N).apply_dir(Dir::Horizontal), Dir::Horizontal);
-        assert_eq!(t(Orient::FS).apply_dir(Dir::Horizontal), Dir::Horizontal);
-        assert_eq!(t(Orient::W).apply_dir(Dir::Horizontal), Dir::Vertical);
-        assert_eq!(t(Orient::FE).apply_dir(Dir::Vertical), Dir::Horizontal);
     }
 
     #[test]

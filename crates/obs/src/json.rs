@@ -111,15 +111,6 @@ impl Value {
         (n.fract() == 0.0 && n.abs() <= exact).then_some(n as i64)
     }
 
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Value]> {
@@ -498,7 +489,7 @@ mod tests {
         assert_eq!(parse("-1.5e2").expect("num").as_f64(), Some(-150.0));
         assert_eq!(parse("42").expect("num").as_i64(), Some(42));
         assert_eq!(parse("1.5").expect("num").as_i64(), None, "not integral");
-        assert_eq!(parse("true").expect("bool").as_bool(), Some(true));
+        assert_eq!(parse("true").expect("bool"), Value::Bool(true));
         assert!(parse("null").expect("null").is_null());
         assert_eq!(
             parse("[]").expect("arr").as_array().map(<[Value]>::len),

@@ -70,12 +70,6 @@ impl Rng {
         self.s1.wrapping_add(y)
     }
 
-    /// An independent generator split off this one (advances `self`).
-    #[must_use]
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Uniform value in `[0, span)` for `span >= 1`, bias-free via
     /// rejection sampling. `span == 2^64` is represented as `0`.
     fn below(&mut self, span: u128) -> u64 {

@@ -187,16 +187,6 @@ impl Pin {
         }
     }
 
-    /// All rectangles of this pin on `layer` (polygons decomposed).
-    #[must_use]
-    pub fn rects_on(&self, layer: LayerId) -> Vec<Rect> {
-        self.ports
-            .iter()
-            .filter(|p| p.layer == layer)
-            .flat_map(Port::flat_rects)
-            .collect()
-    }
-
     /// Bounding box of the pin across all layers, `None` for a pin with no
     /// geometry.
     #[must_use]
@@ -294,11 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn pin_rects_on_layer() {
+    fn pin_bbox() {
         let m = nand2();
         let a = m.pin("A").unwrap();
-        assert_eq!(a.rects_on(LayerId(0)).len(), 1);
-        assert!(a.rects_on(LayerId(2)).is_empty());
         assert_eq!(a.bbox(), Some(Rect::new(100, 400, 200, 800)));
     }
 

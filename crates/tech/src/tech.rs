@@ -106,15 +106,6 @@ impl Tech {
         &self.layers[id.index()]
     }
 
-    /// Mutable access to a layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is out of range.
-    pub fn layer_mut(&mut self, id: LayerId) -> &mut Layer {
-        &mut self.layers[id.index()]
-    }
-
     /// Looks up a layer by name.
     #[must_use]
     pub fn layer_id(&self, name: &str) -> Option<LayerId> {
@@ -156,18 +147,6 @@ impl Tech {
             .map(|(i, _)| LayerId(i as u32))
     }
 
-    /// The routing layer immediately below `id`, if any.
-    #[must_use]
-    pub fn routing_layer_below(&self, id: LayerId) -> Option<LayerId> {
-        self.layers
-            .iter()
-            .enumerate()
-            .take(id.index())
-            .rev()
-            .find(|(_, l)| l.kind == LayerKind::Routing)
-            .map(|(i, _)| LayerId(i as u32))
-    }
-
     /// The cut layer strictly between two routing layers (in either order),
     /// if exactly the adjacent-pair relationship holds.
     #[must_use]
@@ -203,12 +182,6 @@ impl Tech {
     pub fn via_id(&self, name: &str) -> Option<ViaId> {
         let sym = Symbol::lookup(name)?;
         self.via_names.get(&sym).copied()
-    }
-
-    /// Looks up a via definition by interned name.
-    #[must_use]
-    pub fn via_id_sym(&self, name: Symbol) -> Option<ViaId> {
-        self.via_names.get(&name).copied()
     }
 
     /// Ids of the vias whose bottom layer is `layer` (the candidates for an
@@ -290,8 +263,6 @@ mod tests {
         assert_eq!(t.routing_layer_above(m1), Some(m2));
         assert_eq!(t.routing_layer_above(m2), Some(m3));
         assert_eq!(t.routing_layer_above(m3), None);
-        assert_eq!(t.routing_layer_below(m2), Some(m1));
-        assert_eq!(t.routing_layer_below(m1), None);
         assert_eq!(t.cut_between(m1, m2), Some(v1));
         assert_eq!(t.cut_between(m2, m1), Some(v1));
         assert_eq!(t.cut_between(m2, m3), Some(v2));

@@ -1,7 +1,6 @@
 //! Layout rendering.
 
 use crate::svg::SvgDoc;
-use pao_core::apgen::AccessPoint;
 use pao_core::oracle::PaoResult;
 use pao_design::{CompId, Design};
 use pao_drc::{DrcViolation, ShapeSet};
@@ -181,17 +180,6 @@ pub fn render_cell_access(
     )
 }
 
-/// Extracts `(position, is_clean)` markers from a list of access points
-/// (all PAAF points are clean by construction; pass dirtiness from an
-/// audit for baselines).
-#[must_use]
-pub fn ap_markers(aps: &[AccessPoint], dirty: &[bool]) -> Vec<(Point, bool)> {
-    aps.iter()
-        .enumerate()
-        .map(|(i, ap)| (ap.pos, !dirty.get(i).copied().unwrap_or(false)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,21 +210,5 @@ mod tests {
         let svg = render_cell_access(&tech, &design, &result, CompId(0));
         assert!(svg.contains("<circle"), "access points drawn");
         assert!(svg.contains("<line"), "tracks drawn");
-    }
-
-    #[test]
-    fn dirty_markers_rendered_in_orange() {
-        use pao_core::coord::CoordType;
-        let ap = AccessPoint {
-            pos: Point::new(500, 500),
-            layer: pao_tech::LayerId(0),
-            pref_type: CoordType::OnTrack,
-            nonpref_type: CoordType::OnTrack,
-            vias: vec![],
-            planar: vec![],
-        };
-        let markers = ap_markers(&[ap.clone(), ap], &[true, false]);
-        assert!(!markers[0].1);
-        assert!(markers[1].1);
     }
 }

@@ -84,6 +84,46 @@ rc=$?
 [[ "$rc" == 6 ]] || { echo "expected exit 6 after stall, got $rc"; exit 1; }
 grep -q "stalled on item 0" "$out" || { echo "stall not recorded"; exit 1; }
 grep -q "watchdog.stalls" "$out" || { echo "watchdog counter missing"; exit 1; }
+# 4. Degraded runs repeat at every thread count: one run records every
+#    phase's faults, skips and stalls (DESIGN.md §12-13). A zero budget
+#    prints one deadline skip record per cut phase, and the same deadline
+#    line and deadline.skipped.* counters at 1 and 4 threads. A fault
+#    injected into any phase prints the same quarantined records,
+#    failed-pin line and listing, fault.quarantined.* counters and
+#    selection dump at 1 and 4 threads. A one-day budget, never reached,
+#    leaves the stat lines and the dump of the unbudgeted run.
+skips() { grep -E '^deadline +:|^  deadline\.skipped\.' "$1"; }
+faults() { grep -E '^(quarantined|failed pins) +:|^  \[|^  fault\.quarantined\.|^  FAILED ' "$1"; }
+for t in 1 4; do
+    target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
+        --threads "$t" --deadline-ms 0 --deadline-ok --metrics > "$rep/zero-$t.txt"
+done
+grep -Eq '^deadline +: .*skipped [0-9]+ \(apgen [0-9]+ \(deadline\), pattern [0-9]+ \(deadline\), select [0-9]+ \(deadline\), audit [0-9]+ \(deadline\)\)' \
+    "$rep/zero-1.txt" || { echo "zero budget: expected apgen, pattern, select and audit skip records"; exit 1; }
+diff <(skips "$rep/zero-1.txt") <(skips "$rep/zero-4.txt") \
+    || { echo "zero-budget skip records diverged between 1 and 4 threads"; exit 1; }
+for phase in apgen pattern select repair audit; do
+    for t in 1 4; do
+        target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
+            --threads "$t" --inject-fault "$phase:1" --degraded-ok --metrics \
+            --dump-selection "$rep/fault-$phase-$t.sel" > "$rep/fault-$phase-$t.txt" 2> /dev/null
+    done
+    grep -Eq '^quarantined +: 1$' "$rep/fault-$phase-1.txt" \
+        || { echo "--inject-fault $phase:1 quarantined no item"; exit 1; }
+    diff <(faults "$rep/fault-$phase-1.txt") <(faults "$rep/fault-$phase-4.txt") \
+        || { echo "--inject-fault $phase:1 records diverged between 1 and 4 threads"; exit 1; }
+    cmp -s "$rep/fault-$phase-1.sel" "$rep/fault-$phase-4.sel" \
+        || { echo "--inject-fault $phase:1 selection dump diverged between 1 and 4 threads"; exit 1; }
+done
+for t in 1 4; do
+    target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
+        --threads "$t" --deadline-ms 86400000 --deadline-ok --report "$rep/day-$t.txt" \
+        --dump-selection "$rep/day-$t.sel" > /dev/null 2>&1
+    diff <(counters "$rep/clean-$t.txt") <(counters "$rep/day-$t.txt") \
+        || { echo "one-day budget x$t changed the stat lines"; exit 1; }
+    cmp -s "$rep/clean-$t.sel" "$rep/day-$t.sel" \
+        || { echo "one-day budget x$t changed the selection dump"; exit 1; }
+done
 echo "deadline e2e: OK"
 
 echo "== selection identity =="
