@@ -278,6 +278,12 @@ fn expt3_14nm(fast: bool) {
     save("fig9_aes14.svg", &o.svg);
 }
 
+/// A time column in milliseconds, one decimal: the ablation and scaling
+/// runs take tens of milliseconds, which whole centiseconds would hide.
+fn ms(d: std::time::Duration) -> String {
+    format!("{:.1}", d.as_secs_f64() * 1e3)
+}
+
 fn ablations(fast: bool) {
     let case = if fast {
         SuiteCase::small_smoke()
@@ -290,7 +296,7 @@ fn ablations(fast: bool) {
     // k sweep (Algorithm 1 early termination).
     let mut t = Table::new(
         "Ablation: APs per pin (k)",
-        &["k", "total APs", "failed pins", "t apgen (s)"],
+        &["k", "total APs", "failed pins", "t apgen (ms)"],
     );
     for k in [1usize, 2, 3, 5, 8] {
         let mut cfg = PaoConfig::default();
@@ -300,7 +306,7 @@ fn ablations(fast: bool) {
             k.to_string(),
             r.stats.total_aps.to_string(),
             r.stats.failed_pins.to_string(),
-            format!("{:.2}", r.stats.apgen_time.as_secs_f64()),
+            ms(r.stats.apgen_time),
         ]);
     }
     print_table(&t);
@@ -356,7 +362,7 @@ fn ablations(fast: bool) {
     // stage is measured in isolation).
     let mut t = Table::new(
         "Ablation: pattern DP features (repair off)",
-        &["setting", "failed pins", "t total (s)"],
+        &["setting", "failed pins", "t total (ms)"],
     );
     let settings: Vec<(&str, bool, bool, usize)> = vec![
         ("BCA + history, 3 patterns (paper)", true, true, 3),
@@ -374,7 +380,7 @@ fn ablations(fast: bool) {
         t.row(vec![
             label.to_owned(),
             r.stats.failed_pins.to_string(),
-            format!("{:.2}", r.stats.total_time().as_secs_f64()),
+            ms(r.stats.total_time()),
         ]);
     }
     print_table(&t);
@@ -417,8 +423,8 @@ fn scaling(fast: bool) {
             "#Pins",
             "#UniqInst",
             "APs",
-            "t apgen (s)",
-            "t total (s)",
+            "t apgen (ms)",
+            "t total (ms)",
             "us/pin",
         ],
     );
@@ -441,8 +447,8 @@ fn scaling(fast: bool) {
             s.total_pins.to_string(),
             s.unique_instances.to_string(),
             s.total_aps.to_string(),
-            format!("{:.2}", s.apgen_time.as_secs_f64()),
-            format!("{:.2}", s.total_time().as_secs_f64()),
+            ms(s.apgen_time),
+            ms(s.total_time()),
             format!(
                 "{:.1}",
                 s.total_time().as_secs_f64() * 1e6 / s.total_pins.max(1) as f64

@@ -21,7 +21,7 @@
 //!             [--heatmap FILE] [--threads N]
 //! ```
 
-use pao_core::{AnalysisCache, PaoConfig, PaoError, PinAccessOracle, RunBudget};
+use pao_core::{AnalysisCache, PaoConfig, PaoError, Phase, PinAccessOracle, RunBudget};
 use pao_design::Design;
 use pao_tech::Tech;
 use std::process::ExitCode;
@@ -157,24 +157,12 @@ fn write_trace(path: &str, dump: &pao_obs::TraceDump) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Maps an `--inject-fault` phase name to its executor label.
-fn fault_label(phase: &str) -> Option<&'static str> {
-    Some(match phase {
-        "apgen" => "apgen.instance",
-        "pattern" => "pattern.instance",
-        "select" => "select.group",
-        "repair" => "repair.scan",
-        "audit" => "audit.pin",
-        _ => return None,
-    })
-}
-
 /// Arms the deterministic fault-injection hook from an
 /// `--inject-fault PHASE[:INDEX]` value (chaos testing: verify the run
 /// degrades instead of aborting).
 fn arm_injected_fault(spec: &str) -> Result<(), CliError> {
     let (phase, index) = spec.split_once(':').unwrap_or((spec, "0"));
-    let label = fault_label(phase).ok_or_else(|| {
+    let label = Phase::exec_label_of(phase).ok_or_else(|| {
         CliError::usage(format!(
             "--inject-fault: unknown phase `{phase}` (expected apgen|pattern|select|repair|audit)"
         ))
@@ -192,7 +180,7 @@ fn arm_injected_fault(spec: &str) -> Result<(), CliError> {
 fn arm_injected_stall(spec: &str) -> Result<(), CliError> {
     let mut it = spec.split(':');
     let phase = it.next().unwrap_or_default();
-    let label = fault_label(phase).ok_or_else(|| {
+    let label = Phase::exec_label_of(phase).ok_or_else(|| {
         CliError::usage(format!(
             "--inject-stall: unknown phase `{phase}` (expected apgen|pattern|select|repair|audit)"
         ))
@@ -708,16 +696,16 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
         select_json,
         speedup,
     );
-    let out = args.value("--out").unwrap_or("BENCH_pao.json");
-    std::fs::write(out, &json)
-        .map_err(|e| CliError::input(format!("cannot write `{out}`: {e}")))?;
+    // Without --out the JSON goes to stdout: the committed BENCH_pao.json
+    // is a history array that scripts/bench_steps.sh appends to.
+    emit(args.value("--out"), &json)?;
     let speedup_label = if threads_effective == 1 {
         " (single-core host: determinism check only, not a performance number)"
     } else {
         ""
     };
     eprintln!(
-        "speedup {speedup:.2}x{speedup_label}, deadline-mode overhead {deadline_overhead_pct:+.2}% -> {out}"
+        "speedup {speedup:.2}x{speedup_label}, deadline-mode overhead {deadline_overhead_pct:+.2}%"
     );
     Ok(())
 }
@@ -1182,8 +1170,9 @@ USAGE:
   analyze runs all compute phases on every available core by default;
   --threads 1 reproduces the paper's single-threaded measurement mode
   (output is identical for every thread count). bench times a
-  single-threaded baseline against a parallel run and writes the JSON
-  comparison (default BENCH_pao.json). profile re-runs the analysis with
+  single-threaded baseline against a parallel run and prints the JSON
+  comparison (to --out FILE if given; scripts/bench_steps.sh appends it
+  to the BENCH_pao.json history). profile re-runs the analysis with
   pipeline instrumentation enabled and prints a per-phase breakdown:
   wall vs per-worker busy time, utilization, counters and histograms
   (via-memo hit rate, AP acceptance per type pair, DP sizes, …) plus

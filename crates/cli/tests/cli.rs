@@ -123,7 +123,10 @@ fn profile_smoke_writes_valid_chrome_trace() {
     pao_obs::json::validate(&json).expect("trace is valid JSON");
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"ph\":\"X\""));
-    assert!(json.contains("\"name\":\"phase.apgen\""));
+    for phase in ["apgen", "pattern", "select", "repair", "audit"] {
+        let name = format!("\"name\":\"phase.{phase}\"");
+        assert_eq!(json.matches(&name).count(), 1, "one {name} span");
+    }
 }
 
 #[test]
@@ -178,6 +181,30 @@ fn bench_json_is_stamped_with_provenance() {
         .expect("timestamp value");
     assert_eq!(stamp.len(), 20, "unexpected timestamp shape: {stamp}");
     assert!(stamp.ends_with('Z') && stamp.as_bytes()[10] == b'T');
+}
+
+#[test]
+fn bench_without_out_prints_json_and_leaves_history_alone() {
+    let dir = tmp("bench-cwd");
+    std::fs::create_dir_all(&dir).expect("bench dir");
+    let history = dir.join("BENCH_pao.json");
+    let sentinel = "[{\"workload\": \"sentinel\"}]\n";
+    std::fs::write(&history, sentinel).expect("sentinel written");
+    let out = pao()
+        .args(["bench", "--case", "smoke", "--threads", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    pao_obs::json::validate(&json).expect("stdout is valid JSON");
+    assert!(json.contains("\"identical_output\": true"), "{json}");
+    let kept = std::fs::read_to_string(&history).expect("history readable");
+    assert_eq!(kept, sentinel, "bench must not overwrite BENCH_pao.json");
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //! One run (`RunCtx`) owns that policy for every phase: it mints each
 //! phase's token, runs the phase's items (`PhaseRun::map`), and records
 //! the faults, skips and stalls that end up in [`PaoStats::quarantined`]
-//! and [`PaoStats::deadline`].
+//! and [`PaoStats::deadline`], and each phase's wall time, `phase.<name>`
+//! span and executor report.
 //!
 //! All duration and deadline arithmetic in this module (and everywhere
 //! in the pipeline) uses the **monotonic** [`Instant`] clock. The
@@ -410,17 +411,6 @@ impl PhaseFractions {
             .is_none()
             .then_some(PhaseFractions(f).normalized())
     }
-
-    fn index(phase: Phase) -> Option<usize> {
-        match phase {
-            Phase::Apgen => Some(0),
-            Phase::Pattern => Some(1),
-            Phase::Select => Some(2),
-            Phase::Repair => Some(3),
-            Phase::Audit => Some(4),
-            Phase::Cache | Phase::Input => None,
-        }
-    }
 }
 
 impl Default for PhaseFractions {
@@ -519,7 +509,7 @@ impl BudgetAllocator {
         let Some(end) = self.deadline else {
             return CancelToken::never();
         };
-        let Some(i) = PhaseFractions::index(phase) else {
+        let Some(i) = phase.step() else {
             return CancelToken::with_deadline(end);
         };
         let now = Instant::now();
@@ -578,60 +568,70 @@ impl RunBudget<'static> {
 }
 
 /// One run's budget, clocks and degradations: the allocator every phase
-/// mints its token from, the watchdog, the start-of-run stopwatch and
-/// metrics snapshot, and every fault, skip and stall its phases recorded,
+/// mints its token from, the watchdog and worker count, the start-of-run
+/// stopwatch and metrics snapshot, each pipeline phase's wall time and
+/// executor report, and every fault, skip and stall its phases recorded,
 /// which [`RunCtx::close`] stamps into the finished stats.
 pub(crate) struct RunCtx {
     alloc: BudgetAllocator,
     deadline: Option<Duration>,
     watchdog: Option<Watchdog>,
+    threads: usize,
     start: Instant,
     metrics_before: Option<pao_obs::MetricsSnapshot>,
+    /// Per pipeline step: wall time and executor report of its phases.
+    clocks: [(Duration, ExecReport); 5],
     faults: Vec<FaultRecord>,
     skips: Vec<SkipRecord>,
     stalls: Vec<StallRecord>,
 }
 
 impl RunCtx {
-    /// Starts the run clock and anchors the deadline at now.
+    /// Starts the run clock and anchors the deadline at now; every phase
+    /// runs its items on `threads` workers.
     pub(crate) fn new(
         deadline: Option<Duration>,
         fractions: PhaseFractions,
         watchdog: Option<Watchdog>,
+        threads: usize,
     ) -> RunCtx {
         RunCtx {
             alloc: BudgetAllocator::new(deadline, fractions),
             deadline,
             watchdog,
+            threads,
             start: Instant::now(),
             metrics_before: pao_obs::metrics_enabled().then(pao_obs::snapshot),
+            clocks: Default::default(),
             faults: Vec::new(),
             skips: Vec::new(),
             stalls: Vec::new(),
         }
     }
 
-    /// The phase split this run allocates its deadline by.
-    pub(crate) fn fractions(&self) -> PhaseFractions {
-        self.alloc.fractions()
-    }
-
-    /// Starts `phase` under a token minted now from the time left (see
-    /// [`BudgetAllocator::phase_token`]) and the run's watchdog.
+    /// Starts `phase` now: its clock, a token minted from the time left
+    /// (see [`BudgetAllocator::phase_token`]) and the run's watchdog and
+    /// worker count.
     pub(crate) fn phase(&self, phase: Phase) -> PhaseRun {
         PhaseRun {
-            phase,
             token: self.alloc.phase_token(phase),
             watchdog: self.watchdog,
-            faults: Vec::new(),
-            skipped: 0,
+            ..PhaseRun::unbudgeted(phase, self.threads)
         }
     }
 
-    /// Ends `ph`: appends its faults, one [`SkipRecord`] for its skipped
-    /// items (a token latches its first reason, so they all share it) and
-    /// its token's stalls.
+    /// Ends `ph`: adds its wall time and executor report to its step and
+    /// records its `phase.<name>` span over that same interval, then
+    /// appends its faults, one [`SkipRecord`] for its skipped items (a
+    /// token latches its first reason, so they all share it) and its
+    /// token's stalls.
     pub(crate) fn end(&mut self, ph: PhaseRun) {
+        if let (Some(i), Some(span)) = (ph.phase.step(), ph.phase.span()) {
+            let wall = ph.start.elapsed();
+            pao_obs::record_span_at(span, ph.start, wall);
+            self.clocks[i].0 += wall;
+            self.clocks[i].1.merge(&ph.exec);
+        }
         self.faults.extend(ph.faults);
         if ph.skipped > 0 {
             pao_obs::counter_add(ph.phase.deadline_counter(), ph.skipped as u64);
@@ -649,10 +649,18 @@ impl RunCtx {
         !(self.faults.is_empty() && self.skips.is_empty() && self.stalls.is_empty())
     }
 
-    /// Stamps the finished run into `stats`: its faults (bumping
-    /// `fault.quarantined.<phase>`), its deadline report, its wall time
-    /// and its metrics delta.
+    /// Stamps the finished run into `stats`: each phase's wall time and
+    /// executor report (`cluster_time` is exactly select + repair +
+    /// audit), its faults (bumping `fault.quarantined.<phase>`), its
+    /// deadline report, its wall time and its metrics delta.
     pub(crate) fn close(&mut self, stats: &mut PaoStats) {
+        let [apgen, pattern, select, repair, audit] = std::mem::take(&mut self.clocks);
+        (stats.apgen_time, stats.apgen_exec) = apgen;
+        (stats.pattern_time, stats.pattern_exec) = pattern;
+        (stats.select_time, stats.cluster_exec) = select;
+        (stats.repair_time, stats.repair_exec) = repair;
+        (stats.audit_time, stats.audit_exec) = audit;
+        stats.cluster_time = stats.select_time + stats.repair_time + stats.audit_time;
         for fault in &self.faults {
             pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
         }
@@ -669,25 +677,33 @@ impl RunCtx {
     }
 }
 
-/// One phase of a run: its cancel token and watchdog, and the faults and
-/// skips its items recorded so far. [`RunCtx::phase`] starts it and
-/// [`RunCtx::end`] hands its records to the run.
+/// One phase of a run: its start instant, cancel token, watchdog and
+/// worker count, and the executor report, faults and skips its items
+/// recorded so far. [`RunCtx::phase`] starts it and [`RunCtx::end`] hands
+/// its records to the run.
 pub(crate) struct PhaseRun {
     phase: Phase,
+    start: Instant,
     token: CancelToken,
     watchdog: Option<Watchdog>,
+    threads: usize,
+    /// Every [`map`](PhaseRun::map) call's executor report, merged.
+    pub(crate) exec: ExecReport,
     faults: Vec<FaultRecord>,
     skipped: usize,
 }
 
 impl PhaseRun {
-    /// A phase outside any run: never cancelled and unwatched, its records
-    /// dropped with it.
-    pub(crate) fn unbudgeted(phase: Phase) -> PhaseRun {
+    /// A phase outside any run on `threads` workers: never cancelled and
+    /// unwatched, its records dropped with it.
+    pub(crate) fn unbudgeted(phase: Phase, threads: usize) -> PhaseRun {
         PhaseRun {
             phase,
+            start: Instant::now(),
             token: CancelToken::never(),
             watchdog: None,
+            threads,
+            exec: ExecReport::default(),
             faults: Vec::new(),
             skipped: 0,
         }
@@ -704,19 +720,18 @@ impl PhaseRun {
         self.faults.push(fault);
     }
 
-    /// [`parallel_map`] of `f` over `items` as `threads` workers labelled
-    /// `label`, under the phase's token and watchdog. A panicked item comes
-    /// back `None` and is recorded as a fault named `name(index)`; a
-    /// skipped one comes back `None` and is counted.
+    /// [`parallel_map`] of `f` over `items` on the phase's workers, under
+    /// its executor label, token and watchdog; the call's executor report
+    /// merges into the phase's. A panicked item comes back `None` and is
+    /// recorded as a fault named `name(index)`; a skipped one comes back
+    /// `None` and is counted.
     pub(crate) fn map<T, R, S, I, F>(
         &mut self,
-        label: &'static str,
-        threads: usize,
         items: Vec<T>,
         init: I,
         f: F,
         name: impl Fn(usize) -> String,
-    ) -> (Vec<Option<R>>, ExecReport)
+    ) -> Vec<Option<R>>
     where
         T: Send,
         R: Send,
@@ -724,10 +739,11 @@ impl PhaseRun {
         F: Fn(&mut S, T) -> R + Sync,
     {
         let budget = PhaseBudget::new(&self.token, self.watchdog);
-        let opts = ExecOptions::new(threads, label).with_budget(Some(budget));
+        let label = self.phase.exec_label().unwrap_or_default();
+        let opts = ExecOptions::new(self.threads, label).with_budget(Some(budget));
         let (out, exec) = parallel_map(opts, items, init, f);
-        let out = out
-            .into_iter()
+        self.exec.merge(&exec);
+        out.into_iter()
             .enumerate()
             .map(|(i, r)| match r {
                 Ok(r) => Some(r),
@@ -744,8 +760,7 @@ impl PhaseRun {
                     None
                 }
             })
-            .collect();
-        (out, exec)
+            .collect()
     }
 }
 
@@ -926,16 +941,9 @@ mod tests {
     fn run_records_each_phase_skips_and_faults() {
         // A zero budget skips every item of a phase: one record, with the
         // token's reason.
-        let mut run = RunCtx::new(Some(Duration::ZERO), PhaseFractions::DEFAULT, None);
+        let mut run = RunCtx::new(Some(Duration::ZERO), PhaseFractions::DEFAULT, None, 2);
         let mut ph = run.phase(Phase::Pattern);
-        let (out, _) = ph.map(
-            "test.run.skip",
-            2,
-            vec![1u32, 2, 3],
-            || (),
-            |(), x| x,
-            |i| i.to_string(),
-        );
+        let out = ph.map(vec![1u32, 2, 3], || (), |(), x| x, |i| i.to_string());
         assert_eq!(out, vec![None; 3]);
         run.end(ph);
         assert!(run.degraded());
@@ -951,11 +959,9 @@ mod tests {
         assert!(stats.quarantined.is_empty());
 
         // A panicked item is a fault named by its index; the rest complete.
-        let mut run = RunCtx::new(None, PhaseFractions::DEFAULT, None);
+        let mut run = RunCtx::new(None, PhaseFractions::DEFAULT, None, 2);
         let mut ph = run.phase(Phase::Audit);
-        let (out, _) = ph.map(
-            "test.run.fault",
-            2,
+        let out = ph.map(
             vec![1u32, 2, 3],
             || (),
             |(), x| {

@@ -5,7 +5,6 @@ use crate::budget::PhaseRun;
 use crate::cost::DRC_COST;
 use crate::error::Phase;
 use crate::oracle::UniqueInstanceAccess;
-use crate::parallel::ExecReport;
 use crate::pattern::vias_compatible;
 use crate::unique::UniqueInstanceId;
 use pao_design::{CompId, Design};
@@ -296,50 +295,6 @@ pub(crate) fn form_clusters(cells: &[(Dbu, Dbu, CompId)], out: &mut Vec<Cluster>
     }
 }
 
-/// The original stripe-by-stripe scan: every component is tested once
-/// per stripe. Kept as the reference [`build_clusters`] must match.
-#[cfg(test)]
-pub(crate) fn build_clusters_reference(tech: &Tech, design: &Design) -> Vec<Cluster> {
-    let mut stripes: Vec<(Dbu, Dbu)> = design.rows.iter().map(|r| (r.origin.y, r.height)).collect();
-    if stripes.is_empty() {
-        let mut ys: Vec<(Dbu, Dbu)> = design
-            .components()
-            .iter()
-            .filter(|c| c.master_in(tech).is_some())
-            .map(|c| {
-                let h = c.master_in(tech).map_or(0, |m| m.height);
-                (c.location.y, h)
-            })
-            .collect();
-        ys.sort_unstable();
-        ys.dedup();
-        stripes = ys;
-    }
-    stripes.sort_unstable();
-    stripes.dedup();
-
-    let boxes: Vec<Option<Rect>> = (0..design.components().len())
-        .map(|i| comp_bbox(tech, design, CompId(i as u32)))
-        .collect();
-
-    let mut out = Vec::new();
-    for &(y, h) in &stripes {
-        let h = h.max(1);
-        // Members whose bbox covers this stripe.
-        let mut insts: Vec<(Dbu, Dbu, CompId)> = boxes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let b = (*b)?;
-                (b.ylo() <= y && b.yhi() >= y + h).then_some((b.xlo(), b.xhi(), CompId(i as u32)))
-            })
-            .collect();
-        insts.sort_unstable();
-        form_clusters(&insts, &mut out);
-    }
-    out
-}
-
 /// How far (in x) a via at one instance's access point can conflict with a
 /// neighbor's: the widest via extent plus the largest spacing requirement.
 /// Exposed (hidden) for the allocation regression test.
@@ -450,13 +405,12 @@ impl SelectTelemetry {
     }
 }
 
-/// The result of one threaded/budgeted cluster-selection pass.
+/// The result of one threaded/budgeted cluster-selection pass (its
+/// executor report goes to the phase that ran it).
 #[derive(Debug)]
 pub struct SelectOutput {
     /// Selected pattern per component (`None` when no pattern exists).
     pub selection: Vec<Option<usize>>,
-    /// Executor report of the group fan-out.
-    pub exec: ExecReport,
     /// Aggregated fast-path instrumentation.
     pub telemetry: SelectTelemetry,
 }
@@ -566,7 +520,7 @@ pub fn select_patterns_threaded(
         .map(|ci| default_pattern(comp_uniq, uniq, ci))
         .collect();
     let groups = SelectGroups::of_rows(&RowIndex::build(tech, design), design.components().len());
-    let mut select = PhaseRun::unbudgeted(Phase::Select);
+    let mut select = PhaseRun::unbudgeted(Phase::Select, threads);
     select_patterns_budget(
         tech,
         engine,
@@ -575,7 +529,6 @@ pub fn select_patterns_threaded(
         uniq,
         &groups,
         defaults,
-        threads,
         &mut select,
     )
 }
@@ -599,15 +552,12 @@ pub(crate) fn select_patterns_budget(
     uniq: &[UniqueInstanceAccess],
     groups: &SelectGroups,
     mut selection: Vec<Option<usize>>,
-    threads: usize,
     phase: &mut PhaseRun,
 ) -> SelectOutput {
     let reach = conflict_reach(tech);
     let far = pair_reach(tech, engine);
     let SelectGroups { clusters, groups } = groups;
-    let (locals, exec) = phase.map(
-        "select.group",
-        threads,
+    let locals = phase.map(
         (0..groups.len()).collect(),
         || SelectScratch::new(tech.layers().len()),
         |scratch, gi: usize| {
@@ -658,7 +608,6 @@ pub(crate) fn select_patterns_budget(
     }
     SelectOutput {
         selection,
-        exec,
         telemetry,
     }
 }
@@ -966,6 +915,50 @@ fn edge_clean(
         }
     }
     true
+}
+
+/// The original stripe-by-stripe scan: every component is tested once
+/// per stripe. Kept as the reference [`build_clusters`] must match.
+#[cfg(test)]
+pub(crate) fn build_clusters_reference(tech: &Tech, design: &Design) -> Vec<Cluster> {
+    let mut stripes: Vec<(Dbu, Dbu)> = design.rows.iter().map(|r| (r.origin.y, r.height)).collect();
+    if stripes.is_empty() {
+        let mut ys: Vec<(Dbu, Dbu)> = design
+            .components()
+            .iter()
+            .filter(|c| c.master_in(tech).is_some())
+            .map(|c| {
+                let h = c.master_in(tech).map_or(0, |m| m.height);
+                (c.location.y, h)
+            })
+            .collect();
+        ys.sort_unstable();
+        ys.dedup();
+        stripes = ys;
+    }
+    stripes.sort_unstable();
+    stripes.dedup();
+
+    let boxes: Vec<Option<Rect>> = (0..design.components().len())
+        .map(|i| comp_bbox(tech, design, CompId(i as u32)))
+        .collect();
+
+    let mut out = Vec::new();
+    for &(y, h) in &stripes {
+        let h = h.max(1);
+        // Members whose bbox covers this stripe.
+        let mut insts: Vec<(Dbu, Dbu, CompId)> = boxes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                let b = (*b)?;
+                (b.ylo() <= y && b.yhi() >= y + h).then_some((b.xlo(), b.xhi(), CompId(i as u32)))
+            })
+            .collect();
+        insts.sort_unstable();
+        form_clusters(&insts, &mut out);
+    }
+    out
 }
 
 #[cfg(test)]

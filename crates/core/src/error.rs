@@ -29,7 +29,39 @@ pub enum Phase {
     Input,
 }
 
+/// The five pipeline phases a run times, in run order: each one's
+/// executor label (its items' span name, and what `--inject-fault` and
+/// `--inject-stall` arm) and the span a run records over its wall time.
+const PIPELINE: [(Phase, &str, &str); 5] = [
+    (Phase::Apgen, "apgen.instance", "phase.apgen"),
+    (Phase::Pattern, "pattern.instance", "phase.pattern"),
+    (Phase::Select, "select.group", "phase.select"),
+    (Phase::Repair, "repair.scan", "phase.repair"),
+    (Phase::Audit, "audit.pin", "phase.audit"),
+];
+
 impl Phase {
+    /// This phase's position in the pipeline (`None` for cache and input).
+    pub(crate) fn step(self) -> Option<usize> {
+        PIPELINE.iter().position(|p| p.0 == self)
+    }
+
+    /// The executor label of this pipeline phase's items.
+    pub(crate) fn exec_label(self) -> Option<&'static str> {
+        Some(PIPELINE[self.step()?].1)
+    }
+
+    /// The span a run records over this pipeline phase's wall time.
+    pub(crate) fn span(self) -> Option<&'static str> {
+        Some(PIPELINE[self.step()?].2)
+    }
+
+    /// The executor label of the pipeline phase called `name`.
+    #[must_use]
+    pub fn exec_label_of(name: &str) -> Option<&'static str> {
+        PIPELINE.iter().find(|p| p.0.name() == name).map(|p| p.1)
+    }
+
     /// Stable lowercase name (used in reports and counter names).
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -384,20 +384,17 @@ impl PinAccessOracle {
         w: &EcoWindow<'_>,
         run: &mut RunCtx,
     ) -> Result<(PaoResult, usize), Box<TailInput>> {
-        let span = pao_obs::span("phase.eco_window");
-        let t0 = std::time::Instant::now();
-        let threads = self.config().threads;
         let engine = DrcEngine::new(tech);
         let TailInput {
             unique,
             comp_uniq,
             stats,
         } = input;
-        let groups = changed_groups(tech, design, w);
 
         // Re-solve the changed groups over the previous selection, with
         // the moved components back at their defaults.
         let mut select = run.phase(Phase::Select);
+        let groups = changed_groups(tech, design, w);
         let mut selection = w.old.selection.clone();
         for &m in w.moved {
             selection[m.index()] = default_pattern(&comp_uniq, &unique, m.index());
@@ -410,10 +407,8 @@ impl PinAccessOracle {
             &unique,
             &groups,
             selection,
-            threads,
             &mut select,
         );
-        run.end(select);
         let selection = select_out.selection;
         let mut changed: Vec<CompId> = w.moved.to_vec();
         changed.extend(
@@ -425,22 +420,21 @@ impl PinAccessOracle {
         );
         changed.sort_unstable();
         changed.dedup();
-        let t_audit = std::time::Instant::now();
         let mut result = PaoResult {
             unique,
             comp_uniq,
             selection,
             overrides: HashMap::new(),
             stats: PaoStats {
-                cluster_exec: select_out.exec,
                 select_telemetry: select_out.telemetry,
-                select_time: t_audit - t0,
                 ..stats
             },
         };
+        run.end(select);
 
         // Re-probe the pins the change can reach (none when selection
         // already degraded: the result is discarded anyway).
+        let mut audit = run.phase(Phase::Audit);
         let (pins, ctx) = if run.degraded() {
             (Vec::new(), ShapeSet::new(tech.layers().len()))
         } else {
@@ -450,14 +444,12 @@ impl PinAccessOracle {
             .iter()
             .map(|&(comp, pin_idx)| scan_ap(&result, design, comp, pin_idx))
             .collect();
-        let mut audit = run.phase(Phase::Audit);
-        let ((_, failed), audit_exec) = probe_pins(
+        let (_, failed) = probe_pins(
             &engine,
             design,
             &pins,
             None,
             Some(ProbeCtx::Shared(&ctx, &selected)),
-            threads,
             &mut audit,
         );
         run.end(audit);
@@ -467,13 +459,8 @@ impl PinAccessOracle {
         }
         pao_obs::counter_add("eco.window.groups", groups.groups.len() as u64);
         pao_obs::counter_add("eco.window.pins", pins.len() as u64);
-        result.stats.audit_exec = audit_exec;
         result.stats.total_pins = w.pins.total();
         result.stats.failed_pins = failed;
-        let t_end = std::time::Instant::now();
-        result.stats.audit_time = t_end - t_audit;
-        result.stats.cluster_time = t_end - t0;
-        drop(span);
         run.close(&mut result.stats);
         Ok((result, pins.len()))
     }
@@ -534,7 +521,7 @@ mod tests {
         let warm = cache
             .warm(&design, UniqueTable::build(&tech, &design))
             .expect("every signature stored");
-        let mut run = RunCtx::new(None, crate::budget::PhaseFractions::default(), None);
+        let mut run = RunCtx::new(None, crate::budget::PhaseFractions::default(), None, 2);
         let third = oracle.select_repair_audit(&tech, &design, warm, &mut run);
         assert!(third.stats.counters_eq(&first.stats));
 

@@ -17,7 +17,6 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, Macro, MacroClass, Tech};
-use std::time::Instant;
 
 /// Configuration of the whole three-step analysis.
 #[derive(Debug, Clone)]
@@ -246,7 +245,7 @@ impl PinAccessOracle {
             // the store.
             let _ = store.bind(input_stamp(tech, design, &self.config));
         }
-        let mut run = RunCtx::new(deadline, fractions, watchdog);
+        let mut run = RunCtx::new(deadline, fractions, watchdog, self.config.threads);
         let input = self.analyze_instances(tech, design, store.as_deref_mut(), &mut run);
         // ---- Step 3 and the validation tail.
         let mut result = self.select_repair_audit(tech, design, input, &mut run);
@@ -288,8 +287,7 @@ impl PinAccessOracle {
         let ledger = pao_obs::ledger_enabled();
 
         // ---- Step 1: unique instances + access point generation.
-        let phase_span = pao_obs::span("phase.apgen");
-        let t0 = Instant::now();
+        let mut apgen = run.phase(Phase::Apgen);
         let UniqueTable {
             classes: infos,
             comp_uniq,
@@ -306,13 +304,10 @@ impl PinAccessOracle {
                 info.master
             )
         };
-        let mut apgen = run.phase(Phase::Apgen);
-        let (analyzed, apgen_exec) = {
+        let analyzed = {
             let (infos, plan, classes, engine) = (&infos, &plan, &classes, &engine);
             let store = store.as_deref();
             apgen.map(
-                "apgen.instance",
-                self.config.threads,
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
                 move |(), idx| -> Result<(UniqueInstanceAccess, Option<Entry>), PaoError> {
@@ -395,27 +390,20 @@ impl PinAccessOracle {
             }
         }
         save_store(store.as_deref(), "apgen", &mut apgen);
-        run.end(apgen);
         drop(infos);
-        let apgen_time = t0.elapsed();
-        drop(phase_span);
+        run.end(apgen);
 
         // ---- Step 2: pattern generation, one DP per group of unique
         // instances with the same relative access points.
-        let phase_span = pao_obs::span("phase.pattern");
-        let t1 = Instant::now();
+        let mut pattern = run.phase(Phase::Pattern);
         let groups = PatternGroups::new(design, &unique, self.config.pattern.alpha);
         pao_obs::counter_add("pattern.groups", groups.len() as u64);
-        let mut pattern = run.phase(Phase::Pattern);
-        let pattern_exec;
         // Unique instances whose steps 1 and 2 both came from the store.
         let mut hits = 0usize;
         {
             let (unique_ref, groups, engine, apgen_done) = (&unique, &groups, &engine, &apgen_done);
             let lookup = store.as_deref();
-            let (results, exec) = pattern.map(
-                "pattern.instance",
-                self.config.threads,
+            let results = pattern.map(
                 (0..unique_ref.len()).collect::<Vec<_>>(),
                 || (),
                 |(), i| {
@@ -451,7 +439,6 @@ impl PinAccessOracle {
                     )
                 },
             );
-            pattern_exec = exec;
             for (i, res) in results.into_iter().enumerate() {
                 // A skipped or quarantined instance keeps empty order and
                 // patterns, so its members simply have no selected access.
@@ -475,15 +462,7 @@ impl PinAccessOracle {
         }
         save_store(store.as_deref(), "pattern", &mut pattern);
         run.end(pattern);
-        let pattern_time = t1.elapsed();
-        drop(phase_span);
-
-        let mut input = TailInput::new(unique, comp_uniq);
-        input.stats.apgen_time = apgen_time;
-        input.stats.pattern_time = pattern_time;
-        input.stats.apgen_exec = apgen_exec;
-        input.stats.pattern_exec = pattern_exec;
-        input
+        TailInput::new(unique, comp_uniq)
     }
 }
 
@@ -575,7 +554,7 @@ pub(crate) fn instance_access(
 
 /// What the steps ahead of cluster selection hand the shared tail: the
 /// analyzed unique instances, each component's unique instance, and the
-/// stats filled so far (Table II counters, apgen/pattern reports).
+/// stats filled so far (Table II counters).
 pub(crate) struct TailInput {
     pub(crate) unique: Vec<UniqueInstanceAccess>,
     pub(crate) comp_uniq: Vec<Option<UniqueInstanceId>>,
@@ -629,10 +608,6 @@ impl PinAccessOracle {
             mut stats,
         } = input;
         let engine = DrcEngine::new(tech);
-        let phase_span = pao_obs::span("phase.select");
-        // One stopwatch split per phase boundary, so the select, repair
-        // and audit wall times sum to `cluster_time`.
-        let t2 = Instant::now();
         let mut select = run.phase(Phase::Select);
         let defaults = (0..comp_uniq.len())
             .map(|ci| default_pattern(&comp_uniq, &unique, ci))
@@ -649,11 +624,8 @@ impl PinAccessOracle {
             &unique,
             &SelectGroups::of_rows(&rows, design.components().len()),
             defaults,
-            self.config.threads,
             &mut select,
         );
-        run.end(select);
-        stats.cluster_exec = select_out.exec;
         stats.select_telemetry = select_out.telemetry;
         let mut result = PaoResult {
             unique,
@@ -662,19 +634,16 @@ impl PinAccessOracle {
             overrides: std::collections::HashMap::new(),
             stats,
         };
-        drop(phase_span);
-        let t_repair = Instant::now();
-        result.stats.select_time = t_repair - t2;
+        run.end(select);
         // Repair pass: for residual conflicts the whole-pattern DP cannot
         // untangle (frustrated chains of tightly-abutting boundary pins),
         // deviate per pin to any alternate clean AP — the same freedom the
         // detailed router has when it consumes the access points.
-        let phase_span = pao_obs::span("phase.repair");
         let mut repair = run.phase(Phase::Repair);
         // The shape templates and connected-pin table depend only on the
         // placement, so they are built once and shared by every repair
         // round and the final audit.
-        let gctx = GlobalContext::new(tech, design, self.config.threads);
+        let gctx = GlobalContext::new(tech, design);
         // Scan verdicts of the last repair round, usable as audit hints:
         // valid only when that round repaired nothing (the overrides — and
         // therefore the audit context — are unchanged since the scan).
@@ -687,36 +656,26 @@ impl PinAccessOracle {
                 break;
             }
             pao_obs::counter_add("repair.rounds", 1);
-            let (repaired, exec, ok_flags) =
+            let (repaired, ok_flags) =
                 repair_failed_pins_budget(&gctx, &rows, &mut result, round, &mut repair);
-            result.stats.repair_exec.merge(&exec);
             scan_ok = (repaired == 0).then_some(ok_flags);
             if repaired == 0 {
                 break;
             }
         }
-        run.end(repair);
         result.stats.repaired_pins = result.overrides.len();
-        drop(phase_span);
-        let t_audit = Instant::now();
-        result.stats.repair_time = t_audit - t_repair;
-        let phase_span = pao_obs::span("phase.audit");
+        run.end(repair);
         let mut audit = run.phase(Phase::Audit);
-        let ((total_pins, failed_pins), audit_exec) = audit_pins_budget(
+        let (total_pins, failed_pins) = audit_pins_budget(
             &gctx,
             &rows,
             |comp, pin_idx| scan_ap(&result, design, comp, pin_idx),
             scan_ok.as_deref(),
             &mut audit,
         );
-        run.end(audit);
-        result.stats.audit_exec = audit_exec;
         result.stats.total_pins = total_pins;
         result.stats.failed_pins = failed_pins;
-        drop(phase_span);
-        let t_end = Instant::now();
-        result.stats.audit_time = t_end - t_audit;
-        result.stats.cluster_time = t_end - t2;
+        run.end(audit);
         run.close(&mut result.stats);
         result
     }
@@ -1025,7 +984,7 @@ pub(crate) fn repair_failed_pins_budget(
     result: &mut PaoResult,
     round: usize,
     phase: &mut PhaseRun,
-) -> (usize, ExecReport, Vec<Option<bool>>) {
+) -> (usize, Vec<Option<bool>>) {
     let (tech, design) = (gctx.tech, gctx.design);
     let engine = DrcEngine::new(tech);
     let connected = gctx.pins.list();
@@ -1067,11 +1026,9 @@ pub(crate) fn repair_failed_pins_budget(
                 .get(sel)
                 .is_some_and(|p| p.validated)
     };
-    let (flags, exec) = {
+    let flags = {
         let (reach, engine, certified) = (&reach, &engine, &certified);
         phase.map(
-            "repair.scan",
-            gctx.threads,
             (0..connected.len()).collect(),
             LocalProbe::default,
             move |lp, i: usize| {
@@ -1132,10 +1089,10 @@ pub(crate) fn repair_failed_pins_budget(
         .collect();
     pao_obs::hist_record("repair.dirty_pins", dirty.len() as u64);
     if dirty.is_empty() {
-        return (0, exec, scan_ok);
+        return (0, scan_ok);
     }
     let repaired = replace_dirty(&reach, &engine, result, &dirty, round);
-    (repaired, exec, scan_ok)
+    (repaired, scan_ok)
 }
 
 /// The access points a repair tries for `(comp, pin_idx)`, in order: the
@@ -1267,8 +1224,6 @@ fn pin_label(tech: &Tech, design: &Design, comp: CompId, pin_idx: usize) -> Stri
 pub(crate) struct GlobalContext<'a> {
     pub(crate) tech: &'a Tech,
     pub(crate) design: &'a Design,
-    /// Worker count for every executor phase reading this.
-    pub(crate) threads: usize,
     /// The connected pins in net order, with each component's entries.
     pub(crate) pins: crate::incremental::ConnectedPins,
     templates: Vec<Vec<TemplateShape>>,
@@ -1291,7 +1246,7 @@ impl<'a> GlobalContext<'a> {
     /// Walks the placement once: one template per (master, orientation),
     /// each component's template and bounds, and the connected-pin
     /// table.
-    pub(crate) fn new(tech: &'a Tech, design: &'a Design, threads: usize) -> GlobalContext<'a> {
+    pub(crate) fn new(tech: &'a Tech, design: &'a Design) -> GlobalContext<'a> {
         let n = design.components().len();
         let mut ids: std::collections::HashMap<(pao_tech::Symbol, pao_geom::Orient), u32> =
             std::collections::HashMap::new();
@@ -1315,7 +1270,6 @@ impl<'a> GlobalContext<'a> {
         GlobalContext {
             tech,
             design,
-            threads,
             pins: crate::incremental::ConnectedPins::build(tech, design),
             templates,
             comp_template,
@@ -1412,11 +1366,12 @@ pub fn count_failed_pins_threaded(
     result: &PaoResult,
     threads: usize,
 ) -> ((usize, usize), ExecReport) {
-    let gctx = GlobalContext::new(tech, design, threads);
+    let gctx = GlobalContext::new(tech, design);
     let rows = RowIndex::build(tech, design);
     let select = |comp, pin_idx| scan_ap(result, design, comp, pin_idx);
-    let mut audit = PhaseRun::unbudgeted(Phase::Audit);
-    audit_pins_budget(&gctx, &rows, select, None, &mut audit)
+    let mut audit = PhaseRun::unbudgeted(Phase::Audit, threads);
+    let counts = audit_pins_budget(&gctx, &rows, select, None, &mut audit);
+    (counts, audit.exec)
 }
 
 /// [`count_failed_pins_threaded`] on one thread with `accessor`
@@ -1429,11 +1384,11 @@ pub fn count_failed_pins_with(
     design: &Design,
     accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
 ) -> (usize, usize) {
-    let gctx = GlobalContext::new(tech, design, 1);
+    let gctx = GlobalContext::new(tech, design);
     let rows = RowIndex::build(tech, design);
     let select = |comp, pin_idx| accessor(comp, pin_idx).as_ref().map(ScanAp::of);
-    let mut audit = PhaseRun::unbudgeted(Phase::Audit);
-    audit_pins_budget(&gctx, &rows, select, None, &mut audit).0
+    let mut audit = PhaseRun::unbudgeted(Phase::Audit, 1);
+    audit_pins_budget(&gctx, &rows, select, None, &mut audit)
 }
 
 /// The audit over a prebuilt [`GlobalContext`] and row index, optionally
@@ -1452,7 +1407,7 @@ pub(crate) fn audit_pins_budget(
     select: impl Fn(CompId, usize) -> Option<ScanAp>,
     hints: Option<&[Option<bool>]>,
     phase: &mut PhaseRun,
-) -> ((usize, usize), ExecReport) {
+) -> (usize, usize) {
     let connected = gctx.pins.list();
     let hints = hints.filter(|h| h.len() == connected.len());
     let engine = DrcEngine::new(gctx.tech);
@@ -1469,7 +1424,6 @@ pub(crate) fn audit_pins_budget(
         connected,
         hints,
         reach.as_ref().map(ProbeCtx::Local),
-        gctx.threads,
         phase,
     )
 }
@@ -1543,13 +1497,10 @@ pub(crate) fn probe_pins(
     pins: &[(CompId, usize)],
     hints: Option<&[Option<bool>]>,
     ctx: Option<ProbeCtx<'_>>,
-    threads: usize,
     phase: &mut PhaseRun,
-) -> ((usize, usize), ExecReport) {
+) -> (usize, usize) {
     let tech = engine.tech();
-    let (oks, exec) = phase.map(
-        "audit.pin",
-        threads,
+    let oks = phase.map(
         (0..pins.len()).collect::<Vec<_>>(),
         LocalProbe::default,
         |lp, i| {
@@ -1566,7 +1517,7 @@ pub(crate) fn probe_pins(
         |i| pin_label(tech, design, pins[i].0, pins[i].1),
     );
     let failed = oks.iter().filter(|&&ok| ok != Some(true)).count();
-    ((pins.len(), failed), exec)
+    (pins.len(), failed)
 }
 
 /// The repair scan's per-component shape lists as they were built before
@@ -1729,7 +1680,7 @@ mod tests {
     /// component-by-component reference — layer, rectangle, owner and
     /// order — and so must the component bounds.
     fn assert_templates_match_reference(tech: &Tech, design: &Design, label: &str) {
-        let gctx = GlobalContext::new(tech, design, 1);
+        let gctx = GlobalContext::new(tech, design);
         let connected = gctx.pins.list();
         let selected = synthetic_selection(tech, design, connected);
         let (reference, bounds) = scan_shapes_reference(tech, design, connected, &selected);
@@ -1758,7 +1709,7 @@ mod tests {
         selected: &[Option<ScanAp>],
         label: &str,
     ) -> pao_geom::Dbu {
-        let gctx = GlobalContext::new(tech, design, 1);
+        let gctx = GlobalContext::new(tech, design);
         let rows = RowIndex::build(tech, design);
         let reach = Reach::new(&gctx, &rows, &DrcEngine::new(tech), selected.to_vec());
         let tree: pao_geom::RTree<u32> = pao_geom::RTree::bulk_load(
@@ -1857,7 +1808,7 @@ mod tests {
         result: &PaoResult,
         label: &str,
     ) -> usize {
-        let gctx = GlobalContext::new(tech, design, 1);
+        let gctx = GlobalContext::new(tech, design);
         let selected: Vec<Option<ScanAp>> = gctx
             .pins
             .list()
@@ -1894,14 +1845,14 @@ mod tests {
         result: &PaoResult,
         label: &str,
     ) -> usize {
-        let gctx = GlobalContext::new(tech, design, 2);
+        let gctx = GlobalContext::new(tech, design);
         let rows = RowIndex::build(tech, design);
-        let (_, _, flags) = repair_failed_pins_budget(
+        let (_, flags) = repair_failed_pins_budget(
             &gctx,
             &rows,
             &mut result.clone(),
             0,
-            &mut PhaseRun::unbudgeted(Phase::Repair),
+            &mut PhaseRun::unbudgeted(Phase::Repair, 2),
         );
         let selected: Vec<Option<ScanAp>> = gctx
             .pins
@@ -2135,7 +2086,7 @@ mod tests {
         }
         d.add_net(n);
         assert_templates_match_reference(&t, &d, "unit");
-        let gctx = GlobalContext::new(&t, &d, 1);
+        let gctx = GlobalContext::new(&t, &d);
         assert_eq!(gctx.bounds[un.index()], None);
         assert_eq!(gctx.bounds[nope.index()], None);
         // BUFX1 N/S/FS/FN/E/W, DFF2MH N/FS and RAM21 N: nine templates.
@@ -2193,7 +2144,7 @@ mod tests {
             pin: "A".into(),
         });
         d.add_net(n);
-        let gctx = GlobalContext::new(&t, &d, 1);
+        let gctx = GlobalContext::new(&t, &d);
         let selected: Vec<Option<ScanAp>> = gctx
             .pins
             .list()

@@ -18,14 +18,16 @@
 //! block's items out of the queue and appends their results to its own
 //! list, noting the block's first index, and the blocks are put in input
 //! order after the join — so output order equals input order regardless
-//! of which worker finished what, and callers observe output identical to
-//! the sequential mode (`threads <= 1`).
+//! of which worker finished what, and callers observe identical output at
+//! every thread count. One thread runs the same claim loop on one worker
+//! thread; there is no inline mode.
 //!
 //! [`parallel_map`] is the one entry point. An [`ExecOptions`] value says
 //! how the phase runs — worker count, span label, optional budget — and
 //! every phase, the ECO window tail's included, goes through it the same
 //! way: the analysis runs each of its phases through the run that owns
-//! the phase's token (`budget::PhaseRun::map`).
+//! the phase (`budget::PhaseRun::map`), which supplies the worker count,
+//! the phase's executor label and its token, and collects its report.
 
 //! **Fault isolation.** Every work item runs under
 //! [`std::panic::catch_unwind`], so one panicking item cannot take down
@@ -88,12 +90,6 @@ impl fmt::Display for ItemFault {
     }
 }
 
-/// Internal per-item outcome: completed, panicked, or never started.
-enum Dropped {
-    Panic(Payload),
-    Skipped(CancelReason),
-}
-
 /// The budget under which one phase runs: the cancel token polled
 /// between items plus the optional stall watchdog.
 #[derive(Debug, Clone, Copy)]
@@ -115,14 +111,13 @@ impl<'a> PhaseBudget<'a> {
 /// How one phase runs on the executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions<'a> {
-    /// Worker threads; `<= 1` (or a single item) runs inline on the
-    /// caller's thread, matching the paper's single-threaded measurement
-    /// mode exactly.
+    /// Worker threads, clamped to one per item and at least one; `1`
+    /// reproduces the paper's single-threaded measurement mode.
     pub threads: usize,
     /// Observability label: when span recording is on
     /// ([`pao_obs::enable_trace`]), every item becomes one span named
-    /// `label` — on worker `w`'s track `w + 1`, or on the caller's track
-    /// inline. Fault and stall injection (`crate::fault`) match it too.
+    /// `label` on worker `w`'s track `w + 1`. Fault and stall injection
+    /// (`crate::fault`) match it too.
     pub label: &'static str,
     /// The budget polled between items; `None` runs every item.
     pub budget: Option<PhaseBudget<'a>>,
@@ -158,10 +153,10 @@ impl<'a> ExecOptions<'a> {
 /// wall-clock item total is reported unchanged.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecReport {
-    /// Worker threads that participated (1 for the inline mode).
+    /// Worker threads that participated.
     pub threads: usize,
-    /// Busy time per worker, in microseconds: one entry per worker, and
-    /// a single entry in inline mode (an empty input included).
+    /// Busy time per worker, in microseconds: one entry per worker (an
+    /// empty input runs one).
     pub busy_us: Vec<u64>,
 }
 
@@ -191,13 +186,13 @@ impl ExecReport {
 /// per-worker busy time for the phase.
 ///
 /// `init` builds per-worker scratch state: it runs once on each worker
-/// thread (and once for the inline mode), and every item call receives
-/// that worker's `&mut S`. This is how per-worker arenas (e.g.
-/// [`pao_drc::DrcScratch`]) reach fine-grained scans — the repair and
-/// audit phases probe one pin per item and would otherwise re-allocate
-/// the DRC workspace per probe. The scratch is dropped when its worker
-/// finishes; state that must outlive the phase (observability tallies)
-/// should be published from inside `f`.
+/// thread, and every item call receives that worker's `&mut S`. This is
+/// how per-worker arenas (e.g. [`pao_drc::DrcScratch`]) reach
+/// fine-grained scans — the repair and audit phases probe one pin per
+/// item and would otherwise re-allocate the DRC workspace per probe. The
+/// scratch is dropped when its worker finishes; state that must outlive
+/// the phase (observability tallies) should be published from inside
+/// `f`.
 ///
 /// Every item is fault-isolated: a panicking item yields
 /// `Err(ItemFault::Panic(reason))` in its output slot while **every other
@@ -241,112 +236,20 @@ where
 {
     let never = CancelToken::never();
     let budget = opts.budget.unwrap_or(PhaseBudget::new(&never, None));
-    let (outcomes, report) = run_isolated(opts.threads, opts.label, items, init, f, budget);
-    let out = outcomes
-        .into_iter()
-        .map(|o| {
-            o.map_err(|d| match d {
-                Dropped::Panic(payload) => ItemFault::Panic(payload_reason(&payload)),
-                Dropped::Skipped(reason) => ItemFault::Skipped(reason),
-            })
-        })
-        .collect();
-    (out, report)
-}
-
-/// The strict contract, for phases whose items must all succeed: the
-/// results of a drained [`parallel_map`] in input order, or a panic that
-/// re-raises the first faulted item's message.
-///
-/// ```
-/// use pao_core::parallel::{expect_all, parallel_map, ExecOptions};
-/// let opts = ExecOptions::new(4, "docs.squares");
-/// let (out, _) = parallel_map(opts, vec![1, 2, 3, 4], || (), |(), x| x * x);
-/// assert_eq!(expect_all(out), vec![1, 4, 9, 16]);
-/// ```
-pub fn expect_all<R>(results: Vec<Result<R, ItemFault>>) -> Vec<R> {
-    results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|fault| panic!("{fault}")))
-        .collect()
-}
-
-/// Indices a worker claims at once. Claiming is the one step workers
-/// contend on, so phases of many tiny items (a fully hinted audit visits
-/// every connected pin) claim contiguous blocks. The size depends on the
-/// item count only and always leaves at least 4096 claims, so load still
-/// balances; phases under 8192 items claim item by item.
-fn claim_block(n: usize) -> usize {
-    (n / 4096).clamp(1, 256)
-}
-
-/// The engine behind [`parallel_map`]: self-scheduling order-preserving
-/// map with per-item `catch_unwind` isolation and cooperative
-/// cancellation (an unbudgeted phase passes a never-cancelled token).
-fn run_isolated<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-    budget: PhaseBudget<'_>,
-) -> (Vec<Result<R, Dropped>>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
+    let label = opts.label;
     let n = items.len();
     // One guarded item call: the armed fault/stall hooks and the item
     // body all run inside the unwind boundary, so an injected or organic
     // panic is contained to this slot.
-    let run_one = |scratch: &mut S, i: usize, item: T| -> Result<R, Dropped> {
+    let run_one = |scratch: &mut S, i: usize, item: T| -> Result<R, ItemFault> {
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             crate::fault::fire(label, i);
             crate::fault::stall_fire(label, i);
             f(scratch, item)
         }))
-        .map_err(Dropped::Panic)
+        .map_err(|payload| ItemFault::Panic(payload_reason(&payload)))
     };
-    // Inline mode: single-threaded, no monitor. A phase with a watchdog
-    // armed always takes the threaded engine (even for `threads <= 1` —
-    // the output is bit-identical by construction, and the monitor needs
-    // its own thread to observe a stalled worker).
-    if n == 0 || (budget.watchdog.is_none() && (threads <= 1 || n == 1)) {
-        let tracing = pao_obs::trace_enabled();
-        let mut scratch = init();
-        let start = Instant::now();
-        // With tracing on, each item's span runs from the previous item's
-        // end, so the spans tile the busy interval exactly; with it off,
-        // the loop reads no clock.
-        let mut mark = start;
-        let mut out: Vec<Result<R, Dropped>> = Vec::with_capacity(n);
-        for (i, item) in items.into_iter().enumerate() {
-            if budget.token.is_cancelled() {
-                let reason = budget.token.reason().unwrap_or(CancelReason::Deadline);
-                out.extend((i..n).map(|_| Err(Dropped::Skipped(reason))));
-                break;
-            }
-            let res = run_one(&mut scratch, i, item);
-            if res.is_err() {
-                scratch = init();
-            }
-            if tracing {
-                let now = Instant::now();
-                pao_obs::record_span_at(label, mark, now - mark);
-                mark = now;
-            }
-            out.push(res);
-        }
-        let end = if tracing { mark } else { Instant::now() };
-        let report = ExecReport {
-            threads: 1,
-            busy_us: vec![duration_us(end - start)],
-        };
-        return (out, report);
-    }
-    let threads = threads.min(n).max(1);
+    let threads = opts.threads.clamp(1, n.max(1));
     let block = claim_block(n);
 
     // Claims hand out contiguous index blocks under one lock — the next
@@ -402,7 +305,7 @@ where
                         let mut claimed: Vec<T> = Vec::with_capacity(block);
                         // Results in claim order, and `(first index,
                         // length)` per block they came from.
-                        let mut done: Vec<Result<R, Dropped>> =
+                        let mut done: Vec<Result<R, ItemFault>> =
                             Vec::with_capacity(n.div_ceil(threads));
                         let mut blocks: Vec<(usize, usize)> = Vec::new();
                         // Sampled after init() so scratch construction
@@ -506,12 +409,12 @@ where
     let cancel_reason = budget.token.reason();
     let missing = |i: usize| match cancel_reason {
         // Never claimed because the token tripped first.
-        Some(reason) => Err(Dropped::Skipped(reason)),
-        None => Err(Dropped::Panic(
-            Box::new(format!("executor: result {i} never filled")) as Payload,
-        )),
+        Some(reason) => Err(ItemFault::Skipped(reason)),
+        None => Err(ItemFault::Panic(format!(
+            "executor: result {i} never filled"
+        ))),
     };
-    let mut out: Vec<Result<R, Dropped>> = Vec::with_capacity(n);
+    let mut out: Vec<Result<R, ItemFault>> = Vec::with_capacity(n);
     for (lo, len, w) in blocks {
         let at = out.len();
         out.extend((at..lo).map(missing));
@@ -520,6 +423,32 @@ where
     let at = out.len();
     out.extend((at..n).map(missing));
     (out, ExecReport { threads, busy_us })
+}
+
+/// The strict contract, for phases whose items must all succeed: the
+/// results of a drained [`parallel_map`] in input order, or a panic that
+/// re-raises the first faulted item's message.
+///
+/// ```
+/// use pao_core::parallel::{expect_all, parallel_map, ExecOptions};
+/// let opts = ExecOptions::new(4, "docs.squares");
+/// let (out, _) = parallel_map(opts, vec![1, 2, 3, 4], || (), |(), x| x * x);
+/// assert_eq!(expect_all(out), vec![1, 4, 9, 16]);
+/// ```
+pub fn expect_all<R>(results: Vec<Result<R, ItemFault>>) -> Vec<R> {
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|fault| panic!("{fault}")))
+        .collect()
+}
+
+/// Indices a worker claims at once. Claiming is the one step workers
+/// contend on, so phases of many tiny items (a fully hinted audit visits
+/// every connected pin) claim contiguous blocks. The size depends on the
+/// item count only and always leaves at least 4096 claims, so load still
+/// balances; phases under 8192 items claim item by item.
+fn claim_block(n: usize) -> usize {
+    (n / 4096).clamp(1, 256)
 }
 
 /// The watchdog monitor loop: samples per-worker heartbeats every
@@ -704,7 +633,7 @@ mod tests {
         assert_eq!(out.len(), 64);
         assert_eq!(rep.threads, 3);
         assert_eq!(rep.busy_us.len(), 3);
-        // Inline mode reports a single worker, an empty input included.
+        // One thread reports a single worker, an empty input included.
         for items in [vec![1, 2, 3], vec![]] {
             let opts = ExecOptions::new(1, "test.report");
             let (_, rep1) = parallel_map(opts, items, || (), |(), x: u32| x);
@@ -715,8 +644,8 @@ mod tests {
 
     #[test]
     fn labeled_run_records_spans_covering_busy_time() {
-        // Inline (threads 1) and pooled (threads 3) runs alike record one
-        // span per item.
+        // One worker and three alike record one span per item, on the
+        // worker tracks.
         for threads in [1, 3] {
             pao_obs::enable_trace();
             let (out, rep) = parallel_map(
@@ -736,13 +665,13 @@ mod tests {
                 .filter(|e| e.name == "test.core.tick")
                 .collect();
             assert_eq!(ours.len(), 64, "one span per item at {threads} threads");
-            // Pooled spans sit on worker tracks (1..=threads); inline ones
-            // on the caller's. The span total matches the executor's busy
-            // total to µs rounding: the spans reuse the busy-time
-            // instants, so coverage is structural.
-            if threads > 1 {
-                assert!(ours.iter().all(|e| (1..=3).contains(&e.track)));
-            }
+            // Spans sit on worker tracks (1..=threads). The span total
+            // covers the executor's busy total to µs rounding: the spans
+            // reuse the busy-time instants, so coverage is structural.
+            assert!(
+                ours.iter().all(|e| (1..=threads as u32).contains(&e.track)),
+                "worker tracks at {threads} threads"
+            );
             let span_ns: u64 = ours.iter().map(|e| e.dur_ns).sum();
             let busy_ns = rep.total_busy_us() * 1000;
             assert!(
@@ -827,7 +756,7 @@ mod tests {
 
     #[test]
     fn quarantine_reinitializes_scratch_after_panic() {
-        // Inline mode is deterministic: the item after the panic must see
+        // One worker is deterministic: the item after the panic must see
         // a fresh scratch, not one abandoned mid-unwind.
         let (out, _) = parallel_map(
             ExecOptions::new(1, "test.scratch.reinit"),
@@ -1032,7 +961,6 @@ mod tests {
         // A healthy phase under watchdog: identical output, no stalls.
         let token = CancelToken::never();
         let (out, _) = parallel_map(
-            // Threads 1 exercises the forced-threaded path.
             budgeted(1, "test.watchdog.clean", &token, Some(Watchdog::default())),
             (0..16u32).collect::<Vec<_>>(),
             || (),

@@ -635,7 +635,7 @@ impl OracleService {
         resolved.dedup();
         let moved = resolved;
         let old_cells = self.relocate(&design, &moved, false);
-        let mut run = RunCtx::new(deadline, self.fractions.snapshot(), watchdog);
+        let fractions = self.fractions.snapshot();
         let cache_stats = self.cache.stats();
         if self.collect_rejects {
             pao_obs::enable_ledger();
@@ -647,6 +647,7 @@ impl OracleService {
         let oracle = PinAccessOracle::with_config(self.config.clone());
         let (result, tail, pins_reprobed) = match self.cache.warm(&design, table) {
             Some(input) => {
+                let mut run = RunCtx::new(deadline, fractions, watchdog, self.config.threads);
                 let windowed = if self.window_ready(&design, &moved) {
                     let w = EcoWindow {
                         old_design: &self.design,
@@ -675,7 +676,7 @@ impl OracleService {
                 // resident store attached analyzes only the new ones.
                 let budget = RunBudget {
                     deadline,
-                    fractions: run.fractions(),
+                    fractions,
                     watchdog,
                     store: Some(&mut self.cache),
                 };

@@ -385,7 +385,7 @@ mod tests {
 
     /// Steps 1 and 2 with sharing, exactly as an analysis runs them.
     fn shared(tech: &Tech, design: &Design, config: &PaoConfig) -> Vec<UniqueInstanceAccess> {
-        let mut run = RunCtx::new(None, PhaseFractions::default(), None);
+        let mut run = RunCtx::new(None, PhaseFractions::default(), None, config.threads);
         PinAccessOracle::with_config(config.clone())
             .analyze_instances(tech, design, None, &mut run)
             .unique

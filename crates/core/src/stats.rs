@@ -32,15 +32,21 @@ pub struct PaoStats {
     /// Connected pins without a DRC-clean access after pattern selection
     /// (Table III "#Failed Pins").
     pub failed_pins: usize,
-    /// Wall time of step 1 (access point generation).
+    /// Wall time of step 1 (access point generation), unique-instance
+    /// extraction included. Every `*_time` below is what the run clocked
+    /// over that phase — the interval its `phase.<name>` span covers —
+    /// summed over the phase's runs (an ECO window tail that hands over
+    /// to the full tail adds both), and zero for a phase it never started.
     pub apgen_time: Duration,
-    /// Wall time of step 2 (pattern generation).
+    /// Wall time of step 2 (pattern generation), pattern grouping included.
     pub pattern_time: Duration,
     /// Wall time of step 3 (cluster-based selection) including the final
-    /// validation pass: the sum of [`Self::select_time`],
-    /// [`Self::repair_time`] and [`Self::audit_time`].
+    /// validation pass: exactly [`Self::select_time`] +
+    /// [`Self::repair_time`] + [`Self::audit_time`].
     pub cluster_time: Duration,
-    /// Wall time of cluster selection inside [`Self::cluster_time`].
+    /// Wall time of cluster selection inside [`Self::cluster_time`] (on a
+    /// service ECO's window tail: finding and re-solving the changed
+    /// groups).
     pub select_time: Duration,
     /// Wall time of the repair rounds inside [`Self::cluster_time`],
     /// including the shared context build (zero on a service ECO's
@@ -49,7 +55,9 @@ pub struct PaoStats {
     /// Wall time of the failed-pin audit inside [`Self::cluster_time`]
     /// (on a window tail: the re-probe context build and its probes).
     pub audit_time: Duration,
-    /// Executor report of step 1 (threads used, per-thread busy time).
+    /// Executor report of step 1's items (worker count, per-worker busy
+    /// time). Every `*_exec` report merges all the executor calls of its
+    /// phase, as the run recorded them.
     pub apgen_exec: ExecReport,
     /// Executor report of step 2.
     pub pattern_exec: ExecReport,

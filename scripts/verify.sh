@@ -26,13 +26,19 @@ cargo test --workspace -q
 
 echo "== profile smoke =="
 # End-to-end observability check: `pao profile` on the bundled smoke
-# case must emit a Chrome trace that python's strict JSON parser accepts.
+# case must emit a Chrome trace that python's strict JSON parser accepts,
+# holding exactly one complete ("ph":"X") span per pipeline phase on the
+# main thread's track (tid 0) — the run records one clock per phase.
 trace="$(mktemp /tmp/pao_trace_XXXXXX.json)"
 trap 'rm -f "$trace"' EXIT
 target/release/pao profile benchmarks/smoke.lef benchmarks/smoke.def \
     --trace "$trace" > /dev/null
 if command -v python3 > /dev/null; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$trace"
+    python3 -c "import json,sys
+ev = json.load(open(sys.argv[1]))['traceEvents']
+n = {p: sum(e.get('ph') == 'X' and e.get('tid') == 0 and e.get('name') == 'phase.' + p
+            for e in ev) for p in ('apgen', 'pattern', 'select', 'repair', 'audit')}
+sys.exit(0 if set(n.values()) == {1} else 'phase spans on tid 0: %s' % n)" "$trace"
 else
     # Fallback: the exporter self-validates, just check non-emptiness.
     test -s "$trace"

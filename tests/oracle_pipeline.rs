@@ -117,14 +117,13 @@ fn tail_phase_times_sum_to_cluster_time() {
         })
         .analyze(&tech, &design);
         let s = &result.stats;
-        let parts = (s.select_time + s.repair_time + s.audit_time).as_secs_f64();
-        let whole = s.cluster_time.as_secs_f64();
         assert!(
             s.select_time > std::time::Duration::ZERO && s.repair_time > std::time::Duration::ZERO,
             "{s:?}"
         );
-        assert!(
-            parts <= whole && whole - parts <= 0.02 * whole,
+        assert_eq!(
+            s.select_time + s.repair_time + s.audit_time,
+            s.cluster_time,
             "threads {threads}: select {:?} + repair {:?} + audit {:?} vs cluster {:?}",
             s.select_time,
             s.repair_time,
