@@ -4,7 +4,7 @@ use pao_core::oracle::count_failed_pins_with;
 use pao_core::unique::{build_instance_context, local_pin_owner};
 use pao_core::{PaoConfig, PinAccessOracle};
 use pao_design::Design;
-use pao_drc::DrcEngine;
+use pao_drc::{DrcEngine, DrcScratch};
 use pao_router::baseline::{baseline_pin_access, BaselineConfig, BaselineResult};
 use pao_router::route::{RouteConfig, Router};
 use pao_router::score;
@@ -39,6 +39,7 @@ pub struct Expt1Row {
 #[must_use]
 pub fn audit_baseline_aps(tech: &Tech, design: &Design, result: &BaselineResult) -> usize {
     let engine = DrcEngine::new(tech);
+    let mut ws = DrcScratch::new();
     let mut dirty = 0usize;
     for u in &result.unique {
         let ctx = build_instance_context(tech, design, u.info.rep);
@@ -46,10 +47,8 @@ pub fn audit_baseline_aps(tech: &Tech, design: &Design, result: &BaselineResult)
             for ap in aps {
                 match ap.primary_via() {
                     Some(v) => {
-                        if !engine
-                            .check_via_placement(tech.via(v), ap.pos, local_pin_owner(pi), &ctx)
-                            .is_empty()
-                        {
+                        let owner = local_pin_owner(pi);
+                        if !engine.via_placement_clean(tech.via(v), ap.pos, owner, &ctx, &mut ws) {
                             dirty += 1;
                         }
                     }

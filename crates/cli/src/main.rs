@@ -24,6 +24,7 @@
 use pao_core::{AnalysisCache, PaoConfig, PaoError, Phase, PinAccessOracle, RunBudget};
 use pao_design::Design;
 use pao_tech::Tech;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -432,7 +433,7 @@ fn cmd_route(args: &Args) -> Result<(), CliError> {
 
 fn cmd_drc(args: &Args) -> Result<(), CliError> {
     use pao_core::unique::pin_owner;
-    use pao_drc::{DrcEngine, Owner, ShapeSet};
+    use pao_drc::{DrcEngine, DrcSink, Owner, ShapeSet};
     let (tech, design) = load_world(
         args.positional(1).map_err(CliError::Usage)?,
         args.positional(2).map_err(CliError::Usage)?,
@@ -458,7 +459,9 @@ fn cmd_drc(args: &Args) -> Result<(), CliError> {
         }
     }
     ctx.rebuild();
-    let violations = DrcEngine::new(&tech).audit(&ctx);
+    let mut sink = DrcSink::all();
+    DrcEngine::new(&tech).audit(&ctx, &mut sink);
+    let violations = sink.violations();
     println!("{} static violations", violations.len());
     for v in violations.iter().take(50) {
         println!("  {v}");
@@ -495,35 +498,58 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let def_path = args
         .value("--def")
         .ok_or_else(|| CliError::usage("--def FILE is required"))?;
-    // Scale cases stream the DEF tile by tile; everything else goes
-    // through the in-memory generator.
+    let Some((comps, nets, streamed)) = write_case(name, Path::new(lef_path), Path::new(def_path))?
+    else {
+        return Err(CliError::usage(format!(
+            "unknown case `{name}` (try `pao gen list`)"
+        )));
+    };
+    let streamed = if streamed { ", streamed" } else { "" };
+    eprintln!("wrote {lef_path} + {def_path} ({comps} components, {nets} nets{streamed})");
+    Ok(())
+}
+
+/// Writes case `name`'s LEF and DEF for `pao gen` and `pao sweep`. Scale
+/// cases stream their DEF tile by tile; suite cases go through the
+/// in-memory generator. Returns the component and net counts and whether
+/// the DEF was streamed, or `None`, writing nothing, for an unknown case.
+fn write_case(
+    name: &str,
+    lef_path: &Path,
+    def_path: &Path,
+) -> Result<Option<(usize, usize, bool)>, CliError> {
+    use std::io::Write as _;
+    let write_err = |p: &Path, e: std::io::Error| {
+        CliError::input(format!("cannot write `{}`: {e}", p.display()))
+    };
+    let write_lef = |tech: &Tech| {
+        std::fs::write(lef_path, pao_tech::lef::write_lef(tech)).map_err(|e| write_err(lef_path, e))
+    };
+    let create_def = || {
+        std::fs::File::create(def_path)
+            .map(std::io::BufWriter::new)
+            .map_err(|e| write_err(def_path, e))
+    };
     if let Some(case) = pao_testgen::scaled_case_by_name(name) {
-        use std::io::Write as _;
         let tech = pao_testgen::scaled_tech(&case);
-        std::fs::write(lef_path, pao_tech::lef::write_lef(&tech))
-            .map_err(|e| CliError::input(format!("cannot write `{lef_path}`: {e}")))?;
-        let f = std::fs::File::create(def_path)
-            .map_err(|e| CliError::input(format!("cannot write `{def_path}`: {e}")))?;
-        let mut w = std::io::BufWriter::new(f);
+        write_lef(&tech)?;
+        let mut w = create_def()?;
         let (comps, nets) = pao_testgen::write_scaled_def(&tech, &case, &mut w)
             .and_then(|r| w.flush().map(|()| r))
-            .map_err(|e| CliError::input(format!("cannot write `{def_path}`: {e}")))?;
-        eprintln!("wrote {lef_path} + {def_path} ({comps} components, {nets} nets, streamed)");
-        return Ok(());
+            .map_err(|e| write_err(def_path, e))?;
+        return Ok(Some((comps, nets, true)));
     }
-    let case = pao_testgen::case_by_name(name)
-        .ok_or_else(|| CliError::usage(format!("unknown case `{name}` (try `pao gen list`)")))?;
+    let Some(case) = pao_testgen::case_by_name(name) else {
+        return Ok(None);
+    };
     let (tech, design) = pao_testgen::generate(&case);
-    std::fs::write(lef_path, pao_tech::lef::write_lef(&tech))
-        .map_err(|e| CliError::input(format!("cannot write `{lef_path}`: {e}")))?;
-    std::fs::write(def_path, pao_design::def::write_def(&design, &tech))
-        .map_err(|e| CliError::input(format!("cannot write `{def_path}`: {e}")))?;
-    eprintln!(
-        "wrote {lef_path} + {def_path} ({} components, {} nets)",
-        design.components().len(),
-        design.nets().len()
-    );
-    Ok(())
+    write_lef(&tech)?;
+    let mut w = create_def()?;
+    pao_design::def::write_def_to(&design, &tech, &mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| write_err(def_path, e))?;
+    let (comps, nets) = (design.components().len(), design.nets().len());
+    Ok(Some((comps, nets, false)))
 }
 
 /// One run's phase timings + executor telemetry as a JSON object (no
@@ -721,7 +747,6 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
 /// size's memory to every smaller one. `scripts/bench_sweep.sh` does
 /// exactly that and folds the points into BENCH_pao.json.
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
-    use std::io::Write as _;
     use std::time::Instant;
     let name = args.value("--case").unwrap_or("ispd18s_test2");
     let threads = parse_threads(args)?;
@@ -730,30 +755,9 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         .map_err(|e| CliError::input(format!("cannot create `{}`: {e}", dir.display())))?;
     let lef_path = dir.join(format!("{name}.lef"));
     let def_path = dir.join(format!("{name}.def"));
-    let write_err = |p: &std::path::Path, e: std::io::Error| {
-        CliError::input(format!("cannot write `{}`: {e}", p.display()))
-    };
 
     let gen_start = Instant::now();
-    if let Some(case) = pao_testgen::scaled_case_by_name(name) {
-        let tech = pao_testgen::scaled_tech(&case);
-        std::fs::write(&lef_path, pao_tech::lef::write_lef(&tech))
-            .map_err(|e| write_err(&lef_path, e))?;
-        let f = std::fs::File::create(&def_path).map_err(|e| write_err(&def_path, e))?;
-        let mut w = std::io::BufWriter::new(f);
-        pao_testgen::write_scaled_def(&tech, &case, &mut w)
-            .and_then(|_| w.flush())
-            .map_err(|e| write_err(&def_path, e))?;
-    } else if let Some(case) = pao_testgen::case_by_name(name) {
-        let (tech, design) = pao_testgen::generate(&case);
-        std::fs::write(&lef_path, pao_tech::lef::write_lef(&tech))
-            .map_err(|e| write_err(&lef_path, e))?;
-        let f = std::fs::File::create(&def_path).map_err(|e| write_err(&def_path, e))?;
-        let mut w = std::io::BufWriter::new(f);
-        pao_design::def::write_def_to(&design, &tech, &mut w)
-            .and_then(|_| w.flush())
-            .map_err(|e| write_err(&def_path, e))?;
-    } else {
+    if write_case(name, &lef_path, &def_path)?.is_none() {
         return Err(CliError::usage(format!(
             "unknown case `{name}` (suite cases via `pao gen list`, scale cases: scale_20k, scale_200k, scale_1m)"
         )));
@@ -1019,13 +1023,12 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let early = m.counter("drc.early_exit");
     if probes > 0 {
         out.push_str(&format!(
-            "drc early-exit    : {:.1}% of {rejects} rejects ({probes} probes, scratch high-water {} slots)\n",
+            "drc early-exit    : {:.1}% of {rejects} rejects ({probes} probes)\n",
             if rejects > 0 {
                 100.0 * early as f64 / rejects as f64
             } else {
                 0.0
             },
-            m.gauge("drc.scratch.high_water"),
         ));
     }
     // Cluster-selection fast path: how much work the DP pruning and the

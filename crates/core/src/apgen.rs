@@ -5,8 +5,8 @@ use crate::persist::RejectTally;
 use crate::share::{CandidateKey, VerdictTable};
 use crate::unique::local_pin_owner;
 use pao_design::{Design, TrackPattern};
-use pao_drc::{DrcEngine, DrcScratch, Owner, RejectInfo, ShapeSet};
-use pao_geom::{max_rects, Dbu, Dir, Point, Rect};
+use pao_drc::{DrcEngine, DrcScratch, DrcSink, Owner, RejectInfo, ShapeSet};
+use pao_geom::{max_rects_into, Dbu, Dir, GridScratch, Point, Rect};
 use pao_obs::{ledger, LedgerEvent, LedgerRecord};
 use pao_tech::{LayerId, Tech, ViaId};
 use std::collections::{BTreeMap, HashSet};
@@ -357,6 +357,10 @@ pub struct ApScratch {
     planar_buf: Vec<PlanarDir>,
     pref_coords: Vec<Dbu>,
     nonpref_coords: Vec<Dbu>,
+    /// Maximal rectangles of the pin's shapes on the current layer, and
+    /// the grid workspace that computes them.
+    maxes: Vec<Rect>,
+    grid: GridScratch,
     /// Observability tallies (plain integer adds in the hot loop; the
     /// oracle publishes them via [`flush_obs`](ApScratch::flush_obs)
     /// once per instance).
@@ -500,7 +504,8 @@ impl ApScratch {
         let mut planar = 0u8;
         for (d, dir) in PlanarDir::ALL.into_iter().enumerate() {
             self.planar_probes += 1;
-            if engine.shape_clean(layer, planar_probe(at, dir, width, planar_len), owner, ctx) {
+            let probe = planar_probe(at, dir, width, planar_len);
+            if engine.check_shape(layer, probe, owner, ctx, &mut DrcSink::first()) {
                 self.planar_buf.push(dir);
                 planar |= 1 << d;
             }
@@ -716,10 +721,11 @@ pub(crate) fn generate_pin_access_points_with(
     layers.sort_unstable();
     layers.dedup();
 
-    // Coordinate buffers are threaded through the candidate loops by
-    // value so `scratch` stays borrowable for validation.
+    // Coordinate and max-rect buffers are threaded through the candidate
+    // loops by value so `scratch` stays borrowable for validation.
     let mut pref_coords = std::mem::take(&mut scratch.pref_coords);
     let mut nonpref_coords = std::mem::take(&mut scratch.nonpref_coords);
+    let mut maxes = std::mem::take(&mut scratch.maxes);
 
     'layers: for layer in layers {
         if !tech.layer(layer).is_routing() {
@@ -730,7 +736,7 @@ pub(crate) fn generate_pin_access_points_with(
             .filter(|&&(l, _)| l == layer)
             .map(|&(_, r)| r)
             .collect();
-        let maxes = max_rects(&rects);
+        max_rects_into(&rects, &mut scratch.grid, &mut maxes);
         let lp = &plan.layers[layer.index()];
         // The preferred-direction coordinate is governed by this layer's
         // own tracks (a horizontal layer's track coordinate is y); the
@@ -820,6 +826,7 @@ pub(crate) fn generate_pin_access_points_with(
     }
     scratch.pref_coords = pref_coords;
     scratch.nonpref_coords = nonpref_coords;
+    scratch.maxes = maxes;
     aps
 }
 

@@ -891,8 +891,8 @@ fn solve_cluster(
 /// Probes one DP edge: every near-boundary via pair across the boundary
 /// must be mutually DRC-clean. Pairs farther apart than `far` on either
 /// axis cannot interact and are skipped; the first dirty pair settles the
-/// verdict (the underlying audit already short-circuits per pair via the
-/// `FirstOnly` sink).
+/// verdict (the underlying audit already short-circuits per pair in
+/// first-violation mode).
 fn edge_clean(
     tech: &Tech,
     engine: &DrcEngine<'_>,

@@ -3,7 +3,7 @@
 
 use crate::apgen::AccessPoint;
 use crate::cost::{DRC_COST, NON_DEFAULT_VIA_COST, PENALTY_COST, UNIT_AP_COST};
-use pao_drc::{DrcEngine, Owner, ShapeSet};
+use pao_drc::{DrcEngine, DrcSink, Owner, ShapeSet};
 use pao_geom::Point;
 use pao_obs::{ledger, LedgerEvent, LedgerRecord};
 use pao_tech::Tech;
@@ -73,24 +73,10 @@ pub fn order_pins(pin_aps: &[Vec<AccessPoint>], alpha: f64) -> Vec<usize> {
 ///
 /// `offset_a` / `offset_b` translate each point's via into a common frame
 /// (zero for intra-instance checks; instance placement deltas for
-/// inter-cell checks in step 3).
-#[must_use]
-pub fn aps_compatible(
-    tech: &Tech,
-    engine: &DrcEngine<'_>,
-    a: &AccessPoint,
-    offset_a: Point,
-    b: &AccessPoint,
-    offset_b: Point,
-) -> bool {
-    let mut ctx = ShapeSet::new(tech.layers().len());
-    aps_compatible_scratch(tech, engine, a, offset_a, b, offset_b, &mut ctx)
-}
-
-/// [`aps_compatible`] with a caller-owned scratch [`ShapeSet`] (cleared
-/// and refilled per probe), so hot compatibility loops reuse the tree
-/// allocations instead of building a fresh context per pair. The audit
-/// runs in first-violation short-circuit mode — only the verdict is
+/// inter-cell checks in step 3). `ctx` is a caller-owned scratch
+/// [`ShapeSet`] (cleared and refilled per probe), so hot compatibility
+/// loops reuse the tree allocations instead of building a fresh context
+/// per pair. The audit runs in first-violation mode — only the verdict is
 /// needed.
 #[must_use]
 pub fn aps_compatible_scratch(
@@ -141,7 +127,7 @@ pub fn vias_compatible(
     for (layer, rect) in tech.via(vb).each_placed_shape(pb) {
         ctx.insert(layer, rect, Owner::net(2));
     }
-    engine.audit_clean(ctx)
+    engine.audit(ctx, &mut DrcSink::first())
 }
 
 /// State for one DP vertex.
@@ -417,7 +403,7 @@ pub(crate) fn pattern_dp(
         }
         val_ctx.rebuild();
         validations += 1;
-        let clean = engine.audit_clean(&val_ctx);
+        let clean = engine.audit(&val_ctx, &mut DrcSink::first());
         if log {
             records.push(
                 LedgerRecord::new(LedgerEvent::PatternValidated, 0, (dp_runs - 1) as u32)
@@ -515,28 +501,17 @@ mod tests {
     fn compatible_vias_far_apart() {
         let t = tech();
         let e = DrcEngine::new(&t);
+        let mut ctx = ShapeSet::new(t.layers().len());
         let a = ap(0, 0);
-        let b = ap(600, 0);
-        assert!(aps_compatible(&t, &e, &a, Point::ORIGIN, &b, Point::ORIGIN));
+        let mut compatible = |b: &AccessPoint, offset_b: Point| {
+            aps_compatible_scratch(&t, &e, &a, Point::ORIGIN, b, offset_b, &mut ctx)
+        };
+        assert!(compatible(&ap(600, 0), Point::ORIGIN));
         // Too close: bottom enclosures 130 wide at distance 130 < spacing.
         let c = ap(150, 0);
-        assert!(!aps_compatible(
-            &t,
-            &e,
-            &a,
-            Point::ORIGIN,
-            &c,
-            Point::ORIGIN
-        ));
+        assert!(!compatible(&c, Point::ORIGIN));
         // Offsets shift the frames.
-        assert!(aps_compatible(
-            &t,
-            &e,
-            &a,
-            Point::ORIGIN,
-            &c,
-            Point::new(600, 0)
-        ));
+        assert!(compatible(&c, Point::new(600, 0)));
     }
 
     #[test]

@@ -306,9 +306,11 @@ mod tests {
         let ctx = build_instance_context(&t, &d, id);
         assert_eq!(ctx.len(), 2);
         // Pin shape translated by the placement.
-        let hits: Vec<(Rect, Owner)> = ctx
-            .query(LayerId(0), Rect::new(1100, 400, 1220, 1000))
-            .collect();
+        let mut hits: Vec<(Rect, Owner)> = Vec::new();
+        ctx.for_each_in(LayerId(0), Rect::new(1100, 400, 1220, 1000), |r, o| {
+            hits.push((r, o));
+            true
+        });
         assert!(hits
             .iter()
             .any(|&(r, o)| r == Rect::new(1100, 400, 1220, 1000) && o == local_pin_owner(0)));

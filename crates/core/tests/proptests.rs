@@ -5,7 +5,7 @@ use pao_core::coord::CoordType;
 use pao_core::pattern::{generate_patterns, order_pins, PatternConfig};
 use pao_core::unique::local_pin_owner;
 use pao_design::{Design, TrackPattern};
-use pao_drc::{DrcEngine, ShapeSet};
+use pao_drc::{DrcEngine, DrcScratch, DrcSink, ShapeSet};
 use pao_geom::{Dir, Point, Rect};
 use pao_ptest::check;
 use pao_tech::rules::MinStepRule;
@@ -90,8 +90,10 @@ fn generated_aps_are_on_pin_and_clean() {
         for ap in &aps {
             assert!(pin.contains(ap.pos), "AP {} off pin {}", ap.pos, pin);
             let via = ap.primary_via().expect("via access");
-            let v = engine.check_via_placement(t.via(via), ap.pos, local_pin_owner(0), &ctx);
-            assert!(v.is_empty(), "dirty AP {}: {v:?}", ap.pos);
+            let (mut ws, mut sink) = (DrcScratch::new(), DrcSink::all());
+            let owner = local_pin_owner(0);
+            engine.check_via_placement(t.via(via), ap.pos, owner, &ctx, &mut ws, &mut sink);
+            assert!(sink.is_clean(), "dirty AP {}: {sink:?}", ap.pos);
         }
         // Determinism.
         let again = generate_pin_access_points(
@@ -155,6 +157,7 @@ fn patterns_are_well_formed() {
         assert_eq!(order.len(), pins.len());
         assert!(!pats.is_empty());
         assert!(pats.len() <= 3);
+        let mut ctx = ShapeSet::new(t.layers().len());
         for pat in &pats {
             assert_eq!(pat.choice.len(), order.len());
             for (oi, &api) in pat.choice.iter().enumerate() {
@@ -166,13 +169,14 @@ fn patterns_are_well_formed() {
                         let a = &pins[order[i]][pat.choice[i]];
                         let b = &pins[order[j]][pat.choice[j]];
                         assert!(
-                            pao_core::pattern::aps_compatible(
+                            pao_core::pattern::aps_compatible_scratch(
                                 &t,
                                 &e,
                                 a,
                                 Point::ORIGIN,
                                 b,
-                                Point::ORIGIN
+                                Point::ORIGIN,
+                                &mut ctx
                             ),
                             "validated pattern has conflicting pair"
                         );

@@ -1,15 +1,15 @@
 //! The design-rule check engine.
 //!
-//! Every check is implemented against a [`DrcSink`] — the `Vec`-returning
-//! methods are thin wrappers over [`CollectAll`](crate::sink::CollectAll).
-//! Decision sites that only need a clean/dirty verdict use the
-//! [`FirstOnly`](crate::sink::FirstOnly)-based [`DrcEngine::via_placement_clean`]
-//! / [`DrcEngine::shape_clean`] / [`DrcEngine::audit_clean`] forms, which
-//! stop at the first violation and skip all remaining sub-checks.
+//! Every check reports through a [`DrcSink`]: a first-mode sink stops the
+//! check at its first violation and skips every remaining sub-check, a
+//! collect-all sink sees every violation. The via probes the decision
+//! sites use, [`DrcEngine::via_placement_clean`] and
+//! [`DrcEngine::via_pairwise_clean`], add probe tallies, reject
+//! attribution and an O(1) definite-reject path on top.
 
 use crate::scratch::DrcScratch;
 use crate::shapes::{Owner, ShapeSet};
-use crate::sink::{CaptureFirst, CollectAll, DrcSink, FirstOnly};
+use crate::sink::DrcSink;
 use crate::violation::{DrcViolation, RejectInfo, RuleKind, SubCheck};
 use pao_geom::boundary::{union_area_with, visit_union_boundaries};
 use pao_geom::{max_rects_into, Dbu, Interval, Point, Rect};
@@ -30,8 +30,8 @@ fn gap_marker(a: Rect, b: Rect) -> Rect {
 /// A design-rule checker bound to a technology.
 ///
 /// See the [crate docs](crate) for the rule subset. All check methods
-/// report the violations found (none = clean); they never panic on clean
-/// or dirty geometry, only on out-of-range layer ids. Per-layer search
+/// report the violations they find to a [`DrcSink`] (none = clean); they
+/// never panic on clean or dirty geometry, only on out-of-range layer ids. Per-layer search
 /// halos are precomputed at construction, so cloning an engine is cheap
 /// and `check_shape` does not re-derive rule maxima per call.
 #[derive(Debug, Clone)]
@@ -128,38 +128,15 @@ impl<'t> DrcEngine<'t> {
     }
 
     /// Checks a candidate metal shape against conflicting context shapes:
-    /// shorts, spacing, and the candidate's end-of-line edges.
-    #[must_use]
+    /// shorts, spacing, and the candidate's end-of-line edges. Returns
+    /// `false` iff the sink stopped the check.
     pub fn check_shape(
         &self,
         layer: LayerId,
         rect: Rect,
         owner: Owner,
         ctx: &ShapeSet,
-    ) -> Vec<DrcViolation> {
-        let mut out = Vec::new();
-        self.check_shape_sink(layer, rect, owner, ctx, &mut CollectAll::new(&mut out));
-        out
-    }
-
-    /// `true` when `rect` raises no shape violation — [`FirstOnly`]
-    /// short-circuit form of [`DrcEngine::check_shape`].
-    #[must_use]
-    pub fn shape_clean(&self, layer: LayerId, rect: Rect, owner: Owner, ctx: &ShapeSet) -> bool {
-        let mut sink = FirstOnly::new();
-        self.check_shape_sink(layer, rect, owner, ctx, &mut sink);
-        sink.is_clean()
-    }
-
-    /// Sink form of [`DrcEngine::check_shape`]. Returns `false` iff the
-    /// sink stopped the check early.
-    pub fn check_shape_sink(
-        &self,
-        layer: LayerId,
-        rect: Rect,
-        owner: Owner,
-        ctx: &ShapeSet,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         let halo = self.halo(layer);
         let window = rect.expanded(halo.max(1));
@@ -172,17 +149,17 @@ impl<'t> DrcEngine<'t> {
         if !cont {
             return false;
         }
-        self.check_eol_edges_sink(layer, rect, owner, ctx, sink)
+        self.check_eol_edges(layer, rect, owner, ctx, sink)
     }
 
     /// Checks the end-of-line spacing rules for the four edges of `rect`.
-    fn check_eol_edges_sink(
+    fn check_eol_edges(
         &self,
         layer: LayerId,
         rect: Rect,
         owner: Owner,
         ctx: &ShapeSet,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         let l = self.tech.layer(layer);
         for rule in &l.eol_rules {
@@ -247,35 +224,16 @@ impl<'t> DrcEngine<'t> {
     /// `friends` (same-owner shapes): min step, min width and min area.
     ///
     /// This is the Fig. 3 check: a via enclosure fused with the pin shape
-    /// may create boundary steps shorter than the layer's `MINSTEP`.
-    #[must_use]
+    /// may create boundary steps shorter than the layer's `MINSTEP`. Runs
+    /// against the workspace buffers of `ws`; returns `false` iff the sink
+    /// stopped the check.
     pub fn check_merged(
         &self,
         layer: LayerId,
         candidates: &[Rect],
         friends: &[Rect],
-    ) -> Vec<DrcViolation> {
-        let mut out = Vec::new();
-        self.check_merged_sink(
-            layer,
-            candidates,
-            friends,
-            &mut DrcScratch::new(),
-            &mut CollectAll::new(&mut out),
-        );
-        out
-    }
-
-    /// Sink form of [`DrcEngine::check_merged`], running against the
-    /// workspace buffers of `ws`. Returns `false` iff the sink stopped
-    /// the check early (remaining sub-checks are skipped).
-    pub fn check_merged_sink(
-        &self,
-        layer: LayerId,
-        candidates: &[Rect],
-        friends: &[Rect],
         ws: &mut DrcScratch,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         let l = self.tech.layer(layer);
         // Only friends actually touching a candidate merge with it.
@@ -352,29 +310,15 @@ impl<'t> DrcEngine<'t> {
         true
     }
 
-    /// Checks a cut shape against other cuts (cut spacing).
-    #[must_use]
+    /// Checks a cut shape against other cuts (cut spacing). Returns
+    /// `false` iff the sink stopped the check.
     pub fn check_cut_shape(
         &self,
         layer: LayerId,
         rect: Rect,
         owner: Owner,
         ctx: &ShapeSet,
-    ) -> Vec<DrcViolation> {
-        let mut out = Vec::new();
-        self.check_cut_shape_sink(layer, rect, owner, ctx, &mut CollectAll::new(&mut out));
-        out
-    }
-
-    /// Sink form of [`DrcEngine::check_cut_shape`]. Returns `false` iff
-    /// the sink stopped the check early.
-    pub fn check_cut_shape_sink(
-        &self,
-        layer: LayerId,
-        rect: Rect,
-        owner: Owner,
-        ctx: &ShapeSet,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         debug_assert_eq!(self.tech.layer(layer).kind, LayerKind::Cut);
         let spacing = self.tech.layer(layer).spacing;
@@ -407,51 +351,28 @@ impl<'t> DrcEngine<'t> {
     /// The framework's central query: can `via` land with its origin at
     /// `at`, on behalf of `owner`, given the context?
     ///
-    /// Sub-checks run cheapest-first so a [`FirstOnly`] sink exits before
+    /// Sub-checks run cheapest-first so a first-mode sink exits before
     /// the expensive polygon machinery: cut spacing, bottom-layer
     /// spacing/short/EOL, top-layer spacing/short/EOL plus the top
     /// enclosure's own min width, and finally the merged-geometry
     /// min-step/min-width/min-area with the owner's own bottom metal.
-    /// Every caller that *decides* on the result consumes only its
-    /// emptiness, so the ordering is observationally irrelevant to them.
-    #[must_use]
+    /// Runs against the workspace buffers of `ws`; returns `false` iff
+    /// the sink stopped the check.
     pub fn check_via_placement(
         &self,
         via: &ViaDef,
         at: Point,
         owner: Owner,
         ctx: &ShapeSet,
-    ) -> Vec<DrcViolation> {
-        let mut out = Vec::new();
-        self.check_via_placement_sink(
-            via,
-            at,
-            owner,
-            ctx,
-            &mut DrcScratch::new(),
-            &mut CollectAll::new(&mut out),
-        );
-        out
-    }
-
-    /// Sink form of [`DrcEngine::check_via_placement`], running against
-    /// the workspace buffers of `ws`. Returns `false` iff the sink
-    /// stopped the check early.
-    pub fn check_via_placement_sink(
-        &self,
-        via: &ViaDef,
-        at: Point,
-        owner: Owner,
-        ctx: &ShapeSet,
         ws: &mut DrcScratch,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
-        self.via_pre_merged_sink(via, at, owner, ctx, ws, sink)
-            && self.via_merged_sink(via, owner, ctx, ws, sink)
+        self.via_pre_merged(via, at, owner, ctx, ws, sink)
+            && self.via_merged(via, owner, ctx, ws, sink)
     }
 
-    /// `true` when `via` can land at `at` DRC-free — the short-circuit
-    /// form of [`DrcEngine::check_via_placement`] that every
+    /// `true` when `via` can land at `at` DRC-free — the verdict of a
+    /// first-mode [`DrcEngine::check_via_placement`], and the form every
     /// accept/reject decision site uses. Tallies probe/reject/early-exit
     /// counts into `ws` (published by [`DrcScratch::flush_obs`]) and
     /// leaves the reject's rule + sub-check attribution in
@@ -465,17 +386,8 @@ impl<'t> DrcEngine<'t> {
         ctx: &ShapeSet,
         ws: &mut DrcScratch,
     ) -> bool {
-        ws.probes += 1;
-        ws.last_reject = None;
-        let mut sink = CaptureFirst::new();
-        if !self.via_pre_merged_sink(via, at, owner, ctx, ws, &mut sink) {
+        if !self.via_pairwise_clean(via, at, owner, ctx, ws) {
             // Rejected before the merged-geometry machinery was touched.
-            ws.rejects += 1;
-            ws.early_exits += 1;
-            ws.last_reject = sink.take().map(|v| RejectInfo {
-                rule: v.rule,
-                subcheck: ws.stage,
-            });
             return false;
         }
         if let Some(rule) = self.merged_dirty_rule(via.bottom_layer, owner, ctx, &ws.bottom) {
@@ -489,9 +401,10 @@ impl<'t> DrcEngine<'t> {
             });
             return false;
         }
-        if !self.via_merged_sink(via, owner, ctx, ws, &mut sink) {
+        let mut sink = DrcSink::first();
+        if !self.via_merged(via, owner, ctx, ws, &mut sink) {
             ws.rejects += 1;
-            ws.last_reject = sink.take().map(|v| RejectInfo {
+            ws.last_reject = sink.violations().first().map(|v| RejectInfo {
                 rule: v.rule,
                 subcheck: SubCheck::Merged,
             });
@@ -503,10 +416,11 @@ impl<'t> DrcEngine<'t> {
     /// `true` when `via` at `at` passes every *pairwise* rule against
     /// `ctx` (cut spacing, metal spacing, EOL) — the merged-geometry
     /// rules are skipped. This is [`Self::via_placement_clean`] minus
-    /// the same-owner merged checks. Its one caller is the repair scan's
-    /// certified path, whose `ctx` holds only foreign shapes: merged
-    /// geometry only ever unions same-owner shapes, and a certified
-    /// pin's own-cell checks were already proven clean.
+    /// the same-owner merged checks, and its first stage. Outside it, its
+    /// one caller is the repair scan's certified path, whose `ctx` holds
+    /// only foreign shapes: merged geometry only ever unions same-owner
+    /// shapes, and a certified pin's own-cell checks were already proven
+    /// clean.
     #[must_use]
     pub fn via_pairwise_clean(
         &self,
@@ -518,11 +432,11 @@ impl<'t> DrcEngine<'t> {
     ) -> bool {
         ws.probes += 1;
         ws.last_reject = None;
-        let mut sink = CaptureFirst::new();
-        if !self.via_pre_merged_sink(via, at, owner, ctx, ws, &mut sink) {
+        let mut sink = DrcSink::first();
+        if !self.via_pre_merged(via, at, owner, ctx, ws, &mut sink) {
             ws.rejects += 1;
             ws.early_exits += 1;
-            ws.last_reject = sink.take().map(|v| RejectInfo {
+            ws.last_reject = sink.violations().first().map(|v| RejectInfo {
                 rule: v.rule,
                 subcheck: ws.stage,
             });
@@ -534,7 +448,7 @@ impl<'t> DrcEngine<'t> {
     /// Exact O(1) definite-reject test for the common merged-geometry
     /// shapes: a single bottom enclosure rect merging with at most one
     /// same-owner metal shape. Returns `Some(rule)` only when
-    /// [`Self::via_merged_sink`] would provably reject as well (the rule
+    /// [`Self::via_merged`] would provably reject as well (the rule
     /// names the violation proven); `None` means "unknown — run the real
     /// check". Only the boolean fast path ([`Self::via_placement_clean`])
     /// uses this, so the collected violation lists never change.
@@ -566,7 +480,7 @@ impl<'t> DrcEngine<'t> {
         // When the merged component is literally one rectangle, all three
         // merged rules collapse to closed forms (exact, both directions —
         // used only for reject here). Checked in the same order as
-        // [`Self::check_merged_sink`] reports, so attribution matches.
+        // [`Self::check_merged`] reports, so attribution matches.
         let single_rect_dirty = |u: Rect| -> Option<RuleKind> {
             if l.min_width > 0 && u.min_side() < l.min_width {
                 return Some(RuleKind::MinWidth);
@@ -620,15 +534,15 @@ impl<'t> DrcEngine<'t> {
 
     /// Everything except the merged-geometry check, cheapest sub-check
     /// first. Fills `ws.bottom`/`ws.cuts`/`ws.top` with the translated
-    /// via shapes (`ws.bottom` is consumed by [`Self::via_merged_sink`]).
-    fn via_pre_merged_sink(
+    /// via shapes (`ws.bottom` is consumed by [`Self::via_merged`]).
+    fn via_pre_merged(
         &self,
         via: &ViaDef,
         at: Point,
         owner: Owner,
         ctx: &ShapeSet,
         ws: &mut DrcScratch,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         ws.bottom.clear();
         ws.bottom
@@ -643,14 +557,14 @@ impl<'t> DrcEngine<'t> {
         ws.stage = SubCheck::Cut;
         for i in 0..ws.cuts.len() {
             let r = ws.cuts[i];
-            if !self.check_cut_shape_sink(via.cut_layer, r, owner, ctx, sink) {
+            if !self.check_cut_shape(via.cut_layer, r, owner, ctx, sink) {
                 return false;
             }
         }
         ws.stage = SubCheck::Bottom;
         for i in 0..ws.bottom.len() {
             let r = ws.bottom[i];
-            if !self.check_shape_sink(via.bottom_layer, r, owner, ctx, sink) {
+            if !self.check_shape(via.bottom_layer, r, owner, ctx, sink) {
                 return false;
             }
         }
@@ -658,7 +572,7 @@ impl<'t> DrcEngine<'t> {
         let top_min_width = self.tech.layer(via.top_layer).min_width;
         for i in 0..ws.top.len() {
             let r = ws.top[i];
-            if !self.check_shape_sink(via.top_layer, r, owner, ctx, sink) {
+            if !self.check_shape(via.top_layer, r, owner, ctx, sink) {
                 return false;
             }
             // The top enclosure alone must satisfy min width.
@@ -673,14 +587,14 @@ impl<'t> DrcEngine<'t> {
     }
 
     /// Merged-geometry checks with the owner's own bottom-layer metal.
-    /// Expects `ws.bottom` as filled by [`Self::via_pre_merged_sink`].
-    fn via_merged_sink(
+    /// Expects `ws.bottom` as filled by [`Self::via_pre_merged`].
+    fn via_merged(
         &self,
         via: &ViaDef,
         owner: Owner,
         ctx: &ShapeSet,
         ws: &mut DrcScratch,
-        sink: &mut impl DrcSink,
+        sink: &mut DrcSink,
     ) -> bool {
         let window = ws
             .bottom
@@ -697,7 +611,7 @@ impl<'t> DrcEngine<'t> {
         });
         let bottom = std::mem::take(&mut ws.bottom);
         let friends = std::mem::take(&mut ws.friends);
-        let cont = self.check_merged_sink(via.bottom_layer, &bottom, &friends, ws, sink);
+        let cont = self.check_merged(via.bottom_layer, &bottom, &friends, ws, sink);
         ws.bottom = bottom;
         ws.friends = friends;
         cont
@@ -705,28 +619,11 @@ impl<'t> DrcEngine<'t> {
 
     /// Exhaustively audits a shape set: every conflicting same-layer pair
     /// is checked for shorts and spacing (each unordered pair reported at
-    /// most once), and cut layers for cut spacing.
+    /// most once), and cut layers for cut spacing. Returns `false` iff the
+    /// sink stopped the audit.
     ///
-    /// Used to score routed designs and to audit access points.
-    #[must_use]
-    pub fn audit(&self, ctx: &ShapeSet) -> Vec<DrcViolation> {
-        let mut out = Vec::new();
-        self.audit_sink(ctx, &mut CollectAll::new(&mut out));
-        out
-    }
-
-    /// `true` when the whole shape set is clean — [`FirstOnly`]
-    /// short-circuit form of [`DrcEngine::audit`].
-    #[must_use]
-    pub fn audit_clean(&self, ctx: &ShapeSet) -> bool {
-        let mut sink = FirstOnly::new();
-        self.audit_sink(ctx, &mut sink);
-        sink.is_clean()
-    }
-
-    /// Sink form of [`DrcEngine::audit`]. Returns `false` iff the sink
-    /// stopped the audit early.
-    pub fn audit_sink(&self, ctx: &ShapeSet, sink: &mut impl DrcSink) -> bool {
+    /// Used to score routed designs and to validate access patterns.
+    pub fn audit(&self, ctx: &ShapeSet, sink: &mut DrcSink) -> bool {
         for li in 0..ctx.num_layers() {
             let layer = LayerId(li as u32);
             let kind = self.tech.layer(layer).kind;
@@ -804,6 +701,13 @@ mod tests {
         LayerId(0)
     }
 
+    /// The violations a collect-all sink gathers from `check`.
+    fn collect(check: impl FnOnce(&mut DrcSink) -> bool) -> Vec<DrcViolation> {
+        let mut sink = DrcSink::all();
+        assert!(check(&mut sink), "a collect-all sink never stops a check");
+        sink.into_violations()
+    }
+
     fn via(t: &Tech) -> ViaDef {
         ViaDef::new(
             "via1",
@@ -861,16 +765,13 @@ mod tests {
         let e = DrcEngine::new(&t);
         let mut ctx = ShapeSet::new(3);
         ctx.insert(m1(), Rect::new(0, 0, 200, 60), Owner::pin(1));
+        let r = Rect::new(100, 0, 300, 60);
         // Same owner: no violations even when overlapping.
-        assert!(e
-            .check_shape(m1(), Rect::new(100, 0, 300, 60), Owner::pin(1), &ctx)
-            .is_empty());
-        assert!(e.shape_clean(m1(), Rect::new(100, 0, 300, 60), Owner::pin(1), &ctx));
+        assert!(collect(|s| e.check_shape(m1(), r, Owner::pin(1), &ctx, s)).is_empty());
+        assert!(e.check_shape(m1(), r, Owner::pin(1), &ctx, &mut DrcSink::first()));
         // Different owner: short.
-        assert!(!e
-            .check_shape(m1(), Rect::new(100, 0, 300, 60), Owner::pin(2), &ctx)
-            .is_empty());
-        assert!(!e.shape_clean(m1(), Rect::new(100, 0, 300, 60), Owner::pin(2), &ctx));
+        assert!(!collect(|s| e.check_shape(m1(), r, Owner::pin(2), &ctx, s)).is_empty());
+        assert!(!e.check_shape(m1(), r, Owner::pin(2), &ctx, &mut DrcSink::first()));
     }
 
     #[test]
@@ -882,12 +783,12 @@ mod tests {
         ctx.insert(m1(), Rect::new(180, 0, 240, 60), Owner::obs(0));
         // Height 60 < eol_width 80 → EOL; gap 80 < 90 → violation.
         let narrow = Rect::new(0, 0, 100, 60);
-        let v = e.check_shape(m1(), narrow, Owner::pin(1), &ctx);
+        let v = collect(|s| e.check_shape(m1(), narrow, Owner::pin(1), &ctx, s));
         assert!(v.iter().any(|v| v.rule == RuleKind::EolSpacing), "{v:?}");
         // A tall shape (height ≥ 80) has no vertical EOL edge; plain
         // spacing (70) is satisfied at gap 80.
         let tall = Rect::new(0, -20, 100, 60);
-        let v = e.check_shape(m1(), tall, Owner::pin(1), &ctx);
+        let v = collect(|s| e.check_shape(m1(), tall, Owner::pin(1), &ctx, s));
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -895,15 +796,16 @@ mod tests {
     fn merged_min_step_detects_via_overhang() {
         let t = tech();
         let e = DrcEngine::new(&t);
+        let ws = &mut DrcScratch::new();
         // Pin bar 400×60; via enclosure 130×70 sticking out 5 above and
         // below near the middle: edge run (5, 130, 5) all < 60 → min-step.
         let pin = Rect::new(0, 0, 400, 60);
         let enc = Rect::new(100, -5, 230, 65);
-        let v = e.check_merged(m1(), &[enc], &[pin]);
+        let v = collect(|s| e.check_merged(m1(), &[enc], &[pin], ws, s));
         assert!(v.iter().any(|v| v.rule == RuleKind::MinStep), "{v:?}");
         // Enclosure aligned to the pin boundary: no step.
         let aligned = Rect::new(100, 0, 230, 60);
-        let v = e.check_merged(m1(), &[aligned], &[pin]);
+        let v = collect(|s| e.check_merged(m1(), &[aligned], &[pin], ws, s));
         assert!(v.iter().all(|v| v.rule != RuleKind::MinStep), "{v:?}");
     }
 
@@ -911,22 +813,18 @@ mod tests {
     fn merged_min_area_and_width() {
         let t = tech();
         let e = DrcEngine::new(&t);
+        let ws = &mut DrcScratch::new();
+        let square = [Rect::new(0, 0, 70, 70)];
         // Isolated 70×70 enclosure: area 4900 < 10000 → min-area.
-        let v = e.check_merged(m1(), &[Rect::new(0, 0, 70, 70)], &[]);
+        let v = collect(|s| e.check_merged(m1(), &square, &[], ws, s));
         assert!(v.iter().any(|v| v.rule == RuleKind::MinArea));
         // Thin neck: min width violation.
-        let v = e.check_merged(
-            m1(),
-            &[Rect::new(0, 0, 200, 60), Rect::new(200, 10, 260, 40)],
-            &[],
-        );
+        let neck = [Rect::new(0, 0, 200, 60), Rect::new(200, 10, 260, 40)];
+        let v = collect(|s| e.check_merged(m1(), &neck, &[], ws, s));
         assert!(v.iter().any(|v| v.rule == RuleKind::MinWidth), "{v:?}");
         // Friend that does not touch the candidate does not merge.
-        let v = e.check_merged(
-            m1(),
-            &[Rect::new(0, 0, 70, 70)],
-            &[Rect::new(1000, 0, 1400, 200)],
-        );
+        let far = [Rect::new(1000, 0, 1400, 200)];
+        let v = collect(|s| e.check_merged(m1(), &square, &far, ws, s));
         assert!(v.iter().any(|v| v.rule == RuleKind::MinArea));
     }
 
@@ -937,17 +835,16 @@ mod tests {
         let v1 = t.layer_id("V1").unwrap();
         let mut ctx = ShapeSet::new(3);
         ctx.insert(v1, Rect::new(0, 0, 70, 70), Owner::pin(1));
+        let cut = |r: Rect, owner: Owner| collect(|s| e.check_cut_shape(v1, r, owner, &ctx, s));
         // 79 away: violation (spacing 80); same for same-owner cuts.
-        let v = e.check_cut_shape(v1, Rect::new(149, 0, 219, 70), Owner::pin(2), &ctx);
+        let v = cut(Rect::new(149, 0, 219, 70), Owner::pin(2));
         assert!(v.iter().any(|v| v.rule == RuleKind::CutSpacing));
-        let v = e.check_cut_shape(v1, Rect::new(149, 0, 219, 70), Owner::pin(1), &ctx);
+        let v = cut(Rect::new(149, 0, 219, 70), Owner::pin(1));
         assert!(v.iter().any(|v| v.rule == RuleKind::CutSpacing));
         // 80 away: clean.
-        let v = e.check_cut_shape(v1, Rect::new(150, 0, 220, 70), Owner::pin(2), &ctx);
-        assert!(v.is_empty());
+        assert!(cut(Rect::new(150, 0, 220, 70), Owner::pin(2)).is_empty());
         // Identical same-owner cut: treated as the same via.
-        let v = e.check_cut_shape(v1, Rect::new(0, 0, 70, 70), Owner::pin(1), &ctx);
-        assert!(v.is_empty());
+        assert!(cut(Rect::new(0, 0, 70, 70), Owner::pin(1)).is_empty());
     }
 
     #[test]
@@ -956,15 +853,20 @@ mod tests {
         let e = DrcEngine::new(&t);
         let via = via(&t);
         let mut ws = DrcScratch::new();
+        let all = |ctx: &ShapeSet, owner: Owner| {
+            collect(|s| {
+                e.check_via_placement(&via, Point::ORIGIN, owner, ctx, &mut DrcScratch::new(), s)
+            })
+        };
         let mut ctx = ShapeSet::new(3);
         // A wide pin that fully contains the bottom enclosure.
         ctx.insert(m1(), Rect::new(-200, -35, 200, 35), Owner::pin(1));
-        let v = e.check_via_placement(&via, Point::new(0, 0), Owner::pin(1), &ctx);
+        let v = all(&ctx, Owner::pin(1));
         assert!(v.is_empty(), "{v:?}");
         assert!(e.via_placement_clean(&via, Point::new(0, 0), Owner::pin(1), &ctx, &mut ws));
         assert_eq!(ws.last_reject(), None);
         // Same via for a different owner shorts against the pin.
-        let v = e.check_via_placement(&via, Point::new(0, 0), Owner::pin(2), &ctx);
+        let v = all(&ctx, Owner::pin(2));
         assert!(v.iter().any(|v| v.rule == RuleKind::Short));
         assert!(!e.via_placement_clean(&via, Point::new(0, 0), Owner::pin(2), &ctx, &mut ws));
         assert_eq!(
@@ -977,7 +879,7 @@ mod tests {
         // A narrow pin causes a min-step from the enclosure overhang.
         let mut ctx2 = ShapeSet::new(3);
         ctx2.insert(m1(), Rect::new(-200, -30, 200, 30), Owner::pin(1));
-        let v = e.check_via_placement(&via, Point::new(0, 0), Owner::pin(1), &ctx2);
+        let v = all(&ctx2, Owner::pin(1));
         assert!(v.iter().any(|v| v.rule == RuleKind::MinStep), "{v:?}");
         assert!(!e.via_placement_clean(&via, Point::new(0, 0), Owner::pin(1), &ctx2, &mut ws));
         assert_eq!(
@@ -1032,12 +934,11 @@ mod tests {
         ctx.insert(m1(), Rect::new(0, 100, 200, 160), Owner::net(2)); // 40 gap
         ctx.insert(m1(), Rect::new(1000, 0, 1200, 60), Owner::net(3)); // far away
         ctx.rebuild();
-        let v = e.audit(&ctx);
+        let v = collect(|s| e.audit(&ctx, s));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, RuleKind::MetalSpacing);
-        assert!(!e.audit_clean(&ctx));
-        let mut count = crate::sink::CountOnly::new();
-        assert!(e.audit_sink(&ctx, &mut count));
-        assert_eq!(count.count(), 1);
+        let mut first = DrcSink::first();
+        assert!(!e.audit(&ctx, &mut first));
+        assert_eq!(first.violations(), &v[..]);
     }
 }

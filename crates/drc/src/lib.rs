@@ -16,13 +16,15 @@
 //!
 //! Shapes live in a per-layer [`ShapeSet`] with an [`Owner`] tag; shapes of
 //! the same owner never conflict (they are assumed to be, or become, the
-//! same net). [`DrcEngine::check_via_placement`] answers the framework's
-//! central question — *can this via land here DRC-free?*
+//! same net). [`DrcEngine::via_placement_clean`] answers the framework's
+//! central question — *can this via land here DRC-free?* Every check
+//! reports through a [`DrcSink`], which either stops at the first
+//! violation or collects them all.
 //!
 //! # Examples
 //!
 //! ```
-//! use pao_drc::{DrcEngine, Owner, ShapeSet};
+//! use pao_drc::{DrcEngine, DrcSink, Owner, RuleKind, ShapeSet};
 //! use pao_geom::{Dir, Point, Rect};
 //! use pao_tech::{Layer, Tech};
 //!
@@ -32,9 +34,12 @@
 //! ctx.insert(m1, Rect::new(0, 0, 300, 60), Owner::obs(0));
 //!
 //! let engine = DrcEngine::new(&tech);
-//! // A shape 10 away from the obstruction violates the 70 spacing.
-//! let v = engine.check_shape(m1, Rect::new(0, 70, 300, 130), Owner::net(0), &ctx);
-//! assert!(!v.is_empty());
+//! // A shape 10 away from the obstruction violates the 70 spacing: a
+//! // first-mode sink stops the check there and keeps the violation.
+//! let mut sink = DrcSink::first();
+//! let clean = engine.check_shape(m1, Rect::new(0, 70, 300, 130), Owner::net(0), &ctx, &mut sink);
+//! assert!(!clean);
+//! assert_eq!(sink.violations()[0].rule, RuleKind::MetalSpacing);
 //! ```
 
 pub mod engine;
@@ -46,5 +51,5 @@ pub mod violation;
 pub use engine::DrcEngine;
 pub use scratch::DrcScratch;
 pub use shapes::{Owner, ShapeSet};
-pub use sink::{CaptureFirst, CollectAll, CountOnly, DrcSink, FirstOnly};
+pub use sink::DrcSink;
 pub use violation::{reject_label, DrcViolation, RejectInfo, RuleKind, SubCheck};

@@ -1,10 +1,10 @@
 //! Reusable per-worker workspace for the DRC hot path.
 //!
-//! [`DrcEngine::check_via_placement`](crate::DrcEngine::check_via_placement)
-//! needs half a dozen temporary buffers per probe: the via's translated
-//! bottom/cut/top shapes, the owner's touching "friend" metal, the merged-
-//! geometry fixpoint, maximal-rectangle output and the grid workspace of
-//! the boundary/area algorithms. A [`DrcScratch`] owns all of them, so a
+//! A via probe ([`DrcEngine::check_via_placement`](crate::DrcEngine::check_via_placement)
+//! and its verdict forms) needs half a dozen temporary buffers: the via's
+//! translated bottom/cut/top shapes, the owner's touching "friend" metal,
+//! the merged-geometry fixpoint, maximal-rectangle output and the grid
+//! workspace of the boundary/area algorithms. A [`DrcScratch`] owns all of them, so a
 //! worker that probes thousands of candidates allocates only until every
 //! buffer reaches its workload high-water mark, then runs allocation-free.
 //!
@@ -15,7 +15,7 @@
 use crate::violation::{RejectInfo, SubCheck};
 use pao_geom::{GridScratch, Rect};
 
-/// Scratch buffers threaded through the sink-based engine entry points.
+/// Scratch buffers threaded through the engine's via and merged checks.
 #[derive(Debug, Default)]
 pub struct DrcScratch {
     /// Via bottom-layer shapes translated to the probe position.
@@ -98,14 +98,12 @@ impl DrcScratch {
     }
 
     /// Publishes the probe tallies as `drc.probes` / `drc.rejects` /
-    /// `drc.early_exit` counters and the buffer high-water mark as the
-    /// `drc.scratch.high_water` gauge, then zeroes the local tallies.
-    /// Cheap no-op when metrics are disabled.
+    /// `drc.early_exit` counters, then zeroes the local tallies. Cheap
+    /// no-op when metrics are disabled.
     pub fn flush_obs(&mut self) {
         pao_obs::counter_add("drc.probes", self.probes);
         pao_obs::counter_add("drc.rejects", self.rejects);
         pao_obs::counter_add("drc.early_exit", self.early_exits);
-        pao_obs::gauge_max("drc.scratch.high_water", self.high_water() as u64);
         self.probes = 0;
         self.rejects = 0;
         self.early_exits = 0;

@@ -75,8 +75,14 @@ impl fmt::Display for Owner {
 ///
 /// let mut ctx = ShapeSet::new(2);
 /// ctx.insert(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1));
-/// assert_eq!(ctx.query(LayerId(0), Rect::new(5, 5, 6, 6)).count(), 1);
-/// assert_eq!(ctx.query(LayerId(1), Rect::new(5, 5, 6, 6)).count(), 0);
+/// let mut hits = Vec::new();
+/// for layer in [LayerId(0), LayerId(1)] {
+///     ctx.for_each_in(layer, Rect::new(5, 5, 6, 6), |r, o| {
+///         hits.push((layer, r, o));
+///         true
+///     });
+/// }
+/// assert_eq!(hits, [(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1))]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ShapeSet {
@@ -139,42 +145,6 @@ impl ShapeSet {
         }
     }
 
-    /// Shapes on `layer` touching `window`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `layer` is out of range.
-    pub fn query(&self, layer: LayerId, window: Rect) -> impl Iterator<Item = (Rect, Owner)> + '_ {
-        self.layers[layer.index()]
-            .query(window)
-            .map(|(r, &o)| (r, o))
-    }
-
-    /// Shapes on `layer` touching `window` whose owner conflicts with
-    /// `owner`.
-    pub fn conflicts(
-        &self,
-        layer: LayerId,
-        window: Rect,
-        owner: Owner,
-    ) -> impl Iterator<Item = (Rect, Owner)> + '_ {
-        self.query(layer, window)
-            .filter(move |&(_, o)| o.conflicts_with(owner))
-    }
-
-    /// Shapes on `layer` touching `window` with exactly the given owner —
-    /// the "friendly" metal that merges with a candidate.
-    pub fn friends(
-        &self,
-        layer: LayerId,
-        window: Rect,
-        owner: Owner,
-    ) -> impl Iterator<Item = Rect> + '_ {
-        self.query(layer, window)
-            .filter(move |&(_, o)| o == owner)
-            .map(|(r, _)| r)
-    }
-
     /// All shapes on a layer.
     ///
     /// # Panics
@@ -184,10 +154,9 @@ impl ShapeSet {
         self.layers[layer.index()].iter().map(|&(r, o)| (r, o))
     }
 
-    /// Visitor form of [`ShapeSet::query`]: calls `f` for every shape on
-    /// `layer` touching `window`, without building an iterator adapter
-    /// chain. `f` returns `false` to stop the walk; the method returns
-    /// `false` iff the walk was stopped.
+    /// Calls `f` for every shape on `layer` touching `window` (shared
+    /// edges count), without allocating. `f` returns `false` to stop the
+    /// walk; the method returns `false` iff the walk was stopped.
     ///
     /// # Panics
     ///
@@ -201,8 +170,8 @@ impl ShapeSet {
         self.layers[layer.index()].visit(window, &mut |r, &o| f(r, o))
     }
 
-    /// Visitor form of [`ShapeSet::conflicts`] — only shapes whose owner
-    /// conflicts with `owner` reach `f`.
+    /// [`ShapeSet::for_each_in`] over the shapes whose owner conflicts
+    /// with `owner`.
     pub fn for_each_conflict<F: FnMut(Rect, Owner) -> bool>(
         &self,
         layer: LayerId,
@@ -219,8 +188,8 @@ impl ShapeSet {
         })
     }
 
-    /// Visitor form of [`ShapeSet::friends`] — only shapes with exactly
-    /// the given owner reach `f`.
+    /// [`ShapeSet::for_each_in`] over the shapes with exactly the given
+    /// owner — the "friendly" metal that merges with a candidate.
     pub fn for_each_friend<F: FnMut(Rect) -> bool>(
         &self,
         layer: LayerId,
@@ -245,6 +214,15 @@ impl ShapeSet {
 mod tests {
     use super::*;
 
+    fn count(s: &ShapeSet, layer: LayerId, window: Rect) -> usize {
+        let mut n = 0;
+        s.for_each_in(layer, window, |_, _| {
+            n += 1;
+            true
+        });
+        n
+    }
+
     #[test]
     fn owner_conflict_matrix() {
         assert!(!Owner::pin(1).conflicts_with(Owner::pin(1)));
@@ -262,60 +240,9 @@ mod tests {
         s.insert(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1));
         s.insert(LayerId(2), Rect::new(0, 0, 10, 10), Owner::net(4));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.query(LayerId(0), Rect::new(0, 0, 5, 5)).count(), 1);
-        assert_eq!(s.query(LayerId(1), Rect::new(0, 0, 5, 5)).count(), 0);
-        assert_eq!(s.query(LayerId(2), Rect::new(0, 0, 5, 5)).count(), 1);
-    }
-
-    #[test]
-    fn conflicts_and_friends_filter_by_owner() {
-        let mut s = ShapeSet::new(1);
-        s.insert(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1));
-        s.insert(LayerId(0), Rect::new(20, 0, 30, 10), Owner::pin(2));
-        s.rebuild();
-        let w = Rect::new(-100, -100, 100, 100);
-        assert_eq!(s.conflicts(LayerId(0), w, Owner::pin(1)).count(), 1);
-        assert_eq!(s.friends(LayerId(0), w, Owner::pin(1)).count(), 1);
-        assert_eq!(s.conflicts(LayerId(0), w, Owner::net(7)).count(), 2);
-        assert_eq!(s.friends(LayerId(0), w, Owner::net(7)).count(), 0);
-    }
-
-    #[test]
-    fn visitors_match_iterators_and_early_exit() {
-        let mut s = ShapeSet::new(1);
-        s.insert(LayerId(0), Rect::new(0, 0, 10, 10), Owner::pin(1));
-        s.insert(LayerId(0), Rect::new(20, 0, 30, 10), Owner::pin(2));
-        s.insert(LayerId(0), Rect::new(40, 0, 50, 10), Owner::pin(1));
-        s.rebuild();
-        let w = Rect::new(-100, -100, 100, 100);
-        let mut seen = 0;
-        assert!(s.for_each_in(LayerId(0), w, |_, _| {
-            seen += 1;
-            true
-        }));
-        assert_eq!(seen, 3);
-        let mut conf = Vec::new();
-        assert!(s.for_each_conflict(LayerId(0), w, Owner::pin(1), |r, o| {
-            conf.push((r, o));
-            true
-        }));
-        let mut iter: Vec<_> = s.conflicts(LayerId(0), w, Owner::pin(1)).collect();
-        conf.sort();
-        iter.sort();
-        assert_eq!(conf, iter);
-        let mut fr = 0;
-        assert!(s.for_each_friend(LayerId(0), w, Owner::pin(1), |_| {
-            fr += 1;
-            true
-        }));
-        assert_eq!(fr, 2);
-        // Early exit propagates.
-        let mut first = 0;
-        assert!(!s.for_each_in(LayerId(0), w, |_, _| {
-            first += 1;
-            false
-        }));
-        assert_eq!(first, 1);
+        assert_eq!(count(&s, LayerId(0), Rect::new(0, 0, 5, 5)), 1);
+        assert_eq!(count(&s, LayerId(1), Rect::new(0, 0, 5, 5)), 0);
+        assert_eq!(count(&s, LayerId(2), Rect::new(0, 0, 5, 5)), 1);
     }
 
     #[test]
@@ -328,13 +255,13 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.num_layers(), 2);
         s.insert(LayerId(0), Rect::new(0, 0, 5, 5), Owner::pin(3));
-        assert_eq!(s.query(LayerId(0), Rect::new(0, 0, 9, 9)).count(), 1);
+        assert_eq!(count(&s, LayerId(0), Rect::new(0, 0, 9, 9)), 1);
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_layer_panics() {
         let s = ShapeSet::new(1);
-        let _ = s.query(LayerId(5), Rect::new(0, 0, 1, 1)).count();
+        let _ = count(&s, LayerId(5), Rect::new(0, 0, 1, 1));
     }
 }

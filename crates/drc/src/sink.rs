@@ -1,135 +1,75 @@
-//! Violation sinks — how DRC results leave the engine.
+//! The violation sink — how DRC results leave the engine.
 //!
 //! Every check in [`DrcEngine`](crate::DrcEngine) reports violations
-//! through a [`DrcSink`] instead of returning a `Vec`. The sink decides
-//! what to keep and whether the check should continue: [`CollectAll`]
-//! reproduces the classic collect-everything behaviour, [`FirstOnly`]
-//! stops the engine at the first violation (the form every accept/reject
-//! decision site uses — apgen validity, pattern post-validation, cluster
-//! compat probes), and [`CountOnly`] tallies without storing markers.
+//! through a [`DrcSink`], which decides whether the check goes on after
+//! one: [`DrcSink::First`] stops the engine at the first violation and
+//! keeps it (the form every accept/reject decision uses), [`DrcSink::All`]
+//! collects every violation.
 
 use crate::violation::DrcViolation;
 
-/// Receives violations from the engine's check methods.
-///
-/// `report` returns `true` to continue checking; returning `false` makes
-/// the engine short-circuit every remaining sub-check of the current
-/// query. Check methods propagate the same flag: they return `false` iff
-/// a sink stopped them early.
-pub trait DrcSink {
-    /// Accepts one violation; returns `false` to stop the check.
-    fn report(&mut self, v: DrcViolation) -> bool;
-}
-
-/// Collects every violation into a caller-provided vector (the behaviour
-/// of the classic `Vec`-returning methods, which wrap this sink).
+/// Receives violations from the engine's check methods, in one of two
+/// modes. Check methods return `false` iff the sink stopped them, which a
+/// first-mode sink does at its first violation: in that mode a check's
+/// return value is its clean verdict.
 #[derive(Debug)]
-pub struct CollectAll<'a> {
-    out: &'a mut Vec<DrcViolation>,
+pub enum DrcSink {
+    /// Stops the check at the first violation and keeps it.
+    First(Option<DrcViolation>),
+    /// Collects every violation and never stops the check.
+    All(Vec<DrcViolation>),
 }
 
-impl<'a> CollectAll<'a> {
-    /// Collects into `out` (not cleared; violations append).
+impl DrcSink {
+    /// A first-mode sink that has seen no violation.
     #[must_use]
-    pub fn new(out: &'a mut Vec<DrcViolation>) -> CollectAll<'a> {
-        CollectAll { out }
+    pub fn first() -> DrcSink {
+        DrcSink::First(None)
     }
-}
 
-impl DrcSink for CollectAll<'_> {
-    fn report(&mut self, v: DrcViolation) -> bool {
-        self.out.push(v);
-        true
-    }
-}
-
-/// Stops at the first violation; only the clean/dirty verdict survives.
-#[derive(Debug, Default)]
-pub struct FirstOnly {
-    found: bool,
-}
-
-impl FirstOnly {
-    /// A fresh sink with no violation seen.
+    /// A collect-all sink that has seen no violation.
     #[must_use]
-    pub fn new() -> FirstOnly {
-        FirstOnly::default()
+    pub fn all() -> DrcSink {
+        DrcSink::All(Vec::new())
     }
 
-    /// `true` when no violation was reported — the geometry is clean.
+    /// Accepts one violation; returns `false` to stop the check.
+    pub(crate) fn report(&mut self, v: DrcViolation) -> bool {
+        match self {
+            DrcSink::First(first) => {
+                first.get_or_insert(v);
+                false
+            }
+            DrcSink::All(all) => {
+                all.push(v);
+                true
+            }
+        }
+    }
+
+    /// The violations kept so far (at most one in first mode), in
+    /// report order.
     #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.found
-    }
-}
-
-impl DrcSink for FirstOnly {
-    fn report(&mut self, _: DrcViolation) -> bool {
-        self.found = true;
-        false
-    }
-}
-
-/// Stops at the first violation and *keeps* it — the attribution form
-/// of [`FirstOnly`], used by decision sites that record *why* a probe
-/// was rejected (the decision ledger) in addition to the verdict.
-#[derive(Debug, Default)]
-pub struct CaptureFirst {
-    first: Option<DrcViolation>,
-}
-
-impl CaptureFirst {
-    /// A fresh sink with no violation seen.
-    #[must_use]
-    pub fn new() -> CaptureFirst {
-        CaptureFirst::default()
+    pub fn violations(&self) -> &[DrcViolation] {
+        match self {
+            DrcSink::First(first) => first.as_slice(),
+            DrcSink::All(all) => all,
+        }
     }
 
     /// `true` when no violation was reported.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.first.is_none()
+        self.violations().is_empty()
     }
 
-    /// Removes and returns the captured violation, if any.
-    pub fn take(&mut self) -> Option<DrcViolation> {
-        self.first.take()
-    }
-}
-
-impl DrcSink for CaptureFirst {
-    fn report(&mut self, v: DrcViolation) -> bool {
-        if self.first.is_none() {
-            self.first = Some(v);
+    /// The kept violations, consuming the sink.
+    #[must_use]
+    pub fn into_violations(self) -> Vec<DrcViolation> {
+        match self {
+            DrcSink::First(first) => first.into_iter().collect(),
+            DrcSink::All(all) => all,
         }
-        false
-    }
-}
-
-/// Counts violations without storing them.
-#[derive(Debug, Default)]
-pub struct CountOnly {
-    count: usize,
-}
-
-impl CountOnly {
-    /// A fresh sink with a zero count.
-    #[must_use]
-    pub fn new() -> CountOnly {
-        CountOnly::default()
-    }
-
-    /// Number of violations reported so far.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
-impl DrcSink for CountOnly {
-    fn report(&mut self, _: DrcViolation) -> bool {
-        self.count += 1;
-        true
     }
 }
 
@@ -140,44 +80,31 @@ mod tests {
     use pao_geom::Rect;
     use pao_tech::LayerId;
 
-    fn v() -> DrcViolation {
-        DrcViolation::new(RuleKind::Short, LayerId(0), Rect::new(0, 0, 1, 1))
+    fn v(rule: RuleKind) -> DrcViolation {
+        DrcViolation::new(rule, LayerId(0), Rect::new(0, 0, 1, 1))
     }
 
     #[test]
-    fn collect_all_keeps_everything_and_continues() {
-        let mut out = Vec::new();
-        let mut sink = CollectAll::new(&mut out);
-        assert!(sink.report(v()));
-        assert!(sink.report(v()));
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn first_only_stops_immediately() {
-        let mut sink = FirstOnly::new();
+    fn all_mode_keeps_everything_and_continues() {
+        let mut sink = DrcSink::all();
         assert!(sink.is_clean());
-        assert!(!sink.report(v()));
+        assert!(sink.report(v(RuleKind::Short)));
+        assert!(sink.report(v(RuleKind::MinStep)));
         assert!(!sink.is_clean());
+        assert_eq!(
+            sink.into_violations(),
+            vec![v(RuleKind::Short), v(RuleKind::MinStep)]
+        );
     }
 
     #[test]
-    fn capture_first_keeps_the_violation() {
-        let mut sink = CaptureFirst::new();
+    fn first_mode_stops_and_keeps_the_first() {
+        let mut sink = DrcSink::first();
         assert!(sink.is_clean());
-        assert!(!sink.report(v()));
+        assert!(!sink.report(v(RuleKind::Short)));
+        assert!(!sink.report(v(RuleKind::MinStep)));
         assert!(!sink.is_clean());
-        let kept = sink.take().unwrap();
-        assert_eq!(kept.rule, RuleKind::Short);
-        assert!(sink.is_clean(), "take() drains the capture");
-    }
-
-    #[test]
-    fn count_only_tallies() {
-        let mut sink = CountOnly::new();
-        assert!(sink.report(v()));
-        assert!(sink.report(v()));
-        assert!(sink.report(v()));
-        assert_eq!(sink.count(), 3);
+        assert_eq!(sink.violations(), &[v(RuleKind::Short)]);
+        assert_eq!(sink.into_violations(), vec![v(RuleKind::Short)]);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the DRC engine.
 
-use pao_drc::{CountOnly, DrcEngine, DrcScratch, Owner, RuleKind, ShapeSet};
+use pao_drc::{DrcEngine, DrcScratch, DrcSink, DrcViolation, Owner, RuleKind, ShapeSet, SubCheck};
 use pao_geom::{Dir, Point, Rect};
 use pao_ptest::{check, Rng};
 use pao_tech::rules::{EolRule, MinStepRule};
@@ -24,6 +24,13 @@ fn tech() -> Tech {
     );
     t.add_via(via);
     t
+}
+
+/// Every violation `check` reports to a collect-all sink.
+fn collect(check: impl FnOnce(&mut DrcSink) -> bool) -> Vec<DrcViolation> {
+    let mut sink = DrcSink::all();
+    assert!(check(&mut sink), "a collect-all sink never stops a check");
+    sink.into_violations()
 }
 
 fn arb_rect(rng: &mut Rng) -> Rect {
@@ -95,10 +102,10 @@ fn same_owner_context_is_always_clean() {
         ctx.rebuild();
         // A same-owner candidate can overlap everything freely.
         for &r in &shapes {
-            assert!(e.check_shape(LayerId(0), r, Owner::pin(1), &ctx).is_empty());
+            assert!(collect(|s| e.check_shape(LayerId(0), r, Owner::pin(1), &ctx, s)).is_empty());
         }
         // The audit of a single-owner set is empty.
-        assert!(e.audit(&ctx).is_empty());
+        assert!(collect(|s| e.audit(&ctx, s)).is_empty());
     });
 }
 
@@ -113,7 +120,7 @@ fn audit_counts_match_pairwise_checks() {
             ctx.insert(LayerId(0), r, Owner::net(i as u64));
         }
         ctx.rebuild();
-        let audit = e.audit(&ctx).len();
+        let audit = collect(|s| e.audit(&ctx, s)).len();
         let mut pairwise = 0usize;
         for i in 0..shapes.len() {
             for j in (i + 1)..shapes.len() {
@@ -141,7 +148,9 @@ fn via_nested_in_big_pin_is_clean() {
         ctx.insert(LayerId(0), pin, Owner::pin(0));
         ctx.rebuild();
         let via = t.via(pao_tech::ViaId(0));
-        let v = e.check_via_placement(via, Point::new(cx, cy), Owner::pin(0), &ctx);
+        let at = Point::new(cx, cy);
+        let ws = &mut DrcScratch::new();
+        let v = collect(|s| e.check_via_placement(via, at, Owner::pin(0), &ctx, ws, s));
         assert!(v.is_empty(), "{v:?}");
     });
 }
@@ -161,7 +170,8 @@ fn via_overhang_below_min_step_is_dirty() {
         ctx.insert(LayerId(0), pin, Owner::pin(0));
         ctx.rebuild();
         let via = t.via(pao_tech::ViaId(0));
-        let v = e.check_via_placement(via, Point::ORIGIN, Owner::pin(0), &ctx);
+        let ws = &mut DrcScratch::new();
+        let v = collect(|s| e.check_via_placement(via, Point::ORIGIN, Owner::pin(0), &ctx, ws, s));
         assert!(
             v.iter().any(|v| v.rule == RuleKind::MinStep),
             "overhang {overhang}: {v:?}"
@@ -182,7 +192,7 @@ fn audit_is_order_invariant() {
                 ctx.insert(LayerId(0), shapes[i], Owner::net(i as u64));
             }
             ctx.rebuild();
-            e.audit(&ctx).len()
+            collect(|s| e.audit(&ctx, s)).len()
         };
         let fwd: Vec<usize> = (0..shapes.len()).collect();
         let rev: Vec<usize> = (0..shapes.len()).rev().collect();
@@ -191,7 +201,7 @@ fn audit_is_order_invariant() {
 }
 
 /// A technology with randomized rule values, exercising every sub-check
-/// the sink-based kernel can take (spacing, EOL, min step/width/area, cut
+/// the kernel can take (spacing, EOL, min step/width/area, cut
 /// spacing).
 fn arb_tech(rng: &mut Rng) -> Tech {
     let mut t = Tech::new(1000);
@@ -243,10 +253,13 @@ fn arb_ctx(rng: &mut Rng, t: &Tech) -> ShapeSet {
     ctx
 }
 
-/// `FirstOnly`'s verdict must equal `CollectAll` emptiness and `CountOnly`
-/// must equal `CollectAll` length, for the via-placement kernel and the
-/// audit, over randomized tech and geometry — including with a reused
-/// (warm) scratch.
+/// A first-mode check stops at the first violation a collect-all one
+/// reports. Over randomized tech and geometry, `via_placement_clean`
+/// (its O(1) definite-reject path included) must equal collect-all
+/// `check_via_placement` emptiness, and a first-mode `check_via_placement`
+/// or `audit` must keep the first violation its collect-all run reports.
+/// The via comparisons run with a cold scratch and with one warmed by
+/// every earlier case.
 #[test]
 fn sink_modes_agree_with_collect_all() {
     let mut warm = DrcScratch::new();
@@ -258,21 +271,40 @@ fn sink_modes_agree_with_collect_all() {
         let at = Point::new(rng.gen_range(-600i64..600), rng.gen_range(-600i64..600));
         let owner = Owner::pin(0);
 
-        let all = e.check_via_placement(via, at, owner, &ctx);
+        let all =
+            collect(|s| e.check_via_placement(via, at, owner, &ctx, &mut DrcScratch::new(), s));
+        let warm_all = collect(|s| e.check_via_placement(via, at, owner, &ctx, &mut warm, s));
         assert_eq!(
-            e.via_placement_clean(via, at, owner, &ctx, &mut warm),
-            all.is_empty(),
-            "FirstOnly verdict must equal CollectAll emptiness: {all:?}"
+            warm_all, all,
+            "a warm scratch must not change the violations"
         );
-        let mut count = CountOnly::new();
-        assert!(e.check_via_placement_sink(via, at, owner, &ctx, &mut warm, &mut count));
-        assert_eq!(count.count(), all.len());
+        let head = &all[..all.len().min(1)];
+        for ws in [&mut DrcScratch::new(), &mut warm] {
+            assert_eq!(
+                e.via_placement_clean(via, at, owner, &ctx, ws),
+                all.is_empty(),
+                "first-mode verdict must equal collect-all emptiness: {all:?}"
+            );
+            // The attribution names the first collected rule, unless the
+            // O(1) test proved a merged rule before the merge ran.
+            if let Some(r) = ws
+                .last_reject()
+                .filter(|r| r.subcheck != SubCheck::DefiniteReject)
+            {
+                assert_eq!(r.rule, all[0].rule);
+            }
+            let mut first = DrcSink::first();
+            assert_eq!(
+                e.check_via_placement(via, at, owner, &ctx, ws, &mut first),
+                all.is_empty()
+            );
+            assert_eq!(first.violations(), head);
+        }
 
-        let audit = e.audit(&ctx);
-        assert_eq!(e.audit_clean(&ctx), audit.is_empty());
-        let mut count = CountOnly::new();
-        assert!(e.audit_sink(&ctx, &mut count));
-        assert_eq!(count.count(), audit.len());
+        let audit = collect(|s| e.audit(&ctx, s));
+        let mut first = DrcSink::first();
+        assert_eq!(e.audit(&ctx, &mut first), audit.is_empty());
+        assert_eq!(first.violations(), &audit[..audit.len().min(1)]);
     });
     // The tallies stay consistent across all cases.
     assert!(warm.rejects() <= warm.probes());
@@ -366,7 +398,7 @@ fn checks_are_translation_invariant() {
                 ctx.insert(LayerId(0), r.translated(delta), Owner::net(i as u64));
             }
             ctx.rebuild();
-            e.audit(&ctx).len()
+            collect(|s| e.audit(&ctx, s)).len()
         };
         assert_eq!(count(Point::ORIGIN), count(Point::new(dx, dy)));
     });

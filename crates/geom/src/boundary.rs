@@ -3,46 +3,32 @@
 //! The DRC min-step check walks the boundary of the *merged* metal formed
 //! by a pin shape and a via enclosure (paper Fig. 3): short boundary edges
 //! are "steps". This module traces the closed boundary loops of a union of
-//! rectangles. The allocating [`union_boundaries`] / [`union_area`] entry
-//! points are wrappers over the scratch-based [`visit_union_boundaries`] /
-//! [`union_area_with`], which run allocation-free against a reusable
-//! [`GridScratch`] — the form the DRC hot path uses.
+//! rectangles ([`visit_union_boundaries`]) and measures its area
+//! ([`union_area_with`]); both run allocation-free against a reusable
+//! [`GridScratch`].
 
 use crate::scratch::GridScratch;
 use crate::{Dbu, Point, Rect};
 
-/// Traces the closed boundary loops of the union of `shapes`.
-///
-/// Each loop is a rectilinear vertex cycle (first vertex not repeated) with
-/// collinear runs merged. Outer boundaries wind counter-clockwise, hole
-/// boundaries clockwise. Degenerate input rectangles are ignored; returns
-/// an empty vector for empty input.
-///
-/// ```
-/// use pao_geom::{boundary::union_boundaries, Rect};
-///
-/// let loops = union_boundaries(&[Rect::new(0, 0, 10, 10)]);
-/// assert_eq!(loops.len(), 1);
-/// assert_eq!(loops[0].len(), 4);
-/// ```
-#[must_use]
-pub fn union_boundaries(shapes: &[Rect]) -> Vec<Vec<Point>> {
-    let mut ws = GridScratch::new();
-    let mut loops = Vec::new();
-    visit_union_boundaries(shapes, &mut ws, |loop_| {
-        loops.push(loop_.to_vec());
-        true
-    });
-    loops
-}
-
 /// Visits every closed boundary loop of the union of `shapes` without
 /// allocating (after `ws` warms up).
 ///
-/// The visitor receives each collinear-merged vertex cycle (≥ 4 vertices,
-/// first vertex not repeated; outer loops CCW, holes CW) and returns
-/// `true` to continue. Returns `false` iff the visitor stopped the walk
-/// early. Loop order is deterministic (sorted by starting vertex).
+/// The visitor receives each loop as a rectilinear vertex cycle (≥ 4
+/// vertices, first vertex not repeated, collinear runs merged; outer
+/// loops CCW, holes CW) and returns `true` to continue. Returns `false`
+/// iff the visitor stopped the walk early. Loop order is deterministic
+/// (sorted by starting vertex). Degenerate input rectangles are ignored.
+///
+/// ```
+/// use pao_geom::{boundary::visit_union_boundaries, GridScratch, Rect};
+///
+/// let mut loops = Vec::new();
+/// visit_union_boundaries(&[Rect::new(0, 0, 10, 10)], &mut GridScratch::new(), |l| {
+///     loops.push(l.len());
+///     true
+/// });
+/// assert_eq!(loops, [4]);
+/// ```
 pub fn visit_union_boundaries<F: FnMut(&[Point]) -> bool>(
     shapes: &[Rect],
     ws: &mut GridScratch,
@@ -185,30 +171,6 @@ fn merge_collinear_into(path: &[Point], out: &mut Vec<Point>) {
     }
 }
 
-/// Edge lengths around a loop produced by [`union_boundaries`].
-#[must_use]
-pub fn edge_lengths(loop_: &[Point]) -> Vec<Dbu> {
-    let mut out = Vec::with_capacity(loop_.len());
-    edge_lengths_into(loop_, &mut out);
-    out
-}
-
-/// Writes the edge lengths around `loop_` into `out` (cleared first).
-pub fn edge_lengths_into(loop_: &[Point], out: &mut Vec<Dbu>) {
-    out.clear();
-    out.extend((0..loop_.len()).map(|i| {
-        let a = loop_[i];
-        let b = loop_[(i + 1) % loop_.len()];
-        a.manhattan(b)
-    }));
-}
-
-/// Total area enclosed by the union of `shapes`.
-#[must_use]
-pub fn union_area(shapes: &[Rect]) -> i128 {
-    union_area_with(shapes, &mut GridScratch::new())
-}
-
 /// Total area enclosed by the union of `shapes`, computed against a
 /// reusable [`GridScratch`] (allocation-free once warmed up).
 pub fn union_area_with(shapes: &[Rect], ws: &mut GridScratch) -> i128 {
@@ -230,6 +192,27 @@ pub fn union_area_with(shapes: &[Rect], ws: &mut GridScratch) -> i128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every boundary loop of `shapes`, traced with a fresh scratch.
+    fn union_boundaries(shapes: &[Rect]) -> Vec<Vec<Point>> {
+        let mut loops = Vec::new();
+        visit_union_boundaries(shapes, &mut GridScratch::new(), |l| {
+            loops.push(l.to_vec());
+            true
+        });
+        loops
+    }
+
+    fn union_area(shapes: &[Rect]) -> i128 {
+        union_area_with(shapes, &mut GridScratch::new())
+    }
+
+    /// Edge lengths around a loop.
+    fn edge_lengths(l: &[Point]) -> Vec<Dbu> {
+        (0..l.len())
+            .map(|i| l[i].manhattan(l[(i + 1) % l.len()]))
+            .collect()
+    }
 
     #[test]
     fn single_rect_one_loop() {
@@ -332,27 +315,7 @@ mod tests {
                 loops.push(l.to_vec());
                 true
             });
-            let fresh = union_boundaries(shapes);
-            assert_eq!(loops.len(), fresh.len());
-            let mut got: Vec<Vec<Dbu>> = loops
-                .iter()
-                .map(|l| {
-                    let mut e = edge_lengths(l);
-                    e.sort_unstable();
-                    e
-                })
-                .collect();
-            let mut want: Vec<Vec<Dbu>> = fresh
-                .iter()
-                .map(|l| {
-                    let mut e = edge_lengths(l);
-                    e.sort_unstable();
-                    e
-                })
-                .collect();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want);
+            assert_eq!(loops, union_boundaries(shapes));
             assert_eq!(union_area_with(shapes, &mut ws), union_area(shapes));
         }
     }

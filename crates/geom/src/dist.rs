@@ -1,38 +1,6 @@
-//! Distance helpers shared by spacing checks.
+//! The corner-to-corner distance spacing checks compare against.
 
-use crate::{Dbu, Point, Rect};
-
-/// Manhattan (L1) distance between two points.
-///
-/// ```
-/// use pao_geom::{manhattan, Point};
-/// assert_eq!(manhattan(Point::new(0, 0), Point::new(3, 4)), 7);
-/// ```
-#[must_use]
-pub fn manhattan(a: Point, b: Point) -> Dbu {
-    a.manhattan(b)
-}
-
-/// Squared Euclidean distance between two points (kept squared to stay in
-/// integer arithmetic; compare against `d * d`).
-///
-/// ```
-/// use pao_geom::{euclid_sq, Point};
-/// assert_eq!(euclid_sq(Point::new(0, 0), Point::new(3, 4)), 25);
-/// ```
-#[must_use]
-pub fn euclid_sq(a: Point, b: Point) -> i128 {
-    let dx = i128::from(a.x - b.x);
-    let dy = i128::from(a.y - b.y);
-    dx * dx + dy * dy
-}
-
-/// Per-axis gaps `(dx, dy)` between two closed rectangles (each component
-/// is zero when the projections overlap).
-#[must_use]
-pub fn rect_dist_components(a: Rect, b: Rect) -> (Dbu, Dbu) {
-    a.dist_components(b)
-}
+use crate::Rect;
 
 /// Euclidean-squared corner-to-corner distance between two rectangles, the
 /// metric used by corner-to-corner spacing checks. Zero when the rectangles
@@ -48,28 +16,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn euclid_matches_pythagoras() {
-        assert_eq!(euclid_sq(Point::new(1, 1), Point::new(4, 5)), 25);
-        assert_eq!(euclid_sq(Point::new(0, 0), Point::new(0, 0)), 0);
-    }
-
-    #[test]
     fn rect_corner_distance() {
         let a = Rect::new(0, 0, 10, 10);
         let b = Rect::new(13, 14, 20, 20);
         assert_eq!(rect_dist(a, b), 9 + 16);
-        assert_eq!(rect_dist_components(a, b), (3, 4));
+        assert_eq!(a.dist_components(b), (3, 4));
         // Overlapping rects are at distance zero.
         assert_eq!(rect_dist(a, Rect::new(5, 5, 8, 8)), 0);
         // Edge-aligned rects are at distance zero.
         assert_eq!(rect_dist(a, Rect::new(10, 0, 20, 10)), 0);
-    }
-
-    #[test]
-    fn manhattan_symmetry() {
-        let a = Point::new(-3, 7);
-        let b = Point::new(11, -2);
-        assert_eq!(manhattan(a, b), manhattan(b, a));
-        assert_eq!(manhattan(a, b), 14 + 9);
     }
 }

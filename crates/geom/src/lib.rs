@@ -9,7 +9,7 @@
 //! * [`Point`], [`Rect`], [`Interval`] primitives with Manhattan-distance
 //!   predicates,
 //! * rectilinear [`Polygon`]s and their decomposition into
-//!   [maximal rectangles](maxrect::max_rects) (needed for the paper's
+//!   [maximal rectangles](maxrect::max_rects_into) (needed for the paper's
 //!   *shape-center* access coordinates),
 //! * DEF placement [`Orient`]ations and the affine [`Transform`] they induce,
 //! * a bulk-loaded [`RTree`] spatial index used by the DRC engine and the
@@ -37,9 +37,9 @@ pub mod rtree;
 pub mod scratch;
 pub mod transform;
 
-pub use dist::{euclid_sq, manhattan, rect_dist, rect_dist_components};
+pub use dist::rect_dist;
 pub use interval::Interval;
-pub use maxrect::{max_rects, max_rects_into};
+pub use maxrect::max_rects_into;
 pub use orient::Orient;
 pub use point::Point;
 pub use polygon::Polygon;

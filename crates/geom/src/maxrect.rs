@@ -9,13 +9,14 @@
 use crate::scratch::GridScratch;
 use crate::Rect;
 
-/// Computes all maximal axis-aligned rectangles contained in the union of
-/// `shapes`.
+/// Writes all maximal axis-aligned rectangles contained in the union of
+/// `shapes` into `out` (cleared first), reusing the buffers of `ws` —
+/// allocation-free once both have warmed up.
 ///
 /// A rectangle is *maximal* when it lies inside the union and cannot be
 /// grown in any of the four directions while staying inside. The result is
-/// deduplicated and sorted. Returns an empty vector for empty input.
-/// Degenerate input rectangles are ignored.
+/// deduplicated and sorted, and empty for empty input. Degenerate input
+/// rectangles are ignored.
 ///
 /// The implementation compresses coordinates (`n` distinct x's, `m` distinct
 /// y's) and enumerates candidate spans with a prefix-sum fullness oracle —
@@ -23,24 +24,14 @@ use crate::Rect;
 /// so this exhaustive approach is both robust and fast.
 ///
 /// ```
-/// use pao_geom::{max_rects, Rect};
+/// use pao_geom::{max_rects_into, GridScratch, Rect};
 ///
 /// // L-shape as two overlapping rects.
 /// let shapes = [Rect::new(0, 0, 20, 5), Rect::new(0, 0, 10, 10)];
-/// let mut maxes = max_rects(&shapes);
-/// maxes.sort();
+/// let mut maxes = Vec::new();
+/// max_rects_into(&shapes, &mut GridScratch::new(), &mut maxes);
 /// assert_eq!(maxes, vec![Rect::new(0, 0, 10, 10), Rect::new(0, 0, 20, 5)]);
 /// ```
-#[must_use]
-pub fn max_rects(shapes: &[Rect]) -> Vec<Rect> {
-    let mut out = Vec::new();
-    max_rects_into(shapes, &mut GridScratch::new(), &mut out);
-    out
-}
-
-/// Writes all maximal rectangles of the union of `shapes` into `out`
-/// (cleared first), reusing the buffers of `ws` — allocation-free once
-/// both have warmed up. Semantics are identical to [`max_rects`].
 pub fn max_rects_into(shapes: &[Rect], ws: &mut GridScratch, out: &mut Vec<Rect>) {
     out.clear();
     let Some((nx, ny)) = ws.compress_and_fill(shapes) else {
@@ -95,6 +86,13 @@ pub fn max_rects_into(shapes: &[Rect], ws: &mut GridScratch, out: &mut Vec<Rect>
 mod tests {
     use super::*;
     use crate::Point;
+
+    /// The maximal rectangles of `shapes`, computed with a fresh scratch.
+    fn max_rects(shapes: &[Rect]) -> Vec<Rect> {
+        let mut out = Vec::new();
+        max_rects_into(shapes, &mut GridScratch::new(), &mut out);
+        out
+    }
 
     #[test]
     fn single_rect_is_its_own_max() {

@@ -33,8 +33,8 @@ impl Node {
 /// An R-tree mapping rectangles to payloads of type `T`.
 ///
 /// Build with [`RTree::bulk_load`] (or collect from an iterator of
-/// `(Rect, T)` pairs), then query with [`RTree::query`]. Items whose closed
-/// bounds *touch* the query window are returned — the inclusive semantics
+/// `(Rect, T)` pairs), then query with [`RTree::visit`]. Items whose closed
+/// bounds *touch* the query window are visited — the inclusive semantics
 /// spacing checks need.
 ///
 /// ```
@@ -46,8 +46,13 @@ impl Node {
 /// ]
 /// .into_iter()
 /// .collect();
-/// let hits: Vec<&&str> = tree.query(Rect::new(5, 5, 25, 6)).map(|(_, t)| t).collect();
-/// assert_eq!(hits.len(), 2);
+/// let mut hits = Vec::new();
+/// tree.visit(Rect::new(5, 5, 25, 6), &mut |_, &t| {
+///     hits.push(t);
+///     true
+/// });
+/// hits.sort_unstable();
+/// assert_eq!(hits, ["a", "b"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
@@ -180,30 +185,11 @@ impl<T> RTree<T> {
         self.build_root();
     }
 
-    /// Iterates over all `(bounds, value)` pairs whose closed bounds touch
-    /// the closed query window (shared edges count).
-    pub fn query(&self, window: Rect) -> Query<'_, T> {
-        let mut stack = Vec::new();
-        if let Some(root) = &self.root {
-            if root.bbox().touches(window) {
-                stack.push(root);
-            }
-        }
-        Query {
-            tree: self,
-            window,
-            stack,
-            leaf_items: Vec::new(),
-            overflow_pos: 0,
-        }
-    }
-
     /// Visits every `(bounds, value)` pair whose closed bounds touch the
-    /// closed query window, without allocating. The visitor returns `true`
-    /// to continue; `visit` returns `false` iff the visitor stopped early.
-    ///
-    /// This is the zero-overhead form of [`RTree::query`] used by the DRC
-    /// hot path: no iterator state, no heap-allocated traversal stack.
+    /// closed query window (shared edges count), without allocating: no
+    /// iterator state, no heap-allocated traversal stack. The visitor
+    /// returns `true` to continue; `visit` returns `false` iff the visitor
+    /// stopped early.
     pub fn visit<F: FnMut(Rect, &T) -> bool>(&self, window: Rect, f: &mut F) -> bool {
         if let Some(root) = &self.root {
             if !visit_node(root, &self.items, window, f) {
@@ -290,57 +276,6 @@ impl<'a, T> IntoIterator for &'a RTree<T> {
     }
 }
 
-/// Iterator over query results; see [`RTree::query`].
-#[derive(Debug)]
-pub struct Query<'a, T> {
-    tree: &'a RTree<T>,
-    window: Rect,
-    stack: Vec<&'a Node>,
-    leaf_items: Vec<u32>,
-    overflow_pos: usize,
-}
-
-impl<'a, T> Iterator for Query<'a, T> {
-    type Item = (Rect, &'a T);
-
-    fn next(&mut self) -> Option<(Rect, &'a T)> {
-        loop {
-            // Drain pending leaf items first.
-            while let Some(i) = self.leaf_items.pop() {
-                let (r, t) = &self.tree.items[i as usize];
-                if r.touches(self.window) {
-                    return Some((*r, t));
-                }
-            }
-            if let Some(node) = self.stack.pop() {
-                match node {
-                    Node::Leaf { items, .. } => {
-                        self.leaf_items.extend_from_slice(items);
-                    }
-                    Node::Inner { children, .. } => {
-                        for c in children {
-                            if c.bbox().touches(self.window) {
-                                self.stack.push(c);
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            // Finally, scan the overflow buffer.
-            while self.overflow_pos < self.tree.overflow.len() {
-                let i = self.tree.overflow[self.overflow_pos];
-                self.overflow_pos += 1;
-                let (r, t) = &self.tree.items[i];
-                if r.touches(self.window) {
-                    return Some((*r, t));
-                }
-            }
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,8 +294,24 @@ mod tests {
         RTree::bulk_load(items)
     }
 
-    fn query_set(tree: &RTree<(i64, i64)>, w: Rect) -> Vec<(i64, i64)> {
-        let mut v: Vec<(i64, i64)> = tree.query(w).map(|(_, &t)| t).collect();
+    /// The sorted payloads `visit` reports for window `w`.
+    fn query_set<T: Copy + Ord>(tree: &RTree<T>, w: Rect) -> Vec<T> {
+        let mut v = Vec::new();
+        assert!(tree.visit(w, &mut |_, &t| {
+            v.push(t);
+            true
+        }));
+        v.sort_unstable();
+        v
+    }
+
+    /// The sorted payloads a linear scan finds touching window `w`.
+    fn scan_set<T: Copy + Ord>(tree: &RTree<T>, w: Rect) -> Vec<T> {
+        let mut v: Vec<T> = tree
+            .iter()
+            .filter(|(r, _)| r.touches(w))
+            .map(|&(_, t)| t)
+            .collect();
         v.sort_unstable();
         v
     }
@@ -369,7 +320,7 @@ mod tests {
     fn empty_tree() {
         let tree: RTree<u32> = RTree::new();
         assert!(tree.is_empty());
-        assert_eq!(tree.query(Rect::new(0, 0, 100, 100)).count(), 0);
+        assert!(query_set(&tree, Rect::new(0, 0, 100, 100)).is_empty());
         assert!(!tree.any_touching(Rect::new(0, 0, 1, 1)));
     }
 
@@ -394,14 +345,7 @@ mod tests {
             Rect::new(555, 0, 565, 1200),
         ];
         for w in windows {
-            let brute: Vec<(i64, i64)> = tree
-                .iter()
-                .filter(|(r, _)| r.touches(w))
-                .map(|&(_, t)| t)
-                .collect();
-            let mut brute = brute;
-            brute.sort_unstable();
-            assert_eq!(query_set(&tree, w), brute, "window {w}");
+            assert_eq!(query_set(&tree, w), scan_set(&tree, w), "window {w}");
         }
     }
 
@@ -439,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_matches_query_and_early_exits() {
+    fn visit_sees_overflow_and_early_exits() {
         let mut tree = grid_tree(8);
         tree.insert(Rect::new(45, 45, 55, 55), (77, 77)); // lands in overflow
         let windows = [
@@ -448,16 +392,9 @@ mod tests {
             Rect::new(-100, -100, -1, -1),
         ];
         for w in windows {
-            let mut via_visit: Vec<(i64, i64)> = Vec::new();
-            assert!(tree.visit(w, &mut |_, &t| {
-                via_visit.push(t);
-                true
-            }));
-            via_visit.sort_unstable();
-            let mut via_query: Vec<(i64, i64)> = tree.query(w).map(|(_, &t)| t).collect();
-            via_query.sort_unstable();
-            assert_eq!(via_visit, via_query, "window {w}");
+            assert_eq!(query_set(&tree, w), scan_set(&tree, w), "window {w}");
         }
+        assert!(query_set(&tree, Rect::new(50, 50, 51, 51)).contains(&(77, 77)));
         // Early exit: stop after the first hit.
         let mut count = 0;
         let stopped = !tree.visit(Rect::new(0, 0, 800, 800), &mut |_, _| {
@@ -510,9 +447,7 @@ mod tests {
                 .map(|&(_, k)| k)
                 .collect();
             expect.sort_unstable();
-            let mut got: Vec<usize> = tree.query(w).map(|(_, &k)| k).collect();
-            got.sort_unstable();
-            assert_eq!(got, expect);
+            assert_eq!(query_set(&tree, w), expect);
         }
     }
 }

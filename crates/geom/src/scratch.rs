@@ -1,12 +1,12 @@
 //! Reusable workspace buffers for the grid-based union algorithms.
 //!
-//! [`union_boundaries`](crate::boundary::union_boundaries),
-//! [`union_area`](crate::boundary::union_area) and
-//! [`max_rects`](crate::max_rects) all coordinate-compress their input and
-//! rasterize it onto a cell grid. A [`GridScratch`] owns every buffer those
-//! passes need, so the `*_into` / visitor variants run allocation-free once
-//! the buffers have grown to the workload's high-water mark. One scratch
-//! serves all three algorithms (they run sequentially per DRC probe).
+//! [`visit_union_boundaries`](crate::boundary::visit_union_boundaries),
+//! [`union_area_with`](crate::boundary::union_area_with) and
+//! [`max_rects_into`](crate::max_rects_into) all coordinate-compress their
+//! input and rasterize it onto a cell grid. A [`GridScratch`] owns every
+//! buffer those passes need, so they run allocation-free once the buffers
+//! have grown to the workload's high-water mark. One scratch serves all
+//! three algorithms (they run sequentially per DRC probe).
 
 use crate::{Dbu, Point, Rect};
 

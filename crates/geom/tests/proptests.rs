@@ -1,6 +1,7 @@
 //! Property-based tests for the geometry primitives (offline harness).
 
-use pao_geom::{max_rects, Interval, Orient, Point, RTree, Rect, Transform};
+use pao_geom::boundary::{union_area_with, visit_union_boundaries};
+use pao_geom::{max_rects_into, GridScratch, Interval, Orient, Point, RTree, Rect, Transform};
 use pao_ptest::{check, Rng};
 
 fn arb_point(rng: &mut Rng) -> Point {
@@ -20,6 +21,17 @@ fn arb_rect(rng: &mut Rng) -> Rect {
 fn arb_rects(rng: &mut Rng, lo: usize, hi: usize) -> Vec<Rect> {
     let n = rng.gen_range(lo..hi);
     (0..n).map(|_| arb_rect(rng)).collect()
+}
+
+/// The payloads `tree.visit` reports touching `window`, sorted.
+fn visit_set(tree: &RTree<usize>, window: Rect) -> Vec<usize> {
+    let mut got = Vec::new();
+    assert!(tree.visit(window, &mut |_, &i| {
+        got.push(i);
+        true
+    }));
+    got.sort_unstable();
+    got
 }
 
 fn arb_orient(rng: &mut Rng) -> Orient {
@@ -143,7 +155,8 @@ fn transform_rect_preserves_area() {
 fn max_rects_cover_union_and_stay_inside() {
     check("max_rects_cover_union_and_stay_inside", 128, |rng| {
         let shapes = arb_rects(rng, 1, 6);
-        let maxes = max_rects(&shapes);
+        let mut maxes = Vec::new();
+        max_rects_into(&shapes, &mut GridScratch::new(), &mut maxes);
         assert!(!maxes.is_empty());
         // Every maximal rect's center is covered by some input shape.
         for m in &maxes {
@@ -175,8 +188,7 @@ fn rtree_query_matches_linear_scan() {
         let items = arb_rects(rng, 0, 80);
         let window = arb_rect(rng);
         let tree: RTree<usize> = items.iter().copied().zip(0usize..).collect();
-        let mut got: Vec<usize> = tree.query(window).map(|(_, &i)| i).collect();
-        got.sort_unstable();
+        let got = visit_set(&tree, window);
         let mut expect: Vec<usize> = items
             .iter()
             .enumerate()
@@ -197,13 +209,23 @@ fn rtree_insert_then_query() {
             tree.insert(*r, i);
         }
         for (i, r) in items.iter().enumerate() {
-            assert!(tree.query(*r).any(|(_, &j)| j == i));
+            assert!(visit_set(&tree, *r).contains(&i));
         }
         tree.rebuild();
         for (i, r) in items.iter().enumerate() {
-            assert!(tree.query(*r).any(|(_, &j)| j == i));
+            assert!(visit_set(&tree, *r).contains(&i));
         }
     });
+}
+
+/// Every boundary loop of the union of `shapes`.
+fn union_loops(shapes: &[Rect], ws: &mut GridScratch) -> Vec<Vec<Point>> {
+    let mut loops = Vec::new();
+    visit_union_boundaries(shapes, ws, |l| {
+        loops.push(l.to_vec());
+        true
+    });
+    loops
 }
 
 /// Shoelace area of a vertex loop (positive CCW).
@@ -222,12 +244,12 @@ fn shoelace(loop_: &[Point]) -> i128 {
 /// and the area scanline together.
 #[test]
 fn boundary_loops_shoelace_matches_union_area() {
+    let mut ws = GridScratch::new();
     check("boundary_loops_shoelace_matches_union_area", 128, |rng| {
-        use pao_geom::boundary::{union_area, union_boundaries};
         let shapes = arb_rects(rng, 1, 7);
-        let loops = union_boundaries(&shapes);
+        let loops = union_loops(&shapes, &mut ws);
         let total: i128 = loops.iter().map(|l| shoelace(l)).sum();
-        assert_eq!(total, union_area(&shapes));
+        assert_eq!(total, union_area_with(&shapes, &mut ws));
     });
 }
 
@@ -235,10 +257,10 @@ fn boundary_loops_shoelace_matches_union_area() {
 /// a vertex (all loop vertices distinct).
 #[test]
 fn boundary_loops_are_rectilinear() {
+    let mut ws = GridScratch::new();
     check("boundary_loops_are_rectilinear", 128, |rng| {
-        use pao_geom::boundary::union_boundaries;
         let shapes = arb_rects(rng, 1, 7);
-        for l in union_boundaries(&shapes) {
+        for l in union_loops(&shapes, &mut ws) {
             for i in 0..l.len() {
                 let a = l[i];
                 let b = l[(i + 1) % l.len()];

@@ -296,7 +296,7 @@ mod tests {
     use super::*;
     use pao_core::oracle::count_failed_pins_with;
     use pao_core::unique::{build_instance_context, local_pin_owner};
-    use pao_drc::DrcEngine;
+    use pao_drc::{DrcEngine, DrcScratch};
     use pao_testgen::{generate, SuiteCase};
 
     fn world() -> (Tech, Design) {
@@ -342,6 +342,7 @@ mod tests {
     fn baseline_has_dirty_aps_where_paaf_has_none() {
         let (tech, design) = world();
         let engine = DrcEngine::new(&tech);
+        let mut ws = DrcScratch::new();
         let r = baseline_pin_access(&tech, &design, &BaselineConfig::default());
         let mut dirty = 0usize;
         for u in &r.unique {
@@ -349,10 +350,8 @@ mod tests {
             for (pi, aps) in u.pin_aps.iter().enumerate() {
                 for ap in aps {
                     if let Some(v) = ap.primary_via() {
-                        if !engine
-                            .check_via_placement(tech.via(v), ap.pos, local_pin_owner(pi), &ctx)
-                            .is_empty()
-                        {
+                        let owner = local_pin_owner(pi);
+                        if !engine.via_placement_clean(tech.via(v), ap.pos, owner, &ctx, &mut ws) {
                             dirty += 1;
                         }
                     }

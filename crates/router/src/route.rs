@@ -7,7 +7,7 @@ use pao_core::apgen::AccessPoint;
 use pao_core::oracle::PaoResult;
 use pao_core::unique::pin_owner;
 use pao_design::{CompId, Design, NetPin};
-use pao_drc::{DrcEngine, Owner, ShapeSet};
+use pao_drc::{DrcEngine, DrcSink, Owner, ShapeSet};
 use pao_geom::{Dbu, Point, Rect};
 use pao_tech::{LayerId, PinUse, Tech};
 
@@ -160,11 +160,16 @@ impl<'a> Router<'a> {
         &self,
         accessor: impl Fn(CompId, usize) -> Option<AccessPoint>,
     ) -> RoutedDesign {
+        let engine = DrcEngine::new(self.tech);
+        let audit = |shapes: &ShapeSet| {
+            let mut sink = DrcSink::all();
+            engine.audit(shapes, &mut sink);
+            sink.into_violations()
+        };
         let mut history: pao_geom::RTree<()> = pao_geom::RTree::new();
         let mut best = self.route_once(&accessor, &history);
         for _ in 0..self.cfg.history_passes {
-            let engine = DrcEngine::new(self.tech);
-            let viols = engine.audit(&best.shapes);
+            let viols = audit(&best.shapes);
             if viols.is_empty() {
                 break;
             }
@@ -178,8 +183,7 @@ impl<'a> Router<'a> {
                 })
                 .collect();
             let again = self.route_once(&accessor, &history);
-            let engine = DrcEngine::new(self.tech);
-            if engine.audit(&again.shapes).len() < viols.len() {
+            if audit(&again.shapes).len() < viols.len() {
                 best = again;
             } else {
                 break;
@@ -479,7 +483,7 @@ impl<'a> Router<'a> {
                                 pao_tech::LayerKind::Cut => tech.layer(l).spacing,
                             };
                             let win = bb.translated(pos).expanded(halo.max(1));
-                            shapes.conflicts(l, win, owner).next().is_some()
+                            !shapes.for_each_conflict(l, win, owner, |_, _| false)
                         })
                     }
                     None => false,
@@ -488,7 +492,7 @@ impl<'a> Router<'a> {
                 let layer = grid.layer_of(to);
                 let seg = Rect::from_points(grid.pos(from), grid.pos(to))
                     .expanded(halos[to.layer as usize]);
-                shapes.conflicts(layer, seg, owner).next().is_some()
+                !shapes.for_each_conflict(layer, seg, owner, |_, _| false)
             };
             memo.borrow_mut().insert(key, c);
             c

@@ -2,7 +2,7 @@
 
 use crate::route::RoutedDesign;
 use pao_design::Design;
-use pao_drc::{DrcEngine, DrcViolation, RuleKind};
+use pao_drc::{DrcEngine, DrcScratch, DrcSink, DrcViolation, RuleKind};
 use pao_tech::Tech;
 use std::collections::{BTreeMap, HashSet};
 
@@ -14,10 +14,20 @@ use std::collections::{BTreeMap, HashSet};
 #[must_use]
 pub fn audit_routed(tech: &Tech, _design: &Design, routed: &RoutedDesign) -> Vec<DrcViolation> {
     let engine = DrcEngine::new(tech);
-    let mut out = engine.audit(&routed.shapes);
+    let mut ws = DrcScratch::new();
+    let mut sink = DrcSink::all();
+    engine.audit(&routed.shapes, &mut sink);
     for &(vid, pos, owner) in &routed.vias {
-        out.extend(engine.check_via_placement(tech.via(vid), pos, owner, &routed.shapes));
+        engine.check_via_placement(
+            tech.via(vid),
+            pos,
+            owner,
+            &routed.shapes,
+            &mut ws,
+            &mut sink,
+        );
     }
+    let mut out = sink.into_violations();
     let mut seen = HashSet::new();
     out.retain(|v| seen.insert((v.rule, v.layer, v.marker)));
     out
@@ -30,11 +40,20 @@ pub fn audit_routed(tech: &Tech, _design: &Design, routed: &RoutedDesign) -> Vec
 #[must_use]
 pub fn access_drcs(tech: &Tech, _design: &Design, routed: &RoutedDesign) -> usize {
     let engine = DrcEngine::new(tech);
-    let mut out = Vec::new();
+    let mut ws = DrcScratch::new();
+    let mut sink = DrcSink::all();
     for &i in &routed.access_vias {
         let (vid, pos, owner) = routed.vias[i];
-        out.extend(engine.check_via_placement(tech.via(vid), pos, owner, &routed.shapes));
+        engine.check_via_placement(
+            tech.via(vid),
+            pos,
+            owner,
+            &routed.shapes,
+            &mut ws,
+            &mut sink,
+        );
     }
+    let mut out = sink.into_violations();
     let mut seen = HashSet::new();
     out.retain(|v| seen.insert((v.rule, v.layer, v.marker)));
     out.len()

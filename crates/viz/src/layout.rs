@@ -102,9 +102,10 @@ pub fn render_window(
                 } else {
                     0.55
                 };
-                for (r, _) in set.query(pao_tech::LayerId(li as u32), window) {
+                set.for_each_in(pao_tech::LayerId(li as u32), window, |r, _| {
                     doc.rect(r, layer_color(li / 2), opacity, None);
-                }
+                    true
+                });
             }
         }
         None => {

@@ -8,6 +8,35 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt =="
 cargo fmt --all --check
 
+echo "== doc code references =="
+# Every backticked `*.rs` reference in DESIGN.md, README.md and
+# docs/paper-mapping.md must be a path from the repository root, and each
+# name of a `path.rs::name` reference must name an item (fn, struct,
+# enum, trait, const, static, type or mod) in that file, so a moved file
+# or a renamed item breaks the docs visibly.
+if command -v python3 > /dev/null; then
+    python3 - DESIGN.md README.md docs/paper-mapping.md <<'PY'
+import os, re, sys
+bad = []
+for doc in sys.argv[1:]:
+    for n, line in enumerate(open(doc, encoding='utf-8'), 1):
+        for ref in re.findall(r'`([^`\s]+\.rs(?:::[^`\s]+)?)`', line):
+            path, _, names = ref.partition('::')
+            if not os.path.isfile(path):
+                bad.append(f'{doc}:{n}: `{ref}`: no file {path}')
+                continue
+            src = open(path, encoding='utf-8').read()
+            for name in filter(None, names.split('::')):
+                item = r'\b(fn|struct|enum|trait|const|static|type|mod)\s+'
+                if not re.search(item + re.escape(name.removesuffix('()')) + r'\b', src):
+                    bad.append(f'{doc}:{n}: `{ref}`: no item {name} in {path}')
+print('\n'.join(bad) or 'doc code references: OK')
+sys.exit(1 if bad else 0)
+PY
+else
+    echo "doc code references: skipped (no python3)"
+fi
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

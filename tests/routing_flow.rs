@@ -121,10 +121,9 @@ fn routed_shape_invariants() {
     for &(vid, pos, owner) in routed.vias.iter().take(20) {
         for (layer, rect) in tech.via(vid).placed_shapes(pos) {
             assert!(
-                routed
+                !routed
                     .shapes
-                    .query(layer, rect)
-                    .any(|(r, o)| r == rect && o == owner),
+                    .for_each_in(layer, rect, |r, o| r != rect || o != owner),
                 "via shape missing from shape set"
             );
         }
